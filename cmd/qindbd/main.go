@@ -11,9 +11,10 @@
 //	cl, _ := server.Dial("127.0.0.1:7707", server.WithTimeout(2*time.Second))
 //	cl.PutContext(ctx, []byte("k"), 1, []byte("v"), false)
 //
-// Clients negotiate protocol v2 automatically and may pipeline or batch
-// requests; -max-inflight bounds how many the server dispatches
-// concurrently per connection.
+// Every connection opens with one hello exchange and is pipelined from
+// then on: clients may keep many requests in flight or batch them;
+// -max-inflight bounds how many the server dispatches concurrently per
+// connection.
 //
 // With -resp-addr set the daemon additionally serves the same engine
 // over RESP2 (the Redis protocol), so redis-cli and off-the-shelf Redis
@@ -76,7 +77,7 @@ var (
 	slowThresh    = flag.Duration("slowlog-threshold", 10*time.Millisecond, "record ops at or above this latency in /debug/slowlog (0 = off)")
 	slowCap       = flag.Int("slowlog-cap", 0, "slow-op entries retained (0 = default 256)")
 	memHighWater  = flag.Int64("memtable-highwater", 0, "report not-ready once the memtable exceeds this many bytes (0 = no check)")
-	maxInFlight   = flag.Int("max-inflight", 0, "concurrent requests dispatched per v2 connection (0 = default)")
+	maxInFlight   = flag.Int("max-inflight", 0, "concurrent requests dispatched per connection (0 = default)")
 	readTimeout   = flag.Duration("read-timeout", 0, "per-frame read deadline, doubles as idle timeout (0 = none)")
 	writeTimeout  = flag.Duration("write-timeout", 0, "per-frame write deadline (0 = none)")
 	shutdownGrace = flag.Duration("shutdown-grace", 3*time.Second, "deadline for draining the metrics HTTP server on shutdown")

@@ -1,6 +1,6 @@
 // Command storagenode runs a QinDB storage node over TCP in-process and
 // talks to it through the client — the wire-level view of a single Mint
-// node serving deduplicated index data. It demonstrates the protocol v2
+// node serving deduplicated index data. It demonstrates the client
 // surface (context-aware calls, batched publishes, pipelined reads) and
 // the operator surface: metrics, distributed tracing across the wire,
 // and the /healthz–/readyz–/debug endpoints.
@@ -62,8 +62,8 @@ func main() {
 	go opsSrv.Serve()
 	fmt.Printf("operator endpoints on http://%s/metrics\n", opsSrv.Addr())
 
-	// The client negotiates protocol v2 (and trace propagation)
-	// automatically; WithDialTimeout bounds every call whose context
+	// The dial performs the hello exchange, which also turns on trace
+	// propagation; WithDialTimeout bounds every call whose context
 	// carries no deadline.
 	cl, err := directload.DialNode(ln.Addr().String(),
 		directload.WithDialTimeout(2*time.Second),

@@ -514,7 +514,9 @@ type Judge func(rec *Record, ref Ref) bool
 type Relocated func(rec Record, old, new Ref)
 
 // Candidates returns sealed files whose occupancy is at or below the GC
-// threshold, lowest occupancy first.
+// threshold, lowest occupancy first and, among equals (typically the
+// fully dead files a DropVersion leaves), lowest file id first — so
+// identical runs collect in the same order.
 func (s *Store) Candidates() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -532,7 +534,12 @@ func (s *Store) Candidates() []uint32 {
 			cs = append(cs, cand{id, occ})
 		}
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].occ < cs[j].occ })
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].occ != cs[j].occ {
+			return cs[i].occ < cs[j].occ
+		}
+		return cs[i].id < cs[j].id
+	})
 	ids := make([]uint32, len(cs))
 	for i, c := range cs {
 		ids[i] = c.id
@@ -661,9 +668,10 @@ func (s *Store) UnderPressure() bool {
 	return free < s.cfg.MinFreeBytes
 }
 
-// PressureCandidate returns the sealed file with the lowest occupancy —
-// the victim to collect when space pressure overrides the lazy threshold.
-// Files above 95% occupancy are not worth rewriting and are skipped.
+// PressureCandidate returns the sealed file with the lowest occupancy
+// (the lowest file id among equals) — the victim to collect when space
+// pressure overrides the lazy threshold. Files above 95% occupancy are
+// not worth rewriting and are skipped.
 func (s *Store) PressureCandidate() (uint32, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -675,7 +683,7 @@ func (s *Store) PressureCandidate() (uint32, bool) {
 			continue
 		}
 		occ := float64(fi.live) / float64(fi.total)
-		if occ < bestOcc {
+		if occ < bestOcc || (found && occ == bestOcc && id < best) {
 			best, bestOcc, found = id, occ, true
 		}
 	}

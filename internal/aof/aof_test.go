@@ -182,6 +182,51 @@ func TestCandidatesThreshold(t *testing.T) {
 	}
 }
 
+// TestCandidatesEqualOccupancyOrder: files with the same occupancy (the
+// fully dead ones a DropVersion leaves) come back in ascending file-id
+// order on every call, not in map order, so identical runs collect the
+// same files in the same sequence.
+func TestCandidatesEqualOccupancyOrder(t *testing.T) {
+	s, _ := Open(testFS(t, 256), smallConfig())
+	val := bytes.Repeat([]byte{5}, 100<<10)
+	var refs []Ref
+	for i := 0; i < 100; i++ { // ~10 MB: nine sealed 1 MB files and the active one
+		ref, _, _, err := s.Append(Record{Key: []byte{byte(i)}, Version: 1, Value: val})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	active := refs[len(refs)-1].File
+	var want []uint32
+	for _, r := range refs {
+		if r.File == active {
+			continue
+		}
+		s.MarkDead(r)
+		if len(want) == 0 || want[len(want)-1] != r.File {
+			want = append(want, r.File) // appends are in ascending file order
+		}
+	}
+	if len(want) < 8 {
+		t.Fatalf("sealed %d files, want >= 8", len(want))
+	}
+	for call := 0; call < 100; call++ {
+		got := s.Candidates()
+		if len(got) != len(want) {
+			t.Fatalf("call %d: Candidates = %v, want %v", call, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("call %d: Candidates = %v, want ascending %v", call, got, want)
+			}
+		}
+		if id, ok := s.PressureCandidate(); !ok || id != want[0] {
+			t.Fatalf("call %d: PressureCandidate = %d, %v; want file %d", call, id, ok, want[0])
+		}
+	}
+}
+
 func TestActiveFileNeverCandidate(t *testing.T) {
 	s, _ := Open(testFS(t, 64), smallConfig())
 	ref, _, _, _ := s.Append(Record{Key: []byte("a"), Version: 1, Value: make([]byte, 100)})

@@ -118,29 +118,18 @@ type DirectLoad struct {
 	DCs     map[netsim.NodeID]*DataCenter
 
 	versions []uint64 // published versions in order
-	mirror   *Mirror
 	fleet    *fleet.Fleet
 	reg      *metrics.Registry
 	met      orchestratorMetrics
 }
 
-// AttachMirror makes every published version also fan out to the
-// mirror's remote TCP nodes (batched, see Mirror); retention drops
-// versions there too. Pass nil to detach. The caller keeps ownership of
-// the mirror and closes it after the system shuts down.
-func (d *DirectLoad) AttachMirror(m *Mirror) {
-	d.mirror = m
-	if m != nil && m.reg == nil && d.reg != nil {
-		m.SetMetrics(d.reg)
-	}
-}
-
 // AttachFleet routes every published version through the fleet's
 // sharded quorum writes as well, and retention drops versions there.
-// Unlike the mirror (every node gets every entry), the fleet places
-// each key on its rendezvous-chosen replica set, so the remote
-// deployment scales past one node's capacity. Pass nil to detach; the
-// caller keeps ownership of the fleet and closes it after shutdown.
+// The fleet places each key on its rendezvous-chosen replica set, so
+// the remote deployment scales past one node's capacity; a one-group
+// fleet with Replicas = WriteQuorum = group size puts every entry on
+// every node. Pass nil to detach; the caller keeps ownership of the
+// fleet and closes it after shutdown.
 func (d *DirectLoad) AttachFleet(f *fleet.Fleet) {
 	d.fleet = f
 }
@@ -304,10 +293,10 @@ func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateRepo
 // PublishVersionContext is PublishVersion under a caller context. The
 // whole publish cycle runs as one trace (rooted here when ctx carries
 // no span): the dedup pass, the simulated fan-out (with one
-// virtual-duration span per slice delivery), and the remote mirror
-// publish — across the wire into each node's handler spans — all
-// nest under one "cluster.publish" root, which is what /debug/trace
-// renders as the version's timeline.
+// virtual-duration span per slice delivery), and the fleet publish —
+// across the wire into each node's handler spans — all nest under one
+// "cluster.publish" root, which is what /debug/trace renders as the
+// version's timeline.
 func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, entries []Entry) (rep UpdateReport, err error) {
 	ctx, end := d.reg.StartSpanNote(ctx, "cluster.publish",
 		fmt.Sprintf("v%d keys=%d", version, len(entries)))
@@ -414,16 +403,9 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 				dc.ID, dc.arrived[version], dc.expected[version], version)
 		}
 	}
-	// Remote publish path: fan the version out to mirrored TCP nodes in
-	// batched frames before declaring it published.
-	if d.mirror != nil {
-		if err := d.mirror.PublishVersion(ctx, version, entries); err != nil {
-			return rep, err
-		}
-	}
-	// Fleet path: quorum-write the version onto its sharded replica
-	// sets. A quorum publish tolerates minority replica outages, so this
-	// can succeed where the all-nodes mirror would fail.
+	// Remote publish path: quorum-write the version onto the fleet's
+	// sharded replica sets, in batched frames, before declaring it
+	// published. A quorum publish tolerates minority replica outages.
 	if d.fleet != nil {
 		fe := make([]fleet.Entry, len(entries))
 		for i, e := range entries {
@@ -450,11 +432,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	for len(d.versions) > d.cfg.RetainVersions {
 		old := d.versions[0]
 		d.versions = d.versions[1:]
-		if d.mirror != nil {
-			if err := d.mirror.DropVersion(ctx, old); err != nil {
-				return rep, err
-			}
-		}
 		if d.fleet != nil {
 			if err := d.fleet.DropVersion(ctx, old); err != nil {
 				return rep, fmt.Errorf("cluster: fleet drop v%d: %w", old, err)

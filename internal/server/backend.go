@@ -14,7 +14,7 @@ import (
 
 // Backend executes engine operations on behalf of a transport listener.
 // It is the transport-agnostic half of the server: every front door —
-// the native v1/v2 binary listener in this package, the RESP listener
+// the native binary listener in this package, the RESP listener
 // in internal/resp — funnels its requests through one Backend, so all
 // protocols share one engine, one set of server.* metrics, one slowlog,
 // one read SLO, and one trace timeline. The wire encodings stay with
@@ -93,7 +93,7 @@ func (b *Backend) SetReadSLO(slo *metrics.SLO) {
 // /debug/attrib table and the server.req.<op>.alloc_bytes histograms.
 // every <= 0 disables. Safe at runtime; the table resets on re-enable.
 // Because the table hangs off the Backend, it covers every front door —
-// native v1/v2 and RESP traffic land in one table.
+// native and RESP traffic land in one table.
 func (b *Backend) SetAttribution(every int) {
 	if every <= 0 {
 		b.attr.Store(nil)

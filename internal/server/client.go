@@ -22,8 +22,6 @@ type dialOptions struct {
 	timeout     time.Duration // default per-op deadline (0 = none)
 	poolSize    int           // connections in the pool
 	maxInFlight int           // per-connection pipelining bound
-	maxProto    int           // highest protocol version to negotiate
-	noTrace     bool          // do not offer the trace feature in the hello
 	reg         *metrics.Registry
 }
 
@@ -51,29 +49,6 @@ func WithMaxInFlight(n int) DialOption {
 	return func(o *dialOptions) { o.maxInFlight = n }
 }
 
-// WithMaxProtocol caps the negotiated protocol version.
-// WithMaxProtocol(ProtoV1) skips the hello entirely and speaks the
-// legacy in-order protocol — wire-compatible with servers that predate
-// v2.
-func WithMaxProtocol(v int) DialOption {
-	return func(o *dialOptions) {
-		if v >= ProtoV1 && v <= MaxProto {
-			o.maxProto = v
-		}
-	}
-}
-
-// WithTracePropagation controls whether the client offers the trace
-// feature when negotiating v2 (default on). When granted by the server,
-// any call whose context carries an active span (see
-// metrics.ContextWithSpan) ships that span's identity in the request
-// frame, and the server parents its handler spans under it. Calls with
-// no active span are wire-identical to a trace-less connection, so
-// leaving this on costs nothing until a trace is started.
-func WithTracePropagation(enabled bool) DialOption {
-	return func(o *dialOptions) { o.noTrace = !enabled }
-}
-
 // WithMetrics attaches a registry for the client-side pool gauges:
 // client.pool.conns (connections dialed) and client.pool.inflight
 // (requests currently outstanding across the pool).
@@ -82,12 +57,11 @@ func WithMetrics(reg *metrics.Registry) DialOption {
 }
 
 // Client is a QinDB client over a small pool of TCP connections. It is
-// safe for concurrent use. On protocol v2 connections requests are
-// pipelined: many calls share one connection simultaneously and
-// complete out of order; on v1 connections calls serialize per
-// connection. Methods taking a context honor its deadline and
-// cancellation via connection deadlines; the *Context forms are the
-// primary API and the bare forms are deprecated wrappers.
+// safe for concurrent use. Requests are pipelined: many calls share one
+// connection simultaneously and complete out of order. Every method
+// takes a context and honors its deadline and cancellation; a call
+// abandoned that way leaves the connection usable, because its late
+// response is discarded by sequence number.
 type Client struct {
 	addr string
 	opts dialOptions
@@ -101,12 +75,12 @@ type Client struct {
 	inflight  *metrics.Gauge
 }
 
-// Dial connects to a QinDB server and negotiates the protocol version
-// (old servers transparently fall back to v1). Options configure
-// deadlines, pool size and pipelining depth; Dial(addr) alone keeps the
-// historical single-connection behavior.
+// Dial connects to a QinDB server and performs the hello exchange on
+// every pooled connection; a server that refuses the hello is a dial
+// error. Options configure deadlines, pool size and pipelining depth;
+// Dial(addr) alone opens a single connection.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	o := dialOptions{poolSize: 1, maxInFlight: defaultMaxInFlight, maxProto: MaxProto}
+	o := dialOptions{poolSize: 1, maxInFlight: defaultMaxInFlight}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -133,17 +107,6 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 		c.poolConns.Add(1)
 	}
 	return c, nil
-}
-
-// Proto returns the negotiated protocol version (of the first pooled
-// connection).
-func (c *Client) Proto() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.conns) == 0 || c.conns[0] == nil {
-		return 0
-	}
-	return c.conns[0].proto
 }
 
 // TraceEnabled reports whether the server granted the trace feature (on
@@ -240,7 +203,7 @@ func (c *Client) do(ctx context.Context, req request) (uint8, []byte, error) {
 	return w.call(ctx, body)
 }
 
-// --- context-aware API ------------------------------------------------------
+// --- operations -------------------------------------------------------------
 
 // PutContext stores value under (key, version); dedup marks a
 // value-stripped entry whose payload lives in an older version.
@@ -301,8 +264,7 @@ func (c *Client) HasContext(ctx context.Context, key []byte, version uint64) (bo
 
 // RangeContext lists newest-live (key, version) pairs in [from, to).
 // limit <= 0 requests the server default; the second return value is
-// the limit the server actually applied (its cap clamps large asks), or
-// -1 when the server speaks v1 and does not report one.
+// the limit the server actually applied (its cap clamps large asks).
 func (c *Client) RangeContext(ctx context.Context, from, to []byte, limit int) ([]RangeEntry, int, error) {
 	status, payload, err := c.do(ctx, request{
 		Op: OpRange, Version: uint64(int64(limit)), Key: from, Value: to,
@@ -313,11 +275,7 @@ func (c *Client) RangeContext(ctx context.Context, from, to []byte, limit int) (
 	if err := statusErr(status, payload); err != nil {
 		return nil, 0, err
 	}
-	if c.Proto() >= ProtoV2 {
-		return decodeRangeReply(payload)
-	}
-	entries, err := decodeRangeEntries(payload)
-	return entries, -1, err
+	return decodeRangeReply(payload)
 }
 
 // StatsContext fetches engine statistics.
@@ -366,73 +324,6 @@ func (c *Client) PingContext(ctx context.Context) error {
 	return nil
 }
 
-// --- deprecated context-free wrappers ---------------------------------------
-
-// Put stores value under (key, version).
-//
-// Deprecated: use PutContext.
-func (c *Client) Put(key []byte, version uint64, value []byte, dedup bool) error {
-	return c.PutContext(context.Background(), key, version, value, dedup)
-}
-
-// Get fetches the value at (key, version).
-//
-// Deprecated: use GetContext.
-func (c *Client) Get(key []byte, version uint64) ([]byte, error) {
-	return c.GetContext(context.Background(), key, version)
-}
-
-// Del marks (key, version) deleted.
-//
-// Deprecated: use DelContext.
-func (c *Client) Del(key []byte, version uint64) error {
-	return c.DelContext(context.Background(), key, version)
-}
-
-// DropVersion retires a whole data version.
-//
-// Deprecated: use DropVersionContext.
-func (c *Client) DropVersion(version uint64) error {
-	return c.DropVersionContext(context.Background(), version)
-}
-
-// Has reports whether (key, version) exists and is live.
-//
-// Deprecated: use HasContext.
-func (c *Client) Has(key []byte, version uint64) (bool, error) {
-	return c.HasContext(context.Background(), key, version)
-}
-
-// Range lists up to limit newest-live (key, version) pairs in [from,
-// to), discarding the server-applied limit.
-//
-// Deprecated: use RangeContext.
-func (c *Client) Range(from, to []byte, limit int) ([]RangeEntry, error) {
-	entries, _, err := c.RangeContext(context.Background(), from, to, limit)
-	return entries, err
-}
-
-// Stats fetches engine statistics.
-//
-// Deprecated: use StatsContext.
-func (c *Client) Stats() (StatsReply, error) {
-	return c.StatsContext(context.Background())
-}
-
-// Metrics fetches the server's metrics registry snapshot.
-//
-// Deprecated: use MetricsContext.
-func (c *Client) Metrics() (map[string]any, error) {
-	return c.MetricsContext(context.Background())
-}
-
-// Ping checks liveness.
-//
-// Deprecated: use PingContext.
-func (c *Client) Ping() error {
-	return c.PingContext(context.Background())
-}
-
 // --- wire connection --------------------------------------------------------
 
 // wireResp is one decoded response delivered to a waiter.
@@ -442,19 +333,15 @@ type wireResp struct {
 	err     error
 }
 
-// wireConn is one TCP connection. In v2 mode a background reader
-// demultiplexes responses to waiters by sequence number, so many calls
-// can be in flight at once (bounded by sem); in v1 mode calls serialize
-// under wmu, one round trip at a time.
+// wireConn is one TCP connection. A background reader demultiplexes
+// responses to waiters by sequence number, so many calls can be in
+// flight at once (bounded by sem).
 type wireConn struct {
 	c     net.Conn
-	br    *bufio.Reader // sole reader: v1 serializes reads, v2 reads only in readLoop
-	proto int
-	feats uint8 // feature bits the server granted (helloFeat*)
+	br    *bufio.Reader // read by negotiate, then only by readLoop
+	feats uint8         // feature bits the server granted (helloFeat*)
 
-	wmu sync.Mutex // serializes frame writes (and whole v1 round trips)
-
-	// v2 demux state.
+	// Demux state.
 	pmu     sync.Mutex
 	nextSeq uint32
 	pend    map[uint32]chan wireResp
@@ -462,59 +349,51 @@ type wireConn struct {
 	done    chan struct{} // closed by the reader on connection death
 	readErr error         // set before done is closed
 
-	// v2 write coalescing: senders append frames under fmu; the flush
+	// Write coalescing: senders append frames under fmu; the flush
 	// goroutine drains the buffer with one write per syscall. Growth is
 	// bounded by sem — at most maxInFlight frames can be buffered.
 	fmu  sync.Mutex
 	fbuf []byte
 	fsig chan struct{} // capacity 1: "the buffer is non-empty"
 
-	bad  atomic.Bool // any I/O failure poisons the conn (stream unsynced)
-	once sync.Once
+	bad atomic.Bool // any I/O failure poisons the conn (stream unsynced)
 }
 
-// dialWire opens and negotiates one connection.
+// dialWire opens one connection, performs the hello exchange and starts
+// the connection's reader and flusher.
 func dialWire(addr string, o dialOptions) (*wireConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, o.timeout)
 	if err != nil {
 		return nil, err
 	}
-	w := &wireConn{c: nc, br: bufio.NewReader(nc), proto: ProtoV1, done: make(chan struct{})}
-	if o.maxProto >= ProtoV2 {
-		if err := w.negotiate(o); err != nil {
-			nc.Close()
-			return nil, err
-		}
+	w := &wireConn{
+		c:    nc,
+		br:   bufio.NewReader(nc),
+		pend: make(map[uint32]chan wireResp),
+		sem:  make(chan struct{}, o.maxInFlight),
+		done: make(chan struct{}),
+		fsig: make(chan struct{}, 1),
 	}
-	if w.proto >= ProtoV2 {
-		w.pend = make(map[uint32]chan wireResp)
-		w.sem = make(chan struct{}, o.maxInFlight)
-		w.fsig = make(chan struct{}, 1)
-		go w.readLoop()
-		go w.flushLoop(o.timeout)
+	if err := w.negotiate(o.timeout); err != nil {
+		nc.Close()
+		return nil, err
 	}
+	go w.readLoop()
+	go w.flushLoop(o.timeout)
 	return w, nil
 }
 
-// negotiate sends the hello and interprets the answer. A StatusError
-// reply means the server predates OpHello; the connection stays v1. The
-// hello's Value carries the offered feature bits: a feature-aware
-// server answers with a second payload byte naming the granted subset,
-// an older server ignores the Value and answers one byte — either way
-// the connection comes up with the right feature set.
-func (w *wireConn) negotiate(o dialOptions) error {
-	hello := request{Op: OpHello, Version: uint64(o.maxProto)}
-	var offered uint8
-	if !o.noTrace {
-		offered = helloFeatTrace
-		hello.Value = []byte{offered}
-	}
-	body, err := encodeRequest(hello)
+// negotiate sends the hello, offering the trace feature in its Value,
+// and interprets the answer: StatusOK with the accepted version and,
+// in a second payload byte, the granted feature bits (a one-byte reply
+// grants none). Any other answer fails the dial.
+func (w *wireConn) negotiate(timeout time.Duration) error {
+	body, err := encodeRequest(request{Op: OpHello, Version: ProtoV2, Value: []byte{helloFeatTrace}})
 	if err != nil {
 		return err
 	}
-	if o.timeout > 0 {
-		w.c.SetDeadline(time.Now().Add(o.timeout))
+	if timeout > 0 {
+		w.c.SetDeadline(time.Now().Add(timeout))
 		defer w.c.SetDeadline(time.Time{})
 	}
 	if err := writeFrame(w.c, body); err != nil {
@@ -528,17 +407,17 @@ func (w *wireConn) negotiate(o dialOptions) error {
 	if err != nil {
 		return err
 	}
-	if status != StatusOK {
-		return nil // legacy server: "unknown op", stay on v1
+	if err := statusErr(status, payload); err != nil {
+		return fmt.Errorf("qindb client: hello refused: %w", err)
 	}
 	if len(payload) != 1 && len(payload) != 2 {
 		return fmt.Errorf("qindb client: malformed hello reply (%d bytes)", len(payload))
 	}
-	if v := int(payload[0]); v >= ProtoV2 && v <= MaxProto {
-		w.proto = v
+	if payload[0] != ProtoV2 {
+		return fmt.Errorf("qindb client: server accepted protocol %d, want %d", payload[0], ProtoV2)
 	}
-	if len(payload) == 2 && w.proto >= ProtoV2 {
-		w.feats = payload[1] & offered
+	if len(payload) == 2 {
+		w.feats = payload[1] & helloFeatTrace
 	}
 	return nil
 }
@@ -546,67 +425,15 @@ func (w *wireConn) negotiate(o dialOptions) error {
 // broken reports whether the connection is unusable.
 func (w *wireConn) broken() bool { return w.bad.Load() }
 
-// close tears the connection down and fails any waiters.
+// close tears the connection down; the read loop then fails any
+// waiters.
 func (w *wireConn) close() error {
 	w.bad.Store(true)
-	err := w.c.Close()
-	if w.proto < ProtoV2 {
-		w.once.Do(func() {
-			w.readErr = errClientClosed
-			close(w.done)
-		})
-	}
-	return err
+	return w.c.Close()
 }
 
-// call runs one request/response exchange.
+// call pipelines one request: write it, then wait for its response.
 func (w *wireConn) call(ctx context.Context, body []byte) (uint8, []byte, error) {
-	if w.proto >= ProtoV2 {
-		return w.callV2(ctx, body)
-	}
-	return w.callV1(ctx, body)
-}
-
-// callV1 is the legacy serialized round trip. Any I/O failure (deadline
-// included) can leave a partial frame on the stream, so it marks the
-// connection broken; the pool redials on the next call.
-func (w *wireConn) callV1(ctx context.Context, body []byte) (uint8, []byte, error) {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if w.bad.Load() {
-		return 0, nil, errClientClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		w.c.SetDeadline(dl)
-	} else {
-		w.c.SetDeadline(time.Time{})
-	}
-	if err := writeFrame(w.c, body); err != nil {
-		return 0, nil, w.ioErr(ctx, err)
-	}
-	frame, err := readFrame(w.br)
-	if err != nil {
-		return 0, nil, w.ioErr(ctx, err)
-	}
-	return decodeResponse(frame)
-}
-
-// ioErr poisons the connection and prefers the context's verdict over
-// the raw net error when the deadline was the cause.
-func (w *wireConn) ioErr(ctx context.Context, err error) error {
-	w.bad.Store(true)
-	w.c.Close()
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// callV2 pipelines one request: write it, then wait for its response.
-func (w *wireConn) callV2(ctx context.Context, body []byte) (uint8, []byte, error) {
 	pc, err := w.sendV2(ctx, body)
 	if err != nil {
 		return 0, nil, err
@@ -614,7 +441,7 @@ func (w *wireConn) callV2(ctx context.Context, body []byte) (uint8, []byte, erro
 	return w.awaitV2(ctx, pc)
 }
 
-// pendingCall is one v2 request that has been written but not yet
+// pendingCall is one request that has been written but not yet
 // answered.
 type pendingCall struct {
 	seq uint32
@@ -667,7 +494,7 @@ func (w *wireConn) sendV2(ctx context.Context, body []byte) (pendingCall, error)
 	return pendingCall{seq: seq, ch: ch}, nil
 }
 
-// flushLoop writes queued v2 frames, coalescing everything that
+// flushLoop writes queued frames, coalescing everything that
 // accumulated while the previous syscall was in flight into the next
 // one. A write failure poisons the connection and closes it, which
 // fails every pending call via the read loop.
@@ -735,7 +562,7 @@ func (w *wireConn) unregister(seq uint32) bool {
 	return ok
 }
 
-// readLoop demultiplexes v2 responses to their waiters by sequence
+// readLoop demultiplexes responses to their waiters by sequence
 // number. On connection death it fails every pending waiter.
 func (w *wireConn) readLoop() {
 	for {
@@ -746,10 +573,8 @@ func (w *wireConn) readLoop() {
 			pend := w.pend
 			w.pend = make(map[uint32]chan wireResp)
 			w.pmu.Unlock()
-			w.once.Do(func() {
-				w.readErr = fmt.Errorf("qindb client: connection lost: %w", err)
-				close(w.done)
-			})
+			w.readErr = fmt.Errorf("qindb client: connection lost: %w", err)
+			close(w.done)
 			for _, ch := range pend {
 				ch <- wireResp{err: w.readErr}
 			}

@@ -14,9 +14,9 @@ import (
 // fails to fill.
 const fuzzFrameCap = 1 << 20
 
-// FuzzFrameV1 drives arbitrary bytes through the v1 frame reader and
-// round-trips every frame it accepts.
-func FuzzFrameV1(f *testing.F) {
+// FuzzHelloFrame drives arbitrary bytes through the unsequenced frame
+// reader the handshake uses and round-trips every frame it accepts.
+func FuzzHelloFrame(f *testing.F) {
 	good, err := encodeRequest(request{Op: OpPut, Version: 7, Key: []byte("k"), Value: []byte("v")})
 	if err != nil {
 		f.Fatal(err)
@@ -84,7 +84,7 @@ func FuzzRequest(f *testing.F) {
 	})
 }
 
-// FuzzFrameV2 parses arbitrary bytes the way the v2 server read loop
+// FuzzFrameV2 parses arbitrary bytes the way the server read loop
 // does: seq-framed, optionally trace-tagged, optionally a batch of
 // packed sub-ops.
 func FuzzFrameV2(f *testing.F) {

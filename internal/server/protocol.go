@@ -2,43 +2,31 @@
 // protocol, plus a matching client — the network face a storage node in
 // a Mint group presents inside a data center. The protocol is
 // deliberately minimal (the paper's front-ends speak an internal RPC):
-// length-prefixed request/response frames carrying the mutated
-// GET/PUT/DEL operations of paper Fig. 2.
+// length-prefixed, sequence-numbered request/response frames carrying
+// the mutated GET/PUT/DEL operations of paper Fig. 2.
 //
-// # Protocol v1 (legacy, strictly in-order)
+// # Handshake
 //
-// Frame layout (all integers little-endian):
+// A connection opens with exactly one unsequenced exchange (all
+// integers little-endian):
 //
-//	request:  len u32 | op u8 | version u64 | keyLen u16 | key | valLen u32 | value
-//	response: len u32 | status u8 | payloadLen u32 | payload
+//	hello: len u32 | OpHello u8 | version u64 | keyLen u16 (=0) | valLen u32 | features
+//	reply: len u32 | status u8 | payloadLen u32 | payload
 //
-// Requests on a connection are answered in order, one response per
-// request.
+// version is the protocol version the client speaks (ProtoV2).
+// features is empty, or one byte of offered feature bits (today only
+// bit 0, trace-context propagation). The server answers StatusOK with a
+// one-byte payload — the accepted version, 2 — when the hello carried
+// no feature byte, and with two bytes — accepted version, granted
+// feature bits — when it did. Every frame after the reply is a
+// sequenced frame as described below. Anything else as first frame, or
+// a hello asking for a version below 2, is answered with one
+// StatusFailed reply and the connection is closed; the client treats a
+// non-OK or sub-2 reply as a dial error.
 //
-// # Version negotiation
+// # Frames (pipelined)
 //
-// A client that speaks v2 sends OpHello as its very first request, with
-// the highest protocol version it supports in the Version field. The
-// server answers StatusOK with a one-byte payload carrying the version
-// it accepted; if that version is >= 2, both sides switch to v2 framing
-// for the remainder of the connection. A server that predates OpHello
-// answers a StatusFailed response ("unknown op") and the client stays on v1. Old
-// clients never send OpHello, so they keep speaking v1 against new
-// servers — both directions interoperate.
-//
-// A client may additionally offer optional features in the hello's
-// Value field (byte 0 = feature bits; today only bit 0, trace-context
-// propagation). A server that understands features answers with a
-// TWO-byte payload — accepted version, accepted feature bits — but only
-// when the client offered features, so clients that predate them still
-// get the one-byte reply they expect. Servers that predate features
-// ignore the Value field and answer one byte, which the offering client
-// reads as "no features": v2-without-trace interop needs no flag day
-// either.
-//
-// # Protocol v2 (pipelined)
-//
-// Every frame gains a per-request sequence number directly after the
+// Every frame carries a per-request sequence number directly after the
 // length prefix:
 //
 //	request:  len u32 | seq u32 | op u8 | version u64 | keyLen u16 | key | valLen u32 | value
@@ -51,7 +39,7 @@
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
-// # Trace context (v2, negotiated)
+// # Trace context (negotiated)
 //
 // On a connection that negotiated the trace feature, a request frame
 // whose seq has its high bit set carries a 16-byte trace-context field
@@ -71,31 +59,27 @@
 // # OpBatch
 //
 // OpBatch packs N mutation sub-ops into one frame: Version holds the
-// sub-op count and Value the concatenated sub-ops, each encoded exactly
-// like a v1 request body (op u8 | version u64 | keyLen u16 | key |
-// valLen u32 | value). Only OpPut, OpPutDedup, OpDel and OpDropVersion
-// may appear as sub-ops. The server applies the batch in one pass and
-// answers StatusOK with one status per sub-op:
+// sub-op count and Value the concatenated sub-ops, each encoded like a
+// request body (op u8 | version u64 | keyLen u16 | key | valLen u32 |
+// value). Only OpPut, OpPutDedup, OpDel and OpDropVersion may appear as
+// sub-ops. The server applies the batch in one pass and answers
+// StatusOK with one status per sub-op:
 //
 //	payload: count u32, then per sub-op: status u8 | msgLen u16 | msg
 //
 // msg is empty for StatusOK entries. A failing sub-op does not poison
 // the frame: the remaining sub-ops are still applied and reported
-// individually. OpBatch is negotiated with v2 but the server accepts it
-// on v1 connections too.
+// individually.
 //
 // # OpRange
 //
 // The request reuses the generic fields: Key = inclusive lower bound,
 // Value = exclusive upper bound, Version = limit. A limit <= 0 means
 // "server default" (the server's range cap, 4096 unless configured);
-// a positive limit is clamped to that cap. The v2 reply payload leads
-// with the applied limit:
+// a positive limit is clamped to that cap. The reply payload leads with
+// the applied limit:
 //
-//	v2 payload: appliedLimit u32 | entries
-//	v1 payload: entries
-//
-// where entries are keyLen u16 | key | version u64 triples.
+//	payload: appliedLimit u32, then per hit: keyLen u16 | key | version u64
 //
 // For OpStats the payload is a JSON-encoded StatsReply. For OpMetrics
 // the payload is the JSON encoding of the server's metrics registry
@@ -123,31 +107,26 @@ const (
 	OpRange
 	OpPing
 	OpMetrics
-	OpHello // protocol version negotiation (first request of a v2 client)
+	OpHello // the handshake: first frame of every connection, and only there
 	OpBatch // N packed mutation sub-ops in one frame
 )
 
 // opMax is the highest assigned opcode (bounds the per-opcode arrays).
 const opMax = OpBatch
 
-// Protocol versions. ProtoV1 is the legacy one-op-per-round-trip
-// protocol; ProtoV2 adds sequence numbers, pipelining and batching.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	// MaxProto is the highest version this package speaks.
-	MaxProto = ProtoV2
-)
+// ProtoV2 is the protocol version this package speaks: the number a
+// hello asks for and the server's reply accepts.
+const ProtoV2 = 2
 
 // Optional feature bits offered in OpHello's Value field (byte 0) and
 // echoed in the second byte of a two-byte hello reply.
 const (
-	// helloFeatTrace: v2 request frames may carry a 16-byte trace
+	// helloFeatTrace: request frames may carry a 16-byte trace
 	// context flagged by seqTraceFlag.
 	helloFeatTrace uint8 = 1 << 0
 )
 
-// seqTraceFlag marks a v2 request frame that carries a trace-context
+// seqTraceFlag marks a request frame that carries a trace-context
 // field. Responses never set it; the server masks it off before echo.
 const seqTraceFlag uint32 = 1 << 31
 
@@ -194,7 +173,8 @@ type request struct {
 	Value   []byte
 }
 
-// writeFrame writes a length-prefixed v1 frame.
+// writeFrame writes one unsequenced length-prefixed frame — the
+// handshake's framing.
 func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
 		return ErrFrameTooBig
@@ -206,7 +186,7 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed v1 frame.
+// readFrame reads one unsequenced length-prefixed frame.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -223,7 +203,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// writeFrameSeq writes a v2 frame: len u32 | seq u32 | body.
+// writeFrameSeq writes a sequenced frame: len u32 | seq u32 | body.
 func writeFrameSeq(w io.Writer, seq uint32, body []byte) error {
 	if len(body)+4 > maxFrame {
 		return ErrFrameTooBig
@@ -233,7 +213,7 @@ func writeFrameSeq(w io.Writer, seq uint32, body []byte) error {
 	return err
 }
 
-// appendFrameSeq appends one encoded v2 frame to buf, letting callers
+// appendFrameSeq appends one encoded sequenced frame to buf, letting callers
 // coalesce several frames into a single write.
 func appendFrameSeq(buf []byte, seq uint32, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4))
@@ -241,7 +221,7 @@ func appendFrameSeq(buf []byte, seq uint32, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// appendFrameSeqTrace appends one v2 request frame carrying a
+// appendFrameSeqTrace appends one request frame carrying a
 // trace-context field; seq must already have seqTraceFlag set.
 func appendFrameSeqTrace(buf []byte, seq uint32, sc metrics.SpanContext, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4+traceHeaderLen))
@@ -264,7 +244,7 @@ func splitTraceHeader(body []byte) (metrics.SpanContext, []byte, error) {
 	return sc, body[traceHeaderLen:], nil
 }
 
-// readFrameSeq reads one v2 frame, returning its sequence number and
+// readFrameSeq reads one sequenced frame, returning its sequence number and
 // body.
 func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 	var hdr [8]byte
@@ -273,7 +253,7 @@ func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n < 4 {
-		return 0, nil, fmt.Errorf("%w: v2 frame shorter than its seq", ErrBadFrame)
+		return 0, nil, fmt.Errorf("%w: frame shorter than its seq", ErrBadFrame)
 	}
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
@@ -373,9 +353,10 @@ type RangeEntry struct {
 	Version uint64
 }
 
-// encodeRangeEntries packs range results.
-func encodeRangeEntries(entries []RangeEntry) []byte {
-	var buf []byte
+// encodeRangeReply packs a range reply: the applied limit, then one
+// keyLen u16 | key | version u64 triple per hit.
+func encodeRangeReply(applied int, entries []RangeEntry) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(applied))
 	for _, e := range entries {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Key)))
 		buf = append(buf, e.Key...)
@@ -384,17 +365,21 @@ func encodeRangeEntries(entries []RangeEntry) []byte {
 	return buf
 }
 
-// decodeRangeEntries unpacks range results.
-func decodeRangeEntries(buf []byte) ([]RangeEntry, error) {
+// decodeRangeReply unpacks a range reply.
+func decodeRangeReply(buf []byte) ([]RangeEntry, int, error) {
+	if len(buf) < 4 {
+		return nil, 0, fmt.Errorf("%w: short range reply", ErrBadFrame)
+	}
+	applied := int(binary.LittleEndian.Uint32(buf))
 	var out []RangeEntry
-	for p := 0; p < len(buf); {
+	for p := 4; p < len(buf); {
 		if p+2 > len(buf) {
-			return nil, ErrBadFrame
+			return nil, 0, ErrBadFrame
 		}
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
 		p += 2
 		if p+klen+8 > len(buf) {
-			return nil, ErrBadFrame
+			return nil, 0, ErrBadFrame
 		}
 		e := RangeEntry{Key: append([]byte(nil), buf[p:p+klen]...)}
 		p += klen
@@ -402,23 +387,7 @@ func decodeRangeEntries(buf []byte) ([]RangeEntry, error) {
 		p += 8
 		out = append(out, e)
 	}
-	return out, nil
-}
-
-// encodeRangeReply packs a v2 range reply: applied limit then entries.
-func encodeRangeReply(applied int, entries []RangeEntry) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(applied))
-	return append(buf, encodeRangeEntries(entries)...)
-}
-
-// decodeRangeReply unpacks a v2 range reply.
-func decodeRangeReply(buf []byte) ([]RangeEntry, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("%w: short range reply", ErrBadFrame)
-	}
-	applied := int(binary.LittleEndian.Uint32(buf))
-	entries, err := decodeRangeEntries(buf[4:])
-	return entries, applied, err
+	return out, applied, nil
 }
 
 // BatchOp is one sub-op of an OpBatch frame. Only mutations may be

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -15,112 +16,146 @@ import (
 	"directload/internal/metrics"
 )
 
-// TestNegotiationDefaultsToV2 verifies a plain Dial lands on v2 against
-// a new server.
-func TestNegotiationDefaultsToV2(t *testing.T) {
-	_, cl := startServer(t)
-	if got := cl.Proto(); got != ProtoV2 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV2)
+// reqBody encodes a request body for the raw-connection tests.
+func reqBody(t *testing.T, req request) []byte {
+	t.Helper()
+	body, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return body
 }
 
-// TestInteropV1ClientNewServer pins the backward direction: a client
-// capped at v1 (wire-identical to an old client: it never sends
-// OpHello) works against a v2 server, including range decoding.
-func TestInteropV1ClientNewServer(t *testing.T) {
+// rawFirstFrame dials s without a Client, writes body as one
+// unsequenced frame and returns the connection for the test to read the
+// answer from.
+func rawFirstFrame(t *testing.T, s *Server, body []byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(conn, body); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestHelloReplyBytes pins the hello reply byte for byte, because
+// bench/wire.go and any other hand-built dialer depend on it: a bare
+// hello is answered with exactly one payload byte, the accepted
+// version; a hello that offers feature bits gets a second byte with the
+// granted subset. Either way the connection then speaks sequenced
+// frames.
+func TestHelloReplyBytes(t *testing.T) {
 	s, _ := startServer(t)
-	cl, err := Dial(s.Addr().String(), WithMaxProtocol(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
-	}
-	ctx := context.Background()
-	if err := cl.PutContext(ctx, []byte("v1k"), 1, []byte("v1v"), false); err != nil {
-		t.Fatal(err)
-	}
-	val, err := cl.GetContext(ctx, []byte("v1k"), 1)
-	if err != nil || string(val) != "v1v" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	entries, applied, err := cl.RangeContext(ctx, nil, nil, 10)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("Range = %d entries, %v", len(entries), err)
-	}
-	if applied != -1 {
-		t.Fatalf("v1 applied limit = %d, want -1 (unreported)", applied)
-	}
-}
-
-// TestInteropNewClientV1Server pins the forward direction: a v2 client
-// negotiates down against a server capped at v1 and keeps working.
-func TestInteropNewClientV1Server(t *testing.T) {
-	s, _ := startServer(t) // startServer's own client predates the cap; ignore it
-	s.SetMaxProtocol(ProtoV1)
-	cl, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
-	}
-	ctx := context.Background()
-	if err := cl.PutContext(ctx, []byte("down"), 1, []byte("graded"), false); err != nil {
-		t.Fatal(err)
-	}
-	if val, err := cl.GetContext(ctx, []byte("down"), 1); err != nil || string(val) != "graded" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-}
-
-// TestInteropAncientServer pins the fallback against a server that
-// predates OpHello entirely: it answers the hello with StatusFailed
-// ("unknown op") and the client must stay on v1.
-func TestInteropAncientServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
+	for _, tc := range []struct {
+		name     string
+		features []byte
+		want     []byte
+	}{
+		{"bare", nil, []byte{ProtoV2}},
+		{"trace offered", []byte{helloFeatTrace}, []byte{ProtoV2, helloFeatTrace}},
+		{"unknown bits offered", []byte{0xfe}, []byte{ProtoV2, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := rawFirstFrame(t, s, reqBody(t, request{Op: OpHello, Version: ProtoV2, Value: tc.features}))
 			frame, err := readFrame(conn)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			req, err := decodeRequest(frame)
-			var resp []byte
-			switch {
-			case err != nil:
-				resp = encodeResponse(StatusFailed, []byte(err.Error()))
-			case req.Op == OpPing:
-				resp = encodeResponse(StatusOK, []byte("pong"))
-			default: // an old server knows no OpHello
-				resp = encodeResponse(StatusFailed, []byte("unknown op"))
+			status, payload, err := decodeResponse(frame)
+			if err != nil || status != StatusOK || !bytes.Equal(payload, tc.want) {
+				t.Fatalf("hello reply = status %d payload %v, %v; want OK %v", status, payload, err, tc.want)
 			}
-			if err := writeFrame(conn, resp); err != nil {
-				return
+			if err := writeFrameSeq(conn, 7, reqBody(t, request{Op: OpPing})); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	cl, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+			seq, body, err := readFrameSeq(conn)
+			if err != nil || seq != 7 {
+				t.Fatalf("sequenced ping = seq %d, %v", seq, err)
+			}
+			if status, payload, _ := decodeResponse(body); status != StatusOK || string(payload) != "pong" {
+				t.Fatalf("ping reply = status %d %q", status, payload)
+			}
+		})
 	}
-	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
+}
+
+// TestHelloRefused pins the other half of the handshake: anything but a
+// hello asking for version >= 2 as first frame is answered with one
+// StatusFailed frame, counted in server.req.bad, and the connection is
+// closed.
+func TestHelloRefused(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, _ := startServerReg(t, reg)
+	for i, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"request before hello", reqBody(t, request{Op: OpPing})},
+		{"hello asking version 1", reqBody(t, request{Op: OpHello, Version: 1})},
+		{"hello asking version 0", reqBody(t, request{Op: OpHello})},
+		{"body too short for any request", []byte{OpHello, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := rawFirstFrame(t, s, tc.body)
+			frame, err := readFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, payload, err := decodeResponse(frame)
+			if err != nil || status != StatusFailed || len(payload) == 0 {
+				t.Fatalf("reply = status %d payload %q, %v; want StatusFailed with a message", status, payload, err)
+			}
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after the refusal = %v, want EOF", err)
+			}
+			if got := reg.Snapshot()["server.req.bad"]; got != int64(i+1) {
+				t.Fatalf("server.req.bad = %v, want %d", got, i+1)
+			}
+		})
 	}
-	if err := cl.PingContext(context.Background()); err != nil {
-		t.Fatal(err)
+}
+
+// TestDialRefusedHello: a listener that answers the hello with
+// StatusFailed, or accepts a version below 2, fails the dial — there is
+// no other protocol to fall back to.
+func TestDialRefusedHello(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply []byte
+	}{
+		{"status failed", encodeResponse(StatusFailed, []byte("unknown op"))},
+		{"accepted version 1", encodeResponse(StatusOK, []byte{1})},
+		{"empty payload", encodeResponse(StatusOK, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := readFrame(conn); err != nil {
+					return
+				}
+				writeFrame(conn, tc.reply)
+				io.Copy(io.Discard, conn) // hold the conn open until the client gives up
+			}()
+			cl, err := Dial(ln.Addr().String(), WithTimeout(5*time.Second))
+			if err == nil {
+				cl.Close()
+				t.Fatal("Dial succeeded against a listener that refused the hello")
+			}
+		})
 	}
 }
 
@@ -173,8 +208,9 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("Proto = %d", cl.Proto())
+	// The scripted server's one-byte reply granted no features.
+	if cl.TraceEnabled() {
+		t.Fatal("TraceEnabled = true though the hello reply granted no feature byte")
 	}
 	ctx := context.Background()
 	p := cl.Pipeline()
@@ -313,17 +349,13 @@ func TestBatcherAutoFlush(t *testing.T) {
 }
 
 // TestStatusErrorIdentity pins the single-request error consolidation:
-// engine sentinels hold across the wire, and the deprecated client
-// sentinels still match.
+// engine sentinels hold across the wire.
 func TestStatusErrorIdentity(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
 	_, err := cl.GetContext(ctx, []byte("absent"), 1)
 	if !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("err = %v, want core.ErrNotFound", err)
-	}
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want legacy ErrNotFound too", err)
 	}
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != StatusNotFound {
@@ -413,7 +445,7 @@ func TestDeadlineExpiryMidFrame(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline did not bound the wait")
 	}
-	// The stream stayed synced (v2 discards the late response by seq),
+	// The stream stayed synced (the late response is discarded by seq),
 	// so the same connection keeps working.
 	if err := cl.PingContext(context.Background()); err != nil {
 		t.Fatalf("post-deadline ping: %v", err)
@@ -519,8 +551,8 @@ func TestMaxInFlightBackpressure(t *testing.T) {
 	}
 }
 
-// TestV2FrameCodec round-trips the seq framing and rejects runts.
-func TestV2FrameCodec(t *testing.T) {
+// TestSeqFrameCodec round-trips the seq framing and rejects runts.
+func TestSeqFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrameSeq(&buf, 42, []byte("hello")); err != nil {
 		t.Fatal(err)
@@ -529,7 +561,7 @@ func TestV2FrameCodec(t *testing.T) {
 	if err != nil || seq != 42 || string(body) != "hello" {
 		t.Fatalf("round trip = %d, %q, %v", seq, body, err)
 	}
-	// A v2 frame shorter than its own seq field is malformed.
+	// A frame shorter than its own seq field is malformed.
 	var runt bytes.Buffer
 	hdr := binary.LittleEndian.AppendUint32(nil, 2)
 	runt.Write(hdr)
@@ -578,29 +610,5 @@ func TestBatchCodec(t *testing.T) {
 	}
 	if statuses[1].status != StatusNotFound || string(statuses[1].msg) != "missing" {
 		t.Fatalf("reply[1] = %+v", statuses[1])
-	}
-}
-
-// TestDeprecatedWrappersStillWork exercises the context-free surface
-// end to end (the DialNode facade compatibility contract).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	_, cl := startServer(t)
-	if err := cl.Put([]byte("w"), 1, []byte("x"), false); err != nil {
-		t.Fatal(err)
-	}
-	if val, err := cl.Get([]byte("w"), 1); err != nil || string(val) != "x" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	if ok, err := cl.Has([]byte("w"), 1); err != nil || !ok {
-		t.Fatalf("Has = %v, %v", ok, err)
-	}
-	if entries, err := cl.Range(nil, nil, 0); err != nil || len(entries) != 1 {
-		t.Fatalf("Range = %d, %v", len(entries), err)
-	}
-	if err := cl.Del([]byte("w"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -15,11 +15,11 @@ import (
 	"directload/internal/metrics"
 )
 
-// defaultMaxInFlight bounds concurrent dispatch per v2 connection when
-// the operator does not configure one.
+// defaultMaxInFlight bounds concurrent dispatch per connection when the
+// operator does not configure one.
 const defaultMaxInFlight = 64
 
-// maxCoalesce caps how many response bytes the v2 writer accumulates
+// maxCoalesce caps how many response bytes the writer accumulates
 // before forcing a write, bounding both latency and buffer growth.
 const maxCoalesce = 64 << 10
 
@@ -30,13 +30,12 @@ type StatsReply struct {
 }
 
 // Server exposes one QinDB engine on a TCP listener, one goroutine per
-// connection. A v1 connection is handled strictly in order; after a v2
-// hello the connection switches to pipelined mode, dispatching up to
-// MaxInFlight requests concurrently while a dedicated writer goroutine
-// serializes responses back onto the wire.
+// connection. After the hello a connection is pipelined: up to
+// MaxInFlight requests are dispatched concurrently while a dedicated
+// writer goroutine serializes responses back onto the wire.
 //
-// The Server owns only the binary wire: framing, sequence numbers,
-// negotiation, response encoding. Every request executes through its
+// The Server owns only the binary wire: framing, sequence numbers, the
+// handshake, response encoding. Every request executes through its
 // Backend, which alternate front doors (internal/resp) share.
 type Server struct {
 	backend *Backend
@@ -48,14 +47,11 @@ type Server struct {
 	logf   func(format string, args ...any)
 
 	// Tuning knobs, atomic so they may be adjusted while serving.
-	// maxInFlight and maxProto apply to connections accepted (or, for
-	// maxInFlight, upgraded to v2) after the change; the deadlines
-	// apply from each connection's next frame.
+	// maxInFlight applies to connections whose hello arrives after the
+	// change; the deadlines apply from each connection's next frame.
 	maxInFlight  atomic.Int32
 	readTimeout  atomic.Int64 // nanoseconds; 0 disables
 	writeTimeout atomic.Int64 // nanoseconds; 0 disables
-	maxProto     atomic.Int32
-	noTrace      atomic.Bool // refuse the trace feature in hellos
 }
 
 // serverMetrics holds per-opcode request counters and wall-clock latency
@@ -99,7 +95,6 @@ func NewWithBackend(b *Backend) *Server {
 		logf:    log.Printf,
 	}
 	s.maxInFlight.Store(defaultMaxInFlight)
-	s.maxProto.Store(MaxProto)
 	return s
 }
 
@@ -117,11 +112,11 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 	s.logf = logf
 }
 
-// SetMaxInFlight bounds concurrent dispatch per v2 connection — the
+// SetMaxInFlight bounds concurrent dispatch per connection — the
 // backpressure knob: once a connection has n requests being served, the
 // server stops reading from it until responses drain. Values < 1 reset
-// the default. Safe at runtime; applies to connections upgraded after
-// the call.
+// the default. Safe at runtime; applies to connections whose hello
+// arrives after the call.
 func (s *Server) SetMaxInFlight(n int) {
 	if n < 1 {
 		n = defaultMaxInFlight
@@ -136,26 +131,6 @@ func (s *Server) SetMaxInFlight(n int) {
 func (s *Server) SetTimeouts(read, write time.Duration) {
 	s.readTimeout.Store(int64(read))
 	s.writeTimeout.Store(int64(write))
-}
-
-// SetMaxProtocol caps the protocol version the server negotiates —
-// SetMaxProtocol(ProtoV1) makes it behave like a legacy in-order server
-// (useful for interop testing and staged rollouts). Safe at runtime;
-// applies to hellos received after the call.
-func (s *Server) SetMaxProtocol(v int) {
-	if v < ProtoV1 || v > MaxProto {
-		v = MaxProto
-	}
-	s.maxProto.Store(int32(v))
-}
-
-// SetTracePropagation controls whether the server grants the trace
-// feature to clients that offer it (default on). Turning it off makes
-// the server negotiate like a build that predates tracing — used for
-// interop tests and as an operator kill switch. Safe at runtime;
-// applies to hellos received after the call.
-func (s *Server) SetTracePropagation(enabled bool) {
-	s.noTrace.Store(!enabled)
 }
 
 // SetSlowLog attaches a slow-op log; every dispatched request whose
@@ -261,84 +236,54 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// handle serves one connection, starting in v1 (in-order) mode. A
-// successful OpHello hands the connection over to the pipelined v2
-// loop.
+// errNoHello refuses a connection whose first frame is not a hello this
+// server can accept.
+var errNoHello = errors.New("server: first frame must be OpHello asking for protocol 2")
+
+// handle serves one connection: the hello exchange, then the pipelined
+// loop. Anything but an acceptable hello as first frame is answered
+// with one StatusFailed frame and the connection is closed.
 func (s *Server) handle(conn net.Conn) {
 	s.backend.ConnOpened()
 	defer s.backend.ConnClosed()
 	defer s.dropConn(conn)
 	br := bufio.NewReader(conn)
-	for {
-		if rt := time.Duration(s.readTimeout.Load()); rt > 0 {
-			conn.SetReadDeadline(time.Now().Add(rt))
-		}
-		frame, err := readFrame(br)
-		if err != nil {
-			return // EOF or teardown
-		}
-		req, err := decodeRequest(frame)
-		var resp []byte
-		switch {
-		case err != nil:
-			s.backend.met.badReqs.Inc()
-			resp = encodeResponse(StatusFailed, []byte(err.Error()))
-		case req.Op == OpHello:
-			accepted, feats, featReply := s.negotiate(req)
-			payload := []byte{byte(accepted)}
-			if featReply {
-				// Only clients that offered features expect (and
-				// tolerate) the second byte; older clients reject any
-				// hello reply that is not exactly one byte.
-				payload = append(payload, feats)
-			}
-			resp = encodeResponse(StatusOK, payload)
-			if err := s.writeResp(conn, resp); err != nil {
-				return
-			}
-			if accepted >= ProtoV2 {
-				s.handleV2(conn, br, feats&helloFeatTrace != 0)
-				return
-			}
-			continue
-		default:
-			resp = s.dispatch(context.Background(), req, ProtoV1)
-		}
-		if err := s.writeResp(conn, resp); err != nil {
-			return
-		}
+	if rt := time.Duration(s.readTimeout.Load()); rt > 0 {
+		conn.SetReadDeadline(time.Now().Add(rt))
 	}
+	frame, err := readFrame(br)
+	if err != nil {
+		return // EOF or teardown
+	}
+	req, err := decodeRequest(frame)
+	if err == nil && (req.Op != OpHello || req.Version < ProtoV2) {
+		err = errNoHello
+	}
+	if err != nil {
+		s.backend.met.badReqs.Inc()
+		s.writeResp(conn, encodeResponse(StatusFailed, []byte(err.Error())))
+		return
+	}
+	// A bare hello gets the one-byte reply; a hello that offers feature
+	// bits gets a second byte naming the granted subset.
+	payload := []byte{ProtoV2}
+	var feats uint8
+	if len(req.Value) > 0 {
+		feats = req.Value[0] & helloFeatTrace
+		payload = append(payload, feats)
+	}
+	if err := s.writeResp(conn, encodeResponse(StatusOK, payload)); err != nil {
+		return
+	}
+	s.handleV2(conn, br, feats&helloFeatTrace != 0)
 }
 
-// writeResp writes one v1 response frame under the write deadline.
+// writeResp writes the unsequenced hello reply under the write deadline.
 func (s *Server) writeResp(conn net.Conn, resp []byte) error {
 	if wt := time.Duration(s.writeTimeout.Load()); wt > 0 {
 		conn.SetWriteDeadline(time.Now().Add(wt))
 	}
 	return writeFrame(conn, resp)
-}
-
-// negotiate picks the protocol version and feature set for a hello
-// request. featReply reports whether the client offered feature bits
-// (hello Value non-empty) and therefore expects the two-byte
-// [version, flags] reply; clients that sent a bare hello get the
-// legacy one-byte reply so pre-feature builds interop unchanged.
-func (s *Server) negotiate(req request) (accepted int, feats uint8, featReply bool) {
-	accepted = int(req.Version)
-	if mp := int(s.maxProto.Load()); accepted > mp {
-		accepted = mp
-	}
-	if accepted < ProtoV1 {
-		accepted = ProtoV1
-	}
-	if len(req.Value) == 0 {
-		return accepted, 0, false
-	}
-	offered := req.Value[0]
-	if accepted >= ProtoV2 && offered&helloFeatTrace != 0 && !s.noTrace.Load() {
-		feats |= helloFeatTrace
-	}
-	return accepted, feats, true
 }
 
 // seqResp pairs a response body with the sequence number it answers.
@@ -421,7 +366,7 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, traceOK bool) {
 				resp = encodeResponse(StatusFailed, []byte(derr.Error()))
 			} else {
 				ctx := metrics.ContextWithSpan(context.Background(), sc)
-				resp = s.dispatch(ctx, req, ProtoV2)
+				resp = s.dispatch(ctx, req)
 			}
 			// Decrement before queueing the response so the gauge
 			// never reads >0 after the client has seen every reply.
@@ -439,9 +384,9 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, traceOK bool) {
 // reply onto the binary wire. The Backend owns the transport-agnostic
 // work — engine execution, wall-clock timing, per-opcode metrics, the
 // read SLO, the slowlog and the handler span — so the native and RESP
-// listeners report identically; this function owns only the v1/v2
-// response encoding.
-func (s *Server) dispatch(ctx context.Context, req request, proto int) []byte {
+// listeners report identically; this function owns only the response
+// encoding.
+func (s *Server) dispatch(ctx context.Context, req request) []byte {
 	if req.Op < OpPut || req.Op > opMax || req.Op == OpHello {
 		s.backend.met.badReqs.Inc()
 		return encodeResponse(StatusFailed, []byte("unknown op"))
@@ -492,10 +437,7 @@ func (s *Server) dispatch(ctx context.Context, req request, proto int) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		if proto >= ProtoV2 {
-			return encodeResponse(StatusOK, encodeRangeReply(applied, entries))
-		}
-		return encodeResponse(StatusOK, encodeRangeEntries(entries))
+		return encodeResponse(StatusOK, encodeRangeReply(applied, entries))
 	case OpBatch:
 		return s.dispatchBatch(ctx, req)
 	case OpMetrics:

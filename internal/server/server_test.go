@@ -80,10 +80,10 @@ func TestPingPutGetDel(t *testing.T) {
 	if err := cl.DelContext(ctx, []byte("k"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetContext(ctx, []byte("k"), 1); !errors.Is(err, ErrDeleted) {
+	if _, err := cl.GetContext(ctx, []byte("k"), 1); !errors.Is(err, core.ErrDeleted) {
 		t.Fatalf("Get after Del err = %v", err)
 	}
-	if _, err := cl.GetContext(ctx, []byte("missing"), 1); !errors.Is(err, ErrNotFound) {
+	if _, err := cl.GetContext(ctx, []byte("missing"), 1); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("Get missing err = %v", err)
 	}
 }
@@ -210,40 +210,6 @@ func TestConcurrentClients(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
-	}
-}
-
-func TestMalformedFrameGetsError(t *testing.T) {
-	s, _ := startServer(t)
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A 2-byte body is too short for any request.
-	if err := writeFrame(conn, []byte{OpGet, 0}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, payload, err := decodeResponse(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != StatusFailed || len(payload) == 0 {
-		t.Fatalf("status = %d, payload = %q", status, payload)
-	}
-	// The connection stays usable.
-	body, _ := encodeRequest(request{Op: OpPing})
-	writeFrame(conn, body)
-	frame, err = readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, payload, _ := decodeResponse(frame); status != StatusOK || string(payload) != "pong" {
-		t.Fatal("connection unusable after protocol error")
 	}
 }
 
