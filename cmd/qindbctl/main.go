@@ -13,21 +13,21 @@
 //	qindbctl trace -nodes 'h1:8080,h2:8080' <trace-id>          # fleet-wide merged timeline
 //	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get] [-trace id]
 //	qindbctl -http 127.0.0.1:8080 events [-since N] [-n 20] [-follow]
-//	qindbctl profile -nodes 'a,b,c' [-type heap] [-seconds 5] [-out dir]  # fleet-wide pprof capture
 //	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status|record>  # shard router over several nodes
 //	qindbctl index <list|create|build|ingest|query|export|import>          # index lifecycle (see index -h)
 //	qindbctl search <name> <term>...                                       # query an index (= index query)
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.
-// trace, slowlog, events and profile talk to the daemon's operator HTTP
+// trace, slowlog and events talk to the daemon's operator HTTP
 // address (qindbd -metrics-addr) instead of the storage port; trace
 // -nodes fetches the same trace id from every listed operator address
 // and merges the spans into one cross-node timeline. events -follow
-// long polls so new events stream as they happen. profile captures one
-// windowed pprof delta per node in parallel (heap, allocs, goroutine or
-// cpu; the daemon must run with -pprof) and writes
-// <node>.<type>.pprof files into -out. fleet ignores -addr and routes
+// long polls so new events stream as they happen. For profiles point
+// go tool pprof at the same address (qindbd -pprof):
+// go tool pprof http://HOST/debug/pprof/allocs?seconds=5. stats -watch
+// shows each histogram's p99 over the last interval, not since start.
+// fleet ignores -addr and routes
 // to its -nodes with rendezvous placement, quorum writes and hedged
 // reads (see internal/fleet); fleet record appends periodic {ts, slo,
 // throughput, p99, events} JSONL snapshots while driving canary reads.
@@ -61,12 +61,11 @@ var (
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|trace|slowlog|events|fleet> [args]")
 	fmt.Fprintln(os.Stderr, "       load <version>                  batched load of key<TAB>value lines from stdin")
-	fmt.Fprintln(os.Stderr, "       stats [-watch] [-interval 1s]   engine stats, or live metric deltas; -watch adds a")
-	fmt.Fprintln(os.Stderr, "                                       runtime line (heap-live, gc-pause-p99, goroutines)")
+	fmt.Fprintln(os.Stderr, "       stats [-watch] [-interval 1s]   engine stats, or live metric deltas with each interval's")
+	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-pause-p99, goroutines)")
 	fmt.Fprintln(os.Stderr, "       trace [-nodes a,b] <trace-id>   one trace's timeline; -nodes merges spans fleet-wide")
 	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get] [-trace id]  recent slow operations (-http address)")
 	fmt.Fprintln(os.Stderr, "       events [-since N] [-n N] [-follow]    structured event log (-http address)")
-	fmt.Fprintln(os.Stderr, "       profile [-nodes a,b] [-type heap] [-seconds 5] [-out dir]  pprof delta per node")
 	fmt.Fprintln(os.Stderr, "       fleet -nodes 'a,b,c' <cmd>      shard router over several nodes (fleet -h)")
 	fmt.Fprintln(os.Stderr, "       index <list|create|build|ingest|query|export|import>  index lifecycle (index -h)")
 	fmt.Fprintln(os.Stderr, "       search <name> <term>...         query an index (= index query)")
@@ -117,36 +116,6 @@ func collectTrace(endpoints []string, id uint64) {
 	}
 	if _, err := merged.WriteTimeline(os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// captureProfiles fetches one windowed pprof delta from every listed
-// operator endpoint in parallel and writes the files into dir, printing
-// one result line per node. Exits non-zero when any node failed.
-func captureProfiles(endpoints []string, typ string, seconds int, dir string) {
-	pc := &metrics.ProfileCapture{
-		Endpoints: endpoints,
-		Type:      typ,
-		Seconds:   seconds,
-		// The capture blocks server-side for the delta window; give the
-		// client the window plus the usual per-operation budget.
-		Client: &http.Client{Timeout: time.Duration(seconds)*time.Second + *timeout + 10*time.Second},
-	}
-	results, err := pc.CaptureTo(context.Background(), dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	failed := 0
-	for _, r := range results {
-		if r.Err != "" {
-			failed++
-			fmt.Fprintf(os.Stderr, "%s: %s\n", r.Endpoint, r.Err)
-			continue
-		}
-		fmt.Printf("%s -> %s (%d bytes)\n", r.Endpoint, r.Path, r.Bytes)
-	}
-	if failed > 0 {
-		os.Exit(1)
 	}
 }
 
@@ -252,22 +221,6 @@ func main() {
 			return
 		}
 		fetchHTTP(fmt.Sprintf("/events?since=%d&n=%d", *since, *n))
-		return
-	case "profile":
-		fs := flag.NewFlagSet("profile", flag.ExitOnError)
-		nodes := fs.String("nodes", "", "comma-separated operator HTTP addresses; capture from every one in parallel (default: the -http address)")
-		typ := fs.String("type", "heap", "profile type: heap, allocs, goroutine or cpu")
-		seconds := fs.Int("seconds", 5, "delta window in seconds (0 = absolute snapshot; cpu always samples a window)")
-		out := fs.String("out", ".", "directory to write <node>.<type>.pprof files into")
-		fs.Parse(args)
-		if fs.NArg() != 0 {
-			usage()
-		}
-		endpoints := splitList(*nodes)
-		if len(endpoints) == 0 {
-			endpoints = []string{*httpAddr}
-		}
-		captureProfiles(endpoints, *typ, *seconds, *out)
 		return
 	case "fleet":
 		// The router dials its own nodes; -addr is not involved.
@@ -424,7 +377,7 @@ type metricKV struct {
 
 // flattenMetrics turns the nested OpMetrics snapshot into sorted
 // name/value lines: scalar metrics pass through, histograms expand to
-// suffixed entries (qindb.put.latency_us.p99 etc.).
+// suffixed entries (qindb.put.device_us.p99 etc.).
 func flattenMetrics(m map[string]any) []metricKV {
 	var out []metricKV
 	for name, v := range m {
@@ -437,37 +390,6 @@ func flattenMetrics(m map[string]any) []metricKV {
 					out = append(out, metricKV{name + "." + field, n})
 				}
 			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// watchRow is one line of the -watch view: a scalar metric's value, or
-// a histogram's count with its current p99 alongside.
-type watchRow struct {
-	name  string
-	value float64
-	p99   float64 // < 0 when the metric is not a histogram
-}
-
-// flattenWatch turns the nested OpMetrics snapshot into sorted -watch
-// rows: scalars pass through, each histogram becomes one row whose
-// value is its count and whose p99 rides in its own column (rather than
-// exploding into seven suffixed lines as the metrics command does).
-func flattenWatch(m map[string]any) []watchRow {
-	var out []watchRow
-	for name, v := range m {
-		switch val := v.(type) {
-		case float64:
-			out = append(out, watchRow{name, val, -1})
-		case map[string]any:
-			count, _ := val["count"].(float64)
-			p99 := -1.0
-			if p, ok := val["p99"].(float64); ok {
-				p99 = p
-			}
-			out = append(out, watchRow{name, count, p99})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
@@ -490,8 +412,11 @@ func runtimeSummary(m map[string]any) string {
 }
 
 // watchStats polls the server's metrics and renders per-interval deltas,
-// top-like, until the process is interrupted. Histogram rows show their
-// count plus a live p99 column; a runtime summary line (heap-live,
+// top-like, until the process is interrupted. A scalar row shows its
+// value; a histogram row its count plus the p99 of the observations
+// made since the previous poll — the snapshots carry their buckets, so
+// successive polls subtract (since process start on the first poll, "-"
+// when there were none). A runtime summary line (heap-live,
 // gc-pause-p99, goroutines) rides under the timestamp header when the
 // server exports the runtime gauges.
 func watchStats(ctx context.Context, cl *server.Client, interval time.Duration) {
@@ -499,34 +424,47 @@ func watchStats(ctx context.Context, cl *server.Client, interval time.Duration) 
 		interval = time.Second
 	}
 	prev := make(map[string]float64)
-	first := true
-	for {
+	prevHist := make(map[string]metrics.Snapshot)
+	for first := true; ; first = false {
 		m, err := cl.MetricsContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows := flattenWatch(m)
+		names := make([]string, 0, len(m))
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		if !first {
 			fmt.Println()
 		}
 		fmt.Printf("--- %-44s %14s %12s %12s ---\n",
-			time.Now().Format("15:04:05"), "value", "delta", "p99")
+			time.Now().Format("15:04:05"), "value", "delta", "interval-p99")
 		if s := runtimeSummary(m); s != "" {
 			fmt.Println(s)
 		}
-		for _, row := range rows {
+		for _, name := range names {
+			value, isScalar := m[name].(float64)
+			p99 := ""
+			if !isScalar {
+				var snap metrics.Snapshot
+				raw, _ := json.Marshal(m[name])
+				if json.Unmarshal(raw, &snap) != nil {
+					continue
+				}
+				value, p99 = float64(snap.Count), "-"
+				if ivl := snap.Sub(prevHist[name]); ivl.Count > 0 {
+					p99 = fmt.Sprintf("%.1f", ivl.P99)
+				}
+				prevHist[name] = snap
+			}
 			delta := ""
-			if d := row.value - prev[row.name]; !first && d != 0 {
+			if d := value - prev[name]; !first && d != 0 {
 				delta = fmt.Sprintf("%+g", d)
 			}
-			p99 := ""
-			if row.p99 >= 0 {
-				p99 = fmt.Sprintf("%.1f", row.p99)
-			}
-			fmt.Printf("%-48s %14g %12s %12s\n", row.name, row.value, delta, p99)
-			prev[row.name] = row.value
+			fmt.Printf("%-48s %14g %12s %12s\n", name, value, delta, p99)
+			prev[name] = value
 		}
-		first = false
 		time.Sleep(interval)
 	}
 }

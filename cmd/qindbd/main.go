@@ -33,15 +33,14 @@
 // -attr-sample), /index (the inverted-index lifecycle of
 // internal/search: create, ingest, query, CIFF export/import — index
 // segments are versioned values in the same engine the KV front doors
-// serve), and (with -pprof) the runtime profiler under
-// /debug/pprof/ plus windowed delta captures at /debug/profile. Go
-// runtime telemetry (heap, GC, goroutines) is sampled every
-// -runtime-interval and exported as runtime.* gauges. With -record set
-// it appends one JSONL snapshot of {slo, throughput, p99, runtime,
-// events} per -record-interval to the given file — the artifact a
-// chaos run or canary deploy is judged against. With -profile-on-burn
-// set, an SLO burn crossing triggers one bounded heap+cpu profile
-// capture into the given directory (10-minute cooldown).
+// serve), and (with -pprof) the runtime profiler under /debug/pprof/
+// (go tool pprof http://ADDR/debug/pprof/allocs?seconds=5 captures a
+// windowed delta). Go runtime telemetry (heap, GC, goroutines) is
+// sampled every -runtime-interval and exported as runtime.* gauges.
+// With -record set it appends one JSONL snapshot of {slo, runtime, and
+// the interval's throughput, GET p99 and events} per -record-interval
+// to the given file — the artifact a chaos run or canary deploy is
+// judged against.
 package main
 
 import (
@@ -88,7 +87,6 @@ var (
 	recordEvery   = flag.Duration("record-interval", time.Second, "snapshot cadence for -record")
 	attrSample    = flag.Int("attr-sample", 64, "measure one request in N for per-op resource attribution on /debug/attrib (0 = off)")
 	runtimeEvery  = flag.Duration("runtime-interval", time.Second, "Go runtime telemetry sampling cadence for the runtime.* gauges (0 = off)")
-	profileOnBurn = flag.String("profile-on-burn", "", "capture heap+cpu profiles into this directory when the read SLO starts burning (empty = off)")
 )
 
 // coreEngine adapts the storage engine to the search store's
@@ -237,18 +235,6 @@ func main() {
 		recorder.Start()
 		defer recorder.Close()
 		log.Printf("qindbd: recording time series to %s every %s", *recordPath, *recordEvery)
-	}
-	var burnProf *metrics.BurnProfiler
-	if *profileOnBurn != "" {
-		burnProf = metrics.NewBurnProfiler(metrics.BurnProfilerConfig{
-			Events: events,
-			Dir:    *profileOnBurn,
-			Types:  []string{"heap", "cpu"},
-			Logf:   log.Printf,
-		})
-		burnProf.Start()
-		defer burnProf.Close()
-		log.Printf("qindbd: will capture profiles to %s on SLO burn", *profileOnBurn)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

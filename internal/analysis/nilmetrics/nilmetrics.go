@@ -7,7 +7,7 @@
 //
 //  1. Inside the metrics package, an exported pointer-receiver method
 //     on a guarded type (Registry, SlowLog, Tracer, Counter, Gauge,
-//     Histogram, RuntimeSampler, AttribTable, BurnProfiler, ...) that
+//     Histogram, RuntimeSampler, AttribTable, ...) that
 //     touches a receiver field must open with an `if recv == nil`
 //     guard. Methods that only call other (guarded) methods are exempt.
 //  2. Everywhere, guarded types must be held by pointer: a struct
@@ -46,7 +46,6 @@ var guardedTypes = map[string]bool{
 	"EventLog":       true,
 	"RuntimeSampler": true,
 	"AttribTable":    true,
-	"BurnProfiler":   true,
 }
 
 // isGuardedNamed reports whether t (sans pointer) is one of the

@@ -57,23 +57,14 @@ func (s *Server) HandleElse() {
 type Telemetry struct {
 	sampler *metrics.RuntimeSampler // pointers are the contract
 	attrib  metrics.AttribTable     // want `metrics.AttribTable held by value`
-	burn    *metrics.BurnProfiler
 }
 
 var Sampler metrics.RuntimeSampler // want `metrics.RuntimeSampler held by value`
-
-func Profile(p metrics.BurnProfiler) { // want `metrics.BurnProfiler held by value`
-	_ = p
-}
 
 func (t *Telemetry) Snapshot() int {
 	if t.sampler != nil { // want `redundant nil guard: methods on t.sampler are nil-safe by contract`
 		t.sampler.Count()
 	}
-	if t.burn != nil { // want `redundant nil guard: methods on t.burn are nil-safe by contract`
-		t.burn.CaptureNow()
-	}
-	// The contract makes the unconditional calls safe.
-	t.burn.CaptureNow()
+	// The contract makes the unconditional call safe.
 	return t.sampler.Count()
 }

@@ -106,23 +106,6 @@ func (t *AttribTable) Reset() { // want `exported method AttribTable.Reset deref
 	t.every = 0
 }
 
-// BurnProfiler stands in for the SLO-burn profile trigger.
-type BurnProfiler struct {
-	captures int
-}
-
-func (p *BurnProfiler) Captures() int {
-	if p == nil {
-		return 0
-	}
-	return p.captures
-}
-
-// CaptureNow misses the guard.
-func (p *BurnProfiler) CaptureNow() { // want `exported method BurnProfiler.CaptureNow dereferences its receiver without a leading nil guard`
-	p.captures++
-}
-
 // pool holds a Counter by value inside the declaring package, which is
 // allowed (rule 2 exempts the package that owns the type).
 type pool struct {

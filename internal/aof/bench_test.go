@@ -10,8 +10,7 @@ import (
 
 // BenchmarkAOFAppendAligned appends records encoded to exactly one
 // flash page each, the geometry the paper's ~2.5x write-amplification
-// claim rests on. Tracked in BENCH_directload.json via `make
-// bench-json` so regressions on the aligned append path are visible.
+// claim rests on.
 func BenchmarkAOFAppendAligned(b *testing.B) {
 	cfg := ssd.Config{
 		PageSize:      4096,

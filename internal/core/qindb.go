@@ -27,6 +27,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"directload/internal/aof"
@@ -112,7 +113,8 @@ type Options struct {
 	// Metrics, when non-nil, receives the engine's `qindb.*` metrics and
 	// is propagated to the AOF store (`aof.*`). GC cycles, checkpoints
 	// and recovery record spans on the registry's tracer. Nil keeps all
-	// hot paths allocation-free.
+	// hot paths allocation-free. A registry serves one DB: the engine's
+	// own counters live in it.
 	Metrics *metrics.Registry
 }
 
@@ -143,17 +145,18 @@ type DB struct {
 	opts  Options
 	fs    blockfs.FS
 
-	closed         bool
-	memBytes       int64 // approximate memtable footprint (key bytes + overhead)
-	userWriteBytes int64
-	userReadBytes  int64
-	puts, gets     int64
-	dels           int64
-	tracebacks     int64
-	versions       map[uint64]int // live item count per version
-	maxSeq         uint64         // highest sequence replayed or appended
-	sinceCkpt      int64          // bytes appended since the last checkpoint
-	checkpoints    int64
+	closed    bool
+	versions  map[uint64]int // live item count per version
+	maxSeq    uint64         // highest sequence replayed or appended
+	sinceCkpt int64          // bytes appended since the last checkpoint
+
+	// Counters: one atomic cell per number, read by Stats, Health and
+	// the registry alike, so counting a request never needs db.mu.
+	userWriteBytes atomic.Int64
+	userReadBytes  atomic.Int64
+	puts, gets     atomic.Int64
+	dels           atomic.Int64
+	checkpoints    atomic.Int64
 
 	reg *metrics.Registry
 	met engineMetrics
@@ -163,31 +166,38 @@ type DB struct {
 // the key bytes (skip-list node, item struct, version map share).
 const memItemOverhead = 64
 
-// engineMetrics holds the engine's registry handles; all nil without a
-// registry, and the metric types' nil-receiver no-ops make every record
-// site a guarded no-op in that case.
+// engineMetrics holds the engine's registry handles. Those that only
+// the registry reads are nil without one, and the metric types'
+// nil-receiver no-ops make every record site a guarded no-op in that
+// case. tracebacks and memBytes also feed Stats and Health, so they are
+// the registry's cells when there is a registry and private ones
+// otherwise — never nil, never a second copy.
 type engineMetrics struct {
-	putLat      *metrics.Histogram
-	getLat      *metrics.Histogram
-	delLat      *metrics.Histogram
+	putCost     *metrics.Histogram // simulated device time, not wall clock
+	getCost     *metrics.Histogram
+	delCost     *metrics.Histogram
 	putBytes    *metrics.Counter
 	dedupPuts   *metrics.Counter
-	tracebacks  *metrics.Counter
-	memBytes    *metrics.Gauge
+	tracebacks  *metrics.Counter // GETs that followed the dedup chain
+	memBytes    *metrics.Gauge   // approximate memtable footprint (key bytes + overhead)
 	gcReclaimed *metrics.Counter
 }
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
-	return engineMetrics{
-		putLat:      reg.Histogram("qindb.put.latency_us"),
-		getLat:      reg.Histogram("qindb.get.latency_us"),
-		delLat:      reg.Histogram("qindb.del.latency_us"),
+	m := engineMetrics{
+		putCost:     reg.Histogram("qindb.put.device_us"),
+		getCost:     reg.Histogram("qindb.get.device_us"),
+		delCost:     reg.Histogram("qindb.del.device_us"),
 		putBytes:    reg.Counter("qindb.put.bytes"),
 		dedupPuts:   reg.Counter("qindb.put.dedup"),
 		tracebacks:  reg.Counter("qindb.get.tracebacks"),
 		memBytes:    reg.Gauge("qindb.memtable.bytes"),
 		gcReclaimed: reg.Counter("qindb.gc.reclaimed_bytes"),
 	}
+	if reg == nil {
+		m.tracebacks, m.memBytes = new(metrics.Counter), new(metrics.Gauge)
+	}
+	return m
 }
 
 // Open creates or recovers a DB over fs. If the filesystem already
@@ -223,10 +233,12 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("qindb: recovery: %w", err)
 	}
 	// Seed the memtable footprint with whatever recovery rebuilt.
+	var memBytes int64
 	db.table.AscendAll(func(k ikey, v item) bool {
-		db.memBytes += int64(len(k.key)) + memItemOverhead
+		memBytes += int64(len(k.key)) + memItemOverhead
 		return true
 	})
+	db.met.memBytes.Set(memBytes)
 	db.registerDerivedMetrics()
 	return db, nil
 }
@@ -248,13 +260,13 @@ func (db *DB) Health() HealthReport {
 	defer db.mu.RUnlock()
 	return HealthReport{
 		Closed:        db.closed,
-		MemtableBytes: db.memBytes,
+		MemtableBytes: db.met.memBytes.Load(),
 		UnderPressure: db.store.UnderPressure(),
 	}
 }
 
 // registerDerivedMetrics publishes the computed gauges the experiments
-// report: memtable size and the software write-amplification ratio
+// report: memtable items and the software write-amplification ratio
 // (AOF bytes physically appended — including GC re-appends — over user
 // payload bytes accepted; the paper's "up to 2.5x" metric). A no-op
 // without a registry.
@@ -262,16 +274,13 @@ func (db *DB) registerDerivedMetrics() {
 	if db.reg == nil {
 		return
 	}
-	db.met.memBytes.Set(db.memBytes)
 	db.reg.GaugeFunc("qindb.memtable.items", func() float64 {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		return float64(db.table.Len())
 	})
 	db.reg.GaugeFunc("qindb.software_wa", func() float64 {
-		db.mu.RLock()
-		user := db.userWriteBytes
-		db.mu.RUnlock()
+		user := db.userWriteBytes.Load()
 		if user == 0 {
 			return 0
 		}
@@ -337,11 +346,10 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	} else {
 		db.table.Set(ik, item{ref: ref, base: base, flags: flags})
 		db.versions[version]++
-		db.memBytes += int64(len(key)) + memItemOverhead
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
 	}
-	db.userWriteBytes += int64(len(key) + len(value))
-	db.puts++
+	db.userWriteBytes.Add(int64(len(key) + len(value)))
+	db.puts.Add(1)
 	db.met.putBytes.Add(int64(len(key) + len(value)))
 	if dedup {
 		db.met.dedupPuts.Inc()
@@ -358,7 +366,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	c, err = db.maybeCheckpointLocked()
 	cost += c
 	if err == nil {
-		db.met.putLat.Observe(float64(cost) / float64(time.Microsecond))
+		db.met.putCost.Observe(float64(cost) / float64(time.Microsecond))
 	}
 	return cost, err
 }
@@ -485,17 +493,12 @@ func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 	if err != nil {
 		return nil, cost, err
 	}
-	db.mu.Lock()
-	db.gets++
-	if traced {
-		db.tracebacks++
-	}
-	db.userReadBytes += int64(len(rec.Value))
-	db.mu.Unlock()
+	db.gets.Add(1)
 	if traced {
 		db.met.tracebacks.Inc()
 	}
-	db.met.getLat.Observe(float64(cost) / float64(time.Microsecond))
+	db.userReadBytes.Add(int64(len(rec.Value)))
+	db.met.getCost.Observe(float64(cost) / float64(time.Microsecond))
 	return rec.Value, cost, nil
 }
 
@@ -568,15 +571,15 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if db.versions[version] <= 0 {
 		delete(db.versions, version)
 	}
-	db.userWriteBytes += int64(len(key))
-	db.dels++
+	db.userWriteBytes.Add(int64(len(key)))
+	db.dels.Add(1)
 	auto := !db.opts.DisableAutoGC
 	db.mu.Unlock()
 	if auto {
 		c, _ := db.MaybeGC()
 		cost += c
 	}
-	db.met.delLat.Observe(float64(cost) / float64(time.Microsecond))
+	db.met.delCost.Observe(float64(cost) / float64(time.Microsecond))
 	return cost, nil
 }
 
@@ -715,13 +718,13 @@ func (db *DB) Stats() Stats {
 	defer db.mu.RUnlock()
 	return Stats{
 		Keys:           db.table.Len(),
-		UserWriteBytes: db.userWriteBytes,
-		UserReadBytes:  db.userReadBytes,
-		Puts:           db.puts,
-		Gets:           db.gets,
-		Dels:           db.dels,
-		Tracebacks:     db.tracebacks,
-		Checkpoints:    db.checkpoints,
+		UserWriteBytes: db.userWriteBytes.Load(),
+		UserReadBytes:  db.userReadBytes.Load(),
+		Puts:           db.puts.Load(),
+		Gets:           db.gets.Load(),
+		Dels:           db.dels.Load(),
+		Tracebacks:     db.met.tracebacks.Load(),
+		Checkpoints:    db.checkpoints.Load(),
 		Store:          db.store.Stats(),
 	}
 }

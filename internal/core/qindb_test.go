@@ -555,3 +555,39 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 }
+
+func TestGetTakesNoExclusiveLock(t *testing.T) {
+	// Counting a read must not queue it behind other readers: while one
+	// goroutine holds the engine lock shared (a long Range, say), Get,
+	// GetLatest and Has still return, and the read is still counted.
+	db := openTestDB(t, 64)
+	defer db.Close()
+	mustPut(t, db, "k", 1, "value", false)
+	mustPut(t, db, "k", 2, "", true)
+
+	db.mu.RLock()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := db.Get([]byte("k"), 2)
+		if err == nil {
+			_, _, _, err = db.GetLatest([]byte("k"))
+		}
+		if err == nil && !db.Has([]byte("k"), 1) {
+			err = errors.New("Has(k, 1) = false")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		db.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		db.mu.RUnlock()
+		t.Fatal("Get parked behind a shared holder of db.mu")
+	}
+	if st := db.Stats(); st.Gets != 2 || st.Tracebacks != 2 || st.UserReadBytes != 10 {
+		t.Fatalf("Stats = %+v, want 2 gets, 2 tracebacks, 10 bytes read", st)
+	}
+}

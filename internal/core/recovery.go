@@ -121,7 +121,7 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 		}
 	}
 	db.sinceCkpt = 0
-	db.checkpoints++
+	db.checkpoints.Add(1)
 	return cost, nil
 }
 

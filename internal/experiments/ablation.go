@@ -93,7 +93,7 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 		}
 	}
 	// R: read every live key once at the newest version.
-	hist := metrics.NewHistogram(0)
+	hist := metrics.NewHistogram()
 	last := uint64(cfg.Versions)
 	for i := 0; i < cfg.Keys; i++ {
 		_, cost, err := db.Get(gen.Key(i), last)
@@ -278,7 +278,7 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 				return out, errors.Join(err, db.Close())
 			}
 		}
-		hist := metrics.NewHistogram(0)
+		hist := metrics.NewHistogram()
 		for i := 0; i < keys; i++ {
 			_, cost, err := db.Get(gen.Key(i), uint64(versions))
 			if err != nil {

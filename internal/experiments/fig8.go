@@ -99,7 +99,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 	if err != nil {
 		return res, err
 	}
-	hist := metrics.NewHistogram(0)
+	hist := metrics.NewHistogram()
 	firstLive := uint64(1)
 	complete := uint64(cfg.LoadVersions) // newest fully-written version
 	nextVersion := uint64(cfg.LoadVersions)

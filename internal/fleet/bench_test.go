@@ -54,7 +54,7 @@ func benchGroup(b *testing.B, n int, cfg Config) *Fleet {
 }
 
 // fleetEntries is one version's worth of records for the quorum-write
-// benchmark — small enough to keep bench-json runs quick, large enough
+// benchmark — small enough to keep `make bench` quick, large enough
 // that batching dominates connection setup.
 const fleetEntries = 2000
 

@@ -29,7 +29,6 @@ const (
 	EventHandoffDrain    EventType = "handoff.drain"
 	EventSLOBurn         EventType = "slo.burn"
 	EventSLOClear        EventType = "slo.clear"
-	EventProfileCapture  EventType = "profile.capture"
 )
 
 // Event is one typed, timestamped entry in the structured event log.

@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,14 +49,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Reset sets the counter back to zero and returns the previous value.
-func (c *Counter) Reset() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Swap(0)
-}
-
 // Gauge is a 64-bit value that may go up and down (e.g. live bytes).
 // Methods are no-ops on a nil receiver.
 type Gauge struct {
@@ -88,197 +79,233 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Histogram records observations and answers percentile queries. It keeps
-// exact values up to a bounded reservoir size; once full it switches to
-// uniform reservoir sampling, which is plenty for p99/p99.9 on the run
-// lengths used in the experiments. Observe and the query methods are
-// no-ops (returning zeros) on a nil receiver.
-//
-// The reservoir itself is never reordered: algorithm R's replacement
-// index addresses arrival order, so quantile queries sort a cached copy
-// instead of the live slice.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  []float64 // cached sorted copy of samples; nil when stale
-	count   int64
-	sum     float64
-	min     float64
-	max     float64
-	limit   int
-	rng     uint64 // xorshift state for reservoir sampling
+// Histogram layout: bucket 0 holds [0, 2^histMinExp); above it each of
+// histOctaves powers of two is cut into histSub equal buckets, and the
+// last bucket also takes everything larger. A bucket stands for its
+// midpoint, so means and quantiles are within 1/(2*histSub) = 1.6 % of
+// the exact ones (stated bound: 2 %), or 2^histMinExp absolute inside
+// bucket 0. In microseconds the range is 31 ns to 67 s.
+const (
+	histSubBits = 5
+	histSub     = 1 << histSubBits
+	histMinExp  = -5
+	histOctaves = 31
+	histBuckets = 1 + histOctaves*histSub // 993 counters, 7.8 KB
+)
+
+// histBias is the exponent and top histSubBits mantissa bits of the
+// lower edge of bucket 1, as they sit at the top of its bit pattern.
+const histBias = (1023+histMinExp)<<histSubBits - 1
+
+// bucketOf maps v >= 0 to its bucket: the float's exponent and top
+// histSubBits mantissa bits, read straight from its bit pattern.
+func bucketOf(v float64) int {
+	return max(0, min(int(math.Float64bits(v)>>(52-histSubBits))-histBias, histBuckets-1))
 }
 
-// NewHistogram returns a histogram with the given reservoir capacity.
-// A capacity of 0 selects the default of 262144 samples.
-func NewHistogram(capacity int) *Histogram {
-	if capacity <= 0 {
-		capacity = 1 << 18
+// bucketLower is the inclusive lower edge of bucket i, bucketOf's
+// inverse; the upper edge (exclusive) is bucketLower(i+1).
+func bucketLower(i int) float64 {
+	if i <= 0 {
+		return 0
 	}
-	return &Histogram{
-		limit: capacity,
-		min:   math.Inf(1),
-		max:   math.Inf(-1),
-		rng:   0x9E3779B97F4A7C15,
+	return math.Float64frombits(uint64(i+histBias) << (52 - histSubBits))
+}
+
+// bucketValue is the value every observation in bucket i is taken to
+// have: the midpoint, or the lower edge for the two open-ended buckets.
+func bucketValue(i int) float64 {
+	if i <= 0 || i >= histBuckets-1 {
+		return bucketLower(i)
 	}
+	return (bucketLower(i) + bucketLower(i+1)) / 2
+}
+
+// Histogram counts observations in a fixed log-linear array of atomic
+// buckets. Observe is one atomic add to one bucket: no lock, no
+// allocation, a footprint that never grows, and no cell that every
+// caller writes (a shared sum or count costs two hammering goroutines
+// 100-200 ns a call on two cores, three times the mutex this replaced).
+// So count, mean, quantiles and the Prometheus buckets all derive from
+// the one array; only Min and Max are kept beside it, exactly. NaN is
+// dropped, negative values count as 0 and values past the last bucket
+// (+Inf included) saturate into it. All methods are no-ops (returning
+// zeros) on a nil receiver.
+type Histogram struct {
+	buckets [histBuckets]atomic.Int64
+	// float64 bit patterns; observations are >= 0, so the patterns
+	// order like the values and min/max are integer compares.
+	min atomic.Uint64 // +Inf until the first Observe
+	max atomic.Uint64
+}
+
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	return h
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil || v != v {
+		return
+	}
+	if v <= 0 {
+		v = 0 // also turns -0 into +0, whose bit pattern is 0
+	} else if v > math.MaxFloat64 {
+		v = bucketLower(histBuckets) // a Max of +Inf has no JSON form
+	}
+	// Extremes first, the bucket last: a reader that loads the buckets
+	// and then the extremes finds every counted observation inside them.
+	b := math.Float64bits(v)
+	for old := h.max.Load(); b > old && !h.max.CompareAndSwap(old, b); old = h.max.Load() {
+	}
+	for old := h.min.Load(); b < old && !h.min.CompareAndSwap(old, b); old = h.min.Load() {
+	}
+	h.buckets[bucketOf(v)].Add(1)
+}
+
+// Bucket is one non-empty histogram bucket: its index in the fixed
+// layout and how many observations it holds.
+type Bucket struct {
+	Index int   `json:"i"`
+	Count int64 `json:"n"`
+}
+
+// Snapshot bundles the latency statistics the paper reports in Fig. 8
+// with the non-empty buckets they were computed from, so that two
+// snapshots of one histogram subtract into an interval (Sub).
+type Snapshot struct {
+	Count   int64    `json:"count"`
+	Mean    float64  `json:"mean"`
+	Min     float64  `json:"min"`
+	P50     float64  `json:"p50"`
+	P99     float64  `json:"p99"`
+	P999    float64  `json:"p999"`
+	Max     float64  `json:"max"`
+	Buckets []Bucket `json:"buckets,omitempty"`
+}
+
+// quantile returns the value of the bucket holding the observation of
+// rank floor(q*(Count-1)), clamped to [Min, Max]; Min and Max themselves
+// answer q <= 0 and q >= 1.
+func (s Snapshot) quantile(q float64) float64 {
+	if q <= 0 {
+		return s.Min
+	}
+	if q >= 1 {
+		return s.Max
+	}
+	rank := int64(q * float64(s.Count-1))
+	for _, b := range s.Buckets {
+		if rank -= b.Count; rank < 0 {
+			return min(max(bucketValue(b.Index), s.Min), s.Max)
+		}
+	}
+	return s.Max
+}
+
+// newSnapshot summarizes bs, whose observations lie in [lo, hi]. Every
+// statistic comes from bs and is clamped into [lo, hi], so a snapshot
+// is consistent whatever raced with it.
+func newSnapshot(bs []Bucket, lo, hi float64) Snapshot {
+	s := Snapshot{Min: lo, Max: hi, Buckets: bs}
+	var sum float64
+	for _, b := range bs {
+		s.Count += b.Count
+		sum += float64(b.Count) * bucketValue(b.Index)
+	}
+	if s.Count == 0 {
+		return Snapshot{}
+	}
+	s.Mean = min(max(sum/float64(s.Count), lo), hi)
+	s.P50, s.P99, s.P999 = s.quantile(0.50), s.quantile(0.99), s.quantile(0.999)
+	return s
+}
+
+// view is Snapshot with the buckets left in buf: one scan of the array
+// and no allocation, for callers that keep only a number.
+func (h *Histogram) view(buf *[histBuckets]Bucket) Snapshot {
 	if h == nil {
-		return
+		return Snapshot{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
+	bs := buf[:0]
+	for i := range h.buckets {
+		if c := h.buckets[i].Load(); c > 0 {
+			bs = append(bs, Bucket{i, c})
+		}
 	}
-	if v > h.max {
-		h.max = v
-	}
-	h.sorted = nil
-	if len(h.samples) < h.limit {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Vitter's algorithm R: replace a random existing sample with
-	// probability limit/count.
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	if idx := h.rng % uint64(h.count); idx < uint64(h.limit) {
-		h.samples[idx] = v
-	}
+	lo := math.Float64frombits(h.min.Load())
+	return newSnapshot(bs, lo, math.Float64frombits(h.max.Load()))
+}
+
+// Snapshot returns the summary of all observations so far.
+func (h *Histogram) Snapshot() Snapshot {
+	var buf [histBuckets]Bucket
+	s := h.view(&buf)
+	s.Buckets = append([]Bucket(nil), s.Buckets...)
+	return s
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	var buf [histBuckets]Bucket
+	return h.view(&buf).Count
 }
 
 // Mean returns the arithmetic mean of all observations, or 0 if empty.
 func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
+	var buf [histBuckets]Bucket
+	return h.view(&buf).Mean
 }
 
 // Min returns the smallest observation, or 0 if empty.
 func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
+	var buf [histBuckets]Bucket
+	return h.view(&buf).Min
 }
 
 // Max returns the largest observation, or 0 if empty.
 func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
+	var buf [histBuckets]Bucket
+	return h.view(&buf).Max
 }
 
-// sortedLocked returns a sorted view of the reservoir, rebuilding the
-// cached copy if observations arrived since the last query. The live
-// samples slice is never reordered (reservoir replacement addresses
-// arrival order). Runs with h.mu held.
-func (h *Histogram) sortedLocked() []float64 {
-	if h.sorted == nil {
-		h.sorted = append([]float64(nil), h.samples...)
-		sort.Float64s(h.sorted)
-	}
-	return h.sorted
-}
-
-// quantileSorted computes the q-quantile over a sorted sample set using
-// nearest-rank interpolation. Returns 0 when empty.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) over the sampled
-// observations using nearest-rank interpolation. Returns 0 when empty.
+// Quantile returns the q-quantile (0 <= q <= 1) of all observations so
+// far, within the layout's relative error. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
+	var buf [histBuckets]Bucket
+	return h.view(&buf).quantile(q)
+}
+
+// Sub returns the summary of the observations made after prev and up
+// to s, both taken from the same histogram: bucket counts subtract, so
+// the statistics are those of the interval alone. The interval's Min
+// and Max are known only to the edge of its outermost buckets.
+func (s Snapshot) Sub(prev Snapshot) Snapshot {
+	var diff []Bucket
+	rest := prev.Buckets
+	for _, b := range s.Buckets {
+		for len(rest) > 0 && rest[0].Index < b.Index {
+			rest = rest[1:]
+		}
+		if len(rest) > 0 && rest[0].Index == b.Index {
+			b.Count -= rest[0].Count
+		}
+		if b.Count > 0 {
+			diff = append(diff, b)
+		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantileSorted(h.sortedLocked(), q)
-}
-
-// Snapshot bundles the latency statistics the paper reports in Fig. 8.
-type Snapshot struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-	Max   float64 `json:"max"`
-}
-
-// Snapshot returns the current summary statistics. All fields are read
-// under one lock acquisition, so the result is internally consistent: a
-// concurrent Observe can never yield e.g. P99 > Max.
-func (h *Histogram) Snapshot() Snapshot {
-	if h == nil {
+	if len(diff) == 0 {
 		return Snapshot{}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := Snapshot{Count: h.count}
-	if h.count == 0 {
-		return s
+	lo := max(s.Min, bucketLower(diff[0].Index))
+	hi := s.Max
+	if last := diff[len(diff)-1].Index; last < histBuckets-1 {
+		hi = min(hi, bucketLower(last+1))
 	}
-	s.Mean = h.sum / float64(h.count)
-	s.Min = h.min
-	s.Max = h.max
-	sorted := h.sortedLocked()
-	s.P50 = quantileSorted(sorted, 0.50)
-	s.P99 = quantileSorted(sorted, 0.99)
-	s.P999 = quantileSorted(sorted, 0.999)
-	return s
+	return newSnapshot(diff, lo, hi)
 }
 
 // String renders the snapshot in the style used by EXPERIMENTS.md.

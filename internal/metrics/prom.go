@@ -46,7 +46,7 @@ func SanitizePromName(name string) string {
 type promFamily struct {
 	name string // sanitized
 	orig string // registry name, shown in HELP
-	typ  string // counter | gauge | summary
+	typ  string // counter | gauge | histogram
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
@@ -55,8 +55,11 @@ type promFamily struct {
 
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4): counters as `counter`, gauges
-// and computed gauges as `gauge`, histograms as `summary` families with
-// p50/p99/p99.9 quantiles plus _sum and _count. Names are sanitized via
+// and computed gauges as `gauge`, histograms as `histogram` families:
+// one cumulative `_bucket{le=...}` line per non-empty bucket of the
+// fixed layout (le is the bucket's upper edge, which the bucket itself
+// excludes), then `le="+Inf"`, `_sum` and `_count`, all from one
+// snapshot. Names are sanitized via
 // SanitizePromName; when two registry names collide after sanitization
 // the lexicographically first wins and the rest are skipped (a family
 // may not repeat in an exposition). Safe on a nil registry (writes
@@ -77,7 +80,7 @@ func (r *Registry) WritePrometheus(w io.Writer) (int64, error) {
 		fams = append(fams, promFamily{orig: k, typ: "gauge", fn: v})
 	}
 	for k, v := range r.hists {
-		fams = append(fams, promFamily{orig: k, typ: "summary", h: v})
+		fams = append(fams, promFamily{orig: k, typ: "histogram", h: v})
 	}
 	r.mu.RUnlock()
 	for i := range fams {
@@ -118,18 +121,18 @@ func (r *Registry) WritePrometheus(w io.Writer) (int64, error) {
 			err = write("%s %g\n", f.name, f.fn())
 		case f.h != nil:
 			s := f.h.Snapshot()
-			for _, q := range [...]struct {
-				label string
-				v     float64
-			}{{"0.5", s.P50}, {"0.99", s.P99}, {"0.999", s.P999}} {
-				if err = write("%s{quantile=%q} %g\n", f.name, q.label, q.v); err != nil {
+			var cum int64
+			for _, b := range s.Buckets {
+				if b.Index == histBuckets-1 {
+					break // the saturating bucket has no upper edge
+				}
+				cum += b.Count
+				if err = write("%s_bucket{le=\"%g\"} %d\n", f.name, bucketLower(b.Index+1), cum); err != nil {
 					return total, err
 				}
 			}
-			if err = write("%s_sum %g\n", f.name, s.Mean*float64(s.Count)); err != nil {
-				return total, err
-			}
-			err = write("%s_count %d\n", f.name, s.Count)
+			err = write("%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
+				f.name, s.Count, f.name, s.Mean*float64(s.Count), f.name, s.Count)
 		}
 		if err != nil {
 			return total, err

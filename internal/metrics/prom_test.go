@@ -1,13 +1,16 @@
 package metrics
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestSanitizePromName(t *testing.T) {
 	cases := []struct{ in, want string }{
-		{"qindb.put.latency_us", "qindb_put_latency_us"},
+		{"qindb.put.device_us", "qindb_put_device_us"},
 		{"server.req.batch", "server_req_batch"},
 		{"aof-rotate.count", "aof_rotate_count"},
 		{"already_legal:name", "already_legal:name"},
@@ -25,13 +28,13 @@ func TestSanitizePromName(t *testing.T) {
 
 // TestWritePrometheusShape checks the exposition format: HELP/TYPE
 // headers, counter and gauge samples, and histograms rendered as
-// summaries with quantiles, _sum and _count.
+// cumulative buckets ending in +Inf, _sum and _count.
 func TestWritePrometheusShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("qindb.puts").Add(3)
 	r.Gauge("qindb.memtable.bytes").Set(4096)
 	r.GaugeFunc("aof.occupancy", func() float64 { return 0.5 })
-	h := r.Histogram("qindb.put.latency_us")
+	h := r.Histogram("qindb.put.device_us")
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
@@ -49,21 +52,35 @@ func TestWritePrometheusShape(t *testing.T) {
 		"qindb_memtable_bytes 4096",
 		"# TYPE aof_occupancy gauge",
 		"aof_occupancy 0.5",
-		"# TYPE qindb_put_latency_us summary",
-		`qindb_put_latency_us{quantile="0.5"}`,
-		`qindb_put_latency_us{quantile="0.99"}`,
-		`qindb_put_latency_us{quantile="0.999"}`,
-		"qindb_put_latency_us_sum",
-		"qindb_put_latency_us_count 100",
+		"# TYPE qindb_put_device_us histogram",
+		`qindb_put_device_us_bucket{le="1.03125"} 1`, // 1 sits in [1, 1+1/32)
+		`qindb_put_device_us_bucket{le="51"} 50`,
+		`qindb_put_device_us_bucket{le="102"} 100`,
+		`qindb_put_device_us_bucket{le="+Inf"} 100`,
+		"qindb_put_device_us_count 100",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Every non-comment line must start with a sanitized (legal) name.
+	// Every non-comment line must start with a sanitized (legal) name,
+	// bucket lines must be cumulative and _sum is the buckets' own.
+	last := int64(-1)
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
+		}
+		if strings.HasPrefix(line, "qindb_put_device_us_bucket") {
+			n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil || n < last {
+				t.Errorf("bucket line %q after count %d (%v)", line, last, err)
+			}
+			last = n
+		}
+		if v, ok := strings.CutPrefix(line, "qindb_put_device_us_sum "); ok {
+			if sum, err := strconv.ParseFloat(v, 64); err != nil || !within(sum, 5050) {
+				t.Errorf("_sum = %q, want 5050 within %v", v, relErr)
+			}
 		}
 		name := line
 		if i := strings.IndexAny(line, "{ "); i >= 0 {
@@ -75,13 +92,13 @@ func TestWritePrometheusShape(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusSummariesComplete scans every summary family in
-// the exposition and requires both the _sum and _count series —
-// Prometheus clients compute rates from those, so a family missing
-// either silently breaks dashboards.
-func TestWritePrometheusSummariesComplete(t *testing.T) {
+// TestWritePrometheusHistogramsComplete scans every histogram family
+// in the exposition and requires the +Inf bucket, _sum and _count
+// series — Prometheus clients compute rates and quantiles from those,
+// so a family missing one silently breaks dashboards.
+func TestWritePrometheusHistogramsComplete(t *testing.T) {
 	r := NewRegistry()
-	for _, name := range []string{"qindb.put.latency_us", "fleet.read.latency_us", "relay.ship.latency_us"} {
+	for _, name := range []string{"qindb.put.device_us", "fleet.read.latency_us", "relay.ship.latency_us"} {
 		h := r.Histogram(name)
 		for i := 1; i <= 10; i++ {
 			h.Observe(float64(i))
@@ -95,20 +112,83 @@ func TestWritePrometheusSummariesComplete(t *testing.T) {
 	families := 0
 	for _, line := range strings.Split(out, "\n") {
 		rest, ok := strings.CutPrefix(line, "# TYPE ")
-		if !ok || !strings.HasSuffix(rest, " summary") {
+		if !ok || !strings.HasSuffix(rest, " histogram") {
 			continue
 		}
 		families++
-		name := strings.TrimSuffix(rest, " summary")
-		for _, series := range []string{name + "_sum ", name + "_count "} {
+		name := strings.TrimSuffix(rest, " histogram")
+		for _, series := range []string{name + `_bucket{le="+Inf"} 10` + "\n", name + "_sum 55.", name + "_count 10\n"} {
 			if !strings.Contains(out, "\n"+series) {
-				t.Errorf("summary %s missing %q series:\n%s", name, strings.TrimSpace(series), out)
+				t.Errorf("histogram %s missing %q:\n%s", name, series, out)
 			}
 		}
 	}
 	if families < 3 {
-		t.Fatalf("expected at least 3 summary families, scanned %d:\n%s", families, out)
+		t.Fatalf("expected at least 3 histogram families, scanned %d:\n%s", families, out)
 	}
+}
+
+// TestExportsConsistentUnderConcurrency scrapes while four writers
+// observe: the +Inf bucket must equal _count, buckets must stay
+// cumulative, and the JSON snapshot must keep min <= p99 <= max.
+func TestExportsConsistentUnderConcurrency(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("busy.latency_us")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(v float64) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(v)
+				v = v*1.3 + 1
+				if v > 1e6 {
+					v = 1
+				}
+			}
+		}(float64(g + 1))
+	}
+	for i := 0; i < 100; i++ {
+		var sb strings.Builder
+		if _, err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count, last int64 = -1, -1, 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			var n int64
+			switch {
+			case strings.HasPrefix(line, `busy_latency_us_bucket{le="+Inf"} `):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &inf)
+				n = inf
+			case strings.HasPrefix(line, "busy_latency_us_bucket{"):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+			case strings.HasPrefix(line, "busy_latency_us_count "):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &count)
+				continue
+			default:
+				continue
+			}
+			if n < last {
+				t.Fatalf("bucket counts not cumulative (%d after %d):\n%s", n, last, sb.String())
+			}
+			last = n
+		}
+		if inf != count || inf < 0 {
+			t.Fatalf("+Inf bucket %d, _count %d:\n%s", inf, count, sb.String())
+		}
+		s, _ := r.Snapshot()["busy.latency_us"].(Snapshot)
+		if s.Count > 0 && !(s.Min <= s.P50 && s.P50 <= s.P99 && s.P99 <= s.P999 && s.P999 <= s.Max) {
+			t.Fatalf("inconsistent registry snapshot: %+v", s)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestWritePrometheusCollision checks that two registry names mapping

@@ -29,8 +29,8 @@ type RecorderConfig struct {
 	// elapsed second is the sample's throughput (e.g. server.ops.get,
 	// server.ops.put).
 	RateCounters []string
-	// LatencyHistogram names the registry histogram whose p99 (µs) is
-	// recorded per sample.
+	// LatencyHistogram names the registry histogram whose p99 (µs)
+	// over each sample's own interval is recorded.
 	LatencyHistogram string
 	// Runtime, when non-nil, contributes Go-runtime telemetry (heap,
 	// GC, goroutines) to every sample.
@@ -40,8 +40,8 @@ type RecorderConfig struct {
 }
 
 // RecorderSample is one JSONL line of the recorded series: a timestamp,
-// the SLO state, derived throughput, tail latency, and the structured
-// events that happened since the previous line.
+// the SLO state, and the throughput, tail latency and structured events
+// of the interval since the previous line.
 type RecorderSample struct {
 	TS            time.Time     `json:"ts"`
 	SLO           []SLOSnapshot `json:"slo,omitempty"`
@@ -65,9 +65,11 @@ type RecorderSample struct {
 type Recorder struct {
 	cfg  RecorderConfig
 	file *os.File
+	lat  *Histogram // cfg.LatencyHistogram; nil when none is named
 
 	mu       sync.Mutex
 	lastOps  int64
+	lastLat  Snapshot
 	lastTime time.Time
 	lastSeq  uint64
 	samples  int64
@@ -98,7 +100,11 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	if cfg.LatencyHistogram != "" {
+		r.lat = cfg.Registry.Histogram(cfg.LatencyHistogram)
+	}
 	r.lastOps = r.sumRateCounters()
+	r.lastLat = r.lat.Snapshot()
 	r.lastTime = cfg.Now()
 	r.lastSeq = cfg.Events.LastSeq()
 	return r, nil
@@ -138,6 +144,7 @@ func (r *Recorder) SampleNow() (RecorderSample, error) {
 	}
 	now := r.cfg.Now()
 	ops := r.sumRateCounters()
+	lat := r.lat.Snapshot()
 	seq := r.cfg.Events.LastSeq()
 	rt := r.cfg.Runtime.Last() // before r.mu: Last may take its own sample
 
@@ -155,9 +162,7 @@ func (r *Recorder) SampleNow() (RecorderSample, error) {
 	if elapsed := now.Sub(r.lastTime).Seconds(); elapsed > 0 {
 		sample.ThroughputOps = float64(ops-r.lastOps) / elapsed
 	}
-	if r.cfg.LatencyHistogram != "" {
-		sample.P99Us = r.cfg.Registry.Histogram(r.cfg.LatencyHistogram).Snapshot().P99
-	}
+	sample.P99Us = lat.Sub(r.lastLat).P99
 	for _, s := range r.cfg.SLOs {
 		if s == nil {
 			continue
@@ -173,6 +178,7 @@ func (r *Recorder) SampleNow() (RecorderSample, error) {
 		return sample, err
 	}
 	r.lastOps = ops
+	r.lastLat = lat
 	r.lastTime = now
 	r.lastSeq = seq
 	r.samples++

@@ -68,8 +68,8 @@ func TestRecorderSamples(t *testing.T) {
 	if got, want := s1.ThroughputOps, 150.0; got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("throughput = %g, want %g", got, want)
 	}
-	if s1.P99Us <= 0 {
-		t.Fatalf("p99 = %g, want > 0", s1.P99Us)
+	if !within(s1.P99Us, 99) {
+		t.Fatalf("p99 = %g, want 99 within %g", s1.P99Us, relErr)
 	}
 	if len(s1.SLO) != 1 || s1.SLO[0].TotalBad != 1 {
 		t.Fatalf("slo in sample = %+v", s1.SLO)
@@ -78,7 +78,11 @@ func TestRecorderSamples(t *testing.T) {
 		t.Fatalf("events in sample = %+v", s1.Events)
 	}
 
-	// Quiet second: zero throughput, no new events.
+	// Quiet second: zero throughput, no new events, and a p99 of this
+	// second's fast reads alone, not of the slow ones before it.
+	for i := 0; i < 100; i++ {
+		reg.Histogram("fleet.read.latency_us").Observe(5)
+	}
 	clk.advance(time.Second)
 	s2, err := rec.SampleNow()
 	if err != nil {
@@ -86,6 +90,9 @@ func TestRecorderSamples(t *testing.T) {
 	}
 	if s2.ThroughputOps != 0 || len(s2.Events) != 0 {
 		t.Fatalf("quiet sample = %+v", s2)
+	}
+	if !within(s2.P99Us, 5) {
+		t.Fatalf("quiet p99 = %g, want 5 within %g", s2.P99Us, relErr)
 	}
 
 	if got := rec.Samples(); got != 2 {

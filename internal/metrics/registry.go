@@ -4,18 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 )
 
-// registryHistCap bounds each registry histogram's reservoir. It is
-// deliberately smaller than the standalone default: a live system may
-// hold dozens of histograms and snapshots sort the reservoir, so the
-// always-on path trades a little tail precision for cheap exports.
-const registryHistCap = 1 << 13
-
 // Registry is a named, hierarchical collection of metrics shared by the
-// whole system. Names are dotted paths (`qindb.put.latency_us`,
+// whole system. Names are dotted paths (`qindb.put.device_us`,
 // `aof.rotations`); the dots are a naming convention, not a tree — the
 // registry itself is a flat map with a lock-cheap read path.
 //
@@ -102,7 +97,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = NewHistogram(registryHistCap)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h
@@ -145,35 +140,21 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 	out := make(map[string]any)
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	funcs := make(map[string]func() float64, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
-	r.mu.RUnlock()
-	// Values are read outside the registry lock: a GaugeFunc may take
-	// subsystem locks of its own, and holding r.mu here would order
-	// registry-lock before engine-lock for no benefit.
-	for k, c := range counters {
+	for k, c := range r.counters {
 		out[k] = c.Load()
 	}
-	for k, g := range gauges {
+	for k, g := range r.gauges {
 		out[k] = g.Load()
 	}
-	for k, h := range hists {
+	for k, h := range r.hists {
 		out[k] = h.Snapshot()
 	}
+	funcs := maps.Clone(r.funcs)
+	r.mu.RUnlock()
+	// Only computed gauges are evaluated outside the registry lock: a
+	// GaugeFunc may take subsystem locks of its own, and holding r.mu
+	// here would order registry-lock before engine-lock for no benefit.
+	// The cells above are atomic and lock nothing.
 	for k, fn := range funcs {
 		out[k] = fn()
 	}

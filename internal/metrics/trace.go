@@ -102,7 +102,7 @@ func (t *Tracer) RecordSpan(rec SpanRecord) {
 	}
 	h := t.hists[rec.Name]
 	if h == nil {
-		h = NewHistogram(registryHistCap)
+		h = NewHistogram()
 		t.hists[rec.Name] = h
 	}
 	t.mu.Unlock()

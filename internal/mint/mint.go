@@ -117,8 +117,8 @@ type clusterMetrics struct {
 
 func newClusterMetrics(reg *metrics.Registry, groups int) clusterMetrics {
 	m := clusterMetrics{
-		putLat:      reg.Histogram("mint.put.latency_us"),
-		getLat:      reg.Histogram("mint.get.latency_us"),
+		putLat:      reg.Histogram("mint.put.device_us"),
+		getLat:      reg.Histogram("mint.get.device_us"),
 		replicaMiss: reg.Counter("mint.get.replica_miss"),
 		quorumFails: reg.Counter("mint.put.quorum_failures"),
 		nodesFailed: reg.Counter("mint.nodes.failed"),
@@ -128,7 +128,7 @@ func newClusterMetrics(reg *metrics.Registry, groups int) clusterMetrics {
 	if reg != nil {
 		m.groupGetLat = make([]*metrics.Histogram, groups)
 		for g := range m.groupGetLat {
-			m.groupGetLat[g] = reg.Histogram(fmt.Sprintf("mint.g%d.get.latency_us", g))
+			m.groupGetLat[g] = reg.Histogram(fmt.Sprintf("mint.g%d.get.device_us", g))
 		}
 	}
 	return m

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -121,48 +120,5 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	code, text, _ := get(t, opsSrv, "/debug/attrib")
 	if code != 200 || !strings.Contains(text, "put") || !strings.Contains(text, "get") {
 		t.Fatalf("text form = %d:\n%s", code, text)
-	}
-}
-
-// TestProfileCaptureFleet drives metrics.ProfileCapture against two
-// real ops servers — the path `qindbctl profile -nodes` takes — and
-// checks one valid windowed pprof delta lands per node.
-func TestProfileCaptureFleet(t *testing.T) {
-	var endpoints []string
-	for i := 0; i < 2; i++ {
-		s, err := Listen("127.0.0.1:0", Config{EnablePprof: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go s.Serve()
-		t.Cleanup(func() {
-			s.Shutdown(context.Background())
-		})
-		endpoints = append(endpoints, s.Addr())
-	}
-
-	dir := t.TempDir()
-	pc := &metrics.ProfileCapture{Endpoints: endpoints, Type: "allocs", Seconds: 1}
-	results, err := pc.CaptureTo(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	for _, r := range results {
-		if r.Err != "" {
-			t.Fatalf("%s: %s", r.Endpoint, r.Err)
-		}
-		fi, err := os.Stat(r.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() == 0 || fi.Size() != r.Bytes {
-			t.Fatalf("%s: size %d vs reported %d", r.Path, fi.Size(), r.Bytes)
-		}
-		if !strings.HasSuffix(r.Path, ".allocs.pprof") {
-			t.Fatalf("unexpected capture filename %q", r.Path)
-		}
 	}
 }

@@ -21,15 +21,14 @@
 //	                     handoff depths); ?format=json
 //	/debug/attrib        sampled per-opcode resource attribution, sorted
 //	                     by alloc bytes/op; ?format=json
-//	/debug/profile       windowed pprof capture (?type=heap|allocs|cpu|
-//	                     goroutine, ?seconds=N for a delta window), only
-//	                     when EnablePprof is set
 //	/index               index lifecycle (internal/search): list,
 //	                     create, ingest, query, CIFF export/import —
 //	                     only when an Index handler is configured
 //	/healthz             200 while the process is up
 //	/readyz              200 when Ready() returns nil, 503 otherwise
-//	/debug/pprof/*       net/http/pprof, only when EnablePprof is set
+//	/debug/pprof/*       net/http/pprof (heap|allocs|goroutine|profile;
+//	                     ?seconds=N makes heap/allocs a windowed delta),
+//	                     only when EnablePprof is set
 package ops
 
 import (
@@ -331,47 +330,6 @@ func NewMux(cfg Config) *http.ServeMux {
 		for _, e := range snap.Entries {
 			fmt.Fprintf(w, "%-10s %10d %16.0f %14.1f %12.1f %12.1f\n",
 				e.Op, e.Samples, e.AllocBytesPerOp, e.AllocsPerOp, e.CPUUsPerOp, e.WallUsPerOp)
-		}
-	})
-	mux.HandleFunc("/debug/profile", func(w http.ResponseWriter, r *http.Request) {
-		if !cfg.EnablePprof {
-			http.Error(w, "profiling not enabled (start with -pprof)", http.StatusForbidden)
-			return
-		}
-		q := r.URL.Query()
-		typ := q.Get("type")
-		if typ == "" {
-			typ = "heap"
-		}
-		seconds := 0
-		if sStr := q.Get("seconds"); sStr != "" {
-			v, err := strconv.Atoi(sStr)
-			if err != nil || v < 0 || v > 300 {
-				http.Error(w, "bad seconds (want 0..300)", http.StatusBadRequest)
-				return
-			}
-			seconds = v
-		}
-		// Delegate to net/http/pprof, which already implements windowed
-		// delta profiles: a seconds= parameter on a profile handler
-		// captures the difference between two snapshots that far apart.
-		r2 := r.Clone(r.Context())
-		switch typ {
-		case "cpu":
-			if seconds <= 0 {
-				seconds = 5
-			}
-			r2.URL.RawQuery = fmt.Sprintf("seconds=%d", seconds)
-			pprof.Profile(w, r2)
-		case "heap", "allocs", "goroutine":
-			if seconds > 0 {
-				r2.URL.RawQuery = fmt.Sprintf("seconds=%d", seconds)
-			} else {
-				r2.URL.RawQuery = ""
-			}
-			pprof.Handler(typ).ServeHTTP(w, r2)
-		default:
-			http.Error(w, "bad type (want heap, allocs, cpu or goroutine)", http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -77,7 +77,10 @@ func TestMetricsFormats(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE ops_requests counter",
 		"ops_requests 5",
-		"# TYPE ops_latency_us summary",
+		"# TYPE ops_latency_us histogram",
+		`ops_latency_us_bucket{le="122"} 1`, // 120 sits in [120, 122)
+		`ops_latency_us_bucket{le="+Inf"} 1`,
+		"ops_latency_us_sum 120",
 		"ops_latency_us_count 1",
 	} {
 		if !strings.Contains(body, want) {

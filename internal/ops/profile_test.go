@@ -74,14 +74,16 @@ func TestDebugAttribDisabledTable(t *testing.T) {
 	}
 }
 
+// Profiles are net/http/pprof's own handlers, mounted only behind
+// EnablePprof; ?seconds=N on heap/allocs is its windowed delta.
 func TestDebugProfileHeap(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{EnablePprof: true}))
 	defer srv.Close()
 
 	for _, path := range []string{
-		"/debug/profile",                       // default: absolute heap
-		"/debug/profile?type=allocs&seconds=1", // windowed delta
-		"/debug/profile?type=goroutine",
+		"/debug/pprof/heap",             // absolute
+		"/debug/pprof/heap?seconds=1",   // windowed delta
+		"/debug/pprof/allocs?seconds=1", // what `go tool pprof http://.../allocs?seconds=N` fetches
 	} {
 		code, body, _ := get(t, srv, path)
 		if code != 200 {
@@ -96,7 +98,7 @@ func TestDebugProfileHeap(t *testing.T) {
 func TestDebugProfileCPU(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{EnablePprof: true}))
 	defer srv.Close()
-	code, body, _ := get(t, srv, "/debug/profile?type=cpu&seconds=1")
+	code, body, _ := get(t, srv, "/debug/pprof/profile?seconds=1")
 	if code != 200 {
 		t.Fatalf("cpu profile = %d: %s", code, body)
 	}
@@ -108,23 +110,9 @@ func TestDebugProfileCPU(t *testing.T) {
 func TestDebugProfileDisabled(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()
-	code, body, _ := get(t, srv, "/debug/profile?type=heap")
-	if code != 403 {
-		t.Fatalf("/debug/profile without -pprof = %d, want 403: %s", code, body)
-	}
-}
-
-func TestDebugProfileBadParams(t *testing.T) {
-	srv := httptest.NewServer(NewMux(Config{EnablePprof: true}))
-	defer srv.Close()
-	for _, path := range []string{
-		"/debug/profile?type=mutexxx",
-		"/debug/profile?seconds=-1",
-		"/debug/profile?seconds=9999",
-		"/debug/profile?seconds=abc",
-	} {
-		if code, _, _ := get(t, srv, path); code != 400 {
-			t.Fatalf("%s = %d, want 400", path, code)
+	for _, path := range []string{"/debug/pprof/heap?seconds=1", "/debug/pprof/", "/debug/profile"} {
+		if code, body, _ := get(t, srv, path); code != 404 {
+			t.Fatalf("%s without -pprof = %d, want 404: %s", path, code, body)
 		}
 	}
 }

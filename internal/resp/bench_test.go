@@ -56,7 +56,7 @@ func benchRESPKey(i int) string {
 
 // BenchmarkRESPPipelinedSet measures pipelined SET throughput through
 // the RESP front door — the number to hold against the native wire's
-// pipelined puts in BENCH_directload.json.
+// pipelined puts (BenchmarkRemotePublish in internal/server).
 func BenchmarkRESPPipelinedSet(b *testing.B) {
 	cl := benchRESP(b)
 	val := []byte("payload-0123456789abcdef-0123456789abcdef")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,9 +87,12 @@ func TestBackendAttributionSampling(t *testing.T) {
 		t.Errorf("put alloc bytes/op = %v, implausibly small", byOp["put"].AllocBytesPerOp)
 	}
 
-	// The sampled deltas also land in the per-op alloc_bytes histogram.
-	if got := reg.Histogram("server.req.put.alloc_bytes").Snapshot().Count; got < 4 {
-		t.Errorf("server.req.put.alloc_bytes count = %d, want >= 4", got)
+	// The table is the only home of the sampled deltas: no per-op
+	// alloc_bytes histogram shadows it in the registry.
+	for name := range reg.Snapshot() {
+		if strings.HasSuffix(name, ".alloc_bytes") {
+			t.Errorf("registry exports %s beside the attribution table", name)
+		}
 	}
 
 	// Disabling drops the table.
@@ -99,16 +103,13 @@ func TestBackendAttributionSampling(t *testing.T) {
 }
 
 func TestBackendAttributionOffByDefault(t *testing.T) {
-	bk, reg := attribBackend(t)
+	bk, _ := attribBackend(t)
 	ctx := context.Background()
 	if err := bk.Put(ctx, []byte("k"), 1, []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
 	if snap := bk.Attribution(); len(snap.Entries) != 0 {
 		t.Fatalf("attribution recorded while disabled: %+v", snap)
-	}
-	if got := reg.Histogram("server.req.put.alloc_bytes").Snapshot().Count; got != 0 {
-		t.Fatalf("alloc_bytes histogram count = %d while disabled, want 0", got)
 	}
 }
 

@@ -60,7 +60,6 @@ func (b *Backend) SetMetrics(reg *metrics.Registry) {
 		name := opNames[op]
 		b.met.reqs[op] = reg.Counter("server.req." + name)
 		b.met.lat[op] = reg.Histogram("server.req." + name + ".latency_us")
-		b.met.allocB[op] = reg.Histogram("server.req." + name + ".alloc_bytes")
 	}
 	b.met.badReqs = reg.Counter("server.req.bad")
 	b.met.conns = reg.Gauge("server.conns.active")
@@ -89,9 +88,8 @@ func (b *Backend) SetReadSLO(slo *metrics.SLO) {
 
 // SetAttribution enables sampled per-opcode resource attribution: one
 // request in every is measured (alloc bytes/objects and, on linux,
-// thread CPU time) and its delta charged to the opcode, feeding the
-// /debug/attrib table and the server.req.<op>.alloc_bytes histograms.
-// every <= 0 disables. Safe at runtime; the table resets on re-enable.
+// thread CPU time) and its delta charged to the opcode in the
+// /debug/attrib table. every <= 0 disables. Safe at runtime; the table resets on re-enable.
 // Because the table hangs off the Backend, it covers every front door —
 // native and RESP traffic land in one table.
 func (b *Backend) SetAttribution(every int) {
@@ -146,9 +144,7 @@ func (b *Backend) begin(ctx context.Context, op uint8) (context.Context, func(ke
 		if res != nil {
 			// End before the shared instrumentation below, so the bill
 			// covers the request's work, not the metrics writes.
-			d := res.End()
-			attr.Charge(opNames[op], d)
-			b.met.allocB[op].Observe(float64(d.AllocBytes))
+			attr.Charge(opNames[op], res.End())
 		}
 		b.met.reqs[op].Inc()
 		b.met.lat[op].Observe(float64(elapsed) / float64(time.Microsecond))

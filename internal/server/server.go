@@ -59,7 +59,6 @@ type Server struct {
 type serverMetrics struct {
 	reqs     [opMax + 1]*metrics.Counter
 	lat      [opMax + 1]*metrics.Histogram
-	allocB   [opMax + 1]*metrics.Histogram // sampled alloc bytes per request
 	badReqs  *metrics.Counter
 	conns    *metrics.Gauge
 	inflight *metrics.Gauge   // server.pipeline.inflight: requests being dispatched

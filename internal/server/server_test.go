@@ -276,9 +276,9 @@ func TestOpMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Engine metrics flow through: histogram count matches the puts.
-	putLat, ok := m["qindb.put.latency_us"].(map[string]any)
+	putLat, ok := m["qindb.put.device_us"].(map[string]any)
 	if !ok || putLat["count"].(float64) != 10 {
-		t.Fatalf("qindb.put.latency_us = %#v", m["qindb.put.latency_us"])
+		t.Fatalf("qindb.put.device_us = %#v", m["qindb.put.device_us"])
 	}
 	if putLat["p99"].(float64) > putLat["max"].(float64) {
 		t.Fatalf("inconsistent snapshot over the wire: %#v", putLat)
