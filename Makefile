@@ -16,9 +16,9 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific analyzers (internal/analysis) run through the go
-# command's vettool protocol, so package loading, export data, fact
-# propagation and result caching all come from `go vet`. See
-# DESIGN.md, "Static analysis" and "Interprocedural analysis".
+# command's vettool protocol, so package loading, export data and
+# result caching all come from `go vet`. See DESIGN.md, "Static
+# analysis".
 # Suppress a finding with:
 #   //lint:ignore <analyzer> reason
 lint:
@@ -27,7 +27,7 @@ lint:
 
 # The analyzers' own regression suite: every analyzer package runs its
 # flagging and non-flagging fixtures under the analysistest harness,
-# plus the facts engine's round-trip/staleness tests.
+# plus the driver's own tests.
 lint-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/directload-vet/
 

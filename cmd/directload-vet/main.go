@@ -1,7 +1,6 @@
 // Command directload-vet is the repo's custom analyzer suite. It
 // speaks the (unpublished) `go vet -vettool` protocol, so the go
-// command does package loading, export data, fact propagation and
-// result caching:
+// command does package loading, export data and result caching:
 //
 //	go build -o bin/directload-vet ./cmd/directload-vet
 //	go vet -vettool=bin/directload-vet ./...
@@ -41,33 +40,25 @@ import (
 	"strings"
 
 	"directload/internal/analysis"
-	"directload/internal/analysis/atomicmix"
 	"directload/internal/analysis/blockalign"
-	"directload/internal/analysis/bufown"
 	"directload/internal/analysis/ctxflow"
 	"directload/internal/analysis/errflow"
-	"directload/internal/analysis/goroexit"
 	"directload/internal/analysis/locksafe"
 	"directload/internal/analysis/nilmetrics"
-	"directload/internal/analysis/spanend"
 )
 
 // toolVersion doubles as the go command's vet cache key: bump it
-// whenever analyzer behavior or the fact format changes, or stale
-// cached results (and stale vetx files) survive the upgrade.
-const toolVersion = "0.2.0"
+// whenever analyzer behavior changes, or stale cached results survive
+// the upgrade.
+const toolVersion = "0.3.0"
 
 // suite is every analyzer directload-vet runs, in report order.
 var suite = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	blockalign.Analyzer,
-	bufown.Analyzer,
 	ctxflow.Analyzer,
 	errflow.Analyzer,
-	goroexit.Analyzer,
 	locksafe.Analyzer,
 	nilmetrics.Analyzer,
-	spanend.Analyzer,
 }
 
 func main() {
@@ -210,8 +201,8 @@ func parseVetLine(line string, analyzerNames map[string]bool) (finding, bool) {
 }
 
 // reexecGoVet runs `go vet -vettool=<self> <patterns>`, which hands
-// each package back to this binary in .cfg form with export data,
-// fact propagation and caching handled by the go command. Findings
+// each package back to this binary in .cfg form with export data and
+// caching handled by the go command. Findings
 // stream through to stderr as usual; with -json or -sarif they are
 // additionally parsed out of the stream and re-emitted structurally.
 func reexecGoVet(analyzerFlags, patterns []string, jsonOut bool, sarifPath string, stdout, stderr io.Writer) int {

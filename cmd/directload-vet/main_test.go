@@ -10,21 +10,21 @@ import (
 )
 
 func TestParseVetLine(t *testing.T) {
-	names := map[string]bool{"bufown": true, "spanend": true}
+	names := map[string]bool{"errflow": true, "locksafe": true}
 	cases := []struct {
 		line string
 		ok   bool
 		want finding
 	}{
 		{
-			line: "internal/fleet/fleet.go:456:2: bufown: pooled buffer buf used after Put",
+			line: "internal/fleet/fleet.go:456:2: errflow: error from Close is discarded",
 			ok:   true,
-			want: finding{File: "internal/fleet/fleet.go", Line: 456, Col: 2, Analyzer: "bufown", Message: "pooled buffer buf used after Put"},
+			want: finding{File: "internal/fleet/fleet.go", Line: 456, Col: 2, Analyzer: "errflow", Message: "error from Close is discarded"},
 		},
 		{
-			line: "/abs/path/x.go:1:1: spanend: span closer end is never called: defer it",
+			line: "/abs/path/x.go:1:1: locksafe: channel send while mu is held",
 			ok:   true,
-			want: finding{File: "/abs/path/x.go", Line: 1, Col: 1, Analyzer: "spanend", Message: "span closer end is never called: defer it"},
+			want: finding{File: "/abs/path/x.go", Line: 1, Col: 1, Analyzer: "locksafe", Message: "channel send while mu is held"},
 		},
 		{line: "# directload/internal/fleet", ok: false},
 		{line: "exit status 2", ok: false},
@@ -45,7 +45,7 @@ func TestParseVetLine(t *testing.T) {
 
 func TestSarifReport(t *testing.T) {
 	fs := []finding{
-		{File: "a.go", Line: 3, Col: 7, Analyzer: "goroexit", Message: "goroutine loops with no termination path"},
+		{File: "a.go", Line: 3, Col: 7, Analyzer: "locksafe", Message: "channel send while mu is held"},
 	}
 	data, err := json.Marshal(sarifReport(fs))
 	if err != nil {
@@ -96,7 +96,7 @@ func TestSarifReport(t *testing.T) {
 		t.Fatalf("results: %d, want 1", len(run.Results))
 	}
 	r := run.Results[0]
-	if r.RuleID != "goroexit" || r.Locations[0].PhysicalLocation.ArtifactLocation.URI != "a.go" ||
+	if r.RuleID != "locksafe" || r.Locations[0].PhysicalLocation.ArtifactLocation.URI != "a.go" ||
 		r.Locations[0].PhysicalLocation.Region.StartLine != 3 {
 		t.Errorf("bad result: %+v", r)
 	}
@@ -125,7 +125,7 @@ func TestAuditIgnores(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("good.go", "package p\n\n//lint:ignore goroexit process-lifetime flusher\nvar x int\n")
+	write("good.go", "package p\n\n//lint:ignore locksafe send on a buffered channel sized to the senders\nvar x int\n")
 	write("sub/clean.go", "package q\nvar y int\n")
 	write("testdata/src/fix/fix.go", "package fix\n//lint:ignore errflow fixture directive must not be audited\n")
 
@@ -133,14 +133,14 @@ func TestAuditIgnores(t *testing.T) {
 	if code := run([]string{"-audit-ignores", dir}, &out, &errw); code != 0 {
 		t.Fatalf("audit of reasoned tree: exit %d, stderr %s", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "goroexit — process-lifetime flusher") {
+	if !strings.Contains(out.String(), "locksafe — send on a buffered channel sized to the senders") {
 		t.Errorf("audit output missing the directive: %s", out.String())
 	}
 	if strings.Contains(out.String(), "fixture directive") {
 		t.Errorf("audit descended into testdata: %s", out.String())
 	}
 
-	write("bad.go", "package p\n\n//lint:ignore spanend\nvar z int\n")
+	write("bad.go", "package p\n\n//lint:ignore ctxflow\nvar z int\n")
 	out.Reset()
 	errw.Reset()
 	if code := run([]string{"-audit-ignores", dir}, &out, &errw); code == 0 {

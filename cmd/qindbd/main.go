@@ -12,9 +12,8 @@
 //	cl.PutContext(ctx, []byte("k"), 1, []byte("v"), false)
 //
 // Every connection opens with one hello exchange and is pipelined from
-// then on: clients may keep many requests in flight or batch them;
-// -max-inflight bounds how many the server dispatches concurrently per
-// connection.
+// then on: clients may keep many requests in flight or batch them; the
+// server dispatches up to 64 of them concurrently per connection.
 //
 // With -resp-addr set the daemon additionally serves the same engine
 // over RESP2 (the Redis protocol), so redis-cli and off-the-shelf Redis
@@ -45,8 +44,8 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -74,15 +73,8 @@ var (
 	metricsAddr   = flag.String("metrics-addr", "", "HTTP address for the operator endpoints (empty = off)")
 	pprofOn       = flag.Bool("pprof", false, "mount /debug/pprof/* on the metrics address")
 	slowThresh    = flag.Duration("slowlog-threshold", 10*time.Millisecond, "record ops at or above this latency in /debug/slowlog (0 = off)")
-	slowCap       = flag.Int("slowlog-cap", 0, "slow-op entries retained (0 = default 256)")
-	memHighWater  = flag.Int64("memtable-highwater", 0, "report not-ready once the memtable exceeds this many bytes (0 = no check)")
-	maxInFlight   = flag.Int("max-inflight", 0, "concurrent requests dispatched per connection (0 = default)")
-	readTimeout   = flag.Duration("read-timeout", 0, "per-frame read deadline, doubles as idle timeout (0 = none)")
-	writeTimeout  = flag.Duration("write-timeout", 0, "per-frame write deadline (0 = none)")
-	shutdownGrace = flag.Duration("shutdown-grace", 3*time.Second, "deadline for draining the metrics HTTP server on shutdown")
 	nodeID        = flag.String("node-id", "", "node name stamped onto exported trace spans (default: the listen address)")
 	sloReadTarget = flag.Float64("slo-read-target", 0.006, "tolerated get-miss ratio for the read SLO (paper: 0.006; 0 = off)")
-	eventsCap     = flag.Int("events-cap", 0, "structured events retained for /events (0 = default 1024)")
 	recordPath    = flag.String("record", "", "append periodic {ts, slo, throughput, p99} JSONL snapshots to this file (empty = off)")
 	recordEvery   = flag.Duration("record-interval", time.Second, "snapshot cadence for -record")
 	attrSample    = flag.Int("attr-sample", 64, "measure one request in N for per-op resource attribution on /debug/attrib (0 = off)")
@@ -106,19 +98,19 @@ func (e coreEngine) Get(key string, version uint64) ([]byte, error) {
 	return v, err
 }
 
-// readiness builds the /readyz check: the engine must be open, the AOF
-// store not under space pressure, and the memtable below the high-water
-// mark (when one is configured).
-func readiness(db *core.DB, highWater int64) func() error {
+// shutdownGrace bounds draining the operator HTTP server on shutdown.
+const shutdownGrace = 3 * time.Second
+
+// readiness builds the /readyz check: the engine must be open and the
+// AOF store not under space pressure.
+func readiness(db *core.DB) func() error {
 	return func() error {
 		h := db.Health()
 		switch {
 		case h.Closed:
-			return fmt.Errorf("engine closed")
+			return errors.New("engine closed")
 		case h.UnderPressure:
-			return fmt.Errorf("aof store under space pressure")
-		case highWater > 0 && h.MemtableBytes > highWater:
-			return fmt.Errorf("memtable %d bytes over high-water %d", h.MemtableBytes, highWater)
+			return errors.New("aof store under space pressure")
 		}
 		return nil
 	}
@@ -144,8 +136,9 @@ func main() {
 	}
 	defer db.Close()
 
-	slow := metrics.NewSlowLog(*slowCap, *slowThresh)
-	events := metrics.NewEventLog(*eventsCap)
+	// Zero capacities select the rings' defaults (256 slow ops, 1024 events).
+	slow := metrics.NewSlowLog(0, *slowThresh)
+	events := metrics.NewEventLog(0)
 	var readSLO *metrics.SLO
 	if *sloReadTarget > 0 {
 		readSLO = metrics.NewSLO(metrics.SLOConfig{
@@ -171,10 +164,6 @@ func main() {
 		runtimeSampler.Start()
 		defer runtimeSampler.Close()
 	}
-	if *maxInFlight > 0 {
-		s.SetMaxInFlight(*maxInFlight)
-	}
-	s.SetTimeouts(*readTimeout, *writeTimeout)
 
 	node := *nodeID
 	if node == "" {
@@ -206,7 +195,7 @@ func main() {
 			Node:        node,
 			SLOs:        []*metrics.SLO{readSLO},
 			Events:      events,
-			Ready:       readiness(db, *memHighWater),
+			Ready:       readiness(db),
 			EnablePprof: *pprofOn,
 			Attrib:      s.Backend().Attribution,
 			Index:       search.NewHandler(searchSvc),
@@ -254,7 +243,7 @@ func main() {
 	// Drain the operator HTTP server under a deadline; a scrape stuck
 	// past the grace period is reported, not silently abandoned.
 	if opsSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		if err := opsSrv.Shutdown(ctx); err != nil {
 			log.Printf("qindbd: metrics server shutdown: %v", err)
 		}

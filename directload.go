@@ -112,8 +112,6 @@ type (
 	// NodeDialOption configures DialNode (timeouts, pool size,
 	// pipelining depth).
 	NodeDialOption = server.DialOption
-	// NodeFuture is one in-flight pipelined operation (Client.Pipeline).
-	NodeFuture = server.Future
 	// NodeBatchError reports which sub-ops of a batch flush failed.
 	NodeBatchError = server.BatchError
 
@@ -325,7 +323,3 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 // ephemeral); run the returned server's Serve on its own goroutine and
 // stop it with Shutdown under a context deadline.
 func ListenOps(addr string, cfg OpsConfig) (*OpsServer, error) { return ops.Listen(addr, cfg) }
-
-// WaitFutures blocks until every pipelined operation completes and
-// returns the first error among them.
-func WaitFutures(futures ...*NodeFuture) error { return server.Wait(futures...) }

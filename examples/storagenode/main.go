@@ -10,10 +10,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"directload"
@@ -107,19 +109,25 @@ func main() {
 	}
 	fmt.Printf("GET url/page-00 @v2 -> %q (traceback server-side)\n", val)
 
-	// Pipelined reads: all five gets share the wire and complete
-	// concurrently on the server.
-	p := cl.Pipeline()
-	var futures []*directload.NodeFuture
-	for i := 0; i < 5; i++ {
-		futures = append(futures, p.Get(ctx, []byte(fmt.Sprintf("url/page-%02d", i)), 1))
+	// Pipelined reads: concurrent callers share the one connection —
+	// all five gets are on the wire at once and complete concurrently
+	// on the server, matched back to their callers by sequence number.
+	var wg sync.WaitGroup
+	vals := make([][]byte, 5)
+	errs := make([]error, 5)
+	for i := range vals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], errs[i] = cl.GetContext(ctx, []byte(fmt.Sprintf("url/page-%02d", i)), 1)
+		}(i)
 	}
-	if err := directload.WaitFutures(futures...); err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("pipelined gets:")
-	for i, f := range futures {
-		v, _ := f.Value()
+	for i, v := range vals {
 		fmt.Printf("  url/page-%02d @v1 -> %d bytes\n", i, len(v))
 	}
 

@@ -52,11 +52,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the merged interprocedural view: summaries for every
-	// function of this package and of its (transitive) dependencies
-	// that the engine analyzed. See facts.go.
-	Facts *FactSet
-
 	diags *[]Diagnostic
 }
 
@@ -94,20 +89,8 @@ type Package struct {
 }
 
 // Run applies each analyzer to pkg and returns the surviving findings
-// (suppressed ones removed) sorted by position. Facts are computed for
-// pkg itself; cross-package summaries are absent (see RunWithFacts).
+// (suppressed ones removed) sorted by position.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunWithFacts(pkg, nil, analyzers)
-	return diags, err
-}
-
-// RunWithFacts applies each analyzer to pkg with the dependencies'
-// imported facts in scope. It returns the surviving findings and the
-// package's own computed facts, for the caller to export to
-// dependents.
-func RunWithFacts(pkg *Package, imported *FactSet, analyzers []*Analyzer) ([]Diagnostic, *FactSet, error) {
-	own := ComputeFacts(pkg, imported)
-	merged := MergeFacts(imported, own)
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -116,11 +99,10 @@ func RunWithFacts(pkg *Package, imported *FactSet, analyzers []*Analyzer) ([]Dia
 			Files:     pkg.Files,
 			Pkg:       pkg.Pkg,
 			TypesInfo: pkg.Info,
-			Facts:     merged,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
 	}
 	diags = filterIgnored(pkg, diags)
@@ -146,7 +128,7 @@ func RunWithFacts(pkg *Package, imported *FactSet, analyzers []*Analyzer) ([]Dia
 		}
 		deduped = append(deduped, d)
 	}
-	return deduped, own, nil
+	return deduped, nil
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.

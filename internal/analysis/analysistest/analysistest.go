@@ -35,7 +35,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", pkgPath, err)
 		}
-		diags, _, err := analysis.RunWithFacts(pkg, loader.ImportedFacts(pkg), []*analysis.Analyzer{a})
+		diags, err := analysis.Run(pkg, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, pkgPath, err)
 		}

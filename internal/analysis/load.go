@@ -23,7 +23,6 @@ type Loader struct {
 
 	std    types.ImporterFrom
 	loaded map[string]*Package
-	facts  map[string]*FactSet
 }
 
 // NewLoader creates a loader rooted at root (fixtures under root/src).
@@ -34,34 +33,7 @@ func NewLoader(root string) *Loader {
 		Fset:   fset,
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		loaded: make(map[string]*Package),
-		facts:  make(map[string]*FactSet),
 	}
-}
-
-// ImportedFacts computes (and caches) the merged facts of every
-// fixture-local package pkg imports, transitively — the loader
-// equivalent of the vetx files `go vet` hands RunUnit. Standard
-// library imports contribute nothing, matching the unit driver.
-func (l *Loader) ImportedFacts(pkg *Package) *FactSet {
-	merged := NewFactSet()
-	for _, imp := range pkg.Pkg.Imports() {
-		dep, ok := l.loaded[imp.Path()]
-		if !ok {
-			continue // stdlib
-		}
-		merged.Merge(l.ImportedFacts(dep))
-		merged.Merge(l.factsOf(imp.Path(), dep))
-	}
-	return merged
-}
-
-func (l *Loader) factsOf(path string, pkg *Package) *FactSet {
-	if fs, ok := l.facts[path]; ok {
-		return fs
-	}
-	fs := ComputeFacts(pkg, l.ImportedFacts(pkg))
-	l.facts[path] = fs
-	return fs
 }
 
 // Load parses and type-checks the fixture package at importPath.

@@ -10,24 +10,18 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"strings"
 )
 
 // Config mirrors the JSON the go command writes to <objdir>/vet.cfg
 // when invoking a -vettool (cmd/go/internal/work's vetConfig). Only
 // the fields this driver consumes are declared.
 type Config struct {
-	ID         string
 	Compiler   string
-	Dir        string
 	ImportPath string
 	GoFiles    []string
-	NonGoFiles []string
 
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
 	VetxOnly    bool
 	VetxOutput  string
 
@@ -36,38 +30,29 @@ type Config struct {
 
 // RunUnit executes the vet-tool protocol for one package: read the
 // config file the go command wrote, type-check the package against the
-// export data the build produced, import the dependencies' facts from
-// their vetx files, run the analyzers, export this package's facts to
-// cfg.VetxOutput, and print findings to stderr in the file:line:col
-// form `go vet` expects. The returned exit code is 0 (clean) or 2
-// (findings), mirroring the x/tools unitchecker.
+// export data the build produced, run the analyzers, and print
+// findings to stderr in the file:line:col form `go vet` expects. The
+// returned exit code is 0 (clean) or 2 (findings), mirroring the
+// x/tools unitchecker.
 //
-// The go command runs the tool over every dependency first (VetxOnly
-// mode), which is where the interprocedural facts come from: a
-// dependency's run type-checks it from source, summarizes every
-// function (facts.go), and persists the summaries for dependents to
-// import through cfg.PackageVetx. Only directload's own packages are
-// summarized — the invariants the suite encodes are about this repo's
-// helpers, and skipping the standard library keeps a cold `make lint`
-// fast. Fact computation is best-effort: a dependency that fails to
-// load exports an empty fact set rather than failing the build.
+// No analyzer carries facts between packages, but the go command
+// caches a package's vet result under the file named by
+// cfg.VetxOutput, so every run leaves an empty one there — including
+// the VetxOnly runs the go command makes over each dependency, which
+// have nothing else to do.
 func RunUnit(cfgFile string, analyzers []*Analyzer) int {
 	cfg, err := readConfig(cfgFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "directload-vet: %v\n", err)
 		return 1
 	}
-	if cfg.VetxOnly {
-		facts := NewFactSet()
-		if isModulePkg(cfg.ImportPath) {
-			if pkg, err := loadUnit(cfg); err == nil {
-				facts = ComputeFacts(pkg, readImportedFacts(cfg))
-			}
-		}
-		if err := writeVetx(cfg, facts); err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintf(os.Stderr, "directload-vet: %v\n", err)
 			return 1
 		}
+	}
+	if cfg.VetxOnly {
 		return 0
 	}
 	pkg, err := loadUnit(cfg)
@@ -78,13 +63,9 @@ func RunUnit(cfgFile string, analyzers []*Analyzer) int {
 		fmt.Fprintf(os.Stderr, "directload-vet: %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
-	diags, own, err := RunWithFacts(pkg, readImportedFacts(cfg), analyzers)
+	diags, err := Run(pkg, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "directload-vet: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if err := writeVetx(cfg, own); err != nil {
-		fmt.Fprintf(os.Stderr, "directload-vet: %v\n", err)
 		return 1
 	}
 	for _, d := range diags {
@@ -94,31 +75,6 @@ func RunUnit(cfgFile string, analyzers []*Analyzer) int {
 		return 2
 	}
 	return 0
-}
-
-// isModulePkg reports whether importPath belongs to this module —
-// the only packages worth summarizing.
-func isModulePkg(importPath string) bool {
-	return importPath == "directload" || strings.HasPrefix(importPath, "directload/")
-}
-
-// readImportedFacts merges the fact files of every dependency the go
-// command lists in cfg.PackageVetx. Files that are missing, stale
-// (version mismatch) or not fact files at all contribute nothing.
-func readImportedFacts(cfg *Config) *FactSet {
-	merged := NewFactSet()
-	for _, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			continue
-		}
-		fs, err := DecodeFacts(data)
-		if err != nil {
-			continue
-		}
-		merged.Merge(fs)
-	}
-	return merged
 }
 
 func readConfig(path string) (*Config, error) {
@@ -134,13 +90,6 @@ func readConfig(path string) (*Config, error) {
 		return nil, fmt.Errorf("%s: no Go files", path)
 	}
 	return cfg, nil
-}
-
-func writeVetx(cfg *Config, facts *FactSet) error {
-	if cfg.VetxOutput == "" {
-		return nil
-	}
-	return os.WriteFile(cfg.VetxOutput, facts.Encode(), 0o666)
 }
 
 // loadUnit parses and type-checks the package described by cfg, using

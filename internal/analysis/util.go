@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -130,87 +129,4 @@ func ExprString(e ast.Expr) string {
 func IsTestFile(pass *Pass, n ast.Node) bool {
 	f := pass.Fset.File(n.Pos())
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
-}
-
-// CollectBlocks returns every block statement under root. Blocks nest
-// by position, so "the innermost block containing pos" is well defined
-// and InnermostBlock computes it.
-func CollectBlocks(root ast.Node) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	ast.Inspect(root, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BlockStmt); ok {
-			out = append(out, b)
-		}
-		return true
-	})
-	return out
-}
-
-// InnermostBlock returns the smallest collected block containing pos,
-// or nil.
-func InnermostBlock(blocks []*ast.BlockStmt, pos token.Pos) *ast.BlockStmt {
-	var best *ast.BlockStmt
-	for _, b := range blocks {
-		if b.Pos() <= pos && pos <= b.End() {
-			if best == nil || (b.End()-b.Pos()) < (best.End()-best.Pos()) {
-				best = b
-			}
-		}
-	}
-	return best
-}
-
-// CoversLexically reports whether a statement-like node at (fromPos,
-// fromEnd] covers a later point toPos: the innermost block holding the
-// from-node also holds toPos, and the from-node finishes before toPos.
-// It is the cheap stand-in for dominance the path-sensitive analyzers
-// (spanend, bufown) use: an `end(err)` directly in an ancestor block
-// of a return is on every path to it; one inside a sibling branch is
-// not.
-func CoversLexically(blocks []*ast.BlockStmt, from ast.Node, toPos token.Pos) bool {
-	if from.End() >= toPos {
-		return false
-	}
-	b := InnermostBlock(blocks, from.Pos())
-	return b != nil && b.Pos() <= toPos && toPos <= b.End()
-}
-
-// FuncBodies returns the body of every function declaration and
-// function literal in the file, so an analyzer can scope work to one
-// function at a time: the innermost body containing a node is the
-// function it executes in.
-func FuncBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				out = append(out, n.Body)
-			}
-		case *ast.FuncLit:
-			out = append(out, n.Body)
-		}
-		return true
-	})
-	return out
-}
-
-// SameFuncScope reports whether pos executes directly in the function
-// whose body is scope — i.e. scope is the innermost function body
-// containing pos (no intervening function literal).
-func SameFuncScope(bodies []*ast.BlockStmt, scope *ast.BlockStmt, pos token.Pos) bool {
-	if pos < scope.Pos() || pos > scope.End() {
-		return false
-	}
-	for _, b := range bodies {
-		if b == scope {
-			continue
-		}
-		// a smaller body nested inside scope that contains pos means
-		// pos lives in a closure, not in scope directly
-		if b.Pos() > scope.Pos() && b.End() < scope.End() && b.Pos() <= pos && pos <= b.End() {
-			return false
-		}
-	}
-	return true
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -98,6 +99,11 @@ var (
 //	key      [keyLen]byte
 //	value    [valLen]byte
 const headerSize = 4 + 8 + 8 + 1 + 2 + 4
+
+// MaxKeyLen is the longest key the record format can hold: keyLen is a
+// uint16. Encode truncates the length of anything longer, so the engine
+// refuses such keys before they reach the store.
+const MaxKeyLen = math.MaxUint16
 
 // EncodedLen returns the on-flash size of a record.
 func EncodedLen(keyLen, valLen int) int { return headerSize + keyLen + valLen }
@@ -181,13 +187,12 @@ type Store struct {
 	active uint32
 	writer blockfs.Writer
 
-	seq       uint64 // next sequence number to assign
-	readers   int    // reads in flight (lazy-GC deferral input)
-	appended  int64  // lifetime record bytes appended (incl. GC re-appends)
-	gcRuns    int64
-	gcMoved   int64 // bytes re-appended by GC
-	gcFreed   int64 // bytes of reclaimed files
-	gcPending int64 // dead bytes awaiting GC
+	seq      uint64 // next sequence number to assign
+	readers  int    // reads in flight (lazy-GC deferral input)
+	appended int64  // lifetime record bytes appended (incl. GC re-appends)
+	gcRuns   int64
+	gcMoved  int64 // bytes re-appended by GC
+	gcFreed  int64 // bytes of reclaimed files
 
 	met storeMetrics
 }
@@ -369,7 +374,6 @@ func (s *Store) MarkDead(ref Ref) {
 		if fi.live < 0 {
 			fi.live = 0
 		}
-		s.gcPending += int64(ref.Len)
 	}
 }
 
@@ -383,17 +387,6 @@ func (s *Store) MarkLive(ref Ref) {
 			fi.live = fi.total
 		}
 	}
-}
-
-// Occupancy returns live/total for the file, or -1 if unknown.
-func (s *Store) Occupancy(file uint32) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fi, ok := s.files[file]
-	if !ok || fi.total == 0 {
-		return -1
-	}
-	return float64(fi.live) / float64(fi.total)
 }
 
 // Sync flushes the active writer's complete pages.
@@ -486,16 +479,6 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 			return err
 		}
 		off += int64(n)
-	}
-	return nil
-}
-
-// ScanAll iterates every record of every file in (file id, offset) order.
-func (s *Store) ScanAll(fn func(rec Record, ref Ref) error) error {
-	for _, id := range s.Files() {
-		if err := s.ScanFile(id, fn); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -630,32 +613,12 @@ func (s *Store) CollectFile(id uint32, judge Judge, relocated Relocated) (int64,
 	s.gcRuns++
 	s.gcMoved += moved
 	s.gcFreed += total
-	if dead := total - moved; dead > 0 {
-		s.gcPending -= dead
-		if s.gcPending < 0 {
-			s.gcPending = 0
-		}
-	}
 	s.met.gcCollects.Inc()
 	s.met.gcMoved.Add(moved)
 	s.met.gcFreed.Add(total)
 	s.met.files.Set(int64(len(s.files)))
 	s.mu.Unlock()
 	return total - moved, cost, nil
-}
-
-// CollectOnce collects the best candidate if the lazy policy allows,
-// returning whether a file was collected.
-func (s *Store) CollectOnce(judge Judge, relocated Relocated) (bool, time.Duration, error) {
-	if !s.ShouldCollect() {
-		return false, 0, nil
-	}
-	cands := s.Candidates()
-	if len(cands) == 0 {
-		return false, 0, nil
-	}
-	_, cost, err := s.CollectFile(cands[0], judge, relocated)
-	return err == nil, cost, err
 }
 
 // UnderPressure reports whether free flash space has dropped below the

@@ -30,6 +30,17 @@ func testFS(t *testing.T, blocks int) blockfs.FS {
 	return blockfs.NewNativeFS(d)
 }
 
+// scanAll visits every record in (file id, offset) order — the order
+// the engine's recovery scan walks the store in.
+func scanAll(s *Store, fn func(rec Record, ref Ref) error) error {
+	for _, id := range s.Files() {
+		if err := s.ScanFile(id, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func smallConfig() Config {
 	return Config{FileSize: 1 << 20, GCThreshold: 0.25} // 1 MB AOFs for tests
 }
@@ -120,18 +131,19 @@ func TestMarkDeadOccupancy(t *testing.T) {
 		ref, _, _, _ := s.Append(Record{Key: []byte{byte(i)}, Version: 1, Value: make([]byte, 1000)})
 		refs = append(refs, ref)
 	}
-	if occ := s.Occupancy(refs[0].File); occ != 1.0 {
-		t.Fatalf("initial occupancy = %v, want 1", occ)
+	if st := s.Stats(); st.Files != 1 || st.LiveBytes != st.TotalBytes {
+		t.Fatalf("initial stats = %+v, want one fully live file", st)
 	}
 	for _, r := range refs[:5] {
 		s.MarkDead(r)
 	}
-	occ := s.Occupancy(refs[0].File)
-	if occ <= 0.45 || occ >= 0.55 {
+	st := s.Stats()
+	if occ := float64(st.LiveBytes) / float64(st.TotalBytes); occ <= 0.45 || occ >= 0.55 {
 		t.Fatalf("occupancy after killing half = %v, want ~0.5", occ)
 	}
-	if s.Occupancy(999) != -1 {
-		t.Fatal("unknown file occupancy should be -1")
+	s.MarkDead(Ref{File: 999, Len: 1000})
+	if got := s.Stats(); got != st {
+		t.Fatalf("MarkDead of an unknown file changed stats: %+v -> %+v", st, got)
 	}
 }
 
@@ -142,7 +154,7 @@ func TestScanAllOrder(t *testing.T) {
 		s.Append(Record{Key: []byte{byte(i)}, Version: uint64(i), Value: val})
 	}
 	var seen []uint64
-	if err := s.ScanAll(func(rec Record, ref Ref) error {
+	if err := scanAll(s, func(rec Record, ref Ref) error {
 		seen = append(seen, rec.Version)
 		return nil
 	}); err != nil {
@@ -341,14 +353,6 @@ func TestLazyDeferralWithReaders(t *testing.T) {
 	}
 }
 
-func TestCollectOnceNoCandidates(t *testing.T) {
-	s, _ := Open(testFS(t, 64), smallConfig())
-	collected, _, err := s.CollectOnce(nil, nil)
-	if err != nil || collected {
-		t.Fatalf("CollectOnce on empty store = %v, %v", collected, err)
-	}
-}
-
 func TestRecoveryScanRebuild(t *testing.T) {
 	fs := testFS(t, 256)
 	s, _ := Open(fs, smallConfig())
@@ -369,7 +373,7 @@ func TestRecoveryScanRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]Ref{}
-	if err := s2.ScanAll(func(rec Record, ref Ref) error {
+	if err := scanAll(s2, func(rec Record, ref Ref) error {
 		got[string(rec.Key)] = ref
 		s2.MarkLive(ref)
 		return nil
@@ -388,11 +392,9 @@ func TestRecoveryScanRebuild(t *testing.T) {
 			t.Fatalf("read after recovery failed for %s: %v", key, err)
 		}
 	}
-	// Liveness restored: occupancy of sealed files should be 1.
-	for _, id := range s2.Files() {
-		if occ := s2.Occupancy(id); occ < 0.999 {
-			t.Fatalf("file %d occupancy = %v after MarkLive rebuild", id, occ)
-		}
+	// Liveness restored: every sealed file is fully live again.
+	if st := s2.Stats(); st.LiveBytes != st.TotalBytes || len(s2.Candidates()) != 0 {
+		t.Fatalf("after MarkLive rebuild live %d != total %d (candidates %v)", st.LiveBytes, st.TotalBytes, s2.Candidates())
 	}
 }
 

@@ -32,8 +32,14 @@ func (db *DB) CollectOnce() (time.Duration, error) {
 	if len(cands) == 0 {
 		return 0, nil
 	}
+	return db.collectLocked(cands[0])
+}
+
+// collectLocked garbage-collects one file as a gc.cycle span and
+// credits the bytes it reclaimed. Runs with db.mu held.
+func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 	end := db.reg.Span("gc.cycle")
-	reclaimed, cost, err := db.store.CollectFile(cands[0], db.gcJudge, db.gcRelocated)
+	reclaimed, cost, err := db.store.CollectFile(id, db.gcJudge, db.gcRelocated)
 	end(err)
 	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
@@ -54,10 +60,7 @@ func (db *DB) CollectAll() (time.Duration, error) {
 			db.mu.Unlock()
 			return total, nil
 		}
-		end := db.reg.Span("gc.cycle")
-		reclaimed, cost, err := db.store.CollectFile(cands[0], db.gcJudge, db.gcRelocated)
-		end(err)
-		db.met.gcReclaimed.Add(reclaimed)
+		cost, err := db.collectLocked(cands[0])
 		db.mu.Unlock()
 		total += cost
 		if err != nil {
@@ -67,7 +70,7 @@ func (db *DB) CollectAll() (time.Duration, error) {
 }
 
 // gcJudge decides whether the record at ref survives collection of its
-// file (paper Fig. 2, GC step 4). Runs with db.mu held (CollectOnce).
+// file (paper Fig. 2, GC step 4). Runs with db.mu held (collectLocked).
 // Side effect: items whose records are dropped for good are removed from
 // the skip list ("QinDB also removes their matching items in the skip
 // list, which has the deletion flag set already").

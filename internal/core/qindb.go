@@ -43,6 +43,7 @@ var (
 	ErrBrokenChain  = errors.New("qindb: dedup chain has no base value")
 	ErrClosed       = errors.New("qindb: closed")
 	ErrEmptyKey     = errors.New("qindb: empty key")
+	ErrKeyTooBig    = errors.New("qindb: key exceeds the record format's limit")
 	ErrValueTooBig  = errors.New("qindb: value exceeds limit")
 	ErrDedupNoPrior = errors.New("qindb: dedup put without any prior version")
 )
@@ -169,9 +170,9 @@ const memItemOverhead = 64
 // engineMetrics holds the engine's registry handles. Those that only
 // the registry reads are nil without one, and the metric types'
 // nil-receiver no-ops make every record site a guarded no-op in that
-// case. tracebacks and memBytes also feed Stats and Health, so they are
-// the registry's cells when there is a registry and private ones
-// otherwise — never nil, never a second copy.
+// case. tracebacks also feeds Stats, so it is the registry's cell when
+// there is a registry and a private one otherwise — never nil, never a
+// second copy.
 type engineMetrics struct {
 	putCost     *metrics.Histogram // simulated device time, not wall clock
 	getCost     *metrics.Histogram
@@ -195,7 +196,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		gcReclaimed: reg.Counter("qindb.gc.reclaimed_bytes"),
 	}
 	if reg == nil {
-		m.tracebacks, m.memBytes = new(metrics.Counter), new(metrics.Gauge)
+		m.tracebacks = new(metrics.Counter)
 	}
 	return m
 }
@@ -246,8 +247,7 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 // HealthReport is a point-in-time engine readiness snapshot — the
 // inputs of an operator's /readyz decision.
 type HealthReport struct {
-	Closed        bool  `json:"closed"`
-	MemtableBytes int64 `json:"memtable_bytes"`
+	Closed bool `json:"closed"`
 	// UnderPressure reports the AOF device near capacity even after GC
 	// has had its chance — writes may soon start failing.
 	UnderPressure bool `json:"under_pressure"`
@@ -260,7 +260,6 @@ func (db *DB) Health() HealthReport {
 	defer db.mu.RUnlock()
 	return HealthReport{
 		Closed:        db.closed,
-		MemtableBytes: db.met.memBytes.Load(),
 		UnderPressure: db.store.UnderPressure(),
 	}
 }
@@ -299,6 +298,19 @@ func (db *DB) Close() error {
 	return db.store.Close()
 }
 
+// checkKey refuses, before anything is appended, the keys a record
+// cannot hold: aof.Encode would write a truncated length, and the record
+// would fail its checksum on every later read, GC pass and recovery.
+func checkKey(key []byte) error {
+	if len(key) == 0 {
+		return ErrEmptyKey
+	}
+	if len(key) > aof.MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes", ErrKeyTooBig, len(key))
+	}
+	return nil
+}
+
 // Put stores value under (key, version). A nil/empty value with
 // dedup=true records a deduplicated entry whose real payload lives in an
 // older version (Bifrost stripped it before transmission); the traceback
@@ -306,8 +318,8 @@ func (db *DB) Close() error {
 // GC reproduce exactly this binding. Put returns the simulated device
 // cost of the operation.
 func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
-	if len(key) == 0 {
-		return 0, ErrEmptyKey
+	if err := checkKey(key); err != nil {
+		return 0, err
 	}
 	if len(value) > db.opts.MaxValueSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrValueTooBig, len(value))
@@ -381,10 +393,7 @@ func (db *DB) pressureGCLocked() (time.Duration, error) {
 		if !ok {
 			break
 		}
-		end := db.reg.Span("gc.cycle")
-		reclaimed, cost, err := db.store.CollectFile(id, db.gcJudge, db.gcRelocated)
-		end(err)
-		db.met.gcReclaimed.Add(reclaimed)
+		cost, err := db.collectLocked(id)
 		total += cost
 		if err != nil {
 			return total, err
@@ -537,8 +546,8 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 // Fig. 2, DEL steps 1-2). When auto-GC is enabled and the lazy policy
 // allows, one GC pass may run (steps 3-6).
 func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
-	if len(key) == 0 {
-		return 0, ErrEmptyKey
+	if err := checkKey(key); err != nil {
+		return 0, err
 	}
 	db.mu.Lock()
 	if db.closed {
@@ -602,39 +611,41 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		return 0, cost, err
 	}
 	db.noteSeq(seq)
-	n := db.dropVersionLocked(version)
+	refs := db.dropVersionLocked(version)
+	for _, ref := range refs {
+		db.store.MarkDead(ref)
+	}
+	delete(db.versions, version)
 	auto := !db.opts.DisableAutoGC
 	db.mu.Unlock()
 	if auto {
 		c, _ := db.MaybeGC()
 		cost += c
 	}
-	return n, cost, nil
+	return len(refs), cost, nil
 }
 
 // dropVersionLocked flips d on every live item of the version and
-// updates occupancy. Runs with db.mu held.
-func (db *DB) dropVersionLocked(version uint64) int {
-	type target struct {
-		ik  ikey
-		ref aof.Ref
-	}
-	var targets []target
+// returns the records those items point at. DropVersion marks them dead;
+// recovery replays a version-drop meta-record through it and rebuilds
+// occupancy afterwards. Runs with db.mu held.
+func (db *DB) dropVersionLocked(version uint64) []aof.Ref {
+	var keys []ikey
+	var refs []aof.Ref
 	db.table.AscendAll(func(k ikey, v item) bool {
 		if k.ver == version && !v.has(fDeleted) {
-			targets = append(targets, target{k, v.ref})
+			keys = append(keys, k)
+			refs = append(refs, v.ref)
 		}
 		return true
 	})
-	for _, tg := range targets {
-		db.table.Update(tg.ik, func(v item) item {
+	for _, ik := range keys {
+		db.table.Update(ik, func(v item) item {
 			v.flags |= fDeleted
 			return v
 		})
-		db.store.MarkDead(tg.ref)
 	}
-	delete(db.versions, version)
-	return len(targets)
+	return refs
 }
 
 // Versions returns the live data versions in ascending order.
@@ -728,10 +739,6 @@ func (db *DB) Stats() Stats {
 		Store:          db.store.Stats(),
 	}
 }
-
-// Store exposes the underlying AOF store (read-only use: occupancy
-// inspection in experiments).
-func (db *DB) Store() *aof.Store { return db.store }
 
 func (db *DB) noteSeq(seq uint64) {
 	if seq >= db.maxSeq {

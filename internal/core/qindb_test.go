@@ -96,6 +96,40 @@ func TestPutValidation(t *testing.T) {
 	}
 }
 
+// TestKeyLengthLimit: the record format's keyLen is a uint16. A key one
+// byte past it must be refused before anything is appended — it used to
+// be written with keyLen 0, failing its checksum on every later read, GC
+// pass and recovery — and the longest legal key must survive a restart.
+func TestKeyLengthLimit(t *testing.T) {
+	fs := testFS(t, 64)
+	db, err := Open(fs, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := bytes.Repeat([]byte{'k'}, aof.MaxKeyLen)
+	tooLong := bytes.Repeat([]byte{'k'}, aof.MaxKeyLen+1)
+	if _, err := db.Put(longest, 1, []byte("v"), false); err != nil {
+		t.Fatalf("Put of a %d-byte key: %v", len(longest), err)
+	}
+	if _, err := db.Put(tooLong, 1, []byte("v"), false); !errors.Is(err, ErrKeyTooBig) {
+		t.Fatalf("Put of a %d-byte key: err = %v, want ErrKeyTooBig", len(tooLong), err)
+	}
+	if _, err := db.Del(tooLong, 1); !errors.Is(err, ErrKeyTooBig) {
+		t.Fatalf("Del of a %d-byte key: err = %v, want ErrKeyTooBig", len(tooLong), err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(fs, testOptions())
+	if err != nil {
+		t.Fatalf("reopen after the refused key: %v", err)
+	}
+	defer db.Close()
+	if got, _, err := db.Get(longest, 1); err != nil || string(got) != "v" {
+		t.Fatalf("Get of the longest key after reopen = %q, %v", got, err)
+	}
+}
+
 func TestRePutSameVersion(t *testing.T) {
 	db := openTestDB(t, 64)
 	defer db.Close()
@@ -487,6 +521,18 @@ func TestGCSoftwareWriteAmplificationBounded(t *testing.T) {
 	wa := float64(st.Store.TotalBytes) / float64(st.UserWriteBytes)
 	if wa > 2.0 {
 		t.Fatalf("software WA = %.2f, want <= 2.0 (paper reports ~2.1 incl. hardware)", wa)
+	}
+}
+
+func TestCollectOnceNoCandidates(t *testing.T) {
+	db := openTestDB(t, 64)
+	defer db.Close()
+	mustPut(t, db, "k", 1, "v", false)
+	if cost, err := db.CollectOnce(); err != nil || cost != 0 {
+		t.Fatalf("CollectOnce with no candidate = %v, %v", cost, err)
+	}
+	if runs := db.Stats().Store.GCRuns; runs != 0 {
+		t.Fatalf("GCRuns = %d, want 0", runs)
 	}
 }
 

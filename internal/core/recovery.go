@@ -259,7 +259,7 @@ func (db *DB) recover() error {
 		rec := rr.rec
 		switch {
 		case rec.IsVersionDrop():
-			db.replayVersionDropLocked(rec.Version)
+			db.dropVersionLocked(rec.Version)
 			tombs = append(tombs, rr)
 		case rec.IsTombstone():
 			ik := ikey{string(rec.Key), rec.Version}
@@ -329,22 +329,4 @@ func (db *DB) recover() error {
 	db.maxSeq = maxSeq
 	db.store.SeqFloor(maxSeq)
 	return nil
-}
-
-// replayVersionDropLocked applies a version-drop meta-record during
-// recovery (no occupancy updates: liveness is rebuilt afterwards).
-func (db *DB) replayVersionDropLocked(version uint64) {
-	var targets []ikey
-	db.table.AscendAll(func(k ikey, v item) bool {
-		if k.ver == version && !v.has(fDeleted) {
-			targets = append(targets, k)
-		}
-		return true
-	})
-	for _, ik := range targets {
-		db.table.Update(ik, func(v item) item {
-			v.flags |= fDeleted
-			return v
-		})
-	}
 }

@@ -441,7 +441,7 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 		}
 	}
 
-	acks := make([]int32, len(entries))
+	acks := make([]atomic.Int32, len(entries))
 	nodeErrs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for oi, n := range order {
@@ -453,7 +453,7 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 				return
 			}
 			for _, i := range idxs {
-				atomic.AddInt32(&acks[i], 1)
+				acks[i].Add(1)
 			}
 		}(oi, n, assign[n])
 	}
@@ -462,7 +462,7 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 	short := 0
 	var firstKey []byte
 	for i := range entries {
-		if int(atomic.LoadInt32(&acks[i])) < f.cfg.WriteQuorum {
+		if int(acks[i].Load()) < f.cfg.WriteQuorum {
 			if short == 0 {
 				firstKey = entries[i].Key
 			}

@@ -127,13 +127,3 @@ func (t *AttribTable) Snapshot() AttribSnapshot {
 	})
 	return AttribSnapshot{SampleEvery: t.every, Entries: entries}
 }
-
-// Reset clears all accumulated cells (keeps the stride).
-func (t *AttribTable) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cells = make(map[string]*attribCell)
-	t.mu.Unlock()
-}

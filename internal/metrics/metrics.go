@@ -380,18 +380,6 @@ func summarize(ys []float64) (mean, stddev, min, max float64) {
 	return mean, stddev, min, max
 }
 
-// Mean computes the arithmetic mean of vs (0 for empty input).
-func Mean(vs []float64) float64 {
-	m, _, _, _ := summarize(vs)
-	return m
-}
-
-// StdDev computes the population standard deviation of vs.
-func StdDev(vs []float64) float64 {
-	_, sd, _, _ := summarize(vs)
-	return sd
-}
-
 // ThroughputWindow accumulates byte counts and emits one MB/s sample per
 // fixed window of simulated (or real) time. It reproduces the per-minute
 // sampling the paper uses for Figs. 5 and 6.
@@ -400,7 +388,6 @@ type ThroughputWindow struct {
 	window   time.Duration
 	start    time.Duration // current window start on the supplied clock
 	bytes    int64
-	skipped  int64 // idle windows elided from the series
 	series   *Series
 	anchored bool
 }
@@ -426,8 +413,6 @@ func NewThroughputWindow(window time.Duration, series *Series) *ThroughputWindow
 // This deviates from the strict Fig. 5/6 per-minute semantics — those
 // plots show a contiguous minute axis — but a long idle stretch on a
 // real clock would otherwise flood the series with thousands of zeros.
-// SkippedWindows reports how many windows were elided, so a renderer can
-// reconstruct the contiguous axis if needed.
 func (t *ThroughputWindow) Record(now time.Duration, n int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -438,20 +423,10 @@ func (t *ThroughputWindow) Record(now time.Duration, n int64) {
 	if now-t.start >= t.window {
 		t.flushLocked()
 		if gap := now - t.start; gap >= t.window {
-			skip := int64(gap / t.window)
-			t.start += time.Duration(skip) * t.window
-			t.skipped += skip
+			t.start += gap / t.window * t.window
 		}
 	}
 	t.bytes += n
-}
-
-// SkippedWindows returns how many fully idle windows were elided from
-// the series (see Record).
-func (t *ThroughputWindow) SkippedWindows() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.skipped
 }
 
 // Flush emits the current partial window if it holds any bytes.

@@ -241,19 +241,6 @@ func TestSeriesPointsAreCopies(t *testing.T) {
 	}
 }
 
-func TestMeanStdDevHelpers(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty input should yield 0")
-	}
-	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(vs); got != 5 {
-		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(vs); got != 2 {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestThroughputWindow(t *testing.T) {
 	var s Series
 	w := NewThroughputWindow(time.Minute, &s)
@@ -307,10 +294,8 @@ func TestThroughputWindowGap(t *testing.T) {
 	if xs[0] != 1 {
 		t.Fatalf("window end = %v min, want 1", xs[0])
 	}
-	if got := w.SkippedWindows(); got != 4 {
-		t.Fatalf("SkippedWindows() = %d, want 4", got)
-	}
-	// The second record lands in the window containing its timestamp.
+	// The four idle windows were skipped: the second record lands in
+	// the window containing its timestamp.
 	w.Flush()
 	xs, _ = s.Points()
 	if len(xs) != 2 || xs[1] != 6 {
@@ -333,8 +318,10 @@ func TestThroughputWindowGapZeroMarker(t *testing.T) {
 	if ys[1] != 0 || xs[1] != 2 {
 		t.Fatalf("gap marker = (%v, %v), want (2, 0)", xs[1], ys[1])
 	}
-	if got := w.SkippedWindows(); got != 8 {
-		t.Fatalf("SkippedWindows() = %d, want 8", got)
+	// Eight idle windows were skipped, not appended.
+	w.Flush()
+	if xs, _ = s.Points(); len(xs) != 3 || xs[2] != 11 {
+		t.Fatalf("after flush xs = %v, want [1 2 11]", xs)
 	}
 }
 
@@ -492,7 +479,7 @@ func TestHistogramOracle(t *testing.T) {
 	first := observeAll(h, sample(100_000, 100))
 	snapA := h.Snapshot()
 	check("lifetime", snapA, first)
-	if want := Mean(first); !within(snapA.Mean, want) || !within(h.Mean(), want) {
+	if want, _, _, _ := summarize(first); !within(snapA.Mean, want) || !within(h.Mean(), want) {
 		t.Errorf("mean = %v / %v, want %v within %v", snapA.Mean, h.Mean(), want, relErr)
 	}
 	if snapA.Min != first[0] || snapA.Max != first[len(first)-1] {
@@ -527,7 +514,7 @@ func TestHistogramOracle(t *testing.T) {
 		t.Errorf("interval [%v, %v] does not cover the burst [%v, %v]",
 			interval.Min, interval.Max, burst[0], burst[len(burst)-1])
 	}
-	if want := Mean(burst); !within(interval.Mean, want) {
+	if want, _, _, _ := summarize(burst); !within(interval.Mean, want) {
 		t.Errorf("interval mean = %v, want %v within %v", interval.Mean, want, relErr)
 	}
 	if empty := snapA.Sub(snapA); empty.Count != 0 || empty.P99 != 0 {

@@ -72,7 +72,6 @@ type Recorder struct {
 	lastLat  Snapshot
 	lastTime time.Time
 	lastSeq  uint64
-	samples  int64
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -181,7 +180,6 @@ func (r *Recorder) SampleNow() (RecorderSample, error) {
 	r.lastLat = lat
 	r.lastTime = now
 	r.lastSeq = seq
-	r.samples++
 	return sample, nil
 }
 
@@ -192,16 +190,6 @@ func (r *Recorder) sumRateCounters() int64 {
 		total += r.cfg.Registry.Counter(name).Load()
 	}
 	return total
-}
-
-// Samples returns how many lines this recorder has written.
-func (r *Recorder) Samples() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples
 }
 
 // Close stops the ticker goroutine (if started) and closes the file.

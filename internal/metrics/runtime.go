@@ -7,14 +7,10 @@ import (
 	"time"
 )
 
-// Default RuntimeSampler shape: one reading per second, five minutes of
-// retained history. One sample is a handful of runtime/metrics reads —
-// cheap enough to leave on in production, which is the whole point of
-// continuous profiling.
-const (
-	defaultRuntimeInterval = time.Second
-	defaultRuntimeCapacity = 300
-)
+// Default RuntimeSampler cadence: one reading per second. One sample is
+// a handful of runtime/metrics reads — cheap enough to leave on in
+// production, which is the whole point of continuous profiling.
+const defaultRuntimeInterval = time.Second
 
 // Preferred runtime/metrics keys, with fallbacks for toolchains that
 // predate a rename. Resolved once against metrics.All() at first use so
@@ -80,14 +76,12 @@ type RuntimeSamplerConfig struct {
 	// sample, so a Prometheus scrape touching ten runtime gauges costs
 	// one runtime/metrics read, not ten.
 	Interval time.Duration
-	// Capacity bounds the retained sample ring (default 300).
-	Capacity int
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
 }
 
-// RuntimeSampler continuously reads runtime/metrics into a bounded ring
-// of RuntimeSample readings. Start launches a background ticker;
+// RuntimeSampler continuously reads runtime/metrics into its latest
+// RuntimeSample reading. Start launches a background ticker;
 // without Start the sampler still works pull-style — every gauge read
 // or SampleNow call refreshes the reading when it is older than the
 // interval. All methods are safe for concurrent use and no-ops on a nil
@@ -103,9 +97,6 @@ type RuntimeSampler struct {
 	prevSched []uint64       // previous cumulative sched latency bucket counts
 	prevGCCPU float64
 	prevCPU   float64
-	ring      []RuntimeSample
-	next      int
-	limit     int
 	count     int64
 	last      RuntimeSample
 
@@ -122,16 +113,12 @@ func NewRuntimeSampler(cfg RuntimeSamplerConfig) *RuntimeSampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = defaultRuntimeInterval
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = defaultRuntimeCapacity
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	s := &RuntimeSampler{
 		interval: cfg.Interval,
 		now:      cfg.Now,
-		limit:    cfg.Capacity,
 		bufIdx:   make(map[string]int),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -184,7 +171,7 @@ func (s *RuntimeSampler) Close() error {
 	return nil
 }
 
-// SampleNow takes one reading immediately, appends it to the ring, and
+// SampleNow takes one reading immediately, keeps it as the latest, and
 // returns it. Safe for concurrent use with the ticker.
 func (s *RuntimeSampler) SampleNow() RuntimeSample {
 	if s == nil {
@@ -223,12 +210,6 @@ func (s *RuntimeSampler) SampleNow() RuntimeSample {
 		}
 		s.prevGCCPU, s.prevCPU = gcCPU, totalCPU
 	}
-	if len(s.ring) < s.limit {
-		s.ring = append(s.ring, sample)
-	} else {
-		s.ring[s.next] = sample
-		s.next = (s.next + 1) % s.limit
-	}
 	s.count++
 	s.last = sample
 	return sample
@@ -257,21 +238,6 @@ func (s *RuntimeSampler) Last() RuntimeSample {
 		return RuntimeSample{}
 	}
 	return s.refresh()
-}
-
-// Recent returns up to n retained samples, oldest first (all retained
-// when n <= 0).
-func (s *RuntimeSampler) Recent(n int) []RuntimeSample {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	out := append(append([]RuntimeSample(nil), s.ring[s.next:]...), s.ring[:s.next]...)
-	s.mu.Unlock()
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
 }
 
 // Count returns how many samples were ever taken (0 on nil).

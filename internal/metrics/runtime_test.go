@@ -54,35 +54,6 @@ func TestRuntimeSamplerGCDelta(t *testing.T) {
 	}
 }
 
-func TestRuntimeSamplerRing(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := NewRuntimeSampler(RuntimeSamplerConfig{
-		Interval: time.Second,
-		Capacity: 3,
-		Now:      func() time.Time { now = now.Add(time.Second); return now },
-	})
-	defer s.Close()
-
-	for i := 0; i < 5; i++ {
-		s.SampleNow()
-	}
-	if got := s.Count(); got != 6 { // 1 eager + 5 explicit
-		t.Fatalf("Count = %d, want 6", got)
-	}
-	recent := s.Recent(0)
-	if len(recent) != 3 {
-		t.Fatalf("Recent(0) returned %d samples, want capacity 3", len(recent))
-	}
-	for i := 1; i < len(recent); i++ {
-		if !recent[i].TS.After(recent[i-1].TS) {
-			t.Fatalf("Recent not oldest-first: %v then %v", recent[i-1].TS, recent[i].TS)
-		}
-	}
-	if got := s.Recent(2); len(got) != 2 || !got[1].TS.Equal(recent[2].TS) {
-		t.Fatalf("Recent(2) = %v, want last two of %v", got, recent)
-	}
-}
-
 func TestRuntimeSamplerPullRefresh(t *testing.T) {
 	now := time.Unix(1000, 0)
 	var mu sync.Mutex
@@ -198,9 +169,6 @@ func TestRuntimeSamplerNil(t *testing.T) {
 	}
 	if got := s.Last(); !got.TS.IsZero() {
 		t.Errorf("nil Last = %+v, want zero", got)
-	}
-	if got := s.Recent(5); got != nil {
-		t.Errorf("nil Recent = %v, want nil", got)
 	}
 	if got := s.Count(); got != 0 {
 		t.Errorf("nil Count = %d, want 0", got)

@@ -153,14 +153,6 @@ func (s *SLO) Name() string {
 	return s.name
 }
 
-// Target returns the tolerated bad-event ratio (0 on nil).
-func (s *SLO) Target() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.target
-}
-
 // Record adds one event to every window: good=true for an event within
 // the objective (read hit, cycle on time), false for a violation.
 // Crossing the burn threshold in either direction emits slo.burn /

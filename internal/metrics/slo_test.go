@@ -20,7 +20,7 @@ func TestSLONil(t *testing.T) {
 	var s *SLO
 	s.Record(true)
 	s.Record(false)
-	if s.Name() != "" || s.Target() != 0 || s.BurnRate(0) != 0 {
+	if s.Name() != "" || s.BurnRate(0) != 0 {
 		t.Fatal("nil SLO must answer zero values")
 	}
 	if snap := s.Snapshot(); snap.Name != "" || len(snap.Windows) != 0 {

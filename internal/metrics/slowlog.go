@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -28,11 +27,11 @@ type SlowEntry struct {
 }
 
 // SlowLog is a bounded ring of slow operations. Recording is a single
-// threshold comparison on the fast path (atomic load, no lock) and a
+// threshold comparison on the fast path (no lock) and a
 // short critical section when an entry actually qualifies. All methods
 // are safe for concurrent use and no-ops on a nil receiver.
 type SlowLog struct {
-	threshold atomic.Int64 // nanoseconds; <=0 disables recording
+	threshold time.Duration // fixed at construction; <=0 disables recording
 
 	mu    sync.Mutex
 	ring  []SlowEntry
@@ -43,33 +42,12 @@ type SlowLog struct {
 
 // NewSlowLog returns a ring holding the most recent capacity entries (0
 // selects the default of 256), recording operations at or above
-// threshold (<=0 starts disabled; SetThreshold can enable it later).
+// threshold (<=0 disables recording).
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	if capacity <= 0 {
 		capacity = defaultSlowLogCap
 	}
-	l := &SlowLog{ring: make([]SlowEntry, 0, capacity), limit: capacity}
-	l.threshold.Store(int64(threshold))
-	return l
-}
-
-// SetThreshold changes the slow-op threshold at runtime (<=0 disables).
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.threshold.Store(int64(d))
-}
-
-// Threshold returns the current threshold (0 when disabled or nil).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	if t := l.threshold.Load(); t > 0 {
-		return time.Duration(t)
-	}
-	return 0
+	return &SlowLog{threshold: threshold, ring: make([]SlowEntry, 0, capacity), limit: capacity}
 }
 
 // Maybe records the operation if dur is at or above the threshold. The
@@ -78,8 +56,7 @@ func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, trace uint64, 
 	if l == nil {
 		return
 	}
-	t := l.threshold.Load()
-	if t <= 0 || int64(dur) < t {
+	if l.threshold <= 0 || dur < l.threshold {
 		return
 	}
 	if len(key) > slowKeyMax {

@@ -1,9 +1,8 @@
 // Package testutil holds test-only helpers shared across the repo's
 // suites. The centerpiece is CheckGoroutines, a hand-rolled goroutine
 // leak detector: snapshot the goroutines alive when a test starts,
-// and fail it if new ones are still running when it ends. The
-// goroexit analyzer proves every `go` statement has a termination
-// path on paper; this harness proves the shutdown paths actually run.
+// and fail it if new ones are still running when it ends: it proves
+// the shutdown paths actually run.
 package testutil
 
 import (
@@ -49,8 +48,7 @@ type config struct {
 }
 
 // Allow ignores goroutines whose stack contains any of the given
-// substrings — for components that are process-lifetime by design
-// (the same ones a //lint:ignore goroexit directive documents).
+// substrings — for components that are process-lifetime by design.
 func Allow(substrings ...string) Option {
 	return func(c *config) { c.allow = append(c.allow, substrings...) }
 }

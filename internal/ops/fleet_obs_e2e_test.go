@@ -380,9 +380,6 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := rec.Samples(); n < 3 {
-		t.Fatalf("recorder wrote %d samples, want >= 3", n)
-	}
 	data, err := os.ReadFile(artifact)
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func VersionForDB(index int) uint64 {
 // Read-burst dispatch. A pipelined run of consecutive GETs has no
 // ordering constraints among its members — they are pure reads with no
 // intervening write — so the handler executes them concurrently (like
-// the native v2 listener's -max-inflight window) and writes the replies
+// the native listener's in-flight window) and writes the replies
 // back in command order. The burst ends at the first non-GET command,
 // which preserves read-your-writes across the pipeline.
 const (

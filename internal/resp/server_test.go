@@ -164,6 +164,24 @@ func TestBasicCommands(t *testing.T) {
 	}
 }
 
+// TestSetKeyLengthLimit: one SET with a 65,536-byte key used to write a
+// record no later read, GC pass or recovery could decode. It is refused
+// at the door and the longest legal key is served.
+func TestSetKeyLengthLimit(t *testing.T) {
+	_, cl := startRESP(t, newBackend(t, nil))
+	tooLong := strings.Repeat("k", server.MaxKeyLen+1)
+	if r := mustDo(t, cl, "SET", tooLong, "v"); r.Err == nil || !strings.Contains(r.Err.Error(), "key exceeds") {
+		t.Fatalf("SET with a %d-byte key = %+v", len(tooLong), r)
+	}
+	longest := tooLong[1:]
+	if r := mustDo(t, cl, "SET", longest, "v"); r.Str != "OK" {
+		t.Fatalf("SET with a %d-byte key = %+v", len(longest), r)
+	}
+	if r := mustDo(t, cl, "GET", longest); string(r.Bulk) != "v" {
+		t.Fatalf("GET of the longest key = %+v", r)
+	}
+}
+
 // TestSelectMapsToVersion pins the database-index mapping: SELECT n
 // addresses engine version n+1, so db 0 is the conventional version 1.
 func TestSelectMapsToVersion(t *testing.T) {

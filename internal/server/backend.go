@@ -28,7 +28,6 @@ type Backend struct {
 	db *core.DB
 
 	rangeCap int
-	conns    atomic.Int64 // connections across every attached listener
 
 	slow    atomic.Pointer[metrics.SlowLog]
 	readSLO atomic.Pointer[metrics.SLO]
@@ -44,7 +43,7 @@ type Backend struct {
 // caller keeps ownership of db and must close it after every listener
 // using the backend has stopped.
 func NewBackend(db *core.DB) *Backend {
-	return &Backend{db: db, rangeCap: 4096}
+	return &Backend{db: db, rangeCap: 4096, met: serverMetrics{conns: new(metrics.Gauge)}}
 }
 
 // SetMetrics attaches a registry for the per-opcode request counters
@@ -53,7 +52,7 @@ func NewBackend(db *core.DB) *Backend {
 func (b *Backend) SetMetrics(reg *metrics.Registry) {
 	b.reg = reg
 	if reg == nil {
-		b.met = serverMetrics{}
+		b.met = serverMetrics{conns: new(metrics.Gauge)}
 		return
 	}
 	for op := OpPut; op <= opMax; op++ {
@@ -110,13 +109,11 @@ func (b *Backend) Attribution() metrics.AttribSnapshot {
 // it on accept so the server.conns.active gauge and StatsReply.Conns
 // count every front door, not just the native one.
 func (b *Backend) ConnOpened() {
-	b.conns.Add(1)
 	b.met.conns.Add(1)
 }
 
 // ConnClosed undoes ConnOpened.
 func (b *Backend) ConnClosed() {
-	b.conns.Add(-1)
 	b.met.conns.Add(-1)
 }
 
@@ -245,7 +242,7 @@ func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]Rang
 // every attached listener.
 func (b *Backend) Stats(ctx context.Context) (StatsReply, error) {
 	_, done := b.begin(ctx, OpStats)
-	out := StatsReply{Engine: b.db.Stats(), Conns: int(b.conns.Load())}
+	out := StatsReply{Engine: b.db.Stats(), Conns: int(b.met.conns.Load())}
 	done(nil, nil)
 	return out, nil
 }

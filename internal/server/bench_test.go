@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"directload/internal/aof"
@@ -50,8 +52,8 @@ func benchKV(version uint64, i int) ([]byte, []byte) {
 }
 
 // BenchmarkRemotePublish compares publishing a 10k-entry version over
-// the wire three ways: one blocking round trip per record, pipelined
-// individual puts, and OpBatch frames. The per-op
+// the wire three ways: one blocking round trip per record, individual
+// puts pipelined by 256 concurrent callers, and OpBatch frames. The per-op
 // figure to compare is ns/op divided by publishEntries.
 func BenchmarkRemotePublish(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
@@ -82,18 +84,26 @@ func BenchmarkRemotePublish(b *testing.B) {
 		}
 		defer cl.Close()
 		ctx := context.Background()
-		p := cl.Pipeline()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			version := uint64(n + 1)
-			futures := make([]*Future, 0, publishEntries)
-			for i := 0; i < publishEntries; i++ {
-				key, val := benchKV(version, i)
-				futures = append(futures, p.Put(ctx, key, version, val, false))
+			// Concurrent callers keep the connection's window full.
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < 256; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < publishEntries; i = int(next.Add(1)) - 1 {
+						key, val := benchKV(version, i)
+						if err := cl.PutContext(ctx, key, version, val, false); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
 			}
-			if err := Wait(futures...); err != nil {
-				b.Fatal(err)
-			}
+			wg.Wait()
 		}
 		b.ReportMetric(float64(publishEntries*b.N)/b.Elapsed().Seconds(), "puts/s")
 	})

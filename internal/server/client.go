@@ -432,35 +432,18 @@ func (w *wireConn) close() error {
 	return w.c.Close()
 }
 
-// call pipelines one request: write it, then wait for its response.
+// call pipelines one request. It acquires an in-flight slot, registers
+// a sequence number and queues the frame for the flush goroutine, then
+// waits for the demuxed response. The slot is released when the
+// response arrives (whether or not anyone still awaits it) or the call
+// is unregistered. Write failures surface through connection death.
 func (w *wireConn) call(ctx context.Context, body []byte) (uint8, []byte, error) {
-	pc, err := w.sendV2(ctx, body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return w.awaitV2(ctx, pc)
-}
-
-// pendingCall is one request that has been written but not yet
-// answered.
-type pendingCall struct {
-	seq uint32
-	ch  chan wireResp
-}
-
-// sendV2 acquires an in-flight slot, registers a sequence number, and
-// queues the frame for the flush goroutine — the synchronous half of a
-// pipelined call, cheap enough to run inline on the issuing goroutine.
-// The slot is released when the response arrives (whether or not anyone
-// awaits it) or the call is unregistered. Write failures surface
-// through connection death rather than here.
-func (w *wireConn) sendV2(ctx context.Context, body []byte) (pendingCall, error) {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
-		return pendingCall{}, ctx.Err()
+		return 0, nil, ctx.Err()
 	case <-w.done:
-		return pendingCall{}, w.readErr
+		return 0, nil, w.readErr
 	}
 
 	ch := make(chan wireResp, 1)
@@ -491,7 +474,7 @@ func (w *wireConn) sendV2(ctx context.Context, body []byte) (pendingCall, error)
 	case w.fsig <- struct{}{}:
 	default: // a wakeup is already queued
 	}
-	return pendingCall{seq: seq, ch: ch}, nil
+	return w.await(ctx, seq, ch)
 }
 
 // flushLoop writes queued frames, coalescing everything that
@@ -523,26 +506,26 @@ func (w *wireConn) flushLoop(timeout time.Duration) {
 	}
 }
 
-// awaitV2 waits for the demuxed response, the context, or connection
+// await waits for the demuxed response, the context, or connection
 // death. A cancellation or teardown can race with the response itself:
 // if the reader already claimed the sequence number, its outcome is in
-// flight to pc.ch, so take it rather than the wakeup's error. Otherwise
+// flight to ch, so take it rather than the wakeup's error. Otherwise
 // unregistering guarantees no response will come (the reader discards
 // unclaimed sequence numbers; the stream itself stays synced).
-func (w *wireConn) awaitV2(ctx context.Context, pc pendingCall) (uint8, []byte, error) {
+func (w *wireConn) await(ctx context.Context, seq uint32, ch chan wireResp) (uint8, []byte, error) {
 	select {
-	case r := <-pc.ch:
+	case r := <-ch:
 		return r.status, r.payload, r.err
 	case <-ctx.Done():
-		if w.unregister(pc.seq) {
+		if w.unregister(seq) {
 			return 0, nil, ctx.Err()
 		}
 	case <-w.done:
-		if w.unregister(pc.seq) {
+		if w.unregister(seq) {
 			return 0, nil, w.readErr
 		}
 	}
-	r := <-pc.ch
+	r := <-ch
 	return r.status, r.payload, r.err
 }
 

@@ -92,6 +92,7 @@ import (
 	"fmt"
 	"io"
 
+	"directload/internal/aof"
 	"directload/internal/metrics"
 )
 
@@ -152,9 +153,10 @@ const (
 )
 
 // Protocol limits: a request may carry one key and one value (a batch
-// frame may carry many sub-ops up to the frame cap).
+// frame may carry many sub-ops up to the frame cap). The key limit is
+// the record format's: the wire's key length field is a uint16 too.
 const (
-	MaxKeyLen   = 1 << 16
+	MaxKeyLen   = aof.MaxKeyLen
 	MaxValueLen = 64 << 20
 	maxFrame    = MaxValueLen + MaxKeyLen + 64
 )

@@ -212,48 +212,54 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	if cl.TraceEnabled() {
 		t.Fatal("TraceEnabled = true though the hello reply granted no feature byte")
 	}
+	// Two concurrent callers share the one connection; each must get the
+	// value for its own key although the replies arrive reversed.
 	ctx := context.Background()
-	p := cl.Pipeline()
-	fa := p.Get(ctx, []byte("A"), 1)
-	fb := p.Get(ctx, []byte("B"), 1)
-	va, err := fa.Value()
-	if err != nil || string(va) != "val-A" {
-		t.Fatalf("future A = %q, %v (mismatched despite reversed replies)", va, err)
+	var wg sync.WaitGroup
+	for _, key := range []string{"A", "B"} {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			val, err := cl.GetContext(ctx, []byte(key), 1)
+			if err != nil || string(val) != "val-"+key {
+				t.Errorf("get %s = %q, %v (mismatched despite reversed replies)", key, val, err)
+			}
+		}(key)
 	}
-	vb, err := fb.Value()
-	if err != nil || string(vb) != "val-B" {
-		t.Fatalf("future B = %q, %v", vb, err)
-	}
+	wg.Wait()
 }
 
-// TestPipelineEndToEnd drives many concurrent futures through the real
-// server and reads everything back — the race-detector workout for the
-// concurrent dispatch + response writer path.
+// TestPipelineEndToEnd drives many concurrent callers through one
+// connection of the real server and reads everything back — the
+// race-detector workout for the concurrent dispatch + response writer
+// path.
 func TestPipelineEndToEnd(t *testing.T) {
 	reg := metrics.NewRegistry()
 	_, cl := startServerReg(t, reg)
 	ctx := context.Background()
-	p := cl.Pipeline()
 	const n = 200
-	futures := make([]*Future, 0, n)
-	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("pipe-%03d", i))
-		futures = append(futures, p.Put(ctx, key, 1, key, false))
-	}
-	if err := Wait(futures...); err != nil {
-		t.Fatal(err)
-	}
-	gets := make([]*Future, 0, n)
-	for i := 0; i < n; i++ {
-		gets = append(gets, p.Get(ctx, []byte(fmt.Sprintf("pipe-%03d", i)), 1))
-	}
-	for i, f := range gets {
-		val, err := f.Value()
-		want := fmt.Sprintf("pipe-%03d", i)
-		if err != nil || string(val) != want {
-			t.Fatalf("get %d = %q, %v", i, val, err)
+	each := func(fn func(key []byte) error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := fn([]byte(fmt.Sprintf("pipe-%03d", i))); err != nil {
+					t.Error(err)
+				}
+			}(i)
 		}
+		wg.Wait()
 	}
+	each(func(key []byte) error { return cl.PutContext(ctx, key, 1, key, false) })
+	each(func(key []byte) error {
+		val, err := cl.GetContext(ctx, key, 1)
+		if err == nil && !bytes.Equal(val, key) {
+			err = fmt.Errorf("get %s = %q", key, val)
+		}
+		return err
+	})
 	// The gauge drained once every reply was delivered. Read it from
 	// the registry, not OpMetrics: a wire request would count itself.
 	if got := reg.Snapshot()["server.pipeline.inflight"]; got != int64(0) {
@@ -525,7 +531,8 @@ func TestPoolSpreadsConnections(t *testing.T) {
 }
 
 // TestMaxInFlightBackpressure floods one connection far past its window
-// and verifies everything still completes exactly once.
+// with concurrent callers and verifies everything still completes
+// exactly once.
 func TestMaxInFlightBackpressure(t *testing.T) {
 	s, _ := startServer(t)
 	s.SetMaxInFlight(4)
@@ -535,19 +542,99 @@ func TestMaxInFlightBackpressure(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	p := cl.Pipeline()
 	const n = 100
-	futures := make([]*Future, 0, n)
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("bp-%03d", i))
-		futures = append(futures, p.Put(ctx, key, 1, key, false))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key := []byte(fmt.Sprintf("bp-%03d", i))
+			if err := cl.PutContext(ctx, key, 1, key, false); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if err := Wait(futures...); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	entries, _, err := cl.RangeContext(ctx, []byte("bp-"), []byte("bp-~"), 0)
 	if err != nil || len(entries) != n {
 		t.Fatalf("Range = %d entries, %v", len(entries), err)
+	}
+}
+
+// TestInFlightWindowBlocks proves the client's window blocks at its
+// bound: with six callers on a window of four, a scripted server that
+// answers nothing sees exactly four requests; the other two reach the
+// wire only as replies free their slots.
+func TestInFlightWindowBlocks(t *testing.T) {
+	const window, callers = 4, 6
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	script := make(chan error, 1)
+	go func() {
+		script <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			if _, err := readFrame(conn); err != nil {
+				return err
+			}
+			if err := writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2})); err != nil {
+				return err
+			}
+			var seqs []uint32
+			for len(seqs) < window {
+				seq, _, err := readFrameSeq(conn)
+				if err != nil {
+					return err
+				}
+				seqs = append(seqs, seq)
+			}
+			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+			if seq, _, err := readFrameSeq(conn); err == nil {
+				return fmt.Errorf("request %d arrived with %d already unanswered", seq, window)
+			}
+			conn.SetReadDeadline(time.Time{})
+			for seen := window; len(seqs) > 0; {
+				if err := writeFrameSeq(conn, seqs[0], encodeResponse(StatusOK, nil)); err != nil {
+					return err
+				}
+				seqs = seqs[1:]
+				if seen < callers { // the freed slot lets one more through
+					seq, _, err := readFrameSeq(conn)
+					if err != nil {
+						return err
+					}
+					seqs = append(seqs, seq)
+					seen++
+				}
+			}
+			return nil
+		}()
+	}()
+
+	cl, err := Dial(ln.Addr().String(), WithMaxInFlight(window), WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.GetContext(context.Background(), []byte("k"), 1); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-script; err != nil {
+		t.Fatal(err)
 	}
 }
 

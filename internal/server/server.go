@@ -9,7 +9,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"directload/internal/core"
 	"directload/internal/metrics"
@@ -46,21 +45,21 @@ type Server struct {
 	closed bool
 	logf   func(format string, args ...any)
 
-	// Tuning knobs, atomic so they may be adjusted while serving.
-	// maxInFlight applies to connections whose hello arrives after the
-	// change; the deadlines apply from each connection's next frame.
-	maxInFlight  atomic.Int32
-	readTimeout  atomic.Int64 // nanoseconds; 0 disables
-	writeTimeout atomic.Int64 // nanoseconds; 0 disables
+	// maxInFlight is atomic so it may be adjusted while serving; it
+	// applies to connections whose hello arrives after the change.
+	maxInFlight atomic.Int32
 }
 
 // serverMetrics holds per-opcode request counters and wall-clock latency
-// histograms, indexed by opcode. All handles nil without a registry.
+// histograms, indexed by opcode. All handles are nil without a registry
+// except conns, which StatsReply reads too: it is the registry's
+// server.conns.active cell when there is one and a private cell
+// otherwise.
 type serverMetrics struct {
 	reqs     [opMax + 1]*metrics.Counter
 	lat      [opMax + 1]*metrics.Histogram
 	badReqs  *metrics.Counter
-	conns    *metrics.Gauge
+	conns    *metrics.Gauge   // connections across every attached listener
 	inflight *metrics.Gauge   // server.pipeline.inflight: requests being dispatched
 	batchOps *metrics.Counter // server.batch.ops: sub-ops applied via OpBatch
 }
@@ -121,15 +120,6 @@ func (s *Server) SetMaxInFlight(n int) {
 		n = defaultMaxInFlight
 	}
 	s.maxInFlight.Store(int32(n))
-}
-
-// SetTimeouts installs per-frame read and write deadlines (zero
-// disables either). The read deadline doubles as an idle timeout: a
-// connection that sends nothing for `read` is torn down. Safe at
-// runtime; applies from each connection's next frame.
-func (s *Server) SetTimeouts(read, write time.Duration) {
-	s.readTimeout.Store(int64(read))
-	s.writeTimeout.Store(int64(write))
 }
 
 // SetSlowLog attaches a slow-op log; every dispatched request whose
@@ -247,9 +237,6 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.backend.ConnClosed()
 	defer s.dropConn(conn)
 	br := bufio.NewReader(conn)
-	if rt := time.Duration(s.readTimeout.Load()); rt > 0 {
-		conn.SetReadDeadline(time.Now().Add(rt))
-	}
 	frame, err := readFrame(br)
 	if err != nil {
 		return // EOF or teardown
@@ -260,7 +247,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	if err != nil {
 		s.backend.met.badReqs.Inc()
-		s.writeResp(conn, encodeResponse(StatusFailed, []byte(err.Error())))
+		writeFrame(conn, encodeResponse(StatusFailed, []byte(err.Error())))
 		return
 	}
 	// A bare hello gets the one-byte reply; a hello that offers feature
@@ -271,18 +258,10 @@ func (s *Server) handle(conn net.Conn) {
 		feats = req.Value[0] & helloFeatTrace
 		payload = append(payload, feats)
 	}
-	if err := s.writeResp(conn, encodeResponse(StatusOK, payload)); err != nil {
+	if err := writeFrame(conn, encodeResponse(StatusOK, payload)); err != nil {
 		return
 	}
-	s.handleV2(conn, br, feats&helloFeatTrace != 0)
-}
-
-// writeResp writes the unsequenced hello reply under the write deadline.
-func (s *Server) writeResp(conn net.Conn, resp []byte) error {
-	if wt := time.Duration(s.writeTimeout.Load()); wt > 0 {
-		conn.SetWriteDeadline(time.Now().Add(wt))
-	}
-	return writeFrame(conn, resp)
+	s.serveRequests(conn, br, feats&helloFeatTrace != 0)
 }
 
 // seqResp pairs a response body with the sequence number it answers.
@@ -291,16 +270,17 @@ type seqResp struct {
 	body []byte
 }
 
-// handleV2 runs the pipelined loop: the reader admits up to maxInFlight
-// requests (the backpressure gate — beyond that it stops reading, which
-// pushes back through TCP flow control), each dispatched on its own
-// goroutine; a single writer goroutine serializes the out-of-order
-// completions back onto the wire, coalescing whatever has accumulated
-// into one write per syscall. When the trace feature was negotiated
-// (traceOK), request frames whose seq carries seqTraceFlag are preceded
-// by a trace header; the span context it names parents every span the
-// handler records, and the flag is masked off before the seq is echoed.
-func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, traceOK bool) {
+// serveRequests runs the pipelined loop: the reader admits up to
+// maxInFlight requests (the backpressure gate — beyond that it stops
+// reading, which pushes back through TCP flow control), each dispatched
+// on its own goroutine; a single writer goroutine serializes the
+// out-of-order completions back onto the wire, coalescing whatever has
+// accumulated into one write per syscall. When the trace feature was
+// negotiated (traceOK), request frames whose seq carries seqTraceFlag
+// are preceded by a trace header; the span context it names parents
+// every span the handler records, and the flag is masked off before the
+// seq is echoed.
+func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
 	maxInFlight := int(s.maxInFlight.Load())
 	respCh := make(chan seqResp, maxInFlight)
 	writerDone := make(chan struct{})
@@ -325,9 +305,6 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, traceOK bool) {
 					break coalesce
 				}
 			}
-			if wt := time.Duration(s.writeTimeout.Load()); wt > 0 {
-				conn.SetWriteDeadline(time.Now().Add(wt))
-			}
 			if _, werr = conn.Write(buf); werr != nil {
 				conn.Close() // unblock the reader
 			}
@@ -337,9 +314,6 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, traceOK bool) {
 	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	for {
-		if rt := time.Duration(s.readTimeout.Load()); rt > 0 {
-			conn.SetReadDeadline(time.Now().Add(rt))
-		}
 		seq, body, err := readFrameSeq(br)
 		if err != nil {
 			break

@@ -214,8 +214,17 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	if _, err := encodeRequest(request{Op: OpPut, Key: make([]byte, MaxKeyLen+1)}); !errors.Is(err, ErrFrameTooBig) {
+	// The key length travels as a uint16: 65,536 must be refused, not
+	// truncated to 0, and 65,535 must come back whole.
+	if _, err := encodeRequest(request{Op: OpPut, Key: make([]byte, 1<<16)}); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize key err = %v", err)
+	}
+	body, err := encodeRequest(request{Op: OpPut, Key: make([]byte, MaxKeyLen)})
+	if err != nil {
+		t.Fatalf("longest key: %v", err)
+	}
+	if req, err := decodeRequest(body); err != nil || len(req.Key) != MaxKeyLen {
+		t.Fatalf("longest key decoded to %d bytes, %v", len(req.Key), err)
 	}
 	if _, err := encodeRequest(request{Op: OpPut, Key: []byte("k"), Value: make([]byte, MaxValueLen+1)}); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize value err = %v", err)

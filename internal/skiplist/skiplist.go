@@ -159,18 +159,6 @@ func (l *List[K, V]) Delete(key K) bool {
 	return true
 }
 
-// Min returns the smallest key and its value.
-func (l *List[K, V]) Min() (K, V, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if n := l.head.next[0]; n != nil {
-		return n.key, n.value, true
-	}
-	var zk K
-	var zv V
-	return zk, zv, false
-}
-
 // Ascend calls fn for every item with key >= from, in ascending order,
 // until fn returns false. The shared lock is held for the whole scan;
 // fn must not mutate the list.
@@ -197,53 +185,3 @@ func (l *List[K, V]) AscendAll(fn func(key K, value V) bool) {
 }
 
 func n0[K, V any](l *List[K, V]) *node[K, V] { return l.head.next[0] }
-
-// Iterator walks the list in ascending order. It holds no lock between
-// calls; instead each advance re-acquires the shared lock, so iteration
-// is safe alongside concurrent mutations but sees a live view (items
-// inserted behind the cursor are skipped, items ahead are observed).
-type Iterator[K, V any] struct {
-	l       *List[K, V]
-	cur     *node[K, V]
-	started bool
-}
-
-// NewIterator returns an iterator positioned before the first item.
-func (l *List[K, V]) NewIterator() *Iterator[K, V] {
-	return &Iterator[K, V]{l: l}
-}
-
-// Seek positions the iterator at the first item with key >= key and
-// reports whether such an item exists.
-func (it *Iterator[K, V]) Seek(key K) bool {
-	it.l.mu.RLock()
-	defer it.l.mu.RUnlock()
-	it.cur = it.l.findGE(key, nil)
-	it.started = true
-	return it.cur != nil
-}
-
-// Next advances to the following item and reports whether one exists.
-// Calling Next on a fresh iterator positions it at the first item.
-func (it *Iterator[K, V]) Next() bool {
-	it.l.mu.RLock()
-	defer it.l.mu.RUnlock()
-	if !it.started {
-		it.cur = it.l.head.next[0]
-		it.started = true
-	} else if it.cur != nil {
-		it.cur = it.cur.next[0]
-	}
-	return it.cur != nil
-}
-
-// Valid reports whether the iterator is positioned at an item.
-func (it *Iterator[K, V]) Valid() bool { return it.started && it.cur != nil }
-
-// Key returns the key at the current position; it must only be called
-// when Valid() is true.
-func (it *Iterator[K, V]) Key() K { return it.cur.key }
-
-// Value returns the value at the current position; it must only be
-// called when Valid() is true.
-func (it *Iterator[K, V]) Value() V { return it.cur.value }

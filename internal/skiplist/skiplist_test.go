@@ -75,9 +75,10 @@ func TestDeleteAllThenReuse(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", l.Len())
 	}
-	if _, _, ok := l.Min(); ok {
-		t.Fatal("Min on empty list should miss")
-	}
+	l.AscendAll(func(k, v int) bool {
+		t.Fatalf("emptied list still yields %d", k)
+		return false
+	})
 	l.Set(7, 70)
 	if v, ok := l.Get(7); !ok || v != 70 {
 		t.Fatal("list unusable after emptying")
@@ -117,17 +118,12 @@ func TestAscendFrom(t *testing.T) {
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("Ascend(51) = %v, want %v", got, want)
 	}
-}
-
-func TestMin(t *testing.T) {
-	l := New[int, string](intCmp, 6)
-	l.Set(42, "a")
-	l.Set(7, "b")
-	l.Set(100, "c")
-	k, v, ok := l.Min()
-	if !ok || k != 7 || v != "b" {
-		t.Fatalf("Min() = %d, %q, %v", k, v, ok)
+	visit := func(k, v int) bool {
+		t.Fatalf("visited %d", k)
+		return false
 	}
+	l.Ascend(99, visit) // past the last key
+	New[int, int](intCmp, 9).Ascend(0, visit)
 }
 
 func TestUpdate(t *testing.T) {
@@ -141,44 +137,6 @@ func TestUpdate(t *testing.T) {
 	}
 	if l.Update("missing", func(v int) int { return v }) {
 		t.Fatal("Update of absent key should fail")
-	}
-}
-
-func TestIteratorSeekNext(t *testing.T) {
-	l := New[int, int](intCmp, 8)
-	for i := 10; i <= 50; i += 10 {
-		l.Set(i, i)
-	}
-	it := l.NewIterator()
-	if it.Valid() {
-		t.Fatal("fresh iterator should not be valid")
-	}
-	if !it.Next() || it.Key() != 10 {
-		t.Fatalf("first Next should land on 10, got valid=%v", it.Valid())
-	}
-	if !it.Seek(25) || it.Key() != 30 {
-		t.Fatalf("Seek(25) should land on 30, got %d", it.Key())
-	}
-	if !it.Next() || it.Key() != 40 {
-		t.Fatalf("Next after Seek should land on 40")
-	}
-	it.Seek(51)
-	if it.Valid() {
-		t.Fatal("Seek past end should invalidate iterator")
-	}
-	if it.Next() {
-		t.Fatal("Next past end should report false")
-	}
-}
-
-func TestIteratorEmptyList(t *testing.T) {
-	l := New[int, int](intCmp, 9)
-	it := l.NewIterator()
-	if it.Next() {
-		t.Fatal("Next on empty list should report false")
-	}
-	if it.Seek(0) {
-		t.Fatal("Seek on empty list should report false")
 	}
 }
 
