@@ -1,5 +1,7 @@
-// Package locksafe guards the network path's locking discipline in
-// internal/server, internal/fleet and internal/cluster:
+// Package locksafe guards the locking discipline of the network path
+// (internal/server, internal/fleet, internal/cluster) and of the engine
+// under it (internal/core, internal/aof), whose retirement and GC passes
+// lock, unlock and re-lock the engine lock in loops:
 //
 //  1. No blocking operation — channel send/receive, select without a
 //     default, range over a channel, time.Sleep, WaitGroup.Wait,
@@ -10,11 +12,16 @@
 //     early return (or falling off the end) with a mutex still held
 //     and no deferred unlock is flagged.
 //
-// The analysis is intraprocedural and tracks mutexes by expression
-// (`s.mu`, `c.conn.mu`). Functions whose name ends in "Locked" follow
+// A lock is a sync.Mutex, a sync.RWMutex or any value with Lock and
+// Unlock methods — a sync.Locker parameter, the engine's hold-timing
+// wrapper. The analysis is intraprocedural and tracks locks by expression
+// (`s.mu`, `c.conn.mu`, `lk`). Functions whose name ends in "Locked" follow
 // the repo convention of running under a caller-held lock and are
 // checked like any other body: they acquire nothing themselves, so
-// they cannot trip rule 2.
+// they cannot trip rule 2. A method named Lock or RLock is itself a lock:
+// it returns with what it acquired held, by contract, and is not checked.
+// Test files are not checked either: a test parks under a lock on
+// purpose, to prove who does and does not wait for it.
 package locksafe
 
 import (
@@ -35,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // packages the check applies to (plus same-named fixture packages).
-var scopePkgs = []string{"server", "fleet", "cluster"}
+var scopePkgs = []string{"server", "fleet", "cluster", "core", "aof"}
 
 func run(pass *analysis.Pass) error {
 	inScope := false
@@ -52,7 +59,11 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Body != nil {
+				if analysis.IsTestFile(pass, n) {
+					return false
+				}
+				isLock := n.Recv != nil && (n.Name.Name == "Lock" || n.Name.Name == "RLock")
+				if n.Body != nil && !isLock {
 					checkFunc(pass, n.Body)
 				}
 			case *ast.FuncLit:
@@ -255,7 +266,22 @@ func isMutexType(pass *analysis.Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	return analysis.IsNamed(tv.Type, "sync", "Mutex") || analysis.IsNamed(tv.Type, "sync", "RWMutex")
+	if analysis.IsNamed(tv.Type, "sync", "Mutex") || analysis.IsNamed(tv.Type, "sync", "RWMutex") {
+		return true
+	}
+	return hasNiladic(tv.Type, "Lock") && hasNiladic(tv.Type, "Unlock")
+}
+
+// hasNiladic reports whether t, or a pointer to it, has a method of that
+// name taking and returning nothing.
+func hasNiladic(t types.Type, name string) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
+	f, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := f.Type().(*types.Signature)
+	return sig.Params().Len() == 0 && sig.Results().Len() == 0
 }
 
 // reportBlocking flags blocking operations in stmt's own expressions

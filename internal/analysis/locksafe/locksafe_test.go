@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockSafe(t *testing.T) {
-	analysistest.Run(t, "testdata", locksafe.Analyzer, "server")
+	analysistest.Run(t, "testdata", locksafe.Analyzer, "server", "core")
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"directload/internal/blockfs"
@@ -122,30 +123,55 @@ func Encode(rec Record) []byte {
 	return buf
 }
 
-// Decode parses one record from buf, returning it and the encoded length.
-func Decode(buf []byte) (Record, int, error) {
+// recordLen returns the encoded length the header at the start of buf
+// declares; ok is false when buf is too short to hold a header.
+func recordLen(buf []byte) (total int, ok bool) {
 	if len(buf) < headerSize {
-		return Record{}, 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
+		return 0, false
 	}
 	keyLen := int(binary.LittleEndian.Uint16(buf[21:]))
 	valLen := int(binary.LittleEndian.Uint32(buf[23:]))
-	total := headerSize + keyLen + valLen
+	return headerSize + keyLen + valLen, true
+}
+
+// DecodeView parses one record from buf, checksum verified, returning it
+// and the encoded length. Key and Value alias buf: they are valid only
+// while buf is, and a caller that keeps either copies it.
+func DecodeView(buf []byte) (Record, int, error) {
+	total, ok := recordLen(buf)
+	if !ok {
+		return Record{}, 0, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
+	}
 	if len(buf) < total {
 		return Record{}, 0, fmt.Errorf("%w: short body (%d < %d)", ErrCorrupt, len(buf), total)
 	}
 	if crc32.ChecksumIEEE(buf[4:total]) != binary.LittleEndian.Uint32(buf) {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
+	keyLen := int(binary.LittleEndian.Uint16(buf[21:]))
 	rec := Record{
 		Seq:     binary.LittleEndian.Uint64(buf[4:]),
 		Version: binary.LittleEndian.Uint64(buf[12:]),
 		Flags:   buf[20],
-		Key:     append([]byte(nil), buf[headerSize:headerSize+keyLen]...),
-		Value:   append([]byte(nil), buf[headerSize+keyLen:total]...),
 	}
-	if valLen == 0 {
-		rec.Value = nil
+	if keyLen > 0 {
+		rec.Key = buf[headerSize : headerSize+keyLen : headerSize+keyLen]
 	}
+	if headerSize+keyLen < total {
+		rec.Value = buf[headerSize+keyLen : total : total]
+	}
+	return rec, total, nil
+}
+
+// Decode parses one record from buf into memory of its own, returning it
+// and the encoded length.
+func Decode(buf []byte) (Record, int, error) {
+	rec, total, err := DecodeView(buf)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	rec.Key = append([]byte(nil), rec.Key...)
+	rec.Value = append([]byte(nil), rec.Value...)
 	return rec, total, nil
 }
 
@@ -188,11 +214,14 @@ type Store struct {
 	writer blockfs.Writer
 
 	seq      uint64 // next sequence number to assign
-	readers  int    // reads in flight (lazy-GC deferral input)
 	appended int64  // lifetime record bytes appended (incl. GC re-appends)
 	gcRuns   int64
 	gcMoved  int64 // bytes re-appended by GC
 	gcFreed  int64 // bytes of reclaimed files
+
+	// readers counts reads in flight, the lazy-GC deferral input. It is
+	// atomic so that a read takes no store mutex.
+	readers atomic.Int32
 
 	met storeMetrics
 }
@@ -343,14 +372,8 @@ func (s *Store) appendLocked(buf []byte) (Ref, time.Duration, error) {
 // lazy GC policy can defer collection while reads are in flight.
 func (s *Store) Read(ref Ref) (Record, time.Duration, error) {
 	s.met.reads.Inc()
-	s.mu.Lock()
-	s.readers++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.readers--
-		s.mu.Unlock()
-	}()
+	s.readers.Add(1)
+	defer s.readers.Add(-1)
 	r, err := s.fs.Open(filename(ref.File))
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("%w: %d", ErrNoFile, ref.File)
@@ -451,36 +474,132 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// ScanFile iterates the records of one file in append order, stopping if
-// fn returns an error. Used for recovery and by GC.
-func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
-	name := filename(id)
-	size, err := s.fs.Size(name)
+// scanPiece is how much of a file a scan reads at a time.
+const scanPiece = 1 << 20
+
+// scanner walks the records of one file in append order, reading the
+// file piece by piece. A record that straddles the end of a piece is
+// carried over and completed by the next read — the buffer has room for a
+// piece and the most a piece can leave over — and a record larger than
+// that grows the buffer to hold it.
+type scanner struct {
+	id   uint32
+	r    blockfs.Reader
+	size int64
+	buf  []byte // file bytes [off, off+len(buf)); buf[:p] are consumed
+	off  int64
+	p    int
+}
+
+func (s *Store) newScanner(id uint32) (*scanner, error) {
+	r, err := s.fs.Open(filename(id))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r, err := s.fs.Open(name)
-	if err != nil {
-		return err
+	size := r.Size()
+	return &scanner{id: id, r: r, size: size, buf: make([]byte, 0, min(size, 2*scanPiece))}, nil
+}
+
+// buffered reports whether the record at the cursor lies whole in the
+// buffer, so that next returns it without reading flash.
+func (sc *scanner) buffered() bool {
+	total, ok := recordLen(sc.buf[sc.p:])
+	return ok && total <= len(sc.buf)-sc.p
+}
+
+// refill moves the unconsumed bytes to the front of the buffer and reads
+// on from where the last read ended: one piece, or the rest of the record
+// at the cursor when that is longer. It reports whether the file had
+// more to give.
+func (sc *scanner) refill() (bool, error) {
+	rest := sc.buf[sc.p:]
+	n := int64(scanPiece)
+	if total, ok := recordLen(rest); ok && int64(total-len(rest)) > n {
+		n = int64(total - len(rest))
 	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, _, err := r.ReadAt(buf, 0); err != nil {
-			return err
-		}
+	from := sc.off + int64(len(sc.buf))
+	n = min(n, sc.size-from)
+	if n <= 0 {
+		return false, nil
 	}
-	var off int64
-	for off < size {
-		rec, n, err := Decode(buf[off:])
+	sc.off += int64(sc.p)
+	sc.p = 0
+	if need := len(rest) + int(n); need > cap(sc.buf) {
+		sc.buf = append(make([]byte, 0, max(need, 2*cap(sc.buf))), rest...)
+	} else {
+		sc.buf = sc.buf[:copy(sc.buf, rest)]
+	}
+	got, _, err := sc.r.ReadAt(sc.buf[len(sc.buf):len(sc.buf)+int(n)], from)
+	sc.buf = sc.buf[:len(sc.buf)+got]
+	return got > 0, err
+}
+
+// next returns the record at the cursor as a view (see DecodeView) that
+// stays valid until a later call reads flash, which next does only when
+// buffered is false. ok is false at the end of the file.
+func (sc *scanner) next() (rec Record, ref Ref, ok bool, err error) {
+	at := sc.off + int64(sc.p)
+	if at >= sc.size {
+		return Record{}, Zero, false, nil
+	}
+	for !sc.buffered() {
+		more, err := sc.refill()
 		if err != nil {
-			return fmt.Errorf("file %d offset %d: %w", id, off, err)
+			return Record{}, Zero, false, err
 		}
-		if err := fn(rec, Ref{File: id, Off: off, Len: uint32(n)}); err != nil {
+		if !more {
+			break // the file ends inside this record; DecodeView says how
+		}
+	}
+	rec, n, err := DecodeView(sc.buf[sc.p:])
+	if err != nil {
+		return Record{}, Zero, false, fmt.Errorf("file %d offset %d: %w", sc.id, at, err)
+	}
+	sc.p += n
+	return rec, Ref{File: sc.id, Off: at, Len: uint32(n)}, true, nil
+}
+
+// scanned is one record of a scan and where it lies.
+type scanned struct {
+	rec Record
+	ref Ref
+}
+
+// nextBatch appends to batch the records from the cursor on that need no
+// further flash read, GCChunk at most — reading first if there is none.
+// The views stay valid until the next call. An empty batch is the end of
+// the file.
+func (sc *scanner) nextBatch(batch []scanned) ([]scanned, error) {
+	for {
+		rec, ref, ok, err := sc.next()
+		if err != nil || !ok {
+			return batch, err
+		}
+		batch = append(batch, scanned{rec, ref})
+		if len(batch) == GCChunk || !sc.buffered() {
+			return batch, nil
+		}
+	}
+}
+
+// ScanFile iterates the records of one file in append order, checksum
+// verified, stopping if fn returns an error. The record's Key and Value
+// are views into the scan buffer, valid during the call: fn copies what
+// it keeps. Used for recovery; GC walks the same scanner in batches.
+func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
+	sc, err := s.newScanner(id)
+	if err != nil {
+		return err
+	}
+	for {
+		rec, ref, ok, err := sc.next()
+		if err != nil || !ok {
 			return err
 		}
-		off += int64(n)
+		if err := fn(rec, ref); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // Judge is the engine's liveness oracle for GC: it returns true when the
@@ -489,11 +608,13 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 // traceback (paper: "invalid key-value pairs that are referred by later
 // version keys"). The judge may mutate the record's flags before the
 // relocation copy is written (e.g. folding a memtable delete flag into
-// FlagDropped so the deletion survives recovery).
+// FlagDropped so the deletion survives recovery). The record is a view
+// into the scan buffer, valid during the call.
 type Judge func(rec *Record, ref Ref) bool
 
 // Relocated notifies the engine that a preserved record moved, so it can
 // update the offset fields in the skip list (paper Fig. 2, GC step 5).
+// The record is a view into the scan buffer, valid during the call.
 type Relocated func(rec Record, old, new Ref)
 
 // Candidates returns sealed files whose occupancy is at or below the GC
@@ -530,25 +651,30 @@ func (s *Store) Candidates() []uint32 {
 	return ids
 }
 
-// ShouldCollect applies the paper's lazy deferral rule: collect only if
-// there are candidates and either no reads are in flight or free space
-// has fallen below the pressure threshold.
-func (s *Store) ShouldCollect() bool {
-	s.mu.Lock()
-	readers := s.readers
-	s.mu.Unlock()
-	if len(s.Candidates()) == 0 {
-		return false
+// ShouldCollect applies the paper's lazy deferral rule: a pass should run
+// if there are candidates and either no reads are in flight or free space
+// has fallen below the pressure threshold. It returns the file to
+// collect, the first of Candidates.
+func (s *Store) ShouldCollect() (uint32, bool) {
+	readers := s.readers.Load()
+	cands := s.Candidates()
+	if len(cands) == 0 {
+		return 0, false
 	}
-	if readers == 0 {
-		return true
+	if readers == 0 || s.UnderPressure() {
+		return cands[0], true
 	}
-	if s.cfg.MinFreeBytes > 0 {
-		free := s.fs.Device().Config().Capacity() - s.fs.UsedBytes()
-		return free < s.cfg.MinFreeBytes
-	}
-	return false
+	return 0, false
 }
+
+// One hold of the engine lock during a pass judges at most GCChunk
+// records and stops re-appending once it has moved gcHoldBytes: a few
+// hundred microseconds of skip-list lookups in a file of dead records, of
+// encoding and appending in a file of live ones.
+const (
+	GCChunk     = 128
+	gcHoldBytes = 128 << 10
+)
 
 // CollectFile garbage-collects one file: preserved records (per judge)
 // are re-appended to the active AOF, the engine is told their new
@@ -556,7 +682,18 @@ func (s *Store) ShouldCollect() bool {
 // reclaimed and the simulated device cost. This is the software-level
 // write amplification QinDB pays (paper: "up to 2.5x ... as QinDB has to
 // re-append valid data of deleted files in the GC process").
-func (s *Store) CollectFile(id uint32, judge Judge, relocated Relocated) (int64, time.Duration, error) {
+//
+// The caller guarantees that nothing else appends to or marks the store
+// for the length of the call. lk is the lock that keeps the engine's
+// readers out: CollectFile reads and checksums the victim without it,
+// holds it while judge and relocated run — releasing it every GCChunk
+// records and every gcHoldBytes moved — and holds it once more to erase
+// the victim, after every kept record has been re-pointed: a reader that
+// resolved a ref into the victim under its side of lk finishes its read
+// before the file goes. If the pass fails midway the victim stays,
+// alongside the copies already made: the state a crash at that point
+// leaves, which recovery resolves by sequence number.
+func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Relocated) (int64, time.Duration, error) {
 	s.mu.Lock()
 	fi, ok := s.files[id]
 	if !ok {
@@ -570,42 +707,51 @@ func (s *Store) CollectFile(id uint32, judge Judge, relocated Relocated) (int64,
 	total := fi.total
 	s.mu.Unlock()
 
+	sc, err := s.newScanner(id)
+	if err != nil {
+		return 0, 0, err
+	}
+	var batch []scanned
 	var cost time.Duration
 	var moved int64
-	err := s.ScanFile(id, func(rec Record, ref Ref) error {
-		if !judge(&rec, ref) {
-			return nil
+	for {
+		if batch, err = sc.nextBatch(batch[:0]); err != nil {
+			return 0, cost, err
 		}
-		s.mu.Lock()
-		// Data records get a fresh sequence number: recovery relies on
-		// relocations sorting after a checkpoint's floor so it re-points
-		// checkpointed items. Tombstones and version-drop meta-records
-		// keep their ORIGINAL sequence: their deletion effect is
-		// position-dependent, and replaying one after a later revive of
-		// the same key/version would resurrect the deletion.
-		if !rec.IsTombstone() {
-			rec.Seq = s.seq
-			s.seq++
+		if len(batch) == 0 {
+			break
 		}
-		buf := Encode(rec)
-		newRef, c, err := s.appendLocked(buf)
-		s.mu.Unlock()
-		cost += c
-		if err != nil {
-			return err
+		lk.Lock()
+		var held int64 // bytes moved in this hold
+		for _, b := range batch {
+			if !judge(&b.rec, b.ref) {
+				continue
+			}
+			if held >= gcHoldBytes {
+				lk.Unlock()
+				held = 0
+				lk.Lock()
+			}
+			newRef, n, c, err := s.relocate(b.rec)
+			cost += c
+			if err != nil {
+				lk.Unlock()
+				return 0, cost, err
+			}
+			held += n
+			moved += n
+			if relocated != nil {
+				relocated(b.rec, b.ref, newRef)
+			}
 		}
-		moved += int64(len(buf))
-		if relocated != nil {
-			relocated(rec, ref, newRef)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, cost, err
+		lk.Unlock()
 	}
+
+	lk.Lock()
 	c, err := s.fs.Remove(filename(id))
 	cost += c
 	if err != nil {
+		lk.Unlock()
 		return 0, cost, err
 	}
 	s.mu.Lock()
@@ -618,7 +764,27 @@ func (s *Store) CollectFile(id uint32, judge Judge, relocated Relocated) (int64,
 	s.met.gcFreed.Add(total)
 	s.met.files.Set(int64(len(s.files)))
 	s.mu.Unlock()
+	lk.Unlock()
 	return total - moved, cost, nil
+}
+
+// relocate re-appends a record GC keeps, returning its new location and
+// encoded length. Data records get a fresh sequence number: recovery
+// relies on relocations sorting after a checkpoint's floor so it
+// re-points checkpointed items. Tombstones and version-drop meta-records
+// keep their ORIGINAL sequence: their deletion effect is
+// position-dependent, and replaying one after a later revive of the same
+// key/version would resurrect the deletion.
+func (s *Store) relocate(rec Record) (Ref, int64, time.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !rec.IsTombstone() {
+		rec.Seq = s.seq
+		s.seq++
+	}
+	buf := Encode(rec)
+	ref, cost, err := s.appendLocked(buf)
+	return ref, int64(len(buf)), cost, err
 }
 
 // UnderPressure reports whether free flash space has dropped below the

@@ -9,7 +9,9 @@ import (
 
 // FuzzDecode drives arbitrary bytes through the AOF record decoder.
 // Anything it accepts must re-encode to the exact bytes consumed (the
-// encoding is canonical: recomputing the CRC reproduces the input).
+// encoding is canonical: recomputing the CRC reproduces the input), and
+// the view decoder GC and recovery scan with must agree with it on every
+// input, accepted or not.
 func FuzzDecode(f *testing.F) {
 	f.Add(aof.Encode(aof.Record{Seq: 1, Version: 2, Key: []byte("k"), Value: []byte("v")}))
 	f.Add(aof.Encode(aof.Record{Seq: 9, Version: 1, Flags: aof.FlagTombstone, Key: []byte("dead")}))
@@ -17,6 +19,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := aof.Decode(data)
+		view, vn, verr := aof.DecodeView(data)
+		if (err == nil) != (verr == nil) || n != vn || view.Seq != rec.Seq || view.Version != rec.Version ||
+			view.Flags != rec.Flags || !bytes.Equal(view.Key, rec.Key) || !bytes.Equal(view.Value, rec.Value) {
+			t.Fatalf("DecodeView = %+v, %d, %v; Decode = %+v, %d, %v", view, vn, verr, rec, n, err)
+		}
 		if err != nil {
 			return
 		}

@@ -1,0 +1,62 @@
+// Package blockfstest decorates a blockfs.FS with hooks, so that a test
+// can park or fail one chosen flash operation of the engine above it.
+package blockfstest
+
+import (
+	"time"
+
+	"directload/internal/blockfs"
+)
+
+// FS passes every call through to the FS it wraps, running the hooks
+// that are set first. The hooks are fixed when the FS is built; one that
+// acts only some of the time consults state the test synchronises.
+type FS struct {
+	blockfs.FS
+	// ReadAt runs before every Reader.ReadAt, on the reading goroutine:
+	// a hook that blocks parks the read.
+	ReadAt func(name string, off int64)
+	// Append runs before every Writer.Append; a non-nil error is returned
+	// in place of appending.
+	Append func(name string, p []byte) error
+}
+
+func (f *FS) Create(name string) (blockfs.Writer, error) {
+	w, err := f.FS.Create(name)
+	if err != nil || f.Append == nil {
+		return w, err
+	}
+	return writer{w, f, name}, nil
+}
+
+func (f *FS) Open(name string) (blockfs.Reader, error) {
+	r, err := f.FS.Open(name)
+	if err != nil || f.ReadAt == nil {
+		return r, err
+	}
+	return reader{r, f, name}, nil
+}
+
+type writer struct {
+	blockfs.Writer
+	fs   *FS
+	name string
+}
+
+func (w writer) Append(p []byte) (int64, time.Duration, error) {
+	if err := w.fs.Append(w.name, p); err != nil {
+		return 0, 0, err
+	}
+	return w.Writer.Append(p)
+}
+
+type reader struct {
+	blockfs.Reader
+	fs   *FS
+	name string
+}
+
+func (r reader) ReadAt(p []byte, off int64) (int, time.Duration, error) {
+	r.fs.ReadAt(r.name, off)
+	return r.Reader.ReadAt(p, off)
+}

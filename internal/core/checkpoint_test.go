@@ -24,8 +24,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	if st.Checkpoints < 2 {
 		t.Fatalf("Checkpoints = %d, want >= 2 for 800KB at a 256KB cadence", st.Checkpoints)
 	}
-	db.Close()
-	db2 := reopen(t, fs)
+	db2 := crash(t, db, fs, true)
 	defer db2.Close()
 	for i := 0; i < 100; i += 9 {
 		if got := mustGet(t, db2, fmt.Sprintf("k-%03d", i), 1); !bytes.Equal([]byte(got), val) {

@@ -13,64 +13,76 @@ import (
 // (paper §4.1.2: "the GC will be deferred if there are ongoing reads and
 // free disk space").
 func (db *DB) MaybeGC() (time.Duration, error) {
-	if !db.store.ShouldCollect() {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	if db.closed {
+		return 0, ErrClosed
+	}
+	return db.maybeGCLocked()
+}
+
+// maybeGCLocked is MaybeGC for a caller that holds wmu: the pass Del and
+// DropVersion run on their way out.
+func (db *DB) maybeGCLocked() (time.Duration, error) {
+	id, ok := db.store.ShouldCollect()
+	if !ok {
 		return 0, nil
 	}
-	return db.CollectOnce()
+	return db.collectLocked(id)
 }
 
 // CollectOnce collects the lowest-occupancy candidate file now,
 // bypassing the read-deferral rule (used by tests and by the forced
 // space-pressure path). It is a no-op when no file qualifies.
 func (db *DB) CollectOnce() (time.Duration, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	cost, _, err := db.collectNext()
+	return cost, err
+}
+
+// collectNext collects the first candidate, if there is one.
+func (db *DB) collectNext() (cost time.Duration, collected bool, err error) {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		return 0, ErrClosed
+		return 0, false, ErrClosed
 	}
 	cands := db.store.Candidates()
 	if len(cands) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
-	return db.collectLocked(cands[0])
+	cost, err = db.collectLocked(cands[0])
+	return cost, true, err
 }
 
 // collectLocked garbage-collects one file as a gc.cycle span and
-// credits the bytes it reclaimed. Runs with db.mu held.
+// credits the bytes it reclaimed. Runs with wmu held and db.mu free: the
+// store takes db.mu exclusively, through db.excl, a batch of records at a
+// time and once more for the erase (aof.Store.CollectFile).
 func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 	end := db.reg.Span("gc.cycle")
-	reclaimed, cost, err := db.store.CollectFile(id, db.gcJudge, db.gcRelocated)
+	reclaimed, cost, err := db.store.CollectFile(id, &db.excl, db.gcJudge, db.gcRelocated)
 	end(err)
 	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
 }
 
 // CollectAll drains every candidate (used when simulating shutdown
-// compaction and in the eager-GC ablation).
+// compaction and in the eager-GC ablation). Other writers get their turn
+// between files.
 func (db *DB) CollectAll() (time.Duration, error) {
 	var total time.Duration
 	for {
-		db.mu.Lock()
-		if db.closed {
-			db.mu.Unlock()
-			return total, ErrClosed
-		}
-		cands := db.store.Candidates()
-		if len(cands) == 0 {
-			db.mu.Unlock()
-			return total, nil
-		}
-		cost, err := db.collectLocked(cands[0])
-		db.mu.Unlock()
+		cost, collected, err := db.collectNext()
 		total += cost
-		if err != nil {
+		if err != nil || !collected {
 			return total, err
 		}
 	}
 }
 
 // gcJudge decides whether the record at ref survives collection of its
-// file (paper Fig. 2, GC step 4). Runs with db.mu held (collectLocked).
+// file (paper Fig. 2, GC step 4). Runs with db.mu held exclusively (one
+// of CollectFile's batch holds).
 // Side effect: items whose records are dropped for good are removed from
 // the skip list ("QinDB also removes their matching items in the skip
 // list, which has the deletion flag set already").
@@ -108,7 +120,7 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 }
 
 // gcRelocated updates the skip-list offset of a relocated record (paper
-// Fig. 2, GC step 5). Runs with db.mu held.
+// Fig. 2, GC step 5). Runs with db.mu held exclusively.
 func (db *DB) gcRelocated(rec aof.Record, old, new aof.Ref) {
 	if rec.IsTombstone() || rec.IsVersionDrop() {
 		return // no item carries a tombstone ref

@@ -139,17 +139,38 @@ type Stats struct {
 }
 
 // DB is a QinDB instance over one (simulated) SSD.
+//
+// Two locks, taken in this order, split "no other mutator" from "no
+// reader" (DESIGN.md §3.1 has the whole contract):
+//
+//   - wmu serialises the mutators — Put, Del, DropVersion, the GC entry
+//     points, Checkpoint, Close — each for its whole operation. Holding it
+//     means nothing else changes the memtable, the store or the fields
+//     below, so its holder reads all of them without mu.
+//   - mu keeps readers out. Readers hold it shared from lookup to the end
+//     of the flash read; a mutator holds it exclusively only around the
+//     memtable and file-table changes themselves, a bounded number per
+//     hold, and around the erase of a collected file.
 type DB struct {
+	wmu   sync.Mutex
 	mu    sync.RWMutex
 	table *skiplist.List[ikey, item]
 	store *aof.Store
 	opts  Options
 	fs    blockfs.FS
 
-	closed    bool
-	versions  map[uint64]int // live item count per version
-	maxSeq    uint64         // highest sequence replayed or appended
-	sinceCkpt int64          // bytes appended since the last checkpoint
+	// Written under wmu and mu both; read under either.
+	closed   bool
+	versions map[uint64]int // live item count per version
+	// retiring is the version DropVersion is flagging item by item; while
+	// isRetiring is set readers answer for all of it as deleted.
+	retiring   uint64
+	isRetiring bool
+
+	// Owned by the wmu holder.
+	maxSeq    uint64 // highest sequence replayed or appended
+	sinceCkpt int64  // bytes appended since the last checkpoint
+	excl      exclLock
 
 	// Counters: one atomic cell per number, read by Stats, Health and
 	// the registry alike, so counting a request never needs db.mu.
@@ -161,6 +182,26 @@ type DB struct {
 
 	reg *metrics.Registry
 	met engineMetrics
+}
+
+// exclLock is the exclusive side of DB.mu as retirement and GC take it:
+// a sync.Locker that observes how long each hold kept readers out. Only
+// the wmu holder uses it, so one start time is enough.
+type exclLock struct {
+	mu    *sync.RWMutex
+	hold  *metrics.Histogram
+	since time.Time
+}
+
+func (l *exclLock) Lock() {
+	l.mu.Lock()
+	l.since = time.Now()
+}
+
+func (l *exclLock) Unlock() {
+	held := time.Since(l.since)
+	l.mu.Unlock()
+	l.hold.Observe(float64(held) / float64(time.Microsecond))
 }
 
 // memItemOverhead approximates the per-item memtable footprint beyond
@@ -182,6 +223,7 @@ type engineMetrics struct {
 	tracebacks  *metrics.Counter // GETs that followed the dedup chain
 	memBytes    *metrics.Gauge   // approximate memtable footprint (key bytes + overhead)
 	gcReclaimed *metrics.Counter
+	exclHold    *metrics.Histogram // wall clock: one retirement/GC hold of db.mu
 }
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
@@ -194,6 +236,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		tracebacks:  reg.Counter("qindb.get.tracebacks"),
 		memBytes:    reg.Gauge("qindb.memtable.bytes"),
 		gcReclaimed: reg.Counter("qindb.gc.reclaimed_bytes"),
+		exclHold:    reg.Histogram("qindb.lock.excl_hold_us"),
 	}
 	if reg == nil {
 		m.tracebacks = new(metrics.Counter)
@@ -227,6 +270,7 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		reg:      opts.Metrics,
 		met:      newEngineMetrics(opts.Metrics),
 	}
+	db.excl = exclLock{mu: &db.mu, hold: db.met.exclHold}
 	endRecover := db.reg.Span("qindb.recovery")
 	err = db.recover()
 	endRecover(err)
@@ -289,6 +333,8 @@ func (db *DB) registerDerivedMetrics() {
 
 // Close seals the active AOF. The DB must not be used afterwards.
 func (db *DB) Close() error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -324,8 +370,8 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	if len(value) > db.opts.MaxValueSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrValueTooBig, len(value))
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
@@ -342,12 +388,15 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 			rec.Value = encodeBase(b)
 		}
 	}
+	// The record goes to flash before any reader can find it: only the
+	// memtable change below needs the readers out.
 	ref, seq, cost, err := db.store.Append(rec)
 	if err != nil {
 		return cost, err
 	}
 	db.noteSeq(seq)
 	ik := ikey{string(key), version}
+	db.mu.Lock()
 	if old, ok := db.table.Get(ik); ok {
 		// Re-PUT of the same (k, t): the previous record is dead.
 		db.store.MarkDead(old.ref)
@@ -360,6 +409,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		db.versions[version]++
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
 	}
+	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key) + len(value)))
 	db.puts.Add(1)
 	db.met.putBytes.Add(int64(len(key) + len(value)))
@@ -384,8 +434,8 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 }
 
 // pressureGCLocked collects files while the store reports free-space
-// pressure. Runs with db.mu held. Bounded by the file count so a store
-// of fully-live files cannot loop.
+// pressure. Runs with wmu held. Bounded by the file count so a store of
+// fully-live files cannot loop.
 func (db *DB) pressureGCLocked() (time.Duration, error) {
 	var total time.Duration
 	for attempts := len(db.store.Files()); attempts > 0 && db.store.UnderPressure(); attempts-- {
@@ -407,7 +457,7 @@ func (db *DB) pressureGCLocked() (time.Duration, error) {
 // performed once at PUT time. Deleted entries are skipped: they may be
 // removed by GC at any moment, and skipping them always keeps the binding
 // independent of GC timing. A live dedup entry is a shortcut to its own
-// base (whose record GC is guaranteed to preserve).
+// base (whose record GC is guaranteed to preserve). Runs with wmu held.
 func (db *DB) resolveBaseLocked(key string, version uint64) (uint64, bool) {
 	if version == 0 {
 		return 0, false
@@ -462,57 +512,68 @@ func decodeBase(value []byte) (uint64, bool) {
 // returned cost is the simulated device time spent.
 func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		return nil, 0, ErrClosed
-	}
-	ik := ikey{string(key), version}
-	it, ok := db.table.Get(ik)
-	if !ok {
-		db.mu.RUnlock()
-		return nil, 0, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
-	}
-	if it.has(fDeleted) {
-		db.mu.RUnlock()
-		return nil, 0, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
-	}
-	// Resolve the ref to read from: the item itself, or — when r is set —
-	// the base entry bound at PUT time.
-	ref := it.ref
-	traced := false
-	if it.has(fDedup) {
-		traced = true
-		if !it.has(fHasBase) {
-			db.mu.RUnlock()
-			return nil, 0, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
-		}
-		baseItem, ok := db.table.Get(ikey{string(key), it.base})
-		if !ok || baseItem.has(fDedup) {
-			db.mu.RUnlock()
-			return nil, 0, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
-		}
-		ref = baseItem.ref
-	}
-	// The flash read happens under the shared lock: garbage collection
-	// takes the exclusive lock, so an in-flight read both blocks GC (the
-	// paper's "deferred if there are ongoing reads" rule) and can never
-	// observe a ref whose file GC just erased.
-	rec, cost, err := db.store.Read(ref)
+	val, cost, traced, err := db.readLocked(key, version)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, cost, err
 	}
+	db.countGet(val, cost, traced)
+	return val, cost, nil
+}
+
+// deletedLocked reports whether a reader must answer for the item at
+// version as deleted: its d flag is set, or the version is being retired
+// and the flag is about to be. Runs with db.mu held.
+func (db *DB) deletedLocked(version uint64, it item) bool {
+	return it.has(fDeleted) || (db.isRetiring && version == db.retiring)
+}
+
+// readLocked resolves (key, version) to a record and reads it, all in the
+// caller's one shared hold of db.mu: the file a ref points into is only
+// ever erased under the exclusive lock, after every kept record has been
+// re-pointed, so a ref resolved in this hold stays readable to its end.
+func (db *DB) readLocked(key []byte, version uint64) (val []byte, cost time.Duration, traced bool, err error) {
+	if db.closed {
+		return nil, 0, false, ErrClosed
+	}
+	it, ok := db.table.Get(ikey{string(key), version})
+	if !ok {
+		return nil, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
+	}
+	if db.deletedLocked(version, it) {
+		return nil, 0, false, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
+	}
+	// Resolve the ref to read from: the item itself, or — when r is set —
+	// the base entry bound at PUT time.
+	ref := it.ref
+	if it.has(fDedup) {
+		traced = true
+		if !it.has(fHasBase) {
+			return nil, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
+		}
+		baseItem, ok := db.table.Get(ikey{string(key), it.base})
+		if !ok || baseItem.has(fDedup) {
+			return nil, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
+		}
+		ref = baseItem.ref
+	}
+	rec, cost, err := db.store.Read(ref)
+	return rec.Value, cost, traced, err
+}
+
+// countGet accounts one successful read.
+func (db *DB) countGet(val []byte, cost time.Duration, traced bool) {
 	db.gets.Add(1)
 	if traced {
 		db.met.tracebacks.Inc()
 	}
-	db.userReadBytes.Add(int64(len(rec.Value)))
+	db.userReadBytes.Add(int64(len(val)))
 	db.met.getCost.Observe(float64(cost) / float64(time.Microsecond))
-	return rec.Value, cost, nil
 }
 
 // GetLatest returns the newest live (non-deleted) version of key along
-// with its version number.
+// with its version number. Lookup and read share one hold of the lock,
+// so a retirement or Del of that version cannot land between them.
 func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 	db.mu.RLock()
 	if db.closed {
@@ -525,19 +586,24 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 		if k.key != string(key) {
 			return false
 		}
-		if !v.has(fDeleted) {
+		if !db.deletedLocked(k.ver, v) {
 			ver = k.ver
 			found = true
 			return false
 		}
 		return true
 	})
-	db.mu.RUnlock()
 	if !found {
+		db.mu.RUnlock()
 		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	val, cost, err := db.Get(key, ver)
-	return val, ver, cost, err
+	val, cost, traced, err := db.readLocked(key, ver)
+	db.mu.RUnlock()
+	if err != nil {
+		return nil, ver, cost, err
+	}
+	db.countGet(val, cost, traced)
+	return val, ver, cost, nil
 }
 
 // Del marks (key, version) deleted: the d flag is set in the memtable, a
@@ -549,28 +615,27 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return 0, ErrClosed
 	}
 	ik := ikey{string(key), version}
 	it, ok := db.table.Get(ik)
-	if !ok || it.has(fDeleted) {
-		db.mu.Unlock()
-		if ok {
-			return 0, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
-		}
+	if !ok {
 		return 0, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
+	}
+	if it.has(fDeleted) {
+		return 0, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	}
 	_, seq, cost, err := db.store.Append(aof.Record{
 		Key: key, Version: version, Flags: aof.FlagTombstone,
 	})
 	if err != nil {
-		db.mu.Unlock()
 		return cost, err
 	}
 	db.noteSeq(seq)
+	db.mu.Lock()
 	db.table.Update(ik, func(v item) item {
 		v.flags |= fDeleted
 		return v
@@ -580,56 +645,81 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if db.versions[version] <= 0 {
 		delete(db.versions, version)
 	}
+	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
 	db.dels.Add(1)
-	auto := !db.opts.DisableAutoGC
-	db.mu.Unlock()
-	if auto {
-		c, _ := db.MaybeGC()
+	if !db.opts.DisableAutoGC {
+		c, _ := db.maybeGCLocked()
 		cost += c
 	}
 	db.met.delCost.Observe(float64(cost) / float64(time.Microsecond))
 	return cost, nil
 }
 
+// retireChunk bounds how many items one hold of the engine lock flags
+// deleted during a retirement: a few hundred microseconds of skip-list
+// updates.
+const retireChunk = 256
+
 // DropVersion deletes every entry of the given data version — the bulk
 // operation the paper's deletion thread performs when a fifth version
 // arrives and the oldest must go (§4.1.1). A single meta-record makes
 // the drop durable. Values that newer deduplicated versions still refer
 // to remain readable until GC decides their fate.
+//
+// Readers are kept out only for moments. With the meta-record on flash,
+// one short hold marks the version retiring: from its release on, every
+// read of the version answers deleted — all of it at once, never a mix.
+// The version's items are then found with no engine lock held, flagged
+// retireChunk per hold, and the GC pass that follows (if the lazy policy
+// allows one) chunks its holds the same way. DropVersion returns when
+// all of that is done.
 func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
-	db.mu.Lock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return 0, 0, ErrClosed
 	}
 	_, seq, cost, err := db.store.Append(aof.Record{
 		Version: version, Flags: aof.FlagTombstone | aof.FlagVersionDrop,
 	})
 	if err != nil {
-		db.mu.Unlock()
 		return 0, cost, err
 	}
 	db.noteSeq(seq)
-	refs := db.dropVersionLocked(version)
-	for _, ref := range refs {
-		db.store.MarkDead(ref)
-	}
+	db.excl.Lock()
+	db.retiring, db.isRetiring = version, true
 	delete(db.versions, version)
-	auto := !db.opts.DisableAutoGC
-	db.mu.Unlock()
-	if auto {
-		c, _ := db.MaybeGC()
+	db.excl.Unlock()
+
+	keys, refs := db.versionItemsLocked(version)
+	dropped := len(keys)
+	for len(keys) > 0 {
+		n := min(len(keys), retireChunk)
+		db.excl.Lock()
+		db.flagDeletedLocked(keys[:n])
+		for _, ref := range refs[:n] {
+			db.store.MarkDead(ref)
+		}
+		db.excl.Unlock()
+		keys, refs = keys[n:], refs[n:]
+	}
+	db.excl.Lock()
+	db.isRetiring = false
+	db.excl.Unlock()
+
+	if !db.opts.DisableAutoGC {
+		c, _ := db.maybeGCLocked()
 		cost += c
 	}
-	return len(refs), cost, nil
+	return dropped, cost, nil
 }
 
-// dropVersionLocked flips d on every live item of the version and
-// returns the records those items point at. DropVersion marks them dead;
-// recovery replays a version-drop meta-record through it and rebuilds
-// occupancy afterwards. Runs with db.mu held.
-func (db *DB) dropVersionLocked(version uint64) []aof.Ref {
+// versionItemsLocked returns the live items of a version and the records
+// they point at. It walks the whole memtable, under the skip list's own
+// shared lock and no other: it runs with wmu held, so nothing mutates
+// the table under it, and readers pass.
+func (db *DB) versionItemsLocked(version uint64) ([]ikey, []aof.Ref) {
 	var keys []ikey
 	var refs []aof.Ref
 	db.table.AscendAll(func(k ikey, v item) bool {
@@ -639,13 +729,18 @@ func (db *DB) dropVersionLocked(version uint64) []aof.Ref {
 		}
 		return true
 	})
+	return keys, refs
+}
+
+// flagDeletedLocked flips d on the given items. Runs with wmu held, and
+// with db.mu held exclusively once the DB has readers.
+func (db *DB) flagDeletedLocked(keys []ikey) {
 	for _, ik := range keys {
 		db.table.Update(ik, func(v item) item {
 			v.flags |= fDeleted
 			return v
 		})
 	}
-	return refs
 }
 
 // Versions returns the live data versions in ascending order.
@@ -708,7 +803,7 @@ func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
 		}
 		first = false
 		last = k.key
-		if v.has(fDeleted) {
+		if db.deletedLocked(k.ver, v) {
 			return true
 		}
 		return fn([]byte(k.key), k.ver)
@@ -720,7 +815,7 @@ func (db *DB) Has(key []byte, version uint64) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	it, ok := db.table.Get(ikey{string(key), version})
-	return ok && !it.has(fDeleted)
+	return ok && !db.deletedLocked(version, it)
 }
 
 // Stats returns a snapshot of engine counters.

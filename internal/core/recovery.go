@@ -35,8 +35,8 @@ func parseCkptName(name string) (uint64, bool) {
 // invoke it on any schedule; with Options.CheckpointEveryBytes set the
 // engine also checkpoints itself periodically, as the paper describes.
 func (db *DB) Checkpoint() (time.Duration, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
@@ -44,7 +44,7 @@ func (db *DB) Checkpoint() (time.Duration, error) {
 }
 
 // maybeCheckpointLocked runs the periodic checkpoint policy. Runs with
-// db.mu held.
+// wmu held.
 func (db *DB) maybeCheckpointLocked() (time.Duration, error) {
 	if db.opts.CheckpointEveryBytes <= 0 || db.sinceCkpt < db.opts.CheckpointEveryBytes {
 		return 0, nil
@@ -52,6 +52,9 @@ func (db *DB) maybeCheckpointLocked() (time.Duration, error) {
 	return db.checkpointLocked()
 }
 
+// checkpointLocked writes the checkpoint. Runs with wmu held and takes
+// no other engine lock: with the mutators out the memtable cannot change
+// under the walk, and readers pass it.
 func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	end := db.reg.Span("qindb.checkpoint")
 	defer func() { end(err) }()
@@ -223,13 +226,18 @@ func (db *DB) recover() error {
 	floor, sealedAtCkpt, haveCkpt := db.loadCheckpoint()
 
 	// Gather records that post-date the checkpoint. Files sealed at
-	// checkpoint time contain only pre-floor records and are skipped.
+	// checkpoint time contain only pre-floor records and are skipped. The
+	// scan hands out views: what replay needs of a record — never its
+	// value, only the 8-byte base a dedup record carries there — is
+	// copied out, so recovery's memory grows with the keys replayed.
 	type replayRec struct {
-		rec aof.Record
-		ref aof.Ref
+		rec     aof.Record // header fields only: Key and Value are dropped
+		key     string
+		base    uint64
+		hasBase bool
+		ref     aof.Ref
 	}
 	var replay []replayRec
-	var tombs []replayRec // tombstones, for occupancy rebuild
 	var maxSeq uint64
 	for _, id := range files {
 		if haveCkpt && sealedAtCkpt[id] {
@@ -242,7 +250,12 @@ func (db *DB) recover() error {
 			if haveCkpt && rec.Seq < floor {
 				return nil
 			}
-			replay = append(replay, replayRec{rec, ref})
+			rr := replayRec{rec: rec, key: string(rec.Key), ref: ref}
+			if rec.IsDedup() {
+				rr.base, rr.hasBase = decodeBase(rec.Value)
+			}
+			rr.rec.Key, rr.rec.Value = nil, nil
+			replay = append(replay, rr)
 			return nil
 		})
 		if err != nil {
@@ -255,34 +268,30 @@ func (db *DB) recover() error {
 	sort.SliceStable(replay, func(i, j int) bool { return replay[i].rec.Seq < replay[j].rec.Seq })
 
 	touched := make(map[ikey]bool)
+	var tombs []aof.Ref // tombstones, for occupancy rebuild
 	for _, rr := range replay {
 		rec := rr.rec
+		ik := ikey{rr.key, rec.Version}
 		switch {
 		case rec.IsVersionDrop():
-			db.dropVersionLocked(rec.Version)
-			tombs = append(tombs, rr)
+			keys, _ := db.versionItemsLocked(rec.Version)
+			db.flagDeletedLocked(keys)
+			tombs = append(tombs, rr.ref)
 		case rec.IsTombstone():
-			ik := ikey{string(rec.Key), rec.Version}
-			db.table.Update(ik, func(v item) item {
-				v.flags |= fDeleted
-				return v
-			})
-			tombs = append(tombs, rr)
+			db.flagDeletedLocked([]ikey{ik})
+			tombs = append(tombs, rr.ref)
 		default:
-			ik := ikey{string(rec.Key), rec.Version}
 			var flags uint8
-			var base uint64
 			if rec.IsDedup() {
 				flags |= fDedup
-				if b, ok := decodeBase(rec.Value); ok {
-					base = b
+				if rr.hasBase {
 					flags |= fHasBase
 				}
 			}
 			if rec.IsDropped() {
 				flags |= fDeleted | fOnDiskDeleted
 			}
-			db.table.Set(ik, item{ref: rr.ref, base: base, flags: flags})
+			db.table.Set(ik, item{ref: rr.ref, base: rr.base, flags: flags})
 			touched[ik] = true
 		}
 	}
@@ -322,8 +331,8 @@ func (db *DB) recover() error {
 		}
 		return true
 	})
-	for _, tb := range tombs {
-		db.store.MarkLive(tb.ref)
+	for _, ref := range tombs {
+		db.store.MarkLive(ref)
 	}
 
 	db.maxSeq = maxSeq
