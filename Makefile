@@ -47,7 +47,7 @@ audit-ignores:
 # BENCHMARK.json). For the parallel forms pass -cpu, e.g.
 #   go test -run xxx -bench 'Parallel|HistogramObserve' -cpu 1,2,4 ./internal/core/ ./internal/metrics/
 bench:
-	$(GO) test -run xxx -bench . -benchtime 100x ./...
+	$(GO) test -run xxx -bench . -benchmem -benchtime 100x ./...
 
 # Short fuzz pass over every wire-protocol and AOF decoder target. The
 # go tool accepts one -fuzz pattern per invocation, hence one line per

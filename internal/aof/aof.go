@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,25 +103,27 @@ var (
 const headerSize = 4 + 8 + 8 + 1 + 2 + 4
 
 // MaxKeyLen is the longest key the record format can hold: keyLen is a
-// uint16. Encode truncates the length of anything longer, so the engine
+// uint16. AppendRecord truncates the length of anything longer, so the engine
 // refuses such keys before they reach the store.
 const MaxKeyLen = math.MaxUint16
 
 // EncodedLen returns the on-flash size of a record.
 func EncodedLen(keyLen, valLen int) int { return headerSize + keyLen + valLen }
 
-// Encode serializes rec into a fresh buffer.
-func Encode(rec Record) []byte {
-	buf := make([]byte, EncodedLen(len(rec.Key), len(rec.Value)))
+// AppendRecord appends the encoding of rec to dst and returns the extended
+// slice; with capacity to spare in dst it allocates nothing.
+func AppendRecord(dst []byte, rec Record) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, EncodedLen(len(rec.Key), len(rec.Value)))
+	buf := dst[at : at+headerSize]
 	binary.LittleEndian.PutUint64(buf[4:], rec.Seq)
 	binary.LittleEndian.PutUint64(buf[12:], rec.Version)
 	buf[20] = rec.Flags
 	binary.LittleEndian.PutUint16(buf[21:], uint16(len(rec.Key)))
 	binary.LittleEndian.PutUint32(buf[23:], uint32(len(rec.Value)))
-	copy(buf[headerSize:], rec.Key)
-	copy(buf[headerSize+len(rec.Key):], rec.Value)
-	binary.LittleEndian.PutUint32(buf, crc32.ChecksumIEEE(buf[4:]))
-	return buf
+	dst = append(append(dst[:at+headerSize], rec.Key...), rec.Value...)
+	binary.LittleEndian.PutUint32(dst[at:], crc32.ChecksumIEEE(dst[at+4:]))
+	return dst
 }
 
 // recordLen returns the encoded length the header at the start of buf
@@ -160,18 +163,6 @@ func DecodeView(buf []byte) (Record, int, error) {
 	if headerSize+keyLen < total {
 		rec.Value = buf[headerSize+keyLen : total : total]
 	}
-	return rec, total, nil
-}
-
-// Decode parses one record from buf into memory of its own, returning it
-// and the encoded length.
-func Decode(buf []byte) (Record, int, error) {
-	rec, total, err := DecodeView(buf)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	rec.Key = append([]byte(nil), rec.Key...)
-	rec.Value = append([]byte(nil), rec.Value...)
 	return rec, total, nil
 }
 
@@ -218,6 +209,11 @@ type Store struct {
 	gcRuns   int64
 	gcMoved  int64 // bytes re-appended by GC
 	gcFreed  int64 // bytes of reclaimed files
+
+	// scratch is the one buffer records are encoded into (appendLocked):
+	// mu is held from encode to the end of the append, and blockfs keeps
+	// nothing of what it is handed.
+	scratch []byte
 
 	// readers counts reads in flight, the lazy-GC deferral input. It is
 	// atomic so that a read takes no store mutex.
@@ -334,7 +330,7 @@ func (s *Store) Append(rec Record) (Ref, uint64, time.Duration, error) {
 	defer s.mu.Unlock()
 	rec.Seq = s.seq
 	s.seq++
-	ref, cost, err := s.appendLocked(Encode(rec))
+	ref, _, cost, err := s.appendLocked(rec)
 	return ref, rec.Seq, cost, err
 }
 
@@ -349,15 +345,31 @@ func (s *Store) SeqFloor(floor uint64) {
 	}
 }
 
-func (s *Store) appendLocked(buf []byte) (Ref, time.Duration, error) {
+// KeepBuffer is the largest buffer the data path holds on to for reuse —
+// the store's encode scratch here, a connection's recycled frames, reply
+// bodies and GET scratch above: one that has grown past it is left to the
+// garbage collector. The largest buffer the paper's traffic makes is the
+// frame of a 64-entry publish batch of 16-24 KB values, 1.3-1.5 MB: 2 MB
+// keeps that one, and an outsized value is not remembered for the life of
+// whatever served it.
+const KeepBuffer = 2 << 20
+
+// appendLocked encodes rec into the store's scratch buffer and appends it
+// to the active file, rotating first if it would exceed the size limit. It
+// returns the record's location and encoded length.
+func (s *Store) appendLocked(rec Record) (Ref, int64, time.Duration, error) {
+	buf := AppendRecord(s.scratch[:0], rec)
+	if cap(buf) <= KeepBuffer {
+		s.scratch = buf
+	}
 	if s.writer == nil || s.writer.Offset()+int64(len(buf)) > s.cfg.FileSize {
 		if err := s.rotateLocked(); err != nil {
-			return Zero, 0, err
+			return Zero, 0, 0, err
 		}
 	}
 	off, cost, err := s.writer.Append(buf)
 	if err != nil {
-		return Zero, cost, err
+		return Zero, 0, cost, err
 	}
 	fi := s.files[s.active]
 	fi.total += int64(len(buf))
@@ -365,12 +377,14 @@ func (s *Store) appendLocked(buf []byte) (Ref, time.Duration, error) {
 	s.appended += int64(len(buf))
 	s.met.appends.Inc()
 	s.met.appendBytes.Add(int64(len(buf)))
-	return Ref{File: s.active, Off: off, Len: uint32(len(buf))}, cost, nil
+	return Ref{File: s.active, Off: off, Len: uint32(len(buf))}, int64(len(buf)), cost, nil
 }
 
-// Read fetches and decodes the record at ref. Reads are tracked so the
-// lazy GC policy can defer collection while reads are in flight.
-func (s *Store) Read(ref Ref) (Record, time.Duration, error) {
+// readInto reads the record at ref into buf, which is ref.Len long, and
+// returns it decoded in place, checksum verified: Key and Value are views
+// of buf. Reads are tracked so the lazy GC policy can defer collection
+// while reads are in flight.
+func (s *Store) readInto(buf []byte, ref Ref) (Record, time.Duration, error) {
 	s.met.reads.Inc()
 	s.readers.Add(1)
 	defer s.readers.Add(-1)
@@ -378,13 +392,35 @@ func (s *Store) Read(ref Ref) (Record, time.Duration, error) {
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("%w: %d", ErrNoFile, ref.File)
 	}
-	buf := make([]byte, ref.Len)
 	n, cost, err := r.ReadAt(buf, ref.Off)
 	if err != nil {
 		return Record{}, cost, err
 	}
-	rec, _, err := Decode(buf[:n])
+	rec, _, err := DecodeView(buf[:n])
 	return rec, cost, err
+}
+
+// Read fetches and decodes the record at ref into one buffer of its own,
+// which the caller owns: Key and Value are views of it.
+func (s *Store) Read(ref Ref) (Record, time.Duration, error) {
+	return s.readInto(make([]byte, ref.Len), ref)
+}
+
+// ReadAppend appends the value of the record at ref to dst and returns
+// the extended slice. The record is read into dst's spare capacity and
+// verified there; only then does the value move down over header and key.
+// A dst that falls short grows as append would grow it, so a buffer being
+// reused stops growing as value sizes vary. On an error, and for an empty
+// value, the dst given is what comes back: a nil dst comes back nil.
+func (s *Store) ReadAppend(dst []byte, ref Ref) ([]byte, time.Duration, error) {
+	given, at := dst, len(dst)
+	dst = slices.Grow(dst, int(ref.Len))
+	buf := dst[at : at+int(ref.Len)]
+	rec, cost, err := s.readInto(buf, ref)
+	if err != nil || len(rec.Value) == 0 {
+		return given, cost, err
+	}
+	return dst[:at+copy(buf, rec.Value)], cost, nil
 }
 
 // MarkDead records that the record at ref is no longer referenced,
@@ -782,9 +818,7 @@ func (s *Store) relocate(rec Record) (Ref, int64, time.Duration, error) {
 		rec.Seq = s.seq
 		s.seq++
 	}
-	buf := Encode(rec)
-	ref, cost, err := s.appendLocked(buf)
-	return ref, int64(len(buf)), cost, err
+	return s.appendLocked(rec)
 }
 
 // UnderPressure reports whether free flash space has dropped below the

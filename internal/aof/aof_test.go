@@ -57,8 +57,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Key: []byte{}, Version: 0},
 	}
 	for i, rec := range cases {
-		buf := Encode(rec)
-		got, n, err := Decode(buf)
+		buf := AppendRecord(nil, rec)
+		got, n, err := DecodeView(buf)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -78,15 +78,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorruption(t *testing.T) {
-	buf := Encode(Record{Key: []byte("k"), Version: 1, Value: []byte("hello")})
-	if _, _, err := Decode(buf[:3]); !errors.Is(err, ErrCorrupt) {
+	buf := AppendRecord(nil, Record{Key: []byte("k"), Version: 1, Value: []byte("hello")})
+	if _, _, err := DecodeView(buf[:3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short header err = %v", err)
 	}
-	if _, _, err := Decode(buf[:len(buf)-1]); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeView(buf[:len(buf)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short body err = %v", err)
 	}
 	buf[len(buf)-1] ^= 0xFF
-	if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeView(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip err = %v", err)
 	}
 }
@@ -431,7 +431,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 			key = key[:60000]
 		}
 		rec := Record{Key: key, Version: version, Flags: flags, Value: value}
-		got, n, err := Decode(Encode(rec))
+		got, n, err := DecodeView(AppendRecord(nil, rec))
 		if err != nil || n != EncodedLen(len(key), len(value)) {
 			return false
 		}

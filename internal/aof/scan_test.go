@@ -11,7 +11,7 @@ import (
 )
 
 // wholeFileScan is ScanFile as it was before it read in pieces — the whole
-// file into one buffer, Decode on every record — kept as the reference
+// file into one buffer, decoded record by record — kept as the reference
 // the piecewise scanner is compared with.
 func wholeFileScan(fs blockfs.FS, id uint32, fn func(rec Record, ref Ref) error) error {
 	name := filename(id)
@@ -31,7 +31,7 @@ func wholeFileScan(fs blockfs.FS, id uint32, fn func(rec Record, ref Ref) error)
 	}
 	var off int64
 	for off < size {
-		rec, n, err := Decode(buf[off:])
+		rec, n, err := DecodeView(buf[off:])
 		if err != nil {
 			return fmt.Errorf("file %d offset %d: %w", id, off, err)
 		}
@@ -64,7 +64,7 @@ func writeRaw(t *testing.T, fs blockfs.FS, id uint32, raw []byte) {
 // wants the same records, refs and error from both.
 func TestScanFileMatchesWholeFileScan(t *testing.T) {
 	rec := func(i, valLen int) []byte {
-		return Encode(Record{Seq: uint64(i), Version: uint64(i%5 + 1), Key: []byte(fmt.Sprintf("key-%04d", i)),
+		return AppendRecord(nil, Record{Seq: uint64(i), Version: uint64(i%5 + 1), Key: []byte(fmt.Sprintf("key-%04d", i)),
 			Value: bytes.Repeat([]byte{byte(i)}, valLen)})
 	}
 	var straddle, big, small []byte

@@ -62,7 +62,8 @@ type FS interface {
 // Writer appends bytes to a file.
 type Writer interface {
 	// Append writes p at the end of the file, returning the byte offset
-	// at which p begins and the simulated device cost.
+	// at which p begins and the simulated device cost. Complete pages go
+	// to flash before it returns; it keeps no reference to p.
 	Append(p []byte) (off int64, cost time.Duration, err error)
 	// Sync flushes all complete pages to flash. The partial tail page
 	// stays buffered (readable, but not yet on flash) until Close.
@@ -77,21 +78,22 @@ type Writer interface {
 // Reader reads bytes from a file at arbitrary offsets.
 type Reader interface {
 	// ReadAt fills p from logical offset off, returning the bytes read
-	// and the simulated device cost. Reads that extend past the end of
-	// the file return the available prefix and no error; a read entirely
-	// past the end returns ErrOffset.
+	// and the simulated device cost; it allocates nothing. Reads that
+	// extend past the end of the file return the available prefix and no
+	// error; a read entirely past the end returns ErrOffset.
 	ReadAt(p []byte, off int64) (n int, cost time.Duration, err error)
 	// Size returns the logical file length at call time.
 	Size() int64
 }
 
 // file is the shared per-file bookkeeping for both backends. pages holds
-// backend-specific physical page references; length counts appended
-// logical bytes; tail holds bytes not yet flushed to flash.
+// backend-specific physical page references — append-only, so a reader
+// may keep a sub-slice of it past the lock; length counts appended logical
+// bytes; tail is the open partial page, bytes not yet on flash.
 type file struct {
-	pages   []int32 // backend page refs: native = block<<16|page, ftl = lpn
+	pages   []int32 // backend page refs: native = block*ppb+page, ftl = lpn
 	length  int64
-	tail    []byte // unflushed suffix (always < pageSize after flush)
+	tail    []byte // one page of capacity; len < pageSize unless the device refused a page
 	writing bool
 }
 
@@ -102,8 +104,10 @@ type core struct {
 	pageSize int
 	dev      *ssd.Device
 
-	readPage  func(ref int32) ([]byte, time.Duration, error)
-	writeTail func(f *file) (time.Duration, error) // flush full pages from tail
+	// readPage copies the page at ref, from byte inPage on, into dst.
+	readPage func(ref int32, inPage int, dst []byte) (int, time.Duration, error)
+	// writePage programs one whole page as the file's next. Runs with mu held.
+	writePage func(f *file, page []byte) (time.Duration, error)
 	freeFile  func(f *file) (time.Duration, error)
 }
 
@@ -115,7 +119,7 @@ func (c *core) Create(name string) (Writer, error) {
 	if _, ok := c.files[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	f := &file{writing: true}
+	f := &file{writing: true, tail: make([]byte, 0, c.pageSize)}
 	c.files[name] = f
 	return &writer{c: c, f: f, name: name}, nil
 }
@@ -189,26 +193,67 @@ type writer struct {
 	closed bool
 }
 
+// Append tops up the open partial page, programs every whole page
+// straight from p, and keeps what is left over — less than a page — in
+// the tail. All of p is in the file when it returns, error or not: the
+// pages the device refused wait in the tail, which grows past a page to
+// hold them, and the next Append, Sync or Close programs them first. A
+// record is therefore never torn by a refusal, only late.
 func (w *writer) Append(p []byte) (int64, time.Duration, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, 0, ErrClosed
 	}
-	c := w.c
+	c, f := w.c, w.f
 	c.mu.Lock()
-	off := w.f.length
-	w.f.tail = append(w.f.tail, p...)
-	w.f.length += int64(len(p))
-	var cost time.Duration
-	var err error
-	if len(w.f.tail) >= c.pageSize {
-		cost, err = c.writeTail(w.f)
+	defer c.mu.Unlock()
+	off := f.length
+	f.length += int64(len(p))
+	cost, err := c.flushFullTail(f) // pages refused earlier, if any
+	if err == nil && len(f.tail) > 0 {
+		n := copy(f.tail[len(f.tail):c.pageSize], p)
+		f.tail = f.tail[:len(f.tail)+n]
+		p = p[n:]
+		var oc time.Duration
+		oc, err = c.flushFullTail(f)
+		cost += oc
 	}
-	c.mu.Unlock()
+	for err == nil && len(p) >= c.pageSize {
+		var oc time.Duration
+		oc, err = c.writePage(f, p[:c.pageSize])
+		cost += oc
+		if err == nil {
+			p = p[c.pageSize:]
+		}
+	}
+	f.tail = append(f.tail, p...)
 	return off, cost, err
 }
 
+// flushFullTail programs the whole pages in the tail — one when it has just
+// filled, more after a refusal — and moves what is left to its front. Runs
+// with mu held.
+func (c *core) flushFullTail(f *file) (time.Duration, error) {
+	var cost time.Duration
+	var err error
+	done := 0
+	for err == nil && len(f.tail)-done >= c.pageSize {
+		var oc time.Duration
+		oc, err = c.writePage(f, f.tail[done:done+c.pageSize])
+		cost += oc
+		if err == nil {
+			done += c.pageSize
+		}
+	}
+	if done > 0 {
+		f.tail = f.tail[:copy(f.tail, f.tail[done:])]
+	}
+	return cost, err
+}
+
+// Sync has nothing to flush unless the device refused a full tail page
+// earlier: Append programs complete pages as they fill.
 func (w *writer) Sync() (time.Duration, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -217,7 +262,7 @@ func (w *writer) Sync() (time.Duration, error) {
 	}
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
-	return w.c.writeTail(w.f)
+	return w.c.flushFullTail(w.f)
 }
 
 func (w *writer) Close() (time.Duration, error) {
@@ -227,21 +272,23 @@ func (w *writer) Close() (time.Duration, error) {
 		return 0, ErrClosed
 	}
 	w.closed = true
-	c := w.c
+	c, f := w.c, w.f
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cost, err := c.writeTail(w.f)
-	if err == nil && len(w.f.tail) > 0 {
-		// Pad the final partial page onto flash.
-		pad := make([]byte, c.pageSize)
-		copy(pad, w.f.tail)
-		w.f.tail = append(w.f.tail[:0], pad...)
+	cost, err := c.flushFullTail(f)
+	if err == nil && len(f.tail) > 0 {
+		// Pad the final partial page onto flash, in place. The padding is
+		// physical only: length keeps counting appended bytes.
+		page := f.tail[:c.pageSize]
+		clear(page[len(f.tail):])
 		var c2 time.Duration
-		c2, err = c.writeTail(w.f)
+		c2, err = c.writePage(f, page)
 		cost += c2
-		// Trim the logical length back: padding is physical only.
 	}
-	w.f.writing = false
+	if err == nil {
+		f.tail = nil
+	}
+	f.writing = false
 	return cost, err
 }
 
@@ -274,49 +321,36 @@ func (r *reader) ReadAt(p []byte, off int64) (int, time.Duration, error) {
 		c.mu.Unlock()
 		return 0, 0, fmt.Errorf("%w: off %d at end of file", ErrOffset, off)
 	}
-	want := int64(len(p))
-	if off+want > length {
-		want = length - off
+	want := min(int64(len(p)), length-off)
+	// Take the page refs and the tail bytes under the lock; device reads
+	// happen outside it so concurrent appends aren't blocked by flash
+	// latency. The refs are a view, not a copy: pages is append-only, so
+	// the elements below its length never change. The tail page is the
+	// writer's to reuse, so what this read wants of it goes into p now —
+	// from memory, at no device cost.
+	flushed := int64(len(r.f.pages)) * int64(c.pageSize)
+	onFlash := want // bytes of the read that lie in flushed pages
+	if end := off + want; end > flushed {
+		from := max(off, flushed)
+		copy(p[from-off:want], r.f.tail[from-flushed:end-flushed])
+		onFlash = from - off
 	}
-	// Snapshot the page refs and tail under the lock; device reads happen
-	// outside it so concurrent appends aren't blocked by flash latency.
-	// Only the refs and tail bytes this read touches are copied: a
-	// record-sized read against a large file must not pay for the whole
-	// file's page table on every call.
-	flushedBytes := int64(len(r.f.pages)) * int64(c.pageSize)
 	var refs []int32
-	var firstPage int64
-	if off < flushedBytes {
-		firstPage = off / int64(c.pageSize)
-		lastPage := (off + want - 1) / int64(c.pageSize)
-		if lastPage >= int64(len(r.f.pages)) {
-			lastPage = int64(len(r.f.pages)) - 1
-		}
-		refs = append([]int32(nil), r.f.pages[firstPage:lastPage+1]...)
-	}
-	var tail []byte
-	if off+want > flushedBytes {
-		tail = append([]byte(nil), r.f.tail...)
+	firstPage := off / int64(c.pageSize)
+	if onFlash > 0 {
+		refs = r.f.pages[firstPage : (off+onFlash-1)/int64(c.pageSize)+1]
 	}
 	c.mu.Unlock()
 
 	var cost time.Duration
-	n := 0
-	for n < int(want) {
+	for n := 0; n < int(onFlash); {
 		cur := off + int64(n)
-		if cur >= flushedBytes {
-			// Served from the in-memory tail buffer: no device cost.
-			n += copy(p[n:want], tail[cur-flushedBytes:])
-			continue
-		}
-		pageIdx := cur/int64(c.pageSize) - firstPage
-		inPage := int(cur % int64(c.pageSize))
-		data, oc, err := c.readPage(refs[pageIdx])
+		got, oc, err := c.readPage(refs[cur/int64(c.pageSize)-firstPage], int(cur%int64(c.pageSize)), p[n:onFlash])
 		cost += oc
 		if err != nil {
 			return n, cost, err
 		}
-		n += copy(p[n:want], data[inPage:])
+		n += got
 	}
-	return n, cost, nil
+	return int(want), cost, nil
 }

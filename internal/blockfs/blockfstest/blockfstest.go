@@ -16,6 +16,10 @@ type FS struct {
 	// ReadAt runs before every Reader.ReadAt, on the reading goroutine:
 	// a hook that blocks parks the read.
 	ReadAt func(name string, off int64)
+	// Flip runs after every Reader.ReadAt on the bytes it read, p[0] being
+	// the file's byte off: a hook that changes one is a bit flipped on
+	// flash under the read.
+	Flip func(name string, off int64, p []byte)
 	// Append runs before every Writer.Append; a non-nil error is returned
 	// in place of appending.
 	Append func(name string, p []byte) error
@@ -31,7 +35,7 @@ func (f *FS) Create(name string) (blockfs.Writer, error) {
 
 func (f *FS) Open(name string) (blockfs.Reader, error) {
 	r, err := f.FS.Open(name)
-	if err != nil || f.ReadAt == nil {
+	if err != nil || (f.ReadAt == nil && f.Flip == nil) {
 		return r, err
 	}
 	return reader{r, f, name}, nil
@@ -57,6 +61,12 @@ type reader struct {
 }
 
 func (r reader) ReadAt(p []byte, off int64) (int, time.Duration, error) {
-	r.fs.ReadAt(r.name, off)
-	return r.Reader.ReadAt(p, off)
+	if r.fs.ReadAt != nil {
+		r.fs.ReadAt(r.name, off)
+	}
+	n, cost, err := r.Reader.ReadAt(p, off)
+	if r.fs.Flip != nil {
+		r.fs.Flip(r.name, off, p[:n])
+	}
+	return n, cost, err
 }

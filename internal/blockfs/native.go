@@ -26,45 +26,35 @@ func NewNativeFS(dev *ssd.Device) *NativeFS {
 		dev:      dev,
 	}
 	fs.core.readPage = fs.readPageRef
-	fs.core.writeTail = fs.flushTail
+	fs.core.writePage = fs.writePage
 	fs.core.freeFile = fs.releaseFile
 	return fs
 }
 
-func (fs *NativeFS) readPageRef(ref int32) ([]byte, time.Duration, error) {
-	blockID := int(ref) / fs.ppb
-	page := int(ref) % fs.ppb
-	return fs.dev.ReadPage(ssd.OwnerNative, blockID, page)
+func (fs *NativeFS) readPageRef(ref int32, inPage int, dst []byte) (int, time.Duration, error) {
+	return fs.dev.ReadPage(ssd.OwnerNative, int(ref)/fs.ppb, int(ref)%fs.ppb, inPage, dst)
 }
 
-// flushTail moves every complete page from f.tail onto flash. Runs with
-// core.mu held.
-func (fs *NativeFS) flushTail(f *file) (time.Duration, error) {
-	var total time.Duration
-	for len(f.tail) >= fs.pageSize {
-		pageInBlock := len(f.pages) % fs.ppb
-		var blockID int
-		if pageInBlock == 0 {
-			id, err := fs.dev.AllocBlock(ssd.OwnerNative)
-			if err != nil {
-				return total, err
-			}
-			blockID = id
-		} else {
-			blockID = int(f.pages[len(f.pages)-1]) / fs.ppb
-		}
-		cost, err := fs.dev.ProgramPage(ssd.OwnerNative, blockID, pageInBlock, f.tail[:fs.pageSize])
-		total += cost
+// writePage programs page as the file's next, opening a fresh erase
+// block when the last one is full. Runs with core.mu held.
+func (fs *NativeFS) writePage(f *file, page []byte) (time.Duration, error) {
+	pageInBlock := len(f.pages) % fs.ppb
+	var blockID int
+	if pageInBlock == 0 {
+		id, err := fs.dev.AllocBlock(ssd.OwnerNative)
 		if err != nil {
-			return total, err
+			return 0, err
 		}
-		f.pages = append(f.pages, int32(blockID*fs.ppb+pageInBlock))
-		f.tail = f.tail[fs.pageSize:]
+		blockID = id
+	} else {
+		blockID = int(f.pages[len(f.pages)-1]) / fs.ppb
 	}
-	if len(f.tail) == 0 {
-		f.tail = nil
+	cost, err := fs.dev.ProgramPage(ssd.OwnerNative, blockID, pageInBlock, page[:fs.pageSize])
+	if err != nil {
+		return cost, err
 	}
-	return total, nil
+	f.pages = append(f.pages, int32(blockID*fs.ppb+pageInBlock))
+	return cost, nil
 }
 
 // releaseFile erases every block the file occupied. All pages in those
@@ -116,13 +106,13 @@ func NewFTLFS(ftl *ssd.FTL) *FTLFS {
 		dev:      ftl.Device(),
 	}
 	fs.core.readPage = fs.readPageRef
-	fs.core.writeTail = fs.flushTail
+	fs.core.writePage = fs.writePage
 	fs.core.freeFile = fs.releaseFile
 	return fs
 }
 
-func (fs *FTLFS) readPageRef(ref int32) ([]byte, time.Duration, error) {
-	return fs.ftl.Read(int(ref))
+func (fs *FTLFS) readPageRef(ref int32, inPage int, dst []byte) (int, time.Duration, error) {
+	return fs.ftl.Read(int(ref), inPage, dst)
 }
 
 // allocLPN hands out a free logical page. Runs with core.mu held.
@@ -140,25 +130,19 @@ func (fs *FTLFS) allocLPN() (int, error) {
 	return lpn, nil
 }
 
-func (fs *FTLFS) flushTail(f *file) (time.Duration, error) {
-	var total time.Duration
-	for len(f.tail) >= fs.pageSize {
-		lpn, err := fs.allocLPN()
-		if err != nil {
-			return total, err
-		}
-		cost, err := fs.ftl.Write(lpn, f.tail[:fs.pageSize])
-		total += cost
-		if err != nil {
-			return total, err
-		}
-		f.pages = append(f.pages, int32(lpn))
-		f.tail = f.tail[fs.pageSize:]
+// writePage programs page at a fresh logical page as the file's next.
+// Runs with core.mu held.
+func (fs *FTLFS) writePage(f *file, page []byte) (time.Duration, error) {
+	lpn, err := fs.allocLPN()
+	if err != nil {
+		return 0, err
 	}
-	if len(f.tail) == 0 {
-		f.tail = nil
+	cost, err := fs.ftl.Write(lpn, page[:fs.pageSize])
+	if err != nil {
+		return cost, err
 	}
-	return total, nil
+	f.pages = append(f.pages, int32(lpn))
+	return cost, nil
 }
 
 func (fs *FTLFS) releaseFile(f *file) (time.Duration, error) {

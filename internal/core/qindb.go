@@ -345,7 +345,7 @@ func (db *DB) Close() error {
 }
 
 // checkKey refuses, before anything is appended, the keys a record
-// cannot hold: aof.Encode would write a truncated length, and the record
+// cannot hold: aof.AppendRecord would write a truncated length, and the record
 // would fail its checksum on every later read, GC pass and recovery.
 func checkKey(key []byte) error {
 	if len(key) == 0 {
@@ -508,17 +508,26 @@ func decodeBase(value []byte) (uint64, bool) {
 }
 
 // Get returns the value stored under (key, version), following the dedup
-// traceback when the entry's value field was removed (paper Fig. 2). The
-// returned cost is the simulated device time spent.
+// traceback when the entry's value field was removed (paper Fig. 2), in a
+// buffer of its own that the caller owns. The returned cost is the
+// simulated device time spent.
 func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
+	return db.GetAppend(nil, key, version)
+}
+
+// GetAppend is Get into the caller's buffer: the value is appended to dst
+// and the extended slice returned, reallocated only if dst's capacity
+// falls short (see aof.Store.ReadAppend). The record's checksum is
+// verified before any of it counts as appended; on an error dst comes back
+// with the length and contents it had.
+func (db *DB) GetAppend(dst, key []byte, version uint64) ([]byte, time.Duration, error) {
 	db.mu.RLock()
-	val, cost, traced, err := db.readLocked(key, version)
+	out, cost, traced, err := db.readLocked(dst, key, version)
 	db.mu.RUnlock()
-	if err != nil {
-		return nil, cost, err
+	if err == nil {
+		db.countGet(len(out)-len(dst), cost, traced)
 	}
-	db.countGet(val, cost, traced)
-	return val, cost, nil
+	return out, cost, err
 }
 
 // deletedLocked reports whether a reader must answer for the item at
@@ -528,20 +537,21 @@ func (db *DB) deletedLocked(version uint64, it item) bool {
 	return it.has(fDeleted) || (db.isRetiring && version == db.retiring)
 }
 
-// readLocked resolves (key, version) to a record and reads it, all in the
-// caller's one shared hold of db.mu: the file a ref points into is only
-// ever erased under the exclusive lock, after every kept record has been
-// re-pointed, so a ref resolved in this hold stays readable to its end.
-func (db *DB) readLocked(key []byte, version uint64) (val []byte, cost time.Duration, traced bool, err error) {
+// readLocked resolves (key, version) to a record and appends its value to
+// dst, all in the caller's one shared hold of db.mu: the file a ref points
+// into is only ever erased under the exclusive lock, after every kept
+// record has been re-pointed, so a ref resolved in this hold stays
+// readable to its end. On an error it returns dst unextended.
+func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time.Duration, traced bool, err error) {
 	if db.closed {
-		return nil, 0, false, ErrClosed
+		return dst, 0, false, ErrClosed
 	}
 	it, ok := db.table.Get(ikey{string(key), version})
 	if !ok {
-		return nil, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
+		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
 	if db.deletedLocked(version, it) {
-		return nil, 0, false, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
+		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	}
 	// Resolve the ref to read from: the item itself, or — when r is set —
 	// the base entry bound at PUT time.
@@ -549,25 +559,25 @@ func (db *DB) readLocked(key []byte, version uint64) (val []byte, cost time.Dura
 	if it.has(fDedup) {
 		traced = true
 		if !it.has(fHasBase) {
-			return nil, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
+			return dst, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
 		}
 		baseItem, ok := db.table.Get(ikey{string(key), it.base})
 		if !ok || baseItem.has(fDedup) {
-			return nil, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
+			return dst, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
 		}
 		ref = baseItem.ref
 	}
-	rec, cost, err := db.store.Read(ref)
-	return rec.Value, cost, traced, err
+	out, cost, err = db.store.ReadAppend(dst, ref)
+	return out, cost, traced, err
 }
 
-// countGet accounts one successful read.
-func (db *DB) countGet(val []byte, cost time.Duration, traced bool) {
+// countGet accounts one successful read of n value bytes.
+func (db *DB) countGet(n int, cost time.Duration, traced bool) {
 	db.gets.Add(1)
 	if traced {
 		db.met.tracebacks.Inc()
 	}
-	db.userReadBytes.Add(int64(len(val)))
+	db.userReadBytes.Add(int64(n))
 	db.met.getCost.Observe(float64(cost) / float64(time.Microsecond))
 }
 
@@ -597,12 +607,12 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 		db.mu.RUnlock()
 		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	val, cost, traced, err := db.readLocked(key, ver)
+	val, cost, traced, err := db.readLocked(nil, key, ver)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, ver, cost, err
 	}
-	db.countGet(val, cost, traced)
+	db.countGet(len(val), cost, traced)
 	return val, ver, cost, nil
 }
 

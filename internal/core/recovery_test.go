@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"directload/internal/aof"
 	"directload/internal/blockfs"
+	"directload/internal/ssd"
 )
 
 // reopen simulates a crash: the memtable is lost and the DB is rebuilt
@@ -559,12 +561,10 @@ func TestReviveAfterRelocatedDropSurvivesRecovery(t *testing.T) {
 }
 
 // TestRecoveryMemoryGrowsWithKeys recovers 4 versions x 2,000 keys x
-// 20 KB (160 MB on flash, no checkpoint) and bounds what Open allocates
-// beyond the device's own page buffers — blockfs hands every page read
-// back in a fresh buffer, which is the simulated flash's cost and the same
-// for any scan. What is left is recovery's: the scan buffers, one per
-// file, and a key-sized entry per record replayed. At commit 99941ed it
-// was two more copies of every value.
+// 20 KB (160 MB on flash, no checkpoint) and bounds everything Open
+// allocates: the scan buffers, one per file — the flash reads land in
+// them — and a key-sized entry per record replayed. At commit 99941ed it
+// was two more copies of every value, at 8edad56 a buffer per page read.
 func TestRecoveryMemoryGrowsWithKeys(t *testing.T) {
 	const versions, keys, valLen = 4, 2000, 20 << 10
 	fs := testFS(t, 1024) // 256 MB device
@@ -588,21 +588,19 @@ func TestRecoveryMemoryGrowsWithKeys(t *testing.T) {
 
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	pages0 := fs.Device().Stats().SysReadBytes
 	db2, err := Open(fs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	pages := fs.Device().Stats().SysReadBytes - pages0
 	runtime.ReadMemStats(&m1)
-	own := int64(m1.TotalAlloc-m0.TotalAlloc) - pages
+	alloc := int64(m1.TotalAlloc - m0.TotalAlloc)
 	files := int64(db2.Stats().Store.Files)
-	if limit := int64(versions*keys)*1024 + files*(2<<20) + 1<<20; own > limit {
-		t.Fatalf("Open allocated %d MB beyond %d MB of device page buffers; limit %d MB for %d records in %d files",
-			own>>20, pages>>20, limit>>20, versions*keys, files)
+	if limit := int64(versions*keys)*1024 + files*(2<<20) + 1<<20; alloc > limit {
+		t.Fatalf("Open allocated %d MB; limit %d MB for %d records in %d files",
+			alloc>>20, limit>>20, versions*keys, files)
 	}
-	t.Logf("Open allocated %d KB of its own for %d records (%d MB of page buffers)", own>>10, versions*keys, pages>>20)
+	t.Logf("Open allocated %d KB for %d records in %d files", alloc>>10, versions*keys, files)
 
 	got := snapshotState(t, db2)
 	if fmt.Sprint(got.items) != fmt.Sprint(want.items) || fmt.Sprint(got.versions) != fmt.Sprint(want.versions) ||
@@ -615,4 +613,70 @@ func TestRecoveryMemoryGrowsWithKeys(t *testing.T) {
 			t.Fatalf("recovered value of %s/%d differs", k.key, k.ver)
 		}
 	}
+}
+
+// TestRefusedPutTearsNoRecord: the device runs out of blocks in the middle
+// of a record, space comes back, and writing goes on in the same file.
+// The refused record is late, not torn (blockfs keeps what the device would
+// not take and programs it first next time), so every file still scans as
+// whole records, GC can collect it, and a restart recovers.
+func TestRefusedPutTearsNoRecord(t *testing.T) {
+	fs := testFS(t, 6) // 1.5 MB
+	ballast, err := fs.Create("ballast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ballast.Append(make([]byte, 3*256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	ballast.Close()
+	opts := testOptions() // 1 MB files: the three blocks left end inside the first
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 30000) }
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	n := 0
+	for ; err == nil; n++ {
+		_, err = db.Put(key(n), 1, val(n), false)
+	}
+	n-- // the refused one
+	if !errors.Is(err, ssd.ErrNoFreeBlocks) || n != 3*256<<10/aof.EncodedLen(8, 30000) {
+		t.Fatalf("precondition: Put %d refused in mid-record by a full device; got %v", n, err)
+	}
+	if _, err := fs.Remove("ballast"); err != nil {
+		t.Fatal(err)
+	}
+	for i := n + 1; i < n+6; i++ {
+		if _, err := db.Put(key(i), 1, val(i), false); err != nil {
+			t.Fatalf("Put with space again: %v", err)
+		}
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		for _, id := range db.store.Files() {
+			if err := db.store.ScanFile(id, func(aof.Record, aof.Ref) error { return nil }); err != nil {
+				t.Fatalf("%s: ScanFile(%d): %v", when, id, err)
+			}
+		}
+		for i := 0; i < n+6; i++ {
+			if i == n {
+				continue // refused: it may or may not have been written
+			}
+			if got, _, err := db.Get(key(i), 1); err != nil || !bytes.Equal(got, val(i)) {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v", when, key(i), len(got), err)
+			}
+		}
+	}
+	check(db, "before the restart")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(fs, opts)
+	if err != nil {
+		t.Fatalf("Open after a refused Put: %v", err)
+	}
+	defer db.Close()
+	check(db, "after the restart")
 }

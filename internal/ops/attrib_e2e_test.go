@@ -67,7 +67,12 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	val := make([]byte, 2048)
+	// A get or a put allocates next to nothing in the steady state, and the
+	// runtime counts small objects a span at a time. 40 KB values make the
+	// two allocations that must happen large objects, which it counts at
+	// once: a device block's buffer on its first program, and the scratch
+	// buffer of the RESP connection's first GET.
+	val := make([]byte, 40<<10)
 	for i := 0; i < 16; i++ {
 		key := []byte{'k', byte('0' + i%10), byte('a' + i/10)}
 		if err := cl.PutContext(ctx, key, 1, val, false); err != nil {

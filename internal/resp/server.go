@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 	"directload/internal/server"
@@ -158,6 +159,11 @@ type conn struct {
 	r   *Reader
 	w   *Writer
 
+	// scratch is where GET and MGET values land on their way to the reply
+	// writer, which copies them: one buffer per burst worker, reused from
+	// command to command. Worker 0's serves the serial commands.
+	scratch [getBurstWorkers][]byte
+
 	version uint64 // engine version commands address (SELECT; default 1)
 	multi   bool
 	aborted bool // a queue-time error poisons the transaction
@@ -270,8 +276,7 @@ func isPlainGet(args [][]byte) bool {
 // serial traffic.
 func (c *conn) runGetBurst(ctx context.Context, keys [][]byte) {
 	if len(keys) == 1 {
-		val, err := c.srv.backend.Get(ctx, keys[0], c.version)
-		c.writeGetReply(val, err)
+		c.get(ctx, keys[0])
 		return
 	}
 	type result struct {
@@ -283,21 +288,45 @@ func (c *conn) runGetBurst(ctx context.Context, keys [][]byte) {
 	var wg sync.WaitGroup
 	for w := 0; w < min(len(keys), getBurstWorkers); w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			// The worker's values go end to end into its scratch buffer.
+			// Should that grow mid-burst, the earlier values stay where
+			// they were, in the buffer it grew out of.
+			buf := c.scratch[w][:0]
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(keys) {
-					return
+					break
 				}
-				results[i].val, results[i].err = c.srv.backend.Get(ctx, keys[i], c.version)
+				at := len(buf)
+				buf, results[i].err = c.srv.backend.GetAppend(ctx, buf, keys[i], c.version)
+				results[i].val = buf[at:]
 			}
-		}()
+			c.scratch[w] = keepScratch(buf)
+		}(w)
 	}
 	wg.Wait()
 	for _, r := range results {
 		c.writeGetReply(r.val, r.err)
 	}
+}
+
+// keepScratch is what a connection holds on to of a scratch buffer between
+// commands: all of it, or nothing when it has grown past aof.KeepBuffer.
+func keepScratch(buf []byte) []byte {
+	if cap(buf) > aof.KeepBuffer {
+		return nil
+	}
+	return buf
+}
+
+// get runs one GET through the connection's scratch buffer and writes
+// its reply.
+func (c *conn) get(ctx context.Context, key []byte) {
+	val, err := c.srv.backend.GetAppend(ctx, c.scratch[0][:0], key, c.version)
+	c.writeGetReply(val, err)
+	c.scratch[0] = keepScratch(val)
 }
 
 // dispatch routes one command, honoring MULTI queueing.
@@ -429,8 +458,7 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 	case "ECHO":
 		c.w.WriteBulk(args[1])
 	case "GET":
-		val, err := b.Get(ctx, args[1], c.version)
-		c.writeGetReply(val, err)
+		c.get(ctx, args[1])
 	case "SET":
 		if err := b.Put(ctx, args[1], c.version, args[2], false); err != nil {
 			c.w.WriteError(classify(err), err.Error())
@@ -463,12 +491,13 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 	case "MGET":
 		c.w.WriteArrayHeader(len(args) - 1)
 		for _, key := range args[1:] {
-			val, err := b.Get(ctx, key, c.version)
+			val, err := b.GetAppend(ctx, c.scratch[0][:0], key, c.version)
+			c.scratch[0] = keepScratch(val)
 			if err != nil {
 				c.w.WriteNil()
 				continue
 			}
-			c.w.WriteBulk(val)
+			c.writeGetReply(val, nil)
 		}
 	case "MSET":
 		ops := make([]server.BatchOp, 0, (len(args)-1)/2)
@@ -507,11 +536,14 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 }
 
 // writeGetReply encodes a Get outcome: missing and deleted keys answer
-// the canonical nil bulk, every other failure is an error reply.
+// the canonical nil bulk — as an empty value always has here — and every
+// other failure is an error reply.
 func (c *conn) writeGetReply(val []byte, err error) {
 	switch {
-	case err == nil:
+	case err == nil && len(val) > 0:
 		c.w.WriteBulk(val)
+	case err == nil:
+		c.w.WriteNil()
 	case errors.Is(err, core.ErrNotFound), errors.Is(err, core.ErrDeleted):
 		c.w.WriteNil()
 	default:

@@ -61,6 +61,11 @@ func startRESP(t *testing.T, b *server.Backend) (*Server, *Client) {
 			t.Error("resp Serve did not return after Close")
 		}
 	})
+	// A RESP connection has no handshake to wait on: the caller may use
+	// srv.Addr, which is nil until Serve has taken the listener.
+	for srv.Addr() == nil {
+		time.Sleep(100 * time.Microsecond)
+	}
 	cl, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -586,6 +591,90 @@ func bufReadAll(nc net.Conn) ([]byte, error) {
 				return out, nil
 			}
 			return nil, err
+		}
+	}
+}
+
+// TestGetBurstsShareNoBytes pipelines bursts of GETs — values of uneven
+// size, missing keys among them, an MGET between bursts — over one
+// connection, round after round. The values land in per-connection scratch
+// buffers that the next command reuses, so a reply written from the wrong
+// one, or after it was overwritten, comes back as another key's bytes.
+func TestGetBurstsShareNoBytes(t *testing.T) {
+	_, cl := startRESP(t, newBackend(t, nil))
+	const keys = 40
+	value := func(k, round int) string {
+		return strings.Repeat(fmt.Sprintf("<%02d/%d>", k, round), 1+(k*37+round*11)%300)
+	}
+	for round := 0; round < 30; round++ {
+		for k := 0; k < keys; k++ {
+			mustDo(t, cl, "SET", fmt.Sprintf("burst-%02d", k), value(k, round))
+		}
+		for k := 0; k < keys; k++ {
+			if err := cl.SendStrings("GET", fmt.Sprintf("burst-%02d", k)); err != nil {
+				t.Fatal(err)
+			}
+			if k%8 == 7 {
+				if err := cl.SendStrings("GET", "no-such-key"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := cl.SendStrings("MGET", "burst-00", "no-such-key", "burst-39"); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < keys; k++ {
+			if r, err := cl.Receive(); err != nil || string(r.Bulk) != value(k, round) {
+				t.Fatalf("round %d: GET burst-%02d = %d bytes, %v; want the %d stored", round, k, len(r.Bulk), err, len(value(k, round)))
+			}
+			if k%8 == 7 {
+				if r, err := cl.Receive(); err != nil || !r.IsNil() {
+					t.Fatalf("round %d: GET of a missing key = %+v, %v", round, r, err)
+				}
+			}
+		}
+		r, err := cl.Receive()
+		if err != nil || len(r.Array) != 3 || string(r.Array[0].Bulk) != value(0, round) ||
+			!r.Array[1].IsNil() || string(r.Array[2].Bulk) != value(39, round) {
+			t.Fatalf("round %d: MGET = %+v, %v", round, r, err)
+		}
+	}
+}
+
+// TestEmptyValueAnswersNil: an empty value has always been answered with
+// the nil bulk here — single GET, a pipelined burst of GETs and MGET alike,
+// whatever the connection's scratch buffers hold from earlier replies.
+func TestEmptyValueAnswersNil(t *testing.T) {
+	_, cl := startRESP(t, newBackend(t, nil))
+	mustDo(t, cl, "SET", "full", "some value")
+	mustDo(t, cl, "SET", "empty", "")
+	for round := 0; round < 2; round++ {
+		if r := mustDo(t, cl, "GET", "empty"); !r.IsNil() {
+			t.Fatalf("GET of an empty value = %+v, want nil", r)
+		}
+		if r := mustDo(t, cl, "GET", "full"); string(r.Bulk) != "some value" {
+			t.Fatalf("GET full = %+v", r)
+		}
+		for _, key := range []string{"full", "empty", "full", "empty"} {
+			if err := cl.SendStrings("GET", key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"full", "empty", "full", "empty"} {
+			r, err := cl.Receive()
+			if err != nil || r.IsNil() != (key == "empty") || (key == "full" && string(r.Bulk) != "some value") {
+				t.Fatalf("pipelined GET %s = %+v, %v", key, r, err)
+			}
+		}
+		r := mustDo(t, cl, "MGET", "empty", "full", "empty")
+		if len(r.Array) != 3 || !r.Array[0].IsNil() || string(r.Array[1].Bulk) != "some value" || !r.Array[2].IsNil() {
+			t.Fatalf("MGET = %+v", r)
 		}
 	}
 }

@@ -43,9 +43,14 @@ func TestBackendAttributionSampling(t *testing.T) {
 	ctx := context.Background()
 	val := make([]byte, 4096)
 
-	for i := 0; i < 32; i++ {
+	// Range is the op that must allocate: its reply over 2048 keys grows
+	// through slices of 40 KB and more, which the runtime's counters see
+	// at once (small objects are counted a span at a time). Put and Get
+	// need not allocate at all.
+	const keys = 2048
+	for i := 0; i < keys; i++ {
 		key := []byte(fmt.Sprintf("k-%04d", i))
-		if err := bk.Put(ctx, key, 1, val, false); err != nil {
+		if err := bk.Put(ctx, key, 1, val[:16+4080*(i%2)], false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,6 +58,11 @@ func TestBackendAttributionSampling(t *testing.T) {
 		key := []byte(fmt.Sprintf("k-%04d", i))
 		if _, err := bk.Get(ctx, key, 1); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		if entries, _, err := bk.Range(ctx, nil, nil, 0); err != nil || len(entries) != keys {
+			t.Fatalf("Range = %d entries, %v", len(entries), err)
 		}
 	}
 
@@ -64,27 +74,25 @@ func TestBackendAttributionSampling(t *testing.T) {
 	for _, e := range snap.Entries {
 		byOp[e.Op] = e
 	}
-	for _, op := range []string{"put", "get"} {
+	for _, op := range []string{"put", "get", "range"} {
 		e, ok := byOp[op]
 		if !ok {
 			t.Fatalf("op %q missing from attribution table: %+v", op, snap.Entries)
 		}
-		// 64 requests total at 1/4 sampling: each op sees ~8 samples;
-		// the interleaving guarantees at least a handful per op.
+		// At 1/4 sampling the 2048 puts see 512 samples, the 32 gets 8
+		// and the 16 ranges 4.
 		if e.Samples < 4 {
 			t.Errorf("op %q samples = %d, want >= 4", op, e.Samples)
 		}
-		if e.AllocBytesPerOp <= 0 {
-			t.Errorf("op %q alloc bytes/op = %v, want > 0", op, e.AllocBytesPerOp)
+		if e.AllocBytesPerOp < 0 {
+			t.Errorf("op %q alloc bytes/op = %v, want >= 0", op, e.AllocBytesPerOp)
 		}
 		if e.WallUsPerOp <= 0 {
 			t.Errorf("op %q wall us/op = %v, want > 0", op, e.WallUsPerOp)
 		}
 	}
-	// Puts move 4 KiB values; gets copy them back. Both should charge at
-	// least a value's worth of allocation per measured request.
-	if byOp["put"].AllocBytesPerOp < 1024 {
-		t.Errorf("put alloc bytes/op = %v, implausibly small", byOp["put"].AllocBytesPerOp)
+	if got := byOp["range"].AllocBytesPerOp; got < 40<<10 {
+		t.Errorf("range alloc bytes/op = %v, want at least its %d-entry reply", got, keys)
 	}
 
 	// The table is the only home of the sampled deltas: no per-op

@@ -184,17 +184,21 @@ func (b *Backend) Put(ctx context.Context, key []byte, version uint64, value []b
 	return err
 }
 
-// Get fetches the value at (key, version), following dedup traceback.
-// The error is an engine sentinel (core.ErrNotFound, core.ErrDeleted)
-// or an engine failure; transports map it to their wire vocabulary.
+// Get fetches the value at (key, version), following dedup traceback, in
+// a buffer the caller owns. The error is an engine sentinel
+// (core.ErrNotFound, core.ErrDeleted) or an engine failure; transports map
+// it to their wire vocabulary.
 func (b *Backend) Get(ctx context.Context, key []byte, version uint64) ([]byte, error) {
+	return b.GetAppend(ctx, nil, key, version)
+}
+
+// GetAppend is Get into the caller's buffer: the value is appended to dst
+// (see core.DB.GetAppend). On an error dst comes back unextended.
+func (b *Backend) GetAppend(ctx context.Context, dst, key []byte, version uint64) ([]byte, error) {
 	_, done := b.begin(ctx, OpGet)
-	val, _, err := b.db.Get(key, version)
+	out, _, err := b.db.GetAppend(dst, key, version)
 	done(key, err)
-	if err != nil {
-		return nil, err
-	}
-	return val, nil
+	return out, err
 }
 
 // Del marks (key, version) deleted.

@@ -549,7 +549,7 @@ func (w *wireConn) unregister(seq uint32) bool {
 // number. On connection death it fails every pending waiter.
 func (w *wireConn) readLoop() {
 	for {
-		seq, frame, err := readFrameSeq(w.br)
+		seq, frame, err := readFrameSeq(w.br, nil)
 		if err != nil {
 			w.bad.Store(true)
 			w.pmu.Lock()

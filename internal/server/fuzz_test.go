@@ -111,7 +111,7 @@ func FuzzFrameV2(f *testing.F) {
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > fuzzFrameCap {
 			return
 		}
-		seq, body, err := readFrameSeq(bytes.NewReader(data))
+		seq, body, err := readFrameSeq(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}

@@ -91,6 +91,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"directload/internal/aof"
 	"directload/internal/metrics"
@@ -198,9 +199,25 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	return readBody(r, nil, int(n))
+}
+
+// frameStep is the most a frame buffer grows ahead of the bytes received.
+const frameStep = 1 << 20
+
+// readBody reads an n-byte frame body into buf, reusing its capacity. The
+// length is only what the peer declared: room for more than frameStep of
+// it is made as the bytes arrive, so a peer that declares 64 MB and sends
+// nothing holds one step, not 64 MB.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		end := len(buf) + min(n-len(buf), frameStep)
+		buf = slices.Grow(buf, end-len(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return nil, err
+		}
+		buf = buf[:end]
 	}
 	return buf, nil
 }
@@ -247,8 +264,8 @@ func splitTraceHeader(body []byte) (metrics.SpanContext, []byte, error) {
 }
 
 // readFrameSeq reads one sequenced frame, returning its sequence number and
-// body.
-func readFrameSeq(r io.Reader) (uint32, []byte, error) {
+// its body, read into buf's capacity (see readBody).
+func readFrameSeq(r io.Reader, buf []byte) (uint32, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, err
@@ -263,12 +280,8 @@ func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return 0, nil, err
 	}
-	seq := binary.LittleEndian.Uint32(hdr[4:])
-	buf := make([]byte, n-4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return seq, buf, nil
+	body, err := readBody(r, buf, int(n-4))
+	return binary.LittleEndian.Uint32(hdr[4:]), body, err
 }
 
 // encodeRequest serializes a request body (without the frame header).
@@ -327,26 +340,33 @@ func decodeRequest(buf []byte) (request, error) {
 	return req, err
 }
 
-// encodeResponse serializes a response body.
+// respHeaderLen is what precedes a response's payload: status u8 |
+// payloadLen u32.
+const respHeaderLen = 5
+
+// appendResponse appends a response body — header, then payload — to dst.
+func appendResponse(dst []byte, status uint8, payload []byte) []byte {
+	dst = append(dst, status)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
+// encodeResponse serializes a response body into a buffer of its own.
 func encodeResponse(status uint8, payload []byte) []byte {
-	buf := make([]byte, 0, 1+4+len(payload))
-	buf = append(buf, status)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return buf
+	return appendResponse(make([]byte, 0, respHeaderLen+len(payload)), status, payload)
 }
 
 // decodeResponse parses a response body.
 func decodeResponse(buf []byte) (status uint8, payload []byte, err error) {
-	if len(buf) < 5 {
+	if len(buf) < respHeaderLen {
 		return 0, nil, fmt.Errorf("%w: short response", ErrBadFrame)
 	}
 	status = buf[0]
 	n := int(binary.LittleEndian.Uint32(buf[1:]))
-	if len(buf) < 5+n {
+	if len(buf) < respHeaderLen+n {
 		return 0, nil, fmt.Errorf("%w: short payload", ErrBadFrame)
 	}
-	return status, buf[5 : 5+n], nil
+	return status, buf[respHeaderLen : respHeaderLen+n], nil
 }
 
 // RangeEntry is one (key, version) hit returned by OpRange.

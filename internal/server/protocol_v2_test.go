@@ -73,7 +73,7 @@ func TestHelloReplyBytes(t *testing.T) {
 			if err := writeFrameSeq(conn, 7, reqBody(t, request{Op: OpPing})); err != nil {
 				t.Fatal(err)
 			}
-			seq, body, err := readFrameSeq(conn)
+			seq, body, err := readFrameSeq(conn, nil)
 			if err != nil || seq != 7 {
 				t.Fatalf("sequenced ping = seq %d, %v", seq, err)
 			}
@@ -188,7 +188,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		}
 		var reqs []pending
 		for len(reqs) < 2 {
-			seq, body, err := readFrameSeq(conn)
+			seq, body, err := readFrameSeq(conn, nil)
 			if err != nil {
 				return
 			}
@@ -422,7 +422,7 @@ func TestDeadlineExpiryMidFrame(t *testing.T) {
 				writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2}))
 				reqs := 0
 				for {
-					seq, _, err := readFrameSeq(conn)
+					seq, _, err := readFrameSeq(conn, nil)
 					if err != nil {
 						return
 					}
@@ -479,7 +479,7 @@ func TestDialTimeoutOption(t *testing.T) {
 		writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2}))
 		// Then never answer anything again.
 		for {
-			if _, _, err := readFrameSeq(conn); err != nil {
+			if _, _, err := readFrameSeq(conn, nil); err != nil {
 				return
 			}
 		}
@@ -588,14 +588,14 @@ func TestInFlightWindowBlocks(t *testing.T) {
 			}
 			var seqs []uint32
 			for len(seqs) < window {
-				seq, _, err := readFrameSeq(conn)
+				seq, _, err := readFrameSeq(conn, nil)
 				if err != nil {
 					return err
 				}
 				seqs = append(seqs, seq)
 			}
 			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-			if seq, _, err := readFrameSeq(conn); err == nil {
+			if seq, _, err := readFrameSeq(conn, nil); err == nil {
 				return fmt.Errorf("request %d arrived with %d already unanswered", seq, window)
 			}
 			conn.SetReadDeadline(time.Time{})
@@ -605,7 +605,7 @@ func TestInFlightWindowBlocks(t *testing.T) {
 				}
 				seqs = seqs[1:]
 				if seen < callers { // the freed slot lets one more through
-					seq, _, err := readFrameSeq(conn)
+					seq, _, err := readFrameSeq(conn, nil)
 					if err != nil {
 						return err
 					}
@@ -644,7 +644,7 @@ func TestSeqFrameCodec(t *testing.T) {
 	if err := writeFrameSeq(&buf, 42, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	seq, body, err := readFrameSeq(&buf)
+	seq, body, err := readFrameSeq(&buf, nil)
 	if err != nil || seq != 42 || string(body) != "hello" {
 		t.Fatalf("round trip = %d, %q, %v", seq, body, err)
 	}
@@ -653,7 +653,7 @@ func TestSeqFrameCodec(t *testing.T) {
 	hdr := binary.LittleEndian.AppendUint32(nil, 2)
 	runt.Write(hdr)
 	runt.Write([]byte{0, 0})
-	if _, _, err := readFrameSeq(&runt); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := readFrameSeq(&runt, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("runt err = %v", err)
 	}
 }

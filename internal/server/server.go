@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"log"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 )
@@ -270,54 +272,133 @@ type seqResp struct {
 	body []byte
 }
 
+// freeList recycles one connection's buffers of one kind — request frames
+// or reply bodies: a buffered channel, so it holds at most its capacity
+// (the connection's maxInFlight) and neither end ever blocks on it.
+type freeList chan []byte
+
+// get returns a recycled buffer, emptied, or nil when there is none.
+func (f freeList) get() []byte {
+	select {
+	case buf := <-f:
+		return buf[:0]
+	default:
+		return nil
+	}
+}
+
+// put hands buf back, unless it is larger than anything keeps
+// (aof.KeepBuffer). The caller must hold the only reference to it.
+func (f freeList) put(buf []byte) {
+	if cap(buf) == 0 || cap(buf) > aof.KeepBuffer {
+		return
+	}
+	select {
+	case f <- buf:
+	default:
+	}
+}
+
+// respWriter is a connection's writer goroutine: it serializes the
+// out-of-order completions back onto the wire, coalescing whatever has
+// accumulated into one write per syscall, and hands each body back to the
+// connection's free list once its bytes are copied or written.
+type respWriter struct {
+	conn   net.Conn
+	bodies freeList
+	// buf is the coalescing buffer. Frames are added while it holds less
+	// than maxCoalesce and each adds less than maxCoalesce, so it never
+	// outgrows the capacity it starts with.
+	buf []byte
+}
+
+func newRespWriter(conn net.Conn, bodies freeList) *respWriter {
+	return &respWriter{conn: conn, bodies: bodies, buf: make([]byte, 0, 2*maxCoalesce)}
+}
+
+// run writes responses until respCh is closed. After a write error it
+// closes the connection, to unblock the reader, and drains respCh so that
+// workers never block.
+func (w *respWriter) run(respCh <-chan seqResp) {
+	var werr error
+	for r := range respCh {
+		if werr != nil {
+			continue
+		}
+		w.buf = w.buf[:0]
+	coalesce:
+		for {
+			if werr = w.add(r); werr != nil || len(w.buf) >= maxCoalesce {
+				break
+			}
+			var ok bool
+			select {
+			case r, ok = <-respCh:
+				if !ok {
+					break coalesce
+				}
+			default:
+				break coalesce
+			}
+		}
+		if werr == nil && len(w.buf) > 0 {
+			_, werr = w.conn.Write(w.buf)
+		}
+		if werr != nil {
+			w.conn.Close()
+		}
+	}
+}
+
+// add appends one frame to the coalescing buffer — or, when the body
+// alone is a write's worth, sends what has accumulated, the frame's header
+// and the body where it lies in one writev, copying nothing.
+func (w *respWriter) add(r seqResp) error {
+	defer w.bodies.put(r.body)
+	if 8+len(r.body) <= maxCoalesce {
+		w.buf = appendFrameSeq(w.buf, r.seq, r.body)
+		return nil
+	}
+	pending := len(w.buf)
+	w.buf = appendFrameSeq(w.buf, r.seq, nil)
+	binary.LittleEndian.PutUint32(w.buf[pending:], uint32(len(r.body)+4))
+	bufs := net.Buffers{w.buf, r.body}
+	_, err := bufs.WriteTo(w.conn)
+	w.buf = w.buf[:0]
+	return err
+}
+
 // serveRequests runs the pipelined loop: the reader admits up to
 // maxInFlight requests (the backpressure gate — beyond that it stops
 // reading, which pushes back through TCP flow control), each dispatched
-// on its own goroutine; a single writer goroutine serializes the
-// out-of-order completions back onto the wire, coalescing whatever has
-// accumulated into one write per syscall. When the trace feature was
-// negotiated (traceOK), request frames whose seq carries seqTraceFlag
-// are preceded by a trace header; the span context it names parents
-// every span the handler records, and the flag is masked off before the
-// seq is echoed.
+// on its own goroutine; a single writer goroutine (respWriter) puts the
+// completions back onto the wire. When the trace feature was negotiated
+// (traceOK), request frames whose seq carries seqTraceFlag are preceded by
+// a trace header; the span context it names parents every span the handler
+// records, and the flag is masked off before the seq is echoed.
+//
+// Request frames and reply bodies are recycled per connection. A request's
+// Key and Value (and a batch's sub-ops) are views of its frame, which is
+// reused once dispatch has returned: Backend and everything below copy
+// what they keep. A reply body belongs to the writer once queued.
 func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
 	maxInFlight := int(s.maxInFlight.Load())
+	frames, bodies := make(freeList, maxInFlight), make(freeList, maxInFlight)
 	respCh := make(chan seqResp, maxInFlight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		var werr error
-		var buf []byte
-		for r := range respCh {
-			if werr != nil {
-				continue // conn is dead; drain so workers never block
-			}
-			buf = appendFrameSeq(buf[:0], r.seq, r.body)
-		coalesce:
-			for len(buf) < maxCoalesce {
-				select {
-				case r, ok := <-respCh:
-					if !ok {
-						break coalesce
-					}
-					buf = appendFrameSeq(buf, r.seq, r.body)
-				default:
-					break coalesce
-				}
-			}
-			if _, werr = conn.Write(buf); werr != nil {
-				conn.Close() // unblock the reader
-			}
-		}
+		newRespWriter(conn, bodies).run(respCh)
 	}()
 
 	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	for {
-		seq, body, err := readFrameSeq(br)
+		seq, frame, err := readFrameSeq(br, frames.get())
 		if err != nil {
 			break
 		}
+		body := frame
 		var sc metrics.SpanContext
 		var derr error
 		if traceOK && seq&seqTraceFlag != 0 {
@@ -333,18 +414,19 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
 		wg.Add(1)
 		go func(seq uint32, req request, sc metrics.SpanContext, derr error) {
 			defer wg.Done()
-			var resp []byte
+			resp := bodies.get()
 			if derr != nil {
 				s.backend.met.badReqs.Inc()
-				resp = encodeResponse(StatusFailed, []byte(derr.Error()))
+				resp = appendResponse(resp, StatusFailed, []byte(derr.Error()))
 			} else {
 				ctx := metrics.ContextWithSpan(context.Background(), sc)
-				resp = s.dispatch(ctx, req)
+				resp = s.dispatch(ctx, req, resp)
 			}
 			// Decrement before queueing the response so the gauge
 			// never reads >0 after the client has seen every reply.
 			s.backend.met.inflight.Add(-1)
 			respCh <- seqResp{seq: seq, body: resp}
+			frames.put(frame)
 			<-sem
 		}(seq, req, sc, derr)
 	}
@@ -353,84 +435,87 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
 	<-writerDone
 }
 
-// dispatch executes one request through the Backend and encodes the
-// reply onto the binary wire. The Backend owns the transport-agnostic
-// work — engine execution, wall-clock timing, per-opcode metrics, the
-// read SLO, the slowlog and the handler span — so the native and RESP
-// listeners report identically; this function owns only the response
-// encoding.
-func (s *Server) dispatch(ctx context.Context, req request) []byte {
+// dispatch executes one request through the Backend and appends the reply
+// to dst, a recycled buffer (or nil), as a binary-wire response body. The
+// Backend owns the transport-agnostic work — engine execution, wall-clock
+// timing, per-opcode metrics, the read SLO, the slowlog and the handler
+// span — so the native and RESP listeners report identically; this
+// function owns only the response encoding.
+func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 	if req.Op < OpPut || req.Op > opMax || req.Op == OpHello {
 		s.backend.met.badReqs.Inc()
-		return encodeResponse(StatusFailed, []byte("unknown op"))
+		return appendResponse(dst, StatusFailed, []byte("unknown op"))
 	}
 	b := s.backend
 	switch req.Op {
 	case OpPing:
 		if err := b.Ping(ctx); err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
-		return encodeResponse(StatusOK, []byte("pong"))
+		return appendResponse(dst, StatusOK, []byte("pong"))
 	case OpPut, OpPutDedup:
-		return statusOnly(b.Put(ctx, req.Key, req.Version, req.Value, req.Op == OpPutDedup))
+		return statusOnly(dst, b.Put(ctx, req.Key, req.Version, req.Value, req.Op == OpPutDedup))
 	case OpGet:
-		val, err := b.Get(ctx, req.Key, req.Version)
+		// The value lands behind a header whose length field is filled in
+		// once it is known.
+		out, err := b.GetAppend(ctx, appendResponse(dst, StatusOK, nil), req.Key, req.Version)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(out[:len(dst)], err)
 		}
-		return encodeResponse(StatusOK, val)
+		binary.LittleEndian.PutUint32(out[len(dst)+1:], uint32(len(out)-len(dst)-respHeaderLen))
+		return out
 	case OpDel:
-		return statusOnly(b.Del(ctx, req.Key, req.Version))
+		return statusOnly(dst, b.Del(ctx, req.Key, req.Version))
 	case OpDropVersion:
-		return statusOnly(b.DropVersion(ctx, req.Version))
+		return statusOnly(dst, b.DropVersion(ctx, req.Version))
 	case OpHas:
 		ok, err := b.Has(ctx, req.Key, req.Version)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
 		if ok {
-			return encodeResponse(StatusOK, []byte{1})
+			return appendResponse(dst, StatusOK, []byte{1})
 		}
-		return encodeResponse(StatusOK, []byte{0})
+		return appendResponse(dst, StatusOK, []byte{0})
 	case OpStats:
 		reply, err := b.Stats(ctx)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
 		payload, err := json.Marshal(reply)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
-		return encodeResponse(StatusOK, payload)
+		return appendResponse(dst, StatusOK, payload)
 	case OpRange:
 		// Key = from, Value = exclusive upper bound, Version = limit;
 		// limit <= 0 selects the backend default, positive limits clamp
 		// to it.
 		entries, applied, err := b.Range(ctx, req.Key, req.Value, int(int64(req.Version)))
 		if err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
-		return encodeResponse(StatusOK, encodeRangeReply(applied, entries))
+		return appendResponse(dst, StatusOK, encodeRangeReply(applied, entries))
 	case OpBatch:
-		return s.dispatchBatch(ctx, req)
+		return s.dispatchBatch(ctx, req, dst)
 	case OpMetrics:
 		payload, err := b.MetricsJSON(ctx)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(dst, err)
 		}
-		return encodeResponse(StatusOK, payload)
+		return appendResponse(dst, StatusOK, payload)
 	}
-	return encodeResponse(StatusFailed, []byte("unknown op"))
+	return appendResponse(dst, StatusFailed, []byte("unknown op"))
 }
 
 // dispatchBatch decodes one OpBatch frame and applies it through the
 // Backend with native semantics: sub-op failures are reported
 // individually; the frame itself succeeds unless it is malformed.
-func (s *Server) dispatchBatch(ctx context.Context, req request) []byte {
+func (s *Server) dispatchBatch(ctx context.Context, req request, dst []byte) []byte {
 	subs, err := decodeBatch(req.Value, int(req.Version))
 	if err != nil {
 		s.backend.met.badReqs.Inc()
-		return encodeResponse(StatusFailed, []byte(err.Error()))
+		return appendResponse(dst, StatusFailed, []byte(err.Error()))
 	}
 	ops := make([]BatchOp, len(subs))
 	for i, sub := range subs {
@@ -441,7 +526,7 @@ func (s *Server) dispatchBatch(ctx context.Context, req request) []byte {
 	for i, r := range results {
 		statuses[i] = subStatusOf(r.Err)
 	}
-	return encodeResponse(StatusOK, encodeBatchReply(statuses))
+	return appendResponse(dst, StatusOK, encodeBatchReply(statuses))
 }
 
 // subStatusOf maps a sub-op error onto its wire status.
@@ -464,13 +549,13 @@ func statusCode(err error) uint8 {
 	}
 }
 
-func statusOnly(err error) []byte {
+func statusOnly(dst []byte, err error) []byte {
 	if err != nil {
-		return errResponse(err)
+		return errResponse(dst, err)
 	}
-	return encodeResponse(StatusOK, nil)
+	return appendResponse(dst, StatusOK, nil)
 }
 
-func errResponse(err error) []byte {
-	return encodeResponse(statusCode(err), []byte(err.Error()))
+func errResponse(dst []byte, err error) []byte {
+	return appendResponse(dst, statusCode(err), []byte(err.Error()))
 }

@@ -104,7 +104,7 @@ const (
 )
 
 type block struct {
-	data     []byte // allocated lazily on first program, PagesPerBlock*PageSize
+	data     []byte // PagesPerBlock*PageSize, allocated on first program and kept across erases
 	written  int    // pages programmed so far (sequential-program pointer)
 	owner    Owner
 	eraseCnt int64
@@ -305,26 +305,27 @@ func (d *Device) ProgramPage(owner Owner, id, pageIdx int, data []byte) (time.Du
 	return cost, nil
 }
 
-// ReadPage reads one full page into a freshly allocated buffer and
-// returns it with the simulated operation cost.
-func (d *Device) ReadPage(owner Owner, id, pageIdx int) ([]byte, time.Duration, error) {
+// ReadPage reads one page and copies it, from byte inPage on, into dst:
+// as much as fits, returning how many bytes that was. The flash reads the
+// whole page whatever the caller takes, so a full page is charged to the
+// counters and the clock; the returned cost is that one page read.
+func (d *Device) ReadPage(owner Owner, id, pageIdx, inPage int, dst []byte) (int, time.Duration, error) {
 	d.mu.Lock()
 	b, err := d.checkBlock(id, owner)
 	if err != nil {
 		d.mu.Unlock()
-		return nil, 0, err
+		return 0, 0, err
 	}
-	if pageIdx < 0 || pageIdx >= d.cfg.PagesPerBlock {
+	if pageIdx < 0 || pageIdx >= d.cfg.PagesPerBlock || inPage < 0 || inPage > d.cfg.PageSize {
 		d.mu.Unlock()
-		return nil, 0, ErrBadPage
+		return 0, 0, ErrBadPage
 	}
 	if pageIdx >= b.written {
 		d.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: block %d page %d", ErrPageUnwritten, id, pageIdx)
+		return 0, 0, fmt.Errorf("%w: block %d page %d", ErrPageUnwritten, id, pageIdx)
 	}
 	off := pageIdx * d.cfg.PageSize
-	out := make([]byte, d.cfg.PageSize)
-	copy(out, b.data[off:off+d.cfg.PageSize])
+	n := copy(dst, b.data[off+inPage:off+d.cfg.PageSize])
 	d.sysRead += int64(d.cfg.PageSize)
 	cost := d.tick(d.cfg.Latency.PageRead)
 	now := d.clock
@@ -333,7 +334,7 @@ func (d *Device) ReadPage(owner Owner, id, pageIdx int) ([]byte, time.Duration, 
 	if hook != nil {
 		hook(now, int64(d.cfg.PageSize))
 	}
-	return out, cost, nil
+	return n, cost, nil
 }
 
 // WrittenPages returns how many pages have been programmed in block id.
@@ -359,7 +360,9 @@ func (d *Device) EraseBlock(owner Owner, id int) (time.Duration, error) {
 	}
 	b.owner = OwnerNone
 	b.written = 0
-	b.data = nil // release backing memory
+	// b.data stays for the block's next program: ProgramPage overwrites
+	// whole pages, pad included, and ReadPage refuses pages >= written, so
+	// nothing of the erased contents can be read back.
 	b.eraseCnt++
 	d.erases++
 	d.free = append(d.free, id)

@@ -21,6 +21,13 @@ func testConfig(blocks int) Config {
 	}
 }
 
+// readPage reads one whole page into a buffer of its own.
+func readPage(d *Device, owner Owner, id, pageIdx int) ([]byte, time.Duration, error) {
+	page := make([]byte, d.Config().PageSize)
+	_, cost, err := d.ReadPage(owner, id, pageIdx, 0, page)
+	return page, cost, err
+}
+
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig(1 << 30)
 	if cfg.PageSize != 4096 || cfg.PagesPerBlock != 64 {
@@ -58,7 +65,7 @@ func TestAllocProgramReadErase(t *testing.T) {
 	if _, err := d.ProgramPage(OwnerNative, id, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadPage(OwnerNative, id, 0)
+	got, _, err := readPage(d, OwnerNative, id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestSequentialProgramConstraint(t *testing.T) {
 func TestReadUnwrittenPage(t *testing.T) {
 	d, _ := NewDevice(testConfig(2))
 	id, _ := d.AllocBlock(OwnerNative)
-	if _, _, err := d.ReadPage(OwnerNative, id, 0); !errors.Is(err, ErrPageUnwritten) {
+	if _, _, err := readPage(d, OwnerNative, id, 0); !errors.Is(err, ErrPageUnwritten) {
 		t.Fatalf("want ErrPageUnwritten, got %v", err)
 	}
 }
@@ -133,7 +140,7 @@ func TestUseAfterErase(t *testing.T) {
 	id, _ := d.AllocBlock(OwnerNative)
 	d.ProgramPage(OwnerNative, id, 0, []byte("x"))
 	d.EraseBlock(OwnerNative, id)
-	if _, _, err := d.ReadPage(OwnerNative, id, 0); !errors.Is(err, ErrDeviceReleased) {
+	if _, _, err := readPage(d, OwnerNative, id, 0); !errors.Is(err, ErrDeviceReleased) {
 		t.Fatalf("read after erase should fail, got %v", err)
 	}
 }
@@ -143,7 +150,7 @@ func TestStatsAndClock(t *testing.T) {
 	id, _ := d.AllocBlock(OwnerNative)
 	d.ProgramPage(OwnerNative, id, 0, []byte("a"))
 	d.ProgramPage(OwnerNative, id, 1, []byte("b"))
-	d.ReadPage(OwnerNative, id, 0)
+	readPage(d, OwnerNative, id, 0)
 	d.EraseBlock(OwnerNative, id)
 	s := d.Stats()
 	if s.SysWriteBytes != 2*4096 {
@@ -201,7 +208,7 @@ func TestTraceHooks(t *testing.T) {
 	)
 	id, _ := d.AllocBlock(OwnerNative)
 	d.ProgramPage(OwnerNative, id, 0, []byte("x"))
-	d.ReadPage(OwnerNative, id, 0)
+	readPage(d, OwnerNative, id, 0)
 	if wrote != 4096 || read != 4096 {
 		t.Fatalf("hooks saw write=%d read=%d, want 4096 each", wrote, read)
 	}
@@ -237,5 +244,46 @@ func TestWriteAmplificationHelper(t *testing.T) {
 	}
 	if got := s.WriteAmplification(0); got != 0 {
 		t.Fatalf("WA with zero user bytes = %v, want 0", got)
+	}
+}
+
+// TestErasedBlockKeepsNothingReadable: an erased block keeps its buffer for
+// its next program, not its contents — pages not yet programmed again are
+// refused, and a short program is zero-padded over whatever was there.
+func TestErasedBlockKeepsNothingReadable(t *testing.T) {
+	d, _ := NewDevice(testConfig(1))
+	id, _ := d.AllocBlock(OwnerNative)
+	old := bytes.Repeat([]byte{0xAB}, 4096)
+	for page := 0; page < 3; page++ {
+		if _, err := d.ProgramPage(OwnerNative, id, page, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.EraseBlock(OwnerNative, id); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := d.AllocBlock(OwnerNative); again != id {
+		t.Fatalf("AllocBlock = %d, want the erased block %d", again, id)
+	}
+	if _, _, err := readPage(d, OwnerNative, id, 0); !errors.Is(err, ErrPageUnwritten) {
+		t.Fatalf("read of an erased page: %v, want ErrPageUnwritten", err)
+	}
+	if _, err := d.ProgramPage(OwnerNative, id, 0, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := readPage(d, OwnerNative, id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("new"), make([]byte, 4093)...); !bytes.Equal(got, want) {
+		t.Fatal("a short program over an erased page left old bytes behind its padding")
+	}
+	if _, _, err := readPage(d, OwnerNative, id, 1); !errors.Is(err, ErrPageUnwritten) {
+		t.Fatalf("read of page 1, erased and not programmed since: %v, want ErrPageUnwritten", err)
+	}
+	// A window of a page: only the bytes that fit dst, from inPage on.
+	dst := make([]byte, 2)
+	if n, _, err := d.ReadPage(OwnerNative, id, 0, 1, dst); err != nil || n != 2 || string(dst) != "ew" {
+		t.Fatalf("ReadPage window = %d %q, %v", n, dst, err)
 	}
 }

@@ -38,6 +38,7 @@ type FTL struct {
 
 	migratedPages int64
 	gcRuns        int64
+	page          []byte // GC migration's one page of scratch
 }
 
 type ftlBlock struct {
@@ -72,6 +73,7 @@ func NewFTL(dev *Device, logicalPages int) (*FTL, error) {
 		active:       -1,
 		lowWater:     2,
 		pph:          cfg.PagesPerBlock,
+		page:         make([]byte, cfg.PageSize),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = unmapped
@@ -123,7 +125,7 @@ func (f *FTL) Write(lpn int, data []byte) (time.Duration, error) {
 	f.invalidateLocked(lpn)
 	b := f.blocks[f.active]
 	page := len(b.lpns)
-	//lint:ignore blockalign alignment is the caller's contract (blockfs slices f.tail[:pageSize]); the FTL forwards at most one page verbatim
+	//lint:ignore blockalign alignment is the caller's contract (blockfs hands over page[:pageSize]); the FTL forwards at most one page verbatim
 	c, err := f.dev.ProgramPage(OwnerFTL, f.active, page, data)
 	total += c
 	if err != nil {
@@ -172,19 +174,20 @@ func (f *FTL) invalidateLocked(lpn int) {
 	f.l2p[lpn] = unmapped
 }
 
-// Read returns the page stored at lpn.
-func (f *FTL) Read(lpn int) ([]byte, time.Duration, error) {
+// Read copies the page stored at lpn, from byte inPage on, into dst (see
+// Device.ReadPage).
+func (f *FTL) Read(lpn, inPage int, dst []byte) (int, time.Duration, error) {
 	if lpn < 0 || lpn >= f.logicalPages {
-		return nil, 0, ErrBadLPN
+		return 0, 0, ErrBadLPN
 	}
 	f.lock()
 	ppn := f.l2p[lpn]
 	f.unlock()
 	if ppn == unmapped {
-		return nil, 0, fmt.Errorf("%w: %d", ErrLPNUnset, lpn)
+		return 0, 0, fmt.Errorf("%w: %d", ErrLPNUnset, lpn)
 	}
 	blockID, page := f.split(ppn)
-	return f.dev.ReadPage(OwnerFTL, blockID, page)
+	return f.dev.ReadPage(OwnerFTL, blockID, page, inPage, dst)
 }
 
 // Trim invalidates lpn (the logical discard a filesystem issues when a
@@ -226,12 +229,12 @@ func (f *FTL) gcLocked() (time.Duration, error) {
 			if lpn == unmapped {
 				continue
 			}
-			data, c, err := f.dev.ReadPage(OwnerFTL, victim, page)
+			_, c, err := f.dev.ReadPage(OwnerFTL, victim, page, 0, f.page)
 			total += c
 			if err != nil {
 				return total, err
 			}
-			c, err = f.migrateWriteLocked(int(lpn), data)
+			c, err = f.migrateWriteLocked(int(lpn), f.page)
 			total += c
 			if err != nil {
 				return total, err

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newTestFTL(t *testing.T, blocks, logicalPages int) *FTL {
@@ -22,13 +23,20 @@ func newTestFTL(t *testing.T, blocks, logicalPages int) *FTL {
 	return f
 }
 
+// ftlRead reads one whole logical page into a buffer of its own.
+func ftlRead(f *FTL, lpn int) ([]byte, time.Duration, error) {
+	page := make([]byte, f.Device().Config().PageSize)
+	_, cost, err := f.Read(lpn, 0, page)
+	return page, cost, err
+}
+
 func TestFTLReadWrite(t *testing.T) {
 	f := newTestFTL(t, 8, 64)
 	want := []byte("hello flash")
 	if _, err := f.Write(3, want); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := f.Read(3)
+	got, _, err := ftlRead(f, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestFTLBounds(t *testing.T) {
 	if _, err := f.Write(64, nil); !errors.Is(err, ErrBadLPN) {
 		t.Fatalf("Write(64) err = %v", err)
 	}
-	if _, _, err := f.Read(5); !errors.Is(err, ErrLPNUnset) {
+	if _, _, err := ftlRead(f, 5); !errors.Is(err, ErrLPNUnset) {
 		t.Fatalf("Read of unwritten lpn err = %v", err)
 	}
 	if err := f.Trim(99); !errors.Is(err, ErrBadLPN) {
@@ -74,7 +82,7 @@ func TestFTLOverwriteRemaps(t *testing.T) {
 	f := newTestFTL(t, 8, 64)
 	f.Write(0, []byte("v1"))
 	f.Write(0, []byte("v2"))
-	got, _, _ := f.Read(0)
+	got, _, _ := ftlRead(f, 0)
 	if string(got[:2]) != "v2" {
 		t.Fatalf("after overwrite Read = %q, want v2", got[:2])
 	}
@@ -93,7 +101,7 @@ func TestFTLTrim(t *testing.T) {
 	if f.Mapped(1) {
 		t.Fatal("lpn should be unmapped after Trim")
 	}
-	if _, _, err := f.Read(1); !errors.Is(err, ErrLPNUnset) {
+	if _, _, err := ftlRead(f, 1); !errors.Is(err, ErrLPNUnset) {
 		t.Fatalf("Read after Trim err = %v", err)
 	}
 	if err := f.Trim(1); err != nil {
@@ -116,7 +124,7 @@ func TestFTLGCReclaimsSpace(t *testing.T) {
 	}
 	// All logical pages must still read back the latest round.
 	for lpn := 0; lpn < 8*64; lpn++ {
-		got, _, err := f.Read(lpn)
+		got, _, err := ftlRead(f, lpn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +234,7 @@ func TestFTLQuickConsistency(t *testing.T) {
 			}
 		}
 		for lpn, want := range ref {
-			got, _, err := ftl.Read(lpn)
+			got, _, err := ftlRead(ftl, lpn)
 			if err != nil || binary.LittleEndian.Uint32(got) != want {
 				return false
 			}
