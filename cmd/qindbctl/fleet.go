@@ -26,8 +26,6 @@ func fleetUsage() {
 	fmt.Fprintln(os.Stderr, "       load <version>                  key<TAB>value lines from stdin, quorum-written")
 	fmt.Fprintln(os.Stderr, "       where <key>                     print the key's group and replica set")
 	fmt.Fprintln(os.Stderr, "       status                          router snapshot (breakers, handoff)")
-	fmt.Fprintln(os.Stderr, "       record [-out f.jsonl] [-interval 1s] [-duration 30s] [-canary key@ver]")
-	fmt.Fprintln(os.Stderr, "                                       append {ts, slo, throughput, p99, events} snapshots")
 	os.Exit(2)
 }
 
@@ -48,21 +46,13 @@ func runFleet(args []string) {
 	}
 
 	groups := parseGroups(*nodes)
-	// The router always carries its own observability spine — metrics
-	// registry, structured event log and read SLO — so status, record
-	// and ad-hoc commands share one view of the run.
 	reg := metrics.NewRegistry()
-	events := metrics.NewEventLog(0)
-	slo := metrics.NewSLO(metrics.SLOConfig{Name: "fleet.read", Target: 0.006, Events: events})
-	slo.Register(reg)
 	f, err := fleet.New(fleet.Config{
 		Groups:      groups,
 		Replicas:    *replicas,
 		WriteQuorum: *quorum,
 		HedgeAfter:  *hedge,
 		Metrics:     reg,
-		SLO:         slo,
-		Events:      events,
 		// Traced dials: the router's spans propagate across the wire,
 		// so each node retains its half of every quorum write's
 		// timeline for `qindbctl trace -nodes` to merge later.
@@ -122,60 +112,9 @@ func runFleet(args []string) {
 	case "status":
 		out, _ := json.MarshalIndent(f.Status(), "", "  ")
 		fmt.Println(string(out))
-	case "record":
-		rfs := flag.NewFlagSet("fleet record", flag.ExitOnError)
-		out := rfs.String("out", "fleet_record.jsonl", "JSONL artifact file (appended, restart-safe)")
-		interval := rfs.Duration("interval", time.Second, "snapshot cadence")
-		duration := rfs.Duration("duration", 30*time.Second, "how long to record")
-		canary := rfs.String("canary", "", "key@version hedge-read once per interval, feeding the read SLO")
-		rfs.Parse(cargs)
-		fleetRecord(ctx, f, reg, slo, events, *out, *interval, *duration, *canary)
 	default:
 		fleetUsage()
 	}
-}
-
-// fleetRecord drives the time-series recorder against the live router:
-// one {ts, slo, throughput, p99, events} JSONL line per interval, with
-// an optional canary read per interval so the SLO curve reflects the
-// fleet's actual availability rather than only ambient traffic.
-func fleetRecord(ctx context.Context, f *fleet.Fleet, reg *metrics.Registry, slo *metrics.SLO, events *metrics.EventLog, out string, interval, duration time.Duration, canary string) {
-	rec, err := metrics.NewRecorder(metrics.RecorderConfig{
-		Path:             out,
-		Interval:         interval,
-		Registry:         reg,
-		SLOs:             []*metrics.SLO{slo},
-		Events:           events,
-		RateCounters:     []string{"fleet.read.requests", "fleet.publish.versions"},
-		LatencyHistogram: "fleet.read.latency_us",
-	})
-	if err != nil {
-		log.Fatalf("fleet record: %v", err)
-	}
-	rec.Start()
-	var canaryKey []byte
-	var canaryVer uint64
-	if canary != "" {
-		k, v, ok := strings.Cut(canary, "@")
-		if !ok || k == "" {
-			log.Fatalf("bad -canary %q (want key@version)", canary)
-		}
-		canaryKey, canaryVer = []byte(k), parseVersion(v)
-	}
-	deadline := time.Now().Add(duration)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for time.Now().Before(deadline) {
-		<-ticker.C
-		if canaryKey != nil {
-			// Hit or miss, the read lands in the SLO via the router.
-			_, _ = f.Get(ctx, canaryKey, canaryVer)
-		}
-	}
-	if err := rec.Close(); err != nil {
-		log.Fatalf("fleet record: %v", err)
-	}
-	fmt.Printf("recorded %s of fleet samples to %s\n", duration.Round(time.Second), out)
 }
 
 // fleetLoadStdin reads key<TAB>value lines and quorum-writes them as

@@ -12,25 +12,22 @@
 //	qindbctl -http 127.0.0.1:8080 trace <trace-id>              # one trace's timeline
 //	qindbctl trace -nodes 'h1:8080,h2:8080' <trace-id>          # fleet-wide merged timeline
 //	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get] [-trace id]
-//	qindbctl -http 127.0.0.1:8080 events [-since N] [-n 20] [-follow]
-//	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status|record>  # shard router over several nodes
+//	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status>  # shard router over several nodes
 //	qindbctl index <list|create|build|ingest|query|export|import>          # index lifecycle (see index -h)
 //	qindbctl search <name> <term>...                                       # query an index (= index query)
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.
-// trace, slowlog and events talk to the daemon's operator HTTP
-// address (qindbd -metrics-addr) instead of the storage port; trace
-// -nodes fetches the same trace id from every listed operator address
-// and merges the spans into one cross-node timeline. events -follow
-// long polls so new events stream as they happen. For profiles point
-// go tool pprof at the same address (qindbd -pprof):
+// trace and slowlog talk to the daemon's operator HTTP address (qindbd
+// -metrics-addr) instead of the storage port; trace -nodes fetches the
+// same trace id from every listed operator address and merges the spans
+// into one cross-node timeline. For profiles point go tool pprof at the
+// same address (qindbd -pprof):
 // go tool pprof http://HOST/debug/pprof/allocs?seconds=5. stats -watch
-// shows each histogram's p99 over the last interval, not since start.
-// fleet ignores -addr and routes
-// to its -nodes with rendezvous placement, quorum writes and hedged
-// reads (see internal/fleet); fleet record appends periodic {ts, slo,
-// throughput, p99, events} JSONL snapshots while driving canary reads.
+// shows each counter's delta and each histogram's p99 over the last
+// interval, not since start. fleet ignores -addr and routes to its
+// -nodes with rendezvous placement, quorum writes and hedged reads (see
+// internal/fleet).
 package main
 
 import (
@@ -59,13 +56,12 @@ var (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|trace|slowlog|events|fleet> [args]")
+	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|trace|slowlog|fleet> [args]")
 	fmt.Fprintln(os.Stderr, "       load <version>                  batched load of key<TAB>value lines from stdin")
 	fmt.Fprintln(os.Stderr, "       stats [-watch] [-interval 1s]   engine stats, or live metric deltas with each interval's")
-	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-pause-p99, goroutines)")
+	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-cycles, goroutines)")
 	fmt.Fprintln(os.Stderr, "       trace [-nodes a,b] <trace-id>   one trace's timeline; -nodes merges spans fleet-wide")
 	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get] [-trace id]  recent slow operations (-http address)")
-	fmt.Fprintln(os.Stderr, "       events [-since N] [-n N] [-follow]    structured event log (-http address)")
 	fmt.Fprintln(os.Stderr, "       fleet -nodes 'a,b,c' <cmd>      shard router over several nodes (fleet -h)")
 	fmt.Fprintln(os.Stderr, "       index <list|create|build|ingest|query|export|import>  index lifecycle (index -h)")
 	fmt.Fprintln(os.Stderr, "       search <name> <term>...         query an index (= index query)")
@@ -116,45 +112,6 @@ func collectTrace(endpoints []string, id uint64) {
 	}
 	if _, err := merged.WriteTimeline(os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// followEvents long-polls the daemon's /events endpoint, printing new
-// events as they arrive and advancing the cursor, until interrupted.
-func followEvents(since uint64) {
-	client := &http.Client{} // long poll: the server bounds each wait, not the client
-	for {
-		url := fmt.Sprintf("http://%s/events?since=%d&wait=30s&format=json", *httpAddr, since)
-		resp, err := client.Get(url)
-		if err != nil {
-			log.Fatalf("GET %s: %v (is qindbd running with -metrics-addr %s?)", url, err, *httpAddr)
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			log.Fatalf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-		}
-		var evs []metrics.Event
-		err = json.NewDecoder(resp.Body).Decode(&evs)
-		resp.Body.Close()
-		if err != nil {
-			log.Fatalf("decoding events: %v", err)
-		}
-		for _, e := range evs {
-			suffix := ""
-			if e.Node != "" {
-				suffix += " node=" + e.Node
-			}
-			if e.Version != 0 {
-				suffix += fmt.Sprintf(" v%d", e.Version)
-			}
-			if e.Detail != "" {
-				suffix += " " + e.Detail
-			}
-			fmt.Printf("%d %s %s%s\n", e.Seq, e.Time.Format(time.RFC3339Nano), e.Type, suffix)
-			if e.Seq > since {
-				since = e.Seq
-			}
-		}
 	}
 }
 
@@ -209,18 +166,6 @@ func main() {
 			path += "&trace=" + strings.TrimPrefix(*traceID, "0x")
 		}
 		fetchHTTP(path)
-		return
-	case "events":
-		fs := flag.NewFlagSet("events", flag.ExitOnError)
-		since := fs.Uint64("since", 0, "resume after this sequence number")
-		n := fs.Int("n", 0, "show only the newest N events (0 = all retained)")
-		follow := fs.Bool("follow", false, "long-poll for new events until interrupted")
-		fs.Parse(args)
-		if *follow {
-			followEvents(*since)
-			return
-		}
-		fetchHTTP(fmt.Sprintf("/events?since=%d&n=%d", *since, *n))
 		return
 	case "fleet":
 		// The router dials its own nodes; -addr is not involved.
@@ -396,19 +341,19 @@ func flattenMetrics(m map[string]any) []metricKV {
 	return out
 }
 
-// runtimeSummary condenses the runtime sampler's gauges into one line
-// for the -watch header: live heap, GC pause p99 and goroutine count.
-// Returns "" when the server predates the runtime sampler (none of the
-// gauges are present).
-func runtimeSummary(m map[string]any) string {
+// runtimeSummary condenses the runtime.* gauges into one line for the
+// -watch header: live heap, GC cycles since the previous poll (since
+// process start on the first) and goroutine count. Returns "" when the
+// server exports no runtime gauges.
+func runtimeSummary(m map[string]any, prev map[string]float64) string {
 	heap, okHeap := m["runtime.heap.live_bytes"].(float64)
-	pause, okPause := m["runtime.gc.pause_p99_us"].(float64)
+	cycles, okCycles := m["runtime.gc.cycles"].(float64)
 	gor, okGor := m["runtime.goroutines"].(float64)
-	if !okHeap && !okPause && !okGor {
+	if !okHeap && !okCycles && !okGor {
 		return ""
 	}
-	return fmt.Sprintf("runtime: heap-live %.1f MiB   gc-pause-p99 %.0f us   goroutines %.0f",
-		heap/(1<<20), pause, gor)
+	return fmt.Sprintf("runtime: heap-live %.1f MiB   gc-cycles %+.0f   goroutines %.0f",
+		heap/(1<<20), cycles-prev["runtime.gc.cycles"], gor)
 }
 
 // watchStats polls the server's metrics and renders per-interval deltas,
@@ -416,9 +361,9 @@ func runtimeSummary(m map[string]any) string {
 // value; a histogram row its count plus the p99 of the observations
 // made since the previous poll — the snapshots carry their buckets, so
 // successive polls subtract (since process start on the first poll, "-"
-// when there were none). A runtime summary line (heap-live,
-// gc-pause-p99, goroutines) rides under the timestamp header when the
-// server exports the runtime gauges.
+// when there were none). A runtime summary line (heap-live, gc-cycles,
+// goroutines) rides under the timestamp header when the server exports
+// the runtime gauges.
 func watchStats(ctx context.Context, cl *server.Client, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
@@ -440,7 +385,7 @@ func watchStats(ctx context.Context, cl *server.Client, interval time.Duration) 
 		}
 		fmt.Printf("--- %-44s %14s %12s %12s ---\n",
 			time.Now().Format("15:04:05"), "value", "delta", "interval-p99")
-		if s := runtimeSummary(m); s != "" {
+		if s := runtimeSummary(m, prev); s != "" {
 			fmt.Println(s)
 		}
 		for _, name := range names {

@@ -26,20 +26,17 @@
 // server.* metrics, one slowlog, one trace timeline.
 //
 // With -metrics-addr set the daemon exposes the operator endpoints of
-// internal/ops: /metrics (text, ?format=json, ?format=prom), /slo,
-// /events, /healthz, /readyz, /debug/trace, /debug/trace/export,
-// /debug/slowlog, /debug/attrib (per-op resource attribution, see
-// -attr-sample), /index (the inverted-index lifecycle of
-// internal/search: create, ingest, query, CIFF export/import — index
-// segments are versioned values in the same engine the KV front doors
-// serve), and (with -pprof) the runtime profiler under /debug/pprof/
-// (go tool pprof http://ADDR/debug/pprof/allocs?seconds=5 captures a
-// windowed delta). Go runtime telemetry (heap, GC, goroutines) is
-// sampled every -runtime-interval and exported as runtime.* gauges.
-// With -record set it appends one JSONL snapshot of {slo, runtime, and
-// the interval's throughput, GET p99 and events} per -record-interval
-// to the given file — the artifact a chaos run or canary deploy is
-// judged against.
+// internal/ops: /metrics (text, ?format=json, ?format=prom), /healthz,
+// /readyz, /debug/trace, /debug/trace/export, /debug/slowlog,
+// /debug/attrib (per-op resource attribution, see -attr-sample), /index
+// (the inverted-index lifecycle of internal/search: create, ingest,
+// query, CIFF export/import — index segments are versioned values in
+// the same engine the KV front doors serve), and (with -pprof) the
+// runtime profiler under /debug/pprof/ (go tool pprof
+// http://ADDR/debug/pprof/allocs?seconds=5 captures a windowed delta).
+// The read SLO is two lifetime counters, slo.node.read.{good,bad}, and
+// the Go runtime's telemetry (heap, GC, goroutines) is runtime.* gauges
+// read at scrape time; a scraper rates both over its own interval.
 package main
 
 import (
@@ -75,10 +72,7 @@ var (
 	slowThresh    = flag.Duration("slowlog-threshold", 10*time.Millisecond, "record ops at or above this latency in /debug/slowlog (0 = off)")
 	nodeID        = flag.String("node-id", "", "node name stamped onto exported trace spans (default: the listen address)")
 	sloReadTarget = flag.Float64("slo-read-target", 0.006, "tolerated get-miss ratio for the read SLO (paper: 0.006; 0 = off)")
-	recordPath    = flag.String("record", "", "append periodic {ts, slo, throughput, p99} JSONL snapshots to this file (empty = off)")
-	recordEvery   = flag.Duration("record-interval", time.Second, "snapshot cadence for -record")
 	attrSample    = flag.Int("attr-sample", 64, "measure one request in N for per-op resource attribution on /debug/attrib (0 = off)")
-	runtimeEvery  = flag.Duration("runtime-interval", time.Second, "Go runtime telemetry sampling cadence for the runtime.* gauges (0 = off)")
 )
 
 // coreEngine adapts the storage engine to the search store's
@@ -136,16 +130,11 @@ func main() {
 	}
 	defer db.Close()
 
-	// Zero capacities select the rings' defaults (256 slow ops, 1024 events).
+	// Zero capacity selects the ring's default of 256 slow ops.
 	slow := metrics.NewSlowLog(0, *slowThresh)
-	events := metrics.NewEventLog(0)
 	var readSLO *metrics.SLO
 	if *sloReadTarget > 0 {
-		readSLO = metrics.NewSLO(metrics.SLOConfig{
-			Name:   "node.read",
-			Target: *sloReadTarget,
-			Events: events,
-		})
+		readSLO = metrics.NewSLO(metrics.SLOConfig{Name: "node.read", Target: *sloReadTarget})
 		readSLO.Register(reg)
 	}
 	s := server.New(db)
@@ -157,13 +146,7 @@ func main() {
 		// served at /debug/attrib on the metrics address.
 		s.SetAttribution(*attrSample)
 	}
-	var runtimeSampler *metrics.RuntimeSampler
-	if *runtimeEvery > 0 {
-		runtimeSampler = metrics.NewRuntimeSampler(metrics.RuntimeSamplerConfig{Interval: *runtimeEvery})
-		runtimeSampler.Register(reg)
-		runtimeSampler.Start()
-		defer runtimeSampler.Close()
-	}
+	metrics.RegisterRuntime(reg)
 
 	node := *nodeID
 	if node == "" {
@@ -193,8 +176,6 @@ func main() {
 			Registry:    reg,
 			SlowLog:     slow,
 			Node:        node,
-			SLOs:        []*metrics.SLO{readSLO},
-			Events:      events,
 			Ready:       readiness(db),
 			EnablePprof: *pprofOn,
 			Attrib:      s.Backend().Attribution,
@@ -205,25 +186,6 @@ func main() {
 		}
 		go opsSrv.Serve()
 		log.Printf("qindbd: operator endpoints on http://%s/metrics", opsSrv.Addr())
-	}
-	var recorder *metrics.Recorder
-	if *recordPath != "" {
-		recorder, err = metrics.NewRecorder(metrics.RecorderConfig{
-			Path:             *recordPath,
-			Interval:         *recordEvery,
-			Registry:         reg,
-			SLOs:             []*metrics.SLO{readSLO},
-			Events:           events,
-			RateCounters:     []string{"server.req.get", "server.req.put", "server.req.putd", "server.req.batch"},
-			LatencyHistogram: "server.req.get.latency_us",
-			Runtime:          runtimeSampler,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		recorder.Start()
-		defer recorder.Close()
-		log.Printf("qindbd: recording time series to %s every %s", *recordPath, *recordEvery)
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -13,8 +13,8 @@ import (
 func TestFlagSet(t *testing.T) {
 	want := []string{
 		"addr", "aof", "attr-sample", "capacity", "checkpoint", "gc",
-		"metrics-addr", "node-id", "pprof", "record", "record-interval",
-		"resp-addr", "runtime-interval", "slo-read-target", "slowlog-threshold",
+		"metrics-addr", "node-id", "pprof", "resp-addr", "slo-read-target",
+		"slowlog-threshold",
 	}
 	var got []string
 	flag.VisitAll(func(f *flag.Flag) { // lexical order

@@ -7,7 +7,7 @@
 //
 //  1. Inside the metrics package, an exported pointer-receiver method
 //     on a guarded type (Registry, SlowLog, Tracer, Counter, Gauge,
-//     Histogram, RuntimeSampler, AttribTable, ...) that
+//     Histogram, SLO, AttribTable) that
 //     touches a receiver field must open with an `if recv == nil`
 //     guard. Methods that only call other (guarded) methods are exempt.
 //  2. Everywhere, guarded types must be held by pointer: a struct
@@ -36,16 +36,14 @@ var Analyzer = &analysis.Analyzer{
 // guardedTypes are the metrics types whose exported methods promise
 // nil-receiver safety.
 var guardedTypes = map[string]bool{
-	"Registry":       true,
-	"SlowLog":        true,
-	"Tracer":         true,
-	"Counter":        true,
-	"Gauge":          true,
-	"Histogram":      true,
-	"SLO":            true,
-	"EventLog":       true,
-	"RuntimeSampler": true,
-	"AttribTable":    true,
+	"Registry":    true,
+	"SlowLog":     true,
+	"Tracer":      true,
+	"Counter":     true,
+	"Gauge":       true,
+	"Histogram":   true,
+	"SLO":         true,
+	"AttribTable": true,
 }
 
 // isGuardedNamed reports whether t (sans pointer) is one of the

@@ -53,18 +53,18 @@ func (s *Server) HandleElse() {
 	}
 }
 
-// The PR 8 observability types obey the same two consumer rules.
+// The attribution table obeys the same two consumer rules.
 type Telemetry struct {
-	sampler *metrics.RuntimeSampler // pointers are the contract
-	attrib  metrics.AttribTable     // want `metrics.AttribTable held by value`
+	attrib *metrics.AttribTable // pointers are the contract
+	spare  metrics.AttribTable  // want `metrics.AttribTable held by value`
 }
 
-var Sampler metrics.RuntimeSampler // want `metrics.RuntimeSampler held by value`
+var Table metrics.AttribTable // want `metrics.AttribTable held by value`
 
-func (t *Telemetry) Snapshot() int {
-	if t.sampler != nil { // want `redundant nil guard: methods on t.sampler are nil-safe by contract`
-		t.sampler.Count()
+func (t *Telemetry) Snapshot() int64 {
+	if t.attrib != nil { // want `redundant nil guard: methods on t.attrib are nil-safe by contract`
+		t.attrib.SampleEvery()
 	}
 	// The contract makes the unconditional call safe.
-	return t.sampler.Count()
+	return t.attrib.SampleEvery()
 }

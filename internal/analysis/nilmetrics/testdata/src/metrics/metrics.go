@@ -68,27 +68,6 @@ func (c Counter) Value() int64 {
 	return c.n
 }
 
-// RuntimeSampler stands in for the continuous-profiling sampler: same
-// nil-receiver contract as the older handle types.
-type RuntimeSampler struct {
-	mu    sync.Mutex
-	count int
-}
-
-func (s *RuntimeSampler) Count() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Last misses the guard.
-func (s *RuntimeSampler) Last() int { // want `exported method RuntimeSampler.Last dereferences its receiver without a leading nil guard`
-	return s.count
-}
-
 // AttribTable stands in for the per-op resource attribution table.
 type AttribTable struct {
 	every int64

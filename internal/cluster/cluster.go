@@ -47,15 +47,6 @@ type Config struct {
 	// metrics and is propagated to the shipper, the deduper and (unless
 	// already set) the Mint clusters. Nil keeps all paths allocation-free.
 	Metrics *metrics.Registry
-	// Events, when non-nil, receives version.publish and version.retire
-	// lifecycle events.
-	Events *metrics.EventLog
-	// CycleSLO, when non-nil, is fed one event per successful publish:
-	// good when the cycle's EffectiveTime stayed within CycleTarget.
-	CycleSLO *metrics.SLO
-	// CycleTarget is the publish-cycle deadline CycleSLO judges against
-	// (default 1h — the paper's hourly full-index update cadence).
-	CycleTarget time.Duration
 }
 
 // DefaultConfig returns a small, structurally faithful deployment.
@@ -151,6 +142,7 @@ func (d *DirectLoad) FleetGet(ctx context.Context, key []byte) ([]byte, error) {
 // without a registry, making every record site a guarded no-op.
 type orchestratorMetrics struct {
 	published     *metrics.Counter
+	retired       *metrics.Counter
 	slicesApplied *metrics.Counter
 	lateDelivs    *metrics.Counter
 	replLagUs     *metrics.Gauge
@@ -159,6 +151,7 @@ type orchestratorMetrics struct {
 func newOrchestratorMetrics(reg *metrics.Registry) orchestratorMetrics {
 	return orchestratorMetrics{
 		published:     reg.Counter("cluster.versions.published"),
+		retired:       reg.Counter("cluster.versions.retired"),
 		slicesApplied: reg.Counter("cluster.slices.applied"),
 		lateDelivs:    reg.Counter("cluster.deliveries.late"),
 		replLagUs:     reg.Gauge("cluster.replication.lag_us"),
@@ -172,9 +165,6 @@ func New(cfg Config) (*DirectLoad, error) {
 	}
 	if cfg.RetainVersions <= 0 {
 		cfg.RetainVersions = 4
-	}
-	if cfg.CycleTarget <= 0 {
-		cfg.CycleTarget = time.Hour
 	}
 	if cfg.Mint.Metrics == nil {
 		cfg.Mint.Metrics = cfg.Metrics
@@ -420,10 +410,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	rep.Dedup = d.Deduper.AdvanceVersion()
 	rep.MissRatio = d.Shipper.MissRatio()
 	d.met.published.Inc()
-	eff := rep.EffectiveTime()
-	d.cfg.Events.Emitf(metrics.EventVersionPublish, "", version,
-		"keys=%d effective=%s", len(entries), eff)
-	d.cfg.CycleSLO.Record(eff <= d.cfg.CycleTarget)
 	if lag := rep.replicationLag(); lag >= 0 {
 		d.met.replLagUs.Set(int64(lag / time.Microsecond))
 	}
@@ -448,7 +434,7 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 				dc.active = 0
 			}
 		}
-		d.cfg.Events.Emit(metrics.EventVersionRetire, "", old, "retention")
+		d.met.retired.Inc()
 	}
 	return rep, nil
 }

@@ -353,180 +353,34 @@ func TestCorruptCheckpointFallsBackToScan(t *testing.T) {
 	}
 }
 
-// modelOp drives the model-equivalence test below.
-type modelOp struct {
-	op   int // 0=put, 1=putDedup, 2=del, 3=dropVersion
-	key  int
-	ver  uint64
-	vlen int
-}
-
-// TestModelEquivalence runs a random op stream against the engine and an
-// in-memory model, checking Get agreement after every crash/recovery.
+// TestModelEquivalence runs a random op stream against the engine and
+// the oracle, checking Get agreement after every checkpoint, GC drain and
+// crash/recovery, and that recovery rebuilds the exact engine state.
 func TestModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	fs := testFS(t, 2048)
 	db, _ := Open(fs, testOptions())
-
-	type mval struct {
-		val     []byte
-		dedup   bool
-		base    uint64 // resolved at put time, like the engine
-		hasBase bool
-		deleted bool
-	}
-	model := map[string]map[uint64]*mval{} // key -> ver -> state
-	keyName := func(k int) string { return fmt.Sprintf("key-%03d", k) }
-
-	// resolveBase mirrors the engine's PUT-time binding: walk versions
-	// below ver in descending order, skipping deleted entries; the first
-	// live non-dedup entry is the base, and a live dedup entry shortcuts
-	// to its own base.
-	resolveBase := func(key string, ver uint64) (uint64, bool) {
-		var vers []uint64
-		for v := range model[key] {
-			if v < ver {
-				vers = append(vers, v)
-			}
-		}
-		for i := 1; i < len(vers); i++ {
-			for j := i; j > 0 && vers[j-1] < vers[j]; j-- {
-				vers[j-1], vers[j] = vers[j], vers[j-1]
-			}
-		}
-		for _, v := range vers { // descending
-			m := model[key][v]
-			if m.deleted {
-				continue
-			}
-			if !m.dedup {
-				return v, true
-			}
-			if m.hasBase {
-				return m.base, true
-			}
-		}
-		return 0, false
-	}
-
-	apply := func(o modelOp) {
-		key := keyName(o.key)
-		switch o.op {
-		case 0, 1:
-			dedup := o.op == 1
-			var val []byte
-			if !dedup {
-				val = make([]byte, o.vlen)
-				rng.Read(val)
-			}
-			if model[key] == nil {
-				model[key] = map[uint64]*mval{}
-			}
-			mv := &mval{val: val, dedup: dedup}
-			if dedup {
-				mv.base, mv.hasBase = resolveBase(key, o.ver)
-			}
-			if _, err := db.Put([]byte(key), o.ver, val, dedup); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			model[key][o.ver] = mv
-		case 2:
-			_, err := db.Del([]byte(key), o.ver)
-			mv := model[key][o.ver]
-			if mv == nil || mv.deleted {
-				if err == nil {
-					t.Fatalf("Del(%s/%d) should fail", key, o.ver)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Del(%s/%d): %v", key, o.ver, err)
-			}
-			mv.deleted = true
-		case 3:
-			db.DropVersion(o.ver)
-			for _, vers := range model {
-				if mv := vers[o.ver]; mv != nil {
-					mv.deleted = true
-				}
-			}
-		}
-	}
-
-	// expected resolves what Get should return under the model: dedup
-	// entries read the value currently stored under their bound base.
-	expected := func(key string, ver uint64) ([]byte, bool) {
-		vers := model[key]
-		mv := vers[ver]
-		if mv == nil || mv.deleted {
-			return nil, false
-		}
-		if !mv.dedup {
-			return mv.val, true
-		}
-		if !mv.hasBase {
-			return nil, false
-		}
-		base := vers[mv.base]
-		if base == nil || base.dedup {
-			return nil, false
-		}
-		return base.val, true
-	}
-
-	check := func() {
-		for k := 0; k < 20; k++ {
-			key := keyName(k)
-			for ver := uint64(1); ver <= 6; ver++ {
-				wantVal, wantOK := expected(key, ver)
-				gotVal, _, err := db.Get([]byte(key), ver)
-				if wantOK {
-					if err != nil {
-						t.Fatalf("Get(%s/%d) = %v, model expects %d bytes", key, ver, err, len(wantVal))
-					}
-					if !bytes.Equal(gotVal, wantVal) {
-						mv := model[key][ver]
-						t.Fatalf("Get(%s/%d) value mismatch: got %d bytes, want %d bytes; model=%+v",
-							key, ver, len(gotVal), len(wantVal), *mv)
-					}
-				} else if err == nil && model[key][ver] != nil && !model[key][ver].deleted {
-					// dedup broken chain is allowed to differ only via error
-					t.Fatalf("Get(%s/%d) succeeded, model expects failure", key, ver)
-				}
-			}
-		}
-	}
-
+	sh := oracleShape{keys: 20, versions: 6, valMax: 4000}
+	o := oracle{}
 	for round := 0; round < 6; round++ {
-		for i := 0; i < 300; i++ {
-			o := modelOp{
-				op:   rng.Intn(4),
-				key:  rng.Intn(20),
-				ver:  uint64(rng.Intn(6) + 1),
-				vlen: rng.Intn(4000) + 1,
-			}
-			if o.op == 3 && rng.Intn(4) != 0 {
-				o.op = 0 // make version drops rarer
-			}
-			apply(o)
-		}
-		check()
+		o.apply(t, db, rng, 300, sh)
+		o.check(t, db, sh)
 		if round%2 == 0 {
 			if _, err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		db.CollectAll()
-		check()
+		o.check(t, db, sh)
 		// Crash and recover.
 		db = crash(t, db, fs, false) // CollectAll relocates tombstones
-		check()
+		o.check(t, db, sh)
 	}
 	db.Close()
 }
 
-// TestReviveAfterRelocatedDropSurvivesRecovery pins a bug found by
-// cmd/crashtest: GC used to relocate version-drop/tombstone records with
+// TestReviveAfterRelocatedDropSurvivesRecovery pins a bug the random
+// oracle (now TestOracleRounds) found: GC used to relocate version-drop/tombstone records with
 // fresh sequence numbers, so a drop could replay AFTER a later re-put of
 // the same key/version and kill the revived entry during recovery.
 // Deletion records must keep their original sequence when relocated.

@@ -86,9 +86,6 @@ type Config struct {
 	// one bad event per fleet-wide miss — the read-availability
 	// objective the paper reports (0.24 % observed vs 0.6 % allowed).
 	SLO *metrics.SLO
-	// Events, when non-nil, receives breaker, handoff and node up/down
-	// lifecycle events.
-	Events *metrics.EventLog
 	// OpsAddrs are the nodes' operator HTTP addresses (same order as
 	// the flattened Groups is not required — any covering set works),
 	// used by CollectTrace to aggregate spans across the fleet.
@@ -144,6 +141,7 @@ type fleetMetrics struct {
 	handoffDrained *metrics.Counter
 	handoffDepth   *metrics.Gauge
 	breakerOpens   *metrics.Counter
+	breakerCloses  *metrics.Counter
 }
 
 func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
@@ -162,6 +160,7 @@ func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
 		handoffDrained: reg.Counter("fleet.handoff.drained"),
 		handoffDepth:   reg.Gauge("fleet.handoff.depth"),
 		breakerOpens:   reg.Counter("fleet.breaker.opens"),
+		breakerCloses:  reg.Counter("fleet.breaker.closes"),
 	}
 }
 
@@ -182,10 +181,9 @@ type Fleet struct {
 	nodes  []*node
 	byID   map[string]*node
 
-	reg    *metrics.Registry
-	met    fleetMetrics
-	slo    *metrics.SLO
-	events *metrics.EventLog
+	reg *metrics.Registry
+	met fleetMetrics
+	slo *metrics.SLO
 
 	wg     sync.WaitGroup // prober + async repairs
 	stop   chan struct{}
@@ -242,14 +240,13 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.BreakerCooldown = time.Second
 	}
 	f := &Fleet{
-		cfg:    cfg,
-		place:  mint.Placement{Replicas: cfg.Replicas},
-		byID:   make(map[string]*node),
-		reg:    cfg.Metrics,
-		met:    newFleetMetrics(cfg.Metrics),
-		slo:    cfg.SLO,
-		events: cfg.Events,
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		place: mint.Placement{Replicas: cfg.Replicas},
+		byID:  make(map[string]*node),
+		reg:   cfg.Metrics,
+		met:   newFleetMetrics(cfg.Metrics),
+		slo:   cfg.SLO,
+		stop:  make(chan struct{}),
 	}
 	for g, addrs := range cfg.Groups {
 		if len(addrs) < cfg.Replicas {
@@ -370,41 +367,28 @@ func transportErr(err error) bool {
 }
 
 // nodeFailure routes a transport failure into the node's breaker,
-// emitting breaker.open when this failure tripped it.
+// counting fleet.breaker.opens when this failure tripped it.
 func (f *Fleet) nodeFailure(n *node, err error) {
 	if n.onFailure(err, f.cfg.BreakerThreshold, f.cfg.BreakerCooldown) {
 		f.met.breakerOpens.Inc()
-		f.events.Emitf(metrics.EventBreakerOpen, n.id, 0,
-			"%d consecutive transport failures: %v", f.cfg.BreakerThreshold, err)
 	}
 }
 
 // nodeSuccess routes a healthy response into the node's breaker,
-// emitting breaker.close when the node was recovering.
+// counting fleet.breaker.closes when the node was recovering.
 func (f *Fleet) nodeSuccess(n *node) {
 	if n.onSuccess() {
-		f.events.Emit(metrics.EventBreakerClose, n.id, 0, "")
+		f.met.breakerCloses.Inc()
 	}
-}
-
-// nodeAvailable asks the node's breaker to admit a request, emitting
-// breaker.half_open when this call started a cooldown trial.
-func (f *Fleet) nodeAvailable(n *node) bool {
-	admit, trial := n.available(f.cfg.BreakerCooldown)
-	if trial {
-		f.events.Emit(metrics.EventBreakerHalfOpen, n.id, 0, "cooldown trial")
-	}
-	return admit
 }
 
 // queueHandoff queues a node's owed hints, keeping the handoff metrics
-// and event log in step.
+// in step.
 func (f *Fleet) queueHandoff(n *node, hs []hint) {
 	queued, dropped := n.queueHints(hs, f.cfg.HandoffLimit)
 	f.met.handoffQueued.Add(int64(queued))
 	f.met.handoffDropped.Add(int64(dropped))
 	f.met.handoffDepth.Add(int64(queued))
-	f.events.Emitf(metrics.EventHandoffEnqueue, n.id, 0, "queued=%d dropped=%d", queued, dropped)
 }
 
 // --- writes -----------------------------------------------------------------
@@ -488,7 +472,7 @@ func (f *Fleet) writeNode(ctx context.Context, n *node, version uint64, entries 
 	_, end := f.reg.ContinueSpanNote(ctx, "fleet.replica.write",
 		fmt.Sprintf("%s ops=%d", n.id, len(idxs)))
 	defer func() { end(err) }()
-	if !f.nodeAvailable(n) {
+	if !n.available(f.cfg.BreakerCooldown) {
 		f.hintPuts(n, version, entries, idxs)
 		return fmt.Errorf("%w (%s)", ErrBreakerOpen, n.id)
 	}
@@ -562,7 +546,7 @@ func (f *Fleet) DropVersion(ctx context.Context, version uint64) error {
 			hintDrop := func() {
 				f.queueHandoff(n, []hint{{op: server.OpDropVersion, version: version}})
 			}
-			if !f.nodeAvailable(n) {
+			if !n.available(f.cfg.BreakerCooldown) {
 				hintDrop()
 				return
 			}
@@ -607,7 +591,7 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte
 	ordered := make([]*node, 0, len(replicas))
 	var skipped []*node
 	for _, n := range replicas {
-		if f.nodeAvailable(n) {
+		if n.available(f.cfg.BreakerCooldown) {
 			ordered = append(ordered, n)
 		} else {
 			skipped = append(skipped, n)
@@ -779,15 +763,9 @@ func (f *Fleet) probe(n *node) {
 	}
 	if err != nil {
 		f.nodeFailure(n, err)
-		if n.setProbe(false) {
-			f.events.Emitf(metrics.EventNodeDown, n.id, 0, "probe: %v", err)
-		}
 		return
 	}
 	f.nodeSuccess(n)
-	if n.setProbe(true) {
-		f.events.Emit(metrics.EventNodeUp, n.id, 0, "probe ok")
-	}
 	if n.handoffDepth() > 0 {
 		f.drainHandoff(ctx, n)
 	}
@@ -825,11 +803,9 @@ func (f *Fleet) drainHandoff(ctx context.Context, n *node) error {
 		q, d := n.queueHints(hs, f.cfg.HandoffLimit)
 		f.met.handoffDepth.Add(int64(q))
 		f.met.handoffDropped.Add(int64(d))
-		f.events.Emitf(metrics.EventHandoffEnqueue, n.id, 0, "requeued=%d dropped=%d after failed drain", q, d)
 		return err
 	}
 	f.met.handoffDrained.Add(int64(len(hs)))
-	f.events.Emitf(metrics.EventHandoffDrain, n.id, 0, "drained=%d", len(hs))
 	return err
 }
 

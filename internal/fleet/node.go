@@ -54,7 +54,6 @@ type node struct {
 	lastErr   string
 	handoff   []hint
 	dropped   int64 // hints lost to the queue bound
-	probeDown bool  // last probe outcome; zero value assumes healthy
 }
 
 // client returns the node's client, dialing on first use. Dialing is
@@ -86,27 +85,25 @@ func (n *node) client() (*server.Client, error) {
 // available reports whether the breaker admits a request right now. An
 // open breaker lets one trial through per cooldown interval (half-open);
 // the trial's outcome — reported via onSuccess/onFailure — decides
-// whether the breaker closes or re-arms. trial is true when this call
-// transitioned the breaker open → half-open (for the event log).
-func (n *node) available(cooldown time.Duration) (admit, trial bool) {
+// whether the breaker closes or re-arms.
+func (n *node) available(cooldown time.Duration) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.state == breakerClosed {
-		return true, false
+		return true
 	}
 	now := time.Now()
 	if now.After(n.openUntil) {
-		trial = n.state == breakerOpen
 		n.state = breakerHalfOpen
 		n.openUntil = now.Add(cooldown)
-		return true, trial
+		return true
 	}
-	return false, false
+	return false
 }
 
 // onSuccess records a healthy response: the failure streak resets and
 // the breaker closes. Returns true when this call closed a previously
-// open or half-open breaker (for the event log).
+// open or half-open breaker.
 func (n *node) onSuccess() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -137,19 +134,6 @@ func (n *node) onFailure(err error, threshold int, cooldown time.Duration) bool 
 		n.openUntil = time.Now().Add(cooldown)
 	}
 	return false
-}
-
-// setProbe records one probe outcome, returning true when it flipped
-// the node's up/down view (an undetermined node counts as up, so the
-// first successful probe is not a transition).
-func (n *node) setProbe(ok bool) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ok == !n.probeDown {
-		return false
-	}
-	n.probeDown = !ok
-	return true
 }
 
 // queueHints appends hints to the bounded handoff queue, returning how

@@ -61,6 +61,14 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// setCounter registers a counter owned by another metrics type (the
+// SLO's good/bad cells) under name, replacing any counter already there.
+func (r *Registry) setCounter(name string, c *Counter) {
+	r.mu.Lock()
+	r.counters[name] = c
+	r.mu.Unlock()
+}
+
 // Gauge returns the gauge registered under name, creating it on first
 // use. Returns nil (a valid no-op handle) on a nil registry.
 func (r *Registry) Gauge(name string) *Gauge {

@@ -136,11 +136,11 @@ func (l *SlowLog) MarshalJSON() ([]byte, error) {
 	return json.Marshal(entries)
 }
 
-// WriteTo dumps the retained entries as text, oldest first — the
-// /debug/slowlog page.
-func (l *SlowLog) WriteTo(w io.Writer) (int64, error) {
+// WriteSlowEntries renders entries as text, one line each with its
+// trace id and error when set — the /debug/slowlog page, filtered or not.
+func WriteSlowEntries(w io.Writer, entries []SlowEntry) (int64, error) {
 	var total int64
-	for _, e := range l.Entries(0) {
+	for _, e := range entries {
 		suffix := ""
 		if e.TraceID != 0 {
 			suffix += fmt.Sprintf(" trace=%016x", e.TraceID)

@@ -76,8 +76,8 @@ func TestSlowLogNil(t *testing.T) {
 		t.Fatal("nil SlowLog should be inert")
 	}
 	var sb strings.Builder
-	if _, err := l.WriteTo(&sb); err != nil {
-		t.Fatal(err)
+	if _, err := WriteSlowEntries(&sb, l.FilterEntries(0, "put", 0)); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil SlowLog rendered %q, %v", sb.String(), err)
 	}
 }
 
@@ -96,10 +96,10 @@ func TestSlowLogJSONAndText(t *testing.T) {
 		t.Fatalf("round-tripped entries = %+v", entries)
 	}
 	var sb strings.Builder
-	if _, err := l.WriteTo(&sb); err != nil {
+	if _, err := WriteSlowEntries(&sb, l.Entries(0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"put", "jk", "boom"} {
+	for _, want := range []string{"put", "jk", "trace=0000000000000abc", "err=boom"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("text dump missing %q:\n%s", want, sb.String())
 		}

@@ -4,12 +4,9 @@
 // behind a switch — the runtime profiler. One mux, one graceful server,
 // so every binary exposes the same endpoints the docs describe:
 //
-//	/metrics             text dump; ?format=json | ?format=prom
-//	/slo                 SLO trackers: per-window ratios and burn
-//	                     rates; ?format=json
-//	/events              structured event log, oldest first; ?since=
-//	                     <seq> resumes a cursor, ?n=<count> keeps the
-//	                     newest n, ?wait=<dur> long-polls, ?format=json
+//	/metrics             text dump; ?format=json | ?format=prom (SLO
+//	                     good/bad counters and runtime.* gauges ride
+//	                     along: a scraper rates them)
 //	/debug/trace         span ring + latency summaries; ?id=<hex> for
 //	                     one trace's timeline; ?format=json
 //	/debug/trace/export  machine-readable spans of one trace (?id=
@@ -40,7 +37,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
-	"time"
 
 	"directload/internal/fleet"
 	"directload/internal/metrics"
@@ -57,11 +53,6 @@ type Config struct {
 	// Node names this process in /debug/trace/export payloads so the
 	// cross-node trace collector can label merged spans.
 	Node string
-	// SLOs back /slo (and ride along in ?format=prom via their
-	// registered gauges).
-	SLOs []*metrics.SLO
-	// Events backs /events.
-	Events *metrics.EventLog
 	// Ready, when set, backs /readyz: nil means ready, an error is
 	// reported with a 503. When unset /readyz behaves like /healthz.
 	Ready func() error
@@ -100,88 +91,6 @@ func NewMux(cfg Config) *http.ServeMux {
 		default:
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			cfg.Registry.WriteTo(w)
-		}
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		snaps := make([]metrics.SLOSnapshot, 0, len(cfg.SLOs))
-		for _, s := range cfg.SLOs {
-			if s == nil {
-				continue
-			}
-			snaps = append(snaps, s.Snapshot())
-		}
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(snaps)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, snap := range snaps {
-			fmt.Fprintf(w, "slo %s target=%g total_good=%d total_bad=%d\n",
-				snap.Name, snap.Target, snap.TotalGood, snap.TotalBad)
-			for _, win := range snap.Windows {
-				fmt.Fprintf(w, "  %-4s good=%d bad=%d ratio=%.6f burn=%.2fx\n",
-					win.Window, win.Good, win.Bad, win.Ratio, win.BurnRate)
-			}
-		}
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		var since uint64
-		if sStr := q.Get("since"); sStr != "" {
-			v, err := strconv.ParseUint(sStr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since (want decimal sequence number)", http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		n := 0
-		if nStr := q.Get("n"); nStr != "" {
-			v, err := strconv.Atoi(nStr)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n (want non-negative integer)", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		var evs []metrics.Event
-		if waitStr := q.Get("wait"); waitStr != "" {
-			d, err := time.ParseDuration(waitStr)
-			if err != nil || d <= 0 {
-				http.Error(w, "bad wait (want positive duration)", http.StatusBadRequest)
-				return
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			evs = cfg.Events.Wait(ctx, since)
-			cancel()
-			if n > 0 && len(evs) > n {
-				evs = evs[len(evs)-n:]
-			}
-		} else {
-			evs = cfg.Events.Since(since, n)
-		}
-		if q.Get("format") == "json" {
-			if evs == nil {
-				evs = []metrics.Event{}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(evs)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, e := range evs {
-			suffix := ""
-			if e.Node != "" {
-				suffix += " node=" + e.Node
-			}
-			if e.Version != 0 {
-				suffix += fmt.Sprintf(" v%d", e.Version)
-			}
-			if e.Detail != "" {
-				suffix += " " + e.Detail
-			}
-			fmt.Fprintf(w, "%d %s %s%s\n", e.Seq, e.Time.Format(time.RFC3339Nano), e.Type, suffix)
 		}
 	})
 	mux.HandleFunc("/debug/trace/export", func(w http.ResponseWriter, r *http.Request) {
@@ -261,23 +170,17 @@ func NewMux(cfg Config) *http.ServeMux {
 			}
 			trace = v
 		}
+		entries := cfg.SlowLog.FilterEntries(n, op, trace)
 		if q.Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			entries := cfg.SlowLog.FilterEntries(n, op, trace)
 			if entries == nil {
 				entries = []metrics.SlowEntry{}
 			}
+			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(entries)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if n > 0 || op != "" || trace != 0 {
-			for _, e := range cfg.SlowLog.FilterEntries(n, op, trace) {
-				fmt.Fprintf(w, "%s %s %q %s\n", e.Time.Format("15:04:05.000"), e.Op, e.Key, e.Dur)
-			}
-			return
-		}
-		cfg.SlowLog.WriteTo(w)
+		metrics.WriteSlowEntries(w, entries)
 	})
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Fleet == nil {

@@ -12,120 +12,6 @@ import (
 	"directload/internal/metrics"
 )
 
-func TestSLOEndpoint(t *testing.T) {
-	slo := metrics.NewSLO(metrics.SLOConfig{
-		Name:    "fleet.read",
-		Target:  0.5,
-		Windows: []time.Duration{time.Minute},
-	})
-	slo.Record(true)
-	slo.Record(false)
-	srv := httptest.NewServer(NewMux(Config{SLOs: []*metrics.SLO{slo, nil}}))
-	defer srv.Close()
-
-	code, body, _ := get(t, srv, "/slo")
-	if code != 200 {
-		t.Fatalf("/slo = %d:\n%s", code, body)
-	}
-	for _, want := range []string{"slo fleet.read target=0.5", "total_good=1 total_bad=1", "1m", "burn=1.00x"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/slo text missing %q:\n%s", want, body)
-		}
-	}
-
-	code, body, hdr := get(t, srv, "/slo?format=json")
-	if code != 200 || !strings.Contains(hdr.Get("Content-Type"), "json") {
-		t.Fatalf("json /slo = %d (%s)", code, hdr.Get("Content-Type"))
-	}
-	var snaps []metrics.SLOSnapshot
-	if err := json.Unmarshal([]byte(body), &snaps); err != nil {
-		t.Fatalf("json /slo decode: %v\n%s", err, body)
-	}
-	// The nil tracker is skipped, not serialized as an empty object.
-	if len(snaps) != 1 || snaps[0].Name != "fleet.read" || len(snaps[0].Windows) != 1 {
-		t.Fatalf("json /slo = %+v", snaps)
-	}
-	if got := snaps[0].Windows[0].BurnRate; got < 1-1e-9 || got > 1+1e-9 {
-		t.Fatalf("burn over the wire = %g, want 1", got)
-	}
-}
-
-func TestEventsEndpoint(t *testing.T) {
-	ev := metrics.NewEventLog(16)
-	ev.Emit(metrics.EventVersionPublish, "", 3, "")
-	ev.Emit(metrics.EventBreakerOpen, "n2", 0, "2 consecutive failures")
-	ev.Emit(metrics.EventBreakerClose, "n2", 0, "")
-	srv := httptest.NewServer(NewMux(Config{Events: ev}))
-	defer srv.Close()
-
-	code, body, _ := get(t, srv, "/events")
-	if code != 200 {
-		t.Fatalf("/events = %d:\n%s", code, body)
-	}
-	for _, want := range []string{"version.publish", "v3", "breaker.open", "node=n2", "breaker.close"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/events text missing %q:\n%s", want, body)
-		}
-	}
-
-	// Cursor: since=1 skips the publish.
-	code, body, _ = get(t, srv, "/events?since=1&format=json")
-	var evs []metrics.Event
-	if code != 200 || json.Unmarshal([]byte(body), &evs) != nil {
-		t.Fatalf("json /events = %d:\n%s", code, body)
-	}
-	if len(evs) != 2 || evs[0].Type != metrics.EventBreakerOpen || evs[0].Seq != 2 {
-		t.Fatalf("since=1 = %+v", evs)
-	}
-
-	// n keeps the newest.
-	code, body, _ = get(t, srv, "/events?n=1&format=json")
-	evs = nil
-	if code != 200 || json.Unmarshal([]byte(body), &evs) != nil || len(evs) != 1 || evs[0].Type != metrics.EventBreakerClose {
-		t.Fatalf("n=1 = %d %+v", code, evs)
-	}
-
-	// Long poll: a blocked request is released by a fresh event.
-	type result struct {
-		code int
-		evs  []metrics.Event
-	}
-	got := make(chan result, 1)
-	go func() {
-		resp, err := srv.Client().Get(srv.URL + "/events?since=3&wait=5s&format=json")
-		if err != nil {
-			got <- result{code: -1}
-			return
-		}
-		defer resp.Body.Close()
-		var evs []metrics.Event
-		json.NewDecoder(resp.Body).Decode(&evs)
-		got <- result{code: resp.StatusCode, evs: evs}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the poller block
-	ev.Emit(metrics.EventNodeUp, "n2", 0, "probe ok")
-	select {
-	case r := <-got:
-		if r.code != 200 || len(r.evs) != 1 || r.evs[0].Type != metrics.EventNodeUp {
-			t.Fatalf("long poll = %d %+v", r.code, r.evs)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("long poll never released")
-	}
-
-	// An expired wait answers 200 with no events, not an error.
-	code, body, _ = get(t, srv, fmt.Sprintf("/events?since=%d&wait=30ms&format=json", ev.LastSeq()))
-	if code != 200 || strings.TrimSpace(body) != "[]" {
-		t.Fatalf("expired wait = %d %q, want 200 []", code, body)
-	}
-
-	for _, path := range []string{"/events?since=bogus", "/events?n=-1", "/events?wait=bogus"} {
-		if code, _, _ := get(t, srv, path); code != http.StatusBadRequest {
-			t.Fatalf("%s = %d, want 400", path, code)
-		}
-	}
-}
-
 func TestTraceExportEndpoint(t *testing.T) {
 	mux, _, traceID := testMux(t, nil)
 	srv := httptest.NewServer(mux)
@@ -167,7 +53,7 @@ func TestTraceExportEndpoint(t *testing.T) {
 func TestSlowlogFilters(t *testing.T) {
 	slow := metrics.NewSlowLog(8, time.Millisecond)
 	slow.Maybe("put", []byte("k1"), 2*time.Millisecond, 0xaaa, "")
-	slow.Maybe("get", []byte("k2"), 3*time.Millisecond, 0xbbb, "")
+	slow.Maybe("get", []byte("k2"), 3*time.Millisecond, 0xbbb, "not found")
 	slow.Maybe("put", []byte("k3"), 4*time.Millisecond, 0xbbb, "")
 	srv := httptest.NewServer(NewMux(Config{SlowLog: slow}))
 	defer srv.Close()
@@ -196,10 +82,16 @@ func TestSlowlogFilters(t *testing.T) {
 		t.Fatalf("op+trace = %d %+v", code, entries)
 	}
 
-	// Text path honors the filters too.
+	// Text path honors the filters too, and a filtered line keeps the
+	// trace id and error an unfiltered one shows.
 	code, body, _ = get(t, srv, "/debug/slowlog?op=get")
 	if code != 200 || !strings.Contains(body, "k2") || strings.Contains(body, "k1") {
 		t.Fatalf("text op=get = %d:\n%s", code, body)
+	}
+	for _, want := range []string{"trace=0000000000000bbb", "err=not found"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("text op=get missing %q:\n%s", want, body)
+		}
 	}
 
 	if code, _, _ := get(t, srv, "/debug/slowlog?trace=zzz"); code != http.StatusBadRequest {
@@ -207,14 +99,14 @@ func TestSlowlogFilters(t *testing.T) {
 	}
 }
 
-// TestObservabilityEndpointsNil checks every new endpoint against a
-// zero Config: empty output, never a panic.
+// TestObservabilityEndpointsNil checks the observability endpoints
+// against a zero Config: empty output, never a panic. The SLO and the
+// fleet's state changes are counters on /metrics, so /slo and /events
+// are not served.
 func TestObservabilityEndpointsNil(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()
 	for _, path := range []string{
-		"/slo", "/slo?format=json",
-		"/events", "/events?format=json", "/events?since=5&n=2",
 		"/debug/trace/export?id=1",
 		"/debug/slowlog?op=put&trace=ab",
 	} {
@@ -222,14 +114,9 @@ func TestObservabilityEndpointsNil(t *testing.T) {
 			t.Fatalf("%s with nil config = %d", path, code)
 		}
 	}
-	// A long poll against a nil event log returns immediately empty
-	// rather than hanging until the wait expires.
-	start := time.Now()
-	code, body, _ := get(t, srv, "/events?wait=10s&format=json")
-	if code != 200 || strings.TrimSpace(body) != "[]" {
-		t.Fatalf("nil long poll = %d %q", code, body)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("nil long poll blocked")
+	for _, path := range []string{"/slo", "/events"} {
+		if code, _, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Fatalf("%s = %d, want 404", path, code)
+		}
 	}
 }
