@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures lint-sarif audit-ignores bench fuzz-smoke check clean
+.PHONY: build test race vet lint lint-fixtures lint-sarif audit-ignores bench fuzz-smoke examples check clean
 
 build:
 	$(GO) build ./...
@@ -61,13 +61,19 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzPostingsDecode$$' -fuzztime 10s ./internal/search/
 	$(GO) test -run xxx -fuzz '^FuzzCIFFImport$$' -fuzztime 10s ./internal/search/
 
+# The examples are the only code that shows the packages in use from
+# outside; each must run to completion (each takes under a second).
+examples:
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
+
 # Full pre-merge gate: compile, standard vet, the repo's own analyzer
-# suite, unit tests, then the race detector over every package.
+# suite, unit tests, the examples, then the race detector over every
+# package.
 # bench/ is a module of its own, which `./...` does not
 # reach: its tests compile the end-to-end benchmark and smoke-run every
 # workload — hand-built hello included — against a qindbd built from
 # this tree, so a wire change that breaks the benchmark fails here.
-check: build vet lint test
+check: build vet lint test examples
 	$(GO) test -race ./...
 	cd bench && $(GO) test -count=1 .
 

@@ -11,11 +11,15 @@ import (
 	"fmt"
 	"log"
 
-	"directload"
+	"directload/internal/bifrost"
+	"directload/internal/blockfs"
+	"directload/internal/core"
+	"directload/internal/indexer"
+	"directload/internal/ssd"
 )
 
 func main() {
-	crawler, err := directload.NewCrawler(directload.CrawlConfig{
+	crawler, err := indexer.NewCrawler(indexer.CrawlConfig{
 		Documents: 500, VIPRatio: 0.1, VocabSize: 2000,
 		DocTerms: 60, MutateProb: 0.3, VIPMutateProb: 0.5, Seed: 42,
 	})
@@ -25,18 +29,18 @@ func main() {
 
 	// One store for summary indices (<URL, abstract>) and one for
 	// inverted indices (<term, URLs>), as in the paper's data centers.
-	summaryDB, err := directload.OpenStore(256<<20, directload.DefaultStoreOptions())
+	summaryDB, err := openStore(256 << 20)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer summaryDB.Close()
-	invertedDB, err := directload.OpenStore(256<<20, directload.DefaultStoreOptions())
+	invertedDB, err := openStore(256 << 20)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer invertedDB.Close()
 
-	dedup := directload.NewDeduper()
+	dedup := bifrost.NewDeduper()
 
 	// Three crawl rounds = three index versions.
 	for round := 1; round <= 3; round++ {
@@ -46,9 +50,9 @@ func main() {
 
 		// Build the indices. Forward indices feed the inverted builder;
 		// summaries come straight from the documents.
-		forward := directload.BuildForward(corpus)
-		inverted := directload.BuildInverted(forward)
-		summaries := directload.BuildSummary(corpus, 8)
+		forward := indexer.BuildForward(corpus)
+		inverted := indexer.BuildInverted(forward)
+		summaries := indexer.BuildSummary(corpus, 8)
 
 		var kept, stripped int
 		for _, s := range summaries {
@@ -67,7 +71,7 @@ func main() {
 			}
 		}
 		for _, e := range inverted {
-			key, val := []byte("inv/"+e.Term), directload.EncodeURLList(e.URLs)
+			key, val := []byte("inv/"+e.Term), indexer.EncodeURLList(e.URLs)
 			if dedup.Process(key, val) {
 				if _, err := invertedDB.Put(key, version, nil, true); err != nil {
 					log.Fatal(err)
@@ -93,13 +97,13 @@ func main() {
 	// terms -> inverted index -> URL chain -> summary index -> abstracts.
 	corpus := crawler.Corpus()
 	query := []string{corpus[0].Terms[0], corpus[0].Terms[1]}
-	results := directload.Search(query,
+	results := indexer.Search(query,
 		func(term string) ([]string, bool) {
 			v, _, _, err := invertedDB.GetLatest([]byte("inv/" + term))
 			if err != nil {
 				return nil, false
 			}
-			return directload.DecodeURLList(v), true
+			return indexer.DecodeURLList(v), true
 		},
 		func(url string) (string, bool) {
 			v, _, _, err := summaryDB.GetLatest([]byte("sum/" + url))
@@ -113,6 +117,16 @@ func main() {
 	for i, r := range results {
 		fmt.Printf("  %d. %s\n     %s...\n", i+1, r.URL, clip(r.Abstract, 60))
 	}
+}
+
+// openStore opens QinDB over a fresh simulated SSD of the given capacity
+// (bytes), written block-aligned through the native interface.
+func openStore(capacity int64) (*core.DB, error) {
+	dev, err := ssd.NewDevice(ssd.DefaultConfig(capacity))
+	if err != nil {
+		return nil, err
+	}
+	return core.Open(blockfs.NewNativeFS(dev), core.DefaultOptions())
 }
 
 func clip(s string, n int) string {

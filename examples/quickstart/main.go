@@ -9,18 +9,23 @@ import (
 	"fmt"
 	"log"
 
-	"directload"
+	"directload/internal/blockfs"
+	"directload/internal/core"
+	"directload/internal/ssd"
 )
 
 func main() {
 	// A 256 MB simulated SSD with the paper's geometry (4 KB pages,
 	// 256 KB erase blocks), written block-aligned via the native
 	// interface — no hardware write amplification.
-	flash, err := directload.NewFlash(256 << 20)
+	dev, err := ssd.NewDevice(ssd.DefaultConfig(256 << 20))
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := directload.OpenStoreOn(flash, directload.DefaultStoreOptions())
+	// The filesystem holds the file table and extent maps: state that
+	// lives on the flash in a real deployment, so keep it to reopen.
+	fs := blockfs.NewNativeFS(dev)
+	db, err := core.Open(fs, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func main() {
 	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
-	db2, err := directload.OpenStoreOn(flash, directload.DefaultStoreOptions())
+	db2, err := core.Open(fs, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,5 +89,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after recovery, GET page-0 @v2 -> %q\n", val)
-	fmt.Printf("device: %d bytes programmed to flash\n", flash.Device().Stats().SysWriteBytes)
+	fmt.Printf("device: %d bytes programmed to flash\n", dev.Stats().SysWriteBytes)
 }

@@ -12,19 +12,21 @@ import (
 	"fmt"
 	"log"
 
-	"directload"
+	"directload/internal/bifrost"
+	"directload/internal/cluster"
+	"directload/internal/workload"
 )
 
 func main() {
-	cfg := directload.DefaultSystemConfig()
+	cfg := cluster.DefaultConfig()
 	cfg.Mint.NodeCapacity = 128 << 20
-	sys, err := directload.NewSystem(cfg)
+	sys, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
 
-	gen, err := directload.NewGenerator(directload.GeneratorConfig{
+	gen, err := workload.NewGenerator(workload.KVConfig{
 		Keys: 400, ValueSize: 8 << 10, ValueSizeStdDev: 1 << 10,
 		DupRatio: 0.7, Seed: 7,
 	})
@@ -32,17 +34,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	publish := func(version uint64) directload.UpdateReport {
-		var entries []directload.SystemEntry
-		gen.NextVersion(func(e directload.WorkloadEntry) error {
-			entries = append(entries, directload.SystemEntry{
-				Key: e.Key, Value: e.Value, Stream: directload.StreamInverted,
+	publish := func(version uint64) cluster.UpdateReport {
+		var entries []cluster.Entry
+		gen.NextVersion(func(e workload.Entry) error {
+			entries = append(entries, cluster.Entry{
+				Key: e.Key, Value: e.Value, Stream: bifrost.StreamInverted,
 			})
 			// A small summary record per key, stored in 3 of the 6 DCs.
-			entries = append(entries, directload.SystemEntry{
+			entries = append(entries, cluster.Entry{
 				Key:    append([]byte("s/"), e.Key...),
 				Value:  e.Value[:256],
-				Stream: directload.StreamSummary,
+				Stream: bifrost.StreamSummary,
 			})
 			return nil
 		})

@@ -18,24 +18,33 @@ import (
 	"sync"
 	"time"
 
-	"directload"
+	"directload/internal/blockfs"
+	"directload/internal/core"
+	"directload/internal/metrics"
+	"directload/internal/ops"
+	"directload/internal/server"
+	"directload/internal/ssd"
 )
 
 func main() {
 	// One registry instruments everything: the engine, the server, the
 	// client pool — and, via the ops server, exposes it all over HTTP.
-	reg := directload.NewMetricsRegistry()
-	slow := directload.NewSlowLog(0, 5*time.Millisecond)
+	reg := metrics.NewRegistry()
+	slow := metrics.NewSlowLog(0, 5*time.Millisecond)
 
 	// The node: a QinDB engine behind a TCP listener.
-	opts := directload.DefaultStoreOptions()
+	dev, err := ssd.NewDevice(ssd.DefaultConfig(256 << 20))
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := core.DefaultOptions()
 	opts.Metrics = reg
-	db, err := directload.OpenStore(256<<20, opts)
+	db, err := core.Open(blockfs.NewNativeFS(dev), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	node := directload.NewNode(db)
+	node := server.New(db)
 	node.SetMetrics(reg)
 	node.SetSlowLog(slow)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -48,7 +57,7 @@ func main() {
 
 	// Operator endpoints: /metrics (?format=prom for scrapers),
 	// /healthz, /readyz, /debug/trace, /debug/slowlog.
-	opsSrv, err := directload.ListenOps("127.0.0.1:0", directload.OpsConfig{
+	opsSrv, err := ops.Listen("127.0.0.1:0", ops.Config{
 		Registry: reg,
 		SlowLog:  slow,
 		Ready: func() error {
@@ -64,12 +73,11 @@ func main() {
 	go opsSrv.Serve()
 	fmt.Printf("operator endpoints on http://%s/metrics\n", opsSrv.Addr())
 
-	// The dial performs the hello exchange, which also turns on trace
-	// propagation; WithDialTimeout bounds every call whose context
-	// carries no deadline.
-	cl, err := directload.DialNode(ln.Addr().String(),
-		directload.WithDialTimeout(2*time.Second),
-		directload.WithDialMetrics(reg))
+	// The dial performs the hello exchange; WithTimeout bounds every
+	// call whose context carries no deadline.
+	cl, err := server.Dial(ln.Addr().String(),
+		server.WithTimeout(2*time.Second),
+		server.WithMetrics(reg))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if sc, ok := directload.SpanFromContext(pubCtx); ok {
+	if sc, ok := metrics.SpanFromContext(pubCtx); ok {
 		fmt.Printf("published v1 under trace %016x:\n", sc.TraceID)
 		reg.Tracer().WriteTrace(os.Stdout, sc.TraceID)
 	}

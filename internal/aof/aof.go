@@ -107,6 +107,11 @@ const headerSize = 4 + 8 + 8 + 1 + 2 + 4
 // refuses such keys before they reach the store.
 const MaxKeyLen = math.MaxUint16
 
+// MaxValueLen is the longest value the engine stores and the wire
+// carries. valLen is a uint32, so the format could hold more; the limit
+// bounds what one record may cost a reader's buffer.
+const MaxValueLen = 64 << 20
+
 // EncodedLen returns the on-flash size of a record.
 func EncodedLen(keyLen, valLen int) int { return headerSize + keyLen + valLen }
 

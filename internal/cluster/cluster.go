@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"directload/internal/bifrost"
-	"directload/internal/fleet"
 	"directload/internal/metrics"
 	"directload/internal/mint"
 	"directload/internal/netsim"
@@ -109,33 +108,8 @@ type DirectLoad struct {
 	DCs     map[netsim.NodeID]*DataCenter
 
 	versions []uint64 // published versions in order
-	fleet    *fleet.Fleet
 	reg      *metrics.Registry
 	met      orchestratorMetrics
-}
-
-// AttachFleet routes every published version through the fleet's
-// sharded quorum writes as well, and retention drops versions there.
-// The fleet places each key on its rendezvous-chosen replica set, so
-// the remote deployment scales past one node's capacity; a one-group
-// fleet with Replicas = WriteQuorum = group size puts every entry on
-// every node. Pass nil to detach; the caller keeps ownership of the
-// fleet and closes it after shutdown.
-func (d *DirectLoad) AttachFleet(f *fleet.Fleet) {
-	d.fleet = f
-}
-
-// FleetGet serves a read from the attached fleet's hedged parallel-read
-// path against the newest retained version — the networked counterpart
-// of Get against a simulated DC.
-func (d *DirectLoad) FleetGet(ctx context.Context, key []byte) ([]byte, error) {
-	if d.fleet == nil {
-		return nil, errors.New("cluster: no fleet attached")
-	}
-	if len(d.versions) == 0 {
-		return nil, fmt.Errorf("%w: nothing published", ErrVersionMissing)
-	}
-	return d.fleet.Get(ctx, key, d.versions[len(d.versions)-1])
 }
 
 // orchestratorMetrics holds the cluster-level registry handles; all nil
@@ -282,9 +256,8 @@ func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateRepo
 
 // PublishVersionContext is PublishVersion under a caller context. The
 // whole publish cycle runs as one trace (rooted here when ctx carries
-// no span): the dedup pass, the simulated fan-out (with one
-// virtual-duration span per slice delivery), and the fleet publish —
-// across the wire into each node's handler spans — all nest under one
+// no span): the dedup pass and the simulated fan-out (with one
+// virtual-duration span per slice delivery) nest under one
 // "cluster.publish" root, which is what /debug/trace renders as the
 // version's timeline.
 func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, entries []Entry) (rep UpdateReport, err error) {
@@ -393,18 +366,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 				dc.ID, dc.arrived[version], dc.expected[version], version)
 		}
 	}
-	// Remote publish path: quorum-write the version onto the fleet's
-	// sharded replica sets, in batched frames, before declaring it
-	// published. A quorum publish tolerates minority replica outages.
-	if d.fleet != nil {
-		fe := make([]fleet.Entry, len(entries))
-		for i, e := range entries {
-			fe[i] = fleet.Entry{Key: e.Key, Value: e.Value}
-		}
-		if err := d.fleet.PublishVersion(ctx, version, fe); err != nil {
-			return rep, fmt.Errorf("cluster: fleet publish v%d: %w", version, err)
-		}
-	}
 	d.versions = append(d.versions, version)
 	rep.UpdateTime = d.Top.Net.Now() - start
 	rep.Dedup = d.Deduper.AdvanceVersion()
@@ -418,11 +379,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	for len(d.versions) > d.cfg.RetainVersions {
 		old := d.versions[0]
 		d.versions = d.versions[1:]
-		if d.fleet != nil {
-			if err := d.fleet.DropVersion(ctx, old); err != nil {
-				return rep, fmt.Errorf("cluster: fleet drop v%d: %w", old, err)
-			}
-		}
 		for _, dc := range d.DCs {
 			if _, _, err := dc.Store.DropVersion(old); err != nil {
 				return rep, err

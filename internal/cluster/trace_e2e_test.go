@@ -11,21 +11,17 @@ import (
 	"directload/internal/bifrost"
 	"directload/internal/metrics"
 	"directload/internal/ops"
-	"directload/internal/server"
 )
 
-// TestFleetPublishOneTrace is the end-to-end tracing acceptance run: a
-// publish fanned out to every node of a W = N fleet over real TCP must
-// produce ONE trace that covers the cluster publish, the Bifrost
-// dedup/ship phases, the per-replica batch flushes, the server-side
-// batch handlers, and each engine write — and /debug/trace must render
-// it.
-func TestFleetPublishOneTrace(t *testing.T) {
+// TestPublishOneTrace is the end-to-end tracing acceptance run for the
+// simulated deployment: one publish must produce ONE trace in which the
+// cluster publish parents the Bifrost dedup and ship phases, and the
+// ship phase parents one span per slice delivery — and /debug/trace must
+// render it. The wire half of a publish (router, batch flush, server
+// handlers) is internal/fleet's TestFleetE2EOneTrace.
+func TestPublishOneTrace(t *testing.T) {
 	reg := metrics.NewRegistry()
-	addr1, _ := startNode(t, reg)
-	addr2, _ := startNode(t, reg)
-
-	cfg := DefaultConfig()
+	cfg := testConfig()
 	cfg.Metrics = reg
 	d, err := New(cfg)
 	if err != nil {
@@ -33,61 +29,71 @@ func TestFleetPublishOneTrace(t *testing.T) {
 	}
 	defer d.Close()
 
-	d.AttachFleet(everyNodeFleet(t, reg, []string{addr1, addr2},
-		server.WithPoolSize(2), server.WithMetrics(reg)))
-
 	const n = 40
-	entries := make([]Entry, 0, n)
-	for i := 0; i < n; i++ {
-		entries = append(entries, Entry{
-			Key:    []byte(fmt.Sprintf("tk-%03d", i)),
-			Value:  []byte(fmt.Sprintf("tv-%03d", i)),
-			Stream: bifrost.StreamInverted,
-		})
+	entries := func(version int) []Entry {
+		out := make([]Entry, 0, n)
+		for i := 0; i < n; i++ {
+			val := fmt.Sprintf("tv-%03d", i)
+			if i%2 == 0 {
+				val = fmt.Sprintf("tv-%d-%03d", version, i) // changes every version
+			}
+			out = append(out, Entry{
+				Key:    []byte(fmt.Sprintf("tk-%03d", i)),
+				Value:  []byte(val),
+				Stream: bifrost.StreamInverted,
+			})
+		}
+		return out
+	}
+	if _, err := d.PublishVersion(1, entries(1)); err != nil {
+		t.Fatalf("publish v1: %v", err)
 	}
 	ctx, end := reg.StartSpan(context.Background(), "test.publish")
 	sc, ok := metrics.SpanFromContext(ctx)
 	if !ok {
 		t.Fatal("no span in the publish context")
 	}
-	if _, err := d.PublishVersionContext(ctx, 1, entries); err != nil {
-		t.Fatalf("publish: %v", err)
+	if _, err := d.PublishVersionContext(ctx, 2, entries(2)); err != nil {
+		t.Fatalf("publish v2: %v", err)
 	}
 	end(nil)
 
-	// One trace covers the whole fan-out.
-	trace := reg.Tracer().Trace(sc.TraceID)
-	counts := make(map[string]int)
-	for _, rec := range trace {
+	// One trace covers the whole publish, each phase under its parent.
+	byName := make(map[string][]metrics.SpanRecord)
+	for _, rec := range reg.Tracer().Trace(sc.TraceID) {
 		if rec.TraceID != sc.TraceID {
 			t.Fatalf("span %q escaped into trace %016x", rec.Name, rec.TraceID)
 		}
-		counts[rec.Name]++
+		byName[rec.Name] = append(byName[rec.Name], rec)
 	}
-	for name, want := range map[string]int{
-		"cluster.publish":     1,
-		"bifrost.dedup":       1,
-		"bifrost.ship":        1,
-		"fleet.publish":       1,
-		"fleet.replica.write": 2, // one per node
-	} {
-		if counts[name] != want {
-			t.Fatalf("trace has %d %q spans, want %d (all: %v)", counts[name], name, want, counts)
+	for _, name := range []string{"cluster.publish", "bifrost.dedup", "bifrost.ship"} {
+		if len(byName[name]) != 1 {
+			t.Fatalf("trace has %d %q spans, want 1 (all: %v)", len(byName[name]), name, byName)
 		}
 	}
-	// The wire hop: at least one flush per node, each answered by a
-	// server-side batch handler, each engine write its own sub-op span.
-	if counts["client.batch.flush"] < 2 {
-		t.Fatalf("trace has %d client.batch.flush spans, want >= 2 (all: %v)",
-			counts["client.batch.flush"], counts)
+	root := byName["cluster.publish"][0]
+	if root.ParentID != sc.SpanID {
+		t.Fatalf("cluster.publish parent = %016x, want the caller's span %016x", root.ParentID, sc.SpanID)
 	}
-	if counts["server.req.batch"] < 2 {
-		t.Fatalf("trace has %d server.req.batch spans, want >= 2 (all: %v)",
-			counts["server.req.batch"], counts)
+	for _, name := range []string{"bifrost.dedup", "bifrost.ship"} {
+		if p := byName[name][0].ParentID; p != root.SpanID {
+			t.Fatalf("%s parent = %016x, want cluster.publish %016x", name, p, root.SpanID)
+		}
 	}
-	if counts["server.batch.put"] != n*2 {
-		t.Fatalf("trace has %d server.batch.put spans, want %d (all: %v)",
-			counts["server.batch.put"], n*2, counts)
+	// Half the values are unchanged since v1, so the dedup pass elided
+	// bytes and says how many.
+	if note := byName["bifrost.dedup"][0].Note; note == "elided=0B" || !strings.HasPrefix(note, "elided=") {
+		t.Fatalf("bifrost.dedup note = %q, want a non-zero elided byte count", note)
+	}
+	ship := byName["bifrost.ship"][0]
+	deliveries := byName["bifrost.ship.delivery"]
+	if len(deliveries) < len(d.DCs) {
+		t.Fatalf("trace has %d delivery spans, want >= %d (one per DC at least)", len(deliveries), len(d.DCs))
+	}
+	for _, del := range deliveries {
+		if del.ParentID != ship.SpanID {
+			t.Fatalf("delivery parent = %016x, want bifrost.ship %016x", del.ParentID, ship.SpanID)
+		}
 	}
 
 	// And the operator endpoint renders the same timeline.
@@ -102,8 +108,7 @@ func TestFleetPublishOneTrace(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/debug/trace = %d: %s", resp.StatusCode, body)
 	}
-	for _, want := range []string{"cluster.publish", "bifrost.ship", "fleet.replica.write",
-		"server.req.batch", "server.batch.put"} {
+	for _, want := range []string{"cluster.publish", "bifrost.dedup", "bifrost.ship", "bifrost.ship.delivery"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/debug/trace output missing %q:\n%s", want, body)
 		}

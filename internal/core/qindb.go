@@ -99,8 +99,6 @@ type Options struct {
 	// AOF holds the append-only file store configuration (file size,
 	// GC threshold, free-space pressure override).
 	AOF aof.Config
-	// MaxValueSize bounds a single value (0 = 64 MiB default).
-	MaxValueSize int
 	// DisableAutoGC turns off the GC attempt piggybacked on Del and
 	// DropVersion; the caller then drives GC via MaybeGC/CollectOnce.
 	DisableAutoGC bool
@@ -122,7 +120,7 @@ type Options struct {
 // DefaultOptions mirrors the paper's configuration: 64 MB AOFs and a
 // 25 % occupancy GC threshold.
 func DefaultOptions() Options {
-	return Options{AOF: aof.DefaultConfig(), MaxValueSize: 64 << 20, Seed: 1}
+	return Options{AOF: aof.DefaultConfig(), Seed: 1}
 }
 
 // Stats aggregates engine counters for the experiments.
@@ -251,9 +249,6 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	if opts.AOF.FileSize == 0 {
 		opts.AOF = aof.DefaultConfig()
 	}
-	if opts.MaxValueSize == 0 {
-		opts.MaxValueSize = 64 << 20
-	}
 	if opts.AOF.Metrics == nil {
 		opts.AOF.Metrics = opts.Metrics
 	}
@@ -367,7 +362,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	if len(value) > db.opts.MaxValueSize {
+	if len(value) > aof.MaxValueLen {
 		return 0, fmt.Errorf("%w: %d bytes", ErrValueTooBig, len(value))
 	}
 	db.wmu.Lock()

@@ -84,14 +84,7 @@ func TestPutValidation(t *testing.T) {
 	if _, err := db.Put(nil, 1, []byte("v"), false); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("empty key err = %v", err)
 	}
-	db2, err := Open(testFS(t, 64), Options{
-		AOF: aof.Config{FileSize: 1 << 20, GCThreshold: 0.25}, MaxValueSize: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if _, err := db2.Put([]byte("k"), 1, make([]byte, 11), false); !errors.Is(err, ErrValueTooBig) {
+	if _, err := db.Put([]byte("k"), 1, make([]byte, aof.MaxValueLen+1), false); !errors.Is(err, ErrValueTooBig) {
 		t.Fatalf("oversize err = %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package experiments implements the paper's evaluation section: every
 // figure of §4 and the §5 RUM analysis has a runner here that generates
 // the workload, drives the system, and returns the same series/statistics
-// the paper plots. bench_test.go and cmd/figures are thin wrappers around
-// these runners, so `go test -bench` and the CSV tool always agree.
+// the paper plots. cmd/figures is a thin wrapper around these runners,
+// and this package's tests assert the shapes they produce.
 package experiments
 
 import (

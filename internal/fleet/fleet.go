@@ -46,11 +46,8 @@ type Config struct {
 	// Groups lists the replication groups: one slice of node TCP
 	// addresses per group. Keys map onto groups by hash, so group
 	// membership can grow without moving stored data (paper §2.3).
+	// Placement hashes each node's address, which is also its ID.
 	Groups [][]string
-	// NodeIDs optionally names each node for placement (same shape as
-	// Groups). Placement hashes IDs, not addresses, so a node keeps its
-	// replica assignments across address changes. Defaults to Groups.
-	NodeIDs [][]string
 	// Replicas per key (paper: 3). Defaults to 3, and must not exceed
 	// the smallest group.
 	Replicas int
@@ -60,17 +57,11 @@ type Config struct {
 	// HedgeAfter is the hedge delay used until the read-latency
 	// histogram has enough samples to derive one (default 2ms).
 	HedgeAfter time.Duration
-	// HedgeQuantile picks the latency quantile that arms the hedge
-	// timer once live data exists (default 0.99).
-	HedgeQuantile float64
 	// WriteRetries is how many times a failed per-replica batch write is
 	// retried (with exponential backoff) before hinting (default 2).
 	WriteRetries int
 	// RetryBackoff is the base backoff between write retries (default 5ms).
 	RetryBackoff time.Duration
-	// HandoffLimit bounds each node's hinted-handoff queue in hints
-	// (default 4096); overflow is dropped and counted.
-	HandoffLimit int
 	// ProbeInterval paces the background health prober (default 500ms;
 	// negative disables it — ProbeNow still works).
 	ProbeInterval time.Duration
@@ -81,15 +72,9 @@ type Config struct {
 	// before admitting a half-open trial (default 1s).
 	BreakerCooldown time.Duration
 	// Metrics, when non-nil, receives the fleet.* metrics and traces.
+	// fleet.read.misses over fleet.read.requests is the read-miss ratio
+	// the paper reports (0.24 % observed vs 0.6 % allowed).
 	Metrics *metrics.Registry
-	// SLO, when non-nil, is fed one good event per successful read and
-	// one bad event per fleet-wide miss — the read-availability
-	// objective the paper reports (0.24 % observed vs 0.6 % allowed).
-	SLO *metrics.SLO
-	// OpsAddrs are the nodes' operator HTTP addresses (same order as
-	// the flattened Groups is not required — any covering set works),
-	// used by CollectTrace to aggregate spans across the fleet.
-	OpsAddrs []string
 	// DialOpts apply to every node client (pool size, timeout, ...).
 	DialOpts []server.DialOption
 }
@@ -115,8 +100,7 @@ type NodeStatus struct {
 	LastError        string `json:"last_error,omitempty"`
 }
 
-// Status is the fleet snapshot served by /fleet and `qindbctl fleet
-// status`.
+// Status is the fleet snapshot `qindbctl fleet status` prints.
 type Status struct {
 	Groups       int          `json:"groups"`
 	Replicas     int          `json:"replicas"`
@@ -168,6 +152,14 @@ func newFleetMetrics(reg *metrics.Registry) fleetMetrics {
 // hedge delay trusts the histogram over Config.HedgeAfter.
 const hedgeMinSamples = 32
 
+// hedgeQuantile is the read-latency quantile that arms the hedge timer
+// once live data exists.
+const hedgeQuantile = 0.99
+
+// handoffLimit bounds each node's hinted-handoff queue in hints;
+// overflow is dropped and counted.
+const handoffLimit = 4096
+
 // minHedgeDelay floors the derived hedge delay so a burst of cached
 // sub-microsecond reads cannot turn every read into a fan-out.
 const minHedgeDelay = 200 * time.Microsecond
@@ -183,7 +175,6 @@ type Fleet struct {
 
 	reg *metrics.Registry
 	met fleetMetrics
-	slo *metrics.SLO
 
 	wg     sync.WaitGroup // prober + async repairs
 	stop   chan struct{}
@@ -207,17 +198,8 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.WriteQuorum > cfg.Replicas {
 		return nil, fmt.Errorf("fleet: write quorum %d > %d replicas", cfg.WriteQuorum, cfg.Replicas)
 	}
-	if cfg.NodeIDs == nil {
-		cfg.NodeIDs = cfg.Groups
-	}
-	if len(cfg.NodeIDs) != len(cfg.Groups) {
-		return nil, fmt.Errorf("fleet: %d ID groups for %d address groups", len(cfg.NodeIDs), len(cfg.Groups))
-	}
 	if cfg.HedgeAfter <= 0 {
 		cfg.HedgeAfter = 2 * time.Millisecond
-	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.99
 	}
 	if cfg.WriteRetries < 0 {
 		cfg.WriteRetries = 0
@@ -226,9 +208,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 5 * time.Millisecond
-	}
-	if cfg.HandoffLimit <= 0 {
-		cfg.HandoffLimit = 4096
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
@@ -245,23 +224,19 @@ func New(cfg Config) (*Fleet, error) {
 		byID:  make(map[string]*node),
 		reg:   cfg.Metrics,
 		met:   newFleetMetrics(cfg.Metrics),
-		slo:   cfg.SLO,
 		stop:  make(chan struct{}),
 	}
 	for g, addrs := range cfg.Groups {
 		if len(addrs) < cfg.Replicas {
 			return nil, fmt.Errorf("fleet: group %d has %d nodes < %d replicas", g, len(addrs), cfg.Replicas)
 		}
-		if len(cfg.NodeIDs[g]) != len(addrs) {
-			return nil, fmt.Errorf("fleet: group %d has %d IDs for %d addresses", g, len(cfg.NodeIDs[g]), len(addrs))
-		}
 		var members []*node
-		for i, addr := range addrs {
-			n := &node{id: cfg.NodeIDs[g][i], addr: addr, group: g, opts: cfg.DialOpts}
-			if _, dup := f.byID[n.id]; dup {
-				return nil, fmt.Errorf("fleet: duplicate node id %q", n.id)
+		for _, addr := range addrs {
+			n := &node{addr: addr, group: g, opts: cfg.DialOpts}
+			if _, dup := f.byID[n.addr]; dup {
+				return nil, fmt.Errorf("fleet: duplicate node id %q", n.addr)
 			}
-			f.byID[n.id] = n
+			f.byID[n.addr] = n
 			members = append(members, n)
 			f.nodes = append(f.nodes, n)
 		}
@@ -301,7 +276,7 @@ func (f *Fleet) ReplicasFor(key []byte) (int, []string) {
 	members := f.groups[g]
 	ids := make([]string, len(members))
 	for i, n := range members {
-		ids[i] = n.id
+		ids[i] = n.addr
 	}
 	return g, f.place.ReplicasFor(key, ids)
 }
@@ -331,12 +306,12 @@ func (f *Fleet) Status() Status {
 }
 
 // hedgeDelay is how long the primary read gets before a hedge fires:
-// the live p99 (HedgeQuantile) of fleet reads once enough samples
+// the live p99 (hedgeQuantile) of fleet reads once enough samples
 // exist, floored so cache-hot reads cannot hedge constantly, and the
 // configured HedgeAfter until then.
 func (f *Fleet) hedgeDelay() time.Duration {
 	if h := f.met.readLat; h.Count() >= hedgeMinSamples {
-		if p := h.Quantile(f.cfg.HedgeQuantile); p > 0 {
+		if p := h.Quantile(hedgeQuantile); p > 0 {
 			d := time.Duration(p * float64(time.Microsecond))
 			if d < minHedgeDelay {
 				d = minHedgeDelay
@@ -385,7 +360,7 @@ func (f *Fleet) nodeSuccess(n *node) {
 // queueHandoff queues a node's owed hints, keeping the handoff metrics
 // in step.
 func (f *Fleet) queueHandoff(n *node, hs []hint) {
-	queued, dropped := n.queueHints(hs, f.cfg.HandoffLimit)
+	queued, dropped := n.queueHints(hs)
 	f.met.handoffQueued.Add(int64(queued))
 	f.met.handoffDropped.Add(int64(dropped))
 	f.met.handoffDepth.Add(int64(queued))
@@ -433,7 +408,7 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 		go func(oi int, n *node, idxs []int) {
 			defer wg.Done()
 			if werr := f.writeNode(ctx, n, version, entries, idxs); werr != nil {
-				nodeErrs[oi] = fmt.Errorf("fleet: v%d to %s: %w", version, n.id, werr)
+				nodeErrs[oi] = fmt.Errorf("fleet: v%d to %s: %w", version, n.addr, werr)
 				return
 			}
 			for _, i := range idxs {
@@ -470,11 +445,11 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 // every publish to its timeout.
 func (f *Fleet) writeNode(ctx context.Context, n *node, version uint64, entries []Entry, idxs []int) (err error) {
 	_, end := f.reg.ContinueSpanNote(ctx, "fleet.replica.write",
-		fmt.Sprintf("%s ops=%d", n.id, len(idxs)))
+		fmt.Sprintf("%s ops=%d", n.addr, len(idxs)))
 	defer func() { end(err) }()
 	if !n.available(f.cfg.BreakerCooldown) {
 		f.hintPuts(n, version, entries, idxs)
-		return fmt.Errorf("%w (%s)", ErrBreakerOpen, n.id)
+		return fmt.Errorf("%w (%s)", ErrBreakerOpen, n.addr)
 	}
 	for attempt := 0; ; attempt++ {
 		err = f.tryWrite(ctx, n, version, entries, idxs)
@@ -563,7 +538,7 @@ func (f *Fleet) DropVersion(ctx context.Context, version uint64) error {
 				hintDrop()
 				return
 			}
-			errs[i] = fmt.Errorf("fleet: dropping v%d on %s: %w", version, n.id, err)
+			errs[i] = fmt.Errorf("fleet: dropping v%d on %s: %w", version, n.addr, err)
 		}(i, n)
 	}
 	wg.Wait()
@@ -618,7 +593,7 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte
 		n := ordered[i]
 		launched++
 		go func() {
-			rctx, endR := f.reg.ContinueSpanNote(gctx, "fleet.replica.get", n.id)
+			rctx, endR := f.reg.ContinueSpanNote(gctx, "fleet.replica.get", n.addr)
 			var rv []byte
 			cl, rerr := n.client()
 			if rerr == nil {
@@ -645,7 +620,6 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte
 				if r.i > 0 {
 					f.met.hedgeWins.Inc()
 				}
-				f.slo.Record(true)
 				f.repair(key, version, r.val, stale)
 				return r.val, nil
 			}
@@ -676,7 +650,6 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte
 		}
 	}
 	f.met.misses.Inc()
-	f.slo.Record(false)
 	if lastErr == nil {
 		lastErr = ErrAllReplicas
 	}
@@ -800,24 +773,11 @@ func (f *Fleet) drainHandoff(ctx context.Context, n *node) error {
 	}
 	if err != nil && transportErr(err) {
 		f.nodeFailure(n, err)
-		q, d := n.queueHints(hs, f.cfg.HandoffLimit)
+		q, d := n.queueHints(hs)
 		f.met.handoffDepth.Add(int64(q))
 		f.met.handoffDropped.Add(int64(d))
 		return err
 	}
 	f.met.handoffDrained.Add(int64(len(hs)))
 	return err
-}
-
-// CollectTrace fetches one trace's spans from every configured ops
-// endpoint (Config.OpsAddrs) plus the router's own tracer, and merges
-// them into a single fleet-wide timeline. The router's spans are
-// labeled "fleet-router"; each node labels its own (ops.Config.Node).
-func (f *Fleet) CollectTrace(ctx context.Context, id uint64) (metrics.MergedTrace, error) {
-	c := &metrics.TraceCollector{
-		Endpoints: f.cfg.OpsAddrs,
-		Local:     f.reg.Tracer(),
-		LocalNode: "fleet-router",
-	}
-	return c.Collect(ctx, id)
 }

@@ -207,27 +207,50 @@ func TestPlacementCrossCheckWithMint(t *testing.T) {
 	}
 }
 
-// TestQuorumPublishAndGet is the basic happy path: R=3/W=2 publish
-// lands on all three nodes, and a fleet read returns the value.
+// TestQuorumPublishAndGet is the basic happy path: a publish lands on
+// all three nodes, and a fleet read returns the value. It runs at
+// R=3/W=2 and at R=W=N, where every node must take every entry. The
+// second version is all dedup entries, forwarded as dedup puts that each
+// node resolves against its own copy of the first; it holds more
+// entries than one batch frame carries (1024), so each node takes
+// several.
 func TestQuorumPublishAndGet(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
+	for _, cfg := range []Config{
+		{Replicas: 3, WriteQuorum: 2},
+		{Replicas: 3, WriteQuorum: 3},
+	} {
+		t.Run(fmt.Sprintf("R%dW%d", cfg.Replicas, cfg.WriteQuorum), func(t *testing.T) {
+			n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
+			f := testFleet(t, cfg, n1, n2, n3)
+			ctx := context.Background()
 
-	entries := testEntries(1, 40)
-	if err := f.PublishVersion(context.Background(), 1, entries); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	for _, tn := range []*testNode{n1, n2, n3} {
-		if !tn.has("fk-000", 1) {
-			t.Fatalf("node %s missing fk-000 after full-strength publish", tn.addr)
-		}
-	}
-	val, err := f.Get(context.Background(), []byte("fk-007"), 1)
-	if err != nil || string(val) != "fv-1-007" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	if _, err := f.Get(context.Background(), []byte("absent"), 1); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
+			const n = 2500
+			entries := testEntries(1, n)
+			if err := f.PublishVersion(ctx, 1, entries); err != nil {
+				t.Fatalf("publish: %v", err)
+			}
+			dups := make([]Entry, n)
+			for i, e := range entries {
+				dups[i] = Entry{Key: e.Key, Dedup: true}
+			}
+			if err := f.PublishVersion(ctx, 2, dups); err != nil {
+				t.Fatalf("dedup publish: %v", err)
+			}
+			for _, tn := range []*testNode{n1, n2, n3} {
+				if !tn.has("fk-000", 1) || !tn.has(fmt.Sprintf("fk-%03d", n-1), 2) {
+					t.Fatalf("node %s missing entries after full-strength publish", tn.addr)
+				}
+			}
+			for _, v := range []uint64{1, 2} {
+				val, err := f.Get(ctx, []byte("fk-007"), v)
+				if err != nil || string(val) != "fv-1-007" {
+					t.Fatalf("Get v%d = %q, %v", v, val, err)
+				}
+			}
+			if _, err := f.Get(ctx, []byte("absent"), 1); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ const (
 	breakerHalfOpen                     // cooling off: one trial in flight
 )
 
-// String renders the state for Status and /fleet.
+// String renders the state for Status.
 func (s breakerState) String() string {
 	switch s {
 	case breakerOpen:
@@ -41,8 +41,7 @@ type hint struct {
 // client, the circuit breaker that gates replica selection, and the
 // bounded hinted-handoff queue of writes owed to it.
 type node struct {
-	id    string // placement identity (stable across redials)
-	addr  string // TCP address
+	addr  string // TCP address, also the placement identity
 	group int
 	opts  []server.DialOption
 
@@ -136,13 +135,13 @@ func (n *node) onFailure(err error, threshold int, cooldown time.Duration) bool 
 	return false
 }
 
-// queueHints appends hints to the bounded handoff queue, returning how
-// many were queued and how many the bound discarded.
-func (n *node) queueHints(hs []hint, limit int) (queued, dropped int) {
+// queueHints appends hints to the handoff queue, returning how many were
+// queued and how many the handoffLimit bound discarded.
+func (n *node) queueHints(hs []hint) (queued, dropped int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, h := range hs {
-		if len(n.handoff) >= limit {
+		if len(n.handoff) >= handoffLimit {
 			dropped++
 			continue
 		}
@@ -169,12 +168,12 @@ func (n *node) handoffDepth() int {
 	return len(n.handoff)
 }
 
-// status snapshots the node for Status / the /fleet endpoint.
+// status snapshots the node for Status.
 func (n *node) status() NodeStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return NodeStatus{
-		ID:               n.id,
+		ID:               n.addr,
 		Addr:             n.addr,
 		Group:            n.group,
 		Breaker:          n.state.String(),

@@ -14,8 +14,6 @@
 //	/debug/slowlog       slow operations, oldest first; ?n=<count>,
 //	                     ?op=<name> and ?trace=<hex> filter,
 //	                     ?format=json
-//	/fleet               fleet router snapshot (placement, breakers,
-//	                     handoff depths); ?format=json
 //	/debug/attrib        sampled per-opcode resource attribution, sorted
 //	                     by alloc bytes/op; ?format=json
 //	/index               index lifecycle (internal/search): list,
@@ -38,7 +36,6 @@ import (
 	"strconv"
 	"sync"
 
-	"directload/internal/fleet"
 	"directload/internal/metrics"
 )
 
@@ -56,10 +53,6 @@ type Config struct {
 	// Ready, when set, backs /readyz: nil means ready, an error is
 	// reported with a 503. When unset /readyz behaves like /healthz.
 	Ready func() error
-	// Fleet, when set, backs /fleet with a live router snapshot — a
-	// func so the handler always serves current breaker states and
-	// handoff depths, not a boot-time copy. Unset returns 404.
-	Fleet func() fleet.Status
 	// Attrib, when set, backs /debug/attrib with the backend's sampled
 	// per-opcode resource table (server.Backend.Attribution). Unset
 	// returns 404.
@@ -181,32 +174,6 @@ func NewMux(cfg Config) *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		metrics.WriteSlowEntries(w, entries)
-	})
-	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Fleet == nil {
-			http.Error(w, "no fleet attached", http.StatusNotFound)
-			return
-		}
-		st := cfg.Fleet()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(st)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "fleet: %d group(s), R=%d W=%d, hedge after %dus\n",
-			st.Groups, st.Replicas, st.WriteQuorum, st.HedgeDelayUs)
-		for _, n := range st.Nodes {
-			fmt.Fprintf(w, "g%d %-24s breaker=%-9s fails=%d handoff=%d",
-				n.Group, n.ID, n.Breaker, n.ConsecutiveFails, n.HandoffDepth)
-			if n.HandoffDropped > 0 {
-				fmt.Fprintf(w, " dropped=%d", n.HandoffDropped)
-			}
-			if n.LastError != "" {
-				fmt.Fprintf(w, " last_err=%q", n.LastError)
-			}
-			fmt.Fprintln(w)
-		}
 	})
 	mux.HandleFunc("/debug/attrib", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Attrib == nil {

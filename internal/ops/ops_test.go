@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"directload/internal/fleet"
 	"directload/internal/metrics"
 	"directload/internal/metrics/testutil"
 )
@@ -218,49 +217,5 @@ func TestServerServeShutdown(t *testing.T) {
 	// The listener is really closed.
 	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
 		t.Fatal("server still answering after Shutdown")
-	}
-}
-
-func TestFleetEndpoint(t *testing.T) {
-	st := fleet.Status{
-		Groups: 1, Replicas: 3, WriteQuorum: 2, HedgeDelayUs: 2000,
-		Nodes: []fleet.NodeStatus{
-			{ID: "127.0.0.1:7001", Addr: "127.0.0.1:7001", Breaker: "closed"},
-			{ID: "127.0.0.1:7002", Addr: "127.0.0.1:7002", Breaker: "open",
-				ConsecutiveFails: 4, HandoffDepth: 12, HandoffDropped: 1,
-				LastError: "connection refused"},
-		},
-	}
-	mux := NewMux(Config{Fleet: func() fleet.Status { return st }})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	code, body, _ := get(t, srv, "/fleet")
-	if code != 200 {
-		t.Fatalf("/fleet = %d:\n%s", code, body)
-	}
-	for _, want := range []string{"R=3 W=2", "breaker=open", "handoff=12", "dropped=1", "connection refused"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/fleet text missing %q:\n%s", want, body)
-		}
-	}
-
-	code, body, hdr := get(t, srv, "/fleet?format=json")
-	if code != 200 || !strings.Contains(hdr.Get("Content-Type"), "json") {
-		t.Fatalf("json /fleet = %d (%s)", code, hdr.Get("Content-Type"))
-	}
-	var got fleet.Status
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatalf("json /fleet decode: %v", err)
-	}
-	if got.WriteQuorum != 2 || len(got.Nodes) != 2 || got.Nodes[1].HandoffDepth != 12 {
-		t.Fatalf("json /fleet round-trip = %+v", got)
-	}
-
-	// Unset Fleet: 404, not a panic.
-	bare := httptest.NewServer(NewMux(Config{}))
-	defer bare.Close()
-	if code, _, _ := get(t, bare, "/fleet"); code != 404 {
-		t.Fatalf("/fleet without source = %d, want 404", code)
 	}
 }

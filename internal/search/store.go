@@ -33,8 +33,9 @@ func MetaKey(name string) string { return "!idx/" + name + "/meta" }
 func ChunkKey(name string, i int) string { return fmt.Sprintf("!idx/%s/seg/%06d", name, i) }
 
 // Pair is one (key, value) an index publish writes; SegmentPairs
-// returns them so cluster/fleet callers can publish through their own
-// replication paths instead of the Engine interface.
+// returns them so a fleet caller (`qindbctl index build -nodes`) can
+// publish through its own replication path instead of the Engine
+// interface.
 type Pair struct {
 	Key   string
 	Value []byte

@@ -7,10 +7,10 @@ import (
 	"directload/internal/metrics"
 )
 
-// Batcher defaults: a flush triggers once either bound is reached.
+// Batcher bounds: a flush triggers once either is reached.
 const (
-	defaultBatchMaxOps   = 1024
-	defaultBatchMaxBytes = 4 << 20
+	batchMaxOps   = 1024
+	batchMaxBytes = 4 << 20
 )
 
 // BatchOpError reports one failed sub-op of a flushed batch. Index is
@@ -50,40 +50,20 @@ func (e *BatchError) Unwrap() error { return e.Failed[0].Err }
 // whose sub-ops partially fail returns *BatchError naming the failed
 // ops; the rest were applied.
 type Batcher struct {
-	c        *Client
-	maxOps   int
-	maxBytes int
-	ops      []BatchOp
-	bytes    int
+	c     *Client
+	ops   []BatchOp
+	bytes int
 }
 
-// Batcher returns an empty batcher with default bounds.
+// Batcher returns an empty batcher.
 func (c *Client) Batcher() *Batcher {
-	return &Batcher{c: c, maxOps: defaultBatchMaxOps, maxBytes: defaultBatchMaxBytes}
+	return &Batcher{c: c}
 }
-
-// SetLimits overrides the auto-flush bounds (values < 1 keep the
-// defaults). Byte limits above the protocol's value cap are clamped.
-func (b *Batcher) SetLimits(maxOps, maxBytes int) *Batcher {
-	if maxOps >= 1 {
-		b.maxOps = maxOps
-	}
-	if maxBytes >= 1 {
-		b.maxBytes = maxBytes
-	}
-	if b.maxBytes > MaxValueLen {
-		b.maxBytes = MaxValueLen
-	}
-	return b
-}
-
-// Pending returns the number of sub-ops buffered and not yet flushed.
-func (b *Batcher) Pending() int { return len(b.ops) }
 
 // add buffers one sub-op, auto-flushing when a bound trips.
 func (b *Batcher) add(ctx context.Context, op BatchOp) error {
 	size := 1 + 8 + 2 + len(op.Key) + 4 + len(op.Value)
-	if len(b.ops) > 0 && (len(b.ops) >= b.maxOps || b.bytes+size > b.maxBytes) {
+	if len(b.ops) > 0 && (len(b.ops) >= batchMaxOps || b.bytes+size > batchMaxBytes) {
 		if err := b.Flush(ctx); err != nil {
 			return err
 		}

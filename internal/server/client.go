@@ -109,18 +109,6 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return c, nil
 }
 
-// TraceEnabled reports whether the server granted the trace feature (on
-// the first pooled connection) — i.e. whether span contexts actually
-// cross the wire on this client.
-func (c *Client) TraceEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.conns) == 0 || c.conns[0] == nil {
-		return false
-	}
-	return c.conns[0].feats&helloFeatTrace != 0
-}
-
 // Close tears down every pooled connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -337,9 +325,8 @@ type wireResp struct {
 // responses to waiters by sequence number, so many calls can be in
 // flight at once (bounded by sem).
 type wireConn struct {
-	c     net.Conn
-	br    *bufio.Reader // read by negotiate, then only by readLoop
-	feats uint8         // feature bits the server granted (helloFeat*)
+	c  net.Conn
+	br *bufio.Reader // read by negotiate, then only by readLoop
 
 	// Demux state.
 	pmu     sync.Mutex
@@ -383,12 +370,11 @@ func dialWire(addr string, o dialOptions) (*wireConn, error) {
 	return w, nil
 }
 
-// negotiate sends the hello, offering the trace feature in its Value,
-// and interprets the answer: StatusOK with the accepted version and,
-// in a second payload byte, the granted feature bits (a one-byte reply
-// grants none). Any other answer fails the dial.
+// negotiate sends a bare hello and interprets the answer: StatusOK with
+// the accepted version as its one payload byte. Any other answer fails
+// the dial.
 func (w *wireConn) negotiate(timeout time.Duration) error {
-	body, err := encodeRequest(request{Op: OpHello, Version: ProtoV2, Value: []byte{helloFeatTrace}})
+	body, err := encodeRequest(request{Op: OpHello, Version: ProtoV2})
 	if err != nil {
 		return err
 	}
@@ -410,14 +396,11 @@ func (w *wireConn) negotiate(timeout time.Duration) error {
 	if err := statusErr(status, payload); err != nil {
 		return fmt.Errorf("qindb client: hello refused: %w", err)
 	}
-	if len(payload) != 1 && len(payload) != 2 {
+	if len(payload) != 1 {
 		return fmt.Errorf("qindb client: malformed hello reply (%d bytes)", len(payload))
 	}
 	if payload[0] != ProtoV2 {
 		return fmt.Errorf("qindb client: server accepted protocol %d, want %d", payload[0], ProtoV2)
-	}
-	if len(payload) == 2 {
-		w.feats = payload[1] & helloFeatTrace
 	}
 	return nil
 }
@@ -453,18 +436,12 @@ func (w *wireConn) call(ctx context.Context, body []byte) (uint8, []byte, error)
 	w.pend[seq] = ch
 	w.pmu.Unlock()
 
-	// On a trace-negotiated connection a call whose context carries an
-	// active span ships it: the seq's high bit flags the frame and the
-	// trace header rides before the op. The pending map and the response
-	// always use the unflagged seq.
-	var sc metrics.SpanContext
-	traced := false
-	if w.feats&helloFeatTrace != 0 {
-		sc, traced = metrics.SpanFromContext(ctx)
-		traced = traced && sc.Valid()
-	}
+	// A call whose context carries an active span ships it: the seq's
+	// high bit flags the frame and the trace header rides before the op.
+	// The pending map and the response always use the unflagged seq.
+	sc, traced := metrics.SpanFromContext(ctx)
 	w.fmu.Lock()
-	if traced {
+	if traced && sc.Valid() {
 		w.fbuf = appendFrameSeqTrace(w.fbuf, seq|seqTraceFlag, sc, body)
 	} else {
 		w.fbuf = appendFrameSeq(w.fbuf, seq, body)

@@ -15,9 +15,10 @@ import (
 const fuzzFrameCap = 1 << 20
 
 // FuzzHelloFrame drives arbitrary bytes through the unsequenced frame
-// reader the handshake uses and round-trips every frame it accepts.
+// reader the handshake uses and round-trips every frame it accepts. The
+// first seed is the bare hello every dialer sends.
 func FuzzHelloFrame(f *testing.F) {
-	good, err := encodeRequest(request{Op: OpPut, Version: 7, Key: []byte("k"), Value: []byte("v")})
+	good, err := encodeRequest(request{Op: OpHello, Version: ProtoV2})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -10,19 +10,16 @@
 // A connection opens with exactly one unsequenced exchange (all
 // integers little-endian):
 //
-//	hello: len u32 | OpHello u8 | version u64 | keyLen u16 (=0) | valLen u32 | features
-//	reply: len u32 | status u8 | payloadLen u32 | payload
+//	hello: len u32 | OpHello u8 | version u64 | keyLen u16 (=0) | valLen u32 (=0)
+//	reply: len u32 | status u8 | payloadLen u32 (=1) | version u8
 //
-// version is the protocol version the client speaks (ProtoV2).
-// features is empty, or one byte of offered feature bits (today only
-// bit 0, trace-context propagation). The server answers StatusOK with a
-// one-byte payload — the accepted version, 2 — when the hello carried
-// no feature byte, and with two bytes — accepted version, granted
-// feature bits — when it did. Every frame after the reply is a
+// version is the protocol version the client speaks (ProtoV2). The
+// server answers StatusOK with a one-byte payload, the accepted version,
+// 2; a value in the hello is ignored. Every frame after the reply is a
 // sequenced frame as described below. Anything else as first frame, or
 // a hello asking for a version below 2, is answered with one
 // StatusFailed reply and the connection is closed; the client treats a
-// non-OK or sub-2 reply as a dial error.
+// non-OK, sub-2 or longer reply as a dial error.
 //
 // # Frames (pipelined)
 //
@@ -34,16 +31,15 @@
 //
 // (len counts everything after itself, including seq.) The client may
 // keep many requests in flight on one connection; the server dispatches
-// them concurrently (bounded by its max-in-flight knob) and responses
+// them concurrently (64 at a time per connection) and responses
 // may arrive in any order — seq matches a response to its request.
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
-// # Trace context (negotiated)
+// # Trace context
 //
-// On a connection that negotiated the trace feature, a request frame
-// whose seq has its high bit set carries a 16-byte trace-context field
-// between seq and the op byte:
+// A request frame whose seq has its high bit set carries a 16-byte
+// trace-context field between seq and the op byte:
 //
 //	request: len u32 | seq u32 (bit31=1) | traceID u64 | parentSpanID u64 | op u8 | ...
 //
@@ -53,8 +49,8 @@
 // what stitches one publish's fan-out into a single cross-node trace.
 // Untraced requests never set the bit and pay nothing. Response frames
 // never carry trace context, and seq is echoed back without the flag
-// bit (sequence numbers are 31-bit on trace-enabled connections —
-// exhausting them would take decades on one connection).
+// bit (sequence numbers are therefore 31-bit — exhausting them would
+// take decades on one connection).
 //
 // # OpBatch
 //
@@ -120,14 +116,6 @@ const opMax = OpBatch
 // hello asks for and the server's reply accepts.
 const ProtoV2 = 2
 
-// Optional feature bits offered in OpHello's Value field (byte 0) and
-// echoed in the second byte of a two-byte hello reply.
-const (
-	// helloFeatTrace: request frames may carry a 16-byte trace
-	// context flagged by seqTraceFlag.
-	helloFeatTrace uint8 = 1 << 0
-)
-
 // seqTraceFlag marks a request frame that carries a trace-context
 // field. Responses never set it; the server masks it off before echo.
 const seqTraceFlag uint32 = 1 << 31
@@ -154,11 +142,11 @@ const (
 )
 
 // Protocol limits: a request may carry one key and one value (a batch
-// frame may carry many sub-ops up to the frame cap). The key limit is
-// the record format's: the wire's key length field is a uint16 too.
+// frame may carry many sub-ops up to the frame cap). Both are the
+// record format's limits, which the engine enforces too.
 const (
 	MaxKeyLen   = aof.MaxKeyLen
-	MaxValueLen = 64 << 20
+	MaxValueLen = aof.MaxValueLen
 	maxFrame    = MaxValueLen + MaxKeyLen + 64
 )
 

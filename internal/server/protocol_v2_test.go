@@ -44,31 +44,28 @@ func rawFirstFrame(t *testing.T, s *Server, body []byte) net.Conn {
 }
 
 // TestHelloReplyBytes pins the hello reply byte for byte, because
-// bench/wire.go and any other hand-built dialer depend on it: a bare
-// hello is answered with exactly one payload byte, the accepted
-// version; a hello that offers feature bits gets a second byte with the
-// granted subset. Either way the connection then speaks sequenced
-// frames.
+// bench/wire.go and any other hand-built dialer depend on it: a hello is
+// answered with exactly one payload byte, the accepted version, whatever
+// value it carries. The connection then speaks sequenced frames.
 func TestHelloReplyBytes(t *testing.T) {
 	s, _ := startServer(t)
 	for _, tc := range []struct {
-		name     string
-		features []byte
-		want     []byte
+		name  string
+		value []byte
 	}{
-		{"bare", nil, []byte{ProtoV2}},
-		{"trace offered", []byte{helloFeatTrace}, []byte{ProtoV2, helloFeatTrace}},
-		{"unknown bits offered", []byte{0xfe}, []byte{ProtoV2, 0}},
+		{"bare", nil},
+		{"trace offered", []byte{1}},
+		{"unknown bits offered", []byte{0xfe}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := rawFirstFrame(t, s, reqBody(t, request{Op: OpHello, Version: ProtoV2, Value: tc.features}))
+			conn := rawFirstFrame(t, s, reqBody(t, request{Op: OpHello, Version: ProtoV2, Value: tc.value}))
 			frame, err := readFrame(conn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			status, payload, err := decodeResponse(frame)
-			if err != nil || status != StatusOK || !bytes.Equal(payload, tc.want) {
-				t.Fatalf("hello reply = status %d payload %v, %v; want OK %v", status, payload, err, tc.want)
+			if err != nil || status != StatusOK || !bytes.Equal(payload, []byte{ProtoV2}) {
+				t.Fatalf("hello reply = status %d payload %v, %v; want OK [%d]", status, payload, err, ProtoV2)
 			}
 			if err := writeFrameSeq(conn, 7, reqBody(t, request{Op: OpPing})); err != nil {
 				t.Fatal(err)
@@ -208,10 +205,6 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// The scripted server's one-byte reply granted no features.
-	if cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = true though the hello reply granted no feature byte")
-	}
 	// Two concurrent callers share the one connection; each must get the
 	// value for its own key although the replies arrive reversed.
 	ctx := context.Background()
@@ -332,24 +325,26 @@ func TestBatchSentinelAcrossWire(t *testing.T) {
 	}
 }
 
-// TestBatcherAutoFlush verifies the op-count bound flushes eagerly.
+// TestBatcherAutoFlush verifies the op-count bound flushes eagerly: the
+// ops past it land before the final Flush.
 func TestBatcherAutoFlush(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
-	b := cl.Batcher().SetLimits(8, 1<<20)
-	for i := 0; i < 20; i++ {
-		if err := b.Put(ctx, []byte(fmt.Sprintf("af-%02d", i)), 1, []byte("v"), false); err != nil {
+	b := cl.Batcher()
+	const n = batchMaxOps + 20
+	for i := 0; i < n; i++ {
+		if err := b.Put(ctx, []byte(fmt.Sprintf("af-%04d", i)), 1, []byte("v"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.Pending() >= 8 {
-		t.Fatalf("Pending = %d, auto-flush never fired", b.Pending())
+	if len(b.ops) != n-batchMaxOps {
+		t.Fatalf("%d ops buffered, want %d: auto-flush never fired", len(b.ops), n-batchMaxOps)
 	}
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := cl.RangeContext(ctx, []byte("af-"), []byte("af-~"), 0)
-	if err != nil || len(entries) != 20 {
+	entries, _, err := cl.RangeContext(ctx, []byte("af-"), []byte("af-~"), 2*n)
+	if err != nil || len(entries) != n {
 		t.Fatalf("Range = %d entries, %v", len(entries), err)
 	}
 }
@@ -535,7 +530,6 @@ func TestPoolSpreadsConnections(t *testing.T) {
 // exactly once.
 func TestMaxInFlightBackpressure(t *testing.T) {
 	s, _ := startServer(t)
-	s.SetMaxInFlight(4)
 	cl, err := Dial(s.Addr().String(), WithMaxInFlight(4))
 	if err != nil {
 		t.Fatal(err)

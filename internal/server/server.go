@@ -9,15 +9,15 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 )
 
-// defaultMaxInFlight bounds concurrent dispatch per connection when the
-// operator does not configure one.
+// defaultMaxInFlight bounds concurrent dispatch per connection on the
+// server and, unless WithMaxInFlight says otherwise, the requests a
+// client keeps outstanding on one.
 const defaultMaxInFlight = 64
 
 // maxCoalesce caps how many response bytes the writer accumulates
@@ -32,8 +32,8 @@ type StatsReply struct {
 
 // Server exposes one QinDB engine on a TCP listener, one goroutine per
 // connection. After the hello a connection is pipelined: up to
-// MaxInFlight requests are dispatched concurrently while a dedicated
-// writer goroutine serializes responses back onto the wire.
+// defaultMaxInFlight requests are dispatched concurrently while a
+// dedicated writer goroutine serializes responses back onto the wire.
 //
 // The Server owns only the binary wire: framing, sequence numbers, the
 // handshake, response encoding. Every request executes through its
@@ -46,10 +46,6 @@ type Server struct {
 	conns  map[net.Conn]bool
 	closed bool
 	logf   func(format string, args ...any)
-
-	// maxInFlight is atomic so it may be adjusted while serving; it
-	// applies to connections whose hello arrives after the change.
-	maxInFlight atomic.Int32
 }
 
 // serverMetrics holds per-opcode request counters and wall-clock latency
@@ -89,13 +85,11 @@ func New(db *core.DB) *Server {
 // Backend to both this server and the RESP front door, so both wires
 // hit one engine with one set of metrics.
 func NewWithBackend(b *Backend) *Server {
-	s := &Server{
+	return &Server{
 		backend: b,
 		conns:   make(map[net.Conn]bool),
 		logf:    log.Printf,
 	}
-	s.maxInFlight.Store(defaultMaxInFlight)
-	return s
 }
 
 // Backend returns the server's execution backend, shared with any
@@ -110,18 +104,6 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 		logf = func(string, ...any) {}
 	}
 	s.logf = logf
-}
-
-// SetMaxInFlight bounds concurrent dispatch per connection — the
-// backpressure knob: once a connection has n requests being served, the
-// server stops reading from it until responses drain. Values < 1 reset
-// the default. Safe at runtime; applies to connections whose hello
-// arrives after the call.
-func (s *Server) SetMaxInFlight(n int) {
-	if n < 1 {
-		n = defaultMaxInFlight
-	}
-	s.maxInFlight.Store(int32(n))
 }
 
 // SetSlowLog attaches a slow-op log; every dispatched request whose
@@ -252,18 +234,12 @@ func (s *Server) handle(conn net.Conn) {
 		writeFrame(conn, encodeResponse(StatusFailed, []byte(err.Error())))
 		return
 	}
-	// A bare hello gets the one-byte reply; a hello that offers feature
-	// bits gets a second byte naming the granted subset.
-	payload := []byte{ProtoV2}
-	var feats uint8
-	if len(req.Value) > 0 {
-		feats = req.Value[0] & helloFeatTrace
-		payload = append(payload, feats)
-	}
-	if err := writeFrame(conn, encodeResponse(StatusOK, payload)); err != nil {
+	// The reply is the accepted version, one byte; anything the hello
+	// carries after its version is ignored.
+	if err := writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2})); err != nil {
 		return
 	}
-	s.serveRequests(conn, br, feats&helloFeatTrace != 0)
+	s.serveRequests(conn, br)
 }
 
 // seqResp pairs a response body with the sequence number it answers.
@@ -274,7 +250,7 @@ type seqResp struct {
 
 // freeList recycles one connection's buffers of one kind — request frames
 // or reply bodies: a buffered channel, so it holds at most its capacity
-// (the connection's maxInFlight) and neither end ever blocks on it.
+// (defaultMaxInFlight) and neither end ever blocks on it.
 type freeList chan []byte
 
 // get returns a recycled buffer, emptied, or nil when there is none.
@@ -369,29 +345,28 @@ func (w *respWriter) add(r seqResp) error {
 }
 
 // serveRequests runs the pipelined loop: the reader admits up to
-// maxInFlight requests (the backpressure gate — beyond that it stops
-// reading, which pushes back through TCP flow control), each dispatched
-// on its own goroutine; a single writer goroutine (respWriter) puts the
-// completions back onto the wire. When the trace feature was negotiated
-// (traceOK), request frames whose seq carries seqTraceFlag are preceded by
-// a trace header; the span context it names parents every span the handler
-// records, and the flag is masked off before the seq is echoed.
+// defaultMaxInFlight requests (the backpressure gate — beyond that it
+// stops reading, which pushes back through TCP flow control), each
+// dispatched on its own goroutine; a single writer goroutine (respWriter)
+// puts the completions back onto the wire. A request frame whose seq
+// carries seqTraceFlag is preceded by a trace header; the span context it
+// names parents every span the handler records, and the flag is masked
+// off before the seq is echoed.
 //
 // Request frames and reply bodies are recycled per connection. A request's
 // Key and Value (and a batch's sub-ops) are views of its frame, which is
 // reused once dispatch has returned: Backend and everything below copy
 // what they keep. A reply body belongs to the writer once queued.
-func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
-	maxInFlight := int(s.maxInFlight.Load())
-	frames, bodies := make(freeList, maxInFlight), make(freeList, maxInFlight)
-	respCh := make(chan seqResp, maxInFlight)
+func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
+	frames, bodies := make(freeList, defaultMaxInFlight), make(freeList, defaultMaxInFlight)
+	respCh := make(chan seqResp, defaultMaxInFlight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		newRespWriter(conn, bodies).run(respCh)
 	}()
 
-	sem := make(chan struct{}, maxInFlight)
+	sem := make(chan struct{}, defaultMaxInFlight)
 	var wg sync.WaitGroup
 	for {
 		seq, frame, err := readFrameSeq(br, frames.get())
@@ -401,7 +376,7 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader, traceOK bool) {
 		body := frame
 		var sc metrics.SpanContext
 		var derr error
-		if traceOK && seq&seqTraceFlag != 0 {
+		if seq&seqTraceFlag != 0 {
 			seq &^= seqTraceFlag
 			sc, body, derr = splitTraceHeader(body)
 		}

@@ -29,9 +29,6 @@ func TestTraceCrossesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if !cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = false on a default dial")
-	}
 
 	ctx, end := reg.StartSpan(context.Background(), "test.root")
 	sc, ok := metrics.SpanFromContext(ctx)
@@ -59,9 +56,41 @@ func TestTraceCrossesWire(t *testing.T) {
 	}
 }
 
-// TestTraceUntracedRequestsMintNothing checks that plain requests on a
-// trace-capable connection — no span in the context — leave no trace
-// on the server.
+// TestTraceOnBareHello checks that trace context needs no negotiation:
+// after a bare hello, a GET whose seq carries seqTraceFlag is parented
+// under the trace header it carries, and its reply echoes the seq
+// without the flag.
+func TestTraceOnBareHello(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, cl := startServerReg(t, reg)
+	if err := cl.PutContext(context.Background(), []byte("bk"), 1, []byte("bv"), false); err != nil {
+		t.Fatal(err)
+	}
+	conn := rawFirstFrame(t, s, reqBody(t, request{Op: OpHello, Version: ProtoV2}))
+	if _, err := readFrame(conn); err != nil {
+		t.Fatal(err)
+	}
+	parent := metrics.SpanContext{TraceID: 0x1234, SpanID: 0x5678}
+	frame := appendFrameSeqTrace(nil, 9|seqTraceFlag, parent, reqBody(t, request{Op: OpGet, Version: 1, Key: []byte("bk")}))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	seq, body, err := readFrameSeq(conn, nil)
+	if err != nil || seq != 9 {
+		t.Fatalf("traced get reply = seq %d, %v; want seq 9", seq, err)
+	}
+	if status, payload, _ := decodeResponse(body); status != StatusOK || string(payload) != "bv" {
+		t.Fatalf("traced get = status %d %q, want OK \"bv\"", status, payload)
+	}
+	got := spansByName(reg.Tracer().Trace(parent.TraceID))["server.req.get"]
+	if len(got) != 1 || got[0].ParentID != parent.SpanID {
+		t.Fatalf("server.req.get spans under trace %016x = %+v, want one parented at %016x",
+			parent.TraceID, got, parent.SpanID)
+	}
+}
+
+// TestTraceUntracedRequestsMintNothing checks that plain requests — no
+// span in the context — leave no trace on the server.
 func TestTraceUntracedRequestsMintNothing(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, _ := startServerReg(t, reg)
