@@ -49,7 +49,8 @@ audit-ignores:
 bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 100x ./...
 
-# Short fuzz pass over every wire-protocol and AOF decoder target. The
+# Short fuzz pass over every decoder target: the native wire protocol,
+# the AOF record, the RESP parser, postings segments, CIFF import. The
 # go tool accepts one -fuzz pattern per invocation, hence one line per
 # target.
 fuzz-smoke:

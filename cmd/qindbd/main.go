@@ -27,7 +27,8 @@
 //
 // With -metrics-addr set the daemon exposes the operator endpoints of
 // internal/ops: /metrics (text, ?format=json, ?format=prom), /healthz,
-// /readyz, /debug/trace, /debug/trace/export, /debug/slowlog,
+// /readyz, /debug/trace (?id=<hex> for one trace; with ?format=json the
+// export cross-node collection fetches), /debug/slowlog,
 // /debug/attrib (per-op resource attribution, see -attr-sample), /index
 // (the inverted-index lifecycle of internal/search: create, ingest,
 // query, CIFF export/import — index segments are versioned values in

@@ -104,7 +104,8 @@ func main() {
 	}
 	if sc, ok := metrics.SpanFromContext(pubCtx); ok {
 		fmt.Printf("published v1 under trace %016x:\n", sc.TraceID)
-		reg.Tracer().WriteTrace(os.Stdout, sc.TraceID)
+		trace := metrics.MergedTrace{TraceID: sc.TraceID, Spans: reg.Tracer().Trace(sc.TraceID)}
+		trace.WriteTimeline(os.Stdout)
 	}
 
 	// Version 2 arrives deduplicated for page-00 (unchanged content).

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"directload/internal/blockfs"
@@ -179,8 +178,9 @@ type Config struct {
 	// becomes a GC candidate; the paper uses 0.25.
 	GCThreshold float64
 	// MinFreeBytes: when the filesystem's free space falls below this,
-	// GC runs even while reads are in flight (the "free disk space"
-	// clause of the lazy policy). Zero disables the pressure override.
+	// the engine collects the emptiest sealed files even above
+	// GCThreshold (PressureCandidate). Zero disables the pressure
+	// override.
 	MinFreeBytes int64
 	// Metrics, when non-nil, receives the store's `aof.*` metrics
 	// (appends, rotations, fsyncs, GC activity). Nil keeps the store
@@ -219,10 +219,6 @@ type Store struct {
 	// mu is held from encode to the end of the append, and blockfs keeps
 	// nothing of what it is handed.
 	scratch []byte
-
-	// readers counts reads in flight, the lazy-GC deferral input. It is
-	// atomic so that a read takes no store mutex.
-	readers atomic.Int32
 
 	met storeMetrics
 }
@@ -387,12 +383,9 @@ func (s *Store) appendLocked(rec Record) (Ref, int64, time.Duration, error) {
 
 // readInto reads the record at ref into buf, which is ref.Len long, and
 // returns it decoded in place, checksum verified: Key and Value are views
-// of buf. Reads are tracked so the lazy GC policy can defer collection
-// while reads are in flight.
+// of buf.
 func (s *Store) readInto(buf []byte, ref Ref) (Record, time.Duration, error) {
 	s.met.reads.Inc()
-	s.readers.Add(1)
-	defer s.readers.Add(-1)
 	r, err := s.fs.Open(filename(ref.File))
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("%w: %d", ErrNoFile, ref.File)
@@ -690,22 +683,6 @@ func (s *Store) Candidates() []uint32 {
 		ids[i] = c.id
 	}
 	return ids
-}
-
-// ShouldCollect applies the paper's lazy deferral rule: a pass should run
-// if there are candidates and either no reads are in flight or free space
-// has fallen below the pressure threshold. It returns the file to
-// collect, the first of Candidates.
-func (s *Store) ShouldCollect() (uint32, bool) {
-	readers := s.readers.Load()
-	cands := s.Candidates()
-	if len(cands) == 0 {
-		return 0, false
-	}
-	if readers == 0 || s.UnderPressure() {
-		return cands[0], true
-	}
-	return 0, false
 }
 
 // One hold of the engine lock during a pass judges at most GCChunk

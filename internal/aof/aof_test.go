@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"directload/internal/blockfs"
-	"directload/internal/blockfs/blockfstest"
 	"directload/internal/ssd"
 )
 
@@ -319,53 +317,6 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	}
 	if st := s.Stats(); st.GCRuns != 1 || st.GCFreed == 0 {
 		t.Fatalf("GC stats = %+v", st)
-	}
-}
-
-func TestLazyDeferralWithReaders(t *testing.T) {
-	var park atomic.Bool
-	entered, release := make(chan struct{}), make(chan struct{})
-	fs := &blockfstest.FS{FS: testFS(t, 256), ReadAt: func(string, int64) {
-		if park.Load() {
-			entered <- struct{}{}
-			<-release
-		}
-	}}
-	s, _ := Open(fs, smallConfig())
-	val := bytes.Repeat([]byte{5}, 100<<10)
-	var refs []Ref
-	for i := 0; i < 25; i++ {
-		ref, _, _, _ := s.Append(Record{Key: []byte{byte(i)}, Version: 1, Value: val})
-		refs = append(refs, ref)
-	}
-	first := refs[0].File
-	for _, r := range refs {
-		if r.File == first {
-			s.MarkDead(r)
-		}
-	}
-	if id, ok := s.ShouldCollect(); !ok || id != first {
-		t.Fatalf("ShouldCollect = %d, %v with candidate %d and no readers", id, ok, first)
-	}
-	// A Read parked in its flash read holds the reader slot: the pass is
-	// deferred until it drains.
-	park.Store(true)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := s.Read(refs[len(refs)-1])
-		done <- err
-	}()
-	<-entered
-	park.Store(false)
-	if _, ok := s.ShouldCollect(); ok {
-		t.Fatal("ShouldCollect = true with a read in flight and no pressure")
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.ShouldCollect(); !ok {
-		t.Fatal("ShouldCollect should be true once reads drain")
 	}
 }
 

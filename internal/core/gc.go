@@ -7,45 +7,43 @@ import (
 	"directload/internal/aof"
 )
 
-// MaybeGC runs at most one garbage collection pass if the lazy policy
-// allows it: there must be a candidate file at or below the occupancy
-// threshold, and either no reads in flight or free-space pressure
-// (paper §4.1.2: "the GC will be deferred if there are ongoing reads and
-// free disk space").
-func (db *DB) MaybeGC() (time.Duration, error) {
+// CollectOnce collects the first candidate file — the lowest occupancy
+// at or below the threshold, then the lowest file id — if there is one.
+// It is a no-op when no file qualifies.
+func (db *DB) CollectOnce() (time.Duration, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
-	return db.maybeGCLocked()
-}
-
-// maybeGCLocked is MaybeGC for a caller that holds wmu: the pass Del and
-// DropVersion run on their way out.
-func (db *DB) maybeGCLocked() (time.Duration, error) {
-	id, ok := db.store.ShouldCollect()
-	if !ok {
-		return 0, nil
-	}
-	return db.collectLocked(id)
-}
-
-// CollectOnce collects the lowest-occupancy candidate file now,
-// bypassing the read-deferral rule (used by tests and by the forced
-// space-pressure path). It is a no-op when no file qualifies.
-func (db *DB) CollectOnce() (time.Duration, error) {
-	cost, _, err := db.collectNext()
+	cost, _, err := db.collectFirstLocked()
 	return cost, err
 }
 
-// collectNext collects the first candidate, if there is one.
-func (db *DB) collectNext() (cost time.Duration, collected bool, err error) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.closed {
-		return 0, false, ErrClosed
+// CollectAll drains every candidate. Other writers get their turn
+// between files.
+func (db *DB) CollectAll() (time.Duration, error) {
+	var total time.Duration
+	for {
+		db.wmu.Lock()
+		if db.closed {
+			db.wmu.Unlock()
+			return total, ErrClosed
+		}
+		cost, collected, err := db.collectFirstLocked()
+		db.wmu.Unlock()
+		total += cost
+		if err != nil || !collected {
+			return total, err
+		}
 	}
+}
+
+// collectFirstLocked collects the first of Candidates, if there is one.
+// Runs with wmu held: Del and DropVersion call it on their way out, so a
+// pass runs on the mutation that makes it due, and which file it takes
+// and when depend on the mutation stream alone.
+func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err error) {
 	cands := db.store.Candidates()
 	if len(cands) == 0 {
 		return 0, false, nil
@@ -64,20 +62,6 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 	end(err)
 	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
-}
-
-// CollectAll drains every candidate (used when simulating shutdown
-// compaction and in the eager-GC ablation). Other writers get their turn
-// between files.
-func (db *DB) CollectAll() (time.Duration, error) {
-	var total time.Duration
-	for {
-		cost, collected, err := db.collectNext()
-		total += cost
-		if err != nil || !collected {
-			return total, err
-		}
-	}
 }
 
 // gcJudge decides whether the record at ref survives collection of its

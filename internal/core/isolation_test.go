@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -136,6 +137,71 @@ func TestGetPassesParkedGCScan(t *testing.T) {
 	}
 	if err := readAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetirementCollectsBesideParkedRead parks a flash read of a live
+// record and, beside it, retires the version that fills the first file.
+// That file falls below the threshold, and the retirement's own GC pass
+// must take it: a read in flight does not put a pass off, so which file
+// GC takes, and when, follows from the mutations alone. The read is a
+// store-level one and holds no engine lock, so nothing but a rule that
+// counts reads could hold the pass back.
+func TestRetirementCollectsBesideParkedRead(t *testing.T) {
+	var armed atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	fs := &blockfstest.FS{FS: testFS(t, 1024), ReadAt: func(name string, _ int64) {
+		if name != "aof-00000000" && armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}}
+	opts := testOptions()
+	opts.AOF.FileSize = 256 << 10
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Ten 20 KB values of version 1 fill most of the first file; version 2
+	// tops it up and rolls over into the next two.
+	val := bytes.Repeat([]byte{7}, 20<<10)
+	for k := 0; k < 10; k++ {
+		if _, err := db.Put([]byte(fmt.Sprintf("key-%03d", k)), 1, val, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 20; k++ {
+		if _, err := db.Put([]byte(fmt.Sprintf("key-%03d", k)), 2, val, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, ok := db.table.Get(ikey{"key-019", 2})
+	if !ok || live.ref.File == 0 {
+		t.Fatalf("key-019/2 = %+v, %v: want a record outside the first file", live, ok)
+	}
+
+	armed.Store(true)
+	read := make(chan error, 1)
+	go func() {
+		_, _, err := db.store.Read(live.ref)
+		read <- err
+	}()
+	<-parked
+	within(t, "DropVersion beside a parked read", func() error {
+		_, _, err := db.DropVersion(1)
+		return err
+	})
+	st := db.Stats().Store
+	close(release)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if st.GCRuns != 1 {
+		t.Fatalf("GCRuns = %d after the retirement, want 1: the pass was put off behind the parked read", st.GCRuns)
+	}
+	if _, err := fs.Size("aof-00000000"); err == nil {
+		t.Fatal("the first file is still there after the retirement's pass")
 	}
 }
 

@@ -99,8 +99,8 @@ type Options struct {
 	// AOF holds the append-only file store configuration (file size,
 	// GC threshold, free-space pressure override).
 	AOF aof.Config
-	// DisableAutoGC turns off the GC attempt piggybacked on Del and
-	// DropVersion; the caller then drives GC via MaybeGC/CollectOnce.
+	// DisableAutoGC turns off the GC pass piggybacked on Del and
+	// DropVersion; the caller then drives GC via CollectOnce/CollectAll.
 	DisableAutoGC bool
 	// CheckpointEveryBytes writes a memtable checkpoint automatically
 	// once that many bytes have been appended since the last one
@@ -614,8 +614,8 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 // Del marks (key, version) deleted: the d flag is set in the memtable, a
 // small tombstone record is appended so the deletion survives recovery,
 // and the GC table occupancy of the record's file is updated (paper
-// Fig. 2, DEL steps 1-2). When auto-GC is enabled and the lazy policy
-// allows, one GC pass may run (steps 3-6).
+// Fig. 2, DEL steps 1-2). When auto-GC is enabled and a sealed file sits
+// at or below the GC threshold, one GC pass runs (steps 3-6).
 func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -654,7 +654,7 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	db.userWriteBytes.Add(int64(len(key)))
 	db.dels.Add(1)
 	if !db.opts.DisableAutoGC {
-		c, _ := db.maybeGCLocked()
+		c, _, _ := db.collectFirstLocked()
 		cost += c
 	}
 	db.met.delCost.Observe(float64(cost) / float64(time.Microsecond))
@@ -676,8 +676,8 @@ const retireChunk = 256
 // one short hold marks the version retiring: from its release on, every
 // read of the version answers deleted — all of it at once, never a mix.
 // The version's items are then found with no engine lock held, flagged
-// retireChunk per hold, and the GC pass that follows (if the lazy policy
-// allows one) chunks its holds the same way. DropVersion returns when
+// retireChunk per hold, and the GC pass that follows (if a file is due)
+// chunks its holds the same way. DropVersion returns when
 // all of that is done.
 func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	db.wmu.Lock()
@@ -714,7 +714,7 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	db.excl.Unlock()
 
 	if !db.opts.DisableAutoGC {
-		c, _ := db.maybeGCLocked()
+		c, _, _ := db.collectFirstLocked()
 		cost += c
 	}
 	return dropped, cost, nil

@@ -67,8 +67,8 @@ func TestStressConcurrentMixed(t *testing.T) {
 			}
 		}
 	}()
-	// GC goroutine: collects whatever the lazy policy allows until the
-	// workers finish.
+	// GC goroutine: collects whatever file is due until the workers
+	// finish.
 	var gcWg sync.WaitGroup
 	gcWg.Add(1)
 	go func() {
@@ -79,7 +79,7 @@ func TestStressConcurrentMixed(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := db.MaybeGC(); err != nil && !errors.Is(err, ErrClosed) {
+			if _, err := db.CollectOnce(); err != nil && !errors.Is(err, ErrClosed) {
 				errCh <- fmt.Errorf("gc: %w", err)
 				return
 			}

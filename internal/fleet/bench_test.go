@@ -31,7 +31,6 @@ func benchGroup(b *testing.B, n int, cfg Config) *Fleet {
 			b.Fatal(err)
 		}
 		s := server.New(db)
-		s.SetLogf(nil)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)

@@ -59,7 +59,6 @@ func startNode(t *testing.T, reg *metrics.Registry) *testNode {
 
 func (tn *testNode) serve(ln net.Listener) {
 	s := server.New(tn.db)
-	s.SetLogf(nil)
 	if tn.reg != nil {
 		s.SetMetrics(tn.reg)
 	}

@@ -168,67 +168,6 @@ func (t *Tracer) Trace(id uint64) []SpanRecord {
 	return out
 }
 
-// WriteTrace renders one trace as an indented timeline: each span on a
-// line with its offset from the trace's first span, duration, note and
-// error, children nested under their parents. Spans whose parent was
-// evicted from the ring surface at top level rather than vanishing.
-func (t *Tracer) WriteTrace(w io.Writer, id uint64) (int64, error) {
-	spans := t.Trace(id)
-	var total int64
-	write := func(format string, args ...any) error {
-		n, err := fmt.Fprintf(w, format, args...)
-		total += int64(n)
-		return err
-	}
-	if len(spans) == 0 {
-		return total, write("trace %016x: no spans retained\n", id)
-	}
-	t0 := spans[0].Start
-	byID := make(map[uint64]bool, len(spans))
-	children := make(map[uint64][]SpanRecord, len(spans))
-	var roots []SpanRecord
-	for _, s := range spans {
-		byID[s.SpanID] = true
-	}
-	for _, s := range spans {
-		if s.ParentID != 0 && byID[s.ParentID] {
-			children[s.ParentID] = append(children[s.ParentID], s)
-		} else {
-			roots = append(roots, s)
-		}
-	}
-	if err := write("trace %016x: %d spans\n", id, len(spans)); err != nil {
-		return total, err
-	}
-	var dump func(s SpanRecord, depth int) error
-	dump = func(s SpanRecord, depth int) error {
-		suffix := ""
-		if s.Note != "" {
-			suffix += " " + s.Note
-		}
-		if s.Err != "" {
-			suffix += " err=" + s.Err
-		}
-		if err := write("%*s+%-12s %-28s %12s%s\n",
-			2*depth, "", s.Start.Sub(t0).Round(time.Microsecond).String(),
-			s.Name, s.Dur.Round(time.Microsecond), suffix); err != nil {
-			return err
-		}
-		for _, c := range children[s.SpanID] {
-			if err := dump(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, r := range roots {
-		if err := dump(r, 1); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // WriteTo dumps the per-name latency summaries followed by the retained
 // spans, newest last — the /debug/trace page.
 func (t *Tracer) WriteTo(w io.Writer) (int64, error) {

@@ -14,8 +14,8 @@ import (
 )
 
 // TraceExport is the machine-readable payload served by the operator
-// endpoint /debug/trace/export?id=: one node's retained spans for one
-// trace, plus the node's self-reported identity.
+// endpoint /debug/trace?id=&format=json: one node's retained spans for
+// one trace, plus the node's self-reported identity.
 type TraceExport struct {
 	Node    string       `json:"node,omitempty"`
 	TraceID string       `json:"trace_id"` // hex, matching ?id=
@@ -129,14 +129,14 @@ func (c *TraceCollector) Collect(ctx context.Context, id uint64) (MergedTrace, e
 	return out, nil
 }
 
-// fetchNodeTrace GETs one node's /debug/trace/export for the trace.
+// fetchNodeTrace GETs one node's /debug/trace?id=&format=json export.
 func fetchNodeTrace(ctx context.Context, client *http.Client, endpoint string, id uint64) NodeTrace {
 	nt := NodeTrace{Endpoint: endpoint}
 	url := endpoint
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	url = strings.TrimSuffix(url, "/") + fmt.Sprintf("/debug/trace/export?id=%016x", id)
+	url = strings.TrimSuffix(url, "/") + fmt.Sprintf("/debug/trace?id=%016x&format=json", id)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		nt.Err = err.Error()
@@ -163,11 +163,15 @@ func fetchNodeTrace(ctx context.Context, client *http.Client, endpoint string, i
 	return nt
 }
 
-// WriteTimeline renders the merged trace as one indented timeline in
-// the style of Tracer.WriteTrace, with each span prefixed by the node
-// that recorded it. Children nest under their parents even across node
-// boundaries — that is the point of collecting: a remote server span
-// whose parent is the router's client span renders under it.
+// WriteTimeline renders the trace as one indented timeline: each span on
+// a line with its offset from the trace's first span, duration, note and
+// error, children nested under their parents. Spans whose parent is not
+// retained surface at top level rather than vanishing. Each span is
+// prefixed by the node that recorded it; a trace whose spans name no
+// node (one process's tracer, MergedTrace{TraceID, Spans: t.Trace(id)})
+// leaves that column out. Children nest under their parents even across
+// node boundaries — that is the point of collecting: a remote server
+// span whose parent is the router's client span renders under it.
 func (m MergedTrace) WriteTimeline(w io.Writer) (int64, error) {
 	var total int64
 	write := func(format string, args ...any) error {
@@ -183,7 +187,7 @@ func (m MergedTrace) WriteTimeline(w io.Writer) (int64, error) {
 		}
 	}
 	if len(m.Spans) == 0 {
-		return total, write("trace %016x: no spans retained on any node\n", m.TraceID)
+		return total, write("trace %016x: no spans retained\n", m.TraceID)
 	}
 	nodeWidth := 0
 	byID := make(map[uint64]bool, len(m.Spans))
@@ -203,8 +207,11 @@ func (m MergedTrace) WriteTimeline(w io.Writer) (int64, error) {
 		}
 	}
 	t0 := m.Spans[0].Start
-	if err := write("trace %016x: %d spans across %d node(s)\n",
-		m.TraceID, len(m.Spans), m.NodeCount()); err != nil {
+	header := fmt.Sprintf("trace %016x: %d spans", m.TraceID, len(m.Spans))
+	if nodeWidth > 0 {
+		header += fmt.Sprintf(" across %d node(s)", m.NodeCount())
+	}
+	if err := write("%s\n", header); err != nil {
 		return total, err
 	}
 	var dump func(s SpanRecord, depth int) error
@@ -216,8 +223,12 @@ func (m MergedTrace) WriteTimeline(w io.Writer) (int64, error) {
 		if s.Err != "" {
 			suffix += " err=" + s.Err
 		}
-		if err := write("[%-*s] %*s+%-12s %-28s %12s%s\n",
-			nodeWidth, s.Node, 2*depth, "",
+		node := ""
+		if nodeWidth > 0 {
+			node = fmt.Sprintf("[%-*s] ", nodeWidth, s.Node)
+		}
+		if err := write("%s%*s+%-12s %-28s %12s%s\n",
+			node, 2*depth, "",
 			s.Start.Sub(t0).Round(time.Microsecond).String(),
 			s.Name, s.Dur.Round(time.Microsecond), suffix); err != nil {
 			return err

@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// exportServer serves /debug/trace/export for a canned span set, the
-// way internal/ops does on a real node.
+// exportServer serves /debug/trace?id=&format=json for a canned span
+// set, the way internal/ops does on a real node.
 func exportServer(t *testing.T, node string, spans []SpanRecord) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/debug/trace/export" {
+		if r.URL.Path != "/debug/trace" || r.URL.Query().Get("format") != "json" {
 			http.NotFound(w, r)
 			return
 		}

@@ -104,8 +104,10 @@ func TestNilRegistrySpansInert(t *testing.T) {
 	_ = ctx
 }
 
-// TestWriteTraceTimeline checks the rendered parent/child indentation
-// and that orphan spans (parent outside the ring) still print.
+// TestWriteTraceTimeline renders one local tracer's trace through
+// WriteTimeline and checks the parent/child indentation, that orphan
+// spans (parent outside the ring) still print, and that spans naming no
+// node get no node column.
 func TestWriteTraceTimeline(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer()
@@ -117,10 +119,13 @@ func TestWriteTraceTimeline(t *testing.T) {
 	tr.RecordSpan(SpanRecord{Name: "orphan", Start: now.Add(2 * time.Millisecond),
 		Dur: time.Millisecond, TraceID: 9, SpanID: 3, ParentID: 999})
 	var sb strings.Builder
-	if _, err := tr.WriteTrace(&sb, 9); err != nil {
+	if _, err := (MergedTrace{TraceID: 9, Spans: tr.Trace(9)}).WriteTimeline(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	if strings.Contains(out, "[") || strings.Contains(out, "node(s)") {
+		t.Fatalf("node column on a trace that names no node:\n%s", out)
+	}
 	for _, want := range []string{"publish", "ship", "orphan"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)

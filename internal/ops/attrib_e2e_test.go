@@ -36,7 +36,6 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	defer db.Close()
 
 	srv := server.New(db)
-	srv.SetLogf(nil)
 	srv.SetMetrics(metrics.NewRegistry())
 	srv.SetAttribution(1) // measure every request: deterministic counts
 	backend := srv.Backend()
@@ -49,7 +48,6 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	defer srv.Close()
 
 	respSrv := resp.New(backend)
-	respSrv.SetLogf(nil)
 	respLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,6 @@ func startObsNode(t *testing.T, name string) *obsNode {
 
 func (n *obsNode) serve(ln net.Listener) {
 	s := server.New(n.db)
-	s.SetLogf(nil)
 	s.SetMetrics(n.reg)
 	go s.Serve(ln)
 	for s.Addr() == nil {
@@ -193,7 +192,8 @@ func TestFleetObservabilityE2E(t *testing.T) {
 
 	// --- merged cross-node trace -------------------------------------
 	// The router's spans come from its own tracer and each node's from
-	// its /debug/trace/export, as `qindbctl trace -nodes` merges them.
+	// its /debug/trace?id=&format=json export, as `qindbctl trace -nodes`
+	// merges them.
 	collector := &metrics.TraceCollector{
 		Endpoints: []string{n1.ops.Addr(), n2.ops.Addr(), n3.ops.Addr()},
 		Local:     routerReg.Tracer(),

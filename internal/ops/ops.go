@@ -8,9 +8,9 @@
 //	                     good/bad counters and runtime.* gauges ride
 //	                     along: a scraper rates them)
 //	/debug/trace         span ring + latency summaries; ?id=<hex> for
-//	                     one trace's timeline; ?format=json
-//	/debug/trace/export  machine-readable spans of one trace (?id=
-//	                     <hex>, required) for cross-node aggregation
+//	                     one trace's timeline; ?format=json (with ?id,
+//	                     the node-labeled export cross-node
+//	                     aggregation fetches)
 //	/debug/slowlog       slow operations, oldest first; ?n=<count>,
 //	                     ?op=<name> and ?trace=<hex> filter,
 //	                     ?format=json
@@ -47,8 +47,8 @@ type Config struct {
 	Registry *metrics.Registry
 	// SlowLog backs /debug/slowlog.
 	SlowLog *metrics.SlowLog
-	// Node names this process in /debug/trace/export payloads so the
-	// cross-node trace collector can label merged spans.
+	// Node names this process in /debug/trace?id=&format=json exports so
+	// the cross-node trace collector can label merged spans.
 	Node string
 	// Ready, when set, backs /readyz: nil means ready, an error is
 	// reported with a 503. When unset /readyz behaves like /healthz.
@@ -86,28 +86,6 @@ func NewMux(cfg Config) *http.ServeMux {
 			cfg.Registry.WriteTo(w)
 		}
 	})
-	mux.HandleFunc("/debug/trace/export", func(w http.ResponseWriter, r *http.Request) {
-		idStr := r.URL.Query().Get("id")
-		if idStr == "" {
-			http.Error(w, "missing id (want hex trace id)", http.StatusBadRequest)
-			return
-		}
-		id, err := strconv.ParseUint(idStr, 16, 64)
-		if err != nil {
-			http.Error(w, "bad trace id (want hex)", http.StatusBadRequest)
-			return
-		}
-		spans := cfg.Registry.Tracer().Trace(id)
-		if spans == nil {
-			spans = []metrics.SpanRecord{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(metrics.TraceExport{
-			Node:    cfg.Node,
-			TraceID: fmt.Sprintf("%016x", id),
-			Spans:   spans,
-		})
-	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		tracer := cfg.Registry.Tracer()
@@ -117,17 +95,21 @@ func NewMux(cfg Config) *http.ServeMux {
 				http.Error(w, "bad trace id (want hex)", http.StatusBadRequest)
 				return
 			}
+			spans := tracer.Trace(id)
 			if q.Get("format") == "json" {
-				w.Header().Set("Content-Type", "application/json")
-				spans := tracer.Trace(id)
 				if spans == nil {
 					spans = []metrics.SpanRecord{}
 				}
-				json.NewEncoder(w).Encode(spans)
+				w.Header().Set("Content-Type", "application/json")
+				json.NewEncoder(w).Encode(metrics.TraceExport{
+					Node:    cfg.Node,
+					TraceID: fmt.Sprintf("%016x", id),
+					Spans:   spans,
+				})
 				return
 			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			tracer.WriteTrace(w, id)
+			metrics.MergedTrace{TraceID: id, Spans: spans}.WriteTimeline(w)
 			return
 		}
 		if q.Get("format") == "json" {

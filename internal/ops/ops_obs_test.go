@@ -17,9 +17,9 @@ func TestTraceExportEndpoint(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	code, body, hdr := get(t, srv, fmt.Sprintf("/debug/trace/export?id=%016x", traceID))
+	code, body, hdr := get(t, srv, fmt.Sprintf("/debug/trace?id=%016x&format=json", traceID))
 	if code != 200 || !strings.Contains(hdr.Get("Content-Type"), "json") {
-		t.Fatalf("/debug/trace/export = %d (%s):\n%s", code, hdr.Get("Content-Type"), body)
+		t.Fatalf("/debug/trace?id&format=json = %d (%s):\n%s", code, hdr.Get("Content-Type"), body)
 	}
 	var export metrics.TraceExport
 	if err := json.Unmarshal([]byte(body), &export); err != nil {
@@ -33,7 +33,7 @@ func TestTraceExportEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	named := httptest.NewServer(NewMux(Config{Registry: reg, Node: "dc1-n7"}))
 	defer named.Close()
-	code, body, _ = get(t, named, "/debug/trace/export?id=1")
+	code, body, _ = get(t, named, "/debug/trace?id=1&format=json")
 	export = metrics.TraceExport{}
 	if code != 200 || json.Unmarshal([]byte(body), &export) != nil || export.Node != "dc1-n7" {
 		t.Fatalf("named export = %d %+v", code, export)
@@ -42,10 +42,7 @@ func TestTraceExportEndpoint(t *testing.T) {
 		t.Fatalf("unknown trace must export [], got %+v", export.Spans)
 	}
 
-	if code, _, _ := get(t, srv, "/debug/trace/export"); code != http.StatusBadRequest {
-		t.Fatalf("missing id = %d, want 400", code)
-	}
-	if code, _, _ := get(t, srv, "/debug/trace/export?id=zzz"); code != http.StatusBadRequest {
+	if code, _, _ := get(t, srv, "/debug/trace?id=zzz&format=json"); code != http.StatusBadRequest {
 		t.Fatalf("bad id = %d, want 400", code)
 	}
 }
@@ -107,7 +104,7 @@ func TestObservabilityEndpointsNil(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()
 	for _, path := range []string{
-		"/debug/trace/export?id=1",
+		"/debug/trace?id=1&format=json",
 		"/debug/slowlog?op=put&trace=ab",
 	} {
 		if code, _, _ := get(t, srv, path); code != 200 {

@@ -27,7 +27,6 @@ func benchRESP(b *testing.B) *Client {
 		b.Fatal(err)
 	}
 	srv := New(server.NewBackend(db))
-	srv.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

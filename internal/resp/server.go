@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sort"
 	"strconv"
@@ -30,7 +29,6 @@ type Server struct {
 	ln     net.Listener
 	conns  map[net.Conn]bool
 	closed bool
-	logf   func(format string, args ...any)
 	node   string
 }
 
@@ -41,17 +39,8 @@ func New(b *server.Backend) *Server {
 	return &Server{
 		backend: b,
 		conns:   make(map[net.Conn]bool),
-		logf:    log.Printf,
 		node:    "qindb",
 	}
-}
-
-// SetLogf replaces the server's logger (nil silences it).
-func (s *Server) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s.logf = logf
 }
 
 // SetNode names this node in INFO's Server section (default "qindb").

@@ -43,7 +43,6 @@ func newBackend(t *testing.T, reg *metrics.Registry) *server.Backend {
 func startRESP(t *testing.T, b *server.Backend) (*Server, *Client) {
 	t.Helper()
 	srv := New(b)
-	srv.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,6 @@ func startRESP(t *testing.T, b *server.Backend) (*Server, *Client) {
 func startNative(t *testing.T, b *server.Backend) *server.Client {
 	t.Helper()
 	s := server.NewWithBackend(b)
-	s.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +413,6 @@ func TestPipelinedOrdering(t *testing.T) {
 	_, rcl := startRESP(t, b)
 
 	s := server.NewWithBackend(b)
-	s.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,6 @@ import (
 type Backend struct {
 	db *core.DB
 
-	rangeCap int
-
 	slow    atomic.Pointer[metrics.SlowLog]
 	readSLO atomic.Pointer[metrics.SLO]
 
@@ -43,7 +41,7 @@ type Backend struct {
 // caller keeps ownership of db and must close it after every listener
 // using the backend has stopped.
 func NewBackend(db *core.DB) *Backend {
-	return &Backend{db: db, rangeCap: 4096, met: serverMetrics{conns: new(metrics.Gauge)}}
+	return &Backend{db: db, met: serverMetrics{conns: new(metrics.Gauge)}}
 }
 
 // SetMetrics attaches a registry for the per-opcode request counters
@@ -225,13 +223,16 @@ func (b *Backend) Has(ctx context.Context, key []byte, version uint64) (bool, er
 	return ok, nil
 }
 
+// rangeCap is the most pairs one Range answers, and its default limit.
+const rangeCap = 4096
+
 // Range lists newest-live (key, version) pairs in [from, to). A limit
-// <= 0 selects the backend default; positive limits clamp to it. The
-// second return value is the limit actually applied.
+// <= 0 selects rangeCap; positive limits clamp to it. The second return
+// value is the limit actually applied.
 func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]RangeEntry, int, error) {
 	_, done := b.begin(ctx, OpRange)
-	if limit <= 0 || limit > b.rangeCap {
-		limit = b.rangeCap
+	if limit <= 0 || limit > rangeCap {
+		limit = rangeCap
 	}
 	var entries []RangeEntry
 	b.db.Range(from, to, func(key []byte, ver uint64) bool {

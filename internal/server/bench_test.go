@@ -29,7 +29,6 @@ func benchNode(b *testing.B) string {
 		b.Fatal(err)
 	}
 	s := New(db)
-	s.SetLogf(nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -78,7 +77,7 @@ func BenchmarkRemotePublish(b *testing.B) {
 	})
 	b.Run("pipelined", func(b *testing.B) {
 		addr := benchNode(b)
-		cl, err := Dial(addr, WithMaxInFlight(256))
+		cl, err := Dial(addr)
 		if err != nil {
 			b.Fatal(err)
 		}

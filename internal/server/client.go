@@ -19,10 +19,8 @@ var errClientClosed = errors.New("qindb client: closed")
 
 // dialOptions collects the functional Dial configuration.
 type dialOptions struct {
-	timeout     time.Duration // default per-op deadline (0 = none)
-	poolSize    int           // connections in the pool
-	maxInFlight int           // per-connection pipelining bound
-	reg         *metrics.Registry
+	timeout time.Duration // default per-op deadline (0 = none)
+	reg     *metrics.Registry
 }
 
 // DialOption configures Dial.
@@ -35,81 +33,44 @@ func WithTimeout(d time.Duration) DialOption {
 	return func(o *dialOptions) { o.timeout = d }
 }
 
-// WithPoolSize dials n connections and spreads requests across them
-// round-robin — concurrent callers stop contending for one wire.
-// Values < 1 mean 1.
-func WithPoolSize(n int) DialOption {
-	return func(o *dialOptions) { o.poolSize = n }
-}
-
-// WithMaxInFlight bounds the number of pipelined requests outstanding
-// per connection; further calls block until responses drain (the
-// client-side backpressure knob). Values < 1 reset the default.
-func WithMaxInFlight(n int) DialOption {
-	return func(o *dialOptions) { o.maxInFlight = n }
-}
-
-// WithMetrics attaches a registry for the client-side pool gauges:
-// client.pool.conns (connections dialed) and client.pool.inflight
-// (requests currently outstanding across the pool).
+// WithMetrics attaches the registry whose tracer records the client's
+// spans (client.batch.flush); calls inside a trace ship their span
+// context either way.
 func WithMetrics(reg *metrics.Registry) DialOption {
 	return func(o *dialOptions) { o.reg = reg }
 }
 
-// Client is a QinDB client over a small pool of TCP connections. It is
-// safe for concurrent use. Requests are pipelined: many calls share one
-// connection simultaneously and complete out of order. Every method
-// takes a context and honors its deadline and cancellation; a call
-// abandoned that way leaves the connection usable, because its late
-// response is discarded by sequence number.
+// Client is a QinDB client over one TCP connection. It is safe for
+// concurrent use. Requests are pipelined: many calls share the
+// connection simultaneously, up to defaultMaxInFlight outstanding, and
+// complete out of order. Every method takes a context and honors its
+// deadline and cancellation; a call abandoned that way leaves the
+// connection usable, because its late response is discarded by sequence
+// number.
 type Client struct {
 	addr string
 	opts dialOptions
 
-	mu     sync.Mutex // guards conns slots (lazy redial) and closed
-	conns  []*wireConn
+	mu     sync.Mutex // guards conn (redial in place) and closed
+	conn   *wireConn  // nil after a failed redial
 	closed bool
-	rr     atomic.Uint32
-
-	poolConns *metrics.Gauge
-	inflight  *metrics.Gauge
 }
 
-// Dial connects to a QinDB server and performs the hello exchange on
-// every pooled connection; a server that refuses the hello is a dial
-// error. Options configure deadlines, pool size and pipelining depth;
-// Dial(addr) alone opens a single connection.
+// Dial connects to a QinDB server and performs the hello exchange; a
+// server that refuses the hello is a dial error.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	o := dialOptions{poolSize: 1, maxInFlight: defaultMaxInFlight}
+	var o dialOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.poolSize < 1 {
-		o.poolSize = 1
+	w, err := dialWire(addr, o.timeout)
+	if err != nil {
+		return nil, err
 	}
-	if o.maxInFlight < 1 {
-		o.maxInFlight = defaultMaxInFlight
-	}
-	c := &Client{
-		addr:      addr,
-		opts:      o,
-		conns:     make([]*wireConn, o.poolSize),
-		poolConns: o.reg.Gauge("client.pool.conns"),
-		inflight:  o.reg.Gauge("client.pool.inflight"),
-	}
-	for i := range c.conns {
-		w, err := dialWire(addr, o)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.conns[i] = w
-		c.poolConns.Add(1)
-	}
-	return c, nil
+	return &Client{addr: addr, opts: o, conn: w}, nil
 }
 
-// Close tears down every pooled connection.
+// Close tears down the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -117,49 +78,33 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	var errs []error
-	for _, w := range c.conns {
-		if w == nil {
-			continue
-		}
-		if err := w.close(); err != nil {
-			errs = append(errs, err)
-		}
-		c.poolConns.Add(-1)
+	if c.conn == nil {
+		return nil
 	}
-	return errors.Join(errs...)
+	return c.conn.close()
 }
 
-// pick returns a healthy pooled connection, redialing a broken slot in
-// place (a node restart heals on the next call instead of poisoning
-// 1/poolSize of all traffic).
+// pick returns the connection, redialing it in place when it broke (a
+// node restart heals on the next call).
 func (c *Client) pick() (*wireConn, error) {
-	i := int(c.rr.Add(1)) % len(c.conns)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errClientClosed
 	}
-	w := c.conns[i]
-	if w != nil && !w.broken() {
-		return w, nil
+	if c.conn != nil && !c.conn.broken() {
+		return c.conn, nil
 	}
-	if w != nil {
-		w.close()
+	if c.conn != nil {
+		c.conn.close()
+		c.conn = nil
 	}
-	nw, err := dialWire(c.addr, c.opts)
+	w, err := dialWire(c.addr, c.opts.timeout)
 	if err != nil {
-		if c.conns[i] != nil {
-			c.poolConns.Add(-1)
-		}
-		c.conns[i] = nil
 		return nil, err
 	}
-	if c.conns[i] == nil {
-		c.poolConns.Add(1)
-	}
-	c.conns[i] = nw
-	return nw, nil
+	c.conn = w
+	return w, nil
 }
 
 // withTimeout applies the configured default deadline when ctx carries
@@ -174,7 +119,7 @@ func (c *Client) withTimeout(ctx context.Context) (context.Context, context.Canc
 	return context.WithTimeout(ctx, c.opts.timeout)
 }
 
-// do runs one request through the pool.
+// do runs one request on the connection.
 func (c *Client) do(ctx context.Context, req request) (uint8, []byte, error) {
 	body, err := encodeRequest(req)
 	if err != nil {
@@ -186,8 +131,6 @@ func (c *Client) do(ctx context.Context, req request) (uint8, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
 	return w.call(ctx, body)
 }
 
@@ -338,7 +281,7 @@ type wireConn struct {
 
 	// Write coalescing: senders append frames under fmu; the flush
 	// goroutine drains the buffer with one write per syscall. Growth is
-	// bounded by sem — at most maxInFlight frames can be buffered.
+	// bounded by sem — at most defaultMaxInFlight frames can be buffered.
 	fmu  sync.Mutex
 	fbuf []byte
 	fsig chan struct{} // capacity 1: "the buffer is non-empty"
@@ -348,8 +291,8 @@ type wireConn struct {
 
 // dialWire opens one connection, performs the hello exchange and starts
 // the connection's reader and flusher.
-func dialWire(addr string, o dialOptions) (*wireConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, o.timeout)
+func dialWire(addr string, timeout time.Duration) (*wireConn, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -357,16 +300,16 @@ func dialWire(addr string, o dialOptions) (*wireConn, error) {
 		c:    nc,
 		br:   bufio.NewReader(nc),
 		pend: make(map[uint32]chan wireResp),
-		sem:  make(chan struct{}, o.maxInFlight),
+		sem:  make(chan struct{}, defaultMaxInFlight),
 		done: make(chan struct{}),
 		fsig: make(chan struct{}, 1),
 	}
-	if err := w.negotiate(o.timeout); err != nil {
+	if err := w.negotiate(timeout); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	go w.readLoop()
-	go w.flushLoop(o.timeout)
+	go w.flushLoop(timeout)
 	return w, nil
 }
 

@@ -71,7 +71,7 @@
 //
 // The request reuses the generic fields: Key = inclusive lower bound,
 // Value = exclusive upper bound, Version = limit. A limit <= 0 means
-// "server default" (the server's range cap, 4096 unless configured);
+// "server default" (the server's range cap, 4096);
 // a positive limit is clamped to that cap. The reply payload leads with
 // the applied limit:
 //

@@ -368,7 +368,7 @@ func TestStatusErrorIdentity(t *testing.T) {
 // server default and the reply reports what was applied; explicit
 // limits echo back; oversized asks clamp to the cap.
 func TestRangeAppliedLimit(t *testing.T) {
-	s, cl := startServer(t)
+	_, cl := startServer(t)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if err := cl.PutContext(ctx, []byte(fmt.Sprintf("rl-%02d", i)), 1, []byte("v"), false); err != nil {
@@ -379,17 +379,17 @@ func TestRangeAppliedLimit(t *testing.T) {
 	if err != nil || len(entries) != 10 {
 		t.Fatalf("Range(0) = %d entries, %v", len(entries), err)
 	}
-	if applied != s.backend.rangeCap {
-		t.Fatalf("applied = %d, want server default %d", applied, s.backend.rangeCap)
+	if applied != rangeCap {
+		t.Fatalf("applied = %d, want server default %d", applied, rangeCap)
 	}
 	if _, applied, _ = cl.RangeContext(ctx, nil, nil, 7); applied != 7 {
 		t.Fatalf("applied = %d, want 7", applied)
 	}
-	if _, applied, _ = cl.RangeContext(ctx, nil, nil, -5); applied != s.backend.rangeCap {
+	if _, applied, _ = cl.RangeContext(ctx, nil, nil, -5); applied != rangeCap {
 		t.Fatalf("negative limit applied = %d, want server default", applied)
 	}
-	if _, applied, _ = cl.RangeContext(ctx, nil, nil, s.backend.rangeCap+999); applied != s.backend.rangeCap {
-		t.Fatalf("oversized limit applied = %d, want cap %d", applied, s.backend.rangeCap)
+	if _, applied, _ = cl.RangeContext(ctx, nil, nil, rangeCap+999); applied != rangeCap {
+		t.Fatalf("oversized limit applied = %d, want cap %d", applied, rangeCap)
 	}
 }
 
@@ -494,49 +494,13 @@ func TestDialTimeoutOption(t *testing.T) {
 	}
 }
 
-// TestPoolSpreadsConnections verifies WithPoolSize dials distinct
-// connections and the server sees them all.
-func TestPoolSpreadsConnections(t *testing.T) {
-	s, _ := startServer(t)
-	cl, err := Dial(s.Addr().String(), WithPoolSize(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 30; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := []byte(fmt.Sprintf("pool-%02d", i))
-			if err := cl.PutContext(ctx, key, 1, key, false); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st, err := cl.StatsContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Conns < 4 { // 3 pooled + the startServer client
-		t.Fatalf("Conns = %d, want >= 4", st.Conns)
-	}
-}
-
-// TestMaxInFlightBackpressure floods one connection far past its window
-// with concurrent callers and verifies everything still completes
-// exactly once.
+// TestMaxInFlightBackpressure floods the client's connection far past
+// its window with concurrent callers and verifies everything still
+// completes exactly once.
 func TestMaxInFlightBackpressure(t *testing.T) {
-	s, _ := startServer(t)
-	cl, err := Dial(s.Addr().String(), WithMaxInFlight(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	_, cl := startServer(t)
 	ctx := context.Background()
-	const n = 100
+	const n = 4 * defaultMaxInFlight
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -556,11 +520,11 @@ func TestMaxInFlightBackpressure(t *testing.T) {
 }
 
 // TestInFlightWindowBlocks proves the client's window blocks at its
-// bound: with six callers on a window of four, a scripted server that
-// answers nothing sees exactly four requests; the other two reach the
-// wire only as replies free their slots.
+// bound: with two callers more than the window, a scripted server that
+// answers nothing sees exactly a window of requests; the other two reach
+// the wire only as replies free their slots.
 func TestInFlightWindowBlocks(t *testing.T) {
-	const window, callers = 4, 6
+	const window, callers = defaultMaxInFlight, defaultMaxInFlight + 2
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -611,7 +575,7 @@ func TestInFlightWindowBlocks(t *testing.T) {
 		}()
 	}()
 
-	cl, err := Dial(ln.Addr().String(), WithMaxInFlight(window), WithTimeout(5*time.Second))
+	cl, err := Dial(ln.Addr().String(), WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

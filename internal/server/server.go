@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"log"
 	"net"
 	"sync"
 
@@ -16,8 +15,7 @@ import (
 )
 
 // defaultMaxInFlight bounds concurrent dispatch per connection on the
-// server and, unless WithMaxInFlight says otherwise, the requests a
-// client keeps outstanding on one.
+// server and the requests a client keeps outstanding on its connection.
 const defaultMaxInFlight = 64
 
 // maxCoalesce caps how many response bytes the writer accumulates
@@ -45,7 +43,6 @@ type Server struct {
 	ln     net.Listener
 	conns  map[net.Conn]bool
 	closed bool
-	logf   func(format string, args ...any)
 }
 
 // serverMetrics holds per-opcode request counters and wall-clock latency
@@ -88,7 +85,6 @@ func NewWithBackend(b *Backend) *Server {
 	return &Server{
 		backend: b,
 		conns:   make(map[net.Conn]bool),
-		logf:    log.Printf,
 	}
 }
 
@@ -96,14 +92,6 @@ func NewWithBackend(b *Backend) *Server {
 // additional front doors.
 func (s *Server) Backend() *Backend {
 	return s.backend
-}
-
-// SetLogf replaces the server's logger (nil silences it).
-func (s *Server) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s.logf = logf
 }
 
 // SetSlowLog attaches a slow-op log; every dispatched request whose

@@ -36,7 +36,6 @@ func startServerReg(t *testing.T, reg *metrics.Registry) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	s := New(db)
-	s.SetLogf(nil)
 	s.SetMetrics(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
