@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"directload/internal/metrics"
 )
@@ -165,4 +167,86 @@ func BenchmarkPut20KBInstrumented(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The publish shape: versions of publishKeys entries with 20-byte keys
+// and 20 KB ± 4 KB values, 70 % of them deduplicated, publishKeep
+// versions kept.
+const publishKeys, publishKeep, publishWarm = 8000, 4, 16
+
+// publisher replays the publish shape on one DB as qindbd would hold it
+// (1 GB device, 64 MB AOFs, a checkpoint every 256 MB). Finishing version
+// v drops version v-publishKeep; that happens as version v+1 begins.
+type publisher struct {
+	db      *DB
+	rng     *rand.Rand
+	key     []byte
+	val     []byte
+	v       uint64        // the version being put
+	k       int           // entries of it put so far
+	dropped time.Duration // spent in DropVersion
+}
+
+// publishing is BenchmarkPublishVersion's store, kept across the
+// benchmark's runs so that the warm-up is paid once per process.
+var publishing *publisher
+
+func (p *publisher) put(b *testing.B) {
+	if p.k == publishKeys {
+		if p.v > publishKeep {
+			start := time.Now()
+			if _, _, err := p.db.DropVersion(p.v - publishKeep); err != nil {
+				b.Fatal(err)
+			}
+			p.dropped += time.Since(start)
+		}
+		p.v, p.k = p.v+1, 0
+	}
+	p.key = fmt.Appendf(p.key[:0], "url-%016d", p.k)
+	var err error
+	if p.v > 1 && p.rng.Intn(100) < 70 {
+		_, err = p.db.Put(p.key, p.v, nil, true)
+	} else {
+		_, err = p.db.Put(p.key, p.v, p.val[:16<<10+p.rng.Intn(8<<10)], false)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.k++
+}
+
+// BenchmarkPublishVersion times the publish shape at steady state, one
+// op per entry, after publishWarm versions put untimed. Each run starts
+// where a version begins, so a run of b.N entries holds ⌈b.N/8000⌉
+// retirements: drop_share, the part of the run spent in DropVersion, is
+// the steady-state share when b.N is a multiple of 8,000.
+func BenchmarkPublishVersion(b *testing.B) {
+	p := publishing
+	if p == nil {
+		opts := DefaultOptions()
+		opts.CheckpointEveryBytes = 256 << 20
+		db, err := Open(testFS(b, 8192), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p = &publisher{db: db, rng: rand.New(rand.NewSource(1)), val: make([]byte, 24<<10), v: 1}
+		for i := range p.val {
+			p.val[i] = byte(i * 7)
+		}
+		for i := 0; i < publishWarm*publishKeys; i++ {
+			p.put(b)
+		}
+		publishing = p
+	}
+	for p.k < publishKeys {
+		p.put(b)
+	}
+	p.dropped = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.put(b)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(p.dropped)/float64(b.Elapsed()), "drop_share")
 }

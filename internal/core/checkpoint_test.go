@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"sort"
 	"testing"
 
 	"directload/internal/aof"
@@ -123,5 +126,92 @@ func TestCheckpointAfterGCRecovery(t *testing.T) {
 	}
 	if vs := db2.Versions(); len(vs) != 3 || vs[0] != 4 {
 		t.Fatalf("Versions = %v, want [4 5 6]", vs)
+	}
+}
+
+// TestCheckpointImageUnchanged pins the checkpoint a publish-and-retire
+// stream leaves behind — its size in bytes and a CRC of its items sorted
+// by (key, version) — to what commit 43d2e07 wrote, when the memtable was
+// one skip list keyed (key, version). Items may come out of the memtable
+// in another order; which items there are, with which flags, bases and
+// refs, may not change.
+func TestCheckpointImageUnchanged(t *testing.T) {
+	opts := testOptions()
+	opts.AOF.FileSize = 256 << 10
+	fs := testFS(t, 1024)
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := newStream(20, 200, 70)
+	const versions, keep = 16, 4
+	for v := uint64(1); v <= versions; v++ {
+		s.publish(t, db, v)
+		if v > keep {
+			s.retire(t, db, v-keep)
+		}
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	for _, n := range fs.List() {
+		if _, ok := parseCkptName(n); ok {
+			name = n
+		}
+	}
+	size, err := fs.Size(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, _, err := r.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Body: floor, sealed ids, item count, then per item
+	// klen | key | version | flags | base | ref.File | ref.Off | ref.Len.
+	body := buf[len(ckptMagic) : size-4]
+	p := 8
+	p += 4 + 4*int(binary.LittleEndian.Uint32(body[p:]))
+	count := int(binary.LittleEndian.Uint32(body[p:]))
+	p += 4
+	type rawItem struct {
+		key string
+		ver uint64
+		raw []byte
+	}
+	items := make([]rawItem, 0, count)
+	for i := 0; i < count; i++ {
+		klen := int(binary.LittleEndian.Uint32(body[p:]))
+		n := 4 + klen + 8 + 1 + 8 + 4 + 8 + 4
+		items = append(items, rawItem{
+			key: string(body[p+4 : p+4+klen]),
+			ver: binary.LittleEndian.Uint64(body[p+4+klen:]),
+			raw: body[p : p+n],
+		})
+		p += n
+	}
+	if p != len(body) {
+		t.Fatalf("checkpoint body has %d bytes past its %d items", len(body)-p, count)
+	}
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].key != items[j].key {
+			return items[i].key < items[j].key
+		}
+		return items[i].ver < items[j].ver
+	})
+	crc := crc32.NewIEEE()
+	for _, it := range items {
+		crc.Write(it.raw)
+	}
+	const wantSize, wantItems, wantCRC = 93198, 2024, 0xe159e0fa
+	if size != wantSize || count != wantItems || crc.Sum32() != wantCRC {
+		t.Fatalf("checkpoint = %d bytes, %d items, item CRC %#x; want %d, %d, %#x (recorded at 43d2e07)",
+			size, count, crc.Sum32(), wantSize, wantItems, wantCRC)
 	}
 }

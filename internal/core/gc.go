@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"directload/internal/aof"
@@ -76,30 +75,28 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 		// stay durable for recovery; always relocate.
 		return true
 	}
-	ik := ikey{string(rec.Key), rec.Version}
+	key := string(rec.Key)
+	seg, it := db.lookup(key, rec.Version)
 	if rec.IsTombstone() {
 		// A tombstone is needed until the deletion it records is folded
 		// into the data record itself (FlagDropped) or the item is gone.
-		it, ok := db.table.Get(ik)
-		return ok && it.has(fDeleted) && !it.has(fOnDiskDeleted)
+		return it != nil && seg.deleted(it) && !it.has(fOnDiskDeleted)
 	}
-	it, ok := db.table.Get(ik)
-	if !ok || it.ref != ref {
+	if it == nil || it.ref != ref {
 		return false // item removed earlier, or this is a stale copy
 	}
-	if !it.has(fDeleted) {
+	if !seg.deleted(it) {
 		return true // live data: relocate
 	}
 	// Deleted: keep only if a newer deduplicated version still refers to
 	// this value ("invalid key-value pairs that are referred by later
 	// version keys"). Fold the deletion into the relocated record so it
 	// survives recovery without the tombstone.
-	if db.isReferredLocked(ik.key, ik.ver) {
+	if it.refs > 0 {
 		rec.Flags |= aof.FlagDropped
 		return true
 	}
-	db.table.Delete(ik)
-	db.met.memBytes.Add(-(int64(len(ik.key)) + memItemOverhead))
+	db.removeLocked(seg, key, it)
 	return false
 }
 
@@ -109,32 +106,10 @@ func (db *DB) gcRelocated(rec aof.Record, old, new aof.Ref) {
 	if rec.IsTombstone() || rec.IsVersionDrop() {
 		return // no item carries a tombstone ref
 	}
-	ik := ikey{string(rec.Key), rec.Version}
-	db.table.Update(ik, func(v item) item {
-		if v.ref == old {
-			v.ref = new
-			if rec.IsDropped() {
-				v.flags |= fOnDiskDeleted
-			}
+	if _, it := db.lookup(string(rec.Key), rec.Version); it != nil && it.ref == old {
+		it.ref = new
+		if rec.IsDropped() {
+			it.flags |= fOnDiskDeleted
 		}
-		return v
-	})
-}
-
-// isReferredLocked reports whether the entry (key, ver) is the bound
-// traceback base of any newer deduplicated entry of the same key. This is
-// exact because dedup bindings are resolved at PUT time and never change.
-func (db *DB) isReferredLocked(key string, ver uint64) bool {
-	referred := false
-	db.table.Ascend(ikey{key, math.MaxUint64}, func(k ikey, v item) bool {
-		if k.key != key || k.ver <= ver {
-			return false
-		}
-		if v.has(fHasBase) && v.base == ver {
-			referred = true
-			return false
-		}
-		return true
-	})
-	return referred
+	}
 }

@@ -22,9 +22,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,43 +57,45 @@ const (
 	fHasBase                         // dedup item with a resolved traceback base
 )
 
-// ikey is the composite memtable key: primary order is the user key
-// ascending; secondary order is the version DESCENDING, so the newest
-// version of a key is encountered first and traceback to older versions
-// is a short forward walk.
-type ikey struct {
-	key string
-	ver uint64
-}
-
-func ikeyCompare(a, b ikey) int {
-	if c := strings.Compare(a.key, b.key); c != 0 {
-		return c
-	}
-	// Descending version order.
-	switch {
-	case a.ver > b.ver:
-		return -1
-	case a.ver < b.ver:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // item is the memtable payload: where the record lives on flash plus the
 // r/d flags of paper Fig. 2. For deduplicated entries, base is the older
 // version whose value this entry shares. The binding is resolved once, at
-// PUT time (the walk down the skip list to the first older version that
-// still carries a value), so a GET is a single extra skip-list lookup and
-// the result can never change under garbage collection.
+// PUT time (the nearest older version of the key that still carries a
+// value), so a GET is a single extra lookup and the result can never
+// change under garbage collection. refs counts the items in the memtable
+// bound to this one as their base: while it is above zero GC keeps the
+// record, deleted or not.
 type item struct {
 	ref   aof.Ref
 	base  uint64 // valid when fHasBase is set
+	refs  int32  // not checkpointed: recovery recounts it
 	flags uint8
 }
 
-func (it item) has(f uint8) bool { return it.flags&f != 0 }
+func (it *item) has(f uint8) bool { return it.flags&f != 0 }
+
+// segment is one version's part of the memtable: its items keyed by user
+// key, and how many of them are live. A retired segment reads as deleted,
+// every item of it, without the items being flagged one by one; the
+// flags are set only if a Put revives a key of the version (unretire).
+type segment struct {
+	ver     uint64
+	items   *skiplist.List[string, *item]
+	live    int  // items not deleted: the version's key count
+	retired bool // dropped whole by DropVersion
+}
+
+func (s *segment) deleted(it *item) bool { return s.retired || it.has(fDeleted) }
+
+// unretire turns the retirement into a d flag on every item, so that one
+// key of the version can be put again without reviving the others.
+func (s *segment) unretire() {
+	s.items.AscendAll(func(_ string, it *item) bool {
+		it.flags |= fDeleted
+		return true
+	})
+	s.retired = false
+}
 
 // Options configures a DB.
 type Options struct {
@@ -149,21 +152,19 @@ type Stats struct {
 //     of the flash read; a mutator holds it exclusively only around the
 //     memtable and file-table changes themselves, a bounded number per
 //     hold, and around the erase of a collected file.
+//
+// The memtable is one segment per version, so an operation on a version
+// searches that version's keys only, and retiring one marks its segment.
 type DB struct {
 	wmu   sync.Mutex
 	mu    sync.RWMutex
-	table *skiplist.List[ikey, item]
 	store *aof.Store
 	opts  Options
 	fs    blockfs.FS
 
 	// Written under wmu and mu both; read under either.
-	closed   bool
-	versions map[uint64]int // live item count per version
-	// retiring is the version DropVersion is flagging item by item; while
-	// isRetiring is set readers answer for all of it as deleted.
-	retiring   uint64
-	isRetiring bool
+	closed bool
+	segs   []*segment // ascending version; every item of the memtable
 
 	// Owned by the wmu holder.
 	maxSeq    uint64 // highest sequence replayed or appended
@@ -203,7 +204,7 @@ func (l *exclLock) Unlock() {
 }
 
 // memItemOverhead approximates the per-item memtable footprint beyond
-// the key bytes (skip-list node, item struct, version map share).
+// the key bytes (skip-list node, item struct).
 const memItemOverhead = 64
 
 // engineMetrics holds the engine's registry handles. Those that only
@@ -257,13 +258,11 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		table:    skiplist.New[ikey, item](ikeyCompare, opts.Seed),
-		store:    store,
-		opts:     opts,
-		fs:       fs,
-		versions: make(map[uint64]int),
-		reg:      opts.Metrics,
-		met:      newEngineMetrics(opts.Metrics),
+		store: store,
+		opts:  opts,
+		fs:    fs,
+		reg:   opts.Metrics,
+		met:   newEngineMetrics(opts.Metrics),
 	}
 	db.excl = exclLock{mu: &db.mu, hold: db.met.exclHold}
 	endRecover := db.reg.Span("qindb.recovery")
@@ -274,10 +273,12 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	}
 	// Seed the memtable footprint with whatever recovery rebuilt.
 	var memBytes int64
-	db.table.AscendAll(func(k ikey, v item) bool {
-		memBytes += int64(len(k.key)) + memItemOverhead
-		return true
-	})
+	for _, seg := range db.segs {
+		seg.items.AscendAll(func(k string, _ *item) bool {
+			memBytes += int64(len(k)) + memItemOverhead
+			return true
+		})
+	}
 	db.met.memBytes.Set(memBytes)
 	db.registerDerivedMetrics()
 	return db, nil
@@ -315,7 +316,7 @@ func (db *DB) registerDerivedMetrics() {
 	db.reg.GaugeFunc("qindb.memtable.items", func() float64 {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return float64(db.table.Len())
+		return float64(db.itemsLocked())
 	})
 	db.reg.GaugeFunc("qindb.software_wa", func() float64 {
 		user := db.userWriteBytes.Load()
@@ -371,14 +372,16 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		return 0, ErrClosed
 	}
 	rec := aof.Record{Key: key, Version: version, Value: value}
+	k := string(key)
 	var flags uint8
 	var base uint64
+	var bound *item // the base item a dedup entry binds to
 	if dedup {
 		rec.Flags |= aof.FlagDedup
 		rec.Value = nil
 		flags = fDedup
-		if b, ok := db.resolveBaseLocked(string(key), version); ok {
-			base = b
+		if b, it, ok := db.resolveBaseLocked(k, version); ok {
+			base, bound = b, it
 			flags |= fHasBase
 			rec.Value = encodeBase(b)
 		}
@@ -390,19 +393,29 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		return cost, err
 	}
 	db.noteSeq(seq)
-	ik := ikey{string(key), version}
 	db.mu.Lock()
-	if old, ok := db.table.Get(ik); ok {
-		// Re-PUT of the same (k, t): the previous record is dead.
+	seg := db.segmentFor(version)
+	if seg.retired {
+		seg.unretire()
+	}
+	if old, ok := seg.items.Get(k); ok {
+		// Re-PUT of the same (k, t): the previous record is dead. The item
+		// keeps its referrers, which read through it.
 		db.store.MarkDead(old.ref)
-		db.table.Update(ik, func(item) item { return item{ref: ref, base: base, flags: flags} })
 		if old.has(fDeleted) {
-			db.versions[version]++ // revived
+			seg.live++ // revived
 		}
+		if old.has(fHasBase) {
+			db.unbind(k, old.base)
+		}
+		old.ref, old.base, old.flags = ref, base, flags
 	} else {
-		db.table.Set(ik, item{ref: ref, base: base, flags: flags})
-		db.versions[version]++
+		seg.items.Set(k, &item{ref: ref, base: base, flags: flags})
+		seg.live++
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
+	}
+	if bound != nil {
+		bound.refs++
 	}
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key) + len(value)))
@@ -430,8 +443,11 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 
 // pressureGCLocked collects files while the store reports free-space
 // pressure. Runs with wmu held. Bounded by the file count so a store of
-// fully-live files cannot loop.
+// fully-live files cannot loop; the count is only taken under pressure.
 func (db *DB) pressureGCLocked() (time.Duration, error) {
+	if !db.store.UnderPressure() {
+		return 0, nil
+	}
 	var total time.Duration
 	for attempts := len(db.store.Files()); attempts > 0 && db.store.UnderPressure(); attempts-- {
 		id, ok := db.store.PressureCandidate()
@@ -447,36 +463,98 @@ func (db *DB) pressureGCLocked() (time.Duration, error) {
 	return total, nil
 }
 
-// resolveBaseLocked walks down from just below version to the first older
-// entry of key that carries a real value — the traceback of paper Fig. 2,
-// performed once at PUT time. Deleted entries are skipped: they may be
-// removed by GC at any moment, and skipping them always keeps the binding
-// independent of GC timing. A live dedup entry is a shortcut to its own
-// base (whose record GC is guaranteed to preserve). Runs with wmu held.
-func (db *DB) resolveBaseLocked(key string, version uint64) (uint64, bool) {
-	if version == 0 {
-		return 0, false
+// segment returns version v's segment, or nil.
+func (db *DB) segment(v uint64) *segment {
+	if i, ok := db.segIndex(v); ok {
+		return db.segs[i]
 	}
-	var base uint64
-	found := false
-	db.table.Ascend(ikey{key, version - 1}, func(k ikey, v item) bool {
-		if k.key != key {
-			return false
+	return nil
+}
+
+// segIndex finds version v in segs: its index, or where it would go.
+func (db *DB) segIndex(v uint64) (int, bool) {
+	return slices.BinarySearchFunc(db.segs, v, func(s *segment, v uint64) int { return cmp.Compare(s.ver, v) })
+}
+
+// lookup returns the item of (key, version) and its segment; the item is
+// nil when there is none.
+func (db *DB) lookup(key string, version uint64) (*segment, *item) {
+	seg := db.segment(version)
+	if seg == nil {
+		return nil, nil
+	}
+	it, _ := seg.items.Get(key)
+	return seg, it
+}
+
+// segmentFor returns version v's segment, linking in an empty one if
+// there is none; its level choices are seeded by Options.Seed and v.
+// Runs with wmu and db.mu held, or in recovery.
+func (db *DB) segmentFor(v uint64) *segment {
+	i, ok := db.segIndex(v)
+	if !ok {
+		seg := &segment{ver: v, items: skiplist.New[string, *item](strings.Compare, db.opts.Seed+int64(v))}
+		db.segs = slices.Insert(db.segs, i, seg)
+	}
+	return db.segs[i]
+}
+
+// removeLocked takes key's item out of the memtable for good: the item
+// it was bound to loses a referrer, and a segment left empty is unlinked.
+// Runs with wmu and db.mu held, or in recovery.
+func (db *DB) removeLocked(seg *segment, key string, it *item) {
+	seg.items.Delete(key)
+	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
+	if it.has(fHasBase) {
+		db.unbind(key, it.base)
+	}
+	if seg.items.Len() == 0 {
+		i, _ := db.segIndex(seg.ver)
+		db.segs = slices.Delete(db.segs, i, i+1)
+	}
+}
+
+// unbind takes one referrer off the item (key, base).
+func (db *DB) unbind(key string, base uint64) {
+	if _, b := db.lookup(key, base); b != nil {
+		b.refs--
+	}
+}
+
+// itemsLocked counts the memtable's items, every version's.
+func (db *DB) itemsLocked() int {
+	n := 0
+	for _, seg := range db.segs {
+		n += seg.items.Len()
+	}
+	return n
+}
+
+// resolveBaseLocked walks the versions below version, newest first, to
+// the first entry of key that carries a real value — the traceback of
+// paper Fig. 2, performed once at PUT time — and returns its version and
+// item. Deleted entries are skipped: they may be removed by GC at any
+// moment, and skipping them always keeps the binding independent of GC
+// timing. A live dedup entry is a shortcut to its own base (whose record
+// GC is guaranteed to preserve). Runs with wmu held.
+func (db *DB) resolveBaseLocked(key string, version uint64) (uint64, *item, bool) {
+	i, _ := db.segIndex(version)
+	for i--; i >= 0; i-- {
+		seg := db.segs[i]
+		if seg.retired {
+			continue
 		}
-		if v.has(fDeleted) {
-			return true
+		it, ok := seg.items.Get(key)
+		switch {
+		case !ok || it.has(fDeleted):
+		case !it.has(fDedup):
+			return seg.ver, it, true
+		case it.has(fHasBase):
+			_, b := db.lookup(key, it.base)
+			return it.base, b, true
 		}
-		if !v.has(fDedup) {
-			base, found = k.ver, true
-			return false
-		}
-		if v.has(fHasBase) {
-			base, found = v.base, true
-			return false
-		}
-		return true
-	})
-	return base, found
+	}
+	return 0, nil, false
 }
 
 // encodeBase serializes a traceback base version into a dedup record's
@@ -525,13 +603,6 @@ func (db *DB) GetAppend(dst, key []byte, version uint64) ([]byte, time.Duration,
 	return out, cost, err
 }
 
-// deletedLocked reports whether a reader must answer for the item at
-// version as deleted: its d flag is set, or the version is being retired
-// and the flag is about to be. Runs with db.mu held.
-func (db *DB) deletedLocked(version uint64, it item) bool {
-	return it.has(fDeleted) || (db.isRetiring && version == db.retiring)
-}
-
 // readLocked resolves (key, version) to a record and appends its value to
 // dst, all in the caller's one shared hold of db.mu: the file a ref points
 // into is only ever erased under the exclusive lock, after every kept
@@ -541,11 +612,12 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 	if db.closed {
 		return dst, 0, false, ErrClosed
 	}
-	it, ok := db.table.Get(ikey{string(key), version})
-	if !ok {
+	k := string(key)
+	seg, it := db.lookup(k, version)
+	if it == nil {
 		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
-	if db.deletedLocked(version, it) {
+	if seg.deleted(it) {
 		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	}
 	// Resolve the ref to read from: the item itself, or — when r is set —
@@ -556,11 +628,11 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 		if !it.has(fHasBase) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
 		}
-		baseItem, ok := db.table.Get(ikey{string(key), it.base})
-		if !ok || baseItem.has(fDedup) {
+		_, b := db.lookup(k, it.base)
+		if b == nil || b.has(fDedup) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
 		}
-		ref = baseItem.ref
+		ref = b.ref
 	}
 	out, cost, err = db.store.ReadAppend(dst, ref)
 	return out, cost, traced, err
@@ -587,17 +659,13 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 	}
 	var found bool
 	var ver uint64
-	db.table.Ascend(ikey{string(key), math.MaxUint64}, func(k ikey, v item) bool {
-		if k.key != string(key) {
-			return false
+	k := string(key)
+	for i := len(db.segs) - 1; i >= 0 && !found; i-- {
+		seg := db.segs[i]
+		if it, ok := seg.items.Get(k); ok && !seg.deleted(it) {
+			ver, found = seg.ver, true
 		}
-		if !db.deletedLocked(k.ver, v) {
-			ver = k.ver
-			found = true
-			return false
-		}
-		return true
-	})
+	}
 	if !found {
 		db.mu.RUnlock()
 		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -625,12 +693,11 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	ik := ikey{string(key), version}
-	it, ok := db.table.Get(ik)
-	if !ok {
+	seg, it := db.lookup(string(key), version)
+	if it == nil {
 		return 0, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
-	if it.has(fDeleted) {
+	if seg.deleted(it) {
 		return 0, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	}
 	_, seq, cost, err := db.store.Append(aof.Record{
@@ -641,15 +708,9 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	}
 	db.noteSeq(seq)
 	db.mu.Lock()
-	db.table.Update(ik, func(v item) item {
-		v.flags |= fDeleted
-		return v
-	})
+	it.flags |= fDeleted
 	db.store.MarkDead(it.ref)
-	db.versions[version]--
-	if db.versions[version] <= 0 {
-		delete(db.versions, version)
-	}
+	seg.live--
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
 	db.dels.Add(1)
@@ -661,24 +722,19 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	return cost, nil
 }
 
-// retireChunk bounds how many items one hold of the engine lock flags
-// deleted during a retirement: a few hundred microseconds of skip-list
-// updates.
-const retireChunk = 256
-
 // DropVersion deletes every entry of the given data version — the bulk
 // operation the paper's deletion thread performs when a fifth version
 // arrives and the oldest must go (§4.1.1). A single meta-record makes
 // the drop durable. Values that newer deduplicated versions still refer
 // to remain readable until GC decides their fate.
 //
-// Readers are kept out only for moments. With the meta-record on flash,
-// one short hold marks the version retiring: from its release on, every
-// read of the version answers deleted — all of it at once, never a mix.
-// The version's items are then found with no engine lock held, flagged
-// retireChunk per hold, and the GC pass that follows (if a file is due)
-// chunks its holds the same way. DropVersion returns when
-// all of that is done.
+// Readers are kept out once, for a moment. With the meta-record on
+// flash, one short hold marks the version's segment retired: from its
+// release on, every read of the version answers deleted — all of it at
+// once, never a mix. The segment alone is then walked, with no engine
+// lock held, to mark its records dead, and the GC pass that follows (if
+// a file is due) chunks its holds. DropVersion returns when all of that
+// is done.
 func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -692,27 +748,19 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		return 0, cost, err
 	}
 	db.noteSeq(seq)
-	db.excl.Lock()
-	db.retiring, db.isRetiring = version, true
-	delete(db.versions, version)
-	db.excl.Unlock()
-
-	keys, refs := db.versionItemsLocked(version)
-	dropped := len(keys)
-	for len(keys) > 0 {
-		n := min(len(keys), retireChunk)
+	dropped := 0
+	if seg := db.segment(version); seg != nil && !seg.retired {
 		db.excl.Lock()
-		db.flagDeletedLocked(keys[:n])
-		for _, ref := range refs[:n] {
-			db.store.MarkDead(ref)
-		}
+		seg.retired, seg.live = true, 0
 		db.excl.Unlock()
-		keys, refs = keys[n:], refs[n:]
+		seg.items.AscendAll(func(_ string, it *item) bool {
+			if !it.has(fDeleted) {
+				db.store.MarkDead(it.ref)
+				dropped++
+			}
+			return true
+		})
 	}
-	db.excl.Lock()
-	db.isRetiring = false
-	db.excl.Unlock()
-
 	if !db.opts.DisableAutoGC {
 		c, _, _ := db.collectFirstLocked()
 		cost += c
@@ -720,45 +768,14 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	return dropped, cost, nil
 }
 
-// versionItemsLocked returns the live items of a version and the records
-// they point at. It walks the whole memtable, under the skip list's own
-// shared lock and no other: it runs with wmu held, so nothing mutates
-// the table under it, and readers pass.
-func (db *DB) versionItemsLocked(version uint64) ([]ikey, []aof.Ref) {
-	var keys []ikey
-	var refs []aof.Ref
-	db.table.AscendAll(func(k ikey, v item) bool {
-		if k.ver == version && !v.has(fDeleted) {
-			keys = append(keys, k)
-			refs = append(refs, v.ref)
-		}
-		return true
-	})
-	return keys, refs
-}
-
-// flagDeletedLocked flips d on the given items. Runs with wmu held, and
-// with db.mu held exclusively once the DB has readers.
-func (db *DB) flagDeletedLocked(keys []ikey) {
-	for _, ik := range keys {
-		db.table.Update(ik, func(v item) item {
-			v.flags |= fDeleted
-			return v
-		})
-	}
-}
-
 // Versions returns the live data versions in ascending order.
 func (db *DB) Versions() []uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]uint64, 0, len(db.versions))
-	for v := range db.versions {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort: tiny n (≤4 in prod)
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+	out := make([]uint64, 0, len(db.segs))
+	for _, seg := range db.segs {
+		if seg.live > 0 {
+			out = append(out, seg.ver)
 		}
 	}
 	return out
@@ -770,7 +787,10 @@ func (db *DB) Versions() []uint64 {
 func (db *DB) KeyCount(version uint64) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.versions[version]
+	if seg := db.segment(version); seg != nil {
+		return seg.live
+	}
+	return 0
 }
 
 // RetainVersions drops the oldest versions until at most n remain,
@@ -790,37 +810,44 @@ func (db *DB) RetainVersions(n int) (int, error) {
 	}
 }
 
-// Range calls fn for every live (non-deleted) newest-version entry whose
-// key is in [from, to); an empty "to" means unbounded. This is the range
-// scan capability hash-based stores lack (paper §6.1). Values are not
-// fetched; use Get for payloads.
+// Range calls fn, in key order, for every key in [from, to) whose newest
+// entry is not deleted, with that entry's version; an empty "to" means
+// unbounded. This is the range scan capability hash-based stores lack
+// (paper §6.1). Values are not fetched; use Get for payloads.
 func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	last := ""
-	first := true
-	db.table.Ascend(ikey{string(from), math.MaxUint64}, func(k ikey, v item) bool {
-		if len(to) > 0 && k.key >= string(to) {
-			return false
+	for next := string(from); ; {
+		// The smallest key at or past next, and its newest entry: segments
+		// are searched newest first and a tie keeps the first found.
+		var key string
+		var seg *segment
+		var it *item
+		for i := len(db.segs) - 1; i >= 0; i-- {
+			s := db.segs[i]
+			s.items.Ascend(next, func(k string, v *item) bool {
+				if seg == nil || k < key {
+					key, seg, it = k, s, v
+				}
+				return false
+			})
 		}
-		if !first && k.key == last {
-			return true // older version of a key we already emitted/skipped
+		if seg == nil || (len(to) > 0 && key >= string(to)) {
+			return
 		}
-		first = false
-		last = k.key
-		if db.deletedLocked(k.ver, v) {
-			return true
+		if !seg.deleted(it) && !fn([]byte(key), seg.ver) {
+			return
 		}
-		return fn([]byte(k.key), k.ver)
-	})
+		next = key + "\x00"
+	}
 }
 
 // Has reports whether (key, version) exists and is not deleted.
 func (db *DB) Has(key []byte, version uint64) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	it, ok := db.table.Get(ikey{string(key), version})
-	return ok && !db.deletedLocked(version, it)
+	seg, it := db.lookup(string(key), version)
+	return it != nil && !seg.deleted(it)
 }
 
 // Stats returns a snapshot of engine counters.
@@ -828,7 +855,7 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return Stats{
-		Keys:           db.table.Len(),
+		Keys:           db.itemsLocked(),
 		UserWriteBytes: db.userWriteBytes.Load(),
 		UserReadBytes:  db.userReadBytes.Load(),
 		Puts:           db.puts.Load(),

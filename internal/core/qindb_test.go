@@ -361,6 +361,24 @@ func TestRange(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("early-stop Range = %v", got)
 	}
+	// A key's newest entry decides, deleted or retired: e/2 is deleted and
+	// f/3 retired, so neither key is listed though e/1 and f/1 are live.
+	mustPut(t, db, "e", 1, "x", false)
+	mustPut(t, db, "e", 2, "x", false)
+	db.Del([]byte("e"), 2)
+	mustPut(t, db, "f", 1, "x", false)
+	mustPut(t, db, "f", 3, "x", false)
+	if _, _, err := db.DropVersion(3); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	db.Range([]byte("d"), nil, func(k []byte, v uint64) bool {
+		got = append(got, hit{string(k), v})
+		return true
+	})
+	if len(got) != 1 || got[0] != (hit{"d", 1}) {
+		t.Fatalf("Range from d = %v, want [{d 1}]", got)
+	}
 }
 
 func TestHas(t *testing.T) {

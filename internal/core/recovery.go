@@ -20,6 +20,10 @@ import (
 
 const ckptMagic = "QCKP1\n"
 
+// ckptItemLen is an item's size in a checkpoint beside its key: key
+// length, version, flags, base and the ref's file, offset and length.
+const ckptItemLen = 4 + 8 + 1 + 8 + 4 + 8 + 4
+
 func ckptName(floor uint64) string { return fmt.Sprintf("ckpt-%016d", floor) }
 
 func parseCkptName(name string) (uint64, bool) {
@@ -68,7 +72,16 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	// the active one (whose tail may still grow).
 	sealed := db.sealedFilesLocked()
 
-	var body []byte
+	// The image's exact length first, so the walk appends without growing.
+	size, items := 8+4+4*len(sealed)+4, 0
+	for _, seg := range db.segs {
+		items += seg.items.Len()
+		seg.items.AscendAll(func(k string, _ *item) bool {
+			size += ckptItemLen + len(k)
+			return true
+		})
+	}
+	body := make([]byte, 0, size)
 	put32 := func(v uint32) { body = binary.LittleEndian.AppendUint32(body, v) }
 	put64 := func(v uint64) { body = binary.LittleEndian.AppendUint64(body, v) }
 	put64(floor)
@@ -76,18 +89,24 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	for _, id := range sealed {
 		put32(id)
 	}
-	put32(uint32(db.table.Len()))
-	db.table.AscendAll(func(k ikey, v item) bool {
-		put32(uint32(len(k.key)))
-		body = append(body, k.key...)
-		put64(k.ver)
-		body = append(body, v.flags)
-		put64(v.base)
-		put32(v.ref.File)
-		put64(uint64(v.ref.Off))
-		put32(v.ref.Len)
-		return true
-	})
+	put32(uint32(items))
+	for _, seg := range db.segs {
+		seg.items.AscendAll(func(k string, it *item) bool {
+			flags := it.flags
+			if seg.retired {
+				flags |= fDeleted
+			}
+			put32(uint32(len(k)))
+			body = append(body, k...)
+			put64(seg.ver)
+			body = append(body, flags)
+			put64(it.base)
+			put32(it.ref.File)
+			put64(uint64(it.ref.Off))
+			put32(it.ref.Len)
+			return true
+		})
+	}
 
 	name := ckptName(floor)
 	w, err := db.fs.Create(name)
@@ -199,7 +218,7 @@ func (db *DB) loadCheckpoint() (floor uint64, sealed map[uint32]bool, ok bool) {
 			return 0, nil, false
 		}
 		klen := int(get32())
-		if !need(klen + 8 + 1 + 8 + 4 + 8 + 4) {
+		if !need(klen + ckptItemLen - 4) {
 			return 0, nil, false
 		}
 		key := string(body[p : p+klen])
@@ -211,7 +230,7 @@ func (db *DB) loadCheckpoint() (floor uint64, sealed map[uint32]bool, ok bool) {
 		ref := aof.Ref{File: get32()}
 		ref.Off = int64(get64())
 		ref.Len = get32()
-		db.table.Set(ikey{key, ver}, item{ref: ref, base: base, flags: flags})
+		db.segmentFor(ver).items.Set(key, &item{ref: ref, base: base, flags: flags})
 	}
 	return floor, sealed, true
 }
@@ -267,18 +286,20 @@ func (db *DB) recover() error {
 	}
 	sort.SliceStable(replay, func(i, j int) bool { return replay[i].rec.Seq < replay[j].rec.Seq })
 
-	touched := make(map[ikey]bool)
+	touched := make(map[*item]bool)
 	var tombs []aof.Ref // tombstones, for occupancy rebuild
 	for _, rr := range replay {
 		rec := rr.rec
-		ik := ikey{rr.key, rec.Version}
 		switch {
 		case rec.IsVersionDrop():
-			keys, _ := db.versionItemsLocked(rec.Version)
-			db.flagDeletedLocked(keys)
+			if seg := db.segment(rec.Version); seg != nil {
+				seg.retired = true
+			}
 			tombs = append(tombs, rr.ref)
 		case rec.IsTombstone():
-			db.flagDeletedLocked([]ikey{ik})
+			if _, it := db.lookup(rr.key, rec.Version); it != nil {
+				it.flags |= fDeleted
+			}
 			tombs = append(tombs, rr.ref)
 		default:
 			var flags uint8
@@ -291,8 +312,13 @@ func (db *DB) recover() error {
 			if rec.IsDropped() {
 				flags |= fDeleted | fOnDiskDeleted
 			}
-			db.table.Set(ik, item{ref: rr.ref, base: rr.base, flags: flags})
-			touched[ik] = true
+			seg := db.segmentFor(rec.Version)
+			if seg.retired {
+				seg.unretire()
+			}
+			it := &item{ref: rr.ref, base: rr.base, flags: flags}
+			seg.items.Set(rr.key, it)
+			touched[it] = true
 		}
 	}
 
@@ -306,31 +332,45 @@ func (db *DB) recover() error {
 		for _, id := range files {
 			exists[id] = true
 		}
-		var stale []ikey
-		db.table.AscendAll(func(k ikey, v item) bool {
-			if !touched[k] && !exists[v.ref.File] {
-				stale = append(stale, k)
+		for i := len(db.segs) - 1; i >= 0; i-- {
+			seg := db.segs[i]
+			var stale []string
+			seg.items.AscendAll(func(k string, it *item) bool {
+				if !touched[it] && !exists[it.ref.File] {
+					stale = append(stale, k)
+				}
+				return true
+			})
+			for _, k := range stale {
+				it, _ := seg.items.Get(k)
+				db.removeLocked(seg, k, it)
 			}
-			return true
-		})
-		for _, k := range stale {
-			db.table.Delete(k)
 		}
 	}
 
-	// Rebuild the version table and the GC occupancy table. Liveness
-	// mirrors normal operation: data records count live only while their
-	// item is not deleted (Del and DropVersion mark records dead
-	// immediately, even when a dedup chain still references them);
-	// tombstone records count live from append and are never marked dead.
-	db.versions = make(map[uint64]int)
-	db.table.AscendAll(func(k ikey, v item) bool {
-		if !v.has(fDeleted) {
-			db.versions[k.ver]++
-			db.store.MarkLive(v.ref)
-		}
-		return true
-	})
+	// Rebuild the live counts, the referrer counts and the GC occupancy
+	// table. Liveness mirrors normal operation: data records count live
+	// only while their item is not deleted (Del and DropVersion mark
+	// records dead immediately, even when a dedup chain still references
+	// them); tombstone records count live from append and are never
+	// marked dead. A referrer is newer than its base, so in version order
+	// every base is reset before its referrers count it.
+	for _, seg := range db.segs {
+		seg.live = 0
+		seg.items.AscendAll(func(k string, it *item) bool {
+			it.refs = 0
+			if !seg.deleted(it) {
+				seg.live++
+				db.store.MarkLive(it.ref)
+			}
+			if it.has(fHasBase) {
+				if _, b := db.lookup(k, it.base); b != nil {
+					b.refs++
+				}
+			}
+			return true
+		})
+	}
 	for _, ref := range tombs {
 		db.store.MarkLive(ref)
 	}

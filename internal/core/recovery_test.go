@@ -25,28 +25,41 @@ func reopen(t *testing.T, fs blockfs.FS) *DB {
 }
 
 // engineState is what recovery must hand back: the memtable item for
-// item, the version table, the store's occupancy (its sums: the store
-// exports no per-file numbers) and every live value.
+// item (flags as a checkpoint writes them, and referrer counts), the
+// version table, the store's occupancy (its sums: the store exports no
+// per-file numbers) and every live value.
 type engineState struct {
 	items    []string
 	versions []uint64
 	files    int
 	total    int64
 	live     int64
-	values   map[ikey]string
+	values   map[entry]string
+}
+
+// entry names one (key, version).
+type entry struct {
+	key string
+	ver uint64
 }
 
 func snapshotState(t *testing.T, db *DB) engineState {
 	t.Helper()
 	st := db.Stats().Store
-	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[ikey]string{}}
-	db.table.AscendAll(func(k ikey, v item) bool {
-		es.items = append(es.items, fmt.Sprintf("%s/%d flags=%b base=%d ref=%+v", k.key, k.ver, v.flags, v.base, v.ref))
-		if !v.has(fDeleted) {
-			es.values[k] = ""
-		}
-		return true
-	})
+	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[entry]string{}}
+	for _, seg := range db.segs {
+		seg.items.AscendAll(func(k string, it *item) bool {
+			flags := it.flags
+			if seg.deleted(it) {
+				flags |= fDeleted
+			}
+			es.items = append(es.items, fmt.Sprintf("%s/%d flags=%b base=%d refs=%d ref=%+v", k, seg.ver, flags, it.base, it.refs, it.ref))
+			if !seg.deleted(it) {
+				es.values[entry{k, seg.ver}] = ""
+			}
+			return true
+		})
+	}
 	for k := range es.values {
 		// A dedup entry put with nothing to share reads as a broken chain,
 		// before a crash and after it.
@@ -404,14 +417,23 @@ func TestReviveAfterRelocatedDropSurvivesRecovery(t *testing.T) {
 	if _, err := db.CollectAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustGet(t, db, "k-000", 1); got != "revived" {
-		t.Fatalf("pre-crash: %q", got)
+	// Reviving one key revives that key only.
+	check := func(when string, db *DB) {
+		t.Helper()
+		if got := mustGet(t, db, "k-000", 1); got != "revived" {
+			t.Fatalf("%s: revived key reads %q", when, got)
+		}
+		if _, _, err := db.Get([]byte("k-001"), 1); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: k-001/1 of the dropped version reads err %v, want deleted", when, err)
+		}
+		if n := db.KeyCount(1); n != 1 {
+			t.Fatalf("%s: KeyCount(1) = %d, want 1", when, n)
+		}
 	}
+	check("pre-crash", db)
 	db2 := crash(t, db, fs, true)
 	defer db2.Close()
-	if got := mustGet(t, db2, "k-000", 1); got != "revived" {
-		t.Fatalf("post-crash: revived key lost, got %q", got)
-	}
+	check("post-crash", db2)
 }
 
 // TestRecoveryMemoryGrowsWithKeys recovers 4 versions x 2,000 keys x

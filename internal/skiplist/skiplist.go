@@ -5,16 +5,14 @@
 // ordered scans: equal keys sort adjacently, which is what makes QinDB's
 // version traceback a short forward walk.
 //
-// The list is safe for concurrent use: mutations take an exclusive lock,
-// lookups and iteration take a shared lock. This matches the engine's
-// access pattern (few writer threads, many readers) without the
-// complexity of a lock-free list, which the paper does not require.
+// The list takes no lock of its own. Callers serialise mutations against
+// every other access; lookups and iteration may run side by side. Both
+// users already do: QinDB mutates its memtable only while it keeps
+// readers out, and the LSM baseline touches its memtable under its own
+// mutex.
 package skiplist
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 const (
 	maxHeight = 18 // supports ~2^18 * 4 items before degrading
@@ -33,7 +31,6 @@ type node[K, V any] struct {
 
 // List is an ordered map from K to V.
 type List[K, V any] struct {
-	mu     sync.RWMutex
 	cmp    Compare[K]
 	head   *node[K, V]
 	height int
@@ -54,8 +51,6 @@ func New[K, V any](cmp Compare[K], seed int64) *List[K, V] {
 
 // Len returns the number of items in the list.
 func (l *List[K, V]) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	return l.length
 }
 
@@ -68,7 +63,7 @@ func (l *List[K, V]) randomHeight() int {
 }
 
 // findGE returns the first node with key >= key, filling prev with the
-// rightmost node before that position at every level. Callers hold l.mu.
+// rightmost node before that position at every level.
 func (l *List[K, V]) findGE(key K, prev []*node[K, V]) *node[K, V] {
 	x := l.head
 	for level := l.height - 1; level >= 0; level-- {
@@ -85,8 +80,6 @@ func (l *List[K, V]) findGE(key K, prev []*node[K, V]) *node[K, V] {
 // Set inserts key with value, replacing any existing value for an equal
 // key. It reports whether a new item was inserted (false means replaced).
 func (l *List[K, V]) Set(key K, value V) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	prev := make([]*node[K, V], maxHeight)
 	for i := l.height; i < maxHeight; i++ {
 		prev[i] = l.head
@@ -110,8 +103,6 @@ func (l *List[K, V]) Set(key K, value V) bool {
 
 // Get returns the value stored under key.
 func (l *List[K, V]) Get(key K) (V, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	n := l.findGE(key, nil)
 	if n != nil && l.cmp(n.key, key) == 0 {
 		return n.value, true
@@ -120,13 +111,11 @@ func (l *List[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Update applies fn to the value stored under key in place, holding the
-// write lock for the duration. It reports whether the key was found.
+// Update applies fn to the value stored under key in place. It reports
+// whether the key was found.
 // QinDB uses this to flip delete flags and to relocate AOF offsets during
 // garbage collection without a delete/re-insert cycle.
 func (l *List[K, V]) Update(key K, fn func(v V) V) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := l.findGE(key, nil)
 	if n != nil && l.cmp(n.key, key) == 0 {
 		n.value = fn(n.value)
@@ -137,8 +126,6 @@ func (l *List[K, V]) Update(key K, fn func(v V) V) bool {
 
 // Delete removes key and reports whether it was present.
 func (l *List[K, V]) Delete(key K) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	prev := make([]*node[K, V], maxHeight)
 	for i := range prev {
 		prev[i] = l.head
@@ -160,11 +147,8 @@ func (l *List[K, V]) Delete(key K) bool {
 }
 
 // Ascend calls fn for every item with key >= from, in ascending order,
-// until fn returns false. The shared lock is held for the whole scan;
-// fn must not mutate the list.
+// until fn returns false. fn must not mutate the list.
 func (l *List[K, V]) Ascend(from K, fn func(key K, value V) bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for n := l.findGE(from, nil); n != nil; n = n.next[0] {
 		if !fn(n.key, n.value) {
 			return
@@ -175,8 +159,6 @@ func (l *List[K, V]) Ascend(from K, fn func(key K, value V) bool) {
 // AscendAll calls fn for every item in ascending order until fn returns
 // false.
 func (l *List[K, V]) AscendAll(fn func(key K, value V) bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	for n := n0(l); n != nil; n = n.next[0] {
 		if !fn(n.key, n.value) {
 			return

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -153,34 +152,6 @@ func TestStringKeys(t *testing.T) {
 	})
 	if !sort.StringsAreSorted(got) {
 		t.Fatalf("string keys out of order: %v", got)
-	}
-}
-
-func TestConcurrentReadersWriters(t *testing.T) {
-	l := New[int, int](intCmp, 11)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				l.Set(w*1000+i, i)
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				l.Get(i)
-				l.Ascend(i, func(k, v int) bool { return false })
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Len() != 2000 {
-		t.Fatalf("Len() = %d, want 2000", l.Len())
 	}
 }
 
