@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures lint-sarif audit-ignores bench fuzz-smoke examples check clean
+.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples check clean
 
 build:
 	$(GO) build ./...
@@ -30,18 +30,6 @@ lint:
 # plus the driver's own tests.
 lint-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/directload-vet/
-
-# Same findings as `make lint`, also written to directload-vet.sarif
-# for code-scanning upload.
-lint-sarif:
-	$(GO) build -o bin/directload-vet ./cmd/directload-vet
-	bin/directload-vet -sarif=directload-vet.sarif ./...
-
-# Every //lint:ignore in the tree, with its mandatory reason; fails if
-# any directive lacks one.
-audit-ignores:
-	$(GO) build -o bin/directload-vet ./cmd/directload-vet
-	bin/directload-vet -audit-ignores
 
 # Working tools, not a gate (the gate is bench/run.sh, see
 # BENCHMARK.json). For the parallel forms pass -cpu, e.g.

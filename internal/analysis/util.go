@@ -82,30 +82,6 @@ func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	return f.Pkg().Path() == pkgPath
 }
 
-// IsMethodCall reports whether call invokes a method named methodName
-// whose receiver (after stripping pointers) is pkgPath.typeName. For
-// interface types the declared interface counts as the receiver type.
-func IsMethodCall(info *types.Info, call *ast.CallExpr, pkgPath, typeName, methodName string) bool {
-	f := CalleeFunc(info, call)
-	if f == nil || f.Name() != methodName {
-		return false
-	}
-	sig := f.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return false
-	}
-	return IsNamed(sig.Recv().Type(), pkgPath, typeName)
-}
-
-// ReceiverExpr returns the expression a method call's selector is
-// applied to (nil for plain function calls).
-func ReceiverExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
 // ExprString renders a stable key for an expression, used to identify
 // "the same mutex" across Lock/Unlock pairs. It handles the ident and
 // selector chains mutexes are held in; anything else renders

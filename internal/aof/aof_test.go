@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"directload/internal/blockfs"
+	"directload/internal/blockfs/blockfstest"
 	"directload/internal/ssd"
 )
 
@@ -249,6 +250,36 @@ func TestActiveFileNeverCandidate(t *testing.T) {
 	}
 	if _, _, err := s.CollectFile(ref.File, new(sync.Mutex), nil, nil); err == nil {
 		t.Fatal("collecting the active file should fail")
+	}
+	// The refusal releases the store: the next append completes.
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := s.Append(Record{Key: []byte("b"), Version: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Append after the refused collection: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append after the refused collection never completed: the store lock is still held")
+	}
+}
+
+// TestSyncReturnsFlashError: a failed flush of the active file reaches
+// Sync's caller.
+func TestSyncReturnsFlashError(t *testing.T) {
+	boom := errors.New("injected sync failure")
+	s, err := Open(&blockfstest.FS{FS: testFS(t, 64), Sync: func(string) error { return boom }}, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.Append(Record{Key: []byte("a"), Version: 1, Value: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync = %v, want the injected failure", err)
 	}
 }
 

@@ -23,11 +23,14 @@ type FS struct {
 	// Append runs before every Writer.Append; a non-nil error is returned
 	// in place of appending.
 	Append func(name string, p []byte) error
+	// Sync runs before every Writer.Sync and Writer.Close; a non-nil
+	// error is returned in place of flushing.
+	Sync func(name string) error
 }
 
 func (f *FS) Create(name string) (blockfs.Writer, error) {
 	w, err := f.FS.Create(name)
-	if err != nil || f.Append == nil {
+	if err != nil || (f.Append == nil && f.Sync == nil) {
 		return w, err
 	}
 	return writer{w, f, name}, nil
@@ -48,10 +51,24 @@ type writer struct {
 }
 
 func (w writer) Append(p []byte) (int64, time.Duration, error) {
-	if err := w.fs.Append(w.name, p); err != nil {
-		return 0, 0, err
+	if w.fs.Append != nil {
+		if err := w.fs.Append(w.name, p); err != nil {
+			return 0, 0, err
+		}
 	}
 	return w.Writer.Append(p)
+}
+
+func (w writer) Sync() (time.Duration, error)  { return w.flush(w.Writer.Sync) }
+func (w writer) Close() (time.Duration, error) { return w.flush(w.Writer.Close) }
+
+func (w writer) flush(next func() (time.Duration, error)) (time.Duration, error) {
+	if w.fs.Sync != nil {
+		if err := w.fs.Sync(w.name); err != nil {
+			return 0, err
+		}
+	}
+	return next()
 }
 
 type reader struct {

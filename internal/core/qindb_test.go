@@ -10,6 +10,7 @@ import (
 
 	"directload/internal/aof"
 	"directload/internal/blockfs"
+	"directload/internal/blockfs/blockfstest"
 	"directload/internal/ssd"
 )
 
@@ -411,6 +412,22 @@ func TestClosedErrors(t *testing.T) {
 	}
 	if _, _, err := db.DropVersion(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("DropVersion err = %v", err)
+	}
+}
+
+// TestCloseReturnsFlashError: a failed flush of the tail page while
+// sealing the active file reaches Close's caller.
+func TestCloseReturnsFlashError(t *testing.T) {
+	boom := errors.New("injected sync failure")
+	db, err := Open(&blockfstest.FS{FS: testFS(t, 64), Sync: func(string) error { return boom }}, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Put([]byte("k"), 1, []byte("v"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the injected failure", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +25,35 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	c1.Add(3)
 	if got := r.Counter("a.b").Load(); got != 3 {
 		t.Fatalf("counter value = %d, want 3", got)
+	}
+}
+
+// TestNilHandlesNeverPanic pins the nil-receiver contract every
+// subsystem relies on when it instruments through an optional registry:
+// each exported method of each handle type, called on a nil receiver
+// with zero-valued arguments, returns without panicking, and so does
+// any closer (func(error)) it hands back.
+func TestNilHandlesNeverPanic(t *testing.T) {
+	handles := []any{
+		(*Registry)(nil), (*SlowLog)(nil), (*Tracer)(nil), (*Counter)(nil),
+		(*Gauge)(nil), (*Histogram)(nil), (*SLO)(nil), (*AttribTable)(nil),
+	}
+	for _, h := range handles {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			t.Run(v.Type().Elem().Name()+"."+m.Name, func(t *testing.T) {
+				args := make([]reflect.Value, m.Type.NumIn()-1)
+				for j := range args {
+					args[j] = reflect.Zero(m.Type.In(j + 1))
+				}
+				for _, out := range v.Method(i).Call(args) {
+					if end, ok := out.Interface().(func(error)); ok {
+						end(nil)
+					}
+				}
+			})
+		}
 	}
 }
 

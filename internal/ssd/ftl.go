@@ -125,7 +125,7 @@ func (f *FTL) Write(lpn int, data []byte) (time.Duration, error) {
 	f.invalidateLocked(lpn)
 	b := f.blocks[f.active]
 	page := len(b.lpns)
-	//lint:ignore blockalign alignment is the caller's contract (blockfs hands over page[:pageSize]); the FTL forwards at most one page verbatim
+	// Alignment is the caller's contract (blockfs hands over page[:pageSize]); the FTL forwards at most one page verbatim.
 	c, err := f.dev.ProgramPage(OwnerFTL, f.active, page, data)
 	total += c
 	if err != nil {
@@ -269,7 +269,7 @@ func (f *FTL) migrateWriteLocked(lpn int, data []byte) (time.Duration, error) {
 	}
 	b := f.blocks[f.active]
 	page := len(b.lpns)
-	//lint:ignore blockalign GC migration re-programs a page read back from flash, so it is page-sized by construction
+	// GC migration re-programs a page read back from flash, so it is page-sized by construction.
 	c, err := f.dev.ProgramPage(OwnerFTL, f.active, page, data)
 	total += c
 	if err != nil {
