@@ -37,7 +37,7 @@ import (
 // toolVersion doubles as the go command's vet cache key: bump it
 // whenever analyzer behavior changes, or stale cached results survive
 // the upgrade.
-const toolVersion = "0.5.0"
+const toolVersion = "0.5.1"
 
 // suite is every analyzer directload-vet runs, in report order.
 var suite = []*analysis.Analyzer{

@@ -53,13 +53,7 @@ func runFleet(args []string) {
 		WriteQuorum: *quorum,
 		HedgeAfter:  *hedge,
 		Metrics:     reg,
-		// Traced dials: the router's spans propagate across the wire,
-		// so each node retains its half of every quorum write's
-		// timeline for `qindbctl trace -nodes` to merge later.
-		DialOpts: []server.DialOption{
-			server.WithTimeout(*timeout),
-			server.WithMetrics(reg),
-		},
+		DialOpts:    []server.DialOption{server.WithTimeout(*timeout)},
 	})
 	if err != nil {
 		log.Fatalf("fleet: %v", err)

@@ -9,20 +9,16 @@
 //	qindbctl -addr 127.0.0.1:7707 load <version>                # batched key<TAB>value lines from stdin
 //	qindbctl -addr 127.0.0.1:7707 stats
 //	qindbctl -addr 127.0.0.1:7707 ping
-//	qindbctl -http 127.0.0.1:8080 trace <trace-id>              # one trace's timeline
-//	qindbctl trace -nodes 'h1:8080,h2:8080' <trace-id>          # fleet-wide merged timeline
-//	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get] [-trace id]
+//	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get]
 //	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status>  # shard router over several nodes
 //	qindbctl index <list|create|build|ingest|query|export|import>          # index lifecycle (see index -h)
 //	qindbctl search <name> <term>...                                       # query an index (= index query)
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.
-// trace and slowlog talk to the daemon's operator HTTP address (qindbd
-// -metrics-addr) instead of the storage port; trace -nodes fetches the
-// same trace id from every listed operator address and merges the spans
-// into one cross-node timeline. For profiles point go tool pprof at the
-// same address (qindbd -pprof):
+// slowlog talks to the daemon's operator HTTP address (qindbd
+// -metrics-addr) instead of the storage port. For profiles point go
+// tool pprof at the same address (qindbd -pprof):
 // go tool pprof http://HOST/debug/pprof/allocs?seconds=5. stats -watch
 // shows each counter's delta and each histogram's p99 over the last
 // interval, not since start. fleet ignores -addr and routes to its
@@ -51,17 +47,16 @@ import (
 
 var (
 	addr     = flag.String("addr", "127.0.0.1:7707", "qindbd address")
-	httpAddr = flag.String("http", "127.0.0.1:8080", "qindbd operator HTTP address (for trace/slowlog)")
+	httpAddr = flag.String("http", "127.0.0.1:8080", "qindbd operator HTTP address (for slowlog)")
 	timeout  = flag.Duration("timeout", 5*time.Second, "per-operation deadline (0 = none)")
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|trace|slowlog|fleet> [args]")
+	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|slowlog|fleet> [args]")
 	fmt.Fprintln(os.Stderr, "       load <version>                  batched load of key<TAB>value lines from stdin")
 	fmt.Fprintln(os.Stderr, "       stats [-watch] [-interval 1s]   engine stats, or live metric deltas with each interval's")
 	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-cycles, goroutines)")
-	fmt.Fprintln(os.Stderr, "       trace [-nodes a,b] <trace-id>   one trace's timeline; -nodes merges spans fleet-wide")
-	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get] [-trace id]  recent slow operations (-http address)")
+	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get]        recent slow operations (-http address)")
 	fmt.Fprintln(os.Stderr, "       fleet -nodes 'a,b,c' <cmd>      shard router over several nodes (fleet -h)")
 	fmt.Fprintln(os.Stderr, "       index <list|create|build|ingest|query|export|import>  index lifecycle (index -h)")
 	fmt.Fprintln(os.Stderr, "       search <name> <term>...         query an index (= index query)")
@@ -87,34 +82,6 @@ func fetchHTTP(path string) {
 	}
 }
 
-// splitList splits a comma-separated flag value, dropping empty parts.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// collectTrace fetches one trace id from every listed operator endpoint
-// and renders the merged fleet-wide timeline — spans from different
-// processes nest under their cross-node parents.
-func collectTrace(endpoints []string, id uint64) {
-	c := &metrics.TraceCollector{
-		Endpoints: endpoints,
-		Client:    &http.Client{Timeout: *timeout},
-	}
-	merged, err := c.Collect(context.Background(), id)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := merged.WriteTimeline(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func parseVersion(s string) uint64 {
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
@@ -131,39 +98,17 @@ func main() {
 		usage()
 	}
 	cmd, args := args[0], args[1:]
-	// trace and slowlog talk to the operator HTTP address only — no
+	// slowlog talks to the operator HTTP address only — no
 	// reason to require the storage port to be dialable.
 	switch cmd {
-	case "trace":
-		fs := flag.NewFlagSet("trace", flag.ExitOnError)
-		nodes := fs.String("nodes", "", "comma-separated operator HTTP addresses; fetch this trace from every one and merge into a fleet-wide timeline")
-		fs.Parse(args)
-		if fs.NArg() != 1 {
-			usage()
-		}
-		id := strings.TrimPrefix(fs.Arg(0), "0x")
-		idNum, err := strconv.ParseUint(id, 16, 64)
-		if err != nil {
-			log.Fatalf("bad trace id %q (want hex): %v", fs.Arg(0), err)
-		}
-		if *nodes != "" {
-			collectTrace(splitList(*nodes), idNum)
-			return
-		}
-		fetchHTTP("/debug/trace?id=" + id)
-		return
 	case "slowlog":
 		fs := flag.NewFlagSet("slowlog", flag.ExitOnError)
 		n := fs.Int("n", 0, "show only the newest N entries (0 = all retained)")
 		op := fs.String("op", "", "show only this operation (put, get, batch, ...)")
-		traceID := fs.String("trace", "", "show only entries of this trace id (hex)")
 		fs.Parse(args)
 		path := fmt.Sprintf("/debug/slowlog?n=%d", *n)
 		if *op != "" {
 			path += "&op=" + *op
-		}
-		if *traceID != "" {
-			path += "&trace=" + strings.TrimPrefix(*traceID, "0x")
 		}
 		fetchHTTP(path)
 		return

@@ -23,12 +23,11 @@
 //	redis-cli -p 6379 SET greeting hello
 //
 // Both listeners share one server.Backend — one engine, one set of
-// server.* metrics, one slowlog, one trace timeline.
+// server.* metrics, one slowlog.
 //
 // With -metrics-addr set the daemon exposes the operator endpoints of
 // internal/ops: /metrics (text, ?format=json, ?format=prom), /healthz,
-// /readyz, /debug/trace (?id=<hex> for one trace; with ?format=json the
-// export cross-node collection fetches), /debug/slowlog,
+// /readyz, /debug/slowlog,
 // /debug/attrib (per-op resource attribution, see -attr-sample), /index
 // (the inverted-index lifecycle of internal/search: create, ingest,
 // query, CIFF export/import — index segments are versioned values in
@@ -71,7 +70,6 @@ var (
 	metricsAddr   = flag.String("metrics-addr", "", "HTTP address for the operator endpoints (empty = off)")
 	pprofOn       = flag.Bool("pprof", false, "mount /debug/pprof/* on the metrics address")
 	slowThresh    = flag.Duration("slowlog-threshold", 10*time.Millisecond, "record ops at or above this latency in /debug/slowlog (0 = off)")
-	nodeID        = flag.String("node-id", "", "node name stamped onto exported trace spans (default: the listen address)")
 	sloReadTarget = flag.Float64("slo-read-target", 0.006, "tolerated get-miss ratio for the read SLO (paper: 0.006; 0 = off)")
 	attrSample    = flag.Int("attr-sample", 64, "measure one request in N for per-op resource attribution on /debug/attrib (0 = off)")
 )
@@ -149,16 +147,12 @@ func main() {
 	}
 	metrics.RegisterRuntime(reg)
 
-	node := *nodeID
-	if node == "" {
-		node = *addr
-	}
 	var respSrv *resp.Server
 	if *respAddr != "" {
 		// The RESP front door shares the native listener's Backend:
 		// same engine, same server.* metrics, same slowlog and SLO.
 		respSrv = resp.New(s.Backend())
-		respSrv.SetNode(node)
+		respSrv.SetNode(*addr)
 		go func() {
 			if err := respSrv.ListenAndServe(*respAddr); err != nil {
 				log.Printf("qindbd: resp listener: %v", err)
@@ -171,12 +165,11 @@ func main() {
 		// The index lifecycle rides on the operator address: segments
 		// are versioned values in the same engine the KV front doors
 		// serve, so /index queries and RESP/native traffic share one
-		// store, one registry, one trace timeline.
+		// store and one registry.
 		searchSvc := search.NewService(coreEngine{db: db}, reg)
 		opsSrv, err = ops.Listen(*metricsAddr, ops.Config{
 			Registry:    reg,
 			SlowLog:     slow,
-			Node:        node,
 			Ready:       readiness(db),
 			EnablePprof: *pprofOn,
 			Attrib:      s.Backend().Attribution,

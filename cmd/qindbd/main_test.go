@@ -13,7 +13,7 @@ import (
 func TestFlagSet(t *testing.T) {
 	want := []string{
 		"addr", "aof", "attr-sample", "capacity", "checkpoint", "gc",
-		"metrics-addr", "node-id", "pprof", "resp-addr", "slo-read-target",
+		"metrics-addr", "pprof", "resp-addr", "slo-read-target",
 		"slowlog-threshold",
 	}
 	var got []string

@@ -2,8 +2,8 @@
 // talks to it through the client — the wire-level view of a single Mint
 // node serving deduplicated index data. It demonstrates the client
 // surface (context-aware calls, batched publishes, pipelined reads) and
-// the operator surface: metrics, distributed tracing across the wire,
-// and the /healthz–/readyz–/debug endpoints.
+// the operator surface: metrics and the /healthz–/readyz–/debug
+// endpoints.
 //
 //	go run ./examples/storagenode
 package main
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -27,8 +26,8 @@ import (
 )
 
 func main() {
-	// One registry instruments everything: the engine, the server, the
-	// client pool — and, via the ops server, exposes it all over HTTP.
+	// One registry instruments everything: the engine and the server —
+	// and, via the ops server, exposes it all over HTTP.
 	reg := metrics.NewRegistry()
 	slow := metrics.NewSlowLog(0, 5*time.Millisecond)
 
@@ -56,7 +55,7 @@ func main() {
 	fmt.Printf("storage node listening on %s\n", ln.Addr())
 
 	// Operator endpoints: /metrics (?format=prom for scrapers),
-	// /healthz, /readyz, /debug/trace, /debug/slowlog.
+	// /healthz, /readyz, /debug/slowlog.
 	opsSrv, err := ops.Listen("127.0.0.1:0", ops.Config{
 		Registry: reg,
 		SlowLog:  slow,
@@ -75,38 +74,27 @@ func main() {
 
 	// The dial performs the hello exchange; WithTimeout bounds every
 	// call whose context carries no deadline.
-	cl, err := server.Dial(ln.Addr().String(),
-		server.WithTimeout(2*time.Second),
-		server.WithMetrics(reg))
+	cl, err := server.Dial(ln.Addr().String(), server.WithTimeout(2*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cl.Close()
 	ctx := context.Background()
 
-	// Publish version 1 as one traced batch: a single OpBatch round
-	// trip instead of one per record, and — because the context carries
-	// a span — one end-to-end timeline at /debug/trace covering the
-	// client flush, the server handler, and each engine write.
-	pubCtx, endPublish := reg.StartSpan(ctx, "example.publish")
+	// Publish version 1 as one batch: a single OpBatch round trip
+	// instead of one per record.
 	batch := cl.Batcher()
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("url/page-%02d", i)
 		value := fmt.Sprintf("content of page %d", i)
-		if err := batch.Put(pubCtx, []byte(key), 1, []byte(value), false); err != nil {
+		if err := batch.Put(ctx, []byte(key), 1, []byte(value), false); err != nil {
 			log.Fatal(err)
 		}
 	}
-	err = batch.Flush(pubCtx)
-	endPublish(err)
-	if err != nil {
+	if err := batch.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if sc, ok := metrics.SpanFromContext(pubCtx); ok {
-		fmt.Printf("published v1 under trace %016x:\n", sc.TraceID)
-		trace := metrics.MergedTrace{TraceID: sc.TraceID, Spans: reg.Tracer().Trace(sc.TraceID)}
-		trace.WriteTimeline(os.Stdout)
-	}
+	fmt.Println("published v1: 5 records in one batch")
 
 	// Version 2 arrives deduplicated for page-00 (unchanged content).
 	if err := cl.PutContext(ctx, []byte("url/page-00"), 2, nil, true); err != nil {

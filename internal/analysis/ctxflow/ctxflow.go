@@ -1,14 +1,14 @@
-// Package ctxflow protects the one-trace property: a request's
-// context.Context must thread unbroken through cluster→fleet→wire→
-// engine, because the trace span riding it is what stitches a publish
-// into a single timeline.
+// Package ctxflow keeps a caller's deadline and cancellation in force:
+// a request's context.Context must thread unbroken through fleet→wire,
+// because a fresh root silently drops the deadline and the cancellation
+// the caller set (a publish's batch flushes, a hedged read's losers).
 //
 // Two rules, applied to library code (package main and _test.go files
 // are exempt — binaries and tests legitimately mint root contexts):
 //
 //  1. A function with a context.Context parameter in (lexical) scope
 //     must not mint a fresh root via context.Background() or
-//     context.TODO(): doing so severs the trace.
+//     context.TODO(): doing so drops the caller's deadline.
 //  2. An exported function whose signature takes a context.Context
 //     must actually use it. A ctx accepted and then dropped while the
 //     body calls context-accepting callees breaks the thread silently.
@@ -86,7 +86,7 @@ func checkFreshRoots(pass *analysis.Pass, body *ast.BlockStmt, ctxInScope bool) 
 			for _, name := range [...]string{"Background", "TODO"} {
 				if analysis.IsPkgCall(pass.TypesInfo, n, "context", name) {
 					pass.Reportf(n.Pos(),
-						"context.%s() minted while a context.Context parameter is in scope; thread the caller's ctx to keep the trace in one piece", name)
+						"context.%s() minted while a context.Context parameter is in scope; thread the caller's ctx to keep its deadline and cancellation", name)
 				}
 			}
 		}

@@ -1,4 +1,4 @@
-// Package flow is a fixture for the one-trace context rules: no fresh
+// Package flow is a fixture for the context-threading rules: no fresh
 // roots while a ctx is in scope, no exported function dropping its ctx.
 package flow
 
@@ -16,7 +16,7 @@ func Publish(ctx context.Context, s string) error {
 	return do(ctx, s)
 }
 
-// Republish severs the trace with a fresh root.
+// Republish drops the caller's deadline with a fresh root.
 func Republish(ctx context.Context) error {
 	_ = ctx
 	return do(context.Background(), "x") // want `context.Background\(\) minted while a context.Context parameter is in scope`
@@ -53,7 +53,7 @@ type Client struct {
 }
 
 // Drop accepts a ctx, never uses it, and hands a different context to a
-// context-accepting callee: the silent trace break.
+// context-accepting callee: the silent deadline break.
 func (c *Client) Drop(ctx context.Context, s string) error { // want `exported Drop drops its ctx parameter`
 	return do(c.base, s)
 }

@@ -236,7 +236,6 @@ type storeMetrics struct {
 	gcCollects  *metrics.Counter
 	gcMoved     *metrics.Counter
 	gcFreed     *metrics.Counter
-	tracer      *metrics.Tracer
 }
 
 func newStoreMetrics(reg *metrics.Registry) storeMetrics {
@@ -250,7 +249,6 @@ func newStoreMetrics(reg *metrics.Registry) storeMetrics {
 		gcCollects:  reg.Counter("aof.gc.collects"),
 		gcMoved:     reg.Counter("aof.gc.moved_bytes"),
 		gcFreed:     reg.Counter("aof.gc.freed_bytes"),
-		tracer:      reg.Tracer(),
 	}
 }
 
@@ -297,10 +295,8 @@ func Open(fs blockfs.FS, cfg Config) (*Store, error) {
 
 // rotateLocked seals the active file and opens a fresh one.
 func (s *Store) rotateLocked() error {
-	end := s.met.tracer.Span("aof.rotate")
 	if s.writer != nil {
 		if _, err := s.writer.Close(); err != nil {
-			end(err)
 			return err
 		}
 		s.files[s.active].seal = true
@@ -309,7 +305,6 @@ func (s *Store) rotateLocked() error {
 	id := s.nextID
 	w, err := s.fs.Create(filename(id))
 	if err != nil {
-		end(err)
 		return err
 	}
 	s.nextID++
@@ -318,7 +313,6 @@ func (s *Store) rotateLocked() error {
 	s.files[id] = &fileInfo{}
 	s.met.rotations.Inc()
 	s.met.files.Set(int64(len(s.files)))
-	end(nil)
 	return nil
 }
 

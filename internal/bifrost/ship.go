@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"directload/internal/metrics"
 	"directload/internal/netsim"
 )
 
@@ -188,8 +187,6 @@ type Shipper struct {
 	met        shipMetrics
 	deliveries []Delivery
 	relayRR    map[string]int // per-region round-robin cursor
-	traceCtx   metrics.SpanContext
-	tracer     *metrics.Tracer
 	// holders tracks which relays cached each slice ("20-30 relay nodes
 	// caching and relaying", paper §2.2): when a builder uplink is
 	// congested, the slice can be sourced from a peer region's relay
@@ -207,31 +204,6 @@ func NewShipper(top *Topology, seed int64) *Shipper {
 		relayRR:    make(map[string]int),
 		holders:    make(map[*Slice][]netsim.NodeID),
 	}
-}
-
-// BindTrace attaches subsequent slice deliveries to a distributed
-// trace: each one is recorded on tracer as a "bifrost.ship.delivery"
-// span parented under sc, whose duration is the delivery's VIRTUAL
-// availability→arrival time (simulated network time, not wall clock —
-// hence a hand-assembled record rather than a live span). Bind the zero
-// SpanContext (with a nil tracer) to detach. Not safe concurrently with
-// shipping; the publish path binds around its ship phase.
-func (s *Shipper) BindTrace(sc metrics.SpanContext, tracer *metrics.Tracer) {
-	s.traceCtx = sc
-	s.tracer = tracer
-}
-
-// recordDelivery emits the per-delivery trace span when a trace is
-// bound.
-func (s *Shipper) recordDelivery(d Delivery) {
-	if s.tracer == nil || !s.traceCtx.Valid() {
-		return
-	}
-	s.tracer.RecordSpan(metrics.SpanRecord{
-		Name: "bifrost.ship.delivery", Start: time.Now(), Dur: d.Arrived - d.Available,
-		TraceID: s.traceCtx.TraceID, SpanID: metrics.NewSpanID(), ParentID: s.traceCtx.SpanID,
-		Note: fmt.Sprintf("dc=%s retries=%d", d.DC, d.Retries),
-	})
 }
 
 // pickRelay selects the relay for a region: the monitor's least-loaded
@@ -287,7 +259,6 @@ func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.Node
 				s.stats.PayloadBytes += float64(slice.Size())
 				s.met.deliveries.Inc()
 				s.met.payloadBytes.Add(slice.Size())
-				s.recordDelivery(d)
 				if onDelivered != nil {
 					onDelivered(d)
 				}
@@ -310,7 +281,6 @@ func (s *Shipper) retryLater(slice *Slice, from, to netsim.NodeID, available tim
 			s.stats.PayloadBytes += float64(slice.Size())
 			s.met.deliveries.Inc()
 			s.met.payloadBytes.Add(slice.Size())
-			s.recordDelivery(d)
 			if onDelivered != nil {
 				onDelivered(d)
 			}

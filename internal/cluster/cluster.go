@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -108,7 +107,6 @@ type DirectLoad struct {
 	DCs     map[netsim.NodeID]*DataCenter
 
 	versions []uint64 // published versions in order
-	reg      *metrics.Registry
 	met      orchestratorMetrics
 }
 
@@ -153,7 +151,6 @@ func New(cfg Config) (*DirectLoad, error) {
 		Shipper: bifrost.NewShipper(top, cfg.Seed),
 		Deduper: bifrost.NewDeduper(),
 		DCs:     make(map[netsim.NodeID]*DataCenter),
-		reg:     cfg.Metrics,
 		met:     newOrchestratorMetrics(cfg.Metrics),
 	}
 	d.Shipper.CorruptProb = cfg.CorruptProb
@@ -251,21 +248,8 @@ func (d *DirectLoad) dcsForStream(region bifrost.Region, stream bifrost.StreamTy
 // wait (in virtual time) until every DC has loaded the version. The
 // retention policy then drops versions beyond the configured limit.
 func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateReport, error) {
-	return d.PublishVersionContext(context.Background(), version, entries)
-}
-
-// PublishVersionContext is PublishVersion under a caller context. The
-// whole publish cycle runs as one trace (rooted here when ctx carries
-// no span): the dedup pass and the simulated fan-out (with one
-// virtual-duration span per slice delivery) nest under one
-// "cluster.publish" root, which is what /debug/trace renders as the
-// version's timeline.
-func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, entries []Entry) (rep UpdateReport, err error) {
-	ctx, end := d.reg.StartSpanNote(ctx, "cluster.publish",
-		fmt.Sprintf("v%d keys=%d", version, len(entries)))
-	defer func() { end(err) }()
 	start := d.Top.Net.Now()
-	rep = UpdateReport{
+	rep := UpdateReport{
 		Version:     version,
 		Keys:        len(entries),
 		StorageByDC: make(map[netsim.NodeID]time.Duration),
@@ -273,7 +257,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	}
 
 	// Bifrost: dedup and pack per stream.
-	dedupStart := time.Now()
 	builders := map[bifrost.StreamType]*bifrost.SliceBuilder{
 		bifrost.StreamSummary:  bifrost.NewSliceBuilder(version, bifrost.StreamSummary, d.cfg.SliceLimit),
 		bifrost.StreamInverted: bifrost.NewSliceBuilder(version, bifrost.StreamInverted, d.cfg.SliceLimit),
@@ -296,16 +279,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	for st, b := range builders {
 		slices[st] = b.Finish()
 	}
-	// The dedup pass's note reports the wire savings, which only exist
-	// once the loop above finished — so the span is assembled by hand.
-	if sc, ok := metrics.SpanFromContext(ctx); ok {
-		d.reg.Tracer().RecordSpan(metrics.SpanRecord{
-			Name: "bifrost.dedup", Start: dedupStart, Dur: time.Since(dedupStart),
-			TraceID: sc.TraceID, SpanID: metrics.NewSpanID(), ParentID: sc.SpanID,
-			Note: fmt.Sprintf("elided=%dB", rep.PayloadBytes-rep.WireBytes),
-		})
-	}
-
 	// Register expectations, then ship.
 	for _, dc := range d.DCs {
 		dc.state[version] = VersionPending
@@ -328,14 +301,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 			rep.ReadyAt[dc.ID] = start
 		}
 	}
-	// The ship phase spans enqueueing every slice plus the virtual-time
-	// drain; while it is bound, the shipper records one virtual-duration
-	// span per slice delivery under it.
-	shipCtx, endShip := d.reg.ContinueSpan(ctx, "bifrost.ship")
-	if sc, ok := metrics.SpanFromContext(shipCtx); ok {
-		d.Shipper.BindTrace(sc, d.reg.Tracer())
-		defer d.Shipper.BindTrace(metrics.SpanContext{}, nil)
-	}
 	for _, region := range d.Top.Regions {
 		for _, st := range streamOrder {
 			targets := d.dcsForStream(region, st)
@@ -348,7 +313,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 					d.applySlice(del, version, &rep)
 				})
 				if err != nil {
-					endShip(err)
 					return rep, fmt.Errorf("cluster: shipping v%d: %w", version, err)
 				}
 			}
@@ -356,7 +320,6 @@ func (d *DirectLoad) PublishVersionContext(ctx context.Context, version uint64, 
 	}
 	// Drain the network (virtual time).
 	d.Top.Net.Run(0)
-	endShip(nil)
 	for _, dc := range d.DCs {
 		if dc.applyErr != nil {
 			return rep, dc.applyErr

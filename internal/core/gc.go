@@ -51,14 +51,11 @@ func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err erro
 	return cost, true, err
 }
 
-// collectLocked garbage-collects one file as a gc.cycle span and
-// credits the bytes it reclaimed. Runs with wmu held and db.mu free: the
+// collectLocked garbage-collects one file and credits the bytes it reclaimed. Runs with wmu held and db.mu free: the
 // store takes db.mu exclusively, through db.excl, a batch of records at a
 // time and once more for the erase (aof.Store.CollectFile).
 func (db *DB) collectLocked(id uint32) (time.Duration, error) {
-	end := db.reg.Span("gc.cycle")
 	reclaimed, cost, err := db.store.CollectFile(id, &db.excl, db.gcJudge, db.gcRelocated)
-	end(err)
 	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
 }

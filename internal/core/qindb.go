@@ -113,9 +113,8 @@ type Options struct {
 	// Seed makes skip-list level choices deterministic.
 	Seed int64
 	// Metrics, when non-nil, receives the engine's `qindb.*` metrics and
-	// is propagated to the AOF store (`aof.*`). GC cycles, checkpoints
-	// and recovery record spans on the registry's tracer. Nil keeps all
-	// hot paths allocation-free. A registry serves one DB: the engine's
+	// is propagated to the AOF store (`aof.*`). Nil keeps all hot paths
+	// allocation-free. A registry serves one DB: the engine's
 	// own counters live in it.
 	Metrics *metrics.Registry
 }
@@ -265,10 +264,7 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		met:   newEngineMetrics(opts.Metrics),
 	}
 	db.excl = exclLock{mu: &db.mu, hold: db.met.exclHold}
-	endRecover := db.reg.Span("qindb.recovery")
-	err = db.recover()
-	endRecover(err)
-	if err != nil {
+	if err := db.recover(); err != nil {
 		return nil, fmt.Errorf("qindb: recovery: %w", err)
 	}
 	// Seed the memtable footprint with whatever recovery rebuilt.

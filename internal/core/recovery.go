@@ -60,8 +60,6 @@ func (db *DB) maybeCheckpointLocked() (time.Duration, error) {
 // no other engine lock: with the mutators out the memtable cannot change
 // under the walk, and readers pass it.
 func (db *DB) checkpointLocked() (cost time.Duration, err error) {
-	end := db.reg.Span("qindb.checkpoint")
-	defer func() { end(err) }()
 	floor := db.maxSeq
 	// Every mutation appends a record and advances maxSeq, so an existing
 	// checkpoint at this floor already holds an identical image.

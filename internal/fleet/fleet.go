@@ -1,7 +1,7 @@
 // Package fleet is the networked Mint: a client-side shard router that
 // runs the paper's regional store protocol (§2.3 — hash→group
 // placement, R-way replication, parallel reads) over real qindbd nodes
-// using the native wire stack (pipelining, OpBatch, trace propagation)
+// using the native wire stack (pipelining, OpBatch)
 // instead of the in-process simulation in internal/mint.
 //
 // Placement is the exact math the simulation uses (mint.Placement), so
@@ -71,7 +71,7 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker rejects requests
 	// before admitting a half-open trial (default 1s).
 	BreakerCooldown time.Duration
-	// Metrics, when non-nil, receives the fleet.* metrics and traces.
+	// Metrics, when non-nil, receives the fleet.* metrics.
 	// fleet.read.misses over fleet.read.requests is the read-miss ratio
 	// the paper reports (0.24 % observed vs 0.6 % allowed).
 	Metrics *metrics.Registry
@@ -173,7 +173,6 @@ type Fleet struct {
 	nodes  []*node
 	byID   map[string]*node
 
-	reg *metrics.Registry
 	met fleetMetrics
 
 	wg     sync.WaitGroup // prober + async repairs
@@ -222,7 +221,6 @@ func New(cfg Config) (*Fleet, error) {
 		cfg:   cfg,
 		place: mint.Placement{Replicas: cfg.Replicas},
 		byID:  make(map[string]*node),
-		reg:   cfg.Metrics,
 		met:   newFleetMetrics(cfg.Metrics),
 		stop:  make(chan struct{}),
 	}
@@ -373,13 +371,8 @@ func (f *Fleet) queueHandoff(n *node, hs []hint) {
 // are grouped per node and shipped as OpBatch frames (one batcher per
 // replica, all replicas in parallel); a replica that stays unreachable
 // after the retries gets its share queued as hinted handoff, to drain
-// when the prober sees it healthy again. Inside a trace the publish is
-// one timeline: fleet.publish → per-replica fleet.replica.write →
-// client.batch.flush → the remote server's handler spans.
-func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []Entry) (err error) {
-	ctx, end := f.reg.StartSpanNote(ctx, "fleet.publish",
-		fmt.Sprintf("v%d entries=%d", version, len(entries)))
-	defer func() { end(err) }()
+// when the prober sees it healthy again.
+func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []Entry) error {
 	if f.closed.Load() {
 		return ErrClosed
 	}
@@ -444,9 +437,6 @@ func (f *Fleet) PublishVersion(ctx context.Context, version uint64, entries []En
 // wire traffic — which is what keeps one dead replica from slowing
 // every publish to its timeout.
 func (f *Fleet) writeNode(ctx context.Context, n *node, version uint64, entries []Entry, idxs []int) (err error) {
-	_, end := f.reg.ContinueSpanNote(ctx, "fleet.replica.write",
-		fmt.Sprintf("%s ops=%d", n.addr, len(idxs)))
-	defer func() { end(err) }()
 	if !n.available(f.cfg.BreakerCooldown) {
 		f.hintPuts(n, version, entries, idxs)
 		return fmt.Errorf("%w (%s)", ErrBreakerOpen, n.addr)
@@ -553,9 +543,7 @@ func (f *Fleet) DropVersion(ctx context.Context, version uint64) error {
 // anyway when the primary is merely slow. The first successful answer
 // wins, and any replica that was seen answering "not found" is
 // read-repaired in the background with the winning value.
-func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte, err error) {
-	ctx, end := f.reg.StartSpanNote(ctx, "fleet.get", fmt.Sprintf("v%d", version))
-	defer func() { end(err) }()
+func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -593,13 +581,11 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) (val []byte
 		n := ordered[i]
 		launched++
 		go func() {
-			rctx, endR := f.reg.ContinueSpanNote(gctx, "fleet.replica.get", n.addr)
 			var rv []byte
 			cl, rerr := n.client()
 			if rerr == nil {
-				rv, rerr = cl.GetContext(rctx, key, version)
+				rv, rerr = cl.GetContext(gctx, key, version)
 			}
-			endR(rerr)
 			resCh <- result{n: n, i: i, val: rv, err: rerr}
 		}()
 	}

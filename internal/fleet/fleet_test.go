@@ -545,11 +545,11 @@ func TestDropVersionHinted(t *testing.T) {
 	}
 }
 
-// TestFleetE2EOneTrace is the acceptance run: a 3-node group at R=3/W=2
-// with one node down — the publish reaches quorum, a hedged parallel
-// read serves the GET, the recovered node converges via handoff, and
-// ONE trace ID covers router → replica → engine spans.
-func TestFleetE2EOneTrace(t *testing.T) {
+// TestFleetE2EOneNodeDown is the acceptance run: a 3-node group at
+// R=3/W=2 with one node down — the publish reaches quorum, a hedged
+// parallel read serves the GET, and the recovered node converges via
+// handoff.
+func TestFleetE2EOneNodeDown(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	reg := metrics.NewRegistry()
 	n1 := startNode(t, reg)
@@ -557,18 +557,11 @@ func TestFleetE2EOneTrace(t *testing.T) {
 	n3 := startNode(t, reg)
 	f := testFleet(t, Config{
 		Replicas: 3, WriteQuorum: 2, WriteRetries: 1, Metrics: reg,
-		DialOpts: []server.DialOption{
-			server.WithTimeout(2 * time.Second),
-			server.WithMetrics(reg),
-		},
+		DialOpts: []server.DialOption{server.WithTimeout(2 * time.Second)},
 	}, n1, n2, n3)
 
 	n3.stop()
-	ctx, end := reg.StartSpan(context.Background(), "test.fleet")
-	sc, ok := metrics.SpanFromContext(ctx)
-	if !ok {
-		t.Fatal("no span in test context")
-	}
+	ctx := context.Background()
 	if err := f.PublishVersion(ctx, 1, testEntries(1, 25)); err != nil {
 		t.Fatalf("publish with one node down: %v", err)
 	}
@@ -576,42 +569,11 @@ func TestFleetE2EOneTrace(t *testing.T) {
 	if err != nil || string(val) != "fv-1-003" {
 		t.Fatalf("Get = %q, %v", val, err)
 	}
-	end(nil)
 
 	n3.restart()
 	f.ProbeNow()
 	if !n3.has("fk-003", 1) {
 		t.Fatal("recovered node did not converge via handoff")
-	}
-
-	trace := reg.Tracer().Trace(sc.TraceID)
-	counts := make(map[string]int)
-	for _, rec := range trace {
-		if rec.TraceID != sc.TraceID {
-			t.Fatalf("span %q escaped into trace %016x", rec.Name, rec.TraceID)
-		}
-		counts[rec.Name]++
-	}
-	// Router spans.
-	if counts["fleet.publish"] != 1 || counts["fleet.replica.write"] != 3 {
-		t.Fatalf("router write spans wrong: %v", counts)
-	}
-	if counts["fleet.get"] != 1 || counts["fleet.replica.get"] < 1 {
-		t.Fatalf("router read spans wrong: %v", counts)
-	}
-	// The wire hop: batched flushes on the two live replicas, answered
-	// by server-side handlers whose engine writes are sub-op spans.
-	if counts["client.batch.flush"] < 2 {
-		t.Fatalf("client.batch.flush spans = %d, want >= 2 (%v)", counts["client.batch.flush"], counts)
-	}
-	if counts["server.req.batch"] < 2 {
-		t.Fatalf("server.req.batch spans = %d, want >= 2 (%v)", counts["server.req.batch"], counts)
-	}
-	if counts["server.batch.put"] != 2*25 {
-		t.Fatalf("server.batch.put spans = %d, want %d (%v)", counts["server.batch.put"], 2*25, counts)
-	}
-	if counts["server.req.get"] < 1 {
-		t.Fatalf("server.req.get spans = %d, want >= 1 (%v)", counts["server.req.get"], counts)
 	}
 }
 

@@ -26,17 +26,15 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
-	tracer   *Tracer
 }
 
-// NewRegistry returns an empty registry with an attached event tracer.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() float64),
-		tracer:   NewTracer(0),
 	}
 }
 
@@ -121,21 +119,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Lock()
 	r.funcs[name] = fn
 	r.mu.Unlock()
-}
-
-// Tracer returns the registry's event tracer (nil on a nil registry;
-// the nil Tracer is itself a valid no-op).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
-// Span starts a traced span on the registry's tracer; the returned
-// closer records the duration (see Tracer.Span). Safe on a nil registry.
-func (r *Registry) Span(name string) func(err error) {
-	return r.Tracer().Span(name)
 }
 
 // Snapshot returns every registered metric keyed by name: counters and

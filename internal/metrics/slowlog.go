@@ -15,15 +15,13 @@ const defaultSlowLogCap = 256
 const slowKeyMax = 128
 
 // SlowEntry is one operation that exceeded the slow-op threshold: what
-// ran, against which key, how long it took, inside which trace, and how
-// it ended — the line an operator greps for when a publish stalls.
+// ran, against which key, how long it took, and how it ended — the line an operator greps for when a publish stalls.
 type SlowEntry struct {
-	Time    time.Time     `json:"time"`
-	Op      string        `json:"op"`
-	Key     string        `json:"key,omitempty"`
-	Dur     time.Duration `json:"dur"`
-	TraceID uint64        `json:"trace_id,omitempty"`
-	Err     string        `json:"err,omitempty"`
+	Time time.Time     `json:"time"`
+	Op   string        `json:"op"`
+	Key  string        `json:"key,omitempty"`
+	Dur  time.Duration `json:"dur"`
+	Err  string        `json:"err,omitempty"`
 }
 
 // SlowLog is a bounded ring of slow operations. Recording is a single
@@ -52,7 +50,7 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 
 // Maybe records the operation if dur is at or above the threshold. The
 // key is copied (truncated to 128 bytes) so callers may reuse buffers.
-func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, trace uint64, errMsg string) {
+func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, errMsg string) {
 	if l == nil {
 		return
 	}
@@ -62,7 +60,7 @@ func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, trace uint64, 
 	if len(key) > slowKeyMax {
 		key = key[:slowKeyMax]
 	}
-	e := SlowEntry{Time: time.Now(), Op: op, Key: string(key), Dur: dur, TraceID: trace, Err: errMsg}
+	e := SlowEntry{Time: time.Now(), Op: op, Key: string(key), Dur: dur, Err: errMsg}
 	l.mu.Lock()
 	l.total++
 	if len(l.ring) < l.limit {
@@ -103,23 +101,19 @@ func (l *SlowLog) Entries(n int) []SlowEntry {
 }
 
 // FilterEntries returns the retained entries oldest first, keeping only
-// those matching op (when non-empty) and trace (when nonzero). n > 0
+// those matching op (when non-empty). n > 0
 // keeps only the newest n matches — the filter runs before the cut, so
 // "-n 5 -op publish" means the five newest publish entries.
-func (l *SlowLog) FilterEntries(n int, op string, trace uint64) []SlowEntry {
+func (l *SlowLog) FilterEntries(n int, op string) []SlowEntry {
 	if l == nil {
 		return nil
 	}
 	all := l.Entries(0)
 	out := all[:0:0]
 	for _, e := range all {
-		if op != "" && e.Op != op {
-			continue
+		if op == "" || e.Op == op {
+			out = append(out, e)
 		}
-		if trace != 0 && e.TraceID != trace {
-			continue
-		}
-		out = append(out, e)
 	}
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
@@ -137,16 +131,13 @@ func (l *SlowLog) MarshalJSON() ([]byte, error) {
 }
 
 // WriteSlowEntries renders entries as text, one line each with its
-// trace id and error when set — the /debug/slowlog page, filtered or not.
+// error when set — the /debug/slowlog page, filtered or not.
 func WriteSlowEntries(w io.Writer, entries []SlowEntry) (int64, error) {
 	var total int64
 	for _, e := range entries {
 		suffix := ""
-		if e.TraceID != 0 {
-			suffix += fmt.Sprintf(" trace=%016x", e.TraceID)
-		}
 		if e.Err != "" {
-			suffix += " err=" + e.Err
+			suffix = " err=" + e.Err
 		}
 		n, err := fmt.Fprintf(w, "%s %s %q %s%s\n",
 			e.Time.Format(time.RFC3339Nano), e.Op, e.Key, e.Dur, suffix)

@@ -12,9 +12,9 @@ import (
 
 func TestSlowLogThreshold(t *testing.T) {
 	l := NewSlowLog(8, 10*time.Millisecond)
-	l.Maybe("get", []byte("fast"), 9*time.Millisecond, 0, "")
-	l.Maybe("put", []byte("edge"), 10*time.Millisecond, 0, "")
-	l.Maybe("put", []byte("slow"), 25*time.Millisecond, 7, "timeout")
+	l.Maybe("get", []byte("fast"), 9*time.Millisecond, "")
+	l.Maybe("put", []byte("edge"), 10*time.Millisecond, "")
+	l.Maybe("put", []byte("slow"), 25*time.Millisecond, "timeout")
 	if got := l.Count(); got != 2 {
 		t.Fatalf("Count = %d, want 2 (at-or-above threshold)", got)
 	}
@@ -22,14 +22,14 @@ func TestSlowLogThreshold(t *testing.T) {
 	if len(entries) != 2 || entries[0].Key != "edge" || entries[1].Key != "slow" {
 		t.Fatalf("Entries = %+v", entries)
 	}
-	if entries[1].TraceID != 7 || entries[1].Err != "timeout" {
-		t.Fatalf("trace/err not retained: %+v", entries[1])
+	if entries[1].Err != "timeout" {
+		t.Fatalf("err not retained: %+v", entries[1])
 	}
 }
 
 func TestSlowLogDisabled(t *testing.T) {
 	l := NewSlowLog(8, 0)
-	l.Maybe("put", []byte("k"), time.Hour, 0, "")
+	l.Maybe("put", []byte("k"), time.Hour, "")
 	if l.Count() != 0 {
 		t.Fatal("disabled log recorded an entry")
 	}
@@ -38,7 +38,7 @@ func TestSlowLogDisabled(t *testing.T) {
 func TestSlowLogRingWrap(t *testing.T) {
 	l := NewSlowLog(4, time.Millisecond)
 	for i := 0; i < 10; i++ {
-		l.Maybe("put", []byte(fmt.Sprintf("k-%d", i)), time.Second, 0, "")
+		l.Maybe("put", []byte(fmt.Sprintf("k-%d", i)), time.Second, "")
 	}
 	if got := l.Count(); got != 10 {
 		t.Fatalf("Count = %d, want 10 (total, not retained)", got)
@@ -63,7 +63,7 @@ func TestSlowLogRingWrap(t *testing.T) {
 func TestSlowLogKeyTruncation(t *testing.T) {
 	l := NewSlowLog(2, time.Millisecond)
 	long := bytes.Repeat([]byte("x"), 1000)
-	l.Maybe("put", long, time.Second, 0, "")
+	l.Maybe("put", long, time.Second, "")
 	if got := len(l.Entries(0)[0].Key); got != 128 {
 		t.Fatalf("retained key is %d bytes, want 128", got)
 	}
@@ -71,19 +71,19 @@ func TestSlowLogKeyTruncation(t *testing.T) {
 
 func TestSlowLogNil(t *testing.T) {
 	var l *SlowLog
-	l.Maybe("put", []byte("k"), time.Hour, 0, "")
+	l.Maybe("put", []byte("k"), time.Hour, "")
 	if l.Count() != 0 || l.Entries(0) != nil {
 		t.Fatal("nil SlowLog should be inert")
 	}
 	var sb strings.Builder
-	if _, err := WriteSlowEntries(&sb, l.FilterEntries(0, "put", 0)); err != nil || sb.Len() != 0 {
+	if _, err := WriteSlowEntries(&sb, l.FilterEntries(0, "put")); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil SlowLog rendered %q, %v", sb.String(), err)
 	}
 }
 
 func TestSlowLogJSONAndText(t *testing.T) {
 	l := NewSlowLog(4, time.Millisecond)
-	l.Maybe("put", []byte("jk"), 5*time.Millisecond, 0xabc, "boom")
+	l.Maybe("put", []byte("jk"), 5*time.Millisecond, "boom")
 	raw, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
@@ -92,14 +92,14 @@ func TestSlowLogJSONAndText(t *testing.T) {
 	if err := json.Unmarshal(raw, &entries); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Op != "put" || entries[0].TraceID != 0xabc {
+	if len(entries) != 1 || entries[0].Op != "put" || entries[0].Err != "boom" {
 		t.Fatalf("round-tripped entries = %+v", entries)
 	}
 	var sb strings.Builder
 	if _, err := WriteSlowEntries(&sb, l.Entries(0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"put", "jk", "trace=0000000000000abc", "err=boom"} {
+	for _, want := range []string{"put", "jk", "err=boom"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("text dump missing %q:\n%s", want, sb.String())
 		}
@@ -116,7 +116,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Maybe("put", []byte(fmt.Sprintf("c-%d-%d", g, i)), time.Second, uint64(i), "")
+				l.Maybe("put", []byte(fmt.Sprintf("c-%d-%d", g, i)), time.Second, "")
 				if i%16 == 0 {
 					l.Entries(4)
 					l.Count()

@@ -1,19 +1,14 @@
 // Package ops is the operator-facing HTTP surface shared by qindbd and
 // embedding programs: metrics exposition (text, JSON, Prometheus),
-// trace timelines, the slow-op log, liveness/readiness probes, and —
+// the slow-op log, liveness/readiness probes, and —
 // behind a switch — the runtime profiler. One mux, one graceful server,
 // so every binary exposes the same endpoints the docs describe:
 //
 //	/metrics             text dump; ?format=json | ?format=prom (SLO
 //	                     good/bad counters and runtime.* gauges ride
 //	                     along: a scraper rates them)
-//	/debug/trace         span ring + latency summaries; ?id=<hex> for
-//	                     one trace's timeline; ?format=json (with ?id,
-//	                     the node-labeled export cross-node
-//	                     aggregation fetches)
-//	/debug/slowlog       slow operations, oldest first; ?n=<count>,
-//	                     ?op=<name> and ?trace=<hex> filter,
-//	                     ?format=json
+//	/debug/slowlog       slow operations, oldest first; ?n=<count> and
+//	                     ?op=<name> filter, ?format=json
 //	/debug/attrib        sampled per-opcode resource attribution, sorted
 //	                     by alloc bytes/op; ?format=json
 //	/index               index lifecycle (internal/search): list,
@@ -43,13 +38,10 @@ import (
 // the corresponding endpoint gracefully (empty output or 404, never a
 // panic).
 type Config struct {
-	// Registry backs /metrics and /debug/trace.
+	// Registry backs /metrics.
 	Registry *metrics.Registry
 	// SlowLog backs /debug/slowlog.
 	SlowLog *metrics.SlowLog
-	// Node names this process in /debug/trace?id=&format=json exports so
-	// the cross-node trace collector can label merged spans.
-	Node string
 	// Ready, when set, backs /readyz: nil means ready, an error is
 	// reported with a 503. When unset /readyz behaves like /healthz.
 	Ready func() error
@@ -86,44 +78,6 @@ func NewMux(cfg Config) *http.ServeMux {
 			cfg.Registry.WriteTo(w)
 		}
 	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		tracer := cfg.Registry.Tracer()
-		if idStr := q.Get("id"); idStr != "" {
-			id, err := strconv.ParseUint(idStr, 16, 64)
-			if err != nil {
-				http.Error(w, "bad trace id (want hex)", http.StatusBadRequest)
-				return
-			}
-			spans := tracer.Trace(id)
-			if q.Get("format") == "json" {
-				if spans == nil {
-					spans = []metrics.SpanRecord{}
-				}
-				w.Header().Set("Content-Type", "application/json")
-				json.NewEncoder(w).Encode(metrics.TraceExport{
-					Node:    cfg.Node,
-					TraceID: fmt.Sprintf("%016x", id),
-					Spans:   spans,
-				})
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			metrics.MergedTrace{TraceID: id, Spans: spans}.WriteTimeline(w)
-			return
-		}
-		if q.Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			spans := tracer.Spans()
-			if spans == nil {
-				spans = []metrics.SpanRecord{}
-			}
-			json.NewEncoder(w).Encode(spans)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		tracer.WriteTo(w)
-	})
 	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		n := 0
@@ -135,17 +89,7 @@ func NewMux(cfg Config) *http.ServeMux {
 			}
 			n = v
 		}
-		op := q.Get("op")
-		var trace uint64
-		if tStr := q.Get("trace"); tStr != "" {
-			v, err := strconv.ParseUint(tStr, 16, 64)
-			if err != nil {
-				http.Error(w, "bad trace (want hex trace id)", http.StatusBadRequest)
-				return
-			}
-			trace = v
-		}
-		entries := cfg.SlowLog.FilterEntries(n, op, trace)
+		entries := cfg.SlowLog.FilterEntries(n, q.Get("op"))
 		if q.Get("format") == "json" {
 			if entries == nil {
 				entries = []metrics.SlowEntry{}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,17 +16,14 @@ import (
 )
 
 // testMux builds a mux over a populated registry and slow log.
-func testMux(t *testing.T, ready func() error) (*http.ServeMux, *metrics.Registry, uint64) {
+func testMux(t *testing.T, ready func() error) *http.ServeMux {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	reg.Counter("ops.requests").Add(5)
 	reg.Histogram("ops.latency_us").Observe(120)
-	ctx, end := reg.StartSpan(context.Background(), "test.op")
-	sc, _ := metrics.SpanFromContext(ctx)
-	end(nil)
 	slow := metrics.NewSlowLog(8, time.Millisecond)
-	slow.Maybe("put", []byte("sk"), 5*time.Millisecond, sc.TraceID, "")
-	return NewMux(Config{Registry: reg, SlowLog: slow, Ready: ready}), reg, sc.TraceID
+	slow.Maybe("put", []byte("sk"), 5*time.Millisecond, "")
+	return NewMux(Config{Registry: reg, SlowLog: slow, Ready: ready})
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
@@ -45,7 +41,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 }
 
 func TestMetricsFormats(t *testing.T) {
-	mux, _, _ := testMux(t, nil)
+	mux := testMux(t, nil)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -90,7 +86,7 @@ func TestMetricsFormats(t *testing.T) {
 
 func TestHealthAndReady(t *testing.T) {
 	var failing error
-	mux, _, _ := testMux(t, func() error { return failing })
+	mux := testMux(t, func() error { return failing })
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -108,16 +104,12 @@ func TestHealthAndReady(t *testing.T) {
 }
 
 func TestSlowlogEndpoint(t *testing.T) {
-	mux, _, traceID := testMux(t, nil)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(testMux(t, nil))
 	defer srv.Close()
 
 	code, body, _ := get(t, srv, "/debug/slowlog")
 	if code != 200 || !strings.Contains(body, "sk") {
 		t.Fatalf("/debug/slowlog = %d:\n%s", code, body)
-	}
-	if !strings.Contains(body, fmt.Sprintf("%016x", traceID)) {
-		t.Fatalf("slowlog entry lost its trace id:\n%s", body)
 	}
 
 	code, body, _ = get(t, srv, "/debug/slowlog?format=json")
@@ -125,7 +117,7 @@ func TestSlowlogEndpoint(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &entries) != nil || len(entries) != 1 {
 		t.Fatalf("json /debug/slowlog = %d:\n%s", code, body)
 	}
-	if entries[0].Op != "put" || entries[0].TraceID != traceID {
+	if entries[0].Op != "put" {
 		t.Fatalf("entry = %+v", entries[0])
 	}
 
@@ -134,31 +126,11 @@ func TestSlowlogEndpoint(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	mux, _, traceID := testMux(t, nil)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	code, body, _ := get(t, srv, "/debug/trace")
-	if code != 200 || !strings.Contains(body, "test.op") {
-		t.Fatalf("/debug/trace = %d:\n%s", code, body)
-	}
-
-	code, body, _ = get(t, srv, fmt.Sprintf("/debug/trace?id=%016x", traceID))
-	if code != 200 || !strings.Contains(body, "test.op") {
-		t.Fatalf("/debug/trace?id = %d:\n%s", code, body)
-	}
-
-	if code, _, _ := get(t, srv, "/debug/trace?id=zzz"); code != http.StatusBadRequest {
-		t.Fatalf("bad id = %d, want 400", code)
-	}
-}
-
 func TestNilConfigEndpointsDontPanic(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/metrics?format=prom", "/metrics?format=json",
-		"/debug/trace", "/debug/slowlog", "/healthz", "/readyz"} {
+		"/debug/slowlog", "/healthz", "/readyz"} {
 		if code, _, _ := get(t, srv, path); code != 200 {
 			t.Fatalf("%s with nil config = %d", path, code)
 		}

@@ -2,8 +2,8 @@
 // listener that any off-the-shelf Redis client or load generator
 // (redis-cli, redis-benchmark, memtier) can speak to, layered over the
 // transport-agnostic server.Backend that the native binary wire also
-// uses. One engine, one set of server.* metrics, one slowlog, one trace
-// timeline — two protocols.
+// uses. One engine, one set of server.* metrics, one slowlog — two
+// protocols.
 //
 // # Wire format (RESP2)
 //
@@ -27,8 +27,7 @@
 // index onto an engine data version (index n → version n+1, so the
 // default database 0 is the conventional version 1). MULTI/EXEC queues
 // mutations and commits them as one atomic OpBatch through the shared
-// Backend — the same code path, metrics and trace shape as a native v2
-// batch frame. See DESIGN.md §12.
+// Backend — the same code path and metrics as a native v2 batch frame. See DESIGN.md §12.
 package resp
 
 import (

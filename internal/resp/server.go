@@ -542,8 +542,7 @@ func (c *conn) writeGetReply(val []byte, err error) {
 
 // exec commits the MULTI queue. All mutations across the queue become
 // ONE OpBatch committed through Backend.AtomicBatch — the same code
-// path, server.req.batch metrics and trace shape as a native v2 batch
-// frame — and the per-command replies are reconstructed from the batch
+// path and server.req.batch metrics as a native v2 batch frame — and the per-command replies are reconstructed from the batch
 // results. Reads execute after the commit, so a transaction's reads
 // observe its own writes wherever they appear in the queue. A
 // validation failure (or any queue-time error) aborts the whole

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
-
-	"directload/internal/metrics"
 )
 
 // QueryClass selects the execution strategy.
@@ -55,8 +52,7 @@ type Snapshot struct {
 	Version uint64
 	Seg     *Segment
 
-	reg *metrics.Registry
-	met *searchMetrics
+	met *searchMetrics // nil: uninstrumented
 }
 
 // NewSnapshot pins a decoded segment as a query view (used by callers
@@ -65,28 +61,11 @@ func NewSnapshot(name string, version uint64, seg *Segment) *Snapshot {
 	return &Snapshot{Name: name, Version: version, Seg: seg}
 }
 
-// SetMetrics routes the snapshot's query metrics and trace spans
-// through reg. A nil registry keeps the path allocation-free.
-func (sn *Snapshot) SetMetrics(reg *metrics.Registry) {
-	sn.reg = reg
-	sn.met = newSearchMetrics(reg)
-}
-
-// setServiceMetrics shares the owning service's handles.
-func (sn *Snapshot) setServiceMetrics(reg *metrics.Registry, met *searchMetrics) {
-	sn.reg = reg
-	sn.met = met
-}
-
 // Query executes one query of the given class against the pinned
-// version, recording per-class latency, postings-block counters and a
-// `search.query` trace span. limit <= 0 returns every hit.
+// version, recording per-class latency and postings-block counters.
+// limit <= 0 returns every hit.
 func (sn *Snapshot) Query(ctx context.Context, class QueryClass, terms []string, limit int) (res []Result, stats QueryStats, err error) {
 	start := time.Now()
-	_, end := sn.reg.StartSpanNote(ctx, "search.query",
-		fmt.Sprintf("%s %q on %s@v%d", class, strings.Join(terms, " "), sn.Name, sn.Version))
-	defer func() { end(err) }()
-
 	switch class {
 	case ClassTerm:
 		if len(terms) != 1 {

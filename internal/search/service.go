@@ -39,7 +39,6 @@ type indexState struct {
 // service lock, so slow publishes cannot stall concurrent queries.
 type Service struct {
 	eng Engine
-	reg *metrics.Registry
 	met *searchMetrics
 
 	mu    sync.Mutex
@@ -51,7 +50,6 @@ type Service struct {
 func NewService(eng Engine, reg *metrics.Registry) *Service {
 	return &Service{
 		eng:   eng,
-		reg:   reg,
 		met:   newSearchMetrics(reg),
 		idx:   make(map[string]*indexState),
 		snaps: make(map[string]*Snapshot),
@@ -165,7 +163,7 @@ func (s *Service) Publish(name string, seg *Segment) (IndexInfo, error) {
 		Bytes: len(seg.Bytes()), HasPositions: seg.HasPositions(),
 	}
 	sn := NewSnapshot(name, ver, seg)
-	sn.setServiceMetrics(s.reg, s.met)
+	sn.met = s.met
 	s.mu.Lock()
 	if ver > st.latest {
 		st.latest = ver
@@ -208,7 +206,7 @@ func (s *Service) Snapshot(name string, version uint64) (*Snapshot, error) {
 	}
 	s.met.snapLoads.Inc()
 	sn := NewSnapshot(name, version, seg)
-	sn.setServiceMetrics(s.reg, s.met)
+	sn.met = s.met
 	s.mu.Lock()
 	s.cacheSnapLocked(sn)
 	s.mu.Unlock()

@@ -16,12 +16,15 @@ import (
 // It is the transport-agnostic half of the server: every front door —
 // the native binary listener in this package, the RESP listener
 // in internal/resp — funnels its requests through one Backend, so all
-// protocols share one engine, one set of server.* metrics, one slowlog,
-// one read SLO, and one trace timeline. The wire encodings stay with
-// their listeners; the Backend deals in keys, versions, values and
-// engine errors (core.ErrNotFound, core.ErrDeleted, ...), which each
-// transport maps onto its own status vocabulary (StatusError on the
-// binary wire, nil bulk strings and -ERR replies on RESP).
+// protocols share one engine, one set of server.* metrics, one slowlog
+// and one read SLO. The wire encodings stay with their listeners; the
+// Backend deals in keys, versions, values and engine errors
+// (core.ErrNotFound, core.ErrDeleted, ...), which each transport maps
+// onto its own status vocabulary (StatusError on the binary wire, nil
+// bulk strings and -ERR replies on RESP).
+//
+// Every method takes the caller's context; the engine calls beneath
+// take none, so no method consults it today.
 //
 // A Backend is safe for concurrent use by any number of listeners.
 type Backend struct {
@@ -66,7 +69,7 @@ func (b *Backend) SetMetrics(reg *metrics.Registry) {
 
 // SetSlowLog attaches a slow-op log; every executed request whose
 // wall-clock latency reaches the log's threshold is recorded with its
-// opcode, key prefix, and trace ID. Nil detaches. Safe at runtime.
+// opcode and key prefix. Nil detaches. Safe at runtime.
 func (b *Backend) SetSlowLog(l *metrics.SlowLog) {
 	b.slow.Store(l)
 }
@@ -116,16 +119,10 @@ func (b *Backend) ConnClosed() {
 }
 
 // begin starts the per-request instrumentation every transport shares:
-// a handler span when ctx carries a trace, the wall-clock timer behind
-// the latency histogram, the per-opcode counter, the read SLO and the
-// slowlog. The returned done must be called exactly once with the
-// request's key and outcome.
-func (b *Backend) begin(ctx context.Context, op uint8) (context.Context, func(key []byte, err error)) {
-	sc, traced := metrics.SpanFromContext(ctx)
-	var end func(error)
-	if traced {
-		ctx, end = b.reg.ContinueSpan(ctx, "server.req."+opNames[op])
-	}
+// the wall-clock timer behind the latency histogram, the per-opcode
+// counter, the read SLO and the slowlog. The returned done must be
+// called exactly once with the request's key and outcome.
+func (b *Backend) begin(op uint8) func(key []byte, err error) {
 	// Sampled resource attribution: every Nth request across all front
 	// doors is measured and its alloc/CPU delta charged to the opcode.
 	var res *metrics.ResourceSample
@@ -134,7 +131,7 @@ func (b *Backend) begin(ctx context.Context, op uint8) (context.Context, func(ke
 		res = metrics.BeginResourceSample()
 	}
 	start := time.Now()
-	return ctx, func(key []byte, err error) {
+	return func(key []byte, err error) {
 		elapsed := time.Since(start)
 		if res != nil {
 			// End before the shared instrumentation below, so the bill
@@ -147,24 +144,21 @@ func (b *Backend) begin(ctx context.Context, op uint8) (context.Context, func(ke
 			b.readSLO.Load().Record(err == nil)
 		}
 		slow := b.slow.Load()
-		if end == nil && slow == nil {
+		if slow == nil {
 			return
 		}
 		var msg string
 		if err != nil {
 			msg = err.Error()
 		}
-		if end != nil {
-			end(err)
-		}
-		slow.Maybe(opNames[op], key, elapsed, sc.TraceID, msg)
+		slow.Maybe(opNames[op], key, elapsed, msg)
 	}
 }
 
 // Ping answers liveness; it exists so probes hit the same
 // instrumentation path as real traffic.
 func (b *Backend) Ping(ctx context.Context) error {
-	_, done := b.begin(ctx, OpPing)
+	done := b.begin(OpPing)
 	done(nil, nil)
 	return nil
 }
@@ -176,7 +170,7 @@ func (b *Backend) Put(ctx context.Context, key []byte, version uint64, value []b
 	if dedup {
 		op = OpPutDedup
 	}
-	_, done := b.begin(ctx, op)
+	done := b.begin(op)
 	_, err := b.db.Put(key, version, value, dedup)
 	done(key, err)
 	return err
@@ -193,7 +187,7 @@ func (b *Backend) Get(ctx context.Context, key []byte, version uint64) ([]byte, 
 // GetAppend is Get into the caller's buffer: the value is appended to dst
 // (see core.DB.GetAppend). On an error dst comes back unextended.
 func (b *Backend) GetAppend(ctx context.Context, dst, key []byte, version uint64) ([]byte, error) {
-	_, done := b.begin(ctx, OpGet)
+	done := b.begin(OpGet)
 	out, _, err := b.db.GetAppend(dst, key, version)
 	done(key, err)
 	return out, err
@@ -201,7 +195,7 @@ func (b *Backend) GetAppend(ctx context.Context, dst, key []byte, version uint64
 
 // Del marks (key, version) deleted.
 func (b *Backend) Del(ctx context.Context, key []byte, version uint64) error {
-	_, done := b.begin(ctx, OpDel)
+	done := b.begin(OpDel)
 	_, err := b.db.Del(key, version)
 	done(key, err)
 	return err
@@ -209,7 +203,7 @@ func (b *Backend) Del(ctx context.Context, key []byte, version uint64) error {
 
 // DropVersion retires a whole data version.
 func (b *Backend) DropVersion(ctx context.Context, version uint64) error {
-	_, done := b.begin(ctx, OpDropVersion)
+	done := b.begin(OpDropVersion)
 	_, _, err := b.db.DropVersion(version)
 	done(nil, err)
 	return err
@@ -217,7 +211,7 @@ func (b *Backend) DropVersion(ctx context.Context, version uint64) error {
 
 // Has reports whether (key, version) exists and is live.
 func (b *Backend) Has(ctx context.Context, key []byte, version uint64) (bool, error) {
-	_, done := b.begin(ctx, OpHas)
+	done := b.begin(OpHas)
 	ok := b.db.Has(key, version)
 	done(key, nil)
 	return ok, nil
@@ -230,7 +224,7 @@ const rangeCap = 4096
 // <= 0 selects rangeCap; positive limits clamp to it. The second return
 // value is the limit actually applied.
 func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]RangeEntry, int, error) {
-	_, done := b.begin(ctx, OpRange)
+	done := b.begin(OpRange)
 	if limit <= 0 || limit > rangeCap {
 		limit = rangeCap
 	}
@@ -246,7 +240,7 @@ func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]Rang
 // Stats reports engine statistics plus the connection count across
 // every attached listener.
 func (b *Backend) Stats(ctx context.Context) (StatsReply, error) {
-	_, done := b.begin(ctx, OpStats)
+	done := b.begin(OpStats)
 	out := StatsReply{Engine: b.db.Stats(), Conns: int(b.met.conns.Load())}
 	done(nil, nil)
 	return out, nil
@@ -255,7 +249,7 @@ func (b *Backend) Stats(ctx context.Context) (StatsReply, error) {
 // MetricsJSON snapshots the attached registry as JSON ("{}" when the
 // backend runs uninstrumented).
 func (b *Backend) MetricsJSON(ctx context.Context) ([]byte, error) {
-	_, done := b.begin(ctx, OpMetrics)
+	done := b.begin(OpMetrics)
 	var payload []byte
 	var err error
 	if b.reg == nil {
@@ -298,12 +292,10 @@ var errNotBatchable = errors.New("op not batchable")
 
 // Batch applies sub-ops in one instrumented server.req.batch pass with
 // the native wire's semantics: failures are reported individually and
-// do not poison the rest of the frame. Inside a trace each sub-op
-// records its own "server.batch.<op>" span parented under the batch
-// handler's span.
+// do not poison the rest of the frame.
 func (b *Backend) Batch(ctx context.Context, ops []BatchOp) []BatchResult {
-	ctx, done := b.begin(ctx, OpBatch)
-	results := b.applyBatch(ctx, ops)
+	done := b.begin(OpBatch)
+	results := b.applyBatch(ops)
 	done(nil, nil)
 	return results
 }
@@ -322,8 +314,8 @@ func (b *Backend) AtomicBatch(ctx context.Context, ops []BatchOp) ([]BatchResult
 			return nil, fmt.Errorf("sub-op %d: %w", i, err)
 		}
 	}
-	ctx, done := b.begin(ctx, OpBatch)
-	results := b.applyBatch(ctx, ops)
+	done := b.begin(OpBatch)
+	results := b.applyBatch(ops)
 	var errs []error
 	for i, r := range results {
 		if r.Err != nil {
@@ -354,17 +346,9 @@ func validateBatchOp(op BatchOp) error {
 }
 
 // applyBatch executes sub-ops under an already-begun batch frame.
-func (b *Backend) applyBatch(ctx context.Context, ops []BatchOp) []BatchResult {
-	_, traced := metrics.SpanFromContext(ctx)
+func (b *Backend) applyBatch(ops []BatchOp) []BatchResult {
 	results := make([]BatchResult, len(ops))
 	for i, op := range ops {
-		if traced && int(op.Op) < len(opNames) {
-			_, endSub := b.reg.ContinueSpan(ctx, "server.batch."+opNames[op.Op])
-			err := b.execBatchOp(op)
-			endSub(err)
-			results[i] = BatchResult{Err: err}
-			continue
-		}
 		results[i] = BatchResult{Err: b.execBatchOp(op)}
 	}
 	b.met.batchOps.Add(int64(len(ops)))

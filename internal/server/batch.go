@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-
-	"directload/internal/metrics"
 )
 
 // Batcher bounds: a flush triggers once either is reached.
@@ -95,25 +93,11 @@ func (b *Batcher) DropVersion(ctx context.Context, version uint64) error {
 // Flush ships the buffered sub-ops as one OpBatch frame and clears the
 // buffer. It returns nil when every sub-op succeeded, *BatchError when
 // the frame landed but sub-ops failed, or the transport error when the
-// frame itself did not. Inside a trace the flush records a
-// "client.batch.flush" span, which also becomes the parent of the
-// server-side handler spans for this frame.
+// frame itself did not.
 func (b *Batcher) Flush(ctx context.Context) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	if _, ok := metrics.SpanFromContext(ctx); ok {
-		var end func(error)
-		ctx, end = b.c.opts.reg.ContinueSpanNote(ctx, "client.batch.flush",
-			fmt.Sprintf("ops=%d", len(b.ops)))
-		err := b.flush(ctx)
-		end(err)
-		return err
-	}
-	return b.flush(ctx)
-}
-
-func (b *Batcher) flush(ctx context.Context) error {
 	ops := b.ops
 	b.ops = nil
 	b.bytes = 0

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"directload/internal/metrics"
 )
 
 // errClientClosed reports use after Close.
@@ -20,7 +18,6 @@ var errClientClosed = errors.New("qindb client: closed")
 // dialOptions collects the functional Dial configuration.
 type dialOptions struct {
 	timeout time.Duration // default per-op deadline (0 = none)
-	reg     *metrics.Registry
 }
 
 // DialOption configures Dial.
@@ -31,13 +28,6 @@ type DialOption func(*dialOptions)
 // protocol handshake. Zero (the default) means no deadline.
 func WithTimeout(d time.Duration) DialOption {
 	return func(o *dialOptions) { o.timeout = d }
-}
-
-// WithMetrics attaches the registry whose tracer records the client's
-// spans (client.batch.flush); calls inside a trace ship their span
-// context either way.
-func WithMetrics(reg *metrics.Registry) DialOption {
-	return func(o *dialOptions) { o.reg = reg }
 }
 
 // Client is a QinDB client over one TCP connection. It is safe for
@@ -379,16 +369,8 @@ func (w *wireConn) call(ctx context.Context, body []byte) (uint8, []byte, error)
 	w.pend[seq] = ch
 	w.pmu.Unlock()
 
-	// A call whose context carries an active span ships it: the seq's
-	// high bit flags the frame and the trace header rides before the op.
-	// The pending map and the response always use the unflagged seq.
-	sc, traced := metrics.SpanFromContext(ctx)
 	w.fmu.Lock()
-	if traced && sc.Valid() {
-		w.fbuf = appendFrameSeqTrace(w.fbuf, seq|seqTraceFlag, sc, body)
-	} else {
-		w.fbuf = appendFrameSeq(w.fbuf, seq, body)
-	}
+	w.fbuf = appendFrameSeq(w.fbuf, seq, body)
 	w.fmu.Unlock()
 	select {
 	case w.fsig <- struct{}{}:

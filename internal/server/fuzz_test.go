@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"directload/internal/metrics"
 )
 
 // fuzzFrameCap rejects inputs whose declared frame length exceeds what
@@ -86,8 +84,8 @@ func FuzzRequest(f *testing.F) {
 }
 
 // FuzzFrameV2 parses arbitrary bytes the way the server read loop
-// does: seq-framed, optionally trace-tagged, optionally a batch of
-// packed sub-ops.
+// does: seq-framed (every seq bit is the caller's, bit 31 included),
+// optionally a batch of packed sub-ops.
 func FuzzFrameV2(f *testing.F) {
 	plain, err := encodeRequest(request{Op: OpPut, Version: 5, Key: []byte("k"), Value: []byte("v")})
 	if err != nil {
@@ -106,8 +104,7 @@ func FuzzFrameV2(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sc := metrics.SpanContext{TraceID: 9, SpanID: 8}
-	f.Add(appendFrameSeqTrace(nil, 3|seqTraceFlag, sc, batch))
+	f.Add(appendFrameSeq(nil, 1<<31|3, batch))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > fuzzFrameCap {
 			return
@@ -116,12 +113,8 @@ func FuzzFrameV2(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if seq&seqTraceFlag != 0 {
-			if _, rest, err := splitTraceHeader(body); err == nil {
-				body = rest
-			} else {
-				return
-			}
+		if again := appendFrameSeq(nil, seq, body); !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("frame re-encodes as %x, read from %x", again, data[:len(again)])
 		}
 		req, err := decodeRequest(body)
 		if err != nil {

@@ -36,22 +36,6 @@
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
-// # Trace context
-//
-// A request frame whose seq has its high bit set carries a 16-byte
-// trace-context field between seq and the op byte:
-//
-//	request: len u32 | seq u32 (bit31=1) | traceID u64 | parentSpanID u64 | op u8 | ...
-//
-// The client injects the active span from its context.Context; the
-// server parents every span the request produces (the handler span and,
-// for OpBatch, each sub-op span) under (traceID, parentSpanID), which is
-// what stitches one publish's fan-out into a single cross-node trace.
-// Untraced requests never set the bit and pay nothing. Response frames
-// never carry trace context, and seq is echoed back without the flag
-// bit (sequence numbers are therefore 31-bit — exhausting them would
-// take decades on one connection).
-//
 // # OpBatch
 //
 // OpBatch packs N mutation sub-ops into one frame: Version holds the
@@ -90,7 +74,6 @@ import (
 	"slices"
 
 	"directload/internal/aof"
-	"directload/internal/metrics"
 )
 
 // Protocol ops.
@@ -115,14 +98,6 @@ const opMax = OpBatch
 // ProtoV2 is the protocol version this package speaks: the number a
 // hello asks for and the server's reply accepts.
 const ProtoV2 = 2
-
-// seqTraceFlag marks a request frame that carries a trace-context
-// field. Responses never set it; the server masks it off before echo.
-const seqTraceFlag uint32 = 1 << 31
-
-// traceHeaderLen is the size of the trace-context field: traceID u64 |
-// parentSpanID u64.
-const traceHeaderLen = 16
 
 // opNames labels ops for per-opcode metric names.
 var opNames = [opMax + 1]string{
@@ -226,29 +201,6 @@ func appendFrameSeq(buf []byte, seq uint32, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4))
 	buf = binary.LittleEndian.AppendUint32(buf, seq)
 	return append(buf, body...)
-}
-
-// appendFrameSeqTrace appends one request frame carrying a
-// trace-context field; seq must already have seqTraceFlag set.
-func appendFrameSeqTrace(buf []byte, seq uint32, sc metrics.SpanContext, body []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4+traceHeaderLen))
-	buf = binary.LittleEndian.AppendUint32(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, sc.TraceID)
-	buf = binary.LittleEndian.AppendUint64(buf, sc.SpanID)
-	return append(buf, body...)
-}
-
-// splitTraceHeader strips the trace-context field off a flagged request
-// body, returning the remote span context and the request body proper.
-func splitTraceHeader(body []byte) (metrics.SpanContext, []byte, error) {
-	if len(body) < traceHeaderLen {
-		return metrics.SpanContext{}, nil, fmt.Errorf("%w: short trace header", ErrBadFrame)
-	}
-	sc := metrics.SpanContext{
-		TraceID: binary.LittleEndian.Uint64(body),
-		SpanID:  binary.LittleEndian.Uint64(body[8:]),
-	}
-	return sc, body[traceHeaderLen:], nil
 }
 
 // readFrameSeq reads one sequenced frame, returning its sequence number and

@@ -616,6 +616,27 @@ func TestSeqFrameCodec(t *testing.T) {
 	}
 }
 
+// TestSeqPastBit31 carries one connection's sequence numbers across bit
+// 31 and across the uint32 wrap. Every seq bit is the caller's, so the
+// 2^31-th request on a connection is parsed and answered like the first.
+func TestSeqPastBit31(t *testing.T) {
+	_, cl := startServer(t)
+	for _, next := range []uint32{1<<31 - 2, 1<<32 - 2} {
+		cl.conn.pmu.Lock()
+		cl.conn.nextSeq = next
+		cl.conn.pmu.Unlock()
+		for i := uint32(1); i <= 4; i++ {
+			seq := next + i
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			err := cl.PutContext(ctx, []byte(fmt.Sprintf("seq-%08x", seq)), 1, []byte("v"), false)
+			cancel()
+			if err != nil {
+				t.Fatalf("put at seq %#08x: %v", seq, err)
+			}
+		}
+	}
+}
+
 // TestBatchCodec round-trips batch bodies and replies, and rejects
 // count mismatches and non-batchable ops.
 func TestBatchCodec(t *testing.T) {

@@ -96,7 +96,7 @@ func (s *Server) Backend() *Backend {
 
 // SetSlowLog attaches a slow-op log; every dispatched request whose
 // wall-clock latency reaches the log's threshold is recorded with its
-// opcode, key prefix, and trace ID. Nil detaches. Safe at runtime.
+// opcode and key prefix. Nil detaches. Safe at runtime.
 func (s *Server) SetSlowLog(l *metrics.SlowLog) {
 	s.backend.SetSlowLog(l)
 }
@@ -336,10 +336,8 @@ func (w *respWriter) add(r seqResp) error {
 // defaultMaxInFlight requests (the backpressure gate — beyond that it
 // stops reading, which pushes back through TCP flow control), each
 // dispatched on its own goroutine; a single writer goroutine (respWriter)
-// puts the completions back onto the wire. A request frame whose seq
-// carries seqTraceFlag is preceded by a trace header; the span context it
-// names parents every span the handler records, and the flag is masked
-// off before the seq is echoed.
+// puts the completions back onto the wire. The seq is echoed as read,
+// all 32 bits of it.
 //
 // Request frames and reply bodies are recycled per connection. A request's
 // Key and Value (and a batch's sub-ops) are views of its frame, which is
@@ -361,29 +359,18 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			break
 		}
-		body := frame
-		var sc metrics.SpanContext
-		var derr error
-		if seq&seqTraceFlag != 0 {
-			seq &^= seqTraceFlag
-			sc, body, derr = splitTraceHeader(body)
-		}
-		var req request
-		if derr == nil {
-			req, derr = decodeRequest(body)
-		}
+		req, derr := decodeRequest(frame)
 		sem <- struct{}{}
 		s.backend.met.inflight.Add(1)
 		wg.Add(1)
-		go func(seq uint32, req request, sc metrics.SpanContext, derr error) {
+		go func(seq uint32, req request, derr error) {
 			defer wg.Done()
 			resp := bodies.get()
 			if derr != nil {
 				s.backend.met.badReqs.Inc()
 				resp = appendResponse(resp, StatusFailed, []byte(derr.Error()))
 			} else {
-				ctx := metrics.ContextWithSpan(context.Background(), sc)
-				resp = s.dispatch(ctx, req, resp)
+				resp = s.dispatch(context.Background(), req, resp)
 			}
 			// Decrement before queueing the response so the gauge
 			// never reads >0 after the client has seen every reply.
@@ -391,7 +378,7 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 			respCh <- seqResp{seq: seq, body: resp}
 			frames.put(frame)
 			<-sem
-		}(seq, req, sc, derr)
+		}(seq, req, derr)
 	}
 	wg.Wait()
 	close(respCh)
@@ -401,8 +388,7 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 // dispatch executes one request through the Backend and appends the reply
 // to dst, a recycled buffer (or nil), as a binary-wire response body. The
 // Backend owns the transport-agnostic work — engine execution, wall-clock
-// timing, per-opcode metrics, the read SLO, the slowlog and the handler
-// span — so the native and RESP listeners report identically; this
+// timing, per-opcode metrics, the read SLO and the slowlog — so the native and RESP listeners report identically; this
 // function owns only the response encoding.
 func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 	if req.Op < OpPut || req.Op > opMax || req.Op == OpHello {

@@ -325,3 +325,21 @@ func TestOpMetricsUninstrumented(t *testing.T) {
 		t.Fatalf("uninstrumented server returned %v", m)
 	}
 }
+
+// TestSlowLogCapture checks that a request over the slowlog threshold
+// lands in the server's slow-op log with its op and key.
+func TestSlowLogCapture(t *testing.T) {
+	s, cl := startServer(t)
+	slow := metrics.NewSlowLog(8, 1) // 1ns: everything qualifies
+	s.SetSlowLog(slow)
+	if err := cl.PutContext(context.Background(), []byte("slowk"), 1, []byte("v"), false); err != nil {
+		t.Fatal(err)
+	}
+	entries := slow.Entries(0)
+	for _, e := range entries {
+		if e.Op == "put" && e.Key == "slowk" {
+			return
+		}
+	}
+	t.Fatalf("no slow entry for put/slowk: %+v", entries)
+}
