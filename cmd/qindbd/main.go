@@ -121,7 +121,6 @@ func main() {
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
 		AOF:                  aof.Config{FileSize: *aofSize, GCThreshold: *gcThresh},
 		CheckpointEveryBytes: *ckpt,
-		Seed:                 1,
 		Metrics:              reg,
 	})
 	if err != nil {

@@ -641,7 +641,7 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 type Judge func(rec *Record, ref Ref) bool
 
 // Relocated notifies the engine that a preserved record moved, so it can
-// update the offset fields in the skip list (paper Fig. 2, GC step 5).
+// update the offset fields in its memtable (paper Fig. 2, GC step 5).
 // The record is a view into the scan buffer, valid during the call.
 type Relocated func(rec Record, old, new Ref)
 
@@ -681,7 +681,7 @@ func (s *Store) Candidates() []uint32 {
 
 // One hold of the engine lock during a pass judges at most GCChunk
 // records and stops re-appending once it has moved gcHoldBytes: a few
-// hundred microseconds of skip-list lookups in a file of dead records, of
+// hundred microseconds of memtable lookups in a file of dead records, of
 // encoding and appending in a file of live ones.
 const (
 	GCChunk     = 128

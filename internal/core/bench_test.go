@@ -55,7 +55,7 @@ func BenchmarkPut128B(b *testing.B)         { benchPut(b, 128, false) }
 func BenchmarkPut20KBParallel(b *testing.B) { benchPut(b, 20<<10, true) }
 
 // benchGet times reads at version ver over 1024 keys of 20 KB, version 2
-// being a dedup of version 1 (one extra skip-list hop, no extra I/O) —
+// being a dedup of version 1 (one extra memtable probe, no extra I/O) —
 // one caller at a time, or from GOMAXPROCS goroutines at once. With
 // reuse each goroutine reads through GetAppend into one buffer of its own;
 // without, every Get returns a new one.
@@ -107,6 +107,42 @@ func BenchmarkGetAppend20KB(b *testing.B) { benchGet(b, 1, false, true) }
 func BenchmarkGet20KBParallel(b *testing.B)       { benchGet(b, 1, true, false) }
 func BenchmarkGetDedupParallel(b *testing.B)      { benchGet(b, 2, true, false) }
 func BenchmarkGetAppend20KBParallel(b *testing.B) { benchGet(b, 1, true, true) }
+
+// benchSmall times resp-small's engine calls: one version of 100,000
+// 20-byte keys with 128-byte values, then Gets (into one reused buffer)
+// or overwriting Puts at uniformly random keys. Here the memtable probe
+// is a visible share of a call; over benchGet's 1,024 keys it is not.
+func benchSmall(b *testing.B, put bool) {
+	db := benchDB(b)
+	const n = 100000
+	val := make([]byte, 128)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("r%019d", i))
+		if _, err := db.Put(keys[i], 1, val, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	dst := make([]byte, 0, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[rng.Intn(n)]
+		var err error
+		if put {
+			_, err = db.Put(key, 1, val, false)
+		} else {
+			dst, _, err = db.GetAppend(dst[:0], key, 1)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGet128B100k(b *testing.B) { benchSmall(b, false) }
+func BenchmarkPut128B100k(b *testing.B) { benchSmall(b, true) }
 
 func BenchmarkDel(b *testing.B) {
 	db := benchDB(b)

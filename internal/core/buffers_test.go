@@ -14,7 +14,7 @@ import (
 
 // TestAllocationBudgets: what a Get, a GetAppend and a Put may allocate.
 // A read is the value's one buffer — or nothing but a few words when the
-// caller brings the buffer; a write is the memtable's key and node, on a
+// caller brings the buffer; a write is the memtable's key and item, on a
 // device whose blocks have been programmed before (erased blocks keep
 // their buffer; a block's first program allocates it).
 func TestAllocationBudgets(t *testing.T) {
@@ -209,5 +209,44 @@ func TestGetAppendRules(t *testing.T) {
 	flip.Store(false)
 	if got := mustGet(t, db, "live", 2); got != string(val) {
 		t.Fatal("the record reads wrong once the bit is back")
+	}
+}
+
+// TestGetAppendAllocs: a GetAppend into a buffer with room for the whole
+// record (it is read and verified there) makes at most two allocations,
+// direct read or dedup traceback alike.
+// The memtable probe makes none: the key indexes the version's map
+// without being copied. The two left are below the engine:
+// aof.readInto's fmt.Sprintf of the file name and blockfs.Open's reader.
+func TestGetAppendAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocations are counted without the race detector")
+	}
+	db := openTestDB(t, 64)
+	defer db.Close()
+	val := bytes.Repeat([]byte("v"), 128)
+	keys := make([][]byte, 100)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("url-%016d", i))
+		if _, err := db.Put(keys[i], 1, val, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Put(keys[i], 2, nil, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, 4096)
+	for ver := uint64(1); ver <= 2; ver++ {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			out, _, err := db.GetAppend(dst[:0], keys[i%len(keys)], ver)
+			if err != nil || len(out) != len(val) {
+				t.Fatalf("GetAppend = %d bytes, %v", len(out), err)
+			}
+			i++
+		})
+		if allocs > 2 {
+			t.Errorf("GetAppend at version %d makes %.1f allocations; want at most 2", ver, allocs)
+		}
 	}
 }

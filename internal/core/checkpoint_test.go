@@ -92,7 +92,6 @@ func TestCheckpointAfterGCRecovery(t *testing.T) {
 	opts := Options{
 		AOF:                  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
 		CheckpointEveryBytes: 512 << 10,
-		Seed:                 1,
 	}
 	db, err := Open(fs, opts)
 	if err != nil {

@@ -64,16 +64,15 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 // file (paper Fig. 2, GC step 4). Runs with db.mu held exclusively (one
 // of CollectFile's batch holds).
 // Side effect: items whose records are dropped for good are removed from
-// the skip list ("QinDB also removes their matching items in the skip
-// list, which has the deletion flag set already").
+// the memtable (the paper: "QinDB also removes their matching items in
+// the skip list, which has the deletion flag set already").
 func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 	if rec.IsVersionDrop() {
 		// Version-retention meta-records are a few bytes each and must
 		// stay durable for recovery; always relocate.
 		return true
 	}
-	key := string(rec.Key)
-	seg, it := db.lookup(key, rec.Version)
+	seg, it := lookup(db, rec.Key, rec.Version)
 	if rec.IsTombstone() {
 		// A tombstone is needed until the deletion it records is folded
 		// into the data record itself (FlagDropped) or the item is gone.
@@ -93,17 +92,17 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 		rec.Flags |= aof.FlagDropped
 		return true
 	}
-	db.removeLocked(seg, key, it)
+	db.removeLocked(seg, string(rec.Key), it)
 	return false
 }
 
-// gcRelocated updates the skip-list offset of a relocated record (paper
+// gcRelocated updates the memtable offset of a relocated record (paper
 // Fig. 2, GC step 5). Runs with db.mu held exclusively.
 func (db *DB) gcRelocated(rec aof.Record, old, new aof.Ref) {
 	if rec.IsTombstone() || rec.IsVersionDrop() {
 		return // no item carries a tombstone ref
 	}
-	if _, it := db.lookup(string(rec.Key), rec.Version); it != nil && it.ref == old {
+	if _, it := lookup(db, rec.Key, rec.Version); it != nil && it.ref == old {
 		it.ref = new
 		if rec.IsDropped() {
 			it.flags |= fOnDiskDeleted

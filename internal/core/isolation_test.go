@@ -176,7 +176,7 @@ func TestRetirementCollectsBesideParkedRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, live := db.lookup("key-019", 2)
+	_, live := lookup(db, "key-019", 2)
 	if live == nil || live.ref.File == 0 {
 		t.Fatalf("key-019/2 = %+v: want a record outside the first file", live)
 	}

@@ -166,7 +166,6 @@ func TestOracleRounds(t *testing.T) {
 			opts := Options{
 				AOF:                  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
 				CheckpointEveryBytes: 512 << 10,
-				Seed:                 seed,
 			}
 			db, err := Open(fs, opts)
 			if err != nil {

@@ -8,15 +8,19 @@
 // operations so they work over deduplicated data (paper Fig. 2):
 //
 //   - PUT(k/t, v|NULL) appends the record to the AOF tail and inserts a
-//     skip-list item carrying the AOF offset, a flag r ("the value field
+//     memtable item carrying the AOF offset, a flag r ("the value field
 //     was removed by deduplication") and a flag d ("deleted").
-//   - GET(k/t) looks up the skip list; when r is set it traces back to
-//     older versions of k until a record with a real value is found.
+//   - GET(k/t) looks the item up; when r is set it traces back to older
+//     versions of k until a record with a real value is found.
 //   - DEL(k/t) only sets d and updates the GC table's occupancy ratio;
 //     space is reclaimed later by the lazy garbage collector.
 //
-// Sorting happens exclusively in memory, so the only software write
-// amplification left is the GC's re-append of still-referenced records.
+// The paper's memtable is a skip list; here each version's items are a
+// hash map, since nearly every operation is a point lookup of (k, t).
+// Order is read in two places only, the checkpoint and Range, and they
+// sort a version's keys in memory when they need them. Sorting happens
+// exclusively in memory, so the only software write amplification left
+// is the GC's re-append of still-referenced records.
 // Stored on a block-aligned filesystem (blockfs.NativeFS), the engine
 // also has zero hardware write amplification.
 package core
@@ -26,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +37,6 @@ import (
 	"directload/internal/aof"
 	"directload/internal/blockfs"
 	"directload/internal/metrics"
-	"directload/internal/skiplist"
 )
 
 // Engine errors.
@@ -78,22 +80,47 @@ func (it *item) has(f uint8) bool { return it.flags&f != 0 }
 // key, and how many of them are live. A retired segment reads as deleted,
 // every item of it, without the items being flagged one by one; the
 // flags are set only if a Put revives a key of the version (unretire).
+//
+// Keys are added and removed only with db.mu held exclusively, or in
+// recovery, and each time sorted is cleared. keys builds it again on first
+// use, under a shared hold at least, so the view it stores is never stale.
 type segment struct {
 	ver     uint64
-	items   *skiplist.List[string, *item]
-	live    int  // items not deleted: the version's key count
-	retired bool // dropped whole by DropVersion
+	items   map[string]*item
+	sorted  atomic.Pointer[[]string] // the keys in ascending order, or nil
+	live    int                      // items not deleted: the version's key count
+	retired bool                     // dropped whole by DropVersion
 }
 
 func (s *segment) deleted(it *item) bool { return s.retired || it.has(fDeleted) }
 
+// keys returns the segment's keys in ascending order. The slice is shared:
+// callers must not modify it.
+func (s *segment) keys() []string {
+	if p := s.sorted.Load(); p != nil {
+		return *p
+	}
+	ks := make([]string, 0, len(s.items))
+	for k := range s.items {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	s.sorted.Store(&ks)
+	return ks
+}
+
+// add puts it in the segment under key and drops the sorted view.
+func (s *segment) add(key string, it *item) {
+	s.items[key] = it
+	s.sorted.Store(nil)
+}
+
 // unretire turns the retirement into a d flag on every item, so that one
 // key of the version can be put again without reviving the others.
 func (s *segment) unretire() {
-	s.items.AscendAll(func(_ string, it *item) bool {
+	for _, it := range s.items {
 		it.flags |= fDeleted
-		return true
-	})
+	}
 	s.retired = false
 }
 
@@ -110,7 +137,8 @@ type Options struct {
 	// (paper §2.1: the memtable "is checkpointed periodically"). Zero
 	// disables automatic checkpoints; Checkpoint() always works.
 	CheckpointEveryBytes int64
-	// Seed makes skip-list level choices deterministic.
+	// Seed is unused: nothing in the engine is random. It stays only
+	// while the benchmark's ladder (bench/ladder.go) still sets it.
 	Seed int64
 	// Metrics, when non-nil, receives the engine's `qindb.*` metrics and
 	// is propagated to the AOF store (`aof.*`). Nil keeps all hot paths
@@ -122,7 +150,7 @@ type Options struct {
 // DefaultOptions mirrors the paper's configuration: 64 MB AOFs and a
 // 25 % occupancy GC threshold.
 func DefaultOptions() Options {
-	return Options{AOF: aof.DefaultConfig(), Seed: 1}
+	return Options{AOF: aof.DefaultConfig()}
 }
 
 // Stats aggregates engine counters for the experiments.
@@ -202,9 +230,13 @@ func (l *exclLock) Unlock() {
 	l.hold.Observe(float64(held) / float64(time.Microsecond))
 }
 
-// memItemOverhead approximates the per-item memtable footprint beyond
-// the key bytes (skip-list node, item struct).
-const memItemOverhead = 64
+// memItemOverhead is the per-item memtable footprint beyond the key bytes:
+// the item (48 B with its size class), its map slot at the map's load
+// (35–55 B) and the key's size-class rounding. Measured with Go 1.24's
+// maps at 107–127 B a 20-byte key between 100,000 and 8,000 keys in one
+// version; TestMemtableBytesMatchesHeap keeps it honest. A sorted view,
+// once built, adds a string header (16 B) a key.
+const memItemOverhead = 96
 
 // engineMetrics holds the engine's registry handles. Those that only
 // the registry reads are nil without one, and the metric types'
@@ -270,10 +302,9 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	// Seed the memtable footprint with whatever recovery rebuilt.
 	var memBytes int64
 	for _, seg := range db.segs {
-		seg.items.AscendAll(func(k string, _ *item) bool {
+		for k := range seg.items {
 			memBytes += int64(len(k)) + memItemOverhead
-			return true
-		})
+		}
 	}
 	db.met.memBytes.Set(memBytes)
 	db.registerDerivedMetrics()
@@ -368,7 +399,6 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		return 0, ErrClosed
 	}
 	rec := aof.Record{Key: key, Version: version, Value: value}
-	k := string(key)
 	var flags uint8
 	var base uint64
 	var bound *item // the base item a dedup entry binds to
@@ -376,7 +406,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		rec.Flags |= aof.FlagDedup
 		rec.Value = nil
 		flags = fDedup
-		if b, it, ok := db.resolveBaseLocked(k, version); ok {
+		if b, it, ok := db.resolveBaseLocked(key, version); ok {
 			base, bound = b, it
 			flags |= fHasBase
 			rec.Value = encodeBase(b)
@@ -394,7 +424,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	if seg.retired {
 		seg.unretire()
 	}
-	if old, ok := seg.items.Get(k); ok {
+	if old := seg.items[string(key)]; old != nil {
 		// Re-PUT of the same (k, t): the previous record is dead. The item
 		// keeps its referrers, which read through it.
 		db.store.MarkDead(old.ref)
@@ -402,11 +432,11 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 			seg.live++ // revived
 		}
 		if old.has(fHasBase) {
-			db.unbind(k, old.base)
+			db.unbind(string(key), old.base)
 		}
 		old.ref, old.base, old.flags = ref, base, flags
 	} else {
-		seg.items.Set(k, &item{ref: ref, base: base, flags: flags})
+		seg.add(string(key), &item{ref: ref, base: base, flags: flags})
 		seg.live++
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
 	}
@@ -473,24 +503,21 @@ func (db *DB) segIndex(v uint64) (int, bool) {
 }
 
 // lookup returns the item of (key, version) and its segment; the item is
-// nil when there is none.
-func (db *DB) lookup(key string, version uint64) (*segment, *item) {
+// nil when there is none. A []byte key indexes the map without a copy.
+func lookup[K string | []byte](db *DB, key K, version uint64) (*segment, *item) {
 	seg := db.segment(version)
 	if seg == nil {
 		return nil, nil
 	}
-	it, _ := seg.items.Get(key)
-	return seg, it
+	return seg, seg.items[string(key)]
 }
 
 // segmentFor returns version v's segment, linking in an empty one if
-// there is none; its level choices are seeded by Options.Seed and v.
-// Runs with wmu and db.mu held, or in recovery.
+// there is none. Runs with wmu and db.mu held, or in recovery.
 func (db *DB) segmentFor(v uint64) *segment {
 	i, ok := db.segIndex(v)
 	if !ok {
-		seg := &segment{ver: v, items: skiplist.New[string, *item](strings.Compare, db.opts.Seed+int64(v))}
-		db.segs = slices.Insert(db.segs, i, seg)
+		db.segs = slices.Insert(db.segs, i, &segment{ver: v, items: make(map[string]*item)})
 	}
 	return db.segs[i]
 }
@@ -499,12 +526,13 @@ func (db *DB) segmentFor(v uint64) *segment {
 // it was bound to loses a referrer, and a segment left empty is unlinked.
 // Runs with wmu and db.mu held, or in recovery.
 func (db *DB) removeLocked(seg *segment, key string, it *item) {
-	seg.items.Delete(key)
+	delete(seg.items, key)
+	seg.sorted.Store(nil)
 	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
 	if it.has(fHasBase) {
 		db.unbind(key, it.base)
 	}
-	if seg.items.Len() == 0 {
+	if len(seg.items) == 0 {
 		i, _ := db.segIndex(seg.ver)
 		db.segs = slices.Delete(db.segs, i, i+1)
 	}
@@ -512,7 +540,7 @@ func (db *DB) removeLocked(seg *segment, key string, it *item) {
 
 // unbind takes one referrer off the item (key, base).
 func (db *DB) unbind(key string, base uint64) {
-	if _, b := db.lookup(key, base); b != nil {
+	if _, b := lookup(db, key, base); b != nil {
 		b.refs--
 	}
 }
@@ -521,7 +549,7 @@ func (db *DB) unbind(key string, base uint64) {
 func (db *DB) itemsLocked() int {
 	n := 0
 	for _, seg := range db.segs {
-		n += seg.items.Len()
+		n += len(seg.items)
 	}
 	return n
 }
@@ -533,20 +561,20 @@ func (db *DB) itemsLocked() int {
 // moment, and skipping them always keeps the binding independent of GC
 // timing. A live dedup entry is a shortcut to its own base (whose record
 // GC is guaranteed to preserve). Runs with wmu held.
-func (db *DB) resolveBaseLocked(key string, version uint64) (uint64, *item, bool) {
+func (db *DB) resolveBaseLocked(key []byte, version uint64) (uint64, *item, bool) {
 	i, _ := db.segIndex(version)
 	for i--; i >= 0; i-- {
 		seg := db.segs[i]
 		if seg.retired {
 			continue
 		}
-		it, ok := seg.items.Get(key)
+		it := seg.items[string(key)]
 		switch {
-		case !ok || it.has(fDeleted):
+		case it == nil || it.has(fDeleted):
 		case !it.has(fDedup):
 			return seg.ver, it, true
 		case it.has(fHasBase):
-			_, b := db.lookup(key, it.base)
+			_, b := lookup(db, key, it.base)
 			return it.base, b, true
 		}
 	}
@@ -608,8 +636,7 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 	if db.closed {
 		return dst, 0, false, ErrClosed
 	}
-	k := string(key)
-	seg, it := db.lookup(k, version)
+	seg, it := lookup(db, key, version)
 	if it == nil {
 		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
@@ -624,7 +651,7 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 		if !it.has(fHasBase) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
 		}
-		_, b := db.lookup(k, it.base)
+		_, b := lookup(db, key, it.base)
 		if b == nil || b.has(fDedup) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
 		}
@@ -655,10 +682,9 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 	}
 	var found bool
 	var ver uint64
-	k := string(key)
 	for i := len(db.segs) - 1; i >= 0 && !found; i-- {
 		seg := db.segs[i]
-		if it, ok := seg.items.Get(k); ok && !seg.deleted(it) {
+		if it := seg.items[string(key)]; it != nil && !seg.deleted(it) {
 			ver, found = seg.ver, true
 		}
 	}
@@ -689,7 +715,7 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if db.closed {
 		return 0, ErrClosed
 	}
-	seg, it := db.lookup(string(key), version)
+	seg, it := lookup(db, key, version)
 	if it == nil {
 		return 0, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
@@ -749,13 +775,12 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		db.excl.Lock()
 		seg.retired, seg.live = true, 0
 		db.excl.Unlock()
-		seg.items.AscendAll(func(_ string, it *item) bool {
+		for _, it := range seg.items {
 			if !it.has(fDeleted) {
 				db.store.MarkDead(it.ref)
 				dropped++
 			}
-			return true
-		})
+		}
 	}
 	if !db.opts.DisableAutoGC {
 		c, _, _ := db.collectFirstLocked()
@@ -818,20 +843,17 @@ func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
 		// are searched newest first and a tie keeps the first found.
 		var key string
 		var seg *segment
-		var it *item
 		for i := len(db.segs) - 1; i >= 0; i-- {
 			s := db.segs[i]
-			s.items.Ascend(next, func(k string, v *item) bool {
-				if seg == nil || k < key {
-					key, seg, it = k, s, v
-				}
-				return false
-			})
+			ks := s.keys()
+			if j, _ := slices.BinarySearch(ks, next); j < len(ks) && (seg == nil || ks[j] < key) {
+				key, seg = ks[j], s
+			}
 		}
 		if seg == nil || (len(to) > 0 && key >= string(to)) {
 			return
 		}
-		if !seg.deleted(it) && !fn([]byte(key), seg.ver) {
+		if !seg.deleted(seg.items[key]) && !fn([]byte(key), seg.ver) {
 			return
 		}
 		next = key + "\x00"
@@ -842,7 +864,7 @@ func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
 func (db *DB) Has(key []byte, version uint64) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	seg, it := db.lookup(string(key), version)
+	seg, it := lookup(db, key, version)
 	return it != nil && !seg.deleted(it)
 }
 

@@ -33,10 +33,7 @@ func testFS(t testing.TB, blocks int) blockfs.FS {
 }
 
 func testOptions() Options {
-	return Options{
-		AOF:  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
-		Seed: 1,
-	}
+	return Options{AOF: aof.Config{FileSize: 1 << 20, GCThreshold: 0.25}}
 }
 
 func openTestDB(t testing.TB, blocks int) *DB {

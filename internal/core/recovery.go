@@ -73,11 +73,10 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	// The image's exact length first, so the walk appends without growing.
 	size, items := 8+4+4*len(sealed)+4, 0
 	for _, seg := range db.segs {
-		items += seg.items.Len()
-		seg.items.AscendAll(func(k string, _ *item) bool {
+		items += len(seg.items)
+		for k := range seg.items {
 			size += ckptItemLen + len(k)
-			return true
-		})
+		}
 	}
 	body := make([]byte, 0, size)
 	put32 := func(v uint32) { body = binary.LittleEndian.AppendUint32(body, v) }
@@ -89,7 +88,8 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	}
 	put32(uint32(items))
 	for _, seg := range db.segs {
-		seg.items.AscendAll(func(k string, it *item) bool {
+		for _, k := range seg.keys() {
+			it := seg.items[k]
 			flags := it.flags
 			if seg.retired {
 				flags |= fDeleted
@@ -102,8 +102,7 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 			put32(it.ref.File)
 			put64(uint64(it.ref.Off))
 			put32(it.ref.Len)
-			return true
-		})
+		}
 	}
 
 	name := ckptName(floor)
@@ -228,7 +227,7 @@ func (db *DB) loadCheckpoint() (floor uint64, sealed map[uint32]bool, ok bool) {
 		ref := aof.Ref{File: get32()}
 		ref.Off = int64(get64())
 		ref.Len = get32()
-		db.segmentFor(ver).items.Set(key, &item{ref: ref, base: base, flags: flags})
+		db.segmentFor(ver).add(key, &item{ref: ref, base: base, flags: flags})
 	}
 	return floor, sealed, true
 }
@@ -295,7 +294,7 @@ func (db *DB) recover() error {
 			}
 			tombs = append(tombs, rr.ref)
 		case rec.IsTombstone():
-			if _, it := db.lookup(rr.key, rec.Version); it != nil {
+			if _, it := lookup(db, rr.key, rec.Version); it != nil {
 				it.flags |= fDeleted
 			}
 			tombs = append(tombs, rr.ref)
@@ -315,7 +314,7 @@ func (db *DB) recover() error {
 				seg.unretire()
 			}
 			it := &item{ref: rr.ref, base: rr.base, flags: flags}
-			seg.items.Set(rr.key, it)
+			seg.add(rr.key, it)
 			touched[it] = true
 		}
 	}
@@ -332,16 +331,10 @@ func (db *DB) recover() error {
 		}
 		for i := len(db.segs) - 1; i >= 0; i-- {
 			seg := db.segs[i]
-			var stale []string
-			seg.items.AscendAll(func(k string, it *item) bool {
+			for k, it := range seg.items {
 				if !touched[it] && !exists[it.ref.File] {
-					stale = append(stale, k)
+					db.removeLocked(seg, k, it)
 				}
-				return true
-			})
-			for _, k := range stale {
-				it, _ := seg.items.Get(k)
-				db.removeLocked(seg, k, it)
 			}
 		}
 	}
@@ -355,19 +348,18 @@ func (db *DB) recover() error {
 	// every base is reset before its referrers count it.
 	for _, seg := range db.segs {
 		seg.live = 0
-		seg.items.AscendAll(func(k string, it *item) bool {
+		for k, it := range seg.items {
 			it.refs = 0
 			if !seg.deleted(it) {
 				seg.live++
 				db.store.MarkLive(it.ref)
 			}
 			if it.has(fHasBase) {
-				if _, b := db.lookup(k, it.base); b != nil {
+				if _, b := lookup(db, k, it.base); b != nil {
 					b.refs++
 				}
 			}
-			return true
-		})
+		}
 	}
 	for _, ref := range tombs {
 		db.store.MarkLive(ref)

@@ -48,7 +48,8 @@ func snapshotState(t *testing.T, db *DB) engineState {
 	st := db.Stats().Store
 	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[entry]string{}}
 	for _, seg := range db.segs {
-		seg.items.AscendAll(func(k string, it *item) bool {
+		for _, k := range seg.keys() {
+			it := seg.items[k]
 			flags := it.flags
 			if seg.deleted(it) {
 				flags |= fDeleted
@@ -57,8 +58,7 @@ func snapshotState(t *testing.T, db *DB) engineState {
 			if !seg.deleted(it) {
 				es.values[entry{k, seg.ver}] = ""
 			}
-			return true
-		})
+		}
 	}
 	for k := range es.values {
 		// A dedup entry put with nothing to share reads as a broken chain,

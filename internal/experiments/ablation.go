@@ -62,7 +62,6 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	fs := blockfs.NewNativeFS(dev)
 	opts := core.DefaultOptions()
 	opts.AOF = aof.Config{FileSize: 16 << 20, GCThreshold: threshold}
-	opts.Seed = cfg.Seed
 	db, err := core.Open(fs, opts)
 	if err != nil {
 		return p, err
@@ -187,7 +186,6 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 			GCThreshold:  0.25,
 			MinFreeBytes: capacity / 4, // pressure override keeps a full disk usable
 		}
-		opts.Seed = cfg.Seed
 		db, err := core.Open(fs, opts)
 		if err != nil {
 			return res, err

@@ -165,7 +165,7 @@ func TestPlacementCrossCheckWithMint(t *testing.T) {
 		NodesPerGroup: 4,
 		Replicas:      3,
 		NodeCapacity:  16 << 20,
-		Engine:        core.Options{AOF: aof.Config{FileSize: 1 << 20, GCThreshold: 0.25}, Seed: 1},
+		Engine:        core.Options{AOF: aof.Config{FileSize: 1 << 20, GCThreshold: 0.25}},
 	})
 	if err != nil {
 		t.Fatal(err)

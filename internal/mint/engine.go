@@ -52,11 +52,10 @@ type EngineFactory func(capacity int64, seed int64) (*EngineStack, error)
 // QinDBFactory returns the paper's stack: QinDB over block-aligned
 // native flash. A zero opts selects the defaults.
 func QinDBFactory(opts core.Options) EngineFactory {
-	return func(capacity int64, seed int64) (*EngineStack, error) {
+	return func(capacity int64, _ int64) (*EngineStack, error) {
 		if opts.AOF.FileSize == 0 {
 			opts.AOF = aof.DefaultConfig()
 		}
-		opts.Seed = seed
 		dev, err := ssd.NewDevice(ssd.DefaultConfig(capacity))
 		if err != nil {
 			return nil, err

@@ -28,7 +28,7 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func startObsNode(t *testing.T) *obsNode {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)

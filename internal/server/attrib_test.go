@@ -25,7 +25,7 @@ func attribBackend(t *testing.T) (*Backend, *metrics.Registry) {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 8 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 8 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAttributionOverheadPut20KB(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 32 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 32 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)

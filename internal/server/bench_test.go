@@ -23,7 +23,7 @@ func benchNode(b *testing.B) string {
 		b.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 16 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 16 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -142,7 +142,7 @@ func benchBackend(b *testing.B) *Backend {
 		b.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 16 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: 16 << 20, GCThreshold: 0.25},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -29,7 +29,7 @@ func startServerReg(t *testing.T, reg *metrics.Registry) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF:     aof.Config{FileSize: 4 << 20, GCThreshold: 0.25},
 		Metrics: reg,
 	})
 	if err != nil {

@@ -1,15 +1,12 @@
 // Package skiplist implements the probabilistic ordered map of Pugh
-// (CACM 1990) that both QinDB's memtable and the LSM baseline's memtable
-// are built on. The paper keeps only keys plus AOF offsets in memory
-// (§2.1), so the list is generic over small value types and optimized for
-// ordered scans: equal keys sort adjacently, which is what makes QinDB's
-// version traceback a short forward walk.
+// (CACM 1990) that the LSM baseline's memtable is built on, as LevelDB's
+// is. (QinDB's memtable, which the paper describes as a skip list, is a
+// hash map per version: its operations are point lookups.) The list is
+// generic over small value types and optimized for ordered scans.
 //
 // The list takes no lock of its own. Callers serialise mutations against
-// every other access; lookups and iteration may run side by side. Both
-// users already do: QinDB mutates its memtable only while it keeps
-// readers out, and the LSM baseline touches its memtable under its own
-// mutex.
+// every other access; lookups and iteration may run side by side. The
+// LSM baseline touches its memtable under its own mutex.
 package skiplist
 
 import "math/rand"
@@ -109,41 +106,6 @@ func (l *List[K, V]) Get(key K) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Update applies fn to the value stored under key in place. It reports
-// whether the key was found.
-// QinDB uses this to flip delete flags and to relocate AOF offsets during
-// garbage collection without a delete/re-insert cycle.
-func (l *List[K, V]) Update(key K, fn func(v V) V) bool {
-	n := l.findGE(key, nil)
-	if n != nil && l.cmp(n.key, key) == 0 {
-		n.value = fn(n.value)
-		return true
-	}
-	return false
-}
-
-// Delete removes key and reports whether it was present.
-func (l *List[K, V]) Delete(key K) bool {
-	prev := make([]*node[K, V], maxHeight)
-	for i := range prev {
-		prev[i] = l.head
-	}
-	n := l.findGE(key, prev)
-	if n == nil || l.cmp(n.key, key) != 0 {
-		return false
-	}
-	for level := 0; level < len(n.next); level++ {
-		if prev[level].next[level] == n {
-			prev[level].next[level] = n.next[level]
-		}
-	}
-	for l.height > 1 && l.head.next[l.height-1] == nil {
-		l.height--
-	}
-	l.length--
-	return true
 }
 
 // Ascend calls fn for every item with key >= from, in ascending order,

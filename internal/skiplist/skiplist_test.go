@@ -33,57 +33,6 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	l := New[int, int](intCmp, 2)
-	for i := 0; i < 100; i++ {
-		l.Set(i, i*10)
-	}
-	if !l.Delete(50) {
-		t.Fatal("Delete(50) should succeed")
-	}
-	if l.Delete(50) {
-		t.Fatal("second Delete(50) should fail")
-	}
-	if _, ok := l.Get(50); ok {
-		t.Fatal("Get(50) should miss after delete")
-	}
-	if l.Len() != 99 {
-		t.Fatalf("Len() = %d, want 99", l.Len())
-	}
-	// Remaining keys intact.
-	for i := 0; i < 100; i++ {
-		if i == 50 {
-			continue
-		}
-		if v, ok := l.Get(i); !ok || v != i*10 {
-			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-}
-
-func TestDeleteAllThenReuse(t *testing.T) {
-	l := New[int, int](intCmp, 3)
-	for i := 0; i < 64; i++ {
-		l.Set(i, i)
-	}
-	for i := 0; i < 64; i++ {
-		if !l.Delete(i) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if l.Len() != 0 {
-		t.Fatalf("Len() = %d, want 0", l.Len())
-	}
-	l.AscendAll(func(k, v int) bool {
-		t.Fatalf("emptied list still yields %d", k)
-		return false
-	})
-	l.Set(7, 70)
-	if v, ok := l.Get(7); !ok || v != 70 {
-		t.Fatal("list unusable after emptying")
-	}
-}
-
 func TestOrderedIteration(t *testing.T) {
 	l := New[int, int](intCmp, 4)
 	perm := rand.New(rand.NewSource(9)).Perm(1000)
@@ -125,20 +74,6 @@ func TestAscendFrom(t *testing.T) {
 	New[int, int](intCmp, 9).Ascend(0, visit)
 }
 
-func TestUpdate(t *testing.T) {
-	l := New[string, int](strCmp, 7)
-	l.Set("k", 1)
-	if !l.Update("k", func(v int) int { return v + 10 }) {
-		t.Fatal("Update of present key should succeed")
-	}
-	if v, _ := l.Get("k"); v != 11 {
-		t.Fatalf("Get = %d, want 11", v)
-	}
-	if l.Update("missing", func(v int) int { return v }) {
-		t.Fatal("Update of absent key should fail")
-	}
-}
-
 func TestStringKeys(t *testing.T) {
 	l := New[string, int](strCmp, 10)
 	keys := []string{"banana", "apple", "cherry", "apple/2", "apple/1"}
@@ -156,28 +91,19 @@ func TestStringKeys(t *testing.T) {
 }
 
 // Property: a skip list agrees with a reference map under a random
-// sequence of Set/Delete operations, and iteration is always sorted.
+// sequence of Sets, repeated keys included, and iteration is always
+// sorted.
 func TestQuickAgainstMap(t *testing.T) {
-	type op struct {
-		Key int8
-		Del bool
-	}
-	f := func(ops []op) bool {
+	f := func(keys []int8) bool {
 		l := New[int, int](intCmp, 42)
 		ref := map[int]int{}
-		for i, o := range ops {
-			k := int(o.Key)
-			if o.Del {
-				inList := l.Delete(k)
-				_, inRef := ref[k]
-				delete(ref, k)
-				if inList != inRef {
-					return false
-				}
-			} else {
-				l.Set(k, i)
-				ref[k] = i
+		for i, key := range keys {
+			k := int(key)
+			_, inRef := ref[k]
+			if l.Set(k, i) == inRef {
+				return false
 			}
+			ref[k] = i
 		}
 		if l.Len() != len(ref) {
 			return false
