@@ -130,10 +130,11 @@ func TestCheckpointAfterGCRecovery(t *testing.T) {
 
 // TestCheckpointImageUnchanged pins the checkpoint a publish-and-retire
 // stream leaves behind — its size in bytes and a CRC of its items sorted
-// by (key, version) — to what commit 43d2e07 wrote, when the memtable was
-// one skip list keyed (key, version). Items may come out of the memtable
-// in another order; which items there are, with which flags, bases and
-// refs, may not change.
+// by (key, version). Commit 43d2e07 first recorded it, when the memtable
+// was one skip list keyed (key, version). Items may come out of the
+// memtable in another order; which items there are, with which flags,
+// bases and refs, may change only with what counts live, which decides
+// what GC removes, and then it is re-recorded.
 func TestCheckpointImageUnchanged(t *testing.T) {
 	opts := testOptions()
 	opts.AOF.FileSize = 256 << 10
@@ -208,9 +209,9 @@ func TestCheckpointImageUnchanged(t *testing.T) {
 	for _, it := range items {
 		crc.Write(it.raw)
 	}
-	const wantSize, wantItems, wantCRC = 93198, 2024, 0xe159e0fa
+	const wantSize, wantItems, wantCRC = 80156, 1741, 0x2ba19b3d
 	if size != wantSize || count != wantItems || crc.Sum32() != wantCRC {
-		t.Fatalf("checkpoint = %d bytes, %d items, item CRC %#x; want %d, %d, %#x (recorded at 43d2e07)",
+		t.Fatalf("checkpoint = %d bytes, %d items, item CRC %#x; want %d, %d, %#x",
 			size, count, crc.Sum32(), wantSize, wantItems, wantCRC)
 	}
 }

@@ -84,10 +84,11 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 	if !seg.deleted(it) {
 		return true // live data: relocate
 	}
-	// Deleted: keep only if a newer deduplicated version still refers to
-	// this value ("invalid key-value pairs that are referred by later
+	// Deleted: keep only if a live newer deduplicated entry still refers
+	// to this value ("invalid key-value pairs that are referred by later
 	// version keys"). Fold the deletion into the relocated record so it
-	// survives recovery without the tombstone.
+	// survives recovery without the tombstone. Otherwise the record was
+	// marked dead when its item, or its last live referrer, was deleted.
 	if it.refs > 0 {
 		rec.Flags |= aof.FlagDropped
 		return true

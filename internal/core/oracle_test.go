@@ -180,6 +180,7 @@ func TestOracleRounds(t *testing.T) {
 						t.Fatalf("round %d: CollectAll: %v", round, err)
 					}
 				}
+				checkLiveBytes(t, db)
 				if err := db.Close(); err != nil {
 					t.Fatalf("round %d: Close: %v", round, err)
 				}

@@ -64,9 +64,10 @@ const (
 // version whose value this entry shares. The binding is resolved once, at
 // PUT time (the nearest older version of the key that still carries a
 // value), so a GET is a single extra lookup and the result can never
-// change under garbage collection. refs counts the items in the memtable
-// bound to this one as their base: while it is above zero GC keeps the
-// record, deleted or not.
+// change under garbage collection. refs counts the live (not deleted)
+// items bound to this one as their base. A record counts live in its
+// file while its item is live or refs is above zero, and GC keeps exactly
+// those: the last live referrer to go marks a deleted base's record dead.
 type item struct {
 	ref   aof.Ref
 	base  uint64 // valid when fHasBase is set
@@ -424,24 +425,29 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	if seg.retired {
 		seg.unretire()
 	}
+	if bound != nil {
+		bound.refs++
+	}
 	if old := seg.items[string(key)]; old != nil {
-		// Re-PUT of the same (k, t): the previous record is dead. The item
-		// keeps its referrers, which read through it.
-		db.store.MarkDead(old.ref)
-		if old.has(fDeleted) {
+		// Re-PUT of the same (k, t): the previous record is dead, unless a
+		// deletion already marked it so. The item keeps its referrers,
+		// which read through it.
+		if !old.has(fDeleted) {
+			db.store.MarkDead(old.ref)
+			if old.has(fHasBase) {
+				db.unbind(string(key), old.base)
+			}
+		} else {
+			if old.refs > 0 {
+				db.store.MarkDead(old.ref)
+			}
 			seg.live++ // revived
-		}
-		if old.has(fHasBase) {
-			db.unbind(string(key), old.base)
 		}
 		old.ref, old.base, old.flags = ref, base, flags
 	} else {
 		seg.add(string(key), &item{ref: ref, base: base, flags: flags})
 		seg.live++
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
-	}
-	if bound != nil {
-		bound.refs++
 	}
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key) + len(value)))
@@ -522,14 +528,14 @@ func (db *DB) segmentFor(v uint64) *segment {
 	return db.segs[i]
 }
 
-// removeLocked takes key's item out of the memtable for good: the item
-// it was bound to loses a referrer, and a segment left empty is unlinked.
-// Runs with wmu and db.mu held, or in recovery.
+// removeLocked takes key's item out of the memtable for good: if it was
+// still live, the item it was bound to loses a referrer, and a segment
+// left empty is unlinked. Runs with wmu and db.mu held, or in recovery.
 func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	delete(seg.items, key)
 	seg.sorted.Store(nil)
 	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
-	if it.has(fHasBase) {
+	if it.has(fHasBase) && !seg.deleted(it) {
 		db.unbind(key, it.base)
 	}
 	if len(seg.items) == 0 {
@@ -538,10 +544,27 @@ func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	}
 }
 
-// unbind takes one referrer off the item (key, base).
+// unbind takes one live referrer off the item (key, base). A deleted base
+// left with none has no reader: its record is dead from now on.
 func (db *DB) unbind(key string, base uint64) {
-	if _, b := lookup(db, key, base); b != nil {
-		b.refs--
+	seg, b := lookup(db, key, base)
+	if b == nil {
+		return
+	}
+	if b.refs--; b.refs == 0 && seg.deleted(b) {
+		db.store.MarkDead(b.ref)
+	}
+}
+
+// deleteLocked accounts for (key, version)'s item turning deleted: its
+// base loses a live referrer, and its own record is dead unless a live
+// referrer still reads it. Runs with wmu held.
+func (db *DB) deleteLocked(key string, it *item) {
+	if it.has(fHasBase) {
+		db.unbind(key, it.base)
+	}
+	if it.refs == 0 {
+		db.store.MarkDead(it.ref)
 	}
 }
 
@@ -731,7 +754,7 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	db.noteSeq(seq)
 	db.mu.Lock()
 	it.flags |= fDeleted
-	db.store.MarkDead(it.ref)
+	db.deleteLocked(string(key), it)
 	seg.live--
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
@@ -754,8 +777,9 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 // flash, one short hold marks the version's segment retired: from its
 // release on, every read of the version answers deleted — all of it at
 // once, never a mix. The segment alone is then walked, with no engine
-// lock held, to mark its records dead, and the GC pass that follows (if
-// a file is due) chunks its holds. DropVersion returns when all of that
+// lock held, to take its items off their bases and mark dead the records
+// no live entry reads, and the GC pass that follows (if a file is due)
+// chunks its holds. DropVersion returns when all of that
 // is done.
 func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	db.wmu.Lock()
@@ -775,9 +799,9 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		db.excl.Lock()
 		seg.retired, seg.live = true, 0
 		db.excl.Unlock()
-		for _, it := range seg.items {
+		for k, it := range seg.items {
 			if !it.has(fDeleted) {
-				db.store.MarkDead(it.ref)
+				db.deleteLocked(k, it)
 				dropped++
 			}
 		}

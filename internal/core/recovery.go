@@ -340,24 +340,31 @@ func (db *DB) recover() error {
 	}
 
 	// Rebuild the live counts, the referrer counts and the GC occupancy
-	// table. Liveness mirrors normal operation: data records count live
-	// only while their item is not deleted (Del and DropVersion mark
-	// records dead immediately, even when a dedup chain still references
-	// them); tombstone records count live from append and are never
-	// marked dead. A referrer is newer than its base, so in version order
-	// every base is reset before its referrers count it.
+	// table by the one rule normal operation keeps: refs counts the live
+	// items bound to a base, and a data record counts live while its item
+	// is live or refs is above zero. A referrer is newer than its base, so
+	// in version order every base is reset before its referrers count it,
+	// and every count is whole before the second pass reads it. Tombstone
+	// records count live from append and are never marked dead.
 	for _, seg := range db.segs {
 		seg.live = 0
 		for k, it := range seg.items {
 			it.refs = 0
-			if !seg.deleted(it) {
-				seg.live++
-				db.store.MarkLive(it.ref)
+			if seg.deleted(it) {
+				continue
 			}
+			seg.live++
 			if it.has(fHasBase) {
 				if _, b := lookup(db, k, it.base); b != nil {
 					b.refs++
 				}
+			}
+		}
+	}
+	for _, seg := range db.segs {
+		for _, it := range seg.items {
+			if !seg.deleted(it) || it.refs > 0 {
+				db.store.MarkLive(it.ref)
 			}
 		}
 	}
