@@ -17,10 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"directload/internal/blockfs"
@@ -194,17 +196,21 @@ func DefaultConfig() Config {
 }
 
 type fileInfo struct {
-	total int64 // bytes of records appended
-	live  int64 // bytes of records still referenced
-	seal  bool  // no longer the active file
+	r     blockfs.Reader // opened with the file, dropped with it; set before the file is published
+	total int64          // bytes of records appended
+	live  int64          // bytes of records still referenced
+	seal  bool           // no longer the active file
 }
 
 // Store is the AOF set plus the GC table.
 type Store struct {
-	mu     sync.Mutex
-	fs     blockfs.FS
-	cfg    Config
-	files  map[uint32]*fileInfo
+	mu  sync.Mutex
+	fs  blockfs.FS
+	cfg Config
+	// files is the file table, copied on write under mu (setFileLocked),
+	// so that a read finds its file's reader without mu. The counters in
+	// a fileInfo are mu's.
+	files  atomic.Pointer[map[uint32]*fileInfo]
 	nextID uint32
 	active uint32
 	writer blockfs.Writer
@@ -274,23 +280,41 @@ func Open(fs blockfs.FS, cfg Config) (*Store, error) {
 	if cfg.GCThreshold < 0 || cfg.GCThreshold > 1 {
 		return nil, errors.New("aof: GC threshold must be in [0, 1]")
 	}
-	s := &Store{fs: fs, cfg: cfg, files: make(map[uint32]*fileInfo), met: newStoreMetrics(cfg.Metrics)}
+	s := &Store{fs: fs, cfg: cfg, met: newStoreMetrics(cfg.Metrics)}
+	files := make(map[uint32]*fileInfo)
 	for _, name := range fs.List() {
 		id, ok := parseFilename(name)
 		if !ok {
 			continue
 		}
-		size, err := fs.Size(name)
+		r, err := fs.Open(name)
 		if err != nil {
 			return nil, err
 		}
-		s.files[id] = &fileInfo{total: size, seal: true}
+		files[id] = &fileInfo{r: r, total: r.Size(), seal: true}
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
 	}
-	s.met.files.Set(int64(len(s.files)))
+	s.files.Store(&files)
+	s.met.files.Set(int64(len(files)))
 	return s, nil
+}
+
+// table returns the file table as last published.
+func (s *Store) table() map[uint32]*fileInfo { return *s.files.Load() }
+
+// setFileLocked publishes a copy of the file table with id mapped to fi,
+// or without id when fi is nil.
+func (s *Store) setFileLocked(id uint32, fi *fileInfo) {
+	files := maps.Clone(s.table())
+	if fi == nil {
+		delete(files, id)
+	} else {
+		files[id] = fi
+	}
+	s.files.Store(&files)
+	s.met.files.Set(int64(len(files)))
 }
 
 // rotateLocked seals the active file and opens a fresh one.
@@ -299,7 +323,7 @@ func (s *Store) rotateLocked() error {
 		if _, err := s.writer.Close(); err != nil {
 			return err
 		}
-		s.files[s.active].seal = true
+		s.table()[s.active].seal = true
 		s.writer = nil
 	}
 	id := s.nextID
@@ -308,11 +332,15 @@ func (s *Store) rotateLocked() error {
 		return err
 	}
 	s.nextID++
+	r, err := s.fs.Open(filename(id))
+	if err != nil {
+		_, _ = w.Close() // the Open error is the one to report
+		return err
+	}
 	s.active = id
 	s.writer = w
-	s.files[id] = &fileInfo{}
+	s.setFileLocked(id, &fileInfo{r: r})
 	s.met.rotations.Inc()
-	s.met.files.Set(int64(len(s.files)))
 	return nil
 }
 
@@ -366,7 +394,7 @@ func (s *Store) appendLocked(rec Record) (Ref, int64, time.Duration, error) {
 	if err != nil {
 		return Zero, 0, cost, err
 	}
-	fi := s.files[s.active]
+	fi := s.table()[s.active]
 	fi.total += int64(len(buf))
 	fi.live += int64(len(buf))
 	s.appended += int64(len(buf))
@@ -377,14 +405,14 @@ func (s *Store) appendLocked(rec Record) (Ref, int64, time.Duration, error) {
 
 // readInto reads the record at ref into buf, which is ref.Len long, and
 // returns it decoded in place, checksum verified: Key and Value are views
-// of buf.
+// of buf. It reads through the file's kept reader, taking no lock here.
 func (s *Store) readInto(buf []byte, ref Ref) (Record, time.Duration, error) {
 	s.met.reads.Inc()
-	r, err := s.fs.Open(filename(ref.File))
-	if err != nil {
+	fi := s.table()[ref.File]
+	if fi == nil {
 		return Record{}, 0, fmt.Errorf("%w: %d", ErrNoFile, ref.File)
 	}
-	n, cost, err := r.ReadAt(buf, ref.Off)
+	n, cost, err := fi.r.ReadAt(buf, ref.Off)
 	if err != nil {
 		return Record{}, cost, err
 	}
@@ -420,7 +448,7 @@ func (s *Store) ReadAppend(dst []byte, ref Ref) ([]byte, time.Duration, error) {
 func (s *Store) MarkDead(ref Ref) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fi, ok := s.files[ref.File]; ok {
+	if fi, ok := s.table()[ref.File]; ok {
 		fi.live -= int64(ref.Len)
 		if fi.live < 0 {
 			fi.live = 0
@@ -432,7 +460,7 @@ func (s *Store) MarkDead(ref Ref) {
 func (s *Store) MarkLive(ref Ref) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fi, ok := s.files[ref.File]; ok {
+	if fi, ok := s.table()[ref.File]; ok {
 		fi.live += int64(ref.Len)
 		if fi.live > fi.total {
 			fi.live = fi.total
@@ -459,7 +487,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	_, err := s.writer.Close()
-	s.files[s.active].seal = true
+	s.table()[s.active].seal = true
 	s.writer = nil
 	return err
 }
@@ -468,8 +496,9 @@ func (s *Store) Close() error {
 func (s *Store) Files() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]uint32, 0, len(s.files))
-	for id := range s.files {
+	files := s.table()
+	ids := make([]uint32, 0, len(files))
+	for id := range files {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -492,9 +521,10 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Files: len(s.files), AppendedBytes: s.appended,
+	files := s.table()
+	st := Stats{Files: len(files), AppendedBytes: s.appended,
 		GCRuns: s.gcRuns, GCMoved: s.gcMoved, GCFreed: s.gcFreed}
-	for _, fi := range s.files {
+	for _, fi := range files {
 		st.TotalBytes += fi.total
 		st.LiveBytes += fi.live
 	}
@@ -657,7 +687,7 @@ func (s *Store) Candidates() []uint32 {
 		occ float64
 	}
 	var cs []cand
-	for id, fi := range s.files {
+	for id, fi := range s.table() {
 		if !fi.seal || fi.total == 0 {
 			continue
 		}
@@ -707,7 +737,7 @@ const (
 // leaves, which recovery resolves by sequence number.
 func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Relocated) (int64, time.Duration, error) {
 	s.mu.Lock()
-	fi, ok := s.files[id]
+	fi, ok := s.table()[id]
 	if !ok {
 		s.mu.Unlock()
 		return 0, 0, fmt.Errorf("%w: %d", ErrNoFile, id)
@@ -767,14 +797,13 @@ func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Re
 		return 0, cost, err
 	}
 	s.mu.Lock()
-	delete(s.files, id)
+	s.setFileLocked(id, nil)
 	s.gcRuns++
 	s.gcMoved += moved
 	s.gcFreed += total
 	s.met.gcCollects.Inc()
 	s.met.gcMoved.Add(moved)
 	s.met.gcFreed.Add(total)
-	s.met.files.Set(int64(len(s.files)))
 	s.mu.Unlock()
 	lk.Unlock()
 	return total - moved, cost, nil
@@ -817,7 +846,7 @@ func (s *Store) PressureCandidate() (uint32, bool) {
 	best := uint32(0)
 	bestOcc := 0.95
 	found := false
-	for id, fi := range s.files {
+	for id, fi := range s.table() {
 		if !fi.seal || fi.total == 0 {
 			continue
 		}

@@ -650,6 +650,23 @@ func (db *DB) GetAppend(dst, key []byte, version uint64) ([]byte, time.Duration,
 	return out, cost, err
 }
 
+// TryGetAppend is GetAppend if db.mu is free for a reader at the call:
+// when a mutator holds it exclusively, or waits for it, ok is false and
+// nothing is read or counted. A caller that must not wait behind a
+// retirement or GC hold tries this first and hands the read to a
+// goroutine of its own only when it fails.
+func (db *DB) TryGetAppend(dst, key []byte, version uint64) (out []byte, cost time.Duration, ok bool, err error) {
+	if !db.mu.TryRLock() {
+		return dst, 0, false, nil
+	}
+	out, cost, traced, err := db.readLocked(dst, key, version)
+	db.mu.RUnlock()
+	if err == nil {
+		db.countGet(len(out)-len(dst), cost, traced)
+	}
+	return out, cost, true, err
+}
+
 // readLocked resolves (key, version) to a record and appends its value to
 // dst, all in the caller's one shared hold of db.mu: the file a ref points
 // into is only ever erased under the exclusive lock, after every kept

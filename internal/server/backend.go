@@ -74,11 +74,6 @@ func (b *Backend) SetSlowLog(l *metrics.SlowLog) {
 	b.slow.Store(l)
 }
 
-// SlowLog returns the attached slow-op log (nil when none).
-func (b *Backend) SlowLog() *metrics.SlowLog {
-	return b.slow.Load()
-}
-
 // SetReadSLO attaches a read-availability SLO tracker: every executed
 // Get feeds it one event — good when the value was served, bad on
 // not-found, deleted or failure. Nil detaches. Safe at runtime.
@@ -118,49 +113,57 @@ func (b *Backend) ConnClosed() {
 	b.met.conns.Add(-1)
 }
 
-// begin starts the per-request instrumentation every transport shares:
-// the wall-clock timer behind the latency histogram, the per-opcode
-// counter, the read SLO and the slowlog. The returned done must be
-// called exactly once with the request's key and outcome.
-func (b *Backend) begin(op uint8) func(key []byte, err error) {
+// reqMeter is one request's instrumentation, shared by every transport:
+// the latency timer, the opcode's counter, the read SLO, the slowlog and
+// sampled attribution.
+type reqMeter struct {
+	b     *Backend
+	op    uint8
+	attr  *metrics.AttribTable
+	res   *metrics.ResourceSample
+	start time.Time
+}
+
+// begin starts a request's instrumentation; its done must be called
+// exactly once with the request's key and outcome.
+func (b *Backend) begin(op uint8) reqMeter {
 	// Sampled resource attribution: every Nth request across all front
 	// doors is measured and its alloc/CPU delta charged to the opcode.
-	var res *metrics.ResourceSample
-	attr := b.attr.Load()
-	if attr != nil && b.attrCtr.Add(1)%uint64(attr.SampleEvery()) == 0 {
-		res = metrics.BeginResourceSample()
+	m := reqMeter{b: b, op: op, attr: b.attr.Load()}
+	if m.attr != nil && b.attrCtr.Add(1)%uint64(m.attr.SampleEvery()) == 0 {
+		m.res = metrics.BeginResourceSample()
 	}
-	start := time.Now()
-	return func(key []byte, err error) {
-		elapsed := time.Since(start)
-		if res != nil {
-			// End before the shared instrumentation below, so the bill
-			// covers the request's work, not the metrics writes.
-			attr.Charge(opNames[op], res.End())
-		}
-		b.met.reqs[op].Inc()
-		b.met.lat[op].Observe(float64(elapsed) / float64(time.Microsecond))
-		if op == OpGet {
-			b.readSLO.Load().Record(err == nil)
-		}
-		slow := b.slow.Load()
-		if slow == nil {
-			return
-		}
-		var msg string
-		if err != nil {
-			msg = err.Error()
-		}
-		slow.Maybe(opNames[op], key, elapsed, msg)
+	m.start = time.Now()
+	return m
+}
+
+func (m reqMeter) done(key []byte, err error) {
+	b, op, elapsed := m.b, m.op, time.Since(m.start)
+	if m.res != nil {
+		// End before the shared instrumentation below, so the bill
+		// covers the request's work, not the metrics writes.
+		m.attr.Charge(opNames[op], m.res.End())
 	}
+	b.met.reqs[op].Inc()
+	b.met.lat[op].Observe(float64(elapsed) / float64(time.Microsecond))
+	if op == OpGet {
+		b.readSLO.Load().Record(err == nil)
+	}
+	slow := b.slow.Load()
+	if slow == nil {
+		return
+	}
+	var msg string
+	if err != nil {
+		msg = err.Error()
+	}
+	slow.Maybe(opNames[op], key, elapsed, msg)
 }
 
 // Ping answers liveness; it exists so probes hit the same
 // instrumentation path as real traffic.
-func (b *Backend) Ping(ctx context.Context) error {
-	done := b.begin(OpPing)
-	done(nil, nil)
-	return nil
+func (b *Backend) Ping(ctx context.Context) {
+	b.begin(OpPing).done(nil, nil)
 }
 
 // Put stores value under (key, version); dedup records a
@@ -170,9 +173,9 @@ func (b *Backend) Put(ctx context.Context, key []byte, version uint64, value []b
 	if dedup {
 		op = OpPutDedup
 	}
-	done := b.begin(op)
+	m := b.begin(op)
 	_, err := b.db.Put(key, version, value, dedup)
-	done(key, err)
+	m.done(key, err)
 	return err
 }
 
@@ -187,33 +190,51 @@ func (b *Backend) Get(ctx context.Context, key []byte, version uint64) ([]byte, 
 // GetAppend is Get into the caller's buffer: the value is appended to dst
 // (see core.DB.GetAppend). On an error dst comes back unextended.
 func (b *Backend) GetAppend(ctx context.Context, dst, key []byte, version uint64) ([]byte, error) {
-	done := b.begin(OpGet)
+	m := b.begin(OpGet)
 	out, _, err := b.db.GetAppend(dst, key, version)
-	done(key, err)
+	m.done(key, err)
 	return out, err
+}
+
+// TryGetAppend is GetAppend if the engine's read lock is free at the call
+// (core.DB.TryGetAppend). If not, ok is false and nothing is read or
+// counted, so a GetAppend that follows counts the request once.
+func (b *Backend) TryGetAppend(ctx context.Context, dst, key []byte, version uint64) (out []byte, ok bool, err error) {
+	m := b.begin(OpGet)
+	out, _, ok, err = b.db.TryGetAppend(dst, key, version)
+	if !ok {
+		// Take the begin back: end its sample unbilled, return its slot.
+		if m.attr != nil {
+			m.res.End()
+			b.attrCtr.Add(^uint64(0))
+		}
+		return dst, false, nil
+	}
+	m.done(key, err)
+	return out, true, err
 }
 
 // Del marks (key, version) deleted.
 func (b *Backend) Del(ctx context.Context, key []byte, version uint64) error {
-	done := b.begin(OpDel)
+	m := b.begin(OpDel)
 	_, err := b.db.Del(key, version)
-	done(key, err)
+	m.done(key, err)
 	return err
 }
 
 // DropVersion retires a whole data version.
 func (b *Backend) DropVersion(ctx context.Context, version uint64) error {
-	done := b.begin(OpDropVersion)
+	m := b.begin(OpDropVersion)
 	_, _, err := b.db.DropVersion(version)
-	done(nil, err)
+	m.done(nil, err)
 	return err
 }
 
 // Has reports whether (key, version) exists and is live.
 func (b *Backend) Has(ctx context.Context, key []byte, version uint64) (bool, error) {
-	done := b.begin(OpHas)
+	m := b.begin(OpHas)
 	ok := b.db.Has(key, version)
-	done(key, nil)
+	m.done(key, nil)
 	return ok, nil
 }
 
@@ -223,8 +244,8 @@ const rangeCap = 4096
 // Range lists newest-live (key, version) pairs in [from, to). A limit
 // <= 0 selects rangeCap; positive limits clamp to it. The second return
 // value is the limit actually applied.
-func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]RangeEntry, int, error) {
-	done := b.begin(OpRange)
+func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]RangeEntry, int) {
+	m := b.begin(OpRange)
 	if limit <= 0 || limit > rangeCap {
 		limit = rangeCap
 	}
@@ -233,23 +254,23 @@ func (b *Backend) Range(ctx context.Context, from, to []byte, limit int) ([]Rang
 		entries = append(entries, RangeEntry{Key: append([]byte(nil), key...), Version: ver})
 		return len(entries) < limit
 	})
-	done(from, nil)
-	return entries, limit, nil
+	m.done(from, nil)
+	return entries, limit
 }
 
 // Stats reports engine statistics plus the connection count across
 // every attached listener.
 func (b *Backend) Stats(ctx context.Context) (StatsReply, error) {
-	done := b.begin(OpStats)
+	m := b.begin(OpStats)
 	out := StatsReply{Engine: b.db.Stats(), Conns: int(b.met.conns.Load())}
-	done(nil, nil)
+	m.done(nil, nil)
 	return out, nil
 }
 
 // MetricsJSON snapshots the attached registry as JSON ("{}" when the
 // backend runs uninstrumented).
 func (b *Backend) MetricsJSON(ctx context.Context) ([]byte, error) {
-	done := b.begin(OpMetrics)
+	m := b.begin(OpMetrics)
 	var payload []byte
 	var err error
 	if b.reg == nil {
@@ -257,7 +278,7 @@ func (b *Backend) MetricsJSON(ctx context.Context) ([]byte, error) {
 	} else {
 		payload, err = json.Marshal(b.reg)
 	}
-	done(nil, err)
+	m.done(nil, err)
 	return payload, err
 }
 
@@ -294,9 +315,9 @@ var errNotBatchable = errors.New("op not batchable")
 // the native wire's semantics: failures are reported individually and
 // do not poison the rest of the frame.
 func (b *Backend) Batch(ctx context.Context, ops []BatchOp) []BatchResult {
-	done := b.begin(OpBatch)
+	m := b.begin(OpBatch)
 	results := b.applyBatch(ops)
-	done(nil, nil)
+	m.done(nil, nil)
 	return results
 }
 
@@ -314,7 +335,7 @@ func (b *Backend) AtomicBatch(ctx context.Context, ops []BatchOp) ([]BatchResult
 			return nil, fmt.Errorf("sub-op %d: %w", i, err)
 		}
 	}
-	done := b.begin(OpBatch)
+	m := b.begin(OpBatch)
 	results := b.applyBatch(ops)
 	var errs []error
 	for i, r := range results {
@@ -323,7 +344,7 @@ func (b *Backend) AtomicBatch(ctx context.Context, ops []BatchOp) ([]BatchResult
 		}
 	}
 	err := errors.Join(errs...)
-	done(nil, err)
+	m.done(nil, err)
 	return results, err
 }
 

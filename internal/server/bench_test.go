@@ -132,6 +132,69 @@ func BenchmarkRemotePublish(b *testing.B) {
 	})
 }
 
+// BenchmarkRemoteGet20KB reads 20 KB values over the native wire:
+// closed-loop GETs on one connection, each of which finds the connection
+// idle, and the same under b.RunParallel over two connections. Run it with
+// -benchmem: client and server share the process, so B/op and allocs/op
+// are both sides' (the client's share includes the 20 KB value it returns).
+func BenchmarkRemoteGet20KB(b *testing.B) {
+	const keys = 256
+	addr := benchNode(b)
+	ctx := context.Background()
+	dial := func() *Client {
+		cl, err := Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("get20k/%04d", i%keys)) }
+	val := make([]byte, 20<<10)
+	batch := dial().Batcher()
+	for i := 0; i < keys; i++ {
+		if err := batch.Put(ctx, key(i), 1, val, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := batch.Flush(ctx); err != nil {
+		b.Fatal(err)
+	}
+	get := func(cl *Client, i int) error {
+		if got, err := cl.GetContext(ctx, key(i), 1); err != nil || len(got) != len(val) {
+			return fmt.Errorf("GET = %d bytes, %v", len(got), err)
+		}
+		return nil
+	}
+	b.Run("closed", func(b *testing.B) {
+		cl := dial()
+		b.SetBytes(int64(len(val)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := get(cl, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel2", func(b *testing.B) {
+		conns := []*Client{dial(), dial()}
+		var next atomic.Int64
+		b.SetBytes(int64(len(val)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			n := int(next.Add(1))
+			for i := n; pb.Next(); i++ {
+				if err := get(conns[n%len(conns)], i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
 // benchBackend builds a bare Backend (no listener) over a fresh engine,
 // instrumented with a registry — the baseline every attribution figure
 // is compared against.

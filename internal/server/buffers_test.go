@@ -81,26 +81,38 @@ func TestDeclaredFrameAllocatesAsItArrives(t *testing.T) {
 	}
 }
 
-// TestWriterKeepsNoBigReply: the writer goroutine's coalescing buffer does
-// not grow with the replies that pass through it. A body that is a write's
+// TestWriterKeepsNoBigReply: the connection's one write path does not
+// grow with the replies that pass through it. A body that is a write's
 // worth on its own goes out from where it lies, behind whatever had
 // accumulated, and the bytes on the wire are the frames in order either way.
 func TestWriterKeepsNoBigReply(t *testing.T) {
 	client, server := net.Pipe()
 	bodies := make(freeList, 8)
-	w := newRespWriter(server, bodies)
-	respCh := make(chan seqResp, 8)
+	w := &respWriter{conn: server, bodies: bodies}
 	done := make(chan struct{})
-	go func() { defer close(done); w.run(respCh) }()
 
+	// The writer starts busy, as if with an earlier reply: the first frame
+	// is copied into its buffer, and the 8 MB one waits for it to stop,
+	// then goes out behind the first in one writev. The frames after it
+	// find the writer idle.
+	w.busy = true
 	sizes := []int{20, 8 << 20, 20 << 10, 20, maxCoalesce - 8, maxCoalesce - 7, 1 << 20, 5}
 	go func() {
+		defer close(done)
 		for i, size := range sizes {
-			body := bytes.Repeat([]byte{byte('a' + i)}, size)
-			respCh <- seqResp{seq: uint32(i + 1), body: body}
+			frame := append(make([]byte, frameRoom), bytes.Repeat([]byte{byte('a' + i)}, size)...)
+			w.send(uint32(i+1), frame)
 		}
-		close(respCh)
 	}()
+	for waiting := false; !waiting; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		if waiting = len(w.buf) > 0 && w.idle != nil; waiting {
+			w.busy = false
+			close(w.idle)
+			w.idle = nil
+		}
+		w.mu.Unlock()
+	}
 	br := bufio.NewReader(client)
 	for i, size := range sizes {
 		seq, body, err := readFrameSeq(br, nil)
@@ -109,8 +121,13 @@ func TestWriterKeepsNoBigReply(t *testing.T) {
 		}
 	}
 	<-done
-	if cap(w.buf) > 2*maxCoalesce {
-		t.Fatalf("after an 8 MB reply the writer holds a %d-byte buffer, want at most %d", cap(w.buf), 2*maxCoalesce)
+	if cap(w.spare) == 0 {
+		t.Fatal("no reply went through the writer's buffer")
+	}
+	for _, buf := range [][]byte{w.buf, w.spare} {
+		if cap(buf) > 2*maxCoalesce {
+			t.Fatalf("after an 8 MB reply the writer holds a %d-byte buffer, want at most %d", cap(buf), 2*maxCoalesce)
+		}
 	}
 	// Every body came back to the free list but the one too big to keep.
 	close(bodies)
@@ -123,6 +140,61 @@ func TestWriterKeepsNoBigReply(t *testing.T) {
 	}
 	if kept != len(sizes)-1 {
 		t.Fatalf("%d of %d bodies were recycled, want all but the 8 MB one", kept, len(sizes))
+	}
+}
+
+// TestWriterFramesArriveOnce: a frame that finds the writer busy is
+// written by that writer before it stops, with no later send to carry it;
+// and with many completions sending at once, frames of every size class —
+// coalesced, a buffer's worth, a write's worth on their own — over a pipe
+// that blocks each write until it is read, every frame arrives exactly
+// once and byte for byte, whichever completion wrote it.
+func TestWriterFramesArriveOnce(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	client.SetReadDeadline(time.Now().Add(10 * time.Second)) // a frame left behind fails, not hangs
+	w := &respWriter{conn: server, bodies: make(freeList, 8)}
+	sizes := []int{20, 20 << 10, maxCoalesce - 8, maxCoalesce, 300 << 10}
+	body := func(seq uint32) []byte {
+		return bytes.Repeat([]byte{byte(seq)}, sizes[int(seq)%len(sizes)])
+	}
+	send := func(seq uint32) { w.send(seq, append(make([]byte, frameRoom), body(seq)...)) }
+	br := bufio.NewReader(client)
+	seen := make(map[uint32]bool)
+	read := func() {
+		t.Helper()
+		seq, got, err := readFrameSeq(br, nil)
+		if err != nil {
+			t.Fatalf("after %d frames: %v", len(seen), err)
+		}
+		if seen[seq] || !bytes.Equal(got, body(seq)) {
+			t.Fatalf("frame %d: %d bytes, seen before %v", seq, len(got), seen[seq])
+		}
+		seen[seq] = true
+	}
+
+	// Frame 4 (300 KB) blocks its writer in the pipe; frame 0 finds the
+	// writer busy, is copied and its send returns.
+	go send(4)
+	for busy := false; !busy; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		busy = w.busy
+		w.mu.Unlock()
+	}
+	send(0)
+	read()
+	read()
+
+	const senders, each = 8, 50
+	for g := 0; g < senders; g++ {
+		go func(g int) {
+			for i := 0; i < each; i++ {
+				send(uint32(5 + g*each + i))
+			}
+		}(g)
+	}
+	for len(seen) < 2+senders*each {
+		read()
 	}
 }
 

@@ -126,7 +126,7 @@ func FuzzFrameV2(f *testing.F) {
 				return
 			}
 			for _, sub := range subs {
-				enc, err := encodeRequest(sub)
+				enc, err := encodeRequest(request(sub))
 				if err != nil {
 					t.Fatalf("re-encoding decoded sub-op failed: %v", err)
 				}

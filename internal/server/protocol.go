@@ -30,11 +30,19 @@
 //	response: len u32 | seq u32 | status u8 | payloadLen u32 | payload
 //
 // (len counts everything after itself, including seq.) The client may
-// keep many requests in flight on one connection; the server dispatches
-// them concurrently (64 at a time per connection) and responses
-// may arrive in any order — seq matches a response to its request.
+// keep many requests in flight on one connection; the server runs them
+// concurrently (64 at a time per connection) and responses may arrive
+// in any order — seq matches a response to its request.
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
+//
+// # Connections
+//
+// One goroutine reads each connection. A GET that finds the connection
+// idle (nothing in flight, nothing more buffered) is answered by that
+// goroutine, if the engine's read lock is free at that instant; every
+// other request runs on a goroutine of its own. Every reply leaves by
+// the connection's one coalescing writer (respWriter).
 //
 // # OpBatch
 //
@@ -387,7 +395,7 @@ func encodeBatch(ops []BatchOp) ([]byte, error) {
 	}
 	buf := make([]byte, 0, size)
 	for _, op := range ops {
-		buf = appendRequest(buf, request{Op: op.Op, Version: op.Version, Key: op.Key, Value: op.Value})
+		buf = appendRequest(buf, request(op))
 	}
 	if len(buf) > MaxValueLen {
 		return nil, fmt.Errorf("%w: batch %d bytes", ErrFrameTooBig, len(buf))
@@ -397,17 +405,17 @@ func encodeBatch(ops []BatchOp) ([]byte, error) {
 
 // decodeBatch unpacks the sub-ops of an OpBatch request body, verifying
 // the declared count.
-func decodeBatch(buf []byte, count int) ([]request, error) {
+func decodeBatch(buf []byte, count int) ([]BatchOp, error) {
 	if count < 0 || count > len(buf) {
 		return nil, fmt.Errorf("%w: batch count %d", ErrBadFrame, count)
 	}
-	out := make([]request, 0, count)
+	out := make([]BatchOp, 0, count)
 	for p := 0; p < len(buf); {
 		req, np, err := decodeRequestAt(buf, p)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, req)
+		out = append(out, BatchOp(req))
 		p = np
 	}
 	if len(out) != count {

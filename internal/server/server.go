@@ -28,10 +28,11 @@ type StatsReply struct {
 	Conns  int        `json:"conns"`
 }
 
-// Server exposes one QinDB engine on a TCP listener, one goroutine per
-// connection. After the hello a connection is pipelined: up to
-// defaultMaxInFlight requests are dispatched concurrently while a
-// dedicated writer goroutine serializes responses back onto the wire.
+// Server exposes one QinDB engine on a TCP listener, one reader goroutine
+// per connection. After the hello a connection is pipelined: the reader
+// answers a GET that finds the connection idle, up to defaultMaxInFlight
+// other requests run concurrently, and every reply leaves by the
+// connection's one coalescing writer (serveRequests).
 //
 // The Server owns only the binary wire: framing, sequence numbers, the
 // handshake, response encoding. Every request executes through its
@@ -94,21 +95,16 @@ func (s *Server) Backend() *Backend {
 	return s.backend
 }
 
-// SetSlowLog attaches a slow-op log; every dispatched request whose
-// wall-clock latency reaches the log's threshold is recorded with its
-// opcode and key prefix. Nil detaches. Safe at runtime.
+// SetSlowLog attaches a slow-op log; every request whose wall-clock
+// latency reaches the log's threshold is recorded with its opcode and key
+// prefix. Nil detaches. Safe at runtime.
 func (s *Server) SetSlowLog(l *metrics.SlowLog) {
 	s.backend.SetSlowLog(l)
 }
 
-// SlowLog returns the attached slow-op log (nil when none).
-func (s *Server) SlowLog() *metrics.SlowLog {
-	return s.backend.SlowLog()
-}
-
-// SetReadSLO attaches a read-availability SLO tracker: every dispatched
-// OpGet feeds it one event — good when the get answered StatusOK, bad
-// on not-found or failure. Nil detaches. Safe at runtime.
+// SetReadSLO attaches a read-availability SLO tracker: every OpGet feeds
+// it one event — good when the get answered StatusOK, bad on not-found or
+// failure. Nil detaches. Safe at runtime.
 func (s *Server) SetReadSLO(slo *metrics.SLO) {
 	s.backend.SetReadSLO(slo)
 }
@@ -230,12 +226,6 @@ func (s *Server) handle(conn net.Conn) {
 	s.serveRequests(conn, br)
 }
 
-// seqResp pairs a response body with the sequence number it answers.
-type seqResp struct {
-	seq  uint32
-	body []byte
-}
-
 // freeList recycles one connection's buffers of one kind — request frames
 // or reply bodies: a buffered channel, so it holds at most its capacity
 // (defaultMaxInFlight) and neither end ever blocks on it.
@@ -263,95 +253,93 @@ func (f freeList) put(buf []byte) {
 	}
 }
 
-// respWriter is a connection's writer goroutine: it serializes the
-// out-of-order completions back onto the wire, coalescing whatever has
-// accumulated into one write per syscall, and hands each body back to the
-// connection's free list once its bytes are copied or written.
+// frameRoom is the room a reply body is built behind: its frame's len, seq.
+const frameRoom = 8
+
+// respWriter is a connection's one write path. A completion that finds it
+// idle writes what has accumulated in buf and its own frame from where it
+// lies, in one writev, then what accumulates meanwhile; one that finds it
+// busy copies its frame into buf and leaves. A write error closes the
+// connection, which unblocks the reader and fails every later write.
 type respWriter struct {
 	conn   net.Conn
 	bodies freeList
-	// buf is the coalescing buffer. Frames are added while it holds less
-	// than maxCoalesce and each adds less than maxCoalesce, so it never
-	// outgrows the capacity it starts with.
-	buf []byte
+	iov    [2][]byte   // the writer's writev, kept here so that
+	bufs   net.Buffers // a write allocates nothing
+
+	mu   sync.Mutex
+	busy bool // a completion is writing
+	// buf holds the frames waiting, spare the ones being written. A frame
+	// is copied into buf only while buf holds less than maxCoalesce and only
+	// if it is no longer than maxCoalesce, so neither outgrows its capacity.
+	buf, spare []byte
+	// idle, made by a completion that must wait for the writer, is closed
+	// when the writer stops; the writer stops after its current write once
+	// one is waiting, so nobody waits longer than that.
+	idle chan struct{}
 }
 
-func newRespWriter(conn net.Conn, bodies freeList) *respWriter {
-	return &respWriter{conn: conn, bodies: bodies, buf: make([]byte, 0, 2*maxCoalesce)}
-}
-
-// run writes responses until respCh is closed. After a write error it
-// closes the connection, to unblock the reader, and drains respCh so that
-// workers never block.
-func (w *respWriter) run(respCh <-chan seqResp) {
-	var werr error
-	for r := range respCh {
-		if werr != nil {
-			continue
+// send puts one reply on the wire and then recycles its buffer: frame is
+// the reply body behind frameRoom bytes, which send fills in. A frame that
+// finds the writer busy and cannot be copied into buf, because it or buf
+// is a write's worth already, waits for the writer to stop.
+func (w *respWriter) send(seq uint32, frame []byte) {
+	defer w.bodies.put(frame)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint32(frame[4:], seq)
+	w.mu.Lock()
+	for w.busy && (len(frame) > maxCoalesce || len(w.buf) >= maxCoalesce) {
+		if w.idle == nil {
+			w.idle = make(chan struct{})
 		}
-		w.buf = w.buf[:0]
-	coalesce:
-		for {
-			if werr = w.add(r); werr != nil || len(w.buf) >= maxCoalesce {
-				break
-			}
-			var ok bool
-			select {
-			case r, ok = <-respCh:
-				if !ok {
-					break coalesce
-				}
-			default:
-				break coalesce
-			}
+		idle := w.idle
+		w.mu.Unlock()
+		<-idle
+		w.mu.Lock()
+	}
+	if w.busy {
+		if w.buf == nil {
+			w.buf = make([]byte, 0, 2*maxCoalesce)
 		}
-		if werr == nil && len(w.buf) > 0 {
-			_, werr = w.conn.Write(w.buf)
-		}
-		if werr != nil {
+		w.buf = append(w.buf, frame...)
+		w.mu.Unlock()
+		return
+	}
+	w.busy = true
+	for frame != nil || (len(w.buf) > 0 && w.idle == nil) {
+		out := w.buf
+		w.buf, w.spare = w.spare[:0], out
+		w.mu.Unlock()
+		w.iov = [2][]byte{out, frame} // writev skips an empty one
+		w.bufs = w.iov[:]
+		if _, err := w.bufs.WriteTo(w.conn); err != nil {
 			w.conn.Close()
 		}
+		frame = nil
+		w.mu.Lock()
 	}
+	// What is left in buf, if anything, is for a waiter to write.
+	w.busy = false
+	if w.idle != nil {
+		close(w.idle)
+		w.idle = nil
+	}
+	w.mu.Unlock()
 }
 
-// add appends one frame to the coalescing buffer — or, when the body
-// alone is a write's worth, sends what has accumulated, the frame's header
-// and the body where it lies in one writev, copying nothing.
-func (w *respWriter) add(r seqResp) error {
-	defer w.bodies.put(r.body)
-	if 8+len(r.body) <= maxCoalesce {
-		w.buf = appendFrameSeq(w.buf, r.seq, r.body)
-		return nil
-	}
-	pending := len(w.buf)
-	w.buf = appendFrameSeq(w.buf, r.seq, nil)
-	binary.LittleEndian.PutUint32(w.buf[pending:], uint32(len(r.body)+4))
-	bufs := net.Buffers{w.buf, r.body}
-	_, err := bufs.WriteTo(w.conn)
-	w.buf = w.buf[:0]
-	return err
-}
-
-// serveRequests runs the pipelined loop: the reader admits up to
-// defaultMaxInFlight requests (the backpressure gate — beyond that it
-// stops reading, which pushes back through TCP flow control), each
-// dispatched on its own goroutine; a single writer goroutine (respWriter)
-// puts the completions back onto the wire. The seq is echoed as read,
-// all 32 bits of it.
+// serveRequests runs the pipelined loop, echoing each seq as read. A GET on
+// an idle connection whose engine read lock is free is answered here; a
+// pipelined burst, any mutator and a GET that would wait behind a
+// retirement or GC hold run on goroutines, up to defaultMaxInFlight (the
+// backpressure gate: beyond it the reader stops reading, which pushes back
+// through TCP flow control).
 //
 // Request frames and reply bodies are recycled per connection. A request's
-// Key and Value (and a batch's sub-ops) are views of its frame, which is
-// reused once dispatch has returned: Backend and everything below copy
-// what they keep. A reply body belongs to the writer once queued.
+// Key and Value (and a batch's sub-ops) are views of its frame, reused once
+// its reply is sent: Backend and everything below copy what they keep.
 func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 	frames, bodies := make(freeList, defaultMaxInFlight), make(freeList, defaultMaxInFlight)
-	respCh := make(chan seqResp, defaultMaxInFlight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		newRespWriter(conn, bodies).run(respCh)
-	}()
-
+	w := &respWriter{conn: conn, bodies: bodies}
 	sem := make(chan struct{}, defaultMaxInFlight)
 	var wg sync.WaitGroup
 	for {
@@ -360,29 +348,37 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 			break
 		}
 		req, derr := decodeRequest(frame)
-		sem <- struct{}{}
+		resp := append(bodies.get(), make([]byte, frameRoom)...)
 		s.backend.met.inflight.Add(1)
+		if derr == nil && req.Op == OpGet && len(sem) == 0 && br.Buffered() == 0 {
+			out, ok, err := s.backend.TryGetAppend(context.Background(), appendResponse(resp, StatusOK, nil), req.Key, req.Version)
+			if ok {
+				s.backend.met.inflight.Add(-1)
+				w.send(seq, getReply(out, frameRoom, err))
+				frames.put(frame)
+				continue
+			}
+			resp = out[:frameRoom]
+		}
+		sem <- struct{}{}
 		wg.Add(1)
-		go func(seq uint32, req request, derr error) {
+		go func(seq uint32, req request, derr error, resp []byte) {
 			defer wg.Done()
-			resp := bodies.get()
 			if derr != nil {
 				s.backend.met.badReqs.Inc()
 				resp = appendResponse(resp, StatusFailed, []byte(derr.Error()))
 			} else {
 				resp = s.dispatch(context.Background(), req, resp)
 			}
-			// Decrement before queueing the response so the gauge
-			// never reads >0 after the client has seen every reply.
+			// Decrement before sending the reply so the gauge never reads
+			// >0 after the client has seen every reply.
 			s.backend.met.inflight.Add(-1)
-			respCh <- seqResp{seq: seq, body: resp}
+			w.send(seq, resp)
 			frames.put(frame)
 			<-sem
-		}(seq, req, derr)
+		}(seq, req, derr, resp)
 	}
 	wg.Wait()
-	close(respCh)
-	<-writerDone
 }
 
 // dispatch executes one request through the Backend and appends the reply
@@ -398,21 +394,13 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 	b := s.backend
 	switch req.Op {
 	case OpPing:
-		if err := b.Ping(ctx); err != nil {
-			return errResponse(dst, err)
-		}
+		b.Ping(ctx)
 		return appendResponse(dst, StatusOK, []byte("pong"))
 	case OpPut, OpPutDedup:
 		return statusOnly(dst, b.Put(ctx, req.Key, req.Version, req.Value, req.Op == OpPutDedup))
 	case OpGet:
-		// The value lands behind a header whose length field is filled in
-		// once it is known.
 		out, err := b.GetAppend(ctx, appendResponse(dst, StatusOK, nil), req.Key, req.Version)
-		if err != nil {
-			return errResponse(out[:len(dst)], err)
-		}
-		binary.LittleEndian.PutUint32(out[len(dst)+1:], uint32(len(out)-len(dst)-respHeaderLen))
-		return out
+		return getReply(out, len(dst), err)
 	case OpDel:
 		return statusOnly(dst, b.Del(ctx, req.Key, req.Version))
 	case OpDropVersion:
@@ -440,10 +428,7 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 		// Key = from, Value = exclusive upper bound, Version = limit;
 		// limit <= 0 selects the backend default, positive limits clamp
 		// to it.
-		entries, applied, err := b.Range(ctx, req.Key, req.Value, int(int64(req.Version)))
-		if err != nil {
-			return errResponse(dst, err)
-		}
+		entries, applied := b.Range(ctx, req.Key, req.Value, int(int64(req.Version)))
 		return appendResponse(dst, StatusOK, encodeRangeReply(applied, entries))
 	case OpBatch:
 		return s.dispatchBatch(ctx, req, dst)
@@ -457,18 +442,25 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 	return appendResponse(dst, StatusFailed, []byte("unknown op"))
 }
 
+// getReply finishes a GET's reply body, begun at out[at:] as a StatusOK
+// header with the value appended behind it: the header's length field is
+// filled in now that it is known, or the body becomes the error's.
+func getReply(out []byte, at int, err error) []byte {
+	if err != nil {
+		return errResponse(out[:at], err)
+	}
+	binary.LittleEndian.PutUint32(out[at+1:], uint32(len(out)-at-respHeaderLen))
+	return out
+}
+
 // dispatchBatch decodes one OpBatch frame and applies it through the
 // Backend with native semantics: sub-op failures are reported
 // individually; the frame itself succeeds unless it is malformed.
 func (s *Server) dispatchBatch(ctx context.Context, req request, dst []byte) []byte {
-	subs, err := decodeBatch(req.Value, int(req.Version))
+	ops, err := decodeBatch(req.Value, int(req.Version))
 	if err != nil {
 		s.backend.met.badReqs.Inc()
 		return appendResponse(dst, StatusFailed, []byte(err.Error()))
-	}
-	ops := make([]BatchOp, len(subs))
-	for i, sub := range subs {
-		ops[i] = BatchOp{Op: sub.Op, Version: sub.Version, Key: sub.Key, Value: sub.Value}
 	}
 	results := s.backend.Batch(ctx, ops)
 	statuses := make([]subStatus, len(results))

@@ -35,6 +35,13 @@ func startServerReg(t *testing.T, reg *metrics.Registry) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveDB(t, db, reg)
+}
+
+// serveDB serves db on a loopback listener until the test ends, then
+// closes both, and returns the server with a client dialed to it.
+func serveDB(t *testing.T, db *core.DB, reg *metrics.Registry) (*Server, *Client) {
+	t.Helper()
 	s := New(db)
 	s.SetMetrics(reg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -335,11 +342,18 @@ func TestSlowLogCapture(t *testing.T) {
 	if err := cl.PutContext(context.Background(), []byte("slowk"), 1, []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
+	// One caller on an idle connection: the reader answers the GET itself.
+	if _, err := cl.GetContext(context.Background(), []byte("slowk"), 1); err != nil {
+		t.Fatal(err)
+	}
 	entries := slow.Entries(0)
-	for _, e := range entries {
-		if e.Op == "put" && e.Key == "slowk" {
-			return
+	for _, op := range []string{"put", "get"} {
+		found := false
+		for _, e := range entries {
+			found = found || (e.Op == op && e.Key == "slowk")
+		}
+		if !found {
+			t.Fatalf("no slow entry for %s/slowk: %+v", op, entries)
 		}
 	}
-	t.Fatalf("no slow entry for put/slowk: %+v", entries)
 }
