@@ -56,6 +56,9 @@ func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err erro
 // time and once more for the erase (aof.Store.CollectFile).
 func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 	reclaimed, cost, err := db.store.CollectFile(id, &db.excl, db.gcJudge, db.gcRelocated)
+	if err == nil {
+		delete(db.tombs, id) // every one was relocated
+	}
 	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
 }
@@ -67,17 +70,13 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 // the memtable (the paper: "QinDB also removes their matching items in
 // the skip list, which has the deletion flag set already").
 func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
-	if rec.IsVersionDrop() {
-		// Version-retention meta-records are a few bytes each and must
-		// stay durable for recovery; always relocate.
-		return true
+	if rec.IsTombstone() {
+		// A deletion record, tombstone or version drop, is what recovery
+		// replays until a checkpoint holds the deletion: kept whatever its
+		// item's state, dead once a checkpoint past its seq is written.
+		return rec.Seq >= db.ckptFloor
 	}
 	seg, it := lookup(db, rec.Key, rec.Version)
-	if rec.IsTombstone() {
-		// A tombstone is needed until the deletion it records is folded
-		// into the data record itself (FlagDropped) or the item is gone.
-		return it != nil && seg.deleted(it) && !it.has(fOnDiskDeleted)
-	}
 	if it == nil || it.ref != ref {
 		return false // item removed earlier, or this is a stale copy
 	}
@@ -100,8 +99,9 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 // gcRelocated updates the memtable offset of a relocated record (paper
 // Fig. 2, GC step 5). Runs with db.mu held exclusively.
 func (db *DB) gcRelocated(rec aof.Record, old, new aof.Ref) {
-	if rec.IsTombstone() || rec.IsVersionDrop() {
-		return // no item carries a tombstone ref
+	if rec.IsTombstone() {
+		db.holdTomb(new)
+		return
 	}
 	if _, it := lookup(db, rec.Key, rec.Version); it != nil && it.ref == old {
 		it.ref = new

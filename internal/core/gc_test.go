@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -158,7 +160,7 @@ func TestSameGCDifferentLocking(t *testing.T) {
 	s.checkAll(t, db, versions-3, versions-2, versions-1, versions)
 	checkLiveBytes(t, db)
 	got := db.Stats().Store
-	want := aof.Stats{AppendedBytes: 6321251, GCRuns: 13, GCMoved: 636470, GCFreed: 3364992, Files: 12, LiveBytes: 1906885}
+	want := aof.Stats{AppendedBytes: 6324131, GCRuns: 13, GCMoved: 639350, GCFreed: 3365352, Files: 12, LiveBytes: 1909405}
 	if got.AppendedBytes != want.AppendedBytes || got.GCRuns != want.GCRuns || got.GCMoved != want.GCMoved ||
 		got.GCFreed != want.GCFreed || got.Files != want.Files || got.LiveBytes != want.LiveBytes {
 		t.Fatalf("store stats = %+v\nwant AppendedBytes %d GCRuns %d GCMoved %d GCFreed %d Files %d LiveBytes %d",
@@ -169,16 +171,25 @@ func TestSameGCDifferentLocking(t *testing.T) {
 // checkLiveBytes recounts the store's live bytes from flash and fails the
 // test unless Stats agrees to the byte. A data record counts when it is
 // its item's current record and the item is live or has a live referrer;
-// every tombstone and version-drop record counts.
+// a tombstone or version-drop record counts until a checkpoint covers it:
+// when its seq is at or past the newest checkpoint's floor.
 func checkLiveBytes(t testing.TB, db *DB) {
 	t.Helper()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	var floor uint64
+	for _, n := range db.fs.List() {
+		if f, ok := parseCkptName(n); ok {
+			floor = max(floor, f)
+		}
+	}
 	var want int64
 	for _, id := range db.store.Files() {
 		err := db.store.ScanFile(id, func(rec aof.Record, ref aof.Ref) error {
 			if rec.IsTombstone() {
-				want += int64(ref.Len)
+				if rec.Seq >= floor {
+					want += int64(ref.Len)
+				}
 				return nil
 			}
 			if seg, it := lookup(db, rec.Key, rec.Version); it != nil && it.ref == ref && (!seg.deleted(it) || it.refs > 0) {
@@ -257,4 +268,58 @@ func TestStoreConverges(t *testing.T) {
 		}
 	}
 	s.checkAll(t, db, versions-3, versions-2, versions-1, versions)
+}
+
+// TestDeletedKeyStaysDeletedAfterGCAndReopen puts (k, 1) twice, leaving
+// the first record stale in an older file, deletes it, and collects the
+// file that holds the second record and the tombstone. GC drops the
+// second record, deleted and unreferenced, but must keep the tombstone:
+// no checkpoint holds the deletion, and recovery replays the stale first
+// record. Once with no checkpoint at all, once with all of it after one.
+func TestDeletedKeyStaysDeletedAfterGCAndReopen(t *testing.T) {
+	for _, ckpt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", ckpt), func(t *testing.T) {
+			fs := testFS(t, 64)
+			opts := testOptions()
+			opts.AOF.FileSize = 8 << 10 // two 5 KB values never share a file
+			opts.DisableAutoGC = true   // the stale record's file stays
+			db, err := Open(fs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			val := func(c byte) string { return string(bytes.Repeat([]byte{c}, 5<<10)) }
+			if ckpt {
+				mustPut(t, db, "other", 1, "x", false)
+				if _, err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustPut(t, db, "k", 1, val('A'), false)
+			mustPut(t, db, "k", 1, val('B'), false)
+			_, it := lookup(db, "k", 1)
+			victim := it.ref.File
+			if _, err := db.Del([]byte("k"), 1); err != nil {
+				t.Fatal(err)
+			}
+			mustPut(t, db, "seal", 1, val('S'), false) // rolls over: the victim is sealed
+			db.wmu.Lock()
+			_, err = db.collectLocked(victim)
+			db.wmu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLiveBytes(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open(fs, opts); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if got, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("k/1 deleted before the reopen reads %.4q... after it (err %v)", got, err)
+			}
+			checkLiveBytes(t, db)
+		})
+	}
 }

@@ -188,6 +188,7 @@ func TestOracleRounds(t *testing.T) {
 					t.Fatalf("round %d: reopen: %v", round, err)
 				}
 				o.check(t, db, sh)
+				checkLiveBytes(t, db)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)

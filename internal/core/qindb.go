@@ -198,6 +198,12 @@ type DB struct {
 	maxSeq    uint64 // highest sequence replayed or appended
 	sinceCkpt int64  // bytes appended since the last checkpoint
 	excl      exclLock
+	// ckptFloor is the floor of the newest checkpoint written or loaded,
+	// 0 without one. tombs holds, per file, the deletion records —
+	// tombstones and version-drop records — at or past it: each counts
+	// live and GC keeps it until a checkpoint covers it (DESIGN.md §3.1).
+	ckptFloor uint64
+	tombs     map[uint32][]aof.Ref
 
 	// Counters: one atomic cell per number, read by Stats, Health and
 	// the registry alike, so counting a request never needs db.mu.
@@ -762,13 +768,14 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if seg.deleted(it) {
 		return 0, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	}
-	_, seq, cost, err := db.store.Append(aof.Record{
+	ref, seq, cost, err := db.store.Append(aof.Record{
 		Key: key, Version: version, Flags: aof.FlagTombstone,
 	})
 	if err != nil {
 		return cost, err
 	}
 	db.noteSeq(seq)
+	db.holdTomb(ref)
 	db.mu.Lock()
 	it.flags |= fDeleted
 	db.deleteLocked(string(key), it)
@@ -804,13 +811,14 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	if db.closed {
 		return 0, 0, ErrClosed
 	}
-	_, seq, cost, err := db.store.Append(aof.Record{
+	ref, seq, cost, err := db.store.Append(aof.Record{
 		Version: version, Flags: aof.FlagTombstone | aof.FlagVersionDrop,
 	})
 	if err != nil {
 		return 0, cost, err
 	}
 	db.noteSeq(seq)
+	db.holdTomb(ref)
 	dropped := 0
 	if seg := db.segment(version); seg != nil && !seg.retired {
 		db.excl.Lock()
@@ -924,6 +932,15 @@ func (db *DB) Stats() Stats {
 		Checkpoints:    db.checkpoints.Load(),
 		Store:          db.store.Stats(),
 	}
+}
+
+// holdTomb keeps the deletion record at ref until a checkpoint covers it.
+// Runs with wmu held, or in recovery.
+func (db *DB) holdTomb(ref aof.Ref) {
+	if db.tombs == nil {
+		db.tombs = make(map[uint32][]aof.Ref)
+	}
+	db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 }
 
 func (db *DB) noteSeq(seq uint64) {

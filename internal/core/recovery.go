@@ -139,6 +139,15 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 			}
 		}
 	}
+	// The image holds every deletion recorded so far: the records that
+	// carried them are dead from here on.
+	for _, refs := range db.tombs {
+		for _, ref := range refs {
+			db.store.MarkDead(ref)
+		}
+	}
+	clear(db.tombs)
+	db.ckptFloor = floor
 	db.sinceCkpt = 0
 	db.checkpoints.Add(1)
 	return cost, nil
@@ -156,26 +165,38 @@ func (db *DB) sealedFilesLocked() []uint32 {
 	return nil
 }
 
-// loadCheckpoint reads and validates the newest checkpoint, populating
-// the memtable and returning (floorSeq, sealed file set, true). A missing
-// or corrupt checkpoint yields ok=false and recovery falls back to a full
-// scan.
+// loadCheckpoint loads the newest intact checkpoint into the memtable and
+// returns (floorSeq, sealed file set, true). A checkpoint that fails to
+// validate — torn by a crash while it was written — is removed and the
+// next older one tried: a full scan would bring back every deletion an
+// intact checkpoint retired. With none intact, ok is false and recovery
+// falls back to a full scan.
 func (db *DB) loadCheckpoint() (floor uint64, sealed map[uint32]bool, ok bool) {
-	var best string
-	var bestFloor uint64
+	var names []string
 	for _, n := range db.fs.List() {
-		if f, okName := parseCkptName(n); okName && (best == "" || f > bestFloor) {
-			best, bestFloor = n, f
+		if _, okName := parseCkptName(n); okName {
+			names = append(names, n)
 		}
 	}
-	if best == "" {
-		return 0, nil, false
+	// The names sort by floor: fixed-width decimal.
+	for i := len(names) - 1; i >= 0; i-- {
+		if floor, sealed, ok = db.readCheckpoint(names[i]); ok {
+			return floor, sealed, true
+		}
+		db.segs = nil // what a body that passed its checksum yet failed to parse added
+		_, _ = db.fs.Remove(names[i])
 	}
-	size, err := db.fs.Size(best)
+	return 0, nil, false
+}
+
+// readCheckpoint validates the checkpoint name and, if it is intact,
+// populates the memtable from it.
+func (db *DB) readCheckpoint(name string) (floor uint64, sealed map[uint32]bool, ok bool) {
+	size, err := db.fs.Size(name)
 	if err != nil || size < int64(len(ckptMagic))+4 {
 		return 0, nil, false
 	}
-	r, err := db.fs.Open(best)
+	r, err := db.fs.Open(name)
 	if err != nil {
 		return 0, nil, false
 	}
@@ -284,7 +305,7 @@ func (db *DB) recover() error {
 	sort.SliceStable(replay, func(i, j int) bool { return replay[i].rec.Seq < replay[j].rec.Seq })
 
 	touched := make(map[*item]bool)
-	var tombs []aof.Ref // tombstones, for occupancy rebuild
+	var tombs []aof.Ref // deletion records replayed
 	for _, rr := range replay {
 		rec := rr.rec
 		switch {
@@ -344,8 +365,9 @@ func (db *DB) recover() error {
 	// items bound to a base, and a data record counts live while its item
 	// is live or refs is above zero. A referrer is newer than its base, so
 	// in version order every base is reset before its referrers count it,
-	// and every count is whole before the second pass reads it. Tombstone
-	// records count live from append and are never marked dead.
+	// and every count is whole before the second pass reads it. The
+	// deletion records replayed — those no checkpoint covers — count live
+	// and are held until one does.
 	for _, seg := range db.segs {
 		seg.live = 0
 		for k, it := range seg.items {
@@ -370,8 +392,10 @@ func (db *DB) recover() error {
 	}
 	for _, ref := range tombs {
 		db.store.MarkLive(ref)
+		db.holdTomb(ref)
 	}
 
+	db.ckptFloor = floor
 	db.maxSeq = maxSeq
 	db.store.SeqFloor(maxSeq)
 	return nil

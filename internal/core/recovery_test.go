@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"directload/internal/aof"
 	"directload/internal/blockfs"
+	"directload/internal/blockfs/blockfstest"
 	"directload/internal/ssd"
 )
 
@@ -70,11 +72,8 @@ func snapshotState(t *testing.T, db *DB) engineState {
 }
 
 // crash closes db, reopens the store and checks that recovery rebuilt the
-// state db had. occupancy says whether the store's live bytes must match
-// too: they do unless tombstones sit in files a checkpoint covers, which
-// the running engine counts live and recovery, not replaying those
-// files, does not (ROADMAP item 1).
-func crash(t *testing.T, db *DB, fs blockfs.FS, occupancy bool) *DB {
+// state db had, the store's live bytes included.
+func crash(t *testing.T, db *DB, fs blockfs.FS) *DB {
 	t.Helper()
 	want := snapshotState(t, db)
 	if err := db.Close(); err != nil {
@@ -102,7 +101,7 @@ func crash(t *testing.T, db *DB, fs blockfs.FS, occupancy bool) *DB {
 	if got.files != want.files || got.total != want.total {
 		t.Fatalf("recovered store has %d files / %d bytes, want %d / %d", got.files, got.total, want.files, want.total)
 	}
-	if occupancy && got.live != want.live {
+	if got.live != want.live {
 		t.Fatalf("recovered store counts %d live bytes, want %d", got.live, want.live)
 	}
 	return db2
@@ -115,7 +114,7 @@ func TestRecoveryBasic(t *testing.T) {
 	mustPut(t, db, "b", 1, "vb", false)
 	mustPut(t, db, "b", 2, "", true)
 	db.Del([]byte("a"), 1)
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	if _, _, err := db2.Get([]byte("a"), 1); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("deleted key after recovery err = %v", err)
@@ -155,7 +154,7 @@ func TestRecoveryVersionDrop(t *testing.T) {
 		}
 	}
 	db.DropVersion(1)
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	if vs := db2.Versions(); len(vs) != 2 || vs[0] != 2 || vs[1] != 3 {
 		t.Fatalf("Versions after recovery = %v, want [2 3]", vs)
@@ -194,7 +193,7 @@ func TestRecoveryAfterGC(t *testing.T) {
 	if db.Stats().Store.GCRuns == 0 {
 		t.Fatal("precondition: GC must have run")
 	}
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	// Dropped version stays dropped.
 	if _, _, err := db2.Get([]byte("dup-00"), 1); err == nil {
@@ -223,7 +222,7 @@ func TestRecoveryOccupancyRebuild(t *testing.T) {
 		db.Del([]byte(fmt.Sprintf("k-%03d", k)), 1)
 	}
 	want := db.Stats().Store
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	got := db2.Stats().Store
 	if got.LiveBytes != want.LiveBytes {
@@ -246,7 +245,7 @@ func TestRecoverySeqFloorMonotone(t *testing.T) {
 	fs := testFS(t, 256)
 	db, _ := Open(fs, testOptions())
 	mustPut(t, db, "k", 1, "old", false)
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	mustPut(t, db2, "k", 1, "new", false) // re-put: later seq must win
 	db2.Close()
 
@@ -269,7 +268,7 @@ func TestCheckpointBasic(t *testing.T) {
 	// Post-checkpoint mutations must replay on top of the image.
 	mustPut(t, db, "k-00", 2, "newer", false)
 	db.Del([]byte("k-01"), 1)
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	if got := mustGet(t, db2, "k-00", 2); got != "newer" {
 		t.Fatalf("k-00/2 = %q", got)
@@ -300,7 +299,7 @@ func TestCheckpointSupersedesOlder(t *testing.T) {
 	if ckpts != 1 {
 		t.Fatalf("checkpoint files = %d, want 1 (older removed)", ckpts)
 	}
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	mustGet(t, db2, "a", 1)
 	mustGet(t, db2, "b", 1)
@@ -330,7 +329,7 @@ func TestCheckpointThenGCThenRecovery(t *testing.T) {
 		t.Fatal("precondition: GC must have run")
 	}
 	keysBefore := db.Stats().Keys
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	if got := db2.Stats().Keys; got != keysBefore {
 		t.Fatalf("Keys after recovery = %d, want %d", got, keysBefore)
@@ -371,6 +370,82 @@ func TestCorruptCheckpointFallsBackToScan(t *testing.T) {
 	}
 }
 
+// TestTornCheckpointFallsBackToIntactOne leaves a garbage checkpoint at a
+// newer floor beside an intact one, as a crash in the middle of writing
+// it would. Recovery must load the intact one and scan none of the files
+// it lists as sealed. A full scan is no fallback: the intact checkpoint
+// retired the tombstone of (k, 1), GC dropped it, and the scan would
+// replay the stale record the deletion had killed.
+func TestTornCheckpointFallsBackToIntactOne(t *testing.T) {
+	var mu sync.Mutex
+	read := map[string]bool{}
+	fs := &blockfstest.FS{FS: testFS(t, 64), ReadAt: func(name string, _ int64) {
+		mu.Lock()
+		read[name] = true
+		mu.Unlock()
+	}}
+	opts := testOptions()
+	opts.AOF.FileSize = 8 << 10 // two 5 KB values never share a file
+	opts.DisableAutoGC = true
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(c byte) string { return string(bytes.Repeat([]byte{c}, 5<<10)) }
+	mustPut(t, db, "k", 1, val('A'), false)
+	mustPut(t, db, "k", 1, val('B'), false)
+	_, it := lookup(db, "k", 1)
+	victim := it.ref.File
+	if _, err := db.Del([]byte("k"), 1); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, db, "live", 1, val('L'), false) // rolls over: the victim is sealed
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := db.sealedFilesLocked()
+	db.wmu.Lock()
+	_, err = db.collectLocked(victim)
+	db.wmu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var floor uint64
+	for _, n := range fs.List() {
+		if f, ok := parseCkptName(n); ok {
+			floor = f
+		}
+	}
+	w, err := fs.Create(ckptName(floor + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append([]byte("garbage-not-a-checkpoint"))
+	w.Close()
+
+	clear(read)
+	db, err = Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, id := range sealed {
+		if name := fmt.Sprintf("aof-%08d", id); read[name] {
+			t.Errorf("recovery read %s, which the intact checkpoint lists as sealed", name)
+		}
+	}
+	if got, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
+		t.Fatalf("k/1 deleted before the reopen reads %.4q... after it (err %v)", got, err)
+	}
+	if got := mustGet(t, db, "live", 1); got != val('L') {
+		t.Fatalf("live/1 = %.4q..., want the L value", got)
+	}
+	checkLiveBytes(t, db)
+}
+
 // TestModelEquivalence runs a random op stream against the engine and
 // the oracle, checking Get agreement after every checkpoint, GC drain and
 // crash/recovery, and that recovery rebuilds the exact engine state.
@@ -391,7 +466,7 @@ func TestModelEquivalence(t *testing.T) {
 		db.CollectAll()
 		o.check(t, db, sh)
 		// Crash and recover.
-		db = crash(t, db, fs, false) // tombstones in checkpoint-covered files
+		db = crash(t, db, fs)
 		o.check(t, db, sh)
 	}
 	db.Close()
@@ -436,7 +511,7 @@ func TestReviveAfterRelocatedDropSurvivesRecovery(t *testing.T) {
 		}
 	}
 	check("pre-crash", db)
-	db2 := crash(t, db, fs, true)
+	db2 := crash(t, db, fs)
 	defer db2.Close()
 	check("post-crash", db2)
 }
