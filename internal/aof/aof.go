@@ -4,15 +4,18 @@
 // per-file occupancy for the lazy garbage collection policy.
 //
 // The store is policy-free about liveness: the engine (internal/core)
-// owns the memtable and therefore knows which records are referenced; GC
-// asks it through callbacks. What lives here is the mechanics the paper
-// describes: append records to the active file, rotate at the size
-// limit, maintain the occupancy ratio table, and — when a file's
-// occupancy falls below the threshold — re-append the records the engine
-// wants kept and erase the file (steps 3–6 of paper Fig. 2).
+// owns the memtable and therefore knows which records are referenced. A GC
+// pass reads only the records the engine names as able to survive their
+// file, and asks it through callbacks which to keep. What lives here is
+// the mechanics the paper describes: append records to the active file,
+// rotate at the size limit, maintain the occupancy ratio table, and —
+// when a file's occupancy falls below the threshold — re-append the
+// records the engine wants kept and erase the file (steps 3–6 of paper
+// Fig. 2). Recovery alone scans a file whole.
 package aof
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +23,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,6 +227,11 @@ type Store struct {
 	// mu is held from encode to the end of the append, and blockfs keeps
 	// nothing of what it is handed.
 	scratch []byte
+	// gcBuf and gcRecs are a GC pass's read buffer and the records
+	// decoded from it (readChunk), kept from pass to pass. Only
+	// CollectFile uses them, and its caller runs one pass at a time.
+	gcBuf  []byte
+	gcRecs []Record
 
 	met storeMetrics
 }
@@ -369,12 +376,12 @@ func (s *Store) SeqFloor(floor uint64) {
 }
 
 // KeepBuffer is the largest buffer the data path holds on to for reuse —
-// the store's encode scratch here, a connection's recycled frames, reply
-// bodies and GET scratch above: one that has grown past it is left to the
-// garbage collector. The largest buffer the paper's traffic makes is the
-// frame of a 64-entry publish batch of 16-24 KB values, 1.3-1.5 MB: 2 MB
-// keeps that one, and an outsized value is not remembered for the life of
-// whatever served it.
+// the store's encode scratch and GC read buffer here, a connection's
+// recycled frames, reply bodies and GET scratch above: one that has grown
+// past it is left to the garbage collector. The largest buffer the
+// paper's traffic makes is the frame of a 64-entry publish batch of 16-24
+// KB values, 1.3-1.5 MB: 2 MB keeps that one, and an outsized value is
+// not remembered for the life of whatever served it.
 const KeepBuffer = 2 << 20
 
 // appendLocked encodes rec into the store's scratch buffer and appends it
@@ -496,12 +503,11 @@ func (s *Store) Close() error {
 func (s *Store) Files() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files := s.table()
-	ids := make([]uint32, 0, len(files))
-	for id := range files {
+	ids := make([]uint32, 0, len(s.table()))
+	for id := range s.table() {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -617,33 +623,10 @@ func (sc *scanner) next() (rec Record, ref Ref, ok bool, err error) {
 	return rec, Ref{File: sc.id, Off: at, Len: uint32(n)}, true, nil
 }
 
-// scanned is one record of a scan and where it lies.
-type scanned struct {
-	rec Record
-	ref Ref
-}
-
-// nextBatch appends to batch the records from the cursor on that need no
-// further flash read, GCChunk at most — reading first if there is none.
-// The views stay valid until the next call. An empty batch is the end of
-// the file.
-func (sc *scanner) nextBatch(batch []scanned) ([]scanned, error) {
-	for {
-		rec, ref, ok, err := sc.next()
-		if err != nil || !ok {
-			return batch, err
-		}
-		batch = append(batch, scanned{rec, ref})
-		if len(batch) == GCChunk || !sc.buffered() {
-			return batch, nil
-		}
-	}
-}
-
 // ScanFile iterates the records of one file in append order, checksum
 // verified, stopping if fn returns an error. The record's Key and Value
 // are views into the scan buffer, valid during the call: fn copies what
-// it keeps. Used for recovery; GC walks the same scanner in batches.
+// it keeps. Used for recovery.
 func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 	sc, err := s.newScanner(id)
 	if err != nil {
@@ -664,15 +647,16 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 // record at ref must be preserved — either it is the current target of a
 // memtable item, or it is an older version still reachable through dedup
 // traceback (paper: "invalid key-value pairs that are referred by later
-// version keys"). The judge may mutate the record's flags before the
-// relocation copy is written (e.g. folding a memtable delete flag into
-// FlagDropped so the deletion survives recovery). The record is a view
-// into the scan buffer, valid during the call.
+// version keys"), or a deletion record recovery still needs. The judge may
+// mutate the record's flags before the relocation copy is written (e.g.
+// folding a memtable delete flag into FlagDropped so the deletion survives
+// recovery). The record is a view into the pass's read buffer, valid
+// during the call.
 type Judge func(rec *Record, ref Ref) bool
 
 // Relocated notifies the engine that a preserved record moved, so it can
 // update the offset fields in its memtable (paper Fig. 2, GC step 5).
-// The record is a view into the scan buffer, valid during the call.
+// The record is a view into the pass's read buffer, valid during the call.
 type Relocated func(rec Record, old, new Ref)
 
 // Candidates returns sealed files whose occupancy is at or below the GC
@@ -682,60 +666,49 @@ type Relocated func(rec Record, old, new Ref)
 func (s *Store) Candidates() []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type cand struct {
-		id  uint32
-		occ float64
-	}
-	var cs []cand
-	for id, fi := range s.table() {
-		if !fi.seal || fi.total == 0 {
-			continue
-		}
-		occ := float64(fi.live) / float64(fi.total)
-		if occ <= s.cfg.GCThreshold {
-			cs = append(cs, cand{id, occ})
+	files := s.table()
+	occ := func(id uint32) float64 { return float64(files[id].live) / float64(files[id].total) }
+	var ids []uint32
+	for id, fi := range files {
+		if fi.seal && fi.total > 0 && occ(id) <= s.cfg.GCThreshold {
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].occ != cs[j].occ {
-			return cs[i].occ < cs[j].occ
-		}
-		return cs[i].id < cs[j].id
-	})
-	ids := make([]uint32, len(cs))
-	for i, c := range cs {
-		ids[i] = c.id
-	}
+	slices.SortFunc(ids, func(a, b uint32) int { return cmp.Or(cmp.Compare(occ(a), occ(b)), cmp.Compare(a, b)) })
 	return ids
 }
 
 // One hold of the engine lock during a pass judges at most GCChunk
-// records and stops re-appending once it has moved gcHoldBytes: a few
-// hundred microseconds of memtable lookups in a file of dead records, of
-// encoding and appending in a file of live ones.
+// records, which together, past the first, come to at most gcHoldBytes:
+// a few hundred microseconds of encoding and appending. The records of a
+// hold are read, and their checksums verified, before it is taken.
 const (
 	GCChunk     = 128
 	gcHoldBytes = 128 << 10
 )
 
-// CollectFile garbage-collects one file: preserved records (per judge)
-// are re-appended to the active AOF, the engine is told their new
-// location, and the file is erased. It returns the record bytes
-// reclaimed and the simulated device cost. This is the software-level
-// write amplification QinDB pays (paper: "up to 2.5x ... as QinDB has to
-// re-append valid data of deleted files in the GC process").
+// CollectFile garbage-collects one file: of the records at refs — the
+// ones the engine says can survive the file, ascending by offset — those
+// the judge preserves are re-appended to the active AOF, the engine is
+// told their new location, and the file is erased. No other byte of the
+// file is read: the memtable already knows every record GC may keep. It
+// returns the record bytes reclaimed and the simulated device cost. This
+// is the software-level write amplification QinDB pays (paper: "up to
+// 2.5x ... as QinDB has to re-append valid data of deleted files in the
+// GC process").
 //
-// The caller guarantees that nothing else appends to or marks the store
-// for the length of the call. lk is the lock that keeps the engine's
-// readers out: CollectFile reads and checksums the victim without it,
-// holds it while judge and relocated run — releasing it every GCChunk
-// records and every gcHoldBytes moved — and holds it once more to erase
-// the victim, after every kept record has been re-pointed: a reader that
-// resolved a ref into the victim under its side of lk finishes its read
-// before the file goes. If the pass fails midway the victim stays,
-// alongside the copies already made: the state a crash at that point
-// leaves, which recovery resolves by sequence number.
-func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Relocated) (int64, time.Duration, error) {
+// The caller guarantees that nothing else appends to, marks or collects
+// in the store for the length of the call. lk is the lock that keeps the
+// engine's readers out: CollectFile reads a chunk of records (adjacent
+// ones in one read, through the file's kept reader, into a buffer the
+// store keeps between passes) and verifies their checksums without it,
+// holds it while judge and relocated run on the chunk, and holds it once
+// more to erase the victim, after every kept record has been re-pointed:
+// a reader that resolved a ref into the victim under its side of lk
+// finishes its read before the file goes. If the pass fails midway the
+// victim stays, alongside the copies already made: the state a crash at
+// that point leaves, which recovery resolves by sequence number.
+func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, relocated Relocated) (int64, time.Duration, error) {
 	s.mu.Lock()
 	fi, ok := s.table()[id]
 	if !ok {
@@ -749,41 +722,35 @@ func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Re
 	total := fi.total
 	s.mu.Unlock()
 
-	sc, err := s.newScanner(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	var batch []scanned
 	var cost time.Duration
 	var moved int64
-	for {
-		if batch, err = sc.nextBatch(batch[:0]); err != nil {
-			return 0, cost, err
+	for len(refs) > 0 {
+		n, size := 1, int(refs[0].Len)
+		for n < len(refs) && n < GCChunk && size+int(refs[n].Len) <= gcHoldBytes {
+			size += int(refs[n].Len)
+			n++
 		}
-		if len(batch) == 0 {
-			break
+		chunk := refs[:n]
+		refs = refs[n:]
+		recs, c, err := s.readChunk(fi.r, chunk, size)
+		cost += c
+		if err != nil {
+			return 0, cost, fmt.Errorf("file %d: %w", id, err)
 		}
 		lk.Lock()
-		var held int64 // bytes moved in this hold
-		for _, b := range batch {
-			if !judge(&b.rec, b.ref) {
+		for i := range recs {
+			if !judge(&recs[i], chunk[i]) {
 				continue
 			}
-			if held >= gcHoldBytes {
-				lk.Unlock()
-				held = 0
-				lk.Lock()
-			}
-			newRef, n, c, err := s.relocate(b.rec)
+			newRef, l, c, err := s.relocate(recs[i])
 			cost += c
 			if err != nil {
 				lk.Unlock()
 				return 0, cost, err
 			}
-			held += n
-			moved += n
+			moved += l
 			if relocated != nil {
-				relocated(b.rec, b.ref, newRef)
+				relocated(recs[i], chunk[i], newRef)
 			}
 		}
 		lk.Unlock()
@@ -807,6 +774,44 @@ func (s *Store) CollectFile(id uint32, lk sync.Locker, judge Judge, relocated Re
 	s.mu.Unlock()
 	lk.Unlock()
 	return total - moved, cost, nil
+}
+
+// readChunk reads the records at refs, size bytes in all, into the
+// store's GC buffer — each run of adjacent records in one read — and
+// decodes them, checksums verified. The records are views of the buffer,
+// valid until the next call.
+func (s *Store) readChunk(r blockfs.Reader, refs []Ref, size int) ([]Record, time.Duration, error) {
+	buf := slices.Grow(s.gcBuf[:0], size)[:size]
+	if size <= KeepBuffer {
+		s.gcBuf = buf
+	}
+	var cost time.Duration
+	for i, at := 0, 0; i < len(refs); {
+		off, end := refs[i].Off, at+int(refs[i].Len)
+		for i++; i < len(refs) && refs[i].Off == refs[i-1].Off+int64(refs[i-1].Len); i++ {
+			end += int(refs[i].Len)
+		}
+		n, c, err := r.ReadAt(buf[at:end], off)
+		cost += c
+		if err != nil {
+			return nil, cost, err
+		}
+		if n < end-at { // the rest of buf holds an earlier chunk's bytes
+			return nil, cost, fmt.Errorf("%w: offset %d: file ends %d bytes into a %d-byte read", ErrCorrupt, off, n, end-at)
+		}
+		at = end
+	}
+	recs := s.gcRecs[:0]
+	for _, ref := range refs {
+		rec, _, err := DecodeView(buf[:ref.Len])
+		if err != nil {
+			return nil, cost, fmt.Errorf("offset %d: %w", ref.Off, err)
+		}
+		recs = append(recs, rec)
+		buf = buf[ref.Len:]
+	}
+	s.gcRecs = recs
+	return recs, cost, nil
 }
 
 // relocate re-appends a record GC keeps, returning its new location and

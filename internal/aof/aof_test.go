@@ -248,7 +248,7 @@ func TestActiveFileNeverCandidate(t *testing.T) {
 	if len(s.Candidates()) != 0 {
 		t.Fatal("the active file must not be a GC candidate")
 	}
-	if _, _, err := s.CollectFile(ref.File, new(sync.Mutex), nil, nil); err == nil {
+	if _, _, err := s.CollectFile(ref.File, nil, new(sync.Mutex), nil, nil); err == nil {
 		t.Fatal("collecting the active file should fail")
 	}
 	// The refusal releases the store: the next append completes.
@@ -283,6 +283,16 @@ func TestSyncReturnsFlashError(t *testing.T) {
 	}
 }
 
+// fileRefs returns the refs of every record in file id, in file order.
+func fileRefs(t *testing.T, s *Store, id uint32) []Ref {
+	t.Helper()
+	var refs []Ref
+	if err := s.ScanFile(id, func(_ Record, ref Ref) error { refs = append(refs, ref); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
 func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	s, _ := Open(testFS(t, 256), smallConfig())
 	val := bytes.Repeat([]byte{4}, 100<<10)
@@ -308,7 +318,7 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	}
 	judge := func(rec *Record, ref Ref) bool { return items[string(rec.Key)].live }
 	var relocations int
-	reclaimed, _, err := s.CollectFile(firstFile, new(sync.Mutex), judge, func(rec Record, old, new Ref) {
+	reclaimed, _, err := s.CollectFile(firstFile, fileRefs(t, s, firstFile), new(sync.Mutex), judge, func(rec Record, old, new Ref) {
 		items[string(rec.Key)].ref = new
 		relocations++
 		if old.File != firstFile {

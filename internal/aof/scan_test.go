@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"directload/internal/blockfs"
+	"directload/internal/blockfs/blockfstest"
 )
 
 // wholeFileScan is ScanFile as it was before it read in pieces — the whole
@@ -155,7 +156,8 @@ func (l *countingLocker) Unlock() {
 }
 
 // TestCollectFileChunksItsHolds collects a file of many small records and
-// a file of large live ones: judge and relocated only ever run under the
+// a file of large live ones, handing over every record: judge and
+// relocated only ever run under the
 // lock, no hold judges more than GCChunk records or moves much more than
 // gcHoldBytes, the victim is still there during the last judging hold,
 // and the erase gets a hold of its own.
@@ -185,10 +187,8 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 			if err := s.Close(); err != nil { // seals the file whatever its fill
 				t.Fatal(err)
 			}
-			inFile := 0
-			if err := s.ScanFile(first, func(Record, Ref) error { inFile++; return nil }); err != nil {
-				t.Fatal(err)
-			}
+			refs := fileRefs(t, s, first)
+			inFile := len(refs)
 			lk := &countingLocker{}
 			var movedInHold, maxMoved int64
 			lastHold := 0
@@ -214,7 +214,7 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 				movedInHold += int64(new.Len)
 				maxMoved = max(maxMoved, movedInHold)
 			}
-			if _, _, err := s.CollectFile(first, lk, judge, relocated); err != nil {
+			if _, _, err := s.CollectFile(first, refs, lk, judge, relocated); err != nil {
 				t.Fatal(err)
 			}
 			if n != inFile {
@@ -238,5 +238,64 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 				t.Fatal("victim not erased")
 			}
 		})
+	}
+}
+
+// TestCollectFileReadsWhatItMoves collects a file by the refs of the
+// records that survive it — runs of adjacent ones, lone ones, and one
+// larger than a hold — and counts the bytes the pass reads from the
+// victim: exactly the bytes it moves, with each run of adjacent records
+// in fewer reads than records.
+func TestCollectFileReadsWhatItMoves(t *testing.T) {
+	var mu sync.Mutex
+	var read int64
+	var reads int
+	fs := &blockfstest.FS{FS: testFS(t, 256), Flip: func(name string, _ int64, p []byte) {
+		if name == filename(0) {
+			mu.Lock()
+			read += int64(len(p))
+			reads++
+			mu.Unlock()
+		}
+	}}
+	s, _ := Open(fs, smallConfig())
+	var keep []Ref
+	for i := 0; i < 200; i++ {
+		val := bytes.Repeat([]byte{byte(i)}, 2000+i)
+		if i == 150 {
+			val = bytes.Repeat([]byte{1}, gcHoldBytes+1000)
+		}
+		ref, _, _, err := s.Append(Record{Key: []byte(fmt.Sprintf("k%03d", i)), Version: 1, Value: val})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.File != 0 {
+			t.Fatalf("record %d rolled over into file %d", i, ref.File)
+		}
+		if i%10 < 4 || i == 150 || i == 177 { // runs of four, a large one, a lone one
+			keep = append(keep, ref)
+		} else {
+			s.MarkDead(ref)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().GCMoved
+	mu.Lock()
+	read, reads = 0, 0
+	mu.Unlock()
+	judge := func(*Record, Ref) bool { return true }
+	if _, _, err := s.CollectFile(0, keep, new(sync.Mutex), judge, nil); err != nil {
+		t.Fatal(err)
+	}
+	moved := s.Stats().GCMoved - before
+	mu.Lock()
+	defer mu.Unlock()
+	if moved == 0 || read != moved {
+		t.Fatalf("the pass read %d bytes of its victim and moved %d", read, moved)
+	}
+	if reads >= len(keep) {
+		t.Fatalf("%d reads for %d records: adjacent records were read one by one", reads, len(keep))
 	}
 }

@@ -91,6 +91,10 @@ type segment struct {
 	sorted  atomic.Pointer[[]string] // the keys in ascending order, or nil
 	live    int                      // items not deleted: the version's key count
 	retired bool                     // dropped whole by DropVersion
+	// first is the oldest file any item was added with. A record moves
+	// only to the active file, whose id is the highest, so no item's ref
+	// lies in an older one.
+	first uint32
 }
 
 func (s *segment) deleted(it *item) bool { return s.retired || it.has(fDeleted) }
@@ -112,6 +116,9 @@ func (s *segment) keys() []string {
 
 // add puts it in the segment under key and drops the sorted view.
 func (s *segment) add(key string, it *item) {
+	if len(s.items) == 0 || it.ref.File < s.first {
+		s.first = it.ref.File
+	}
 	s.items[key] = it
 	s.sorted.Store(nil)
 }
@@ -198,12 +205,14 @@ type DB struct {
 	maxSeq    uint64 // highest sequence replayed or appended
 	sinceCkpt int64  // bytes appended since the last checkpoint
 	excl      exclLock
-	// ckptFloor is the floor of the newest checkpoint written or loaded,
-	// 0 without one. tombs holds, per file, the deletion records —
-	// tombstones and version-drop records — at or past it: each counts
-	// live and GC keeps it until a checkpoint covers it (DESIGN.md §3.1).
-	ckptFloor uint64
-	tombs     map[uint32][]aof.Ref
+	// tombs holds, per file, the deletion records — tombstones and
+	// version-drop records — no checkpoint covers yet: each counts live
+	// and GC keeps it until a checkpoint does (DESIGN.md §3.1).
+	tombs map[uint32][]aof.Ref
+	// gcKeep and gcGone are a GC pass's lists (victimLocked), kept from
+	// pass to pass.
+	gcKeep []aof.Ref
+	gcGone []goneItem
 
 	// Counters: one atomic cell per number, read by Stats, Health and
 	// the registry alike, so counting a request never needs db.mu.
@@ -301,6 +310,7 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		fs:    fs,
 		reg:   opts.Metrics,
 		met:   newEngineMetrics(opts.Metrics),
+		tombs: make(map[uint32][]aof.Ref),
 	}
 	db.excl = exclLock{mu: &db.mu, hold: db.met.exclHold}
 	if err := db.recover(); err != nil {
@@ -775,7 +785,7 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 		return cost, err
 	}
 	db.noteSeq(seq)
-	db.holdTomb(ref)
+	db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 	db.mu.Lock()
 	it.flags |= fDeleted
 	db.deleteLocked(string(key), it)
@@ -818,7 +828,7 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		return 0, cost, err
 	}
 	db.noteSeq(seq)
-	db.holdTomb(ref)
+	db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 	dropped := 0
 	if seg := db.segment(version); seg != nil && !seg.retired {
 		db.excl.Lock()
@@ -932,15 +942,6 @@ func (db *DB) Stats() Stats {
 		Checkpoints:    db.checkpoints.Load(),
 		Store:          db.store.Stats(),
 	}
-}
-
-// holdTomb keeps the deletion record at ref until a checkpoint covers it.
-// Runs with wmu held, or in recovery.
-func (db *DB) holdTomb(ref aof.Ref) {
-	if db.tombs == nil {
-		db.tombs = make(map[uint32][]aof.Ref)
-	}
-	db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 }
 
 func (db *DB) noteSeq(seq uint64) {

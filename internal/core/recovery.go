@@ -147,7 +147,6 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 		}
 	}
 	clear(db.tombs)
-	db.ckptFloor = floor
 	db.sinceCkpt = 0
 	db.checkpoints.Add(1)
 	return cost, nil
@@ -392,10 +391,9 @@ func (db *DB) recover() error {
 	}
 	for _, ref := range tombs {
 		db.store.MarkLive(ref)
-		db.holdTomb(ref)
+		db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 	}
 
-	db.ckptFloor = floor
 	db.maxSeq = maxSeq
 	db.store.SeqFloor(maxSeq)
 	return nil
