@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"directload/internal/aof"
 	"directload/internal/core"
@@ -149,9 +148,9 @@ type conn struct {
 	w   *Writer
 
 	// scratch is where GET and MGET values land on their way to the reply
-	// writer, which copies them: one buffer per burst worker, reused from
-	// command to command. Worker 0's serves the serial commands.
-	scratch [getBurstWorkers][]byte
+	// writer, which copies them: one buffer, reused from command to
+	// command.
+	scratch []byte
 
 	version uint64 // engine version commands address (SELECT; default 1)
 	multi   bool
@@ -167,19 +166,6 @@ func VersionForDB(index int) uint64 {
 	return uint64(index) + 1
 }
 
-// Read-burst dispatch. A pipelined run of consecutive GETs has no
-// ordering constraints among its members — they are pure reads with no
-// intervening write — so the handler executes them concurrently (like
-// the native listener's in-flight window) and writes the replies
-// back in command order. The burst ends at the first non-GET command,
-// which preserves read-your-writes across the pipeline.
-const (
-	// maxReadBurst caps how many consecutive GETs one burst gathers.
-	maxReadBurst = 256
-	// getBurstWorkers bounds the concurrent engine reads per burst.
-	getBurstWorkers = 8
-)
-
 // handle serves one connection until EOF, QUIT, or a protocol error.
 func (s *Server) handle(nc net.Conn) {
 	s.backend.ConnOpened()
@@ -194,51 +180,23 @@ func (s *Server) handle(nc net.Conn) {
 			c.w.Flush()
 		}
 	}
-	var pending [][]byte // command read ahead by a burst, not yet run
 	for {
-		var args [][]byte
-		if pending != nil {
-			args, pending = pending, nil
-		} else {
-			var err error
-			args, err = c.r.ReadCommand()
-			if err != nil {
-				protoErr(err)
-				return
-			}
-			if len(args) == 0 {
-				continue // blank inline line
-			}
+		args, err := c.r.ReadCommand()
+		if err != nil {
+			protoErr(err)
+			return
 		}
-		if !c.multi && isPlainGet(args) && c.r.Buffered() > 0 {
-			keys := [][]byte{args[1]}
-			var readErr error
-			for c.r.Buffered() > 0 && len(keys) < maxReadBurst {
-				next, err := c.r.ReadCommand()
-				if err != nil {
-					readErr = err
-					break
-				}
-				if len(next) == 0 {
-					continue
-				}
-				if !isPlainGet(next) {
-					pending = next
-					break
-				}
-				keys = append(keys, next[1])
-			}
-			c.runGetBurst(ctx, keys)
-			if readErr != nil {
-				protoErr(readErr)
-				return
-			}
+		if len(args) == 0 {
+			continue // blank inline line
+		}
+		if !c.multi && isPlainGet(args) {
+			c.get(ctx, args[1])
 		} else {
 			c.dispatch(ctx, args)
 		}
 		// Flush only once the pipeline drains: a burst of N commands
 		// answers with one write, not N.
-		if c.r.Buffered() == 0 && pending == nil {
+		if c.r.Buffered() == 0 {
 			if err := c.w.Flush(); err != nil {
 				return
 			}
@@ -249,56 +207,13 @@ func (s *Server) handle(nc net.Conn) {
 	}
 }
 
-// isPlainGet reports whether args is a well-formed GET — the only
-// command eligible for concurrent read-burst dispatch.
+// isPlainGet reports whether args is a well-formed GET, which runs without
+// the command-name lookup dispatch makes.
 func isPlainGet(args [][]byte) bool {
 	return len(args) == 2 && len(args[0]) == 3 &&
 		(args[0][0] == 'G' || args[0][0] == 'g') &&
 		(args[0][1] == 'E' || args[0][1] == 'e') &&
 		(args[0][2] == 'T' || args[0][2] == 't')
-}
-
-// runGetBurst executes a run of consecutive pipelined GETs, fanning the
-// engine reads across a bounded worker pool and writing replies in
-// command order. Every read still passes through Backend.Get, so the
-// per-op metrics, read SLO and slowlog see burst traffic exactly like
-// serial traffic.
-func (c *conn) runGetBurst(ctx context.Context, keys [][]byte) {
-	if len(keys) == 1 {
-		c.get(ctx, keys[0])
-		return
-	}
-	type result struct {
-		val []byte
-		err error
-	}
-	results := make([]result, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(len(keys), getBurstWorkers); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// The worker's values go end to end into its scratch buffer.
-			// Should that grow mid-burst, the earlier values stay where
-			// they were, in the buffer it grew out of.
-			buf := c.scratch[w][:0]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
-					break
-				}
-				at := len(buf)
-				buf, results[i].err = c.srv.backend.GetAppend(ctx, buf, keys[i], c.version)
-				results[i].val = buf[at:]
-			}
-			c.scratch[w] = keepScratch(buf)
-		}(w)
-	}
-	wg.Wait()
-	for _, r := range results {
-		c.writeGetReply(r.val, r.err)
-	}
 }
 
 // keepScratch is what a connection holds on to of a scratch buffer between
@@ -313,9 +228,9 @@ func keepScratch(buf []byte) []byte {
 // get runs one GET through the connection's scratch buffer and writes
 // its reply.
 func (c *conn) get(ctx context.Context, key []byte) {
-	val, err := c.srv.backend.GetAppend(ctx, c.scratch[0][:0], key, c.version)
+	val, err := c.srv.backend.GetAppend(ctx, c.scratch[:0], key, c.version)
 	c.writeGetReply(val, err)
-	c.scratch[0] = keepScratch(val)
+	c.scratch = keepScratch(val)
 }
 
 // dispatch routes one command, honoring MULTI queueing.
@@ -480,8 +395,8 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 	case "MGET":
 		c.w.WriteArrayHeader(len(args) - 1)
 		for _, key := range args[1:] {
-			val, err := b.GetAppend(ctx, c.scratch[0][:0], key, c.version)
-			c.scratch[0] = keepScratch(val)
+			val, err := b.GetAppend(ctx, c.scratch[:0], key, c.version)
+			c.scratch = keepScratch(val)
 			if err != nil {
 				c.w.WriteNil()
 				continue

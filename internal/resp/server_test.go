@@ -592,9 +592,9 @@ func bufReadAll(nc net.Conn) ([]byte, error) {
 
 // TestGetBurstsShareNoBytes pipelines bursts of GETs — values of uneven
 // size, missing keys among them, an MGET between bursts — over one
-// connection, round after round. The values land in per-connection scratch
-// buffers that the next command reuses, so a reply written from the wrong
-// one, or after it was overwritten, comes back as another key's bytes.
+// connection, round after round. The values land in the connection's
+// scratch buffer, which the next command reuses, so a reply written after
+// it was overwritten comes back as another key's bytes.
 func TestGetBurstsShareNoBytes(t *testing.T) {
 	_, cl := startRESP(t, newBackend(t, nil))
 	const keys = 40
