@@ -38,17 +38,14 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem -benchtime 100x ./...
 
 # Short fuzz pass over every decoder target: the native wire protocol,
-# the AOF record, the RESP parser, postings segments, CIFF import. The
-# go tool accepts one -fuzz pattern per invocation, hence one line per
-# target.
+# the AOF record, the RESP parser. The go tool accepts one -fuzz pattern
+# per invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzHelloFrame$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzRequest$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzFrameV2$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/aof/
 	$(GO) test -run xxx -fuzz '^FuzzRESPParse$$' -fuzztime 10s ./internal/resp/
-	$(GO) test -run xxx -fuzz '^FuzzPostingsDecode$$' -fuzztime 10s ./internal/search/
-	$(GO) test -run xxx -fuzz '^FuzzCIFFImport$$' -fuzztime 10s ./internal/search/
 
 # The examples are the only code that shows the packages in use from
 # outside; each must run to completion (each takes under a second).

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"directload/internal/experiments"
-	"directload/internal/metrics"
 )
 
 var (
@@ -72,7 +71,7 @@ func consistency() {
 	fmt.Println()
 }
 
-func writeCSV(name string, header string, s *metrics.Series) {
+func writeCSV(name string, header string, s *experiments.Series) {
 	if *csvDir == "" {
 		return
 	}
@@ -169,12 +168,12 @@ func fig910(show9, show10 bool) {
 			fmt.Printf("%5d %12.2f %12.3f %9d\n", d.Day, d.DedupRatio, d.UpdateMinutes, d.Repairs)
 		}
 		fmt.Println()
-		series := &metrics.Series{}
+		series := &experiments.Series{}
 		for _, d := range days {
 			series.Append(float64(d.Day), d.UpdateMinutes)
 		}
 		writeCSV("fig9_update_time.csv", "day,update_min", series)
-		ratio := &metrics.Series{}
+		ratio := &experiments.Series{}
 		for _, d := range days {
 			ratio.Append(float64(d.Day), d.DedupRatio)
 		}

@@ -136,3 +136,21 @@ func fleetLoadStdin(ctx context.Context, f *fleet.Fleet, version uint64) {
 		len(entries), version, elapsed.Round(time.Millisecond),
 		float64(len(entries))/elapsed.Seconds())
 }
+
+// parseGroups splits a -nodes value: ';' between replication groups,
+// ',' between member addresses.
+func parseGroups(s string) [][]string {
+	var groups [][]string
+	for _, g := range strings.Split(s, ";") {
+		var members []string
+		for _, m := range strings.Split(g, ",") {
+			if m = strings.TrimSpace(m); m != "" {
+				members = append(members, m)
+			}
+		}
+		if len(members) > 0 {
+			groups = append(groups, members)
+		}
+	}
+	return groups
+}

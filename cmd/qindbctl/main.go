@@ -11,8 +11,6 @@
 //	qindbctl -addr 127.0.0.1:7707 ping
 //	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get]
 //	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status>  # shard router over several nodes
-//	qindbctl index <list|create|build|ingest|query|export|import>          # index lifecycle (see index -h)
-//	qindbctl search <name> <term>...                                       # query an index (= index query)
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.
@@ -58,8 +56,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-cycles, goroutines)")
 	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get]        recent slow operations (-http address)")
 	fmt.Fprintln(os.Stderr, "       fleet -nodes 'a,b,c' <cmd>      shard router over several nodes (fleet -h)")
-	fmt.Fprintln(os.Stderr, "       index <list|create|build|ingest|query|export|import>  index lifecycle (index -h)")
-	fmt.Fprintln(os.Stderr, "       search <name> <term>...         query an index (= index query)")
 	os.Exit(2)
 }
 
@@ -115,11 +111,6 @@ func main() {
 	case "fleet":
 		// The router dials its own nodes; -addr is not involved.
 		runFleet(args)
-		return
-	case "index", "search":
-		// Index lifecycle rides the operator HTTP surface (or, with
-		// -nodes, the fleet router); the storage port is not involved.
-		runIndex(cmd, args)
 		return
 	}
 

@@ -28,11 +28,8 @@
 // With -metrics-addr set the daemon exposes the operator endpoints of
 // internal/ops: /metrics (text, ?format=json, ?format=prom), /healthz,
 // /readyz, /debug/slowlog,
-// /debug/attrib (per-op resource attribution, see -attr-sample), /index
-// (the inverted-index lifecycle of internal/search: create, ingest,
-// query, CIFF export/import — index segments are versioned values in
-// the same engine the KV front doors serve), and (with -pprof) the
-// runtime profiler under /debug/pprof/ (go tool pprof
+// /debug/attrib (per-op resource attribution, see -attr-sample), and
+// (with -pprof) the runtime profiler under /debug/pprof/ (go tool pprof
 // http://ADDR/debug/pprof/allocs?seconds=5 captures a windowed delta).
 // The read SLO is two lifetime counters, slo.node.read.{good,bad}, and
 // the Go runtime's telemetry (heap, GC, goroutines) is runtime.* gauges
@@ -55,7 +52,6 @@ import (
 	"directload/internal/metrics"
 	"directload/internal/ops"
 	"directload/internal/resp"
-	"directload/internal/search"
 	"directload/internal/server"
 	"directload/internal/ssd"
 )
@@ -73,23 +69,6 @@ var (
 	sloReadTarget = flag.Float64("slo-read-target", 0.006, "tolerated get-miss ratio for the read SLO (paper: 0.006; 0 = off)")
 	attrSample    = flag.Int("attr-sample", 64, "measure one request in N for per-op resource attribution on /debug/attrib (0 = off)")
 )
-
-// coreEngine adapts the storage engine to the search store's
-// exact-version KV surface; index chunks become ordinary versioned
-// engine values (dedup off: postings chunks change every version).
-type coreEngine struct {
-	db *core.DB
-}
-
-func (e coreEngine) Put(key string, version uint64, value []byte) error {
-	_, err := e.db.Put([]byte(key), version, value, false)
-	return err
-}
-
-func (e coreEngine) Get(key string, version uint64) ([]byte, error) {
-	v, _, err := e.db.Get([]byte(key), version)
-	return v, err
-}
 
 // shutdownGrace bounds draining the operator HTTP server on shutdown.
 const shutdownGrace = 3 * time.Second
@@ -161,18 +140,12 @@ func main() {
 	}
 	var opsSrv *ops.Server
 	if *metricsAddr != "" {
-		// The index lifecycle rides on the operator address: segments
-		// are versioned values in the same engine the KV front doors
-		// serve, so /index queries and RESP/native traffic share one
-		// store and one registry.
-		searchSvc := search.NewService(coreEngine{db: db}, reg)
 		opsSrv, err = ops.Listen(*metricsAddr, ops.Config{
 			Registry:    reg,
 			SlowLog:     slow,
 			Ready:       readiness(db),
 			EnablePprof: *pprofOn,
 			Attrib:      s.Backend().Attribution,
-			Index:       search.NewHandler(searchSvc),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -3,8 +3,8 @@
 //
 //  1. A dropped error from Close/Flush/Sync on a storage-path type
 //     (internal/blockfs, internal/aof, internal/core, internal/lsm,
-//     internal/search, plus os.File and bufio.Writer) is flagged when
-//     the call stands alone as a statement. These are the calls that surface buffered
+//     plus os.File and bufio.Writer) is flagged when the call stands
+//     alone as a statement. These are the calls that surface buffered
 //     write failures — dropping one turns data loss silent. Deferred
 //     closes and explicit `_ =` discards are accepted (the former is
 //     teardown idiom, the latter a visible decision).
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 
 // storagePkgs are the packages whose Close/Flush/Sync errors are
 // durability-relevant.
-var storagePkgs = []string{"blockfs", "aof", "core", "lsm", "search"}
+var storagePkgs = []string{"blockfs", "aof", "core", "lsm"}
 
 var checkedMethods = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 

@@ -16,9 +16,3 @@ func TestErrFlow(t *testing.T) {
 func TestErrFlowRESPFront(t *testing.T) {
 	analysistest.Run(t, "testdata", errflow.Analyzer, "respfront")
 }
-
-// TestErrFlowSearch covers the postings segment writer: Close seals
-// the published version, so its error is durability-relevant.
-func TestErrFlowSearch(t *testing.T) {
-	analysistest.Run(t, "testdata", errflow.Analyzer, "search")
-}

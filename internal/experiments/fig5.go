@@ -12,7 +12,6 @@ import (
 	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/lsm"
-	"directload/internal/metrics"
 	"directload/internal/mint"
 	"directload/internal/workload"
 )
@@ -106,11 +105,11 @@ type Fig5Result struct {
 	Engine string
 
 	// Per-window MB/s series over virtual minutes (Figs. 5a/5b, 6a/6b).
-	UserWrite *metrics.Series
-	SysWrite  *metrics.Series
-	SysRead   *metrics.Series
+	UserWrite *Series
+	SysWrite  *Series
+	SysRead   *Series
 	// Storage occupation in GB over virtual minutes (Fig. 7).
-	Storage *metrics.Series
+	Storage *Series
 
 	// Aggregates.
 	UserBytes     int64
@@ -140,14 +139,14 @@ func RunFig5(kind EngineKind, cfg Fig5Config) (Fig5Result, error) {
 
 	res := Fig5Result{
 		Engine:    kind.String(),
-		UserWrite: &metrics.Series{},
-		SysWrite:  &metrics.Series{},
-		SysRead:   &metrics.Series{},
-		Storage:   &metrics.Series{},
+		UserWrite: &Series{},
+		SysWrite:  &Series{},
+		SysRead:   &Series{},
+		Storage:   &Series{},
 	}
-	userWin := metrics.NewThroughputWindow(cfg.Window, res.UserWrite)
-	sysWWin := metrics.NewThroughputWindow(cfg.Window, res.SysWrite)
-	sysRWin := metrics.NewThroughputWindow(cfg.Window, res.SysRead)
+	userWin := NewThroughputWindow(cfg.Window, res.UserWrite)
+	sysWWin := NewThroughputWindow(cfg.Window, res.SysWrite)
+	sysRWin := NewThroughputWindow(cfg.Window, res.SysRead)
 	dev := stack.Device
 	dev.SetTraceFuncs(
 		func(now time.Duration, n int64) { sysWWin.Record(now, n) },

@@ -11,9 +11,6 @@
 //	                     ?op=<name> filter, ?format=json
 //	/debug/attrib        sampled per-opcode resource attribution, sorted
 //	                     by alloc bytes/op; ?format=json
-//	/index               index lifecycle (internal/search): list,
-//	                     create, ingest, query, CIFF export/import —
-//	                     only when an Index handler is configured
 //	/healthz             200 while the process is up
 //	/readyz              200 when Ready() returns nil, 503 otherwise
 //	/debug/pprof/*       net/http/pprof (heap|allocs|goroutine|profile;
@@ -49,9 +46,6 @@ type Config struct {
 	// per-opcode resource table (server.Backend.Attribution). Unset
 	// returns 404.
 	Attrib func() metrics.AttribSnapshot
-	// Index, when set, serves the index-lifecycle REST surface
-	// (internal/search.NewHandler) under /index. Unset returns 404.
-	Index http.Handler
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints can stall a loaded process and
 	// should be an explicit operator decision.
@@ -61,10 +55,6 @@ type Config struct {
 // NewMux builds the operator mux for cfg.
 func NewMux(cfg Config) *http.ServeMux {
 	mux := http.NewServeMux()
-	if cfg.Index != nil {
-		mux.Handle("/index", cfg.Index)
-		mux.Handle("/index/", cfg.Index)
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("format") {
 		case "json":
