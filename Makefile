@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples check clean
+.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures check clean
 
 build:
 	$(GO) build ./...
@@ -52,14 +52,22 @@ fuzz-smoke:
 examples:
 	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
+# The paper's figures at seed 1 are a checked output. The run is
+# deterministic (the same bytes on every run and under GOMAXPROCS=1),
+# so a difference from the golden is a figure that moved. A change that
+# moves one on purpose re-records the golden and says so:
+#   go run ./cmd/figures -seed 1 > cmd/figures/testdata/seed1.golden
+figures:
+	$(GO) run ./cmd/figures -seed 1 | diff -u cmd/figures/testdata/seed1.golden -
+
 # Full pre-merge gate: compile, standard vet, the repo's own analyzer
-# suite, unit tests, the examples, then the race detector over every
-# package.
+# suite, unit tests, the examples, the figures against their golden,
+# then the race detector over every package.
 # bench/ is a module of its own, which `./...` does not
 # reach: its tests compile the end-to-end benchmark and smoke-run every
 # workload — hand-built hello included — against a qindbd built from
 # this tree, so a wire change that breaks the benchmark fails here.
-check: build vet lint test examples
+check: build vet lint test examples figures
 	$(GO) test -race ./...
 	cd bench && $(GO) test -count=1 .
 

@@ -258,7 +258,7 @@ type metricKV struct {
 
 // flattenMetrics turns the nested OpMetrics snapshot into sorted
 // name/value lines: scalar metrics pass through, histograms expand to
-// suffixed entries (qindb.put.device_us.p99 etc.).
+// suffixed entries (server.req.put.latency_us.p99 etc.).
 func flattenMetrics(m map[string]any) []metricKV {
 	var out []metricKV
 	for name, v := range m {

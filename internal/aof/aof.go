@@ -217,11 +217,7 @@ type Store struct {
 	active uint32
 	writer blockfs.Writer
 
-	seq      uint64 // next sequence number to assign
-	appended int64  // lifetime record bytes appended (incl. GC re-appends)
-	gcRuns   int64
-	gcMoved  int64 // bytes re-appended by GC
-	gcFreed  int64 // bytes of reclaimed files
+	seq uint64 // next sequence number to assign
 
 	// scratch is the one buffer records are encoded into (appendLocked):
 	// mu is held from encode to the end of the append, and blockfs keeps
@@ -236,23 +232,24 @@ type Store struct {
 	met storeMetrics
 }
 
-// storeMetrics holds the store's registry handles. All fields stay nil
-// without a registry; the metric types' nil-receiver no-ops keep the
-// append path allocation-free in that case.
+// storeMetrics holds the store's registry handles. Without a registry
+// they stay nil, and the metric types' nil-receiver no-ops keep the
+// append path allocation-free, except the four that Stats reads: those
+// are private cells then, so each number is kept once either way.
 type storeMetrics struct {
 	appends     *metrics.Counter
-	appendBytes *metrics.Counter
+	appendBytes *metrics.Counter // lifetime record bytes appended (incl. GC re-appends)
 	rotations   *metrics.Counter
 	fsyncs      *metrics.Counter
 	reads       *metrics.Counter
 	files       *metrics.Gauge
 	gcCollects  *metrics.Counter
-	gcMoved     *metrics.Counter
-	gcFreed     *metrics.Counter
+	gcMoved     *metrics.Counter // bytes re-appended by GC
+	gcFreed     *metrics.Counter // record bytes in files erased by GC
 }
 
 func newStoreMetrics(reg *metrics.Registry) storeMetrics {
-	return storeMetrics{
+	m := storeMetrics{
 		appends:     reg.Counter("aof.appends"),
 		appendBytes: reg.Counter("aof.append.bytes"),
 		rotations:   reg.Counter("aof.rotations"),
@@ -263,6 +260,13 @@ func newStoreMetrics(reg *metrics.Registry) storeMetrics {
 		gcMoved:     reg.Counter("aof.gc.moved_bytes"),
 		gcFreed:     reg.Counter("aof.gc.freed_bytes"),
 	}
+	if reg == nil {
+		m.appendBytes = new(metrics.Counter)
+		m.gcCollects = new(metrics.Counter)
+		m.gcMoved = new(metrics.Counter)
+		m.gcFreed = new(metrics.Counter)
+	}
+	return m
 }
 
 // filename formats the AOF file name for id.
@@ -404,7 +408,6 @@ func (s *Store) appendLocked(rec Record) (Ref, int64, time.Duration, error) {
 	fi := s.table()[s.active]
 	fi.total += int64(len(buf))
 	fi.live += int64(len(buf))
-	s.appended += int64(len(buf))
 	s.met.appends.Inc()
 	s.met.appendBytes.Add(int64(len(buf)))
 	return Ref{File: s.active, Off: off, Len: uint32(len(buf))}, int64(len(buf)), cost, nil
@@ -528,8 +531,8 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	files := s.table()
-	st := Stats{Files: len(files), AppendedBytes: s.appended,
-		GCRuns: s.gcRuns, GCMoved: s.gcMoved, GCFreed: s.gcFreed}
+	st := Stats{Files: len(files), AppendedBytes: s.met.appendBytes.Load(),
+		GCRuns: s.met.gcCollects.Load(), GCMoved: s.met.gcMoved.Load(), GCFreed: s.met.gcFreed.Load()}
 	for _, fi := range files {
 		st.TotalBytes += fi.total
 		st.LiveBytes += fi.live
@@ -692,10 +695,10 @@ const (
 // the judge preserves are re-appended to the active AOF, the engine is
 // told their new location, and the file is erased. No other byte of the
 // file is read: the memtable already knows every record GC may keep. It
-// returns the record bytes reclaimed and the simulated device cost. This
-// is the software-level write amplification QinDB pays (paper: "up to
-// 2.5x ... as QinDB has to re-append valid data of deleted files in the
-// GC process").
+// returns the simulated device cost. The re-appends are the
+// software-level write amplification QinDB pays (paper: "up to 2.5x ...
+// as QinDB has to re-append valid data of deleted files in the GC
+// process").
 //
 // The caller guarantees that nothing else appends to, marks or collects
 // in the store for the length of the call. lk is the lock that keeps the
@@ -708,16 +711,16 @@ const (
 // finishes its read before the file goes. If the pass fails midway the
 // victim stays, alongside the copies already made: the state a crash at
 // that point leaves, which recovery resolves by sequence number.
-func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, relocated Relocated) (int64, time.Duration, error) {
+func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, relocated Relocated) (time.Duration, error) {
 	s.mu.Lock()
 	fi, ok := s.table()[id]
 	if !ok {
 		s.mu.Unlock()
-		return 0, 0, fmt.Errorf("%w: %d", ErrNoFile, id)
+		return 0, fmt.Errorf("%w: %d", ErrNoFile, id)
 	}
 	if !fi.seal {
 		s.mu.Unlock()
-		return 0, 0, fmt.Errorf("aof: file %d is active", id)
+		return 0, fmt.Errorf("aof: file %d is active", id)
 	}
 	total := fi.total
 	s.mu.Unlock()
@@ -735,7 +738,7 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 		recs, c, err := s.readChunk(fi.r, chunk, size)
 		cost += c
 		if err != nil {
-			return 0, cost, fmt.Errorf("file %d: %w", id, err)
+			return cost, fmt.Errorf("file %d: %w", id, err)
 		}
 		lk.Lock()
 		for i := range recs {
@@ -746,7 +749,7 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 			cost += c
 			if err != nil {
 				lk.Unlock()
-				return 0, cost, err
+				return cost, err
 			}
 			moved += l
 			if relocated != nil {
@@ -761,19 +764,16 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 	cost += c
 	if err != nil {
 		lk.Unlock()
-		return 0, cost, err
+		return cost, err
 	}
 	s.mu.Lock()
 	s.setFileLocked(id, nil)
-	s.gcRuns++
-	s.gcMoved += moved
-	s.gcFreed += total
 	s.met.gcCollects.Inc()
 	s.met.gcMoved.Add(moved)
 	s.met.gcFreed.Add(total)
 	s.mu.Unlock()
 	lk.Unlock()
-	return total - moved, cost, nil
+	return cost, nil
 }
 
 // readChunk reads the records at refs, size bytes in all, into the

@@ -11,6 +11,7 @@ import (
 
 	"directload/internal/blockfs"
 	"directload/internal/blockfs/blockfstest"
+	"directload/internal/metrics"
 	"directload/internal/ssd"
 )
 
@@ -248,7 +249,7 @@ func TestActiveFileNeverCandidate(t *testing.T) {
 	if len(s.Candidates()) != 0 {
 		t.Fatal("the active file must not be a GC candidate")
 	}
-	if _, _, err := s.CollectFile(ref.File, nil, new(sync.Mutex), nil, nil); err == nil {
+	if _, err := s.CollectFile(ref.File, nil, new(sync.Mutex), nil, nil); err == nil {
 		t.Fatal("collecting the active file should fail")
 	}
 	// The refusal releases the store: the next append completes.
@@ -318,7 +319,8 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	}
 	judge := func(rec *Record, ref Ref) bool { return items[string(rec.Key)].live }
 	var relocations int
-	reclaimed, _, err := s.CollectFile(firstFile, fileRefs(t, s, firstFile), new(sync.Mutex), judge, func(rec Record, old, new Ref) {
+	before := s.Stats()
+	_, err := s.CollectFile(firstFile, fileRefs(t, s, firstFile), new(sync.Mutex), judge, func(rec Record, old, new Ref) {
 		items[string(rec.Key)].ref = new
 		relocations++
 		if old.File != firstFile {
@@ -334,7 +336,8 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	if relocations == 0 {
 		t.Fatal("expected relocations of live records")
 	}
-	if reclaimed <= 0 {
+	after := s.Stats()
+	if reclaimed := (after.GCFreed - before.GCFreed) - (after.GCMoved - before.GCMoved); reclaimed <= 0 {
 		t.Fatal("expected reclaimed bytes")
 	}
 	// Live records must still read back from their new refs.
@@ -358,6 +361,65 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	}
 	if st := s.Stats(); st.GCRuns != 1 || st.GCFreed == 0 {
 		t.Fatalf("GC stats = %+v", st)
+	}
+}
+
+// TestStatsAreRegistryCells pins that Stats' lifetime counters are kept
+// once: with a registry they are its aof.* cells, and without one the
+// store counts the same numbers in cells of its own.
+func TestStatsAreRegistryCells(t *testing.T) {
+	run := func(reg *metrics.Registry) Stats {
+		cfg := smallConfig()
+		cfg.Metrics = reg
+		s, err := Open(testFS(t, 256), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte{5}, 100<<10)
+		var refs []Ref
+		for i := 0; i < 25; i++ {
+			ref, _, _, err := s.Append(Record{Key: []byte(fmt.Sprintf("k%02d", i)), Version: 1, Value: val})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs = append(refs, ref)
+		}
+		first := refs[0].File
+		var keep []Ref
+		for i, ref := range refs {
+			if ref.File != first {
+				continue
+			}
+			if i%5 == 0 {
+				keep = append(keep, ref)
+			} else {
+				s.MarkDead(ref)
+			}
+		}
+		judge := func(*Record, Ref) bool { return true }
+		if _, err := s.CollectFile(first, keep, new(sync.Mutex), judge, nil); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
+
+	reg := metrics.NewRegistry()
+	st := run(reg)
+	if st.GCRuns != 1 || st.GCMoved == 0 || st.GCFreed <= st.GCMoved {
+		t.Fatalf("one pass over a mostly dead file: %+v", st)
+	}
+	for name, got := range map[string]int64{
+		"aof.append.bytes":   st.AppendedBytes,
+		"aof.gc.collects":    st.GCRuns,
+		"aof.gc.moved_bytes": st.GCMoved,
+		"aof.gc.freed_bytes": st.GCFreed,
+	} {
+		if cell := reg.Counter(name).Load(); cell != got {
+			t.Errorf("%s = %d, Stats has %d", name, cell, got)
+		}
+	}
+	if bare := run(nil); bare != st {
+		t.Fatalf("without a registry Stats = %+v, with one %+v", bare, st)
 	}
 }
 

@@ -214,7 +214,7 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 				movedInHold += int64(new.Len)
 				maxMoved = max(maxMoved, movedInHold)
 			}
-			if _, _, err := s.CollectFile(first, refs, lk, judge, relocated); err != nil {
+			if _, err := s.CollectFile(first, refs, lk, judge, relocated); err != nil {
 				t.Fatal(err)
 			}
 			if n != inFile {
@@ -286,7 +286,7 @@ func TestCollectFileReadsWhatItMoves(t *testing.T) {
 	read, reads = 0, 0
 	mu.Unlock()
 	judge := func(*Record, Ref) bool { return true }
-	if _, _, err := s.CollectFile(0, keep, new(sync.Mutex), judge, nil); err != nil {
+	if _, err := s.CollectFile(0, keep, new(sync.Mutex), judge, nil); err != nil {
 		t.Fatal(err)
 	}
 	moved := s.Stats().GCMoved - before

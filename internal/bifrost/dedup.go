@@ -67,7 +67,6 @@ type Deduper struct {
 	prev map[string]Signature // signatures of the previous version
 	cur  map[string]Signature // signatures being accumulated
 	s    DedupStats
-	met  dedupMetrics
 }
 
 // NewDeduper returns an empty deduper: the first version is never
@@ -91,15 +90,11 @@ func (d *Deduper) Process(key, value []byte) bool {
 	d.s.TotalKeys++
 	d.s.Bytes += int64(len(value))
 	d.s.TotalBytes += int64(len(value))
-	d.met.keys.Inc()
-	d.met.bytes.Add(int64(len(value)))
 	if old, ok := d.prev[string(key)]; ok && old == sig {
 		d.s.DedupKeys++
 		d.s.TotalDedup++
 		d.s.DedupBytes += int64(len(value))
 		d.s.TotalElided += int64(len(value))
-		d.met.hits.Inc()
-		d.met.bytesElided.Add(int64(len(value)))
 		return true
 	}
 	return false

@@ -184,7 +184,6 @@ type Shipper struct {
 
 	rng        *rand.Rand
 	stats      ShipperStats
-	met        shipMetrics
 	deliveries []Delivery
 	relayRR    map[string]int // per-region round-robin cursor
 	// holders tracks which relays cached each slice ("20-30 relay nodes
@@ -243,7 +242,6 @@ func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.Node
 	source, relay := s.pickSource(slice, region)
 	available := s.Top.Net.Now()
 	s.stats.SlicesSent++
-	s.met.slices.Inc()
 	return s.sendHop(slice, source, relay, 0, func(retries int, now time.Duration) {
 		s.holders[slice] = append(s.holders[slice], relay)
 		for _, dc := range dcs {
@@ -257,8 +255,6 @@ func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.Node
 				s.deliveries = append(s.deliveries, d)
 				s.stats.Deliveries++
 				s.stats.PayloadBytes += float64(slice.Size())
-				s.met.deliveries.Inc()
-				s.met.payloadBytes.Add(slice.Size())
 				if onDelivered != nil {
 					onDelivered(d)
 				}
@@ -279,8 +275,6 @@ func (s *Shipper) retryLater(slice *Slice, from, to netsim.NodeID, available tim
 			s.deliveries = append(s.deliveries, d)
 			s.stats.Deliveries++
 			s.stats.PayloadBytes += float64(slice.Size())
-			s.met.deliveries.Inc()
-			s.met.payloadBytes.Add(slice.Size())
 			if onDelivered != nil {
 				onDelivered(d)
 			}
@@ -302,7 +296,6 @@ func (s *Shipper) sendHop(slice *Slice, from, to netsim.NodeID, attempt int, onO
 				return
 			}
 			s.stats.BytesSent += tr.Size
-			s.met.bytesSent.Add(int64(tr.Size))
 			// Simulated in-flight corruption, detected by the receiver's
 			// checksum pass.
 			if s.CorruptProb > 0 && s.rng.Float64() < s.CorruptProb {
@@ -312,8 +305,6 @@ func (s *Shipper) sendHop(slice *Slice, from, to netsim.NodeID, attempt int, onO
 				s.stats.CorruptionSeen++
 				slice.Repair()
 				s.stats.Retransmits++
-				s.met.checksumFail.Inc()
-				s.met.retransmits.Inc()
 				s.retryOrRepair(slice, from, to, attempt, onOK)
 				return
 			}
@@ -333,7 +324,6 @@ func (s *Shipper) retryOrRepair(slice *Slice, from, to netsim.NodeID, attempt in
 		return
 	}
 	s.stats.Repairs++
-	s.met.repairs.Inc()
 	s.Top.Net.After(2*time.Minute, func(now time.Duration) {
 		if err := s.sendHop(slice, from, to, 0, onOK); err != nil {
 			s.retryLater2(slice, from, to, 0, onOK)
@@ -384,7 +374,6 @@ func (s *Shipper) pickSource(slice *Slice, region Region) (source, relay netsim.
 		peerBW := s.Top.Monitor.PredictedAvailable(s.Top.Net, holder, gateway)
 		if peerBW > 2*builderBW {
 			s.stats.BackboneDetours++
-			s.met.detours.Inc()
 			return holder, gateway
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"directload/internal/bifrost"
-	"directload/internal/metrics"
 	"directload/internal/mint"
 	"directload/internal/netsim"
 )
@@ -41,10 +40,6 @@ type Config struct {
 	CorruptProb float64
 	// Seed drives failure injection.
 	Seed int64
-	// Metrics, when non-nil, receives the orchestrator's `cluster.*`
-	// metrics and is propagated to the shipper, the deduper and (unless
-	// already set) the Mint clusters. Nil keeps all paths allocation-free.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns a small, structurally faithful deployment.
@@ -107,27 +102,6 @@ type DirectLoad struct {
 	DCs     map[netsim.NodeID]*DataCenter
 
 	versions []uint64 // published versions in order
-	met      orchestratorMetrics
-}
-
-// orchestratorMetrics holds the cluster-level registry handles; all nil
-// without a registry, making every record site a guarded no-op.
-type orchestratorMetrics struct {
-	published     *metrics.Counter
-	retired       *metrics.Counter
-	slicesApplied *metrics.Counter
-	lateDelivs    *metrics.Counter
-	replLagUs     *metrics.Gauge
-}
-
-func newOrchestratorMetrics(reg *metrics.Registry) orchestratorMetrics {
-	return orchestratorMetrics{
-		published:     reg.Counter("cluster.versions.published"),
-		retired:       reg.Counter("cluster.versions.retired"),
-		slicesApplied: reg.Counter("cluster.slices.applied"),
-		lateDelivs:    reg.Counter("cluster.deliveries.late"),
-		replLagUs:     reg.Gauge("cluster.replication.lag_us"),
-	}
 }
 
 // New builds the fabric and one Mint cluster per data center.
@@ -137,9 +111,6 @@ func New(cfg Config) (*DirectLoad, error) {
 	}
 	if cfg.RetainVersions <= 0 {
 		cfg.RetainVersions = 4
-	}
-	if cfg.Mint.Metrics == nil {
-		cfg.Mint.Metrics = cfg.Metrics
 	}
 	top, err := bifrost.BuildTopology(cfg.Topology)
 	if err != nil {
@@ -151,13 +122,8 @@ func New(cfg Config) (*DirectLoad, error) {
 		Shipper: bifrost.NewShipper(top, cfg.Seed),
 		Deduper: bifrost.NewDeduper(),
 		DCs:     make(map[netsim.NodeID]*DataCenter),
-		met:     newOrchestratorMetrics(cfg.Metrics),
 	}
 	d.Shipper.CorruptProb = cfg.CorruptProb
-	if cfg.Metrics != nil {
-		d.Shipper.SetMetrics(cfg.Metrics)
-		d.Deduper.SetMetrics(cfg.Metrics)
-	}
 	for _, region := range top.Regions {
 		for i, id := range region.DCs {
 			store, err := mint.New(cfg.Mint)
@@ -333,10 +299,6 @@ func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateRepo
 	rep.UpdateTime = d.Top.Net.Now() - start
 	rep.Dedup = d.Deduper.AdvanceVersion()
 	rep.MissRatio = d.Shipper.MissRatio()
-	d.met.published.Inc()
-	if lag := rep.replicationLag(); lag >= 0 {
-		d.met.replLagUs.Set(int64(lag / time.Microsecond))
-	}
 
 	// Retention: drop the oldest versions beyond the cap, cluster-wide.
 	for len(d.versions) > d.cfg.RetainVersions {
@@ -353,33 +315,8 @@ func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateRepo
 				dc.active = 0
 			}
 		}
-		d.met.retired.Inc()
 	}
 	return rep, nil
-}
-
-// replicationLag is the spread between the first and last DC to finish
-// loading the version, or -1 when fewer than two DCs took part.
-func (r UpdateReport) replicationLag() time.Duration {
-	if len(r.ReadyAt) < 2 {
-		return -1
-	}
-	first := true
-	var min, max time.Duration
-	for _, t := range r.ReadyAt {
-		if first {
-			min, max = t, t
-			first = false
-			continue
-		}
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	return max - min
 }
 
 // applySlice loads one delivered slice into the receiving DC's store.
@@ -395,10 +332,6 @@ func (d *DirectLoad) applySlice(del bifrost.Delivery, version uint64, rep *Updat
 		if err != nil && dc.applyErr == nil {
 			dc.applyErr = fmt.Errorf("cluster: applying at %s: %w", dc.ID, err)
 		}
-	}
-	d.met.slicesApplied.Inc()
-	if del.Late(d.Shipper.Deadline) {
-		d.met.lateDelivs.Inc()
 	}
 	dc.arrived[version]++
 	if dc.arrived[version] >= dc.expected[version] {

@@ -53,8 +53,7 @@ func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err erro
 	return cost, true, err
 }
 
-// collectLocked garbage-collects one file and credits the bytes it
-// reclaimed. Runs with wmu held and db.mu free: the store takes db.mu
+// collectLocked garbage-collects one file. Runs with wmu held and db.mu free: the store takes db.mu
 // exclusively, through db.excl, a chunk of records at a time and once more
 // for the erase (aof.Store.CollectFile).
 //
@@ -75,11 +74,10 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 		db.excl.Unlock()
 	}
 	clear(gone) // the list is kept for the next pass, the items it names are not
-	reclaimed, cost, err := db.store.CollectFile(id, keep, &db.excl, db.gcJudge, db.gcRelocated)
+	cost, err := db.store.CollectFile(id, keep, &db.excl, db.gcJudge, db.gcRelocated)
 	if err == nil {
 		delete(db.tombs, id) // every one was relocated
 	}
-	db.met.gcReclaimed.Add(reclaimed)
 	return cost, err
 }
 

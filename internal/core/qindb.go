@@ -261,28 +261,20 @@ const memItemOverhead = 96
 // there is a registry and a private one otherwise — never nil, never a
 // second copy.
 type engineMetrics struct {
-	putCost     *metrics.Histogram // simulated device time, not wall clock
-	getCost     *metrics.Histogram
-	delCost     *metrics.Histogram
-	putBytes    *metrics.Counter
-	dedupPuts   *metrics.Counter
-	tracebacks  *metrics.Counter // GETs that followed the dedup chain
-	memBytes    *metrics.Gauge   // approximate memtable footprint (key bytes + overhead)
-	gcReclaimed *metrics.Counter
-	exclHold    *metrics.Histogram // wall clock: one retirement/GC hold of db.mu
+	putBytes   *metrics.Counter
+	dedupPuts  *metrics.Counter
+	tracebacks *metrics.Counter   // GETs that followed the dedup chain
+	memBytes   *metrics.Gauge     // approximate memtable footprint (key bytes + overhead)
+	exclHold   *metrics.Histogram // wall clock: one retirement/GC hold of db.mu
 }
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	m := engineMetrics{
-		putCost:     reg.Histogram("qindb.put.device_us"),
-		getCost:     reg.Histogram("qindb.get.device_us"),
-		delCost:     reg.Histogram("qindb.del.device_us"),
-		putBytes:    reg.Counter("qindb.put.bytes"),
-		dedupPuts:   reg.Counter("qindb.put.dedup"),
-		tracebacks:  reg.Counter("qindb.get.tracebacks"),
-		memBytes:    reg.Gauge("qindb.memtable.bytes"),
-		gcReclaimed: reg.Counter("qindb.gc.reclaimed_bytes"),
-		exclHold:    reg.Histogram("qindb.lock.excl_hold_us"),
+		putBytes:   reg.Counter("qindb.put.bytes"),
+		dedupPuts:  reg.Counter("qindb.put.dedup"),
+		tracebacks: reg.Counter("qindb.get.tracebacks"),
+		memBytes:   reg.Gauge("qindb.memtable.bytes"),
+		exclHold:   reg.Histogram("qindb.lock.excl_hold_us"),
 	}
 	if reg == nil {
 		m.tracebacks = new(metrics.Counter)
@@ -483,9 +475,6 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 	}
 	c, err = db.maybeCheckpointLocked()
 	cost += c
-	if err == nil {
-		db.met.putCost.Observe(float64(cost) / float64(time.Microsecond))
-	}
 	return cost, err
 }
 
@@ -661,7 +650,7 @@ func (db *DB) GetAppend(dst, key []byte, version uint64) ([]byte, time.Duration,
 	out, cost, traced, err := db.readLocked(dst, key, version)
 	db.mu.RUnlock()
 	if err == nil {
-		db.countGet(len(out)-len(dst), cost, traced)
+		db.countGet(len(out)-len(dst), traced)
 	}
 	return out, cost, err
 }
@@ -678,7 +667,7 @@ func (db *DB) TryGetAppend(dst, key []byte, version uint64) (out []byte, cost ti
 	out, cost, traced, err := db.readLocked(dst, key, version)
 	db.mu.RUnlock()
 	if err == nil {
-		db.countGet(len(out)-len(dst), cost, traced)
+		db.countGet(len(out)-len(dst), traced)
 	}
 	return out, cost, true, err
 }
@@ -718,13 +707,12 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 }
 
 // countGet accounts one successful read of n value bytes.
-func (db *DB) countGet(n int, cost time.Duration, traced bool) {
+func (db *DB) countGet(n int, traced bool) {
 	db.gets.Add(1)
 	if traced {
 		db.met.tracebacks.Inc()
 	}
 	db.userReadBytes.Add(int64(n))
-	db.met.getCost.Observe(float64(cost) / float64(time.Microsecond))
 }
 
 // GetLatest returns the newest live (non-deleted) version of key along
@@ -753,7 +741,7 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 	if err != nil {
 		return nil, ver, cost, err
 	}
-	db.countGet(len(val), cost, traced)
+	db.countGet(len(val), traced)
 	return val, ver, cost, nil
 }
 
@@ -797,7 +785,6 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 		c, _, _ := db.collectFirstLocked()
 		cost += c
 	}
-	db.met.delCost.Observe(float64(cost) / float64(time.Microsecond))
 	return cost, nil
 }
 

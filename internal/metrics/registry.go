@@ -10,7 +10,7 @@ import (
 )
 
 // Registry is a named, hierarchical collection of metrics shared by the
-// whole system. Names are dotted paths (`qindb.put.device_us`,
+// whole system. Names are dotted paths (`server.req.put.latency_us`,
 // `aof.rotations`); the dots are a naming convention, not a tree — the
 // registry itself is a flat map with a lock-cheap read path.
 //

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"directload/internal/core"
-	"directload/internal/metrics"
 )
 
 // Cluster errors.
@@ -53,10 +52,6 @@ type Config struct {
 	// WriteQuorum is the minimum replicas that must accept a write
 	// (default: majority of Replicas).
 	WriteQuorum int
-	// Metrics, when non-nil, receives the cluster's `mint.*` metrics
-	// (request latencies, per-group read fan-out, replica misses, node
-	// health). Nil keeps all paths allocation-free.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns a small but structurally faithful cluster: 4
@@ -99,46 +94,6 @@ type Cluster struct {
 	groups []*Group
 	byID   map[string]*Node
 	nextID int
-	met    clusterMetrics
-}
-
-// clusterMetrics holds the cluster's registry handles; all nil without a
-// registry, making every record site a guarded no-op.
-type clusterMetrics struct {
-	putLat      *metrics.Histogram
-	getLat      *metrics.Histogram
-	groupGetLat []*metrics.Histogram // read fan-out latency per group
-	replicaMiss *metrics.Counter
-	quorumFails *metrics.Counter
-	nodesFailed *metrics.Counter
-	nodesDown   *metrics.Gauge
-	recoveryUs  *metrics.Histogram
-}
-
-func newClusterMetrics(reg *metrics.Registry, groups int) clusterMetrics {
-	m := clusterMetrics{
-		putLat:      reg.Histogram("mint.put.device_us"),
-		getLat:      reg.Histogram("mint.get.device_us"),
-		replicaMiss: reg.Counter("mint.get.replica_miss"),
-		quorumFails: reg.Counter("mint.put.quorum_failures"),
-		nodesFailed: reg.Counter("mint.nodes.failed"),
-		nodesDown:   reg.Gauge("mint.nodes.down"),
-		recoveryUs:  reg.Histogram("mint.recovery.scan_us"),
-	}
-	if reg != nil {
-		m.groupGetLat = make([]*metrics.Histogram, groups)
-		for g := range m.groupGetLat {
-			m.groupGetLat[g] = reg.Histogram(fmt.Sprintf("mint.g%d.get.device_us", g))
-		}
-	}
-	return m
-}
-
-func (m clusterMetrics) groupGet(g int) *metrics.Histogram {
-	if g < 0 || g >= len(m.groupGetLat) {
-		return nil
-	}
-	return m.groupGetLat[g]
 }
 
 // New builds a cluster with cfg.Groups groups of cfg.NodesPerGroup nodes.
@@ -162,7 +117,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Factory = QinDBFactory(cfg.Engine)
 	}
 	c := &Cluster{cfg: cfg, place: Placement{Replicas: cfg.Replicas}, byID: make(map[string]*Node)}
-	c.met = newClusterMetrics(cfg.Metrics, cfg.Groups)
 	for g := 0; g < cfg.Groups; g++ {
 		group := &Group{ID: g}
 		c.groups = append(c.groups, group)
@@ -275,10 +229,8 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 		}
 	}
 	if acked < c.cfg.WriteQuorum {
-		c.met.quorumFails.Inc()
 		return slowest, fmt.Errorf("%w: %d/%d acked: %v", ErrQuorum, acked, c.cfg.WriteQuorum, lastErr)
 	}
-	c.met.putLat.Observe(float64(slowest) / float64(time.Microsecond))
 	return slowest, nil
 }
 
@@ -302,7 +254,6 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 		}
 		val, cost, err := n.db.Get(key, version)
 		if err != nil {
-			c.met.replicaMiss.Inc()
 			if lastErr == ErrAllReplicasErr {
 				lastErr = err
 			}
@@ -315,9 +266,6 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 	if bestCost < 0 {
 		return nil, 0, lastErr
 	}
-	lat := float64(bestCost) / float64(time.Microsecond)
-	c.met.getLat.Observe(lat)
-	c.met.groupGet(g.ID).Observe(lat)
 	return best, bestCost, nil
 }
 
@@ -378,8 +326,6 @@ func (c *Cluster) FailNode(id string) error {
 		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
 	}
 	n.down = true
-	c.met.nodesFailed.Inc()
-	c.met.nodesDown.Add(1)
 	return nil
 }
 
@@ -405,8 +351,6 @@ func (c *Cluster) RecoverNode(id string) (time.Duration, error) {
 	scanTime := time.Duration(pages) * cfg.Latency.PageRead / time.Duration(cfg.Latency.Channels)
 	n.db = db
 	n.down = false
-	c.met.nodesDown.Add(-1)
-	c.met.recoveryUs.Observe(float64(scanTime) / float64(time.Microsecond))
 	return scanTime, nil
 }
 

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Monitor is the centralized network monitoring platform of paper §2.2:
 // it samples per-link utilization on a fixed virtual-time cadence and
@@ -78,31 +75,6 @@ func (m *Monitor) PredictedAvailable(n *Net, from, to NodeID) float64 {
 
 // Samples returns how many sampling rounds have run.
 func (m *Monitor) Samples() int64 { return m.samples }
-
-// HotLinks returns link keys whose predicted available bandwidth is below
-// frac of capacity, most congested first.
-func (m *Monitor) HotLinks(n *Net, frac float64) []string {
-	type hot struct {
-		key   string
-		avail float64
-	}
-	var hs []hot
-	for key, l := range n.links {
-		p, ok := m.predict[key]
-		if !ok {
-			continue
-		}
-		if p < l.Bandwidth*frac {
-			hs = append(hs, hot{key, p})
-		}
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i].avail < hs[j].avail })
-	keys := make([]string, len(hs))
-	for i, h := range hs {
-		keys[i] = h.key
-	}
-	return keys
-}
 
 // LinkStats reports cumulative bytes and busy time for a link.
 func (n *Net) LinkStats(from, to NodeID) (sentBytes float64, busy time.Duration, ok bool) {

@@ -228,9 +228,6 @@ func TestMonitorPrediction(t *testing.T) {
 	if p := m.PredictedAvailable(n, "a", "b"); p > 10 {
 		t.Fatalf("predicted available = %v, want near 0", p)
 	}
-	if hot := m.HotLinks(n, 0.5); len(hot) != 1 {
-		t.Fatalf("HotLinks = %v", hot)
-	}
 	// Unknown link defaults to capacity / zero.
 	if p := m.PredictedAvailable(n, "b", "a"); p != 0 {
 		t.Fatalf("unknown link prediction = %v", p)

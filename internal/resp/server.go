@@ -330,7 +330,7 @@ func validateArity(name string, args [][]byte) error {
 		}
 	}
 	for _, a := range args[1:] {
-		if len(a) > server.MaxKeyLen && name != "SET" && name != "MSET" && name != "ECHO" {
+		if len(a) > server.MaxKeyLen && name != "SET" && name != "MSET" && name != "ECHO" && name != "PING" {
 			return fmt.Errorf("key exceeds %d bytes", server.MaxKeyLen)
 		}
 	}

@@ -183,6 +183,12 @@ func TestSetKeyLengthLimit(t *testing.T) {
 	if r := mustDo(t, cl, "GET", longest); string(r.Bulk) != "v" {
 		t.Fatalf("GET of the longest key = %+v", r)
 	}
+	// A message is not a key: PING and ECHO answer with it whatever its length.
+	for _, cmd := range []string{"PING", "ECHO"} {
+		if r := mustDo(t, cl, cmd, tooLong); r.Err != nil || string(r.Bulk) != tooLong {
+			t.Fatalf("%s of a %d-byte message = err %v, %d bytes", cmd, len(tooLong), r.Err, len(r.Bulk))
+		}
+	}
 }
 
 // TestSelectMapsToVersion pins the database-index mapping: SELECT n
@@ -315,8 +321,8 @@ func TestMultiExecCommitsOneBatch(t *testing.T) {
 	}
 	// One batch frame carried all four mutations.
 	snap := reg.Snapshot()
-	if got := snap["server.req.batch"].(int64); got != 1 {
-		t.Fatalf("server.req.batch = %v, want 1", got)
+	if got := snap["server.req.batch.latency_us"].(metrics.Snapshot).Count; got != 1 {
+		t.Fatalf("server.req.batch.latency_us count = %v, want 1", got)
 	}
 	if got := snap["server.batch.ops"].(int64); got != 5 {
 		t.Fatalf("server.batch.ops = %v, want 5", got)
@@ -523,7 +529,7 @@ func TestInfoAndInline(t *testing.T) {
 	for _, want := range []string{
 		"# Server", "node:test-node", "protocol:resp2",
 		"# Clients", "connected_clients:",
-		"# Stats", "server_req_put:1",
+		"# Stats", "server_req_put_latency_us_count:1",
 		"# Keyspace", "db0:keys=1,engine_version=1",
 	} {
 		if !strings.Contains(info, want) {

@@ -47,9 +47,10 @@ func NewBackend(db *core.DB) *Backend {
 	return &Backend{db: db, met: serverMetrics{conns: new(metrics.Gauge)}}
 }
 
-// SetMetrics attaches a registry for the per-opcode request counters
-// and latency histograms (exported via OpMetrics and, in qindbd, HTTP).
-// Call before serving; nil leaves the backend uninstrumented.
+// SetMetrics attaches a registry for the per-opcode latency histograms
+// (exported via OpMetrics and, in qindbd, HTTP); a histogram's count is
+// its opcode's request count. Call before serving; nil leaves the
+// backend uninstrumented.
 func (b *Backend) SetMetrics(reg *metrics.Registry) {
 	b.reg = reg
 	if reg == nil {
@@ -57,9 +58,7 @@ func (b *Backend) SetMetrics(reg *metrics.Registry) {
 		return
 	}
 	for op := OpPut; op <= opMax; op++ {
-		name := opNames[op]
-		b.met.reqs[op] = reg.Counter("server.req." + name)
-		b.met.lat[op] = reg.Histogram("server.req." + name + ".latency_us")
+		b.met.lat[op] = reg.Histogram("server.req." + opNames[op] + ".latency_us")
 	}
 	b.met.badReqs = reg.Counter("server.req.bad")
 	b.met.conns = reg.Gauge("server.conns.active")
@@ -114,8 +113,8 @@ func (b *Backend) ConnClosed() {
 }
 
 // reqMeter is one request's instrumentation, shared by every transport:
-// the latency timer, the opcode's counter, the read SLO, the slowlog and
-// sampled attribution.
+// the opcode's latency histogram, the read SLO, the slowlog and sampled
+// attribution.
 type reqMeter struct {
 	b     *Backend
 	op    uint8
@@ -144,7 +143,6 @@ func (m reqMeter) done(key []byte, err error) {
 		// covers the request's work, not the metrics writes.
 		m.attr.Charge(opNames[op], m.res.End())
 	}
-	b.met.reqs[op].Inc()
 	b.met.lat[op].Observe(float64(elapsed) / float64(time.Microsecond))
 	if op == OpGet {
 		b.readSLO.Load().Record(err == nil)

@@ -133,8 +133,8 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 // TestInlineGetCountedOnce sends GETs one at a time, which the reader
 // answers itself, and then as one pipelined burst, which goes to dispatch
 // goroutines, and wants each set counted exactly once in every signal
-// the Backend feeds: the request counter, the latency histogram, the read
-// SLO, attribution at 1-in-1 and the in-flight gauge.
+// the Backend feeds: the latency histogram (whose count is the request
+// count), the read SLO, attribution at 1-in-1 and the in-flight gauge.
 func TestInlineGetCountedOnce(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, cl := startServerReg(t, reg)
@@ -149,10 +149,9 @@ func TestInlineGetCountedOnce(t *testing.T) {
 	conn := helloConn(t, s)
 	br := bufio.NewReader(conn)
 
-	type counts struct{ reqs, lat, good, bad, attr int64 }
+	type counts struct{ lat, good, bad, attr int64 }
 	now := func() counts {
 		c := counts{
-			reqs: reg.Counter("server.req.get").Load(),
 			lat:  reg.Histogram("server.req.get.latency_us").Count(),
 			good: reg.Counter("slo.node.read.good").Load(),
 			bad:  reg.Counter("slo.node.read.bad").Load(),
@@ -169,8 +168,8 @@ func TestInlineGetCountedOnce(t *testing.T) {
 	}
 	expect := func(what string, before counts, n, bad int64) {
 		t.Helper()
-		got, want := now(), counts{reqs: n, lat: n, good: n - bad, bad: bad, attr: n}
-		got = counts{got.reqs - before.reqs, got.lat - before.lat, got.good - before.good, got.bad - before.bad, got.attr - before.attr}
+		got, want := now(), counts{lat: n, good: n - bad, bad: bad, attr: n}
+		got = counts{got.lat - before.lat, got.good - before.good, got.bad - before.bad, got.attr - before.attr}
 		if got != want {
 			t.Fatalf("%s added %+v, want %+v", what, got, want)
 		}

@@ -46,13 +46,12 @@ type Server struct {
 	closed bool
 }
 
-// serverMetrics holds per-opcode request counters and wall-clock latency
-// histograms, indexed by opcode. All handles are nil without a registry
-// except conns, which StatsReply reads too: it is the registry's
-// server.conns.active cell when there is one and a private cell
-// otherwise.
+// serverMetrics holds the per-opcode wall-clock latency histograms,
+// indexed by opcode, and the listener-wide cells. All handles are nil
+// without a registry except conns, which StatsReply reads too: it is the
+// registry's server.conns.active cell when there is one and a private
+// cell otherwise.
 type serverMetrics struct {
-	reqs     [opMax + 1]*metrics.Counter
 	lat      [opMax + 1]*metrics.Histogram
 	badReqs  *metrics.Counter
 	conns    *metrics.Gauge   // connections across every attached listener

@@ -186,17 +186,6 @@ func (d *Device) Now() time.Duration {
 	return d.clock
 }
 
-// AdvanceClock adds host/workload time that passes without device
-// activity (e.g. think time between versions in a trace replay).
-func (d *Device) AdvanceClock(dt time.Duration) {
-	if dt <= 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clock += dt
-}
-
 func (d *Device) tick(dt time.Duration) time.Duration {
 	cost := dt / time.Duration(d.cfg.Latency.Channels)
 	d.clock += cost

@@ -169,14 +169,6 @@ func TestStatsAndClock(t *testing.T) {
 	if d.Now() != want {
 		t.Fatalf("Now() = %v, want %v", d.Now(), want)
 	}
-	d.AdvanceClock(time.Second)
-	if d.Now() != want+time.Second {
-		t.Fatal("AdvanceClock should move the virtual clock")
-	}
-	d.AdvanceClock(-time.Second) // ignored
-	if d.Now() != want+time.Second {
-		t.Fatal("negative AdvanceClock must be ignored")
-	}
 }
 
 func TestChannelsDivideLatency(t *testing.T) {
