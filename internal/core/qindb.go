@@ -202,8 +202,9 @@ type DB struct {
 	segs   []*segment // ascending version; every item of the memtable
 
 	// Owned by the wmu holder.
-	maxSeq    uint64 // highest sequence replayed or appended
-	sinceCkpt int64  // bytes appended since the last checkpoint
+	maxSeq    uint64  // highest sequence replayed or appended
+	sinceCkpt int64   // bytes appended since the last checkpoint
+	baseBuf   [8]byte // a dedup record's encoded base, copied by Append
 	excl      exclLock
 	// tombs holds, per file, the deletion records — tombstones and
 	// version-drop records — no checkpoint covers yet: each counts live
@@ -418,7 +419,7 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		if b, it, ok := db.resolveBaseLocked(key, version); ok {
 			base, bound = b, it
 			flags |= fHasBase
-			rec.Value = encodeBase(b)
+			rec.Value = encodeBase(&db.baseBuf, b)
 		}
 	}
 	// The record goes to flash before any reader can find it: only the
@@ -528,7 +529,13 @@ func lookup[K string | []byte](db *DB, key K, version uint64) (*segment, *item) 
 func (db *DB) segmentFor(v uint64) *segment {
 	i, ok := db.segIndex(v)
 	if !ok {
-		db.segs = slices.Insert(db.segs, i, &segment{ver: v, items: make(map[string]*item)})
+		// A new version mostly loads the previous one's keys again: size
+		// its map from that count so loading it does not regrow the map.
+		n := 0
+		if i > 0 {
+			n = len(db.segs[i-1].items)
+		}
+		db.segs = slices.Insert(db.segs, i, &segment{ver: v, items: make(map[string]*item, n)})
 	}
 	return db.segs[i]
 }
@@ -609,14 +616,13 @@ func (db *DB) resolveBaseLocked(key []byte, version uint64) (uint64, *item, bool
 	return 0, nil, false
 }
 
-// encodeBase serializes a traceback base version into a dedup record's
-// otherwise-unused value field.
-func encodeBase(base uint64) []byte {
-	buf := make([]byte, 8)
+// encodeBase serializes a traceback base version into buf, for a dedup
+// record's otherwise-unused value field.
+func encodeBase(buf *[8]byte, base uint64) []byte {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(base >> (8 * i))
 	}
-	return buf
+	return buf[:]
 }
 
 // decodeBase parses encodeBase output; ok is false for records written

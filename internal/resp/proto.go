@@ -28,6 +28,13 @@
 // default database 0 is the conventional version 1). MULTI/EXEC queues
 // mutations and commits them as one atomic OpBatch through the shared
 // Backend — the same code path and metrics as a native v2 batch frame. See DESIGN.md §12.
+//
+// # Ownership
+//
+// Reader.ReadCommand returns a command's arguments as views into
+// buffers the Reader reuses: they stay valid until the next ReadCommand.
+// Whatever holds an argument longer copies it, as the MULTI queue does;
+// the engine copies what it stores.
 package resp
 
 import (
@@ -36,7 +43,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+
+	"directload/internal/aof"
 )
 
 // Protocol limits. Bulk payloads share the binary wire's value cap so a
@@ -62,8 +72,19 @@ var (
 // Reader parses RESP2 commands off one connection. It accepts both
 // array-of-bulk-strings framing and inline commands, like a real Redis
 // server.
+//
+// The arguments ReadCommand returns are views into buffers the Reader
+// owns and reuses: they stay valid until the next ReadCommand. A holder
+// that keeps one longer — the MULTI queue — copies it.
 type Reader struct {
 	br *bufio.Reader
+	// buf holds the current command's bulk payloads (up to 64 KB each)
+	// back to back, each followed by its \r\n.
+	buf []byte
+	// args is the current command's argument list.
+	args [][]byte
+	// line gathers a line longer than br's buffer.
+	line []byte
 }
 
 // NewReader wraps r for command parsing.
@@ -78,18 +99,28 @@ func (r *Reader) Buffered() int {
 	return r.br.Buffered()
 }
 
-// readLine reads one \r\n-terminated line, excluding the terminator.
-// Bare \n is rejected: RESP lines always end \r\n.
-func (r *Reader) readLine(max int) ([]byte, error) {
+// errLineTooLong refuses a line over maxInlineLen.
+var errLineTooLong = fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, maxInlineLen)
+
+// readLine reads one \r\n-terminated line of at most maxInlineLen bytes,
+// excluding the terminator. Bare \n is rejected: RESP lines always end
+// \r\n. The line is valid until the next read.
+func (r *Reader) readLine() ([]byte, error) {
 	line, err := r.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, max)
+		// Longer than br's buffer: gather the pieces.
+		r.line = append(r.line[:0], line...)
+		for err == bufio.ErrBufferFull && len(r.line) <= maxInlineLen+2 {
+			line, err = r.br.ReadSlice('\n')
+			r.line = append(r.line, line...)
+		}
+		line = r.line
 	}
-	if err != nil {
+	if err != nil && err != bufio.ErrBufferFull {
 		return nil, err
 	}
-	if len(line) > max {
-		return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrProtocol, max)
+	if err != nil || len(line) > maxInlineLen+2 {
+		return nil, errLineTooLong
 	}
 	if len(line) < 2 || line[len(line)-2] != '\r' {
 		return nil, fmt.Errorf("%w: line not \\r\\n terminated", ErrProtocol)
@@ -98,10 +129,17 @@ func (r *Reader) readLine(max int) ([]byte, error) {
 }
 
 // ReadCommand parses one command, returning its arguments (the command
-// name is args[0]). An empty inline line returns (nil, nil); callers
-// skip it, as Redis does. Protocol-level corruption returns an error
-// wrapping ErrProtocol, after which the stream must be abandoned.
+// name is args[0]), valid until the next ReadCommand. An empty inline
+// line returns (nil, nil); callers skip it, as Redis does.
+// Protocol-level corruption returns an error wrapping ErrProtocol, after
+// which the stream must be abandoned.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	clear(r.args) // let a large bulk of the last command go
+	r.args = r.args[:0]
+	if cap(r.buf) > aof.KeepBuffer {
+		r.buf = nil
+	}
+	r.buf = r.buf[:0]
 	first, err := r.br.Peek(1)
 	if err != nil {
 		return nil, err
@@ -109,7 +147,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	if first[0] != '*' {
 		return r.readInline()
 	}
-	header, err := r.readLine(maxInlineLen)
+	header, err := r.readLine()
 	if err != nil {
 		return nil, err
 	}
@@ -120,20 +158,23 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	if n < 0 || n > MaxArgs {
 		return nil, fmt.Errorf("%w: array of %d elements", ErrProtocol, n)
 	}
-	args := make([][]byte, 0, n)
+	// args grows as arguments arrive, not from the declared count: a bare
+	// "*1048576" costs nothing until its elements come.
 	for i := 0; i < n; i++ {
 		arg, err := r.readBulk()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, arg)
+		r.args = append(r.args, arg)
 	}
-	return args, nil
+	return r.args, nil
 }
 
-// readBulk parses one $len\r\n<payload>\r\n bulk string.
+// readBulk parses one $len\r\n<payload>\r\n bulk string. A payload of up
+// to 64 KB lands in r.buf; the returned slice is capped at its length,
+// so appending to it cannot overwrite the next argument.
 func (r *Reader) readBulk() ([]byte, error) {
-	header, err := r.readLine(maxInlineLen)
+	header, err := r.readLine()
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +187,11 @@ func (r *Reader) readBulk() ([]byte, error) {
 	}
 	var buf []byte
 	if n+2 <= 64<<10 {
-		buf = make([]byte, n+2)
+		// A grown r.buf leaves the earlier arguments in the old array,
+		// which they keep alive until the next command.
+		start := len(r.buf)
+		r.buf = slices.Grow(r.buf, n+2)[:start+n+2]
+		buf = r.buf[start:]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return nil, err
 		}
@@ -165,12 +210,13 @@ func (r *Reader) readBulk() ([]byte, error) {
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return nil, fmt.Errorf("%w: bulk payload not \\r\\n terminated", ErrProtocol)
 	}
-	return buf[:n], nil
+	return buf[:n:n], nil
 }
 
-// readInline parses one whitespace-separated inline command line.
+// readInline parses one whitespace-separated inline command line. The
+// arguments are views into the line.
 func (r *Reader) readInline() ([][]byte, error) {
-	line, err := r.readLine(maxInlineLen)
+	line, err := r.readLine()
 	if err != nil {
 		return nil, err
 	}
@@ -178,11 +224,7 @@ func (r *Reader) readInline() ([][]byte, error) {
 	if len(fields) == 0 {
 		return nil, nil
 	}
-	args := make([][]byte, len(fields))
-	for i, f := range fields {
-		args[i] = append([]byte(nil), f...)
-	}
-	return args, nil
+	return fields, nil
 }
 
 // AppendCommand appends the canonical RESP2 encoding of a command — an
@@ -207,7 +249,8 @@ func AppendCommand(buf []byte, args ...[]byte) []byte {
 // in a buffer; the serving loop flushes once no further commands are
 // buffered, so a pipelined burst costs one syscall, not one per reply.
 type Writer struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	num [20]byte // scratch for the decimal in a $n, :n or *n header
 }
 
 // NewWriter wraps w for reply encoding.
@@ -245,7 +288,7 @@ func (w *Writer) WriteError(class, msg string) error {
 // WriteInt writes an integer reply (:n).
 func (w *Writer) WriteInt(n int64) error {
 	w.bw.WriteByte(':')
-	w.bw.Write(strconv.AppendInt(nil, n, 10))
+	w.bw.Write(strconv.AppendInt(w.num[:0], n, 10))
 	_, err := w.bw.WriteString("\r\n")
 	return err
 }
@@ -257,7 +300,7 @@ func (w *Writer) WriteBulk(b []byte) error {
 		return w.WriteNil()
 	}
 	w.bw.WriteByte('$')
-	w.bw.Write(strconv.AppendInt(nil, int64(len(b)), 10))
+	w.bw.Write(strconv.AppendInt(w.num[:0], int64(len(b)), 10))
 	w.bw.WriteString("\r\n")
 	w.bw.Write(b)
 	_, err := w.bw.WriteString("\r\n")
@@ -274,7 +317,7 @@ func (w *Writer) WriteNil() error {
 // writes the elements next. n < 0 writes the nil array (*-1).
 func (w *Writer) WriteArrayHeader(n int) error {
 	w.bw.WriteByte('*')
-	w.bw.Write(strconv.AppendInt(nil, int64(n), 10))
+	w.bw.Write(strconv.AppendInt(w.num[:0], int64(n), 10))
 	_, err := w.bw.WriteString("\r\n")
 	return err
 }

@@ -1,6 +1,7 @@
 package resp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -233,9 +234,26 @@ func (c *conn) get(ctx context.Context, key []byte) {
 	c.scratch = keepScratch(val)
 }
 
+// commandNames is every command the server knows, upper-case.
+var commandNames = [...]string{
+	"GET", "SET", "DEL", "MGET", "MSET", "EXISTS", "PING", "ECHO", "SELECT",
+	"INFO", "DBSIZE", "COMMAND", "MULTI", "EXEC", "DISCARD", "QUIT",
+}
+
+// commandName resolves a command name case-insensitively to its entry in
+// commandNames; an unknown one comes back upper-cased for the error reply.
+func commandName(arg []byte) string {
+	for _, name := range commandNames {
+		if bytes.EqualFold(arg, []byte(name)) {
+			return name
+		}
+	}
+	return strings.ToUpper(string(arg))
+}
+
 // dispatch routes one command, honoring MULTI queueing.
 func (c *conn) dispatch(ctx context.Context, args [][]byte) {
-	name := strings.ToUpper(string(args[0]))
+	name := commandName(args[0])
 	if c.multi {
 		switch name {
 		case "MULTI":
@@ -254,7 +272,12 @@ func (c *conn) dispatch(ctx context.Context, args [][]byte) {
 				c.w.WriteError(ClassErr, err.Error())
 				return
 			}
-			c.queue = append(c.queue, queuedCmd{name: name, args: args})
+			// The Reader reuses args' bytes for the next command.
+			owned := make([][]byte, len(args))
+			for i, a := range args {
+				owned[i] = bytes.Clone(a)
+			}
+			c.queue = append(c.queue, queuedCmd{name: name, args: owned})
 			c.w.WriteSimple("QUEUED")
 		}
 		return

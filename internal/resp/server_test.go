@@ -329,6 +329,37 @@ func TestMultiExecCommitsOneBatch(t *testing.T) {
 	}
 }
 
+// TestPipelinedMultiKeepsQueuedArgs sends a whole transaction in one
+// write. The Reader reuses its buffer for every command, so a queue that
+// kept views of the parsed args instead of copies would commit the bytes
+// of whatever was parsed after them.
+func TestPipelinedMultiKeepsQueuedArgs(t *testing.T) {
+	b := newBackend(t, nil)
+	_, cl := startRESP(t, b)
+	for _, cmd := range [][]string{{"MULTI"}, {"SET", "a", "v1"}, {"SET", "b", "v2"}, {"EXEC"}} {
+		if err := cl.SendStrings(cmd...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"OK", "QUEUED", "QUEUED"} {
+		if r, err := cl.Receive(); err != nil || r.Str != want {
+			t.Fatalf("reply = %+v, %v; want %s", r, err, want)
+		}
+	}
+	if r, err := cl.Receive(); err != nil || len(r.Array) != 2 || r.Array[0].Str != "OK" || r.Array[1].Str != "OK" {
+		t.Fatalf("EXEC = %+v, %v", r, err)
+	}
+	ctx := context.Background()
+	for key, want := range map[string]string{"a": "v1", "b": "v2"} {
+		if v, err := b.Get(ctx, []byte(key), 1); err != nil || string(v) != want {
+			t.Fatalf("%s = %q, %v; want %q", key, v, err, want)
+		}
+	}
+}
+
 // TestFailedExecLeavesNoPartialWrites pins EXEC atomicity for both
 // abort paths: a queue-time error (unknown command) and an EXEC-time
 // validation failure (empty key). Neither may leave any of the
