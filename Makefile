@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures check clean
+.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures loc check clean
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,15 @@ examples:
 #   go run ./cmd/figures -seed 1 > cmd/figures/testdata/seed1.golden
 figures:
 	$(GO) run ./cmd/figures -seed 1 | diff -u cmd/figures/testdata/seed1.golden -
+
+# Non-test Go lines per package and their total: raw lines (comments and
+# blank lines count) of the files `go list` names as GoFiles, so tests,
+# testdata and the bench/ module (a module of its own) are left out.
+# The one way this repository counts its size.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+	printf "%6d %s\n", n, $$1; total += n } END { printf "%6d total\n", total }'
 
 # Full pre-merge gate: compile, standard vet, the repo's own analyzer
 # suite, unit tests, the examples, the figures against their golden,

@@ -73,16 +73,11 @@ var (
 // shutdownGrace bounds draining the operator HTTP server on shutdown.
 const shutdownGrace = 3 * time.Second
 
-// readiness builds the /readyz check: the engine must be open and the
-// AOF store not under space pressure.
+// readiness builds the /readyz check: the engine must be open.
 func readiness(db *core.DB) func() error {
 	return func() error {
-		h := db.Health()
-		switch {
-		case h.Closed:
+		if db.Health().Closed {
 			return errors.New("engine closed")
-		case h.UnderPressure:
-			return errors.New("aof store under space pressure")
 		}
 		return nil
 	}

@@ -60,7 +60,7 @@ func main() {
 		Registry: reg,
 		SlowLog:  slow,
 		Ready: func() error {
-			if h := db.Health(); h.Closed || h.UnderPressure {
+			if db.Health().Closed {
 				return fmt.Errorf("engine not serving")
 			}
 			return nil

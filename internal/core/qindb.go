@@ -41,14 +41,13 @@ import (
 
 // Engine errors.
 var (
-	ErrNotFound     = errors.New("qindb: not found")
-	ErrDeleted      = errors.New("qindb: deleted")
-	ErrBrokenChain  = errors.New("qindb: dedup chain has no base value")
-	ErrClosed       = errors.New("qindb: closed")
-	ErrEmptyKey     = errors.New("qindb: empty key")
-	ErrKeyTooBig    = errors.New("qindb: key exceeds the record format's limit")
-	ErrValueTooBig  = errors.New("qindb: value exceeds limit")
-	ErrDedupNoPrior = errors.New("qindb: dedup put without any prior version")
+	ErrNotFound    = errors.New("qindb: not found")
+	ErrDeleted     = errors.New("qindb: deleted")
+	ErrBrokenChain = errors.New("qindb: dedup chain has no base value")
+	ErrClosed      = errors.New("qindb: closed")
+	ErrEmptyKey    = errors.New("qindb: empty key")
+	ErrKeyTooBig   = errors.New("qindb: key exceeds the record format's limit")
+	ErrValueTooBig = errors.New("qindb: value exceeds limit")
 )
 
 // item flags in the memtable.
@@ -325,9 +324,6 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 // inputs of an operator's /readyz decision.
 type HealthReport struct {
 	Closed bool `json:"closed"`
-	// UnderPressure reports the AOF device near capacity even after GC
-	// has had its chance — writes may soon start failing.
-	UnderPressure bool `json:"under_pressure"`
 }
 
 // Health returns the engine's readiness snapshot. Usable (and cheap)
@@ -335,10 +331,7 @@ type HealthReport struct {
 func (db *DB) Health() HealthReport {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return HealthReport{
-		Closed:        db.closed,
-		UnderPressure: db.store.UnderPressure(),
-	}
+	return HealthReport{Closed: db.closed}
 }
 
 // registerDerivedMetrics publishes the computed gauges the experiments

@@ -25,9 +25,13 @@
 // GET, SET, DEL, MGET, MSET, EXISTS, PING, ECHO, SELECT, INFO, DBSIZE,
 // COMMAND, MULTI, EXEC, DISCARD, QUIT. SELECT maps the Redis database
 // index onto an engine data version (index n → version n+1, so the
-// default database 0 is the conventional version 1). MULTI/EXEC queues
-// mutations and commits them as one atomic OpBatch through the shared
-// Backend — the same code path and metrics as a native v2 batch frame. See DESIGN.md §12.
+// default database 0 is the conventional version 1). Every check runs
+// when a command arrives, and inside MULTI when it is queued, so MSET and
+// EXEC commit their mutations as one OpBatch through Backend.Batch, the
+// code path and metrics of a native batch frame. See DESIGN.md §12.
+//
+// The listener and the connections belong to a server.Door, the
+// lifecycle the native door shares; this package brings the handler.
 //
 // # Ownership
 //

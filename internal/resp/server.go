@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"directload/internal/aof"
 	"directload/internal/core"
@@ -17,30 +16,24 @@ import (
 	"directload/internal/server"
 )
 
-// Server is the RESP front door: a TCP listener that executes Redis
-// commands against a shared server.Backend, one goroutine per
-// connection, commands on one connection strictly in order (pipelined
-// bursts are parsed ahead and replies coalesce into one write, so
-// in-order does not mean one round trip per command).
+// Server is the RESP front door: Redis commands executed against a
+// shared server.Backend, commands on one connection strictly in order
+// (pipelined bursts are parsed ahead and replies coalesce into one write,
+// so in-order does not mean one round trip per command). Its
+// server.Door owns the listener and the connections; the Server brings
+// only the per-connection handler.
 type Server struct {
-	backend *server.Backend
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]bool
-	closed bool
-	node   string
+	*server.Door
+	node string
 }
 
 // New builds a RESP listener over an execution backend — typically the
 // same Backend the native binary listener serves, which is what makes
 // the two protocols one system rather than two stores.
 func New(b *server.Backend) *Server {
-	return &Server{
-		backend: b,
-		conns:   make(map[net.Conn]bool),
-		node:    "qindb",
-	}
+	s := &Server{node: "qindb"}
+	s.Door = server.NewDoor(b, s.handle)
+	return s
 }
 
 // SetNode names this node in INFO's Server section (default "qindb").
@@ -48,90 +41,6 @@ func (s *Server) SetNode(name string) {
 	if name != "" {
 		s.node = name
 	}
-}
-
-// Serve accepts connections on ln until Close. It returns nil after a
-// clean shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("resp: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		s.conns[nc] = true
-		s.mu.Unlock()
-		go s.handle(nc)
-	}
-}
-
-// ListenAndServe listens on addr ("host:port", port 0 for ephemeral)
-// and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Close stops accepting and tears down open connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-func (s *Server) dropConn(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	c.Close()
 }
 
 // queuedCmd is one command buffered between MULTI and EXEC.
@@ -169,9 +78,6 @@ func VersionForDB(index int) uint64 {
 
 // handle serves one connection until EOF, QUIT, or a protocol error.
 func (s *Server) handle(nc net.Conn) {
-	s.backend.ConnOpened()
-	defer s.backend.ConnClosed()
-	defer s.dropConn(nc)
 	c := &conn{srv: s, nc: nc, r: NewReader(nc), w: NewWriter(nc), version: VersionForDB(0)}
 	ctx := context.Background()
 	protoErr := func(err error) {
@@ -229,7 +135,7 @@ func keepScratch(buf []byte) []byte {
 // get runs one GET through the connection's scratch buffer and writes
 // its reply.
 func (c *conn) get(ctx context.Context, key []byte) {
-	val, err := c.srv.backend.GetAppend(ctx, c.scratch[:0], key, c.version)
+	val, err := c.srv.Backend().GetAppend(ctx, c.scratch[:0], key, c.version)
 	c.writeGetReply(val, err)
 	c.scratch = keepScratch(val)
 }
@@ -324,7 +230,8 @@ func validateQueued(name string, args [][]byte) error {
 	return fmt.Errorf("unknown command '%s'", strings.ToLower(name))
 }
 
-// validateArity vets argument counts and protocol-level size limits.
+// validateArity vets argument counts, key sizes and, for a mutation, the
+// empty key.
 func validateArity(name string, args [][]byte) error {
 	switch name {
 	case "GET", "ECHO", "SELECT":
@@ -352,16 +259,21 @@ func validateArity(name string, args [][]byte) error {
 			return wrongArity(name)
 		}
 	}
-	for _, a := range args[1:] {
-		if len(a) > server.MaxKeyLen && name != "SET" && name != "MSET" && name != "ECHO" && name != "PING" {
+	// The keys: every argument, every other one for SET and MSET, none
+	// for ECHO and PING.
+	step := 1
+	switch name {
+	case "ECHO", "PING":
+		return nil
+	case "SET", "MSET":
+		step = 2
+	}
+	for i := 1; i < len(args); i += step {
+		if len(args[i]) > server.MaxKeyLen {
 			return fmt.Errorf("key exceeds %d bytes", server.MaxKeyLen)
 		}
-	}
-	if name == "SET" || name == "MSET" {
-		for i := 1; i < len(args); i += 2 {
-			if len(args[i]) > server.MaxKeyLen {
-				return fmt.Errorf("key exceeds %d bytes", server.MaxKeyLen)
-			}
+		if len(args[i]) == 0 && (name == "SET" || name == "MSET" || name == "DEL") {
+			return core.ErrEmptyKey // the engine's own refusal, reply text and all
 		}
 	}
 	return nil
@@ -373,7 +285,7 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 		c.w.WriteError(ClassErr, err.Error())
 		return
 	}
-	b := c.srv.backend
+	b := c.srv.Backend()
 	switch name {
 	case "PING":
 		if len(args) == 2 {
@@ -427,16 +339,10 @@ func (c *conn) run(ctx context.Context, name string, args [][]byte) {
 			c.writeGetReply(val, nil)
 		}
 	case "MSET":
-		ops := make([]server.BatchOp, 0, (len(args)-1)/2)
-		for i := 1; i+1 < len(args); i += 2 {
-			ops = append(ops, server.BatchOp{Op: server.OpPut, Version: c.version, Key: args[i], Value: args[i+1]})
-		}
-		// MSET is atomic in Redis; commit it the way EXEC does.
-		if _, err := b.AtomicBatch(ctx, ops); err != nil {
-			c.w.WriteError(classify(err), err.Error())
-			return
-		}
-		c.w.WriteSimple("OK")
+		// MSET is atomic in Redis: every check has run, and it commits as
+		// one batch, the way EXEC does.
+		ops := appendMutation(make([]server.BatchOp, 0, len(args)/2), name, args, c.version)
+		c.writeBatchedReply(name, b.Batch(ctx, ops))
 	case "SELECT":
 		idx, err := strconv.Atoi(string(args[1]))
 		if err != nil || idx < 0 {
@@ -479,12 +385,13 @@ func (c *conn) writeGetReply(val []byte, err error) {
 }
 
 // exec commits the MULTI queue. All mutations across the queue become
-// ONE OpBatch committed through Backend.AtomicBatch — the same code
-// path and server.req.batch metrics as a native v2 batch frame — and the per-command replies are reconstructed from the batch
-// results. Reads execute after the commit, so a transaction's reads
-// observe its own writes wherever they appear in the queue. A
-// validation failure (or any queue-time error) aborts the whole
-// transaction before a single sub-op reaches the engine.
+// ONE OpBatch committed through Backend.Batch — the code path and
+// server.req.batch metrics of a native batch frame — and each queued
+// command's reply is rebuilt from its share of the results. Reads run
+// after the commit, so a transaction's reads observe its own writes
+// wherever they appear in the queue. Every check ran when a command was
+// queued, so a transaction that would be refused never reaches EXEC: it
+// aborts whole, before a single sub-op reaches the engine.
 func (c *conn) exec(ctx context.Context) {
 	queue := c.queue
 	aborted := c.aborted
@@ -493,56 +400,47 @@ func (c *conn) exec(ctx context.Context) {
 		c.w.WriteError(ClassExecAbort, "Transaction discarded because of previous errors.")
 		return
 	}
-	// First pass: gather every mutation into one batch, remembering
-	// which sub-op range answers which queued command.
-	type slot struct{ start, n int }
-	slots := make([]slot, len(queue))
+	// Queued command i's sub-ops are ops[at[i]:at[i+1]], none for a read.
+	at := make([]int, len(queue)+1)
 	var ops []server.BatchOp
 	for i, cmd := range queue {
-		slots[i] = slot{start: -1}
-		switch cmd.name {
-		case "SET":
-			slots[i] = slot{start: len(ops), n: 1}
-			ops = append(ops, server.BatchOp{Op: server.OpPut, Version: c.version, Key: cmd.args[1], Value: cmd.args[2]})
-		case "DEL":
-			slots[i] = slot{start: len(ops), n: len(cmd.args) - 1}
-			for _, key := range cmd.args[1:] {
-				ops = append(ops, server.BatchOp{Op: server.OpDel, Version: c.version, Key: key})
-			}
-		case "MSET":
-			n := 0
-			for j := 1; j+1 < len(cmd.args); j += 2 {
-				ops = append(ops, server.BatchOp{Op: server.OpPut, Version: c.version, Key: cmd.args[j], Value: cmd.args[j+1]})
-				n++
-			}
-			slots[i] = slot{start: len(ops) - n, n: n}
-		}
+		ops = appendMutation(ops, cmd.name, cmd.args, c.version)
+		at[i+1] = len(ops)
 	}
 	var results []server.BatchResult
 	if len(ops) > 0 {
-		var err error
-		results, err = c.srv.backend.AtomicBatch(ctx, ops)
-		if results == nil && err != nil {
-			// Validation rejected the batch: nothing was applied.
-			c.w.WriteError(ClassExecAbort, "Transaction discarded: "+err.Error())
-			return
-		}
+		results = c.srv.Backend().Batch(ctx, ops)
 	}
-	// Second pass: one reply per queued command, in queue order.
 	c.w.WriteArrayHeader(len(queue))
 	for i, cmd := range queue {
-		if slots[i].start < 0 {
+		if at[i] == at[i+1] {
 			c.run(ctx, cmd.name, cmd.args)
 			continue
 		}
-		c.writeBatchedReply(cmd, results[slots[i].start:slots[i].start+slots[i].n])
+		c.writeBatchedReply(cmd.name, results[at[i]:at[i+1]])
 	}
 }
 
-// writeBatchedReply reconstructs one queued mutation's reply from its
-// slice of batch results.
-func (c *conn) writeBatchedReply(cmd queuedCmd, results []server.BatchResult) {
-	switch cmd.name {
+// appendMutation appends the batch sub-ops of a SET, MSET or DEL to ops;
+// any other command appends none.
+func appendMutation(ops []server.BatchOp, name string, args [][]byte, version uint64) []server.BatchOp {
+	switch name {
+	case "SET", "MSET":
+		for i := 1; i+1 < len(args); i += 2 {
+			ops = append(ops, server.BatchOp{Op: server.OpPut, Version: version, Key: args[i], Value: args[i+1]})
+		}
+	case "DEL":
+		for _, key := range args[1:] {
+			ops = append(ops, server.BatchOp{Op: server.OpDel, Version: version, Key: key})
+		}
+	}
+	return ops
+}
+
+// writeBatchedReply writes one mutation's reply from its slice of batch
+// results.
+func (c *conn) writeBatchedReply(name string, results []server.BatchResult) {
+	switch name {
 	case "SET", "MSET":
 		for _, r := range results {
 			if r.Err != nil {
@@ -572,7 +470,7 @@ func (c *conn) writeBatchedReply(cmd queuedCmd, results []server.BatchResult) {
 // engine's stats — the RESP view of the same numbers /metrics and
 // OpMetrics serve. An empty section selects every section.
 func (c *conn) info(ctx context.Context, section string) []byte {
-	b := c.srv.backend
+	b := c.srv.Backend()
 	var sb strings.Builder
 	want := func(name string) bool { return section == "" || section == name }
 	if want("server") {

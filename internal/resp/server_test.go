@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -360,10 +361,9 @@ func TestPipelinedMultiKeepsQueuedArgs(t *testing.T) {
 	}
 }
 
-// TestFailedExecLeavesNoPartialWrites pins EXEC atomicity for both
-// abort paths: a queue-time error (unknown command) and an EXEC-time
-// validation failure (empty key). Neither may leave any of the
-// transaction's writes behind.
+// TestFailedExecLeavesNoPartialWrites pins EXEC atomicity for two
+// queue-time errors: an unknown command and an empty key. Neither may
+// leave any of the transaction's writes behind.
 func TestFailedExecLeavesNoPartialWrites(t *testing.T) {
 	b := newBackend(t, nil)
 	_, cl := startRESP(t, b)
@@ -391,10 +391,9 @@ func TestFailedExecLeavesNoPartialWrites(t *testing.T) {
 		}
 	}
 
-	// EXEC-time validation failure: the empty key passes queue-time arity
-	// checks but fails AtomicBatch validation, so the whole batch — the
-	// valid first write included — must be rejected with the engine
-	// untouched.
+	// The empty key is refused when it is queued, so the whole
+	// transaction — the valid first write included — must be rejected with
+	// the engine untouched.
 	mustDo(t, cl, "MULTI")
 	mustDo(t, cl, "SET", "v1-key", "v")
 	mustDo(t, cl, "SET", "", "v")
@@ -708,5 +707,125 @@ func TestEmptyValueAnswersNil(t *testing.T) {
 		if len(r.Array) != 3 || !r.Array[0].IsNil() || string(r.Array[1].Bulk) != "some value" || !r.Array[2].IsNil() {
 			t.Fatalf("MGET = %+v", r)
 		}
+	}
+}
+
+// TestDoorLifecycle runs both front doors through one lifecycle: Close
+// ends Serve, which returns nil; an open client connection sees EOF;
+// server.conns.active falls back to 0; a second Close is a no-op and a
+// Serve after Close fails.
+func TestDoorLifecycle(t *testing.T) {
+	type door interface {
+		Serve(net.Listener) error
+		Close() error
+	}
+	doors := map[string]func(*server.Backend) door{
+		"native": func(b *server.Backend) door { return server.NewWithBackend(b) },
+		"resp":   func(b *server.Backend) door { return New(b) },
+	}
+	for name, newDoor := range doors {
+		t.Run(name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			reg := metrics.NewRegistry()
+			d := newDoor(newBackend(t, reg))
+			active := reg.Gauge("server.conns.active")
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- d.Serve(ln) }()
+			nc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			waitGauge(t, active, 1)
+
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			select {
+			case err := <-served:
+				if err != nil {
+					t.Fatalf("Serve after Close returned %v, want nil", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not return after Close")
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := nc.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+				t.Fatalf("client read after Close = %d, %v; want EOF", n, err)
+			}
+			waitGauge(t, active, 0)
+
+			if err := d.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			ln2, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln2.Close()
+			if err := d.Serve(ln2); err == nil {
+				t.Fatal("Serve after Close returned nil")
+			}
+		})
+	}
+}
+
+// waitGauge waits up to 5 s for g to read want.
+func waitGauge(t *testing.T, g *metrics.Gauge, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); g.Load() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server.conns.active = %d, want %d", g.Load(), want)
+		}
+	}
+}
+
+// TestEmptyKeyMutationsWriteNothing sends SET, MSET and DEL with an empty
+// key among their keys. Outside MULTI each answers the engine's empty-key
+// error and changes nothing, the keys before the empty one included;
+// inside MULTI each poisons the transaction, and EXEC aborts.
+func TestEmptyKeyMutationsWriteNothing(t *testing.T) {
+	b := newBackend(t, nil)
+	_, cl := startRESP(t, b)
+	ctx := context.Background()
+	mustDo(t, cl, "MSET", "a", "old-a", "b", "old-b")
+	unchanged := func(when string) {
+		t.Helper()
+		for _, kv := range [][2]string{{"a", "old-a"}, {"b", "old-b"}} {
+			if got, err := b.Get(ctx, []byte(kv[0]), 1); err != nil || string(got) != kv[1] {
+				t.Fatalf("%s: %s = %q, %v; want %q", when, kv[0], got, err, kv[1])
+			}
+		}
+		if n := b.KeyCount(1); n != 2 {
+			t.Fatalf("%s: %d keys, want 2", when, n)
+		}
+	}
+	cmds := [][]string{
+		{"SET", "", "v"},
+		{"MSET", "a", "1", "", "2"},
+		{"DEL", "a", "", "b"},
+	}
+	for _, cmd := range cmds {
+		r := mustDo(t, cl, cmd...)
+		var re *ReplyError
+		if !errors.As(r.Err, &re) || re.Class != ClassErr || re.Msg != core.ErrEmptyKey.Error() {
+			t.Fatalf("%q = %+v, want -ERR %s", cmd, r, core.ErrEmptyKey)
+		}
+		unchanged(fmt.Sprintf("after %q", cmd))
+
+		mustDo(t, cl, "MULTI")
+		mustDo(t, cl, "SET", "a", "in-multi")
+		if r := mustDo(t, cl, cmd...); r.Err == nil {
+			t.Fatalf("%q in MULTI = %+v, want an error", cmd, r)
+		}
+		r = mustDo(t, cl, "EXEC")
+		if !errors.As(r.Err, &re) || re.Class != ClassExecAbort {
+			t.Fatalf("EXEC after %q = %+v, want EXECABORT", cmd, r)
+		}
+		unchanged(fmt.Sprintf("after MULTI %q EXEC", cmd))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -98,18 +97,6 @@ func (b *Backend) SetAttribution(every int) {
 // when attribution is off).
 func (b *Backend) Attribution() metrics.AttribSnapshot {
 	return b.attr.Load().Snapshot()
-}
-
-// ConnOpened notes one transport connection coming up; listeners call
-// it on accept so the server.conns.active gauge and StatsReply.Conns
-// count every front door, not just the native one.
-func (b *Backend) ConnOpened() {
-	b.met.conns.Add(1)
-}
-
-// ConnClosed undoes ConnOpened.
-func (b *Backend) ConnClosed() {
-	b.met.conns.Add(-1)
 }
 
 // reqMeter is one request's instrumentation, shared by every transport:
@@ -309,68 +296,18 @@ type BatchResult struct {
 // errNotBatchable rejects sub-ops outside the mutation set.
 var errNotBatchable = errors.New("op not batchable")
 
-// Batch applies sub-ops in one instrumented server.req.batch pass with
-// the native wire's semantics: failures are reported individually and
-// do not poison the rest of the frame.
+// Batch applies sub-ops in one instrumented server.req.batch pass, the
+// one batch path of every door: a native OpBatch frame, a RESP MSET and a
+// MULTI/EXEC queue. Failures are reported per sub-op and do not stop the
+// rest.
 func (b *Backend) Batch(ctx context.Context, ops []BatchOp) []BatchResult {
 	m := b.begin(OpBatch)
-	results := b.applyBatch(ops)
-	m.done(nil, nil)
-	return results
-}
-
-// AtomicBatch is the all-or-nothing flavor the RESP front door commits
-// MULTI/EXEC queues (and MSET) through: every sub-op is validated
-// against the protocol limits before any is applied, so a rejected
-// batch leaves no partial writes. Validation failures return the error
-// with the engine untouched. Once validation passes the sub-ops are
-// applied in one pass exactly like Batch — an engine fault mid-batch is
-// reported per-op in the results (Redis EXEC semantics: runtime errors
-// do not roll back), with err aggregating them.
-func (b *Backend) AtomicBatch(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	for i, op := range ops {
-		if err := validateBatchOp(op); err != nil {
-			return nil, fmt.Errorf("sub-op %d: %w", i, err)
-		}
-	}
-	m := b.begin(OpBatch)
-	results := b.applyBatch(ops)
-	var errs []error
-	for i, r := range results {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("sub-op %d: %w", i, r.Err))
-		}
-	}
-	err := errors.Join(errs...)
-	m.done(nil, err)
-	return results, err
-}
-
-// validateBatchOp enforces the protocol-level invariants a sub-op must
-// satisfy before AtomicBatch may touch the engine.
-func validateBatchOp(op BatchOp) error {
-	if !batchable(op.Op) {
-		return errNotBatchable
-	}
-	if op.Op != OpDropVersion && len(op.Key) == 0 {
-		return core.ErrEmptyKey
-	}
-	if len(op.Key) > MaxKeyLen {
-		return fmt.Errorf("%w: key %d bytes", ErrFrameTooBig, len(op.Key))
-	}
-	if len(op.Value) > MaxValueLen {
-		return fmt.Errorf("%w: value %d bytes", ErrFrameTooBig, len(op.Value))
-	}
-	return nil
-}
-
-// applyBatch executes sub-ops under an already-begun batch frame.
-func (b *Backend) applyBatch(ops []BatchOp) []BatchResult {
 	results := make([]BatchResult, len(ops))
 	for i, op := range ops {
 		results[i] = BatchResult{Err: b.execBatchOp(op)}
 	}
 	b.met.batchOps.Add(int64(len(ops)))
+	m.done(nil, nil)
 	return results
 }
 

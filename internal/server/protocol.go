@@ -38,6 +38,11 @@
 //
 // # Connections
 //
+// Both front doors, Server and internal/resp's, are a Door: one accept
+// loop, one set of open connections that Close tears down, and one
+// server.conns.active count. A door brings only its per-connection
+// handler.
+//
 // One goroutine reads each connection. A GET that finds the connection
 // idle (nothing in flight, nothing more buffered) is answered by that
 // goroutine, if the engine's read lock is free at that instant; every
@@ -191,16 +196,6 @@ func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 		buf = buf[:end]
 	}
 	return buf, nil
-}
-
-// writeFrameSeq writes a sequenced frame: len u32 | seq u32 | body.
-func writeFrameSeq(w io.Writer, seq uint32, body []byte) error {
-	if len(body)+4 > maxFrame {
-		return ErrFrameTooBig
-	}
-	buf := appendFrameSeq(nil, seq, body)
-	_, err := w.Write(buf) // one write: a frame never splits into two syscalls
-	return err
 }
 
 // appendFrameSeq appends one encoded sequenced frame to buf, letting callers

@@ -67,7 +67,7 @@ func TestHelloReplyBytes(t *testing.T) {
 			if err != nil || status != StatusOK || !bytes.Equal(payload, []byte{ProtoV2}) {
 				t.Fatalf("hello reply = status %d payload %v, %v; want OK [%d]", status, payload, err, ProtoV2)
 			}
-			if err := writeFrameSeq(conn, 7, reqBody(t, request{Op: OpPing})); err != nil {
+			if _, err := conn.Write(appendFrameSeq(nil, 7, reqBody(t, request{Op: OpPing}))); err != nil {
 				t.Fatal(err)
 			}
 			seq, body, err := readFrameSeq(conn, nil)
@@ -196,7 +196,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 			reqs = append(reqs, pending{seq: seq, key: append([]byte(nil), req.Key...)})
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
-			writeFrameSeq(conn, reqs[i].seq, encodeResponse(StatusOK, append([]byte("val-"), reqs[i].key...)))
+			conn.Write(appendFrameSeq(nil, reqs[i].seq, encodeResponse(StatusOK, append([]byte("val-"), reqs[i].key...))))
 		}
 	}()
 
@@ -425,7 +425,7 @@ func TestDeadlineExpiryMidFrame(t *testing.T) {
 					if reqs == 1 {
 						continue // swallow: the client's deadline must fire
 					}
-					writeFrameSeq(conn, seq, encodeResponse(StatusOK, []byte("pong")))
+					conn.Write(appendFrameSeq(nil, seq, encodeResponse(StatusOK, []byte("pong"))))
 				}
 			}(conn)
 		}
@@ -558,7 +558,7 @@ func TestInFlightWindowBlocks(t *testing.T) {
 			}
 			conn.SetReadDeadline(time.Time{})
 			for seen := window; len(seqs) > 0; {
-				if err := writeFrameSeq(conn, seqs[0], encodeResponse(StatusOK, nil)); err != nil {
+				if _, err := conn.Write(appendFrameSeq(nil, seqs[0], encodeResponse(StatusOK, nil))); err != nil {
 					return err
 				}
 				seqs = seqs[1:]
@@ -599,9 +599,7 @@ func TestInFlightWindowBlocks(t *testing.T) {
 // TestSeqFrameCodec round-trips the seq framing and rejects runts.
 func TestSeqFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrameSeq(&buf, 42, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(appendFrameSeq(nil, 42, []byte("hello")))
 	seq, body, err := readFrameSeq(&buf, nil)
 	if err != nil || seq != 42 || string(body) != "hello" {
 		t.Fatalf("round trip = %d, %q, %v", seq, body, err)

@@ -35,15 +35,11 @@ type StatsReply struct {
 // connection's one coalescing writer (serveRequests).
 //
 // The Server owns only the binary wire: framing, sequence numbers, the
-// handshake, response encoding. Every request executes through its
-// Backend, which alternate front doors (internal/resp) share.
+// handshake, response encoding. Its Door owns the listener and the
+// connections, and every request executes through the Door's Backend,
+// which the RESP door (internal/resp) shares.
 type Server struct {
-	backend *Backend
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]bool
-	closed bool
+	*Door
 }
 
 // serverMetrics holds the per-opcode wall-clock latency histograms,
@@ -82,16 +78,9 @@ func New(db *core.DB) *Server {
 // Backend to both this server and the RESP front door, so both wires
 // hit one engine with one set of metrics.
 func NewWithBackend(b *Backend) *Server {
-	return &Server{
-		backend: b,
-		conns:   make(map[net.Conn]bool),
-	}
-}
-
-// Backend returns the server's execution backend, shared with any
-// additional front doors.
-func (s *Server) Backend() *Backend {
-	return s.backend
+	s := &Server{}
+	s.Door = NewDoor(b, s.handle)
+	return s
 }
 
 // SetSlowLog attaches a slow-op log; every request whose wall-clock
@@ -108,90 +97,6 @@ func (s *Server) SetReadSLO(slo *metrics.SLO) {
 	s.backend.SetReadSLO(slo)
 }
 
-// Serve accepts connections on ln until Close. It returns nil after a
-// clean shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("server: closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
-
-// ListenAndServe listens on addr ("host:port", port 0 for ephemeral) and
-// serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Close stops accepting and tears down open connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-func (s *Server) dropConn(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	c.Close()
-}
-
 // errNoHello refuses a connection whose first frame is not a hello this
 // server can accept.
 var errNoHello = errors.New("server: first frame must be OpHello asking for protocol 2")
@@ -200,9 +105,6 @@ var errNoHello = errors.New("server: first frame must be OpHello asking for prot
 // loop. Anything but an acceptable hello as first frame is answered
 // with one StatusFailed frame and the connection is closed.
 func (s *Server) handle(conn net.Conn) {
-	s.backend.ConnOpened()
-	defer s.backend.ConnClosed()
-	defer s.dropConn(conn)
 	br := bufio.NewReader(conn)
 	frame, err := readFrame(br)
 	if err != nil {

@@ -212,9 +212,6 @@ func (d *Device) FreeBlocks() int {
 	return len(d.free)
 }
 
-// TotalBlocks returns the device block count.
-func (d *Device) TotalBlocks() int { return d.cfg.Blocks }
-
 // AllocBlock takes a free block for the given owner and returns its id.
 func (d *Device) AllocBlock(owner Owner) (int, error) {
 	if owner == OwnerNone {
