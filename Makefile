@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures loc check clean
+.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures loc deps check clean
 
 build:
 	$(GO) build ./...
@@ -69,14 +69,23 @@ loc:
 	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
 	printf "%6d %s\n", n, $$1; total += n } END { printf "%6d total\n", total }'
 
+# The daemon and its client link the engine and the wire stack only:
+# the simulation behind the figures (and the LevelDB baseline under it)
+# must not reach either binary. grep exits 0 on a match, failing here.
+deps:
+	@if $(GO) list -deps ./cmd/qindbd ./cmd/qindbctl | \
+		grep -E '^directload/internal/(lsm|mint|skiplist|netsim|bifrost|cluster|experiments|indexer)$$'; then \
+		echo "qindbd/qindbctl link the simulation packages above"; exit 1; fi
+
 # Full pre-merge gate: compile, standard vet, the repo's own analyzer
-# suite, unit tests, the examples, the figures against their golden,
-# then the race detector over every package.
+# suite, the daemons' dependency guard, unit tests, the examples, the
+# figures against their golden, then the race detector over every
+# package.
 # bench/ is a module of its own, which `./...` does not
 # reach: its tests compile the end-to-end benchmark and smoke-run every
 # workload — hand-built hello included — against a qindbd built from
 # this tree, so a wire change that breaks the benchmark fails here.
-check: build vet lint test examples figures
+check: build vet lint deps test examples figures
 	$(GO) test -race ./...
 	cd bench && $(GO) test -count=1 .
 

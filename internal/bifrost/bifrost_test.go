@@ -178,7 +178,7 @@ func TestShipToRegionDeliversToAllDCs(t *testing.T) {
 	sh := NewShipper(top, 1)
 	slice := makeSlice(1, StreamInverted, 100000)
 	var got []netsim.NodeID
-	if err := sh.ShipToRegion(slice, top.Regions[0], func(d Delivery) {
+	if err := sh.ShipToRegionDCs(slice, top.Regions[0], top.Regions[0].DCs, func(d Delivery) {
 		got = append(got, d.DC)
 	}); err != nil {
 		t.Fatal(err)
@@ -192,13 +192,17 @@ func TestShipToRegionDeliversToAllDCs(t *testing.T) {
 	}
 }
 
+// TestShipEverywhere ships one slice to every DC of every region, as a
+// publish of the inverted stream does.
 func TestShipEverywhere(t *testing.T) {
 	top := testTopology(t)
 	sh := NewShipper(top, 1)
 	slice := makeSlice(1, StreamSummary, 50000)
 	seen := map[netsim.NodeID]bool{}
-	if err := sh.ShipEverywhere(slice, func(d Delivery) { seen[d.DC] = true }); err != nil {
-		t.Fatal(err)
+	for _, region := range top.Regions {
+		if err := sh.ShipToRegionDCs(slice, region, region.DCs, func(d Delivery) { seen[d.DC] = true }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	top.Net.Run(0)
 	if len(seen) != 6 {
@@ -222,7 +226,7 @@ func TestCorruptionTriggersRetransmit(t *testing.T) {
 	delivered := 0
 	for i := 0; i < 20; i++ {
 		slice := makeSlice(1, StreamInverted, 10000)
-		if err := sh.ShipToRegion(slice, top.Regions[0], func(d Delivery) { delivered++ }); err != nil {
+		if err := sh.ShipToRegionDCs(slice, top.Regions[0], top.Regions[0].DCs, func(d Delivery) { delivered++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +250,7 @@ func TestLinkFailureRecovery(t *testing.T) {
 	slice := makeSlice(1, StreamInverted, 500000)
 	delivered := 0
 	region := top.Regions[0]
-	if err := sh.ShipToRegion(slice, region, func(d Delivery) { delivered++ }); err != nil {
+	if err := sh.ShipToRegionDCs(slice, region, region.DCs, func(d Delivery) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the first relay's DC links mid-flight; the retry path must
@@ -276,7 +280,7 @@ func TestMissRatioDeadline(t *testing.T) {
 	sh := NewShipper(top, 1)
 	sh.Deadline = 1 * time.Second // tight deadline to force misses
 	slice := makeSlice(1, StreamInverted, 10_000_000)
-	if err := sh.ShipToRegion(slice, top.Regions[0], nil); err != nil {
+	if err := sh.ShipToRegionDCs(slice, top.Regions[0], top.Regions[0].DCs, nil); err != nil {
 		t.Fatal(err)
 	}
 	top.Net.Run(0)
@@ -297,12 +301,12 @@ func TestStreamsShareLinkByReservation(t *testing.T) {
 	region := top.Regions[1]
 	// Pin both to the same relay by using a monitor-free round-robin:
 	// easier to just ship everywhere and compare totals.
-	sh.ShipToRegion(sum, region, func(d Delivery) {
+	sh.ShipToRegionDCs(sum, region, region.DCs, func(d Delivery) {
 		if d.Arrived > sumAt {
 			sumAt = d.Arrived
 		}
 	})
-	sh.ShipToRegion(inv, region, func(d Delivery) {
+	sh.ShipToRegionDCs(inv, region, region.DCs, func(d Delivery) {
 		if d.Arrived > invAt {
 			invAt = d.Arrived
 		}

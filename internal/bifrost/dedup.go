@@ -131,13 +131,6 @@ const (
 	StreamInverted
 )
 
-func (t StreamType) String() string {
-	if t == StreamSummary {
-		return "summary"
-	}
-	return "inverted"
-}
-
 // Record is one index entry inside a slice.
 type Record struct {
 	Key     []byte

@@ -28,7 +28,7 @@ func TestMonitorDrivenRelaySelection(t *testing.T) {
 	// Ship a burst of slices; count how many are routed via the hot relay
 	// (observed through the relay->DC links' byte counters).
 	for i := 0; i < 12; i++ {
-		if err := sh.ShipToRegion(makeSlice(1, StreamInverted, 200000), region, nil); err != nil {
+		if err := sh.ShipToRegionDCs(makeSlice(1, StreamInverted, 200000), region, region.DCs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestRoundRobinWithoutMonitor(t *testing.T) {
 	sh := NewShipper(top, 1)
 	region := top.Regions[0]
 	for i := 0; i < 6; i++ {
-		if err := sh.ShipToRegion(makeSlice(1, StreamInverted, 10000), region, nil); err != nil {
+		if err := sh.ShipToRegionDCs(makeSlice(1, StreamInverted, 10000), region, region.DCs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestDeliveryRetriesCounted(t *testing.T) {
 	sh.CorruptProb = 0.6
 	var maxRetries int
 	for i := 0; i < 10; i++ {
-		sh.ShipToRegion(makeSlice(1, StreamSummary, 5000), top.Regions[2], func(d Delivery) {
+		sh.ShipToRegionDCs(makeSlice(1, StreamSummary, 5000), top.Regions[2], top.Regions[2].DCs, func(d Delivery) {
 			if d.Retries > maxRetries {
 				maxRetries = d.Retries
 			}
@@ -116,7 +116,7 @@ func TestBackboneDetour(t *testing.T) {
 
 	// Deliver to north first: its gateway relay now caches the slice.
 	slice := makeSlice(1, StreamInverted, 100_000)
-	if err := sh.ShipToRegion(slice, north, nil); err != nil {
+	if err := sh.ShipToRegionDCs(slice, north, north.DCs, nil); err != nil {
 		t.Fatal(err)
 	}
 	top.Net.Run(0)
@@ -130,7 +130,7 @@ func TestBackboneDetour(t *testing.T) {
 	top.Net.Run(20 * time.Second)
 
 	delivered := 0
-	if err := sh.ShipToRegion(slice, east, func(d Delivery) { delivered++ }); err != nil {
+	if err := sh.ShipToRegionDCs(slice, east, east.DCs, func(d Delivery) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
 	top.Net.Run(2 * time.Minute)

@@ -228,16 +228,11 @@ func (s *Shipper) pickRelay(region Region) netsim.NodeID {
 	return region.Relays[i]
 }
 
-// ShipToRegion schedules delivery of one slice to every DC of the region:
-// builder → relay, then relay → each DC. Each hop verifies the checksum
-// and retransmits on corruption, up to MaxRetries.
-func (s *Shipper) ShipToRegion(slice *Slice, region Region, onDelivered func(d Delivery)) error {
-	return s.ShipToRegionDCs(slice, region, region.DCs, onDelivered)
-}
-
-// ShipToRegionDCs is ShipToRegion restricted to a subset of the region's
-// data centers — the paper stores summary indices in only one DC per
-// region while inverted indices go to all six.
+// ShipToRegionDCs schedules delivery of one slice to the given data
+// centers of the region: builder → relay, then relay → each DC. Each hop
+// verifies the checksum and retransmits on corruption, up to MaxRetries.
+// The DCs are a subset because the paper stores summary indices in only
+// one DC per region while inverted indices go to all six.
 func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.NodeID, onDelivered func(d Delivery)) error {
 	source, relay := s.pickSource(slice, region)
 	available := s.Top.Net.Now()
@@ -378,16 +373,6 @@ func (s *Shipper) pickSource(slice *Slice, region Region) (source, relay netsim.
 		}
 	}
 	return source, relay
-}
-
-// ShipEverywhere ships the slice to all regions.
-func (s *Shipper) ShipEverywhere(slice *Slice, onDelivered func(d Delivery)) error {
-	for _, region := range s.Top.Regions {
-		if err := s.ShipToRegion(slice, region, onDelivered); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats returns a copy of the shipper counters.

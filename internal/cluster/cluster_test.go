@@ -30,10 +30,10 @@ func testConfig() Config {
 			NodesPerGroup: 3,
 			Replicas:      3,
 			NodeCapacity:  128 << 20,
-			Engine: core.Options{
+			Factory: mint.QinDBFactory(core.Options{
 				AOF:  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
 				Seed: 1,
-			},
+			}),
 		},
 		SliceLimit:     256 << 10,
 		RetainVersions: 4,
@@ -76,6 +76,17 @@ func testGenerator(t *testing.T, keys, valSize int) *workload.Generator {
 	return g
 }
 
+// stored counts how many of g's first n keys dc's store holds at version.
+func stored(dc *DataCenter, g *workload.Generator, n int, version uint64) int {
+	held := 0
+	for i := 0; i < n; i++ {
+		if _, _, err := dc.Store.Get(g.Key(i), version); err == nil {
+			held++
+		}
+	}
+	return held
+}
+
 func TestPublishLoadsAllDCs(t *testing.T) {
 	d := newSystem(t)
 	g := testGenerator(t, 100, 2048)
@@ -93,8 +104,8 @@ func TestPublishLoadsAllDCs(t *testing.T) {
 	}
 	// Inverted entries are stored in all six DCs.
 	for id, dc := range d.DCs {
-		if dc.Store.Stats().Keys == 0 {
-			t.Fatalf("DC %s stored nothing", id)
+		if got := stored(dc, g, 100, 1); got != 100 {
+			t.Fatalf("DC %s stored %d of 100 keys", id, got)
 		}
 	}
 }
@@ -107,7 +118,7 @@ func TestSummaryOnlyInThreeDCs(t *testing.T) {
 	}
 	withData, without := 0, 0
 	for _, dc := range d.DCs {
-		if dc.Store.Stats().Keys > 0 {
+		if stored(dc, g, 60, 1) > 0 {
 			withData++
 			if !dc.StoresSummary {
 				t.Fatalf("%s stores summary but should not", dc.ID)

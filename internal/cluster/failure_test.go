@@ -11,17 +11,48 @@ import (
 	"directload/internal/workload"
 )
 
+var errNodeDown = errors.New("node down")
+
+// downEngine is a crashed node's engine: every Put and Get errors.
+type downEngine struct{ mint.Engine }
+
+func (downEngine) Put([]byte, uint64, []byte, bool) (time.Duration, error) {
+	return 0, errNodeDown
+}
+
+func (downEngine) Get([]byte, uint64) ([]byte, time.Duration, error) {
+	return nil, 0, errNodeDown
+}
+
+// failNodes makes every DC's Mint cluster build the nodes of the given
+// build seeds (1 is a cluster's first node, g0-n0) as downEngines.
+func failNodes(cfg *Config, seeds ...int64) {
+	build := cfg.Mint.Factory
+	cfg.Mint.Factory = func(capacity, seed int64) (*mint.EngineStack, error) {
+		stack, err := build(capacity, seed)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range seeds {
+			if s == seed {
+				stack.Engine = downEngine{stack.Engine}
+			}
+		}
+		return stack, nil
+	}
+}
+
 // TestPublishSurvivesNodeFailure: a storage node failing before a
 // version arrives must not block the update (writes still reach quorum).
 func TestPublishSurvivesNodeFailure(t *testing.T) {
-	d := newSystem(t)
 	// Fail one node in every DC.
-	for _, dc := range d.DCs {
-		ids := dc.Store.Nodes()
-		if err := dc.Store.FailNode(ids[0]); err != nil {
-			t.Fatal(err)
-		}
+	cfg := testConfig()
+	failNodes(&cfg, 1)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d.Close()
 	g := testGenerator(t, 60, 1024)
 	rep, err := d.PublishVersion(1, genEntries(t, g, bifrost.StreamInverted))
 	if err != nil {
@@ -37,45 +68,6 @@ func TestPublishSurvivesNodeFailure(t *testing.T) {
 	for i := 0; i < 60; i += 11 {
 		if _, _, err := d.Get(d.Top.Regions[0].DCs[0], g.Key(i)); err != nil {
 			t.Fatalf("Get key %d: %v", i, err)
-		}
-	}
-}
-
-// TestNodeRecoveryCatchesUpViaReplicas: a node that was down during a
-// version load misses that data; after recovery the cluster still serves
-// everything through its peers (the paper's availability story), and the
-// recovered node serves what it had before the crash.
-func TestNodeRecoveryCatchesUpViaReplicas(t *testing.T) {
-	d := newSystem(t)
-	g := testGenerator(t, 60, 1024)
-	if _, err := d.PublishVersion(1, genEntries(t, g, bifrost.StreamInverted)); err != nil {
-		t.Fatal(err)
-	}
-	dc := d.DCs[d.Top.Regions[1].DCs[0]]
-	victim := dc.Store.Nodes()[0]
-	if err := dc.Store.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.PublishVersion(2, genEntries(t, g, bifrost.StreamInverted)); err != nil {
-		t.Fatal(err)
-	}
-	scan, err := dc.Store.RecoverNode(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan <= 0 {
-		t.Fatal("recovery scan time should be positive for a loaded node")
-	}
-	if err := d.ActivateEverywhere(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i += 13 {
-		val, _, err := d.Get(dc.ID, g.Key(i))
-		if err != nil {
-			t.Fatalf("Get key %d after recovery: %v", i, err)
-		}
-		if string(val) != string(g.Value(i)) {
-			t.Fatalf("stale value for key %d", i)
 		}
 	}
 }
@@ -185,23 +177,16 @@ func TestStreamsArriveTogether(t *testing.T) {
 // in a group, applying a slice misses write quorum and the publish
 // surfaces the error instead of silently under-replicating.
 func TestPublishFailsWhenQuorumUnreachable(t *testing.T) {
-	d := newSystem(t)
-	// Fail 2 nodes of group 0 in one DC.
-	dc := d.DCs[d.Top.Regions[0].DCs[0]]
-	downed := 0
-	for _, id := range dc.Store.Nodes() {
-		n, _ := dc.Store.Node(id)
-		if n != nil && dc.Store.GroupFor([]byte("probe")) != nil {
-			// Just fail the first two nodes listed; some keys will land
-			// on a group with <quorum live replicas.
-			if downed < 4 {
-				dc.Store.FailNode(id)
-				downed++
-			}
-		}
+	// Fail 2 of group 0's 3 nodes.
+	cfg := testConfig()
+	failNodes(&cfg, 1, 2)
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d.Close()
 	g := testGenerator(t, 80, 512)
-	_, err := d.PublishVersion(1, genEntries(t, g, bifrost.StreamInverted))
+	_, err = d.PublishVersion(1, genEntries(t, g, bifrost.StreamInverted))
 	if err == nil {
 		t.Fatal("publish should fail when a DC cannot reach write quorum")
 	}

@@ -55,18 +55,14 @@ func RunRUMAblation(cfg Fig5Config, thresholds []float64) ([]RUMPoint, error) {
 
 func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	p := RUMPoint{GCThreshold: threshold}
-	dev, err := ssd.NewDevice(ssd.DefaultConfig(cfg.DeviceCapacity))
-	if err != nil {
-		return p, err
-	}
-	fs := blockfs.NewNativeFS(dev)
 	opts := core.DefaultOptions()
 	opts.AOF = aof.Config{FileSize: 16 << 20, GCThreshold: threshold}
-	db, err := core.Open(fs, opts)
+	db, stack, err := newQinDB(cfg.DeviceCapacity, opts)
 	if err != nil {
 		return p, err
 	}
 	defer db.Close()
+	dev := stack.Device
 
 	gen, err := workload.NewGenerator(workload.KVConfig{
 		Keys: cfg.Keys, ValueSize: cfg.ValueSize,
@@ -104,11 +100,11 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	st := dev.Stats()
 	p.WriteAmp = st.WriteAmplification(userBytes)
 	p.ReadMeanUs = hist.Mean()
-	p.DiskGB = float64(fs.UsedBytes()) / (1 << 30)
+	p.DiskGB = float64(stack.UsedBytes()) / (1 << 30)
 	p.GCRuns = db.Stats().Store.GCRuns
 	// Recovery: the scan reads every flash byte the store occupies.
 	lat := dev.Config().Latency
-	pages := fs.UsedBytes() / int64(dev.Config().PageSize)
+	pages := stack.UsedBytes() / int64(dev.Config().PageSize)
 	p.RecoveryTime = time.Duration(pages) * lat.PageRead / time.Duration(lat.Channels)
 	return p, nil
 }
@@ -192,15 +188,8 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 		}
 		engine = db
 	case LevelDB:
-		opts := lsm.Options{
-			MemtableSize:        512 << 10,
-			L0CompactionTrigger: 4,
-			L1MaxBytes:          1280 << 10,
-			LevelMultiplier:     10,
-			TargetFileSize:      256 << 10,
-			MaxLevels:           7,
-			Seed:                cfg.Seed,
-		}
+		opts := levelDBOptions()
+		opts.Seed = cfg.Seed
 		db, err := lsm.Open(fs, opts)
 		if err != nil {
 			return res, err
@@ -257,7 +246,7 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 	}
 	var out []TracebackPoint
 	for _, ratio := range ratios {
-		db, err := core.Open(newNativeFS(1<<30), core.DefaultOptions())
+		db, _, err := newQinDB(1<<30, core.DefaultOptions())
 		if err != nil {
 			return out, err
 		}
@@ -296,10 +285,13 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 	return out, nil
 }
 
-func newNativeFS(capacity int64) blockfs.FS {
-	dev, err := ssd.NewDevice(ssd.DefaultConfig(capacity))
+// newQinDB builds a QinDB stack through mint.QinDBFactory and returns
+// its engine as the *core.DB that factory always builds, for the
+// counters only QinDB keeps.
+func newQinDB(capacity int64, opts core.Options) (*core.DB, *mint.EngineStack, error) {
+	stack, err := mint.QinDBFactory(opts)(capacity, 0)
 	if err != nil {
-		panic(err) // static geometry cannot fail
+		return nil, nil, err
 	}
-	return blockfs.NewNativeFS(dev)
+	return stack.Engine.(*core.DB), stack, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"directload/internal/bifrost"
@@ -207,10 +206,4 @@ func ConsistencySweep(base ConsistencyConfig, churns []float64) ([]ConsistencyRe
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// String renders the result in the style of EXPERIMENTS.md.
-func (r ConsistencyResult) String() string {
-	return fmt.Sprintf("queries=%d during-gray=%.2f%% after-activation=%.2f%% changed-docs=%d",
-		r.Queries, 100*r.RateDuring, 100*r.RateAfter, r.ChangedDocs)
 }

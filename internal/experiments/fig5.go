@@ -49,23 +49,27 @@ func newStack(kind EngineKind, capacity int64, seed int64) (*mint.EngineStack, e
 		opts.AOF = aof.Config{FileSize: 16 << 20, GCThreshold: 0.25}
 		return mint.QinDBFactory(opts)(capacity, seed)
 	case LevelDB:
-		opts := lsm.Options{
-			MemtableSize:        512 << 10,
-			L0CompactionTrigger: 4,
-			L1MaxBytes:          1280 << 10,
-			LevelMultiplier:     10,
-			TargetFileSize:      256 << 10,
-			MaxLevels:           7,
-			// LevelDB's block cache scales with the cache:data ratio,
-			// not the structural 1/8 factor: the paper's 8 MB cache
-			// fronts tens of GB (~0.02% coverage), so its scaled
-			// equivalent over our ~6 MB working set is a few KB —
-			// effectively negligible, exactly as in the paper's runs.
-			BlockCacheBytes: 16 << 10,
-		}
-		return mint.LSMFactory(opts)(capacity, seed)
+		return mint.LSMFactory(levelDBOptions())(capacity, seed)
 	default:
 		return nil, fmt.Errorf("experiments: unknown engine %d", kind)
+	}
+}
+
+// levelDBOptions is LevelDB at the experiments' 1/8 scale (see newStack).
+func levelDBOptions() lsm.Options {
+	return lsm.Options{
+		MemtableSize:        512 << 10,
+		L0CompactionTrigger: 4,
+		L1MaxBytes:          1280 << 10,
+		LevelMultiplier:     10,
+		TargetFileSize:      256 << 10,
+		MaxLevels:           7,
+		// LevelDB's block cache scales with the cache:data ratio, not
+		// the structural 1/8 factor: the paper's 8 MB cache fronts tens
+		// of GB (~0.02% coverage), so its scaled equivalent over our
+		// ~6 MB working set is a few KB — effectively negligible,
+		// exactly as in the paper's runs.
+		BlockCacheBytes: 16 << 10,
 	}
 }
 

@@ -4,12 +4,13 @@
 // using the native wire stack (pipelining, OpBatch)
 // instead of the in-process simulation in internal/mint.
 //
-// Placement is the exact math the simulation uses (mint.Placement), so
-// the two paths cannot drift. Writes are quorum writes: each entry must
-// be acknowledged by W of its R replicas, shipped per node as batched
-// frames with retry/backoff; writes owed to an unreachable replica land
-// in a bounded hinted-handoff queue that drains when the health prober
-// sees the node again. Reads are the paper's parallel reads in
+// Placement is the exact math the simulation uses (placement.Placement,
+// shared with internal/mint), so the two paths cannot drift. Writes are
+// quorum writes: each entry must be acknowledged by W of its R
+// replicas, shipped per node as batched frames with retry/backoff;
+// writes owed to an unreachable replica land in a bounded
+// hinted-handoff queue that drains when the health prober sees the node
+// again. Reads are the paper's parallel reads in
 // tail-latency form: the primary replica is asked first, a hedge fires
 // at a p99-derived delay (from the live read-latency histogram), a miss
 // or transport error fans out immediately, and the first successful
@@ -28,7 +29,7 @@ import (
 
 	"directload/internal/core"
 	"directload/internal/metrics"
-	"directload/internal/mint"
+	"directload/internal/placement"
 	"directload/internal/server"
 )
 
@@ -168,7 +169,7 @@ const minHedgeDelay = 200 * time.Microsecond
 // storage nodes. All methods are safe for concurrent use.
 type Fleet struct {
 	cfg    Config
-	place  mint.Placement
+	place  placement.Placement
 	groups [][]*node
 	nodes  []*node
 	byID   map[string]*node
@@ -219,7 +220,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:   cfg,
-		place: mint.Placement{Replicas: cfg.Replicas},
+		place: placement.Placement{Replicas: cfg.Replicas},
 		byID:  make(map[string]*node),
 		met:   newFleetMetrics(cfg.Metrics),
 		stop:  make(chan struct{}),

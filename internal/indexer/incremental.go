@@ -62,28 +62,6 @@ func (ix *InvertedIndex) Update(doc Document) []string {
 	return out
 }
 
-// Remove drops a document (e.g. a page gone from the web) and returns
-// the terms whose chains changed.
-func (ix *InvertedIndex) Remove(url string) []string {
-	old := ix.docTerm[url]
-	if old == nil {
-		return nil
-	}
-	dirty := make([]string, 0, len(old))
-	for _, t := range old {
-		if ix.chains[t] != nil && ix.chains[t][url] {
-			delete(ix.chains[t], url)
-			if len(ix.chains[t]) == 0 {
-				delete(ix.chains, t)
-			}
-			dirty = append(dirty, t)
-		}
-	}
-	delete(ix.docTerm, url)
-	sort.Strings(dirty)
-	return dirty
-}
-
 // URLs returns the sorted URL chain of a term.
 func (ix *InvertedIndex) URLs(term string) ([]string, bool) {
 	set, ok := ix.chains[term]

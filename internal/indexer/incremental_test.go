@@ -46,23 +46,6 @@ func TestIncrementalTermChange(t *testing.T) {
 	}
 }
 
-func TestIncrementalRemove(t *testing.T) {
-	ix := NewInvertedIndex()
-	ix.Update(Document{URL: "u1", Terms: []string{"a"}})
-	ix.Update(Document{URL: "u2", Terms: []string{"a", "b"}})
-	dirty := ix.Remove("u1")
-	if !reflect.DeepEqual(dirty, []string{"a"}) {
-		t.Fatalf("dirty = %v", dirty)
-	}
-	urls, _ := ix.URLs("a")
-	if len(urls) != 1 || urls[0] != "u2" {
-		t.Fatalf("URLs(a) = %v", urls)
-	}
-	if ix.Remove("u1") != nil {
-		t.Fatal("removing an absent doc should dirty nothing")
-	}
-}
-
 // TestIncrementalMatchesBatch: after any crawl history, the incremental
 // index equals a batch rebuild over the final corpus.
 func TestIncrementalMatchesBatch(t *testing.T) {

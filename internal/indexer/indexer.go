@@ -130,9 +130,6 @@ func (c *Crawler) Crawl() []Document {
 	return out
 }
 
-// Round returns the current crawl round.
-func (c *Crawler) Round() uint64 { return c.round }
-
 // Corpus returns the full current corpus (used to rebuild indices).
 func (c *Crawler) Corpus() []Document {
 	return append([]Document(nil), c.docs...)

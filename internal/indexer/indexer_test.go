@@ -36,8 +36,10 @@ func TestFirstCrawlDownloadsEverything(t *testing.T) {
 	if len(got) != 300 {
 		t.Fatalf("first crawl = %d docs, want all 300", len(got))
 	}
-	if c.Round() != 1 {
-		t.Fatalf("Round = %d", c.Round())
+	for _, d := range got {
+		if d.Version != 1 {
+			t.Fatalf("%s downloaded at round %d, want 1", d.URL, d.Version)
+		}
 	}
 }
 

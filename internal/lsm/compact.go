@@ -148,40 +148,6 @@ func (db *DB) mergedIterLocked(start ikey) (*mergedIter, time.Duration, error) {
 	return newMergedIter(srcs), total, nil
 }
 
-// Range calls fn for the newest live version of every key in [from, to)
-// (empty "to" = unbounded), mirroring QinDB's Range.
-func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) (time.Duration, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	it, total, err := db.mergedIterLocked(ikey{string(from), maxIkeyVer})
-	if err != nil {
-		return total, err
-	}
-	last := ""
-	first := true
-	for it.valid() {
-		e := it.cur()
-		if len(to) > 0 && e.ik.key >= string(to) {
-			break
-		}
-		if first || e.ik.key != last {
-			first = false
-			last = e.ik.key
-			if e.kind != kindTombstone {
-				if !fn([]byte(e.ik.key), e.ik.ver) {
-					break
-				}
-			}
-		}
-		it.next()
-	}
-	total += it.cost()
-	return total, nil
-}
-
 // DropVersion deletes every live entry of version (the paper's "deletion
 // thread removes the oldest version"). The LSM engine has no version
 // index, so this is a full scan followed by tombstone writes — exactly

@@ -661,17 +661,6 @@ func (db *DB) findLocked(ik ikey) ([]byte, uint8, bool, time.Duration, error) {
 	return nil, 0, false, total, nil
 }
 
-// Has reports whether (key, version) resolves to a live entry.
-func (db *DB) Has(key []byte, version uint64) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return false
-	}
-	_, kind, found, _, err := db.findLocked(ikey{string(key), version})
-	return err == nil && found && kind != kindTombstone
-}
-
 // Stats returns engine counters plus the level shape.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()

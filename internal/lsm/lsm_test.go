@@ -133,9 +133,6 @@ func TestLSMDelete(t *testing.T) {
 	if _, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Get deleted after flush err = %v", err)
 	}
-	if db.Has([]byte("k"), 1) {
-		t.Fatal("Has should be false")
-	}
 }
 
 func TestLSMVersionsIndependent(t *testing.T) {
@@ -235,39 +232,6 @@ func TestLSMWriteAmplification(t *testing.T) {
 	wa := float64(sys.SysWriteBytes) / float64(st.UserWriteBytes)
 	if wa < 3 {
 		t.Fatalf("LSM write amplification = %.1f, expected >= 3 for overwrite churn", wa)
-	}
-}
-
-func TestLSMRange(t *testing.T) {
-	db := openLSM(t, 256)
-	defer db.Close()
-	lput(t, db, "a", 1, "x")
-	lput(t, db, "b", 1, "x")
-	lput(t, db, "b", 2, "x")
-	lput(t, db, "c", 1, "x")
-	db.Del([]byte("c"), 1)
-	db.Flush()
-	lput(t, db, "d", 1, "x")
-
-	type hit struct {
-		key string
-		ver uint64
-	}
-	var got []hit
-	if _, err := db.Range(nil, nil, func(k []byte, v uint64) bool {
-		got = append(got, hit{string(k), v})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []hit{{"a", 1}, {"b", 2}, {"d", 1}}
-	if len(got) != len(want) {
-		t.Fatalf("Range = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -381,7 +345,7 @@ func TestLSMTombstonesDroppedAtBottom(t *testing.T) {
 	}
 	db.Flush()
 	for i := 0; i < 500; i += 50 {
-		if db.Has([]byte(fmt.Sprintf("key-%04d", i)), 1) {
+		if _, _, err := db.Get([]byte(fmt.Sprintf("key-%04d", i)), 1); err == nil {
 			t.Fatalf("key-%04d resurrected", i)
 		}
 	}

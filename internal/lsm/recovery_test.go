@@ -148,55 +148,6 @@ func TestGetAfterReopenFindsAllLevels(t *testing.T) {
 	}
 }
 
-// TestRangeAcrossLevels: merged iteration sees memtable, L0 and deeper
-// levels with correct shadowing.
-func TestRangeAcrossLevels(t *testing.T) {
-	db := openLSM(t, 1024)
-	defer db.Close()
-	val := bytes.Repeat([]byte{3}, 1024)
-	// Old version of everything, pushed down by churn.
-	for i := 0; i < 200; i++ {
-		lput(t, db, fmt.Sprintf("key-%04d", i), 1, string(val))
-	}
-	for r := 0; r < 4; r++ {
-		for i := 0; i < 200; i++ {
-			lput(t, db, fmt.Sprintf("key-%04d", i), uint64(r+2), string(val))
-		}
-	}
-	// Fresh memtable-only entries and a deletion.
-	lput(t, db, "key-0000", 9, "newest")
-	db.Del([]byte("key-0001"), 5)
-
-	count := 0
-	var sawNewest, sawTombstoned bool
-	if _, err := db.Range(nil, nil, func(k []byte, ver uint64) bool {
-		count++
-		switch string(k) {
-		case "key-0000":
-			if ver != 9 {
-				t.Fatalf("key-0000 newest version = %d, want 9", ver)
-			}
-			sawNewest = true
-		case "key-0001":
-			sawTombstoned = true
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// key-0001's newest version (5) is tombstoned, so Range skips the key
-	// (both engines define Range over keys whose newest version is live).
-	if count != 199 {
-		t.Fatalf("Range saw %d keys, want 199", count)
-	}
-	if sawTombstoned {
-		t.Fatal("key with tombstoned newest version must not appear")
-	}
-	if !sawNewest {
-		t.Fatal("memtable entry not visible in Range")
-	}
-}
-
 // TestBlockCache: repeated point reads of the same hot keys hit the
 // cache and stop costing device time; compaction churn evicts dead
 // tables' blocks.

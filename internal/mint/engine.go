@@ -13,33 +13,19 @@ import (
 // Engine is the per-node storage engine contract. Both QinDB
 // (internal/core) and the LevelDB-style baseline (internal/lsm) satisfy
 // it, which lets whole-system experiments swap the storage layer while
-// keeping Mint's placement, replication and recovery logic identical —
+// keeping Mint's placement and replication logic identical —
 // the "with vs without DirectLoad" comparison of Fig. 10a.
 type Engine interface {
 	Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error)
 	Get(key []byte, version uint64) ([]byte, time.Duration, error)
 	Del(key []byte, version uint64) (time.Duration, error)
 	DropVersion(version uint64) (int, time.Duration, error)
-	Has(key []byte, version uint64) bool
 	Close() error
 }
 
-// EngineStats is the engine-agnostic per-node summary Mint aggregates.
-type EngineStats struct {
-	Keys           int
-	UserWriteBytes int64
-	DiskBytes      int64
-	GCRuns         int64
-}
-
-// EngineStack bundles a node's engine with the hooks Mint needs for
-// recovery and accounting.
+// EngineStack bundles a node's engine with the flash it runs on.
 type EngineStack struct {
 	Engine Engine
-	// Reopen recovers the engine over the same flash after a crash.
-	Reopen func() (Engine, error)
-	// Stats summarizes the engine.
-	Stats func() EngineStats
 	// Device exposes the node's flash (clock, firmware counters).
 	Device *ssd.Device
 	// UsedBytes reports physical flash occupied.
@@ -65,29 +51,7 @@ func QinDBFactory(opts core.Options) EngineFactory {
 		if err != nil {
 			return nil, err
 		}
-		stack := &EngineStack{Device: dev, UsedBytes: fs.UsedBytes}
-		stack.Engine = db
-		stack.Reopen = func() (Engine, error) {
-			if err := db.Close(); err != nil {
-				return nil, err
-			}
-			ndb, err := core.Open(fs, opts)
-			if err != nil {
-				return nil, err
-			}
-			db = ndb
-			return ndb, nil
-		}
-		stack.Stats = func() EngineStats {
-			st := db.Stats()
-			return EngineStats{
-				Keys:           st.Keys,
-				UserWriteBytes: st.UserWriteBytes,
-				DiskBytes:      st.Store.DiskBytes,
-				GCRuns:         st.Store.GCRuns,
-			}
-		}
-		return stack, nil
+		return &EngineStack{Engine: db, Device: dev, UsedBytes: fs.UsedBytes}, nil
 	}
 }
 
@@ -114,27 +78,6 @@ func LSMFactory(opts lsm.Options) EngineFactory {
 		if err != nil {
 			return nil, err
 		}
-		stack := &EngineStack{Device: dev, UsedBytes: fs.UsedBytes}
-		stack.Engine = db
-		stack.Reopen = func() (Engine, error) {
-			if err := db.Close(); err != nil {
-				return nil, err
-			}
-			ndb, err := lsm.Open(fs, opts)
-			if err != nil {
-				return nil, err
-			}
-			db = ndb
-			return ndb, nil
-		}
-		stack.Stats = func() EngineStats {
-			st := db.Stats()
-			return EngineStats{
-				UserWriteBytes: st.UserWriteBytes,
-				DiskBytes:      st.DiskBytes,
-				GCRuns:         st.Compactions,
-			}
-		}
-		return stack, nil
+		return &EngineStack{Engine: db, Device: dev, UsedBytes: fs.UsedBytes}, nil
 	}
 }

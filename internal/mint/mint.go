@@ -3,15 +3,14 @@
 // storage-node *groups* by key hash (never directly to nodes, so groups
 // can grow or shrink without redistributing stored data), each pair is
 // replicated on three nodes of its group, and reads fan out to the
-// group's live replicas in parallel so that a single recovering node
-// never adds latency.
+// group's replicas in parallel.
 //
 // Every storage node runs a QinDB engine (or, for baseline experiments,
-// the LSM engine) over its own simulated SSD.
-// Parallelism is modeled, not executed: a fan-out read costs the minimum
-// simulated latency among the replicas that answered, which is exactly
-// the property the paper relies on ("The parallel requests to the
-// replicas will hide the node recovery from front-end users").
+// the LSM engine) over its own simulated SSD. Parallelism is modeled, not
+// executed: a fan-out read costs the minimum simulated latency among the
+// replicas that answered. The cluster exists to print the paper's
+// whole-system figures; node crashes and the parallel reads that hide a
+// recovering node run over the wire in internal/fleet.
 package mint
 
 import (
@@ -21,14 +20,13 @@ import (
 	"time"
 
 	"directload/internal/core"
+	"directload/internal/placement"
 )
 
 // Cluster errors.
 var (
 	ErrNoGroup        = errors.New("mint: cluster has no groups")
-	ErrNodeDown       = errors.New("mint: node down")
-	ErrNodeUnknown    = errors.New("mint: unknown node")
-	ErrQuorum         = errors.New("mint: not enough live replicas")
+	ErrQuorum         = errors.New("mint: write quorum not reached")
 	ErrAllReplicasErr = errors.New("mint: all replicas failed")
 	ErrDupNode        = errors.New("mint: duplicate node id")
 )
@@ -44,14 +42,9 @@ type Config struct {
 	// NodeCapacity is each node's simulated SSD size in bytes (paper:
 	// one 2 TB SSD per node; scale down for experiments).
 	NodeCapacity int64
-	// Engine configures each node's QinDB instance when Factory is nil.
-	Engine core.Options
-	// Factory overrides the per-node storage stack; use LSMFactory for
-	// the baseline system of Fig. 10a. Nil selects QinDBFactory(Engine).
+	// Factory builds each node's storage stack: QinDBFactory for the
+	// paper's system, LSMFactory for the baseline of Fig. 10a.
 	Factory EngineFactory
-	// WriteQuorum is the minimum replicas that must accept a write
-	// (default: majority of Replicas).
-	WriteQuorum int
 }
 
 // DefaultConfig returns a small but structurally faithful cluster: 4
@@ -62,24 +55,15 @@ func DefaultConfig() Config {
 		NodesPerGroup: 4,
 		Replicas:      3,
 		NodeCapacity:  1 << 30,
-		Engine:        core.DefaultOptions(),
+		Factory:       QinDBFactory(core.DefaultOptions()),
 	}
 }
 
 // Node is one storage server: a storage engine over a private SSD.
 type Node struct {
-	ID    string
-	db    Engine
-	stack *EngineStack
-	down  bool
-	group int
+	ID string
+	db Engine
 }
-
-// DB exposes the node's engine (experiments inspect per-node state).
-func (n *Node) DB() Engine { return n.db }
-
-// Down reports whether the node is failed.
-func (n *Node) Down() bool { return n.down }
 
 // Group is a replication group.
 type Group struct {
@@ -90,7 +74,7 @@ type Group struct {
 // Cluster is a Mint deployment in one data center.
 type Cluster struct {
 	cfg    Config
-	place  Placement
+	place  placement.Placement
 	groups []*Group
 	byID   map[string]*Node
 	nextID int
@@ -107,16 +91,13 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.NodesPerGroup < cfg.Replicas {
 		return nil, fmt.Errorf("mint: %d nodes per group < %d replicas", cfg.NodesPerGroup, cfg.Replicas)
 	}
-	if cfg.WriteQuorum <= 0 {
-		cfg.WriteQuorum = cfg.Replicas/2 + 1
-	}
 	if cfg.NodeCapacity <= 0 {
 		cfg.NodeCapacity = 1 << 30
 	}
 	if cfg.Factory == nil {
-		cfg.Factory = QinDBFactory(cfg.Engine)
+		return nil, errors.New("mint: nil engine factory")
 	}
-	c := &Cluster{cfg: cfg, place: Placement{Replicas: cfg.Replicas}, byID: make(map[string]*Node)}
+	c := &Cluster{cfg: cfg, place: placement.Placement{Replicas: cfg.Replicas}, byID: make(map[string]*Node)}
 	for g := 0; g < cfg.Groups; g++ {
 		group := &Group{ID: g}
 		c.groups = append(c.groups, group)
@@ -144,34 +125,15 @@ func (c *Cluster) AddNode(groupID int) (*Node, error) {
 	if _, dup := c.byID[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDupNode, id)
 	}
-	n := &Node{ID: id, db: stack.Engine, stack: stack, group: groupID}
+	n := &Node{ID: id, db: stack.Engine}
 	c.groups[groupID].Nodes = append(c.groups[groupID].Nodes, n)
 	c.byID[id] = n
 	return n, nil
 }
 
-// RemoveNode detaches a node from its group (its data is simply gone; the
-// other replicas keep serving, as in the paper's failure story).
-func (c *Cluster) RemoveNode(id string) error {
-	n, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	g := c.groups[n.group]
-	for i, m := range g.Nodes {
-		if m == n {
-			g.Nodes = append(g.Nodes[:i], g.Nodes[i+1:]...)
-			break
-		}
-	}
-	delete(c.byID, id)
-	n.db.Close()
-	return nil
-}
-
 // GroupFor returns the group a key belongs to (paper: "the H(k) is
-// mapped to a group"); the math lives in Placement, shared with the
-// networked fleet router.
+// mapped to a group"); the math lives in placement.Placement, shared
+// with the networked fleet router.
 func (c *Cluster) GroupFor(key []byte) *Group {
 	return c.groups[c.place.Group(key, len(c.groups))]
 }
@@ -203,7 +165,7 @@ func (c *Cluster) ReplicaIDs(key []byte) []string {
 }
 
 // Put writes (key, version, value) to the key's replica set. It succeeds
-// when at least WriteQuorum replicas accept. The returned cost models
+// when a majority of the replicas accept. The returned cost models
 // parallel replication: the slowest accepting replica.
 func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
 	if len(c.groups) == 0 {
@@ -214,10 +176,6 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 	acked := 0
 	var lastErr error
 	for _, n := range c.replicasFor(key, g) {
-		if n.down {
-			lastErr = fmt.Errorf("%w: %s", ErrNodeDown, n.ID)
-			continue
-		}
 		cost, err := n.db.Put(key, version, value, dedup)
 		if err != nil {
 			lastErr = err
@@ -228,15 +186,14 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 			slowest = cost
 		}
 	}
-	if acked < c.cfg.WriteQuorum {
-		return slowest, fmt.Errorf("%w: %d/%d acked: %v", ErrQuorum, acked, c.cfg.WriteQuorum, lastErr)
+	if quorum := c.cfg.Replicas/2 + 1; acked < quorum {
+		return slowest, fmt.Errorf("%w: %d/%d acked: %v", ErrQuorum, acked, quorum, lastErr)
 	}
 	return slowest, nil
 }
 
 // Get reads (key, version) from the replica set in parallel and returns
-// the first successful answer. The cost models the fastest live replica,
-// which is how replication hides a recovering node's latency.
+// the first successful answer. The cost models the fastest replica.
 func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 	if len(c.groups) == 0 {
 		return nil, 0, ErrNoGroup
@@ -249,9 +206,6 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 	// group-wide fan-out finds data written under any historical replica
 	// set (the paper's no-redistribution property).
 	for _, n := range g.Nodes {
-		if n.down {
-			continue
-		}
 		val, cost, err := n.db.Get(key, version)
 		if err != nil {
 			if lastErr == ErrAllReplicasErr {
@@ -269,35 +223,6 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 	return best, bestCost, nil
 }
 
-// Del deletes (key, version) on every replica holding it.
-func (c *Cluster) Del(key []byte, version uint64) (time.Duration, error) {
-	g := c.GroupFor(key)
-	var slowest time.Duration
-	acked := 0
-	var lastErr error
-	for _, n := range g.Nodes {
-		if n.down {
-			continue
-		}
-		cost, err := n.db.Del(key, version)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		acked++
-		if cost > slowest {
-			slowest = cost
-		}
-	}
-	if acked == 0 {
-		if lastErr == nil {
-			lastErr = core.ErrNotFound
-		}
-		return slowest, lastErr
-	}
-	return slowest, nil
-}
-
 // DropVersion retires a whole data version on every node (the paper's
 // deletion thread, cluster-wide).
 func (c *Cluster) DropVersion(version uint64) (int, time.Duration, error) {
@@ -305,9 +230,6 @@ func (c *Cluster) DropVersion(version uint64) (int, time.Duration, error) {
 	dropped := 0
 	for _, g := range c.groups {
 		for _, n := range g.Nodes {
-			if n.down {
-				continue
-			}
 			k, cost, err := n.db.DropVersion(version)
 			total += cost
 			if err != nil {
@@ -317,41 +239,6 @@ func (c *Cluster) DropVersion(version uint64) (int, time.Duration, error) {
 		}
 	}
 	return dropped, total, nil
-}
-
-// FailNode marks a node down (crash injection).
-func (c *Cluster) FailNode(id string) error {
-	n, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	n.down = true
-	return nil
-}
-
-// RecoverNode brings a node back: its engine is reopened over the same
-// flash, rebuilding the memtable and GC table by scanning the AOFs —
-// QinDB's recovery path — and the estimated recovery time is returned.
-func (c *Cluster) RecoverNode(id string) (time.Duration, error) {
-	n, ok := c.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if !n.down {
-		return 0, nil
-	}
-	db, err := n.stack.Reopen()
-	if err != nil {
-		return 0, err
-	}
-	// Recovery cost model: the full flash scan reads every stored byte.
-	used := n.stack.UsedBytes()
-	cfg := n.stack.Device.Config()
-	pages := used / int64(cfg.PageSize)
-	scanTime := time.Duration(pages) * cfg.Latency.PageRead / time.Duration(cfg.Latency.Channels)
-	n.db = db
-	n.down = false
-	return scanTime, nil
 }
 
 // Nodes lists node ids (sorted) for iteration in tests and tools.
@@ -364,44 +251,8 @@ func (c *Cluster) Nodes() []string {
 	return ids
 }
 
-// Node returns a node by id.
-func (c *Cluster) Node(id string) (*Node, bool) {
-	n, ok := c.byID[id]
-	return n, ok
-}
-
 // Groups returns the group count.
 func (c *Cluster) Groups() int { return len(c.groups) }
-
-// Stats aggregates engine stats across all nodes.
-type Stats struct {
-	Nodes          int
-	DownNodes      int
-	Keys           int
-	UserWriteBytes int64
-	DiskBytes      int64
-	GCRuns         int64
-}
-
-// Stats returns cluster-wide aggregates.
-func (c *Cluster) Stats() Stats {
-	var s Stats
-	for _, g := range c.groups {
-		for _, n := range g.Nodes {
-			s.Nodes++
-			if n.down {
-				s.DownNodes++
-				continue
-			}
-			st := n.stack.Stats()
-			s.Keys += st.Keys
-			s.UserWriteBytes += st.UserWriteBytes
-			s.DiskBytes += st.DiskBytes
-			s.GCRuns += st.GCRuns
-		}
-	}
-	return s
-}
 
 // Close shuts every node down and reports every failure.
 func (c *Cluster) Close() error {

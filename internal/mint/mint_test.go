@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"directload/internal/aof"
 	"directload/internal/core"
@@ -16,12 +17,49 @@ func testConfig() Config {
 		NodesPerGroup: 4,
 		Replicas:      3,
 		NodeCapacity:  64 << 20,
-		Engine: core.Options{
+		Factory: failableFactory(QinDBFactory(core.Options{
 			AOF:  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
 			Seed: 1,
-		},
+		})),
 	}
 }
+
+var errNodeDown = errors.New("node down")
+
+// failableEngine is a node engine a test can fail: once down, every Put
+// and Get errors, as a crashed node's requests would.
+type failableEngine struct {
+	Engine
+	down bool
+}
+
+func (e *failableEngine) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
+	if e.down {
+		return 0, errNodeDown
+	}
+	return e.Engine.Put(key, version, value, dedup)
+}
+
+func (e *failableEngine) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
+	if e.down {
+		return nil, 0, errNodeDown
+	}
+	return e.Engine.Get(key, version)
+}
+
+func failableFactory(f EngineFactory) EngineFactory {
+	return func(capacity, seed int64) (*EngineStack, error) {
+		stack, err := f(capacity, seed)
+		if err != nil {
+			return nil, err
+		}
+		stack.Engine = &failableEngine{Engine: stack.Engine}
+		return stack, nil
+	}
+}
+
+// fail takes a node down.
+func fail(n *Node) { n.db.(*failableEngine).down = true }
 
 func newTestCluster(t *testing.T) *Cluster {
 	t.Helper()
@@ -39,6 +77,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Groups: 1, NodesPerGroup: 2, Replicas: 3}); err == nil {
 		t.Fatal("fewer nodes than replicas should fail")
+	}
+	if _, err := New(Config{Groups: 1, NodesPerGroup: 3, Replicas: 3}); err == nil {
+		t.Fatal("a nil engine factory should fail")
 	}
 }
 
@@ -72,7 +113,7 @@ func TestReplication3x(t *testing.T) {
 	holders := 0
 	for _, g := range c.groups {
 		for _, n := range g.Nodes {
-			if n.db.Has(key, 1) {
+			if _, _, err := n.db.Get(key, 1); err == nil {
 				holders++
 				if g.ID != c.place.Group(key, len(c.groups)) {
 					t.Fatal("replica outside the key's group")
@@ -131,47 +172,18 @@ func TestFailureMasking(t *testing.T) {
 	c.Put(key, 1, []byte("v"), false)
 	// Fail one replica: reads keep working.
 	replicas := c.replicasFor(key, c.GroupFor(key))
-	if err := c.FailNode(replicas[0].ID); err != nil {
-		t.Fatal(err)
-	}
+	fail(replicas[0])
 	if val, _, err := c.Get(key, 1); err != nil || string(val) != "v" {
 		t.Fatalf("Get with 1 failed replica: %q, %v", val, err)
 	}
 	// Fail a second: still one live replica.
-	c.FailNode(replicas[1].ID)
+	fail(replicas[1])
 	if _, _, err := c.Get(key, 1); err != nil {
 		t.Fatalf("Get with 2 failed replicas: %v", err)
 	}
 	// Writes now miss quorum (2 of 3 replicas down).
 	if _, err := c.Put(key, 2, []byte("v2"), false); !errors.Is(err, ErrQuorum) {
 		t.Fatalf("Put should fail quorum, got %v", err)
-	}
-}
-
-func TestRecoverNodeRebuildsFromFlash(t *testing.T) {
-	c := newTestCluster(t)
-	key := []byte("durable-key")
-	c.Put(key, 1, []byte("survives-crash"), false)
-	replicas := c.replicasFor(key, c.GroupFor(key))
-	victim := replicas[0]
-	c.FailNode(victim.ID)
-	scan, err := c.RecoverNode(victim.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan <= 0 {
-		t.Fatal("recovery scan time should be positive")
-	}
-	if victim.Down() {
-		t.Fatal("node should be live after recovery")
-	}
-	// The recovered engine holds the key again.
-	if !victim.DB().Has(key, 1) {
-		t.Fatal("recovered node lost the key")
-	}
-	// Recovering a live node is a no-op.
-	if d, err := c.RecoverNode(victim.ID); err != nil || d != 0 {
-		t.Fatalf("no-op recovery = %v, %v", d, err)
 	}
 }
 
@@ -186,7 +198,7 @@ func TestParallelReadHidesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	replicas := c.replicasFor(key, c.GroupFor(key))
-	c.FailNode(replicas[0].ID)
+	fail(replicas[0])
 	_, degraded, err := c.Get(key, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -202,12 +214,6 @@ func TestDelAndDropVersion(t *testing.T) {
 		key := []byte(fmt.Sprintf("k/%03d", i))
 		c.Put(key, 1, []byte("v1"), false)
 		c.Put(key, 2, []byte("v2"), false)
-	}
-	if _, err := c.Del([]byte("k/000"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Get([]byte("k/000"), 2); err == nil {
-		t.Fatal("deleted key readable")
 	}
 	n, _, err := c.DropVersion(1)
 	if err != nil {
@@ -236,54 +242,6 @@ func TestDedupAcrossCluster(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	c := newTestCluster(t)
-	ids := c.Nodes()
-	if len(ids) != 12 {
-		t.Fatalf("nodes = %d", len(ids))
-	}
-	if err := c.RemoveNode(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveNode(ids[0]); !errors.Is(err, ErrNodeUnknown) {
-		t.Fatalf("double remove err = %v", err)
-	}
-	if len(c.Nodes()) != 11 {
-		t.Fatalf("nodes after remove = %d", len(c.Nodes()))
-	}
-}
-
-func TestUnknownNodeOps(t *testing.T) {
-	c := newTestCluster(t)
-	if err := c.FailNode("nope"); !errors.Is(err, ErrNodeUnknown) {
-		t.Fatalf("FailNode err = %v", err)
-	}
-	if _, err := c.RecoverNode("nope"); !errors.Is(err, ErrNodeUnknown) {
-		t.Fatalf("RecoverNode err = %v", err)
-	}
-}
-
-func TestStatsAggregation(t *testing.T) {
-	c := newTestCluster(t)
-	for i := 0; i < 50; i++ {
-		c.Put([]byte(fmt.Sprintf("s/%03d", i)), 1, make([]byte, 1024), false)
-	}
-	s := c.Stats()
-	if s.Nodes != 12 || s.DownNodes != 0 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if s.Keys != 150 { // 50 keys x 3 replicas
-		t.Fatalf("Keys = %d, want 150", s.Keys)
-	}
-	if s.UserWriteBytes == 0 || s.DiskBytes == 0 {
-		t.Fatalf("byte counters empty: %+v", s)
-	}
-	c.FailNode(c.Nodes()[0])
-	if c.Stats().DownNodes != 1 {
-		t.Fatal("DownNodes not tracked")
-	}
-}
-
 func TestAddNodeBadGroup(t *testing.T) {
 	c := newTestCluster(t)
 	if _, err := c.AddNode(-1); err == nil {
@@ -305,45 +263,15 @@ func TestFactoryErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestDelOnMissingKey(t *testing.T) {
-	c := newTestCluster(t)
-	if _, err := c.Del([]byte("never-written"), 1); err == nil {
-		t.Fatal("Del of missing key should fail")
-	}
-}
-
 func TestGetAllReplicasDown(t *testing.T) {
 	c := newTestCluster(t)
 	key := []byte("doomed")
 	c.Put(key, 1, []byte("v"), false)
-	for _, id := range c.Nodes() {
-		c.FailNode(id)
+	for _, n := range c.GroupFor(key).Nodes {
+		fail(n)
 	}
-	if _, _, err := c.Get(key, 1); err == nil {
-		t.Fatal("Get with every node down should fail")
-	}
-	if c.Stats().DownNodes != 12 {
-		t.Fatalf("DownNodes = %d", c.Stats().DownNodes)
-	}
-}
-
-func TestWriteQuorumConfigurable(t *testing.T) {
-	cfg := testConfig()
-	cfg.WriteQuorum = 3 // all replicas must ack
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	key := []byte("strict")
-	if _, err := c.Put(key, 1, []byte("v"), false); err != nil {
-		t.Fatal(err)
-	}
-	// One replica down: strict quorum now unreachable for its keys.
-	replicas := c.replicasFor(key, c.GroupFor(key))
-	c.FailNode(replicas[0].ID)
-	if _, err := c.Put(key, 2, []byte("v2"), false); !errors.Is(err, ErrQuorum) {
-		t.Fatalf("err = %v, want ErrQuorum at WriteQuorum=3", err)
+	if _, _, err := c.Get(key, 1); !errors.Is(err, errNodeDown) {
+		t.Fatalf("Get with every node down = %v, want the nodes' error", err)
 	}
 }
 

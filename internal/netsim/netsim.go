@@ -302,14 +302,10 @@ func (l *Link) classRate(cls Class) float64 {
 	return l.Bandwidth * share / float64(l.activeByCls[cls])
 }
 
-// Step advances to the next event (transfer completion, link failure
-// surfacing, or timer) and returns false when nothing remains.
-func (n *Net) Step() bool {
-	return n.stepLimit(time.Duration(math.MaxInt64))
-}
-
-// stepLimit is Step with a hard time ceiling: if the next event lies past
-// deadline, time advances exactly to deadline instead.
+// stepLimit advances to the next event (transfer completion, link
+// failure surfacing, or timer) and returns false when nothing remains.
+// If the next event lies past deadline, time advances exactly to
+// deadline instead.
 func (n *Net) stepLimit(deadline time.Duration) bool {
 	n.allocate()
 	// Find the earliest completion among transfers and timers.
@@ -447,29 +443,6 @@ func (n *Net) Run(limit time.Duration) time.Duration {
 
 // InFlight returns the number of active transfers.
 func (n *Net) InFlight() int { return len(n.transfers) }
-
-// Cancel aborts an in-flight transfer; its OnDone callback fires with
-// Failed set to ErrCancelled at the current virtual time. Cancelling a
-// finished or unknown transfer is a no-op returning false.
-func (n *Net) Cancel(t *Transfer) bool {
-	cur, ok := n.transfers[t.ID]
-	if !ok || cur != t || t.Done {
-		return false
-	}
-	t.Done = true
-	t.Failed = ErrCancelled
-	for _, l := range t.Path {
-		l.activeByCls[t.Class]--
-	}
-	delete(n.transfers, t.ID)
-	if t.OnDone != nil {
-		t.OnDone(t, n.now)
-	}
-	return true
-}
-
-// ErrCancelled reports a transfer aborted by Cancel.
-var ErrCancelled = errors.New("netsim: transfer cancelled")
 
 // timer and its heap -------------------------------------------------------
 

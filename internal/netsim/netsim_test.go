@@ -281,41 +281,6 @@ func TestManyTransfersConservation(t *testing.T) {
 	}
 }
 
-func TestCancelTransfer(t *testing.T) {
-	n, l := twoNode(t, 100)
-	var failed error
-	var doneAt time.Duration
-	tr, err := n.Send([]*Link{l}, ClassDefault, 1000, func(tr *Transfer, now time.Duration) {
-		failed = tr.Failed
-		doneAt = now
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.After(2*time.Second, func(now time.Duration) {
-		if !n.Cancel(tr) {
-			t.Error("Cancel of in-flight transfer should succeed")
-		}
-	})
-	n.Run(0)
-	if !errors.Is(failed, ErrCancelled) {
-		t.Fatalf("failed = %v, want ErrCancelled", failed)
-	}
-	if doneAt != 2*time.Second {
-		t.Fatalf("cancelled at %v, want 2s", doneAt)
-	}
-	if n.Cancel(tr) {
-		t.Fatal("double Cancel should be a no-op")
-	}
-	// Bandwidth freed: a new transfer gets the full link.
-	var secondDone time.Duration
-	n.Send([]*Link{l}, ClassDefault, 100, func(tr *Transfer, now time.Duration) { secondDone = now })
-	n.Run(0)
-	if secondDone != 3*time.Second {
-		t.Fatalf("post-cancel transfer finished at %v, want 3s", secondDone)
-	}
-}
-
 // TestReservationComplianceUnderSaturation: with both streams saturating
 // a reserved link, the byte split converges to the 40/60 reservation.
 func TestReservationComplianceUnderSaturation(t *testing.T) {

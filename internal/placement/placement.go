@@ -1,19 +1,21 @@
-package mint
+// Package placement is the paper's hash→group→replica math (§2.3),
+// shared by the simulated Mint cluster (internal/mint) and the networked
+// fleet router (internal/fleet) so both compute byte-identical answers.
+// It imports nothing from either side, so a client that links it links
+// no storage engine.
+package placement
 
 import (
 	"hash/fnv"
 	"sort"
 )
 
-// Placement is the paper's hash→group→replica math (§2.3), factored out
-// of the simulated cluster so the networked fleet router computes
-// byte-identical answers: keys map to a group by FNV-32a modulo the
-// group count, and within a group cfg.Replicas members are chosen by
-// rendezvous (highest-random-weight) hashing over FNV-64a(key‖member).
-// Both properties the paper relies on fall out of the math alone —
-// groups can grow without moving stored data, and every router computes
-// the same replica set without coordination — so the simulated and
-// networked paths share this one implementation and cannot drift.
+// Placement maps keys to groups and replica sets: keys map to a group by
+// FNV-32a modulo the group count, and within a group Replicas members
+// are chosen by rendezvous (highest-random-weight) hashing over
+// FNV-64a(key‖member). Both properties the paper relies on fall out of
+// the math alone — groups can grow without moving stored data, and every
+// router computes the same replica set without coordination.
 //
 // Members are identified by opaque strings (node IDs in the simulation,
 // logical node names in a fleet). The zero value places with 3 replicas.
@@ -32,9 +34,8 @@ func (p Placement) Group(key []byte, groups int) int {
 	return int(h.Sum32() % uint32(groups))
 }
 
-// Score is one member's rendezvous weight for a key; exported so tests
-// can probe the raw ranking.
-func (p Placement) Score(key []byte, member string) uint64 {
+// score is one member's rendezvous weight for a key.
+func score(key []byte, member string) uint64 {
 	h := fnv.New64a()
 	h.Write(key)
 	h.Write([]byte(member))
@@ -52,7 +53,7 @@ func (p Placement) ReplicasFor(key []byte, members []string) []string {
 	}
 	ss := make([]scored, 0, len(members))
 	for _, m := range members {
-		ss = append(ss, scored{m, p.Score(key, m)})
+		ss = append(ss, scored{m, score(key, m)})
 	}
 	sort.Slice(ss, func(i, j int) bool {
 		if ss[i].w != ss[j].w {

@@ -202,16 +202,6 @@ func (f *FTL) Trim(lpn int) error {
 	return nil
 }
 
-// Mapped reports whether lpn currently holds data.
-func (f *FTL) Mapped(lpn int) bool {
-	if lpn < 0 || lpn >= f.logicalPages {
-		return false
-	}
-	f.lock()
-	defer f.unlock()
-	return f.l2p[lpn] != unmapped
-}
-
 // gcLocked reclaims blocks until the device has more than lowWater+1
 // free blocks. Victims are chosen greedily (fewest valid pages). Valid
 // pages are migrated into a dedicated destination chain, which is what

@@ -43,8 +43,8 @@ func TestFTLReadWrite(t *testing.T) {
 	if !bytes.Equal(got[:len(want)], want) {
 		t.Fatalf("Read(3) = %q", got[:len(want)])
 	}
-	if !f.Mapped(3) || f.Mapped(4) {
-		t.Fatal("Mapped() incorrect")
+	if _, _, err := ftlRead(f, 4); !errors.Is(err, ErrLPNUnset) {
+		t.Fatalf("Read of an unwritten neighbour err = %v", err)
 	}
 }
 
@@ -97,9 +97,6 @@ func TestFTLTrim(t *testing.T) {
 	f.Write(1, []byte("x"))
 	if err := f.Trim(1); err != nil {
 		t.Fatal(err)
-	}
-	if f.Mapped(1) {
-		t.Fatal("lpn should be unmapped after Trim")
 	}
 	if _, _, err := ftlRead(f, 1); !errors.Is(err, ErrLPNUnset) {
 		t.Fatalf("Read after Trim err = %v", err)
