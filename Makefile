@@ -52,13 +52,14 @@ fuzz-smoke:
 examples:
 	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
-# The paper's figures at seed 1 are a checked output. The run is
-# deterministic (the same bytes on every run and under GOMAXPROCS=1),
-# so a difference from the golden is a figure that moved. A change that
-# moves one on purpose re-records the golden and says so:
-#   go run ./cmd/figures -seed 1 > cmd/figures/testdata/seed1.golden
+# The paper's figures at seeds 1, 2 and 3 are a checked output. The run
+# is deterministic (the same bytes on every run and under GOMAXPROCS=1),
+# so a difference from a golden is a figure that moved. A change that
+# moves one on purpose re-records the goldens and says so:
+#   for s in 1 2 3; do go run ./cmd/figures -seed $s > cmd/figures/testdata/seed$s.golden; done
 figures:
-	$(GO) run ./cmd/figures -seed 1 | diff -u cmd/figures/testdata/seed1.golden -
+	$(GO) build -o bin/figures ./cmd/figures
+	for s in 1 2 3; do bin/figures -seed $$s | diff -u cmd/figures/testdata/seed$$s.golden - || exit 1; done
 
 # Non-test Go lines per package and their total: raw lines (comments and
 # blank lines count) of the files `go list` names as GoFiles, so tests,
@@ -79,8 +80,8 @@ deps:
 
 # Full pre-merge gate: compile, standard vet, the repo's own analyzer
 # suite, the daemons' dependency guard, unit tests, the examples, the
-# figures against their golden, then the race detector over every
-# package.
+# figures against their goldens (seeds 1-3), then the race detector over
+# every package.
 # bench/ is a module of its own, which `./...` does not
 # reach: its tests compile the end-to-end benchmark and smoke-run every
 # workload — hand-built hello included — against a qindbd built from

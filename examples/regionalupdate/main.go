@@ -98,7 +98,7 @@ func main() {
 	if err := sys.Rollback(3, 2); err != nil {
 		log.Fatal(err)
 	}
-	val, _, err := sys.Get(grayDC, gen.Key(0))
+	val, err := sys.Get(grayDC, gen.Key(0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -174,9 +174,9 @@ type UpdateReport struct {
 	PayloadBytes int64
 	WireBytes    int64
 	MissRatio    float64
-	StorageCost  time.Duration // total device time applying records
-	// StorageByDC is per-data-center apply time; the slowest DC is the
-	// storage-side critical path of the update.
+	// StorageByDC is per-data-center apply time (device time, see
+	// mint.Cluster.Put); the slowest DC is the storage-side critical path
+	// of the update.
 	StorageByDC map[netsim.NodeID]time.Duration
 	// ReadyAt records when (virtual time) each DC finished loading the
 	// version; the max-min spread is the cross-DC replication lag.
@@ -327,7 +327,6 @@ func (d *DirectLoad) applySlice(del bifrost.Delivery, version uint64, rep *Updat
 	}
 	for _, rec := range del.Slice.Records {
 		cost, err := dc.Store.Put(rec.Key, rec.Version, rec.Value, rec.Dedup)
-		rep.StorageCost += cost
 		rep.StorageByDC[dc.ID] += cost
 		if err != nil && dc.applyErr == nil {
 			dc.applyErr = fmt.Errorf("cluster: applying at %s: %w", dc.ID, err)
@@ -409,15 +408,16 @@ func (d *DirectLoad) Rollback(version uint64, to uint64) error {
 // Get serves a read at one data center against its active version,
 // falling back to older versions via the engine's traceback. Reads
 // against a DC with no active version fail.
-func (d *DirectLoad) Get(dcID netsim.NodeID, key []byte) ([]byte, time.Duration, error) {
+func (d *DirectLoad) Get(dcID netsim.NodeID, key []byte) ([]byte, error) {
 	dc, ok := d.DCs[dcID]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownDC, dcID)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownDC, dcID)
 	}
 	if dc.active == 0 {
-		return nil, 0, fmt.Errorf("%w: no active version at %s", ErrVersionMissing, dcID)
+		return nil, fmt.Errorf("%w: no active version at %s", ErrVersionMissing, dcID)
 	}
-	return dc.Store.Get(key, dc.active)
+	val, _, err := dc.Store.Get(key, dc.active)
+	return val, err
 }
 
 // AuditConsistency samples keys and compares the answers of every pair
@@ -439,7 +439,7 @@ func (d *DirectLoad) AuditConsistency(keys [][]byte) float64 {
 	for _, key := range keys {
 		var answers []string
 		for _, id := range ids {
-			val, _, err := d.Get(id, key)
+			val, err := d.Get(id, key)
 			if err != nil {
 				continue
 			}

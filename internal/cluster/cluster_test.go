@@ -160,7 +160,7 @@ func TestDedupReducesWireBytes(t *testing.T) {
 	for i := 0; i < 200; i += 17 {
 		key := g.Key(i)
 		for id := range d.DCs {
-			val, _, err := d.Get(id, key)
+			val, err := d.Get(id, key)
 			if err != nil {
 				t.Fatalf("Get(%s) at %s: %v", key, id, err)
 			}
@@ -290,10 +290,10 @@ func TestLifecycleErrors(t *testing.T) {
 	if err := d.ActivateEverywhere(9); !errors.Is(err, ErrVersionMissing) {
 		t.Fatalf("activate missing err = %v", err)
 	}
-	if _, _, err := d.Get("bogus-dc", []byte("k")); !errors.Is(err, ErrUnknownDC) {
+	if _, err := d.Get("bogus-dc", []byte("k")); !errors.Is(err, ErrUnknownDC) {
 		t.Fatalf("Get unknown DC err = %v", err)
 	}
-	if _, _, err := d.Get(someDC, []byte("k")); !errors.Is(err, ErrVersionMissing) {
+	if _, err := d.Get(someDC, []byte("k")); !errors.Is(err, ErrVersionMissing) {
 		t.Fatalf("Get with no active version err = %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestPublishManyKeys(t *testing.T) {
 	if err := d.ActivateEverywhere(3); err != nil {
 		t.Fatal(err)
 	}
-	val, _, err := d.Get(d.Top.Regions[2].DCs[1], g.Key(123))
+	val, err := d.Get(d.Top.Regions[2].DCs[1], g.Key(123))
 	if err != nil || len(val) == 0 {
 		t.Fatalf("final read: %v", err)
 	}

@@ -16,12 +16,12 @@ var errNodeDown = errors.New("node down")
 // downEngine is a crashed node's engine: every Put and Get errors.
 type downEngine struct{ mint.Engine }
 
-func (downEngine) Put([]byte, uint64, []byte, bool) (time.Duration, error) {
-	return 0, errNodeDown
+func (downEngine) Put([]byte, uint64, []byte, bool) error {
+	return errNodeDown
 }
 
-func (downEngine) Get([]byte, uint64) ([]byte, time.Duration, error) {
-	return nil, 0, errNodeDown
+func (downEngine) Get([]byte, uint64) ([]byte, error) {
+	return nil, errNodeDown
 }
 
 // failNodes makes every DC's Mint cluster build the nodes of the given
@@ -66,7 +66,7 @@ func TestPublishSurvivesNodeFailure(t *testing.T) {
 	}
 	// Reads served by surviving replicas.
 	for i := 0; i < 60; i += 11 {
-		if _, _, err := d.Get(d.Top.Regions[0].DCs[0], g.Key(i)); err != nil {
+		if _, err := d.Get(d.Top.Regions[0].DCs[0], g.Key(i)); err != nil {
 			t.Fatalf("Get key %d: %v", i, err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestBaselineEngineSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i += 9 {
-		val, _, err := d.Get(d.Top.Regions[2].DCs[0], g.Key(i))
+		val, err := d.Get(d.Top.Regions[2].DCs[0], g.Key(i))
 		if err != nil || string(val) != string(g.Value(i)) {
 			t.Fatalf("baseline Get key %d: %q, %v", i, val, err)
 		}

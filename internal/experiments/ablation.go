@@ -74,15 +74,14 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	var userBytes int64
 	for v := 1; v <= cfg.Versions; v++ {
 		err := gen.NextVersion(func(e workload.Entry) error {
-			_, err := db.Put(e.Key, e.Version, e.Value, false)
 			userBytes += int64(len(e.Key) + len(e.Value))
-			return err
+			return db.Put(e.Key, e.Version, e.Value, false)
 		})
 		if err != nil {
 			return p, err
 		}
 		if v > cfg.Retain {
-			if _, _, err := db.DropVersion(uint64(v - cfg.Retain)); err != nil {
+			if _, err := db.DropVersion(uint64(v - cfg.Retain)); err != nil {
 				return p, err
 			}
 		}
@@ -91,11 +90,11 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	hist := metrics.NewHistogram()
 	last := uint64(cfg.Versions)
 	for i := 0; i < cfg.Keys; i++ {
-		_, cost, err := db.Get(gen.Key(i), last)
+		us, err := getMicros(db, dev, gen.Key(i), last)
 		if err != nil {
 			return p, err
 		}
-		hist.Observe(float64(cost.Microseconds()))
+		hist.Observe(us)
 	}
 	st := dev.Stats()
 	p.WriteAmp = st.WriteAmplification(userBytes)
@@ -186,7 +185,7 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 		if err != nil {
 			return res, err
 		}
-		engine = db
+		engine = mint.QinDBEngine{DB: db}
 	case LevelDB:
 		opts := levelDBOptions()
 		opts.Seed = cfg.Seed
@@ -207,15 +206,14 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 	}
 	for v := 1; v <= cfg.Versions; v++ {
 		err := gen.NextVersion(func(e workload.Entry) error {
-			_, err := engine.Put(e.Key, e.Version, e.Value, false)
 			res.UserBytes += int64(len(e.Key) + len(e.Value))
-			return err
+			return engine.Put(e.Key, e.Version, e.Value, false)
 		})
 		if err != nil {
 			return res, err
 		}
 		if v > cfg.Retain {
-			if _, _, err := engine.DropVersion(uint64(v - cfg.Retain)); err != nil {
+			if _, err := engine.DropVersion(uint64(v - cfg.Retain)); err != nil {
 				return res, err
 			}
 		}
@@ -246,7 +244,7 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 	}
 	var out []TracebackPoint
 	for _, ratio := range ratios {
-		db, _, err := newQinDB(1<<30, core.DefaultOptions())
+		db, stack, err := newQinDB(1<<30, core.DefaultOptions())
 		if err != nil {
 			return out, err
 		}
@@ -258,8 +256,7 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 		}
 		for v := 1; v <= versions; v++ {
 			err := gen.NextVersion(func(e workload.Entry) error {
-				_, err := db.Put(e.Key, e.Version, e.Value, e.Dup)
-				return err
+				return db.Put(e.Key, e.Version, e.Value, e.Dup)
 			})
 			if err != nil {
 				return out, errors.Join(err, db.Close())
@@ -267,11 +264,11 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 		}
 		hist := metrics.NewHistogram()
 		for i := 0; i < keys; i++ {
-			_, cost, err := db.Get(gen.Key(i), uint64(versions))
+			us, err := getMicros(db, stack.Device, gen.Key(i), uint64(versions))
 			if err != nil {
 				return out, errors.Join(err, db.Close())
 			}
-			hist.Observe(float64(cost.Microseconds()))
+			hist.Observe(us)
 		}
 		out = append(out, TracebackPoint{
 			DupRatio:   ratio,
@@ -286,12 +283,12 @@ func RunTracebackAblation(keys, valueSize, versions int, ratios []float64, seed 
 }
 
 // newQinDB builds a QinDB stack through mint.QinDBFactory and returns
-// its engine as the *core.DB that factory always builds, for the
+// its engine as the mint.QinDBEngine that factory always builds, for the
 // counters only QinDB keeps.
-func newQinDB(capacity int64, opts core.Options) (*core.DB, *mint.EngineStack, error) {
+func newQinDB(capacity int64, opts core.Options) (mint.QinDBEngine, *mint.EngineStack, error) {
 	stack, err := mint.QinDBFactory(opts)(capacity, 0)
 	if err != nil {
-		return nil, nil, err
+		return mint.QinDBEngine{}, nil, err
 	}
-	return stack.Engine.(*core.DB), stack, nil
+	return stack.Engine.(mint.QinDBEngine), stack, nil
 }

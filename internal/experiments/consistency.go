@@ -141,14 +141,14 @@ func RunGrayConsistency(cfg ConsistencyConfig) (ConsistencyResult, error) {
 	searchAt := func(dc netsim.NodeID, terms []string) string {
 		results := indexer.Search(terms,
 			func(term string) ([]string, bool) {
-				v, _, err := sys.Get(dc, []byte("inv/"+term))
+				v, err := sys.Get(dc, []byte("inv/"+term))
 				if err != nil {
 					return nil, false
 				}
 				return indexer.DecodeURLList(v), true
 			},
 			func(url string) (string, bool) {
-				v, _, err := sys.Get(dc, []byte("sum/"+url))
+				v, err := sys.Get(dc, []byte("sum/"+url))
 				if err != nil {
 					return "", false
 				}

@@ -188,14 +188,14 @@ func RunFig5(kind EngineKind, cfg Fig5Config) (Fig5Result, error) {
 		}
 		i := 0
 		err := gen.NextVersion(func(e workload.Entry) error {
-			if _, err := stack.Engine.Put(e.Key, e.Version, e.Value, false); err != nil {
+			if err := stack.Engine.Put(e.Key, e.Version, e.Value, false); err != nil {
 				return err
 			}
 			n := int64(len(e.Key) + len(e.Value))
 			userBytes += n
 			userWin.Record(dev.Now(), n)
 			if delVersion > 0 {
-				if _, err := stack.Engine.Del(e.Key, delVersion); err != nil {
+				if err := stack.Engine.Del(e.Key, delVersion); err != nil {
 					return fmt.Errorf("del v%d key %q: %w", delVersion, e.Key, err)
 				}
 			}

@@ -7,6 +7,8 @@ import (
 	"directload/internal/core"
 	"directload/internal/lsm"
 	"directload/internal/metrics"
+	"directload/internal/mint"
+	"directload/internal/ssd"
 	"directload/internal/workload"
 )
 
@@ -50,9 +52,10 @@ type Fig8Result struct {
 	Errors   int
 }
 
-// RunFig8 measures read latency on one engine. Latency is the simulated
-// device time each GET spends (memtable work is free in both engines;
-// flash I/O dominates, as in the paper's microsecond-scale results).
+// RunFig8 measures read latency on one engine. A GET's latency is how
+// far it advances the device clock (memtable work is free in both
+// engines; flash I/O dominates, as in the paper's microsecond-scale
+// results).
 func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 	if cfg.Keys == 0 {
 		cfg = DefaultFig8Config()
@@ -81,8 +84,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 	}
 	load := func() error {
 		return gen.NextVersion(func(e workload.Entry) error {
-			_, err := stack.Engine.Put(e.Key, e.Version, e.Value, false)
-			return err
+			return stack.Engine.Put(e.Key, e.Version, e.Value, false)
 		})
 	}
 	for v := 0; v < cfg.LoadVersions; v++ {
@@ -111,7 +113,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 		if ver < firstLive {
 			ver = firstLive
 		}
-		_, cost, err := stack.Engine.Get(key, ver)
+		us, err := getMicros(stack.Engine, stack.Device, key, ver)
 		if err != nil {
 			// Tolerate deleted/retired versions racing the update stream.
 			if errors.Is(err, core.ErrDeleted) || errors.Is(err, lsm.ErrDeleted) {
@@ -120,7 +122,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 			res.Errors++
 			continue
 		}
-		hist.Observe(float64(cost.Microseconds()))
+		hist.Observe(us)
 
 		if cfg.WithUpdates && cfg.UpdateEvery > 0 && i%cfg.UpdateEvery == cfg.UpdateEvery-1 {
 			// Updating stream: rotate through keys, writing the next
@@ -128,7 +130,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 			if updKey == 0 {
 				nextVersion++
 			}
-			if _, err := stack.Engine.Put(gen.Key(updKey), nextVersion, gen.Value(updKey), false); err != nil {
+			if err := stack.Engine.Put(gen.Key(updKey), nextVersion, gen.Value(updKey), false); err != nil {
 				return res, err
 			}
 			updKey++
@@ -136,7 +138,7 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 				updKey = 0
 				complete = nextVersion
 				if nextVersion-firstLive >= 4 {
-					if _, _, err := stack.Engine.DropVersion(firstLive); err != nil {
+					if _, err := stack.Engine.DropVersion(firstLive); err != nil {
 						return res, fmt.Errorf("drop v%d: %w", firstLive, err)
 					}
 					firstLive++
@@ -146,6 +148,14 @@ func RunFig8(kind EngineKind, cfg Fig8Config) (Fig8Result, error) {
 	}
 	res.Latency = hist.Snapshot()
 	return res, nil
+}
+
+// getMicros reads (key, version) and returns the read's latency in
+// microseconds: how far it advanced dev's clock.
+func getMicros(e mint.Engine, dev *ssd.Device, key []byte, version uint64) (float64, error) {
+	start := dev.Now()
+	_, err := e.Get(key, version)
+	return float64((dev.Now() - start).Microseconds()), err
 }
 
 // Fig8All runs the four cells of Fig. 8: both engines, both scenarios.

@@ -1,9 +1,6 @@
 package lsm
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // --- merged iteration ----------------------------------------------------
 
@@ -14,7 +11,6 @@ type msource interface {
 	valid() bool
 	cur() entry
 	next()
-	cost() time.Duration
 }
 
 // memSource adapts the memtable iterator.
@@ -40,10 +36,9 @@ func (db *DB) memIterLocked(start ikey) *skiplistIter {
 	return it
 }
 
-func (s *memSource) valid() bool         { return s.it.pos < len(s.it.entries) }
-func (s *memSource) cur() entry          { return s.it.entries[s.it.pos] }
-func (s *memSource) next()               { s.it.pos++ }
-func (s *memSource) cost() time.Duration { return 0 }
+func (s *memSource) valid() bool { return s.it.pos < len(s.it.entries) }
+func (s *memSource) cur() entry  { return s.it.entries[s.it.pos] }
+func (s *memSource) next()       { s.it.pos++ }
 
 // tableSource adapts a tableIter.
 type tableSource struct {
@@ -61,10 +56,9 @@ func newTableSource(it *tableIter, start ikey, seek bool) *tableSource {
 	return s
 }
 
-func (s *tableSource) valid() bool         { return s.ok && s.it.valid }
-func (s *tableSource) cur() entry          { return s.it.cur }
-func (s *tableSource) next()               { s.ok = s.it.next() }
-func (s *tableSource) cost() time.Duration { return s.it.cost }
+func (s *tableSource) valid() bool { return s.ok && s.it.valid }
+func (s *tableSource) cur() entry  { return s.it.cur }
+func (s *tableSource) next()       { s.ok = s.it.next() }
 
 // mergedIter merges sources with newest-wins shadowing.
 type mergedIter struct {
@@ -81,14 +75,6 @@ func newMergedIter(srcs []msource) *mergedIter {
 
 func (m *mergedIter) valid() bool { return m.ok }
 func (m *mergedIter) cur() entry  { return m.e }
-
-func (m *mergedIter) cost() time.Duration {
-	var total time.Duration
-	for _, s := range m.srcs {
-		total += s.cost()
-	}
-	return total
-}
 
 // advance selects the smallest current key (ties: lowest source index)
 // and consumes that key from every source.
@@ -120,15 +106,13 @@ func (m *mergedIter) next() { m.advance() }
 
 // mergedIterLocked builds a merged iterator over the memtable and every
 // table, seeked to start. Caller holds db.mu.
-func (db *DB) mergedIterLocked(start ikey) (*mergedIter, time.Duration, error) {
-	var total time.Duration
+func (db *DB) mergedIterLocked(start ikey) (*mergedIter, error) {
 	srcs := []msource{&memSource{it: db.memIterLocked(start)}}
 	// L0 newest first.
 	for i := len(db.levels[0]) - 1; i >= 0; i-- {
-		tr, cost, err := db.reader(db.levels[0][i])
-		total += cost
+		tr, err := db.reader(db.levels[0][i])
 		if err != nil {
-			return nil, total, err
+			return nil, err
 		}
 		srcs = append(srcs, newTableSource(tr.iter(), start, true))
 	}
@@ -137,31 +121,30 @@ func (db *DB) mergedIterLocked(start ikey) (*mergedIter, time.Duration, error) {
 			if meta.largest.key < start.key {
 				continue
 			}
-			tr, cost, err := db.reader(meta)
-			total += cost
+			tr, err := db.reader(meta)
 			if err != nil {
-				return nil, total, err
+				return nil, err
 			}
 			srcs = append(srcs, newTableSource(tr.iter(), start, true))
 		}
 	}
-	return newMergedIter(srcs), total, nil
+	return newMergedIter(srcs), nil
 }
 
 // DropVersion deletes every live entry of version (the paper's "deletion
 // thread removes the oldest version"). The LSM engine has no version
 // index, so this is a full scan followed by tombstone writes — exactly
 // the extra work an LSM pays for bulk version retirement.
-func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
+func (db *DB) DropVersion(version uint64) (int, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return 0, 0, ErrClosed
+		return 0, ErrClosed
 	}
-	it, total, err := db.mergedIterLocked(ikey{"", maxIkeyVer})
+	it, err := db.mergedIterLocked(ikey{"", maxIkeyVer})
 	if err != nil {
 		db.mu.Unlock()
-		return 0, total, err
+		return 0, err
 	}
 	var victims []string
 	for it.valid() {
@@ -171,16 +154,13 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		}
 		it.next()
 	}
-	total += it.cost()
 	db.mu.Unlock()
 	for _, k := range victims {
-		cost, err := db.Del([]byte(k), version)
-		total += cost
-		if err != nil {
-			return 0, total, err
+		if err := db.Del([]byte(k), version); err != nil {
+			return 0, err
 		}
 	}
-	return len(victims), total, nil
+	return len(victims), nil
 }
 
 // --- compaction ----------------------------------------------------------
@@ -219,23 +199,20 @@ func (db *DB) pickCompactionLocked() int {
 // maybeCompactLocked runs compactions until every level is within budget.
 // Inline (synchronous) compaction makes the write-amplification series of
 // Fig. 5 deterministic.
-func (db *DB) maybeCompactLocked() (time.Duration, error) {
-	var total time.Duration
+func (db *DB) maybeCompactLocked() error {
 	for {
 		level := db.pickCompactionLocked()
 		if level < 0 {
-			return total, nil
+			return nil
 		}
-		cost, err := db.compactLevelLocked(level)
-		total += cost
-		if err != nil {
-			return total, err
+		if err := db.compactLevelLocked(level); err != nil {
+			return err
 		}
 	}
 }
 
 // compactLevelLocked merges inputs from level into level+1.
-func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
+func (db *DB) compactLevelLocked(level int) error {
 	target := level + 1
 	var inputs []tableMeta // priority order: newest first
 	if level == 0 {
@@ -289,13 +266,11 @@ func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
 		}
 	}
 
-	var total time.Duration
 	var srcs []msource
 	for _, m := range all {
-		tr, cost, err := db.reader(m)
-		total += cost
+		tr, err := db.reader(m)
 		if err != nil {
-			return total, err
+			return err
 		}
 		srcs = append(srcs, newTableSource(tr.iter(), ikey{}, false))
 		db.compactionRead += m.size
@@ -309,8 +284,7 @@ func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
 		if tw == nil {
 			return nil
 		}
-		meta, cost, err := tw.finish()
-		total += cost
+		meta, err := tw.finish()
 		if err != nil {
 			tw.abandon()
 			return err
@@ -334,21 +308,21 @@ func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
 		// key, so all versions of a key must live in the same table.
 		if pendingSplit && e.ik.key != lastKey {
 			if err := finishOutput(); err != nil {
-				return total, err
+				return err
 			}
 			pendingSplit = false
 		}
 		if tw == nil {
 			w, err := newTableWriter(db.fs, db.nextNum, target)
 			if err != nil {
-				return total, err
+				return err
 			}
 			db.nextNum++
 			tw = w
 		}
 		if err := tw.add(e); err != nil {
 			tw.abandon()
-			return total, err
+			return err
 		}
 		lastKey = e.ik.key
 		outBytes += int64(len(e.ik.key) + len(e.value) + 15)
@@ -356,9 +330,8 @@ func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
 			pendingSplit = true
 		}
 	}
-	total += merged.cost()
 	if err := finishOutput(); err != nil {
-		return total, err
+		return err
 	}
 
 	// Install outputs, retire inputs.
@@ -377,16 +350,12 @@ func (db *DB) compactLevelLocked(level int) (time.Duration, error) {
 	for _, m := range all {
 		delete(db.readers, m.num)
 		db.cache.dropTable(m.num)
-		cost, err := db.fs.Remove(tableName(m.num))
-		total += cost
-		if err != nil {
-			return total, fmt.Errorf("lsm: removing input table: %w", err)
+		if _, err := db.fs.Remove(tableName(m.num)); err != nil {
+			return fmt.Errorf("lsm: removing input table: %w", err)
 		}
 	}
 	db.compactions++
-	cost, err := db.writeManifestLocked()
-	total += cost
-	return total, err
+	return db.writeManifestLocked()
 }
 
 func removeTables(tables []tableMeta, dead map[uint64]bool) []tableMeta {

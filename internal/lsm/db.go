@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"directload/internal/blockfs"
 	"directload/internal/skiplist"
@@ -138,13 +137,13 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	// Open cannot orphan it. If recovery replayed WAL entries into the
 	// memtable, flushing them re-persists the data (the old WAL is gone).
 	if db.mem.Len() > 0 {
-		if _, err := db.flushMemLocked(); err != nil {
+		if err := db.flushMemLocked(); err != nil {
 			return nil, err
 		}
-		if _, err := db.maybeCompactLocked(); err != nil {
+		if err := db.maybeCompactLocked(); err != nil {
 			return nil, err
 		}
-	} else if _, err := db.writeManifestLocked(); err != nil {
+	} else if err := db.writeManifestLocked(); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -185,14 +184,14 @@ func (db *DB) newWALLocked() error {
 }
 
 // walAppend frames one entry as crc | len | payload.
-func (db *DB) walAppendLocked(e entry) (time.Duration, error) {
+func (db *DB) walAppendLocked(e entry) error {
 	payload := encodeEntry(nil, e)
 	frame := make([]byte, 8, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
 	frame = append(frame, payload...)
-	_, cost, err := db.wal.Append(frame)
-	return cost, err
+	_, _, err := db.wal.Append(frame)
+	return err
 }
 
 // replayWAL feeds surviving WAL entries back into the memtable.
@@ -247,7 +246,7 @@ func (db *DB) applyToMemLocked(e entry) {
 // Put stores value under (key, version); dedup entries carry no value and
 // are resolved by traceback at read time (the LSM baseline has no stable
 // in-memory items to bind against).
-func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
+func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) error {
 	kind := kindValue
 	if dedup {
 		kind = kindDedup
@@ -257,59 +256,52 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 }
 
 // Del writes a tombstone for (key, version).
-func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
-	cost, err := db.write(entry{ik: ikey{string(key), version}, kind: kindTombstone}, int64(len(key)))
+func (db *DB) Del(key []byte, version uint64) error {
+	err := db.write(entry{ik: ikey{string(key), version}, kind: kindTombstone}, int64(len(key)))
 	if err == nil {
 		db.mu.Lock()
 		db.dels++
 		db.puts-- // write() counted it as a put
 		db.mu.Unlock()
 	}
-	return cost, err
+	return err
 }
 
-func (db *DB) write(e entry, userBytes int64) (time.Duration, error) {
+func (db *DB) write(e entry, userBytes int64) error {
 	if len(e.ik.key) == 0 {
-		return 0, errors.New("lsm: empty key")
+		return errors.New("lsm: empty key")
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	cost, err := db.walAppendLocked(e)
-	if err != nil {
-		return cost, err
+	if err := db.walAppendLocked(e); err != nil {
+		return err
 	}
 	db.applyToMemLocked(e)
 	db.userWriteBytes += userBytes
 	db.puts++
 	if db.memSize >= db.opts.MemtableSize {
-		c, err := db.flushMemLocked()
-		cost += c
-		if err != nil {
-			return cost, err
+		if err := db.flushMemLocked(); err != nil {
+			return err
 		}
-		c, err = db.maybeCompactLocked()
-		cost += c
-		if err != nil {
-			return cost, err
-		}
+		return db.maybeCompactLocked()
 	}
-	return cost, nil
+	return nil
 }
 
 // flushMemLocked writes the memtable to a new L0 table and starts a fresh
 // WAL.
-func (db *DB) flushMemLocked() (time.Duration, error) {
+func (db *DB) flushMemLocked() error {
 	if db.mem.Len() == 0 {
-		return 0, nil
+		return nil
 	}
 	num := db.nextNum
 	db.nextNum++
 	tw, err := newTableWriter(db.fs, num, 0)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var addErr error
 	db.mem.AscendAll(func(k ikey, v memval) bool {
@@ -320,12 +312,12 @@ func (db *DB) flushMemLocked() (time.Duration, error) {
 	})
 	if addErr != nil {
 		tw.abandon()
-		return tw.cost, addErr
+		return addErr
 	}
-	meta, cost, err := tw.finish()
+	meta, err := tw.finish()
 	if err != nil {
 		tw.abandon()
-		return cost, err
+		return err
 	}
 	db.levels[0] = append(db.levels[0], meta)
 	db.flushes++
@@ -334,32 +326,28 @@ func (db *DB) flushMemLocked() (time.Duration, error) {
 	// Retire the old WAL; its contents are now durable in the table.
 	oldWAL := db.walNum
 	if _, err := db.wal.Close(); err != nil {
-		return cost, err
+		return err
 	}
 	if err := db.newWALLocked(); err != nil {
-		return cost, err
+		return err
 	}
 	if _, err := db.fs.Remove(walName(oldWAL)); err != nil {
-		return cost, err
+		return err
 	}
-	c, err := db.writeManifestLocked()
-	cost += c
-	return cost, err
+	return db.writeManifestLocked()
 }
 
 // Flush forces the memtable to L0 (used by benchmarks to settle state).
-func (db *DB) Flush() (time.Duration, error) {
+func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	cost, err := db.flushMemLocked()
-	if err != nil {
-		return cost, err
+	if err := db.flushMemLocked(); err != nil {
+		return err
 	}
-	c, err := db.maybeCompactLocked()
-	return cost + c, err
+	return db.maybeCompactLocked()
 }
 
 // --- Manifest ------------------------------------------------------------
@@ -367,7 +355,7 @@ func (db *DB) Flush() (time.Duration, error) {
 func manifestName(num uint64) string { return fmt.Sprintf("manifest-%010d", num) }
 
 // writeManifestLocked persists the level layout.
-func (db *DB) writeManifestLocked() (time.Duration, error) {
+func (db *DB) writeManifestLocked() error {
 	num := db.nextNum
 	db.nextNum++
 	var body []byte
@@ -393,33 +381,22 @@ func (db *DB) writeManifestLocked() (time.Duration, error) {
 	}
 	w, err := db.fs.Create(manifestName(num))
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(body))
-	_, cost, err := w.Append(body)
-	if err == nil {
-		var c time.Duration
-		_, c, err = w.Append(crcBuf[:])
-		cost += c
-	}
-	if err != nil {
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	if _, _, err := w.Append(body); err != nil {
 		_, cerr := w.Close()
-		return cost, errors.Join(err, cerr)
+		return errors.Join(err, cerr)
 	}
-	c, err := w.Close()
-	cost += c
-	if err != nil {
-		return cost, err
+	if _, err := w.Close(); err != nil {
+		return err
 	}
 	old := db.maniNum
 	db.maniNum = num
 	if old != 0 {
-		if c, err := db.fs.Remove(manifestName(old)); err == nil {
-			cost += c
-		}
+		db.fs.Remove(manifestName(old))
 	}
-	return cost, nil
+	return nil
 }
 
 // loadManifest restores the level layout; ok=false means no usable
@@ -554,49 +531,46 @@ func (db *DB) recover() error {
 
 // --- Read path -----------------------------------------------------------
 
-func (db *DB) reader(m tableMeta) (*tableReader, time.Duration, error) {
+func (db *DB) reader(m tableMeta) (*tableReader, error) {
 	if tr, ok := db.readers[m.num]; ok {
-		return tr, 0, nil
+		return tr, nil
 	}
-	tr, cost, err := openTable(db.fs, m)
+	tr, err := openTable(db.fs, m)
 	if err != nil {
-		return nil, cost, err
+		return nil, err
 	}
 	tr.cache = db.cache
 	db.readers[m.num] = tr
-	return tr, cost, nil
+	return tr, nil
 }
 
 // Get returns the value at (key, version), tracing deduplicated entries
 // back to the first older version holding a value.
-func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
+func (db *DB) Get(key []byte, version uint64) ([]byte, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
-	var total time.Duration
-	value, kind, found, cost, err := db.findLocked(ikey{string(key), version})
-	total += cost
+	value, kind, found, err := db.findLocked(ikey{string(key), version})
 	if err != nil {
-		return nil, total, err
+		return nil, err
 	}
 	if !found {
-		return nil, total, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
+		return nil, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
 	switch kind {
 	case kindTombstone:
-		return nil, total, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
+		return nil, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	case kindValue:
 		db.gets++
 		db.userReadBytes += int64(len(value))
-		return value, total, nil
+		return value, nil
 	}
 	// Dedup: walk older versions until a real value appears.
-	it, cost, err := db.mergedIterLocked(ikey{string(key), version - 1})
-	total += cost
+	it, err := db.mergedIterLocked(ikey{string(key), version - 1})
 	if err != nil {
-		return nil, total, err
+		return nil, err
 	}
 	for it.valid() {
 		e := it.cur()
@@ -606,36 +580,31 @@ func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 		if e.kind == kindValue {
 			db.gets++
 			db.userReadBytes += int64(len(e.value))
-			total += it.cost()
-			return e.value, total, nil
+			return e.value, nil
 		}
 		it.next()
 	}
-	total += it.cost()
-	return nil, total, fmt.Errorf("%w: %q/%d", ErrNoValue, key, version)
+	return nil, fmt.Errorf("%w: %q/%d", ErrNoValue, key, version)
 }
 
 // findLocked searches memtable then levels for the exact composite key.
-func (db *DB) findLocked(ik ikey) ([]byte, uint8, bool, time.Duration, error) {
+func (db *DB) findLocked(ik ikey) ([]byte, uint8, bool, error) {
 	if v, ok := db.mem.Get(ik); ok {
-		return v.value, v.kind, true, 0, nil
+		return v.value, v.kind, true, nil
 	}
-	var total time.Duration
 	// L0: newest file first (files may overlap).
 	for i := len(db.levels[0]) - 1; i >= 0; i-- {
 		m := db.levels[0][i]
 		if ik.key < m.smallest.key || ik.key > m.largest.key {
 			continue
 		}
-		tr, cost, err := db.reader(m)
-		total += cost
+		tr, err := db.reader(m)
 		if err != nil {
-			return nil, 0, false, total, err
+			return nil, 0, false, err
 		}
-		v, kind, found, cost, err := tr.get(ik)
-		total += cost
+		v, kind, found, err := tr.get(ik)
 		if err != nil || found {
-			return v, kind, found, total, err
+			return v, kind, found, err
 		}
 	}
 	// L1+: at most one file per level can contain the key.
@@ -647,18 +616,16 @@ func (db *DB) findLocked(ik ikey) ([]byte, uint8, bool, time.Duration, error) {
 		if idx >= len(tables) || ik.key < tables[idx].smallest.key {
 			continue
 		}
-		tr, cost, err := db.reader(tables[idx])
-		total += cost
+		tr, err := db.reader(tables[idx])
 		if err != nil {
-			return nil, 0, false, total, err
+			return nil, 0, false, err
 		}
-		v, kind, found, cost, err := tr.get(ik)
-		total += cost
+		v, kind, found, err := tr.get(ik)
 		if err != nil || found {
-			return v, kind, found, total, err
+			return v, kind, found, err
 		}
 	}
-	return nil, 0, false, total, nil
+	return nil, 0, false, nil
 }
 
 // Stats returns engine counters plus the level shape.

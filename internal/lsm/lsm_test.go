@@ -15,6 +15,14 @@ import (
 
 func testFS(t testing.TB, blocks int) blockfs.FS {
 	t.Helper()
+	_, fs := testDeviceFS(t, blocks)
+	return fs
+}
+
+// testDeviceFS is testFS plus the device under it, for tests that read
+// the device clock or counters.
+func testDeviceFS(t testing.TB, blocks int) (*ssd.Device, blockfs.FS) {
+	t.Helper()
 	cfg := ssd.Config{
 		PageSize:      4096,
 		PagesPerBlock: 64,
@@ -32,7 +40,7 @@ func testFS(t testing.TB, blocks int) blockfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blockfs.NewFTLFS(ftl)
+	return d, blockfs.NewFTLFS(ftl)
 }
 
 // smallOptions shrinks everything so compaction triggers quickly.
@@ -59,14 +67,14 @@ func openLSM(t testing.TB, blocks int) *DB {
 
 func lput(t testing.TB, db *DB, key string, ver uint64, val string) {
 	t.Helper()
-	if _, err := db.Put([]byte(key), ver, []byte(val), false); err != nil {
+	if err := db.Put([]byte(key), ver, []byte(val), false); err != nil {
 		t.Fatalf("Put(%s/%d): %v", key, ver, err)
 	}
 }
 
 func lget(t testing.TB, db *DB, key string, ver uint64) string {
 	t.Helper()
-	v, _, err := db.Get([]byte(key), ver)
+	v, err := db.Get([]byte(key), ver)
 	if err != nil {
 		t.Fatalf("Get(%s/%d): %v", key, ver, err)
 	}
@@ -80,7 +88,7 @@ func TestLSMPutGetMemtable(t *testing.T) {
 	if got := lget(t, db, "k", 1); got != "v1" {
 		t.Fatalf("Get = %q", got)
 	}
-	if _, _, err := db.Get([]byte("k"), 2); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get([]byte("k"), 2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing version err = %v", err)
 	}
 }
@@ -91,7 +99,7 @@ func TestLSMFlushAndGetFromTable(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lput(t, db, fmt.Sprintf("key-%03d", i), 1, fmt.Sprintf("val-%03d", i))
 	}
-	if _, err := db.Flush(); err != nil {
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().TablesPerLevel[0] == 0 && db.Stats().TablesPerLevel[1] == 0 {
@@ -123,14 +131,14 @@ func TestLSMDelete(t *testing.T) {
 	db := openLSM(t, 256)
 	defer db.Close()
 	lput(t, db, "k", 1, "v")
-	if _, err := db.Del([]byte("k"), 1); err != nil {
+	if err := db.Del([]byte("k"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) {
+	if _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Get deleted err = %v", err)
 	}
 	db.Flush()
-	if _, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) {
+	if _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("Get deleted after flush err = %v", err)
 	}
 }
@@ -148,7 +156,7 @@ func TestLSMVersionsIndependent(t *testing.T) {
 	if got := lget(t, db, "k", 3); got != "v3" {
 		t.Fatalf("v3 = %q", got)
 	}
-	if _, _, err := db.Get([]byte("k"), 2); !errors.Is(err, ErrDeleted) {
+	if _, err := db.Get([]byte("k"), 2); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("v2 err = %v", err)
 	}
 }
@@ -157,7 +165,7 @@ func TestLSMDedupTraceback(t *testing.T) {
 	db := openLSM(t, 256)
 	defer db.Close()
 	lput(t, db, "k", 1, "base")
-	if _, err := db.Put([]byte("k"), 2, nil, true); err != nil {
+	if err := db.Put([]byte("k"), 2, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := lget(t, db, "k", 2); got != "base" {
@@ -167,10 +175,10 @@ func TestLSMDedupTraceback(t *testing.T) {
 	if got := lget(t, db, "k", 2); got != "base" {
 		t.Fatalf("traceback after flush = %q", got)
 	}
-	if _, err := db.Put([]byte("orphan"), 3, nil, true); err != nil {
+	if err := db.Put([]byte("orphan"), 3, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Get([]byte("orphan"), 3); !errors.Is(err, ErrNoValue) {
+	if _, err := db.Get([]byte("orphan"), 3); !errors.Is(err, ErrNoValue) {
 		t.Fatalf("orphan dedup err = %v", err)
 	}
 }
@@ -243,12 +251,12 @@ func TestLSMDropVersion(t *testing.T) {
 		lput(t, db, fmt.Sprintf("k%02d", i), 2, "v2")
 	}
 	db.Flush()
-	n, _, err := db.DropVersion(1)
+	n, err := db.DropVersion(1)
 	if err != nil || n != 20 {
 		t.Fatalf("DropVersion = %d, %v", n, err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, _, err := db.Get([]byte(fmt.Sprintf("k%02d", i)), 1); !errors.Is(err, ErrDeleted) {
+		if _, err := db.Get([]byte(fmt.Sprintf("k%02d", i)), 1); !errors.Is(err, ErrDeleted) {
 			t.Fatalf("k%02d/1 err = %v", i, err)
 		}
 		if got := lget(t, db, fmt.Sprintf("k%02d", i), 2); got != "v2" {
@@ -286,7 +294,7 @@ func TestLSMRecovery(t *testing.T) {
 	if got := lget(t, db2, "fresh", 1); got != "in-wal-only" {
 		t.Fatalf("WAL entry lost: %q", got)
 	}
-	if _, _, err := db2.Get([]byte("key-0000"), 1); !errors.Is(err, ErrDeleted) {
+	if _, err := db2.Get([]byte("key-0000"), 1); !errors.Is(err, ErrDeleted) {
 		t.Fatalf("tombstone lost in recovery: %v", err)
 	}
 }
@@ -297,7 +305,7 @@ func TestLSMRecoveryFreshDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Get([]byte("x"), 1); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get([]byte("x"), 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("fresh DB Get err = %v", err)
 	}
 	db.Close()
@@ -309,10 +317,10 @@ func TestLSMClosedErrors(t *testing.T) {
 	if err := db.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("double close err = %v", err)
 	}
-	if _, err := db.Put([]byte("k"), 1, nil, false); !errors.Is(err, ErrClosed) {
+	if err := db.Put([]byte("k"), 1, nil, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put err = %v", err)
 	}
-	if _, _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrClosed) {
+	if _, err := db.Get([]byte("k"), 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get err = %v", err)
 	}
 }
@@ -320,7 +328,7 @@ func TestLSMClosedErrors(t *testing.T) {
 func TestLSMEmptyKeyRejected(t *testing.T) {
 	db := openLSM(t, 128)
 	defer db.Close()
-	if _, err := db.Put(nil, 1, []byte("v"), false); err == nil {
+	if err := db.Put(nil, 1, []byte("v"), false); err == nil {
 		t.Fatal("empty key should be rejected")
 	}
 }
@@ -345,7 +353,7 @@ func TestLSMTombstonesDroppedAtBottom(t *testing.T) {
 	}
 	db.Flush()
 	for i := 0; i < 500; i += 50 {
-		if _, _, err := db.Get([]byte(fmt.Sprintf("key-%04d", i)), 1); err == nil {
+		if _, err := db.Get([]byte(fmt.Sprintf("key-%04d", i)), 1); err == nil {
 			t.Fatalf("key-%04d resurrected", i)
 		}
 	}
@@ -398,27 +406,27 @@ func TestSSTableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	meta, _, err := tw.finish()
+	meta, err := tw.finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.entries != 500 {
 		t.Fatalf("entries = %d", meta.entries)
 	}
-	tr, _, err := openTable(fs, meta)
+	tr, err := openTable(fs, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Point lookups.
 	for i := 0; i < len(want); i += 7 {
 		e := want[i]
-		v, kind, found, _, err := tr.get(e.ik)
+		v, kind, found, err := tr.get(e.ik)
 		if err != nil || !found || kind != kindValue || !bytes.Equal(v, e.value) {
 			t.Fatalf("get(%v) = %v %v %v", e.ik, found, kind, err)
 		}
 	}
 	// Miss.
-	if _, _, found, _, _ := tr.get(ikey{"zzz", 1}); found {
+	if _, _, found, _ := tr.get(ikey{"zzz", 1}); found {
 		t.Fatal("found nonexistent key")
 	}
 	// Full iteration preserves order and content.
@@ -483,27 +491,27 @@ func TestLSMQuickModel(t *testing.T) {
 				dels[mk] = true
 			} else {
 				val := fmt.Sprintf("val-%d-%d", o.Val, i)
-				if _, err := db.Put([]byte(k), ver, []byte(val), false); err != nil {
+				if err := db.Put([]byte(k), ver, []byte(val), false); err != nil {
 					return false
 				}
 				model[mk] = val
 				delete(dels, mk)
 			}
 			if i%40 == 39 {
-				if _, err := db.Flush(); err != nil {
+				if err := db.Flush(); err != nil {
 					return false
 				}
 			}
 		}
 		check := func(d *DB) bool {
 			for mk, want := range model {
-				got, _, err := d.Get([]byte(mk.k), mk.v)
+				got, err := d.Get([]byte(mk.k), mk.v)
 				if err != nil || string(got) != want {
 					return false
 				}
 			}
 			for mk := range dels {
-				if _, _, err := d.Get([]byte(mk.k), mk.v); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
+				if _, err := d.Get([]byte(mk.k), mk.v); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
 					return false
 				}
 			}

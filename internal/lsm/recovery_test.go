@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"directload/internal/ssd"
 )
 
 // TestManifestCorruptionFallsBackToEmpty: a destroyed manifest means the
@@ -37,7 +39,7 @@ func TestManifestCorruptionFallsBackToEmpty(t *testing.T) {
 		t.Fatalf("open after manifest corruption: %v", err)
 	}
 	defer db2.Close()
-	if _, _, err := db2.Get([]byte("k-000"), 1); !errors.Is(err, ErrNotFound) {
+	if _, err := db2.Get([]byte("k-000"), 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("corrupt-manifest DB should be empty, Get err = %v", err)
 	}
 	lput(t, db2, "fresh", 1, "usable")
@@ -92,7 +94,7 @@ func TestBloomFiltersSaveIO(t *testing.T) {
 	before := db.fs.Device().Stats().SysReadBytes
 	misses := 0
 	for i := 0; i < 500; i++ {
-		if _, _, err := db.Get([]byte(fmt.Sprintf("absent-%05d", i)), 1); err == nil {
+		if _, err := db.Get([]byte(fmt.Sprintf("absent-%05d", i)), 1); err == nil {
 			t.Fatal("absent key found")
 		}
 		misses++
@@ -148,13 +150,25 @@ func TestGetAfterReopenFindsAllLevels(t *testing.T) {
 	}
 }
 
+// flashRead reads (key, version) and returns the bytes the read took
+// from flash.
+func flashRead(t *testing.T, db *DB, dev *ssd.Device, key string, version uint64) int64 {
+	t.Helper()
+	before := dev.Stats().SysReadBytes
+	if _, err := db.Get([]byte(key), version); err != nil {
+		t.Fatal(err)
+	}
+	return dev.Stats().SysReadBytes - before
+}
+
 // TestBlockCache: repeated point reads of the same hot keys hit the
-// cache and stop costing device time; compaction churn evicts dead
-// tables' blocks.
+// cache and stop reading flash; compaction churn evicts dead tables'
+// blocks.
 func TestBlockCache(t *testing.T) {
 	opts := smallOptions()
 	opts.BlockCacheBytes = 1 << 20
-	db, err := Open(testFS(t, 1024), opts)
+	dev, fs := testDeviceFS(t, 1024)
+	db, err := Open(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +179,11 @@ func TestBlockCache(t *testing.T) {
 	}
 	db.Flush()
 	// First read warms the cache; the second must be free.
-	if _, cost1, err := db.Get([]byte("key-0123"), 1); err != nil || cost1 == 0 {
-		t.Fatalf("first read cost %v, err %v", cost1, err)
+	if n := flashRead(t, db, dev, "key-0123", 1); n == 0 {
+		t.Fatal("first read read no flash")
 	}
-	_, cost2, err := db.Get([]byte("key-0123"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost2 != 0 {
-		t.Fatalf("cached read cost = %v, want 0", cost2)
+	if n := flashRead(t, db, dev, "key-0123", 1); n != 0 {
+		t.Fatalf("cached read read %d flash bytes, want 0", n)
 	}
 	st := db.Stats()
 	if st.CacheHits == 0 || st.CacheMisses == 0 {
@@ -184,7 +194,8 @@ func TestBlockCache(t *testing.T) {
 func TestBlockCacheDisabled(t *testing.T) {
 	opts := smallOptions()
 	opts.BlockCacheBytes = 0
-	db, err := Open(testFS(t, 512), opts)
+	dev, fs := testDeviceFS(t, 512)
+	db, err := Open(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +203,8 @@ func TestBlockCacheDisabled(t *testing.T) {
 	lput(t, db, "k", 1, "v")
 	db.Flush()
 	db.Get([]byte("k"), 1)
-	_, cost, _ := db.Get([]byte("k"), 1)
-	if cost == 0 {
-		t.Fatal("reads should cost device time with the cache disabled")
+	if flashRead(t, db, dev, "k", 1) == 0 {
+		t.Fatal("reads should read flash with the cache disabled")
 	}
 	if h, m := db.Stats().CacheHits, db.Stats().CacheMisses; h != 0 || m != 0 {
 		t.Fatalf("disabled cache counted: %d/%d", h, m)

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"directload/internal/blockfs"
 )
@@ -156,7 +155,6 @@ type tableWriter struct {
 	filter  *bloomBuilder
 	lastIK  ikey
 	started bool
-	cost    time.Duration
 	dataOff uint64
 }
 
@@ -198,8 +196,7 @@ func (tw *tableWriter) flushBlock() error {
 	if len(tw.block) == 0 {
 		return nil
 	}
-	off, cost, err := tw.w.Append(tw.block)
-	tw.cost += cost
+	off, _, err := tw.w.Append(tw.block)
 	if err != nil {
 		return err
 	}
@@ -211,15 +208,14 @@ func (tw *tableWriter) flushBlock() error {
 
 // finish writes filter, index and footer, closes the file and returns the
 // table metadata.
-func (tw *tableWriter) finish() (tableMeta, time.Duration, error) {
+func (tw *tableWriter) finish() (tableMeta, error) {
 	if err := tw.flushBlock(); err != nil {
-		return tableMeta{}, tw.cost, err
+		return tableMeta{}, err
 	}
 	filter := tw.filter.build()
-	filterOff, cost, err := tw.w.Append(filter)
-	tw.cost += cost
+	filterOff, _, err := tw.w.Append(filter)
 	if err != nil {
-		return tableMeta{}, tw.cost, err
+		return tableMeta{}, err
 	}
 	var index []byte
 	for _, ie := range tw.index {
@@ -232,10 +228,9 @@ func (tw *tableWriter) finish() (tableMeta, time.Duration, error) {
 		index = append(index, hdr[:]...)
 		index = append(index, ie.last.key...)
 	}
-	indexOff, cost, err := tw.w.Append(index)
-	tw.cost += cost
+	indexOff, _, err := tw.w.Append(index)
 	if err != nil {
-		return tableMeta{}, tw.cost, err
+		return tableMeta{}, err
 	}
 	crc := crc32.ChecksumIEEE(index)
 	crc = crc32.Update(crc, crc32.IEEETable, filter)
@@ -247,22 +242,18 @@ func (tw *tableWriter) finish() (tableMeta, time.Duration, error) {
 	binary.LittleEndian.PutUint32(footer[24:], uint32(tw.meta.entries))
 	binary.LittleEndian.PutUint32(footer[28:], crc)
 	binary.LittleEndian.PutUint64(footer[32:], sstMagic)
-	_, cost, err = tw.w.Append(footer)
-	tw.cost += cost
-	if err != nil {
-		return tableMeta{}, tw.cost, err
+	if _, _, err := tw.w.Append(footer); err != nil {
+		return tableMeta{}, err
 	}
-	cost, err = tw.w.Close()
-	tw.cost += cost
-	if err != nil {
-		return tableMeta{}, tw.cost, err
+	if _, err := tw.w.Close(); err != nil {
+		return tableMeta{}, err
 	}
 	size, err := tw.fs.Size(tableName(tw.meta.num))
 	if err != nil {
-		return tableMeta{}, tw.cost, err
+		return tableMeta{}, err
 	}
 	tw.meta.size = size
-	return tw.meta, tw.cost, nil
+	return tw.meta, nil
 }
 
 // abandon closes and removes a partially written table after an error.
@@ -274,8 +265,8 @@ func (tw *tableWriter) abandon() {
 }
 
 // tableReader reads an SSTable: sparse index + bloom filter are loaded
-// once; data blocks are fetched on demand (each fetch pays device time,
-// which is where LevelDB's read tail latency comes from).
+// once; data blocks are fetched on demand (each fetch advances the device
+// clock, which is where LevelDB's read tail latency comes from).
 type tableReader struct {
 	fs     blockfs.FS
 	meta   tableMeta
@@ -286,24 +277,21 @@ type tableReader struct {
 }
 
 // openTable loads the table's index and filter into memory.
-func openTable(fs blockfs.FS, meta tableMeta) (*tableReader, time.Duration, error) {
+func openTable(fs blockfs.FS, meta tableMeta) (*tableReader, error) {
 	r, err := fs.Open(tableName(meta.num))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	size := r.Size()
 	if size < footerSize {
-		return nil, 0, fmt.Errorf("%w: too small", ErrSSTCorrupt)
+		return nil, fmt.Errorf("%w: too small", ErrSSTCorrupt)
 	}
-	var total time.Duration
 	footer := make([]byte, footerSize)
-	_, cost, err := r.ReadAt(footer, size-footerSize)
-	total += cost
-	if err != nil {
-		return nil, total, err
+	if _, _, err := r.ReadAt(footer, size-footerSize); err != nil {
+		return nil, err
 	}
 	if binary.LittleEndian.Uint64(footer[32:]) != sstMagic {
-		return nil, total, fmt.Errorf("%w: bad magic", ErrSSTCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", ErrSSTCorrupt)
 	}
 	indexOff := binary.LittleEndian.Uint64(footer[0:])
 	indexLen := binary.LittleEndian.Uint32(footer[8:])
@@ -313,30 +301,26 @@ func openTable(fs blockfs.FS, meta tableMeta) (*tableReader, time.Duration, erro
 
 	indexBuf := make([]byte, indexLen)
 	if indexLen > 0 {
-		_, cost, err = r.ReadAt(indexBuf, int64(indexOff))
-		total += cost
-		if err != nil {
-			return nil, total, err
+		if _, _, err := r.ReadAt(indexBuf, int64(indexOff)); err != nil {
+			return nil, err
 		}
 	}
 	filterBuf := make([]byte, filterLen)
 	if filterLen > 0 {
-		_, cost, err = r.ReadAt(filterBuf, int64(filterOff))
-		total += cost
-		if err != nil {
-			return nil, total, err
+		if _, _, err := r.ReadAt(filterBuf, int64(filterOff)); err != nil {
+			return nil, err
 		}
 	}
 	crc := crc32.ChecksumIEEE(indexBuf)
 	crc = crc32.Update(crc, crc32.IEEETable, filterBuf)
 	if crc != wantCRC {
-		return nil, total, fmt.Errorf("%w: index/filter checksum", ErrSSTCorrupt)
+		return nil, fmt.Errorf("%w: index/filter checksum", ErrSSTCorrupt)
 	}
 
 	tr := &tableReader{fs: fs, meta: meta, r: r, filter: bloomFilter(filterBuf)}
 	for p := 0; p < len(indexBuf); {
 		if p+26 > len(indexBuf) {
-			return nil, total, fmt.Errorf("%w: short index entry", ErrSSTCorrupt)
+			return nil, fmt.Errorf("%w: short index entry", ErrSSTCorrupt)
 		}
 		klen := int(binary.LittleEndian.Uint16(indexBuf[p:]))
 		ie := indexEntry{
@@ -346,19 +330,19 @@ func openTable(fs blockfs.FS, meta tableMeta) (*tableReader, time.Duration, erro
 		}
 		p += 26
 		if p+klen > len(indexBuf) {
-			return nil, total, fmt.Errorf("%w: short index key", ErrSSTCorrupt)
+			return nil, fmt.Errorf("%w: short index key", ErrSSTCorrupt)
 		}
 		ie.last.key = string(indexBuf[p : p+klen])
 		p += klen
 		tr.index = append(tr.index, ie)
 	}
-	return tr, total, nil
+	return tr, nil
 }
 
 // get searches the table for the exact composite key.
-func (tr *tableReader) get(ik ikey) ([]byte, uint8, bool, time.Duration, error) {
+func (tr *tableReader) get(ik ikey) ([]byte, uint8, bool, error) {
 	if !tr.filter.mayContain(ik.key) {
-		return nil, 0, false, 0, nil
+		return nil, 0, false, nil
 	}
 	// Binary search the sparse index for the first block whose last key
 	// is >= ik.
@@ -372,46 +356,46 @@ func (tr *tableReader) get(ik ikey) ([]byte, uint8, bool, time.Duration, error) 
 		}
 	}
 	if lo == len(tr.index) {
-		return nil, 0, false, 0, nil
+		return nil, 0, false, nil
 	}
-	block, cost, err := tr.readBlockCached(tr.index[lo])
+	block, err := tr.readBlockCached(tr.index[lo])
 	if err != nil {
-		return nil, 0, false, cost, err
+		return nil, 0, false, err
 	}
 	for p := 0; p < len(block); {
 		e, n, err := decodeEntry(block[p:])
 		if err != nil {
-			return nil, 0, false, cost, err
+			return nil, 0, false, err
 		}
 		p += n
 		if c := ikeyCompare(e.ik, ik); c == 0 {
-			return e.value, e.kind, true, cost, nil
+			return e.value, e.kind, true, nil
 		} else if c > 0 {
 			break
 		}
 	}
-	return nil, 0, false, cost, nil
+	return nil, 0, false, nil
 }
 
-func (tr *tableReader) readBlock(ie indexEntry) ([]byte, time.Duration, error) {
+func (tr *tableReader) readBlock(ie indexEntry) ([]byte, error) {
 	buf := make([]byte, ie.len)
-	_, cost, err := tr.r.ReadAt(buf, int64(ie.off))
-	return buf, cost, err
+	_, _, err := tr.r.ReadAt(buf, int64(ie.off))
+	return buf, err
 }
 
-// readBlockCached consults the shared block cache first; cached blocks
-// cost no device time. Iteration (compaction, range scans) bypasses the
+// readBlockCached consults the shared block cache first; a cached block
+// reads no flash. Iteration (compaction, range scans) bypasses the
 // cache to avoid evicting the hot read set, matching LevelDB.
-func (tr *tableReader) readBlockCached(ie indexEntry) ([]byte, time.Duration, error) {
+func (tr *tableReader) readBlockCached(ie indexEntry) ([]byte, error) {
 	key := cacheKey{table: tr.meta.num, off: ie.off}
 	if data, ok := tr.cache.get(key); ok {
-		return data, 0, nil
+		return data, nil
 	}
-	data, cost, err := tr.readBlock(ie)
+	data, err := tr.readBlock(ie)
 	if err == nil {
 		tr.cache.put(key, data)
 	}
-	return data, cost, err
+	return data, err
 }
 
 // iter returns a sorted iterator over the whole table (used by
@@ -428,7 +412,6 @@ type tableIter struct {
 	pos      int
 	cur      entry
 	valid    bool
-	cost     time.Duration
 	err      error
 }
 
@@ -451,8 +434,7 @@ func (it *tableIter) next() bool {
 			it.valid = false
 			return false
 		}
-		block, cost, err := it.tr.readBlock(it.tr.index[it.blockIdx])
-		it.cost += cost
+		block, err := it.tr.readBlock(it.tr.index[it.blockIdx])
 		if err != nil {
 			it.err = err
 			it.valid = false

@@ -1,8 +1,6 @@
 package mint
 
 import (
-	"time"
-
 	"directload/internal/aof"
 	"directload/internal/blockfs"
 	"directload/internal/core"
@@ -14,19 +12,47 @@ import (
 // (internal/core) and the LevelDB-style baseline (internal/lsm) satisfy
 // it, which lets whole-system experiments swap the storage layer while
 // keeping Mint's placement and replication logic identical —
-// the "with vs without DirectLoad" comparison of Fig. 10a.
+// the "with vs without DirectLoad" comparison of Fig. 10a. A call
+// returns no virtual time: it advances the node's device clock, and the
+// caller reads that clock.
 type Engine interface {
-	Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error)
-	Get(key []byte, version uint64) ([]byte, time.Duration, error)
-	Del(key []byte, version uint64) (time.Duration, error)
-	DropVersion(version uint64) (int, time.Duration, error)
+	Put(key []byte, version uint64, value []byte, dedup bool) error
+	Get(key []byte, version uint64) ([]byte, error)
+	Del(key []byte, version uint64) error
+	DropVersion(version uint64) (int, error)
 	Close() error
+}
+
+// QinDBEngine is a core.DB as an Engine. core's calls still return the
+// virtual time they spent, which the device clock already holds, so
+// QinDBEngine drops it.
+type QinDBEngine struct{ *core.DB }
+
+func (e QinDBEngine) Put(key []byte, version uint64, value []byte, dedup bool) error {
+	_, err := e.DB.Put(key, version, value, dedup)
+	return err
+}
+
+func (e QinDBEngine) Get(key []byte, version uint64) ([]byte, error) {
+	val, _, err := e.DB.Get(key, version)
+	return val, err
+}
+
+func (e QinDBEngine) Del(key []byte, version uint64) error {
+	_, err := e.DB.Del(key, version)
+	return err
+}
+
+func (e QinDBEngine) DropVersion(version uint64) (int, error) {
+	n, _, err := e.DB.DropVersion(version)
+	return n, err
 }
 
 // EngineStack bundles a node's engine with the flash it runs on.
 type EngineStack struct {
 	Engine Engine
-	// Device exposes the node's flash (clock, firmware counters).
+	// Device is the node's flash: its clock is the node's virtual time,
+	// and its firmware counters are the node's I/O.
 	Device *ssd.Device
 	// UsedBytes reports physical flash occupied.
 	UsedBytes func() int64
@@ -51,7 +77,7 @@ func QinDBFactory(opts core.Options) EngineFactory {
 		if err != nil {
 			return nil, err
 		}
-		return &EngineStack{Engine: db, Device: dev, UsedBytes: fs.UsedBytes}, nil
+		return &EngineStack{Engine: QinDBEngine{db}, Device: dev, UsedBytes: fs.UsedBytes}, nil
 	}
 }
 

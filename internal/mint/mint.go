@@ -6,11 +6,15 @@
 // group's replicas in parallel.
 //
 // Every storage node runs a QinDB engine (or, for baseline experiments,
-// the LSM engine) over its own simulated SSD. Parallelism is modeled, not
-// executed: a fan-out read costs the minimum simulated latency among the
-// replicas that answered. The cluster exists to print the paper's
-// whole-system figures; node crashes and the parallel reads that hide a
-// recovering node run over the wire in internal/fleet.
+// the LSM engine) over its own simulated SSD, and that device's clock is
+// the node's virtual time. The simulation runs on one goroutine (no
+// package under it starts one), so the clock's advance across a call is
+// that call's cost, and each replica is charged its own device's advance.
+// Parallelism is modeled, not executed: a write costs its slowest acked
+// replica, and a fan-out read the fastest replica that answered. The
+// cluster exists to print the paper's whole-system figures; node crashes
+// and the parallel reads that hide a recovering node run over the wire
+// in internal/fleet.
 package mint
 
 import (
@@ -21,6 +25,7 @@ import (
 
 	"directload/internal/core"
 	"directload/internal/placement"
+	"directload/internal/ssd"
 )
 
 // Cluster errors.
@@ -61,8 +66,9 @@ func DefaultConfig() Config {
 
 // Node is one storage server: a storage engine over a private SSD.
 type Node struct {
-	ID string
-	db Engine
+	ID  string
+	db  Engine
+	dev *ssd.Device
 }
 
 // Group is a replication group.
@@ -125,7 +131,7 @@ func (c *Cluster) AddNode(groupID int) (*Node, error) {
 	if _, dup := c.byID[id]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDupNode, id)
 	}
-	n := &Node{ID: id, db: stack.Engine}
+	n := &Node{ID: id, db: stack.Engine, dev: stack.Device}
 	c.groups[groupID].Nodes = append(c.groups[groupID].Nodes, n)
 	c.byID[id] = n
 	return n, nil
@@ -166,7 +172,7 @@ func (c *Cluster) ReplicaIDs(key []byte) []string {
 
 // Put writes (key, version, value) to the key's replica set. It succeeds
 // when a majority of the replicas accept. The returned cost models
-// parallel replication: the slowest accepting replica.
+// parallel replication: the slowest accepting replica's device time.
 func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
 	if len(c.groups) == 0 {
 		return 0, ErrNoGroup
@@ -176,15 +182,13 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 	acked := 0
 	var lastErr error
 	for _, n := range c.replicasFor(key, g) {
-		cost, err := n.db.Put(key, version, value, dedup)
-		if err != nil {
+		start := n.dev.Now()
+		if err := n.db.Put(key, version, value, dedup); err != nil {
 			lastErr = err
 			continue
 		}
 		acked++
-		if cost > slowest {
-			slowest = cost
-		}
+		slowest = max(slowest, n.dev.Now()-start)
 	}
 	if quorum := c.cfg.Replicas/2 + 1; acked < quorum {
 		return slowest, fmt.Errorf("%w: %d/%d acked: %v", ErrQuorum, acked, quorum, lastErr)
@@ -193,7 +197,8 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 }
 
 // Get reads (key, version) from the replica set in parallel and returns
-// the first successful answer. The cost models the fastest replica.
+// the first successful answer. The cost models the fastest replica: the
+// least device time among those that answered.
 func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 	if len(c.groups) == 0 {
 		return nil, 0, ErrNoGroup
@@ -206,7 +211,9 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 	// group-wide fan-out finds data written under any historical replica
 	// set (the paper's no-redistribution property).
 	for _, n := range g.Nodes {
-		val, cost, err := n.db.Get(key, version)
+		start := n.dev.Now()
+		val, err := n.db.Get(key, version)
+		cost := n.dev.Now() - start
 		if err != nil {
 			if lastErr == ErrAllReplicasErr {
 				lastErr = err
@@ -224,14 +231,16 @@ func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error)
 }
 
 // DropVersion retires a whole data version on every node (the paper's
-// deletion thread, cluster-wide).
+// deletion thread, cluster-wide). The cost is the nodes' device time
+// summed.
 func (c *Cluster) DropVersion(version uint64) (int, time.Duration, error) {
 	var total time.Duration
 	dropped := 0
 	for _, g := range c.groups {
 		for _, n := range g.Nodes {
-			k, cost, err := n.db.DropVersion(version)
-			total += cost
+			start := n.dev.Now()
+			k, err := n.db.DropVersion(version)
+			total += n.dev.Now() - start
 			if err != nil {
 				return dropped, total, err
 			}

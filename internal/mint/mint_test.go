@@ -33,16 +33,16 @@ type failableEngine struct {
 	down bool
 }
 
-func (e *failableEngine) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
+func (e *failableEngine) Put(key []byte, version uint64, value []byte, dedup bool) error {
 	if e.down {
-		return 0, errNodeDown
+		return errNodeDown
 	}
 	return e.Engine.Put(key, version, value, dedup)
 }
 
-func (e *failableEngine) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
+func (e *failableEngine) Get(key []byte, version uint64) ([]byte, error) {
 	if e.down {
-		return nil, 0, errNodeDown
+		return nil, errNodeDown
 	}
 	return e.Engine.Get(key, version)
 }
@@ -113,7 +113,7 @@ func TestReplication3x(t *testing.T) {
 	holders := 0
 	for _, g := range c.groups {
 		for _, n := range g.Nodes {
-			if _, _, err := n.db.Get(key, 1); err == nil {
+			if _, err := n.db.Get(key, 1); err == nil {
 				holders++
 				if g.ID != c.place.Group(key, len(c.groups)) {
 					t.Fatal("replica outside the key's group")
@@ -281,5 +281,50 @@ func TestGroupForStability(t *testing.T) {
 	g2 := c.GroupFor([]byte("stable"))
 	if g1 != g2 {
 		t.Fatal("GroupFor must be deterministic")
+	}
+}
+
+// TestPutCostIsSlowestDeviceDelta: a Put costs exactly how far it
+// advanced its slowest acked replica's device clock, also when it fills a
+// node's AOF file and the rotation programs that file's partial tail page
+// as it closes.
+func TestPutCostIsSlowestDeviceDelta(t *testing.T) {
+	c, err := New(Config{
+		Groups:        1,
+		NodesPerGroup: 3,
+		Replicas:      3,
+		NodeCapacity:  64 << 20,
+		Factory: QinDBFactory(core.Options{
+			AOF:  aof.Config{FileSize: 64 << 10, GCThreshold: 0.25},
+			Seed: 1,
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	nodes := c.groups[0].Nodes
+	files := func() int { return nodes[0].db.(QinDBEngine).Stats().Store.Files }
+	filesBefore := files()
+	val := bytes.Repeat([]byte{7}, 5000) // no page multiple: a closing file has a partial tail page
+	start := make([]time.Duration, len(nodes))
+	for i := 0; i < 40; i++ {
+		for j, n := range nodes {
+			start[j] = n.dev.Now()
+		}
+		cost, err := c.Put([]byte(fmt.Sprintf("key/%03d", i)), 1, val, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want time.Duration
+		for j, n := range nodes {
+			want = max(want, n.dev.Now()-start[j])
+		}
+		if cost != want {
+			t.Fatalf("Put %d cost %v, slowest replica's device advanced %v", i, cost, want)
+		}
+	}
+	if files() <= filesBefore {
+		t.Fatalf("AOF files %d -> %d: no Put rotated a file", filesBefore, files())
 	}
 }
