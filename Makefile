@@ -1,7 +1,7 @@
 GO ?= go
 GIT_SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures loc deps check clean
+.PHONY: build test race vet lint lint-fixtures bench fuzz-smoke examples figures loc reach deps check clean
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,22 @@ loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
 	printf "%6d %s\n", n, $$1; total += n } END { printf "%6d total\n", total }'
+
+# How much of the simulation the figures reach: cmd/figures (seed 1) and
+# the three examples that drive the simulation in-process, built with
+# coverage and run into one counter directory, then statement coverage
+# per simulation package. A record, not a gate: code at 0 % here is code
+# no figure or example runs. -coverpkg names the module path; with
+# ./internal/... the binaries wrote no counter files.
+REACH_EXAMPLES := indexpipeline quickstart regionalupdate
+reach:
+	@rm -rf bin/reach && mkdir -p bin/reach/cov
+	@$(GO) build -cover -coverpkg=directload/... -o bin/reach/figures ./cmd/figures
+	@for e in $(REACH_EXAMPLES); do $(GO) build -cover -coverpkg=directload/... -o bin/reach/$$e ./examples/$$e || exit 1; done
+	@GOCOVERDIR=bin/reach/cov bin/reach/figures -seed 1 >/dev/null
+	@for e in $(REACH_EXAMPLES); do GOCOVERDIR=bin/reach/cov bin/reach/$$e >/dev/null || exit 1; done
+	@$(GO) tool covdata percent -i bin/reach/cov \
+		-pkg directload/internal/lsm,directload/internal/mint,directload/internal/skiplist,directload/internal/netsim,directload/internal/bifrost,directload/internal/cluster,directload/internal/experiments,directload/internal/indexer
 
 # The daemon and its client link the engine and the wire stack only:
 # the simulation behind the figures (and the LevelDB baseline under it)

@@ -27,7 +27,7 @@
 //
 // With -metrics-addr set the daemon exposes the operator endpoints of
 // internal/ops: /metrics (text, ?format=json, ?format=prom), /healthz,
-// /readyz, /debug/slowlog,
+// /debug/slowlog,
 // /debug/attrib (per-op resource attribution, see -attr-sample), and
 // (with -pprof) the runtime profiler under /debug/pprof/ (go tool pprof
 // http://ADDR/debug/pprof/allocs?seconds=5 captures a windowed delta).
@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"os"
@@ -72,16 +71,6 @@ var (
 
 // shutdownGrace bounds draining the operator HTTP server on shutdown.
 const shutdownGrace = 3 * time.Second
-
-// readiness builds the /readyz check: the engine must be open.
-func readiness(db *core.DB) func() error {
-	return func() error {
-		if db.Health().Closed {
-			return errors.New("engine closed")
-		}
-		return nil
-	}
-}
 
 func main() {
 	log.SetFlags(log.LstdFlags)
@@ -138,7 +127,6 @@ func main() {
 		opsSrv, err = ops.Listen(*metricsAddr, ops.Config{
 			Registry:    reg,
 			SlowLog:     slow,
-			Ready:       readiness(db),
 			EnablePprof: *pprofOn,
 			Attrib:      s.Backend().Attribution,
 		})

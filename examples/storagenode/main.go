@@ -2,8 +2,7 @@
 // talks to it through the client — the wire-level view of a single Mint
 // node serving deduplicated index data. It demonstrates the client
 // surface (context-aware calls, batched publishes, pipelined reads) and
-// the operator surface: metrics and the /healthz–/readyz–/debug
-// endpoints.
+// the operator surface: metrics and the /healthz and /debug endpoints.
 //
 //	go run ./examples/storagenode
 package main
@@ -55,16 +54,10 @@ func main() {
 	fmt.Printf("storage node listening on %s\n", ln.Addr())
 
 	// Operator endpoints: /metrics (?format=prom for scrapers),
-	// /healthz, /readyz, /debug/slowlog.
+	// /healthz, /debug/slowlog.
 	opsSrv, err := ops.Listen("127.0.0.1:0", ops.Config{
 		Registry: reg,
 		SlowLog:  slow,
-		Ready: func() error {
-			if db.Health().Closed {
-				return fmt.Errorf("engine not serving")
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

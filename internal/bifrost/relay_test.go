@@ -95,6 +95,54 @@ func TestDeliveryRetriesCounted(t *testing.T) {
 	}
 }
 
+// TestLinkDownDeliveryKeepsFirstHopRetries: a delivery whose relay→DC
+// hop waits out a link outage still counts the retransmissions its
+// builder→relay hop took.
+func TestLinkDownDeliveryKeepsFirstHopRetries(t *testing.T) {
+	top := testTopology(t)
+	sh := NewShipper(top, 1)
+	region := top.Regions[0]
+	setDCLinks := func(down bool) {
+		for _, dc := range region.DCs {
+			for _, relay := range region.Relays {
+				top.Net.SetLinkDown(relay, dc, down)
+			}
+		}
+	}
+	setDCLinks(true)
+	top.Net.After(time.Minute, func(time.Duration) { setDCLinks(false) })
+	// Corrupt the first arrival on the builder→relay hop, and nothing
+	// after it: that hop takes exactly one retransmission.
+	sh.CorruptProb = 1
+	var poll func(time.Duration)
+	poll = func(time.Duration) {
+		if sh.Stats().CorruptionSeen > 0 {
+			sh.CorruptProb = 0
+			return
+		}
+		top.Net.After(10*time.Millisecond, poll)
+	}
+	top.Net.After(0, poll)
+
+	var got []int
+	if err := sh.ShipToRegionDCs(makeSlice(1, StreamSummary, 5000), region, region.DCs, func(d Delivery) {
+		got = append(got, d.Retries)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	top.Net.Run(10 * time.Minute)
+	if len(got) != len(region.DCs) {
+		t.Fatalf("delivered %d of %d", len(got), len(region.DCs))
+	}
+	// One retransmission on the first hop, one link-down resend on the
+	// second.
+	for _, r := range got {
+		if r != 2 {
+			t.Fatalf("delivery retries = %v, want 2 each", got)
+		}
+	}
+}
+
 // TestBackboneDetour: when the builder's uplinks to a region are
 // saturated, a slice already cached by another region's relay is
 // fetched over the backbone instead (paper §2.2).

@@ -241,7 +241,7 @@ func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.Node
 		s.holders[slice] = append(s.holders[slice], relay)
 		for _, dc := range dcs {
 			dc := dc
-			err := s.sendHop(slice, relay, dc, 0, func(moreRetries int, now time.Duration) {
+			deliver := func(moreRetries int, now time.Duration) {
 				d := Delivery{
 					Slice: slice, DC: dc,
 					Available: available, Arrived: now,
@@ -253,29 +253,11 @@ func (s *Shipper) ShipToRegionDCs(slice *Slice, region Region, dcs []netsim.Node
 				if onDelivered != nil {
 					onDelivered(d)
 				}
-			})
-			if err != nil {
+			}
+			if err := s.sendHop(slice, relay, dc, 0, deliver); err != nil {
 				// Link down right now: retry after a pause.
-				s.retryLater(slice, relay, dc, available, onDelivered)
+				s.resend(30*time.Second, slice, relay, dc, 1, deliver)
 			}
-		}
-	})
-}
-
-// retryLater reschedules a failed hop after a back-off.
-func (s *Shipper) retryLater(slice *Slice, from, to netsim.NodeID, available time.Duration, onDelivered func(d Delivery)) {
-	s.Top.Net.After(30*time.Second, func(now time.Duration) {
-		err := s.sendHop(slice, from, to, 1, func(retries int, now time.Duration) {
-			d := Delivery{Slice: slice, DC: to, Available: available, Arrived: now, Retries: retries}
-			s.deliveries = append(s.deliveries, d)
-			s.stats.Deliveries++
-			s.stats.PayloadBytes += float64(slice.Size())
-			if onDelivered != nil {
-				onDelivered(d)
-			}
-		})
-		if err != nil {
-			s.retryLater(slice, from, to, available, onDelivered)
 		}
 	})
 }
@@ -315,30 +297,19 @@ func (s *Shipper) sendHop(slice *Slice, from, to netsim.NodeID, attempt int, onO
 // exactly how misses accrue in Fig. 10b.
 func (s *Shipper) retryOrRepair(slice *Slice, from, to netsim.NodeID, attempt int, onOK func(retries int, now time.Duration)) {
 	if attempt < s.MaxRetries {
-		s.retryHop(slice, from, to, attempt+1, onOK)
+		s.resend(time.Second, slice, from, to, attempt+1, onOK)
 		return
 	}
 	s.stats.Repairs++
-	s.Top.Net.After(2*time.Minute, func(now time.Duration) {
-		if err := s.sendHop(slice, from, to, 0, onOK); err != nil {
-			s.retryLater2(slice, from, to, 0, onOK)
-		}
-	})
+	s.resend(2*time.Minute, slice, from, to, 0, onOK)
 }
 
-// retryHop schedules a hop retransmission immediately (virtual time).
-func (s *Shipper) retryHop(slice *Slice, from, to netsim.NodeID, attempt int, onOK func(retries int, now time.Duration)) {
-	s.Top.Net.After(time.Second, func(now time.Duration) {
+// resend sends a hop again after delay (virtual time), and every 30 s
+// after that while the link stays down.
+func (s *Shipper) resend(delay time.Duration, slice *Slice, from, to netsim.NodeID, attempt int, onOK func(retries int, now time.Duration)) {
+	s.Top.Net.After(delay, func(time.Duration) {
 		if err := s.sendHop(slice, from, to, attempt, onOK); err != nil {
-			s.retryLater2(slice, from, to, attempt, onOK)
-		}
-	})
-}
-
-func (s *Shipper) retryLater2(slice *Slice, from, to netsim.NodeID, attempt int, onOK func(retries int, now time.Duration)) {
-	s.Top.Net.After(30*time.Second, func(now time.Duration) {
-		if err := s.sendHop(slice, from, to, attempt, onOK); err != nil {
-			s.retryLater2(slice, from, to, attempt, onOK)
+			s.resend(30*time.Second, slice, from, to, attempt, onOK)
 		}
 	})
 }

@@ -305,7 +305,7 @@ func (d *DirectLoad) PublishVersion(version uint64, entries []Entry) (UpdateRepo
 		old := d.versions[0]
 		d.versions = d.versions[1:]
 		for _, dc := range d.DCs {
-			if _, _, err := dc.Store.DropVersion(old); err != nil {
+			if _, err := dc.Store.DropVersion(old); err != nil {
 				return rep, err
 			}
 			delete(dc.state, old)
@@ -416,7 +416,7 @@ func (d *DirectLoad) Get(dcID netsim.NodeID, key []byte) ([]byte, error) {
 	if dc.active == 0 {
 		return nil, fmt.Errorf("%w: no active version at %s", ErrVersionMissing, dcID)
 	}
-	val, _, err := dc.Store.Get(key, dc.active)
+	val, err := dc.Store.Get(key, dc.active)
 	return val, err
 }
 

@@ -80,7 +80,7 @@ func testGenerator(t *testing.T, keys, valSize int) *workload.Generator {
 func stored(dc *DataCenter, g *workload.Generator, n int, version uint64) int {
 	held := 0
 	for i := 0; i < n; i++ {
-		if _, _, err := dc.Store.Get(g.Key(i), version); err == nil {
+		if _, err := dc.Store.Get(g.Key(i), version); err == nil {
 			held++
 		}
 	}

@@ -320,20 +320,6 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// HealthReport is a point-in-time engine readiness snapshot — the
-// inputs of an operator's /readyz decision.
-type HealthReport struct {
-	Closed bool `json:"closed"`
-}
-
-// Health returns the engine's readiness snapshot. Usable (and cheap)
-// with or without a metrics registry.
-func (db *DB) Health() HealthReport {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return HealthReport{Closed: db.closed}
-}
-
 // registerDerivedMetrics publishes the computed gauges the experiments
 // report: memtable items and the software write-amplification ratio
 // (AOF bytes physically appended — including GC re-appends — over user

@@ -63,28 +63,9 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	}
 	defer db.Close()
 	dev := stack.Device
-
-	gen, err := workload.NewGenerator(workload.KVConfig{
-		Keys: cfg.Keys, ValueSize: cfg.ValueSize,
-		ValueSizeStdDev: cfg.ValueSize / 8, Seed: cfg.Seed,
-	})
+	gen, userBytes, err := loadChurn(cfg, db)
 	if err != nil {
 		return p, err
-	}
-	var userBytes int64
-	for v := 1; v <= cfg.Versions; v++ {
-		err := gen.NextVersion(func(e workload.Entry) error {
-			userBytes += int64(len(e.Key) + len(e.Value))
-			return db.Put(e.Key, e.Version, e.Value, false)
-		})
-		if err != nil {
-			return p, err
-		}
-		if v > cfg.Retain {
-			if _, err := db.DropVersion(uint64(v - cfg.Retain)); err != nil {
-				return p, err
-			}
-		}
 	}
 	// R: read every live key once at the newest version.
 	hist := metrics.NewHistogram()
@@ -106,6 +87,36 @@ func runRUMPoint(cfg Fig5Config, threshold float64) (RUMPoint, error) {
 	pages := stack.UsedBytes() / int64(dev.Config().PageSize)
 	p.RecoveryTime = time.Duration(pages) * lat.PageRead / time.Duration(lat.Channels)
 	return p, nil
+}
+
+// loadChurn writes the Fig. 5 churn workload into e: cfg.Versions full
+// versions of fresh values, each version dropped once cfg.Retain newer
+// ones exist. It returns the generator (for its keys) and the user bytes
+// written.
+func loadChurn(cfg Fig5Config, e mint.Engine) (*workload.Generator, int64, error) {
+	gen, err := workload.NewGenerator(workload.KVConfig{
+		Keys: cfg.Keys, ValueSize: cfg.ValueSize,
+		ValueSizeStdDev: cfg.ValueSize / 8, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	var userBytes int64
+	for v := 1; v <= cfg.Versions; v++ {
+		err := gen.NextVersion(func(en workload.Entry) error {
+			userBytes += int64(len(en.Key) + len(en.Value))
+			return e.Put(en.Key, en.Version, en.Value, false)
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		if v > cfg.Retain {
+			if _, err := e.DropVersion(uint64(v - cfg.Retain)); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	return gen, userBytes, nil
 }
 
 // InterfaceResult compares one engine on native (block-aligned) flash vs
@@ -196,27 +207,8 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 		engine = db
 	}
 	defer engine.Close()
-
-	gen, err := workload.NewGenerator(workload.KVConfig{
-		Keys: cfg.Keys, ValueSize: cfg.ValueSize,
-		ValueSizeStdDev: cfg.ValueSize / 8, Seed: cfg.Seed,
-	})
-	if err != nil {
+	if _, res.UserBytes, err = loadChurn(cfg, engine); err != nil {
 		return res, err
-	}
-	for v := 1; v <= cfg.Versions; v++ {
-		err := gen.NextVersion(func(e workload.Entry) error {
-			res.UserBytes += int64(len(e.Key) + len(e.Value))
-			return engine.Put(e.Key, e.Version, e.Value, false)
-		})
-		if err != nil {
-			return res, err
-		}
-		if v > cfg.Retain {
-			if _, err := engine.DropVersion(uint64(v - cfg.Retain)); err != nil {
-				return res, err
-			}
-		}
 	}
 	st := dev.Stats()
 	res.SysWriteBytes = st.SysWriteBytes

@@ -699,8 +699,7 @@ func (f *Fleet) probeAll() {
 }
 
 // ProbeNow runs one synchronous probe round — the deterministic hook
-// tests and the qindbctl fleet subcommand use instead of waiting for
-// the background prober.
+// tests use instead of waiting for the background prober.
 func (f *Fleet) ProbeNow() {
 	if f.closed.Load() {
 		return

@@ -2,82 +2,11 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"directload/internal/ssd"
 )
-
-// TestManifestCorruptionFallsBackToEmpty: a destroyed manifest means the
-// engine cannot trust any on-disk state; it must come up empty and
-// usable rather than serving garbage.
-func TestManifestCorruptionFallsBackToEmpty(t *testing.T) {
-	fs := testFS(t, 512)
-	db, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		lput(t, db, fmt.Sprintf("k-%03d", i), 1, "v")
-	}
-	db.Flush()
-	db.Close()
-
-	// Corrupt every manifest byte-wise.
-	for _, n := range fs.List() {
-		var num uint64
-		if _, err := fmt.Sscanf(n, "manifest-%010d", &num); err == nil {
-			fs.Remove(n)
-			w, _ := fs.Create(n)
-			w.Append([]byte("definitely not a manifest"))
-			w.Close()
-		}
-	}
-	db2, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatalf("open after manifest corruption: %v", err)
-	}
-	defer db2.Close()
-	if _, err := db2.Get([]byte("k-000"), 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("corrupt-manifest DB should be empty, Get err = %v", err)
-	}
-	lput(t, db2, "fresh", 1, "usable")
-	if got := lget(t, db2, "fresh", 1); got != "usable" {
-		t.Fatal("DB unusable after manifest loss")
-	}
-}
-
-// TestWALTornTail: a WAL whose last record is truncated replays the
-// prefix and drops the torn record — standard crash semantics.
-func TestWALTornTail(t *testing.T) {
-	fs := testFS(t, 512)
-	db, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lput(t, db, "a", 1, "intact")
-	lput(t, db, "b", 1, "also-intact")
-	// Simulate the crash by NOT closing; instead corrupt the WAL tail by
-	// appending garbage bytes that decode as a half-record.
-	db.mu.Lock()
-	walName := walName(db.walNum)
-	db.wal.Append([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF, 0x7F, 0x01}) // bogus frame
-	db.mu.Unlock()
-	_ = walName
-
-	db2, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatalf("open with torn WAL: %v", err)
-	}
-	defer db2.Close()
-	if got := lget(t, db2, "a", 1); got != "intact" {
-		t.Fatalf("a = %q", got)
-	}
-	if got := lget(t, db2, "b", 1); got != "also-intact" {
-		t.Fatalf("b = %q", got)
-	}
-}
 
 // TestBloomFiltersSaveIO: point lookups for absent keys should rarely
 // touch data blocks thanks to the per-table bloom filters.
@@ -105,48 +34,6 @@ func TestBloomFiltersSaveIO(t *testing.T) {
 	// page per miss.
 	if readPerMiss > 2048 {
 		t.Fatalf("absent-key lookups read %.0f bytes each; bloom filters ineffective", readPerMiss)
-	}
-}
-
-// TestGetAfterReopenFindsAllLevels: data spread across several levels by
-// compaction survives restart (manifest + table files).
-func TestGetAfterReopenFindsAllLevels(t *testing.T) {
-	fs := testFS(t, 2048)
-	db, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := bytes.Repeat([]byte{2}, 1024)
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 300; i++ {
-			lput(t, db, fmt.Sprintf("key-%04d", i), uint64(round+1), string(val))
-		}
-	}
-	st := db.Stats()
-	if st.Compactions == 0 {
-		t.Fatal("precondition: compactions must have run")
-	}
-	db.Close()
-
-	db2, err := Open(fs, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < 300; i += 17 {
-		for _, v := range []uint64{5, 8} {
-			if got := lget(t, db2, fmt.Sprintf("key-%04d", i), v); got != string(val) {
-				t.Fatalf("key-%04d/%d lost across restart", i, v)
-			}
-		}
-	}
-	levels := db2.Stats().TablesPerLevel
-	deep := 0
-	for l := 1; l < len(levels); l++ {
-		deep += levels[l]
-	}
-	if deep == 0 {
-		t.Fatal("expected tables below L0 after restart")
 	}
 }
 

@@ -313,7 +313,7 @@ func (db *DB) compactLevelLocked(level int) error {
 			pendingSplit = false
 		}
 		if tw == nil {
-			w, err := newTableWriter(db.fs, db.nextNum, target)
+			w, err := newTableWriter(db.fs, db.nextNum)
 			if err != nil {
 				return err
 			}

@@ -109,13 +109,18 @@ type DB struct {
 	compactPtr      []string // per-level round-robin compaction cursor
 }
 
-// Open creates or recovers an LSM DB over fs.
+// Open creates an LSM DB over fs, which must be empty. The baseline is
+// never reopened: it writes its WAL and manifest for the I/O a LevelDB
+// spends on them, and never reads them back.
 func Open(fs blockfs.FS, opts Options) (*DB, error) {
 	if opts.MemtableSize == 0 {
 		opts = DefaultOptions()
 	}
 	if opts.MaxLevels < 2 {
 		return nil, errors.New("lsm: need at least 2 levels")
+	}
+	if names := fs.List(); len(names) > 0 {
+		return nil, fmt.Errorf("lsm: filesystem holds %d files; Open needs an empty one", len(names))
 	}
 	db := &DB{
 		fs:         fs,
@@ -127,23 +132,10 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		nextNum:    1,
 		compactPtr: make([]string, opts.MaxLevels),
 	}
-	if err := db.recover(); err != nil {
-		return nil, fmt.Errorf("lsm: recovery: %w", err)
-	}
 	if err := db.newWALLocked(); err != nil {
 		return nil, err
 	}
-	// Leave a manifest that references the new WAL so a crash right after
-	// Open cannot orphan it. If recovery replayed WAL entries into the
-	// memtable, flushing them re-persists the data (the old WAL is gone).
-	if db.mem.Len() > 0 {
-		if err := db.flushMemLocked(); err != nil {
-			return nil, err
-		}
-		if err := db.maybeCompactLocked(); err != nil {
-			return nil, err
-		}
-	} else if err := db.writeManifestLocked(); err != nil {
+	if err := db.writeManifestLocked(); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -183,7 +175,9 @@ func (db *DB) newWALLocked() error {
 	return nil
 }
 
-// walAppend frames one entry as crc | len | payload.
+// walAppend frames one entry as crc | len | payload. Nothing replays it
+// (see Open); its bytes are the WAL share of the baseline's write
+// amplification.
 func (db *DB) walAppendLocked(e entry) error {
 	payload := encodeEntry(nil, e)
 	frame := make([]byte, 8, 8+len(payload))
@@ -192,43 +186,6 @@ func (db *DB) walAppendLocked(e entry) error {
 	frame = append(frame, payload...)
 	_, _, err := db.wal.Append(frame)
 	return err
-}
-
-// replayWAL feeds surviving WAL entries back into the memtable.
-func (db *DB) replayWAL(num uint64) error {
-	name := walName(num)
-	size, err := db.fs.Size(name)
-	if err != nil {
-		return err
-	}
-	r, err := db.fs.Open(name)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, _, err := r.ReadAt(buf, 0); err != nil {
-			return err
-		}
-	}
-	for p := int64(0); p+8 <= size; {
-		crc := binary.LittleEndian.Uint32(buf[p:])
-		n := int64(binary.LittleEndian.Uint32(buf[p+4:]))
-		if p+8+n > size {
-			break // torn tail: stop replay (normal crash semantics)
-		}
-		payload := buf[p+8 : p+8+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		e, _, err := decodeEntry(payload)
-		if err != nil {
-			break
-		}
-		db.applyToMemLocked(e)
-		p += 8 + n
-	}
-	return nil
 }
 
 func (db *DB) applyToMemLocked(e entry) {
@@ -299,7 +256,7 @@ func (db *DB) flushMemLocked() error {
 	}
 	num := db.nextNum
 	db.nextNum++
-	tw, err := newTableWriter(db.fs, num, 0)
+	tw, err := newTableWriter(db.fs, num)
 	if err != nil {
 		return err
 	}
@@ -354,7 +311,8 @@ func (db *DB) Flush() error {
 
 func manifestName(num uint64) string { return fmt.Sprintf("manifest-%010d", num) }
 
-// writeManifestLocked persists the level layout.
+// writeManifestLocked persists the level layout, as LevelDB does after
+// every flush and compaction. Nothing reads it back (see Open).
 func (db *DB) writeManifestLocked() error {
 	num := db.nextNum
 	db.nextNum++
@@ -395,136 +353,6 @@ func (db *DB) writeManifestLocked() error {
 	db.maniNum = num
 	if old != 0 {
 		db.fs.Remove(manifestName(old))
-	}
-	return nil
-}
-
-// loadManifest restores the level layout; ok=false means no usable
-// manifest (fresh DB or corrupt file).
-func (db *DB) loadManifest() bool {
-	var best string
-	var bestNum uint64
-	for _, n := range db.fs.List() {
-		var num uint64
-		if _, err := fmt.Sscanf(n, "manifest-%010d", &num); err == nil && num > bestNum {
-			best, bestNum = n, num
-		}
-	}
-	if best == "" {
-		return false
-	}
-	size, err := db.fs.Size(best)
-	if err != nil || size < 4 {
-		return false
-	}
-	r, err := db.fs.Open(best)
-	if err != nil {
-		return false
-	}
-	buf := make([]byte, size)
-	if _, _, err := r.ReadAt(buf, 0); err != nil {
-		return false
-	}
-	body := buf[:size-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[size-4:]) {
-		return false
-	}
-	p := 0
-	ok := true
-	need := func(n int) bool {
-		if p+n > len(body) {
-			ok = false
-			return false
-		}
-		return true
-	}
-	get32 := func() uint32 {
-		if !need(4) {
-			return 0
-		}
-		v := binary.LittleEndian.Uint32(body[p:])
-		p += 4
-		return v
-	}
-	get64 := func() uint64 {
-		if !need(8) {
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(body[p:])
-		p += 8
-		return v
-	}
-	getIK := func() ikey {
-		klen := int(get32())
-		if !need(klen) {
-			return ikey{}
-		}
-		k := string(body[p : p+klen])
-		p += klen
-		return ikey{key: k, ver: get64()}
-	}
-	nextNum := get64()
-	walNum := get64()
-	nLevels := int(get32())
-	if !ok || nLevels <= 0 || nLevels > 16 {
-		return false
-	}
-	levels := make([][]tableMeta, db.opts.MaxLevels)
-	for l := 0; l < nLevels; l++ {
-		n := int(get32())
-		for i := 0; i < n && ok; i++ {
-			m := tableMeta{level: l}
-			m.num = get64()
-			m.size = int64(get64())
-			m.entries = int(get32())
-			m.smallest = getIK()
-			m.largest = getIK()
-			if l < len(levels) {
-				levels[l] = append(levels[l], m)
-			}
-		}
-	}
-	if !ok {
-		return false
-	}
-	db.levels = levels
-	db.nextNum = nextNum
-	db.walNum = walNum
-	db.maniNum = bestNum
-	return true
-}
-
-// recover loads the manifest and replays any surviving WAL.
-func (db *DB) recover() error {
-	if !db.loadManifest() {
-		// Fresh database (or unusable manifest): nothing to restore. Any
-		// stray files from a partial crash are removed.
-		for _, n := range db.fs.List() {
-			db.fs.Remove(n)
-		}
-		return nil
-	}
-	// Replay the WAL the manifest points at, if it survived.
-	if db.walNum != 0 {
-		if _, err := db.fs.Size(walName(db.walNum)); err == nil {
-			if err := db.replayWAL(db.walNum); err != nil {
-				return err
-			}
-			db.fs.Remove(walName(db.walNum))
-		}
-	}
-	db.wal = nil // Open() will create a fresh WAL
-	// Drop orphan files not referenced by the manifest.
-	live := map[string]bool{manifestName(db.maniNum): true}
-	for _, tables := range db.levels {
-		for _, m := range tables {
-			live[tableName(m.num)] = true
-		}
-	}
-	for _, n := range db.fs.List() {
-		if !live[n] {
-			db.fs.Remove(n)
-		}
 	}
 	return nil
 }

@@ -265,37 +265,23 @@ func TestLSMDropVersion(t *testing.T) {
 	}
 }
 
-func TestLSMRecovery(t *testing.T) {
-	fs := testFS(t, 1024)
+// TestOpenRefusesNonEmptyFS: the baseline has no recovery reader, so
+// opening a filesystem that already holds a store must fail rather than
+// ignore the data there.
+func TestOpenRefusesNonEmptyFS(t *testing.T) {
+	fs := testFS(t, 256)
 	db, err := Open(fs, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := bytes.Repeat([]byte{3}, 1024)
-	for i := 0; i < 300; i++ {
-		lput(t, db, fmt.Sprintf("key-%04d", i), 1, string(val))
-	}
-	db.Del([]byte("key-0000"), 1)
-	lput(t, db, "fresh", 1, "in-wal-only")
-	db.Close()
-
-	db2, err := Open(fs, smallOptions())
-	if err != nil {
+	lput(t, db, "k", 1, "v")
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	// Entries that reached tables.
-	for i := 1; i < 300; i++ {
-		if got := lget(t, db2, fmt.Sprintf("key-%04d", i), 1); got != string(val) {
-			t.Fatalf("key-%04d lost in recovery", i)
-		}
-	}
-	// WAL-only entries.
-	if got := lget(t, db2, "fresh", 1); got != "in-wal-only" {
-		t.Fatalf("WAL entry lost: %q", got)
-	}
-	if _, err := db2.Get([]byte("key-0000"), 1); !errors.Is(err, ErrDeleted) {
-		t.Fatalf("tombstone lost in recovery: %v", err)
+	db.Close()
+	if db2, err := Open(fs, smallOptions()); err == nil {
+		db2.Close()
+		t.Fatal("Open on a used filesystem succeeded")
 	}
 }
 
@@ -390,7 +376,7 @@ func TestBloomEmptyFilter(t *testing.T) {
 
 func TestSSTableRoundTrip(t *testing.T) {
 	fs := testFS(t, 256)
-	tw, err := newTableWriter(fs, 1, 0)
+	tw, err := newTableWriter(fs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +438,7 @@ func TestSSTableRoundTrip(t *testing.T) {
 
 func TestSSTableOutOfOrderAdd(t *testing.T) {
 	fs := testFS(t, 128)
-	tw, _ := newTableWriter(fs, 1, 0)
+	tw, _ := newTableWriter(fs, 1)
 	tw.add(entry{ik: ikey{"b", 1}, kind: kindValue})
 	if err := tw.add(entry{ik: ikey{"a", 1}, kind: kindValue}); err == nil {
 		t.Fatal("out-of-order add should fail")
@@ -461,7 +447,7 @@ func TestSSTableOutOfOrderAdd(t *testing.T) {
 }
 
 // Property: LSM agrees with a model map over random versioned workloads
-// with flush/compaction/recovery in the loop.
+// with flush and compaction in the loop.
 func TestLSMQuickModel(t *testing.T) {
 	type op struct {
 		Key byte
@@ -470,8 +456,7 @@ func TestLSMQuickModel(t *testing.T) {
 		Val uint16
 	}
 	f := func(ops []op) bool {
-		fs := testFS(t, 1024)
-		db, err := Open(fs, smallOptions())
+		db, err := Open(testFS(t, 1024), smallOptions())
 		if err != nil {
 			return false
 		}
@@ -503,30 +488,19 @@ func TestLSMQuickModel(t *testing.T) {
 				}
 			}
 		}
-		check := func(d *DB) bool {
-			for mk, want := range model {
-				got, err := d.Get([]byte(mk.k), mk.v)
-				if err != nil || string(got) != want {
-					return false
-				}
+		defer db.Close()
+		for mk, want := range model {
+			got, err := db.Get([]byte(mk.k), mk.v)
+			if err != nil || string(got) != want {
+				return false
 			}
-			for mk := range dels {
-				if _, err := d.Get([]byte(mk.k), mk.v); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
-					return false
-				}
+		}
+		for mk := range dels {
+			if _, err := db.Get([]byte(mk.k), mk.v); !errors.Is(err, ErrDeleted) && !errors.Is(err, ErrNotFound) {
+				return false
 			}
-			return true
 		}
-		if !check(db) {
-			return false
-		}
-		db.Close()
-		db2, err := Open(fs, smallOptions())
-		if err != nil {
-			return false
-		}
-		defer db2.Close()
-		return check(db2)
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -129,7 +129,6 @@ func decodeEntry(buf []byte) (entry, int, error) {
 // tableMeta describes one SSTable resident in a level.
 type tableMeta struct {
 	num      uint64 // file number
-	level    int
 	size     int64
 	smallest ikey
 	largest  ikey
@@ -158,7 +157,7 @@ type tableWriter struct {
 	dataOff uint64
 }
 
-func newTableWriter(fs blockfs.FS, num uint64, level int) (*tableWriter, error) {
+func newTableWriter(fs blockfs.FS, num uint64) (*tableWriter, error) {
 	w, err := fs.Create(tableName(num))
 	if err != nil {
 		return nil, err
@@ -166,7 +165,7 @@ func newTableWriter(fs blockfs.FS, num uint64, level int) (*tableWriter, error) 
 	return &tableWriter{
 		fs:     fs,
 		w:      w,
-		meta:   tableMeta{num: num, level: level},
+		meta:   tableMeta{num: num},
 		filter: newBloomBuilder(10),
 	}, nil
 }

@@ -11,7 +11,8 @@
 // package under it starts one), so the clock's advance across a call is
 // that call's cost, and each replica is charged its own device's advance.
 // Parallelism is modeled, not executed: a write costs its slowest acked
-// replica, and a fan-out read the fastest replica that answered. The
+// replica. Reads and version drops return no cost, since no figure
+// prints one; each still advances its nodes' device clocks. The
 // cluster exists to print the paper's whole-system figures; node crashes
 // and the parallel reads that hide a recovering node run over the wire
 // in internal/fleet.
@@ -196,58 +197,50 @@ func (c *Cluster) Put(key []byte, version uint64, value []byte, dedup bool) (tim
 	return slowest, nil
 }
 
-// Get reads (key, version) from the replica set in parallel and returns
-// the first successful answer. The cost models the fastest replica: the
-// least device time among those that answered.
-func (c *Cluster) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
+// Get reads (key, version) from every node of the key's group, as the
+// parallel fan-out does, and returns the first successful answer: every
+// replica holds the same bytes for an exact (key, version). Fanning out
+// to the whole group rather than the replica set finds data written
+// under any historical replica set, since replicas move when nodes join
+// (the paper's no-redistribution property).
+func (c *Cluster) Get(key []byte, version uint64) ([]byte, error) {
 	if len(c.groups) == 0 {
-		return nil, 0, ErrNoGroup
+		return nil, ErrNoGroup
 	}
-	g := c.GroupFor(key)
-	var best []byte
-	bestCost := time.Duration(-1)
-	var lastErr error = ErrAllReplicasErr
-	// Fan out to the whole group: replicas move when nodes join, and
-	// group-wide fan-out finds data written under any historical replica
-	// set (the paper's no-redistribution property).
-	for _, n := range g.Nodes {
-		start := n.dev.Now()
-		val, err := n.db.Get(key, version)
-		cost := n.dev.Now() - start
-		if err != nil {
-			if lastErr == ErrAllReplicasErr {
-				lastErr = err
+	var val []byte
+	found := false
+	var firstErr error = ErrAllReplicasErr
+	for _, n := range c.GroupFor(key).Nodes {
+		v, err := n.db.Get(key, version)
+		switch {
+		case err != nil:
+			if firstErr == ErrAllReplicasErr {
+				firstErr = err
 			}
-			continue
-		}
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = val, cost
+		case !found:
+			val, found = v, true
 		}
 	}
-	if bestCost < 0 {
-		return nil, 0, lastErr
+	if !found {
+		return nil, firstErr
 	}
-	return best, bestCost, nil
+	return val, nil
 }
 
 // DropVersion retires a whole data version on every node (the paper's
-// deletion thread, cluster-wide). The cost is the nodes' device time
-// summed.
-func (c *Cluster) DropVersion(version uint64) (int, time.Duration, error) {
-	var total time.Duration
+// deletion thread, cluster-wide) and returns the entries dropped.
+func (c *Cluster) DropVersion(version uint64) (int, error) {
 	dropped := 0
 	for _, g := range c.groups {
 		for _, n := range g.Nodes {
-			start := n.dev.Now()
 			k, err := n.db.DropVersion(version)
-			total += n.dev.Now() - start
 			if err != nil {
-				return dropped, total, err
+				return dropped, err
 			}
 			dropped += k
 		}
 	}
-	return dropped, total, nil
+	return dropped, nil
 }
 
 // Nodes lists node ids (sorted) for iteration in tests and tools.

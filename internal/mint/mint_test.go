@@ -93,7 +93,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("url/%04d", i))
-		val, _, err := c.Get(key, 1)
+		val, err := c.Get(key, 1)
 		if err != nil {
 			t.Fatalf("Get(%s): %v", key, err)
 		}
@@ -159,7 +159,7 @@ func TestReadAfterNodeAddition(t *testing.T) {
 		}
 	}
 	for _, key := range keys {
-		val, _, err := c.Get(key, 1)
+		val, err := c.Get(key, 1)
 		if err != nil || string(val) != "before-grow" {
 			t.Fatalf("Get(%s) after growth: %q, %v", key, val, err)
 		}
@@ -173,12 +173,12 @@ func TestFailureMasking(t *testing.T) {
 	// Fail one replica: reads keep working.
 	replicas := c.replicasFor(key, c.GroupFor(key))
 	fail(replicas[0])
-	if val, _, err := c.Get(key, 1); err != nil || string(val) != "v" {
+	if val, err := c.Get(key, 1); err != nil || string(val) != "v" {
 		t.Fatalf("Get with 1 failed replica: %q, %v", val, err)
 	}
 	// Fail a second: still one live replica.
 	fail(replicas[1])
-	if _, _, err := c.Get(key, 1); err != nil {
+	if _, err := c.Get(key, 1); err != nil {
 		t.Fatalf("Get with 2 failed replicas: %v", err)
 	}
 	// Writes now miss quorum (2 of 3 replicas down).
@@ -188,23 +188,27 @@ func TestFailureMasking(t *testing.T) {
 }
 
 func TestParallelReadHidesRecovery(t *testing.T) {
-	// With one replica failed, Get cost is the min over the live ones;
-	// latency must not blow up.
+	// With one replica failed, a read still fans out to the live ones:
+	// each of them serves it from its own device, so the answer does not
+	// wait on the failed node.
 	c := newTestCluster(t)
 	key := []byte("latency-key")
-	c.Put(key, 1, make([]byte, 20<<10), false)
-	_, healthy, err := c.Get(key, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	val := bytes.Repeat([]byte{9}, 20<<10)
+	c.Put(key, 1, val, false)
 	replicas := c.replicasFor(key, c.GroupFor(key))
 	fail(replicas[0])
-	_, degraded, err := c.Get(key, 1)
-	if err != nil {
-		t.Fatal(err)
+	before := make([]time.Duration, len(replicas))
+	for i, n := range replicas {
+		before[i] = n.dev.Now()
 	}
-	if degraded > healthy*2 {
-		t.Fatalf("degraded read cost %v vs healthy %v: replication not hiding failure", degraded, healthy)
+	got, err := c.Get(key, 1)
+	if err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("degraded Get = %d bytes, %v", len(got), err)
+	}
+	for i, n := range replicas[1:] {
+		if n.dev.Now() == before[i+1] {
+			t.Fatalf("live replica %s did not serve the fanned-out read", n.ID)
+		}
 	}
 }
 
@@ -215,17 +219,17 @@ func TestDelAndDropVersion(t *testing.T) {
 		c.Put(key, 1, []byte("v1"), false)
 		c.Put(key, 2, []byte("v2"), false)
 	}
-	n, _, err := c.DropVersion(1)
+	n, err := c.DropVersion(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("DropVersion dropped nothing")
 	}
-	if _, _, err := c.Get([]byte("k/011"), 1); err == nil {
+	if _, err := c.Get([]byte("k/011"), 1); err == nil {
 		t.Fatal("dropped version readable")
 	}
-	if _, _, err := c.Get([]byte("k/011"), 2); err != nil {
+	if _, err := c.Get([]byte("k/011"), 2); err != nil {
 		t.Fatalf("v2 lost: %v", err)
 	}
 }
@@ -236,7 +240,7 @@ func TestDedupAcrossCluster(t *testing.T) {
 	val := bytes.Repeat([]byte{7}, 4096)
 	c.Put(key, 1, val, false)
 	c.Put(key, 2, nil, true) // deduplicated: value lives at v1
-	got, _, err := c.Get(key, 2)
+	got, err := c.Get(key, 2)
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("dedup Get via cluster = %d bytes, %v", len(got), err)
 	}
@@ -270,7 +274,7 @@ func TestGetAllReplicasDown(t *testing.T) {
 	for _, n := range c.GroupFor(key).Nodes {
 		fail(n)
 	}
-	if _, _, err := c.Get(key, 1); !errors.Is(err, errNodeDown) {
+	if _, err := c.Get(key, 1); !errors.Is(err, errNodeDown) {
 		t.Fatalf("Get with every node down = %v, want the nodes' error", err)
 	}
 }

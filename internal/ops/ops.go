@@ -1,6 +1,6 @@
 // Package ops is the operator-facing HTTP surface shared by qindbd and
 // embedding programs: metrics exposition (text, JSON, Prometheus),
-// the slow-op log, liveness/readiness probes, and —
+// the slow-op log, a liveness probe, and —
 // behind a switch — the runtime profiler. One mux, one graceful server,
 // so every binary exposes the same endpoints the docs describe:
 //
@@ -12,7 +12,6 @@
 //	/debug/attrib        sampled per-opcode resource attribution, sorted
 //	                     by alloc bytes/op; ?format=json
 //	/healthz             200 while the process is up
-//	/readyz              200 when Ready() returns nil, 503 otherwise
 //	/debug/pprof/*       net/http/pprof (heap|allocs|goroutine|profile;
 //	                     ?seconds=N makes heap/allocs a windowed delta),
 //	                     only when EnablePprof is set
@@ -39,9 +38,6 @@ type Config struct {
 	Registry *metrics.Registry
 	// SlowLog backs /debug/slowlog.
 	SlowLog *metrics.SlowLog
-	// Ready, when set, backs /readyz: nil means ready, an error is
-	// reported with a 503. When unset /readyz behaves like /healthz.
-	Ready func() error
 	// Attrib, when set, backs /debug/attrib with the backend's sampled
 	// per-opcode resource table (server.Backend.Attribution). Unset
 	// returns 404.
@@ -120,15 +116,6 @@ func NewMux(cfg Config) *http.ServeMux {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Ready != nil {
-			if err := cfg.Ready(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
-		w.Write([]byte("ready\n"))
 	})
 	if cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -3,7 +3,6 @@ package ops
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,14 +15,14 @@ import (
 )
 
 // testMux builds a mux over a populated registry and slow log.
-func testMux(t *testing.T, ready func() error) *http.ServeMux {
+func testMux(t *testing.T) *http.ServeMux {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	reg.Counter("ops.requests").Add(5)
 	reg.Histogram("ops.latency_us").Observe(120)
 	slow := metrics.NewSlowLog(8, time.Millisecond)
 	slow.Maybe("put", []byte("sk"), 5*time.Millisecond, "")
-	return NewMux(Config{Registry: reg, SlowLog: slow, Ready: ready})
+	return NewMux(Config{Registry: reg, SlowLog: slow})
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
@@ -41,7 +40,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 }
 
 func TestMetricsFormats(t *testing.T) {
-	mux := testMux(t, nil)
+	mux := testMux(t)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -85,26 +84,16 @@ func TestMetricsFormats(t *testing.T) {
 }
 
 func TestHealthAndReady(t *testing.T) {
-	var failing error
-	mux := testMux(t, func() error { return failing })
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(testMux(t))
 	defer srv.Close()
 
 	if code, body, _ := get(t, srv, "/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	if code, body, _ := get(t, srv, "/readyz"); code != 200 || body != "ready\n" {
-		t.Fatalf("/readyz = %d %q", code, body)
-	}
-	failing = errors.New("memtable over high-water")
-	code, body, _ := get(t, srv, "/readyz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "high-water") {
-		t.Fatalf("failing /readyz = %d %q", code, body)
-	}
 }
 
 func TestSlowlogEndpoint(t *testing.T) {
-	srv := httptest.NewServer(testMux(t, nil))
+	srv := httptest.NewServer(testMux(t))
 	defer srv.Close()
 
 	code, body, _ := get(t, srv, "/debug/slowlog")
@@ -130,7 +119,7 @@ func TestNilConfigEndpointsDontPanic(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/metrics?format=prom", "/metrics?format=json",
-		"/debug/slowlog", "/healthz", "/readyz"} {
+		"/debug/slowlog", "/healthz"} {
 		if code, _, _ := get(t, srv, path); code != 200 {
 			t.Fatalf("%s with nil config = %d", path, code)
 		}
