@@ -647,20 +647,22 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 }
 
 // Judge is the engine's liveness oracle for GC: it returns true when the
-// record at ref must be preserved — either it is the current target of a
+// record at refs[i], of the refs CollectFile was given, must be preserved — either it is the current target of a
 // memtable item, or it is an older version still reachable through dedup
 // traceback (paper: "invalid key-value pairs that are referred by later
 // version keys"), or a deletion record recovery still needs. The judge may
 // mutate the record's flags before the relocation copy is written (e.g.
 // folding a memtable delete flag into FlagDropped so the deletion survives
 // recovery). The record is a view into the pass's read buffer, valid
-// during the call.
-type Judge func(rec *Record, ref Ref) bool
+// during the call. The position i lets the engine keep what it knows of
+// each record beside refs, rather than find it again by key.
+type Judge func(rec *Record, i int) bool
 
-// Relocated notifies the engine that a preserved record moved, so it can
-// update the offset fields in its memtable (paper Fig. 2, GC step 5).
-// The record is a view into the pass's read buffer, valid during the call.
-type Relocated func(rec Record, old, new Ref)
+// Relocated notifies the engine that the preserved record at refs[i]
+// moved to new, so it can update the offset fields in its memtable (paper
+// Fig. 2, GC step 5). The record is a view into the pass's read buffer,
+// valid during the call.
+type Relocated func(rec Record, i int, new Ref)
 
 // Candidates returns sealed files whose occupancy is at or below the GC
 // threshold, lowest occupancy first and, among equals (typically the
@@ -727,14 +729,13 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 
 	var cost time.Duration
 	var moved int64
-	for len(refs) > 0 {
-		n, size := 1, int(refs[0].Len)
-		for n < len(refs) && n < GCChunk && size+int(refs[n].Len) <= gcHoldBytes {
-			size += int(refs[n].Len)
+	for at := 0; at < len(refs); {
+		n, size := 1, int(refs[at].Len)
+		for at+n < len(refs) && n < GCChunk && size+int(refs[at+n].Len) <= gcHoldBytes {
+			size += int(refs[at+n].Len)
 			n++
 		}
-		chunk := refs[:n]
-		refs = refs[n:]
+		chunk := refs[at : at+n]
 		recs, c, err := s.readChunk(fi.r, chunk, size)
 		cost += c
 		if err != nil {
@@ -742,7 +743,7 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 		}
 		lk.Lock()
 		for i := range recs {
-			if !judge(&recs[i], chunk[i]) {
+			if !judge(&recs[i], at+i) {
 				continue
 			}
 			newRef, l, c, err := s.relocate(recs[i])
@@ -753,10 +754,11 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 			}
 			moved += l
 			if relocated != nil {
-				relocated(recs[i], chunk[i], newRef)
+				relocated(recs[i], at+i, newRef)
 			}
 		}
 		lk.Unlock()
+		at += n
 	}
 
 	lk.Lock()

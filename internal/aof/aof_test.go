@@ -317,10 +317,17 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	if got := s.Candidates(); len(got) == 0 || got[0] != firstFile {
 		t.Fatalf("candidates = %v", got)
 	}
-	judge := func(rec *Record, ref Ref) bool { return items[string(rec.Key)].live }
+	refs := fileRefs(t, s, firstFile)
+	judge := func(rec *Record, i int) bool {
+		if it := items[string(rec.Key)]; it.ref != refs[i] {
+			t.Errorf("judge of %s given position %d, ref %+v; the record is at %+v", rec.Key, i, refs[i], it.ref)
+		}
+		return items[string(rec.Key)].live
+	}
 	var relocations int
 	before := s.Stats()
-	_, err := s.CollectFile(firstFile, fileRefs(t, s, firstFile), new(sync.Mutex), judge, func(rec Record, old, new Ref) {
+	_, err := s.CollectFile(firstFile, refs, new(sync.Mutex), judge, func(rec Record, i int, new Ref) {
+		old := refs[i]
 		items[string(rec.Key)].ref = new
 		relocations++
 		if old.File != firstFile {
@@ -396,7 +403,7 @@ func TestStatsAreRegistryCells(t *testing.T) {
 				s.MarkDead(ref)
 			}
 		}
-		judge := func(*Record, Ref) bool { return true }
+		judge := func(*Record, int) bool { return true }
 		if _, err := s.CollectFile(first, keep, new(sync.Mutex), judge, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -193,9 +193,12 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 			var movedInHold, maxMoved int64
 			lastHold := 0
 			n := 0
-			judge := func(rec *Record, ref Ref) bool {
+			judge := func(rec *Record, i int) bool {
 				if !lk.held {
 					t.Error("judge ran without the lock")
+				}
+				if i != n {
+					t.Errorf("judge %d given position %d", n, i)
 				}
 				if _, err := fs.Size(filename(first)); err != nil {
 					t.Error("victim erased before the last record was judged")
@@ -204,7 +207,7 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 				n++
 				return n%tc.keep == 0
 			}
-			relocated := func(rec Record, old, new Ref) {
+			relocated := func(rec Record, i int, new Ref) {
 				if !lk.held {
 					t.Error("relocated ran without the lock")
 				}
@@ -285,7 +288,7 @@ func TestCollectFileReadsWhatItMoves(t *testing.T) {
 	mu.Lock()
 	read, reads = 0, 0
 	mu.Unlock()
-	judge := func(*Record, Ref) bool { return true }
+	judge := func(*Record, int) bool { return true }
 	if _, err := s.CollectFile(0, keep, new(sync.Mutex), judge, nil); err != nil {
 		t.Fatal(err)
 	}

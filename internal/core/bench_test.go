@@ -286,3 +286,50 @@ func BenchmarkPublishVersion(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(p.dropped)/float64(b.Elapsed()), "drop_share")
 }
+
+// BenchmarkCheckpoint times one checkpoint of publishKeep+1 versions of
+// publishKeys keys in the publish shape (70 % deduplicated, 1 KB values
+// so that the device stays small). Before each checkpoint, untimed, a
+// version is published and the oldest live one retired, and retiring it
+// runs one GC pass, which takes items out of versions the last
+// checkpoint sorted.
+func BenchmarkCheckpoint(b *testing.B) {
+	opts := testOptions()
+	opts.AOF.FileSize = 4 << 20
+	db, err := Open(testFS(b, 1024), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	rng := rand.New(rand.NewSource(1))
+	val := make([]byte, 1<<10)
+	var key []byte
+	var v uint64
+	publish := func() {
+		v++
+		for k := 0; k < publishKeys; k++ {
+			key = fmt.Appendf(key[:0], "url-%016d", k)
+			if _, err := db.Put(key, v, val, v > 1 && rng.Intn(100) < 70); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if v > publishKeep+1 {
+			if _, _, err := db.DropVersion(v - publishKeep - 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for v <= publishKeep {
+		publish()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		publish()
+		b.StartTimer()
+		if _, err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -75,10 +75,19 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 	}
 	clear(gone) // the list is kept for the next pass, the items it names are not
 	cost, err := db.store.CollectFile(id, keep, &db.excl, db.gcJudge, db.gcRelocated)
+	clear(db.gcKeep)
 	if err == nil {
 		delete(db.tombs, id) // every one was relocated
 	}
 	return cost, err
+}
+
+// keepItem is a record a GC pass hands the store to keep: a data record
+// with its item and segment, or a deletion record, whose it is nil.
+type keepItem struct {
+	ref aof.Ref
+	seg *segment
+	it  *item
 }
 
 // goneItem is a memtable item a GC pass removes.
@@ -90,10 +99,15 @@ type goneItem struct {
 
 // victimLocked walks the memtable for the items whose record lies in file
 // id. keep holds the refs of those that are live or referenced, with the
-// deletion records held in the file, ascending by offset; gone holds the
-// others. Both are the DB's, reused by the next pass. Runs with wmu held.
+// deletion records held in the file, ascending by offset, and db.gcKeep
+// holds the same records in the same order with their items; gone holds
+// the others. All three are the DB's, reused by the next pass. Runs with
+// wmu held.
 func (db *DB) victimLocked(id uint32) (keep []aof.Ref, gone []goneItem) {
-	keep, gone = append(db.gcKeep[:0], db.tombs[id]...), db.gcGone[:0]
+	kept, gone := db.gcKeep[:0], db.gcGone[:0]
+	for _, ref := range db.tombs[id] {
+		kept = append(kept, keepItem{ref: ref})
+	}
 	for _, seg := range db.segs {
 		if seg.first > id {
 			continue // every record of the version lies in a newer file
@@ -102,34 +116,30 @@ func (db *DB) victimLocked(id uint32) (keep []aof.Ref, gone []goneItem) {
 			switch {
 			case it.ref.File != id:
 			case !seg.deleted(it) || it.refs > 0:
-				keep = append(keep, it.ref)
+				kept = append(kept, keepItem{it.ref, seg, it})
 			default:
 				gone = append(gone, goneItem{seg, k, it})
 			}
 		}
 	}
-	slices.SortFunc(keep, func(a, b aof.Ref) int { return cmp.Compare(a.Off, b.Off) })
-	db.gcKeep, db.gcGone = keep, gone
+	slices.SortFunc(kept, func(a, b keepItem) int { return cmp.Compare(a.ref.Off, b.ref.Off) })
+	keep = db.gcRefs[:0]
+	for _, k := range kept {
+		keep = append(keep, k.ref)
+	}
+	db.gcKeep, db.gcRefs, db.gcGone = kept, keep, gone
 	return keep, gone
 }
 
-// gcJudge decides whether the record at ref survives collection of its
-// file (paper Fig. 2, GC step 4), and folds a deletion into a kept record
-// that only a live referrer still reads. Runs with db.mu held exclusively
-// (one of CollectFile's chunk holds). It sees only the records
-// victimLocked named.
-func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
-	if rec.IsTombstone() {
-		// A deletion record, tombstone or version drop, is what recovery
-		// replays until a checkpoint holds the deletion; the engine names
-		// only those it still holds.
-		return true
-	}
-	seg, it := lookup(db, rec.Key, rec.Version)
-	if it == nil || it.ref != ref {
-		return false // not the record its item names: nothing reads it
-	}
-	if seg.deleted(it) {
+// gcJudge keeps the i-th record victimLocked named (paper Fig. 2, GC step
+// 4), and folds a deletion into a kept record that only a live referrer
+// still reads. Runs with db.mu held exclusively (one of CollectFile's
+// chunk holds).
+func (db *DB) gcJudge(rec *aof.Record, i int) bool {
+	// Every record named is kept. A deletion record (no item), tombstone
+	// or version drop, is what recovery replays until a checkpoint holds
+	// the deletion; the engine names only those it still holds.
+	if k := db.gcKeep[i]; k.it != nil && k.seg.deleted(k.it) {
 		// Deleted yet read by a live newer deduplicated entry ("invalid
 		// key-value pairs that are referred by later version keys"): fold
 		// the deletion into the relocated record so it survives recovery
@@ -139,17 +149,17 @@ func (db *DB) gcJudge(rec *aof.Record, ref aof.Ref) bool {
 	return true
 }
 
-// gcRelocated updates the memtable offset of a relocated record (paper
-// Fig. 2, GC step 5). Runs with db.mu held exclusively.
-func (db *DB) gcRelocated(rec aof.Record, old, new aof.Ref) {
-	if rec.IsTombstone() {
+// gcRelocated updates the memtable offset of the i-th record victimLocked
+// named, relocated to new (paper Fig. 2, GC step 5). Runs with db.mu held
+// exclusively.
+func (db *DB) gcRelocated(rec aof.Record, i int, new aof.Ref) {
+	it := db.gcKeep[i].it
+	if it == nil {
 		db.tombs[new.File] = append(db.tombs[new.File], new)
 		return
 	}
-	if _, it := lookup(db, rec.Key, rec.Version); it != nil && it.ref == old {
-		it.ref = new
-		if rec.IsDropped() {
-			it.flags |= fOnDiskDeleted
-		}
+	it.ref = new
+	if rec.IsDropped() {
+		it.flags |= fOnDiskDeleted
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"directload/internal/aof"
@@ -322,4 +323,62 @@ func TestDeletedKeyStaysDeletedAfterGCAndReopen(t *testing.T) {
 			checkLiveBytes(t, db)
 		})
 	}
+}
+
+// TestGCKeepsSortedView: a GC pass that takes items out of a sealed
+// version leaves the version's sorted view in place, the removed items
+// marked in it, and Range and the checkpoint read past them.
+func TestGCKeepsSortedView(t *testing.T) {
+	opts := testOptions()
+	opts.AOF.FileSize = 64 << 10
+	opts.DisableAutoGC = true
+	fs := testFS(t, 256)
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := strings.Repeat("v", 1000)
+	const keys = 300
+	for i := 0; i < keys; i++ {
+		mustPut(t, db, fmt.Sprintf("k%03d", i), 1, val, false)
+	}
+	mustPut(t, db, "z", 2, val, false) // seals version 1's last file
+	seg := db.segment(1)
+	view := &seg.keys()[0]
+	for i := 0; i < keys; i++ {
+		if i%10 != 0 {
+			if _, err := db.Del([]byte(fmt.Sprintf("k%03d", i)), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := db.Checkpoint(); err != nil { // the tombstones may go now
+		t.Fatal(err)
+	}
+	if _, err := db.CollectAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(seg.items); n == keys || n < keys/10 {
+		t.Fatalf("version 1 holds %d items after GC; want some removed, the %d live kept", n, keys/10)
+	}
+	if db.segment(1) != seg || &seg.keys()[0] != view {
+		t.Fatal("the GC pass replaced version 1's sorted view")
+	}
+	checkMemtable(t, db)
+	var got []string
+	db.Range(nil, []byte("k999"), func(k []byte, v uint64) bool {
+		got = append(got, fmt.Sprintf("%s/%d", k, v))
+		return true
+	})
+	if len(got) != keys/10 || got[0] != "k000/1" || got[1] != "k010/1" {
+		t.Fatalf("Range after GC lists %d keys (%v...), want the %d live ones", len(got), got[:min(3, len(got))], keys/10)
+	}
+	// An image written past the pass (a Put moves the floor) holds only
+	// the items the map does.
+	mustPut(t, db, "y", 2, val, false)
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := crash(t, db, fs)
+	defer db2.Close()
 }

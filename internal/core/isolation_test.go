@@ -546,6 +546,7 @@ func TestAbandonedGCPassRecovers(t *testing.T) {
 		t.Fatalf("Open over the abandoned store: %v", err)
 	}
 	defer db2.Close()
+	checkMemtable(t, db2)
 	s.checkAll(t, db2, 3, 4, 5)
 	for k := 0; k < s.nKeys; k += 7 {
 		if db2.Has(streamKey(k), 1) || db2.Has(streamKey(k), 2) {

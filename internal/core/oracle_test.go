@@ -181,6 +181,7 @@ func TestOracleRounds(t *testing.T) {
 					}
 				}
 				checkLiveBytes(t, db)
+				checkMemtable(t, db)
 				if err := db.Close(); err != nil {
 					t.Fatalf("round %d: Close: %v", round, err)
 				}
@@ -189,6 +190,7 @@ func TestOracleRounds(t *testing.T) {
 				}
 				o.check(t, db, sh)
 				checkLiveBytes(t, db)
+				checkMemtable(t, db)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,20 +57,24 @@ const (
 	fDeleted                         // d: logically deleted
 	fOnDiskDeleted                   // the flash record already carries FlagDropped
 	fHasBase                         // dedup item with a resolved traceback base
+	fRemoved                         // out of the memtable: a sorted view still lists it
 )
 
 // item is the memtable payload: where the record lives on flash plus the
 // r/d flags of paper Fig. 2. For deduplicated entries, base is the older
-// version whose value this entry shares. The binding is resolved once, at
-// PUT time (the nearest older version of the key that still carries a
-// value), so a GET is a single extra lookup and the result can never
-// change under garbage collection. refs counts the live (not deleted)
-// items bound to this one as their base. A record counts live in its
-// file while its item is live or refs is above zero, and GC keeps exactly
-// those: the last live referrer to go marks a deleted base's record dead.
+// version whose value this entry shares, and to is that version's item of
+// the key. The binding is resolved once, at PUT time (the nearest older
+// version of the key that still carries a value), so a GET follows one
+// pointer and the result can never change under garbage collection. refs
+// counts the live (not deleted) items bound to this one as their base; a
+// base stays in the memtable while refs is above zero, so a live item's
+// to is never stale. A record counts live in its file while its item is
+// live or refs is above zero, and GC keeps exactly those: the last live
+// referrer to go marks a deleted base's record dead.
 type item struct {
 	ref   aof.Ref
-	base  uint64 // valid when fHasBase is set
+	base  uint64 // valid when fHasBase is set; the checkpoint writes it
+	to    *item  // the base item of a live item with fHasBase, or nil
 	refs  int32  // not checkpointed: recovery recounts it
 	flags uint8
 }
@@ -82,35 +87,43 @@ func (it *item) has(f uint8) bool { return it.flags&f != 0 }
 // flags are set only if a Put revives a key of the version (unretire).
 //
 // Keys are added and removed only with db.mu held exclusively, or in
-// recovery, and each time sorted is cleared. keys builds it again on first
-// use, under a shared hold at least, so the view it stores is never stale.
+// recovery. An add clears sorted, and keys builds it again on first use,
+// under a shared hold at least. A removal leaves the view in place and
+// marks the item fRemoved, which every reader of the view skips, so a
+// sealed version is sorted once however many GC passes take from it.
 type segment struct {
 	ver     uint64
 	items   map[string]*item
-	sorted  atomic.Pointer[[]string] // the keys in ascending order, or nil
-	live    int                      // items not deleted: the version's key count
-	retired bool                     // dropped whole by DropVersion
+	sorted  atomic.Pointer[[]entry] // the items in ascending key order, or nil
+	live    int                     // items not deleted: the version's key count
+	retired bool                    // dropped whole by DropVersion
 	// first is the oldest file any item was added with. A record moves
 	// only to the active file, whose id is the highest, so no item's ref
 	// lies in an older one.
 	first uint32
 }
 
+// entry is one key of a sorted view and its item.
+type entry struct {
+	key string
+	it  *item
+}
+
 func (s *segment) deleted(it *item) bool { return s.retired || it.has(fDeleted) }
 
-// keys returns the segment's keys in ascending order. The slice is shared:
-// callers must not modify it.
-func (s *segment) keys() []string {
+// keys returns the segment's items in ascending key order, removed ones
+// (fRemoved) included. The slice is shared: callers must not modify it.
+func (s *segment) keys() []entry {
 	if p := s.sorted.Load(); p != nil {
 		return *p
 	}
-	ks := make([]string, 0, len(s.items))
-	for k := range s.items {
-		ks = append(ks, k)
+	es := make([]entry, 0, len(s.items))
+	for k, it := range s.items {
+		es = append(es, entry{k, it})
 	}
-	slices.Sort(ks)
-	s.sorted.Store(&ks)
-	return ks
+	slices.SortFunc(es, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	s.sorted.Store(&es)
+	return es
 }
 
 // add puts it in the segment under key and drops the sorted view.
@@ -209,10 +222,13 @@ type DB struct {
 	// version-drop records — no checkpoint covers yet: each counts live
 	// and GC keeps it until a checkpoint does (DESIGN.md §3.1).
 	tombs map[uint32][]aof.Ref
-	// gcKeep and gcGone are a GC pass's lists (victimLocked), kept from
-	// pass to pass.
-	gcKeep []aof.Ref
+	// gcKeep, gcRefs and gcGone are a GC pass's lists (victimLocked),
+	// kept from pass to pass.
+	gcKeep []keepItem
+	gcRefs []aof.Ref
 	gcGone []goneItem
+	// ckptBuf is the checkpoint image's buffer, kept from one to the next.
+	ckptBuf []byte
 
 	// Counters: one atomic cell per number, read by Stats, Health and
 	// the registry alike, so counting a request never needs db.mu.
@@ -251,7 +267,7 @@ func (l *exclLock) Unlock() {
 // (35–55 B) and the key's size-class rounding. Measured with Go 1.24's
 // maps at 107–127 B a 20-byte key between 100,000 and 8,000 keys in one
 // version; TestMemtableBytesMatchesHeap keeps it honest. A sorted view,
-// once built, adds a string header (16 B) a key.
+// once built, adds an entry (a string header and a pointer, 24 B) a key.
 const memItemOverhead = 96
 
 // engineMetrics holds the engine's registry handles. Those that only
@@ -422,18 +438,16 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Du
 		// which read through it.
 		if !old.has(fDeleted) {
 			db.store.MarkDead(old.ref)
-			if old.has(fHasBase) {
-				db.unbind(string(key), old.base)
-			}
+			db.unbind(old)
 		} else {
 			if old.refs > 0 {
 				db.store.MarkDead(old.ref)
 			}
 			seg.live++ // revived
 		}
-		old.ref, old.base, old.flags = ref, base, flags
+		old.ref, old.base, old.to, old.flags = ref, base, bound, flags
 	} else {
-		seg.add(string(key), &item{ref: ref, base: base, flags: flags})
+		seg.add(string(key), &item{ref: ref, base: base, to: bound, flags: flags})
 		seg.live++
 		db.met.memBytes.Add(int64(len(key)) + memItemOverhead)
 	}
@@ -521,13 +535,14 @@ func (db *DB) segmentFor(v uint64) *segment {
 
 // removeLocked takes key's item out of the memtable for good: if it was
 // still live, the item it was bound to loses a referrer, and a segment
-// left empty is unlinked. Runs with wmu and db.mu held, or in recovery.
+// left empty is unlinked. The segment's sorted view keeps the item, marked
+// fRemoved. Runs with wmu and db.mu held, or in recovery.
 func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	delete(seg.items, key)
-	seg.sorted.Store(nil)
+	it.flags |= fRemoved
 	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
-	if it.has(fHasBase) && !seg.deleted(it) {
-		db.unbind(key, it.base)
+	if !seg.deleted(it) {
+		db.unbind(it)
 	}
 	if len(seg.items) == 0 {
 		i, _ := db.segIndex(seg.ver)
@@ -535,25 +550,24 @@ func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	}
 }
 
-// unbind takes one live referrer off the item (key, base). A deleted base
-// left with none has no reader: its record is dead from now on.
-func (db *DB) unbind(key string, base uint64) {
-	seg, b := lookup(db, key, base)
+// unbind takes one live referrer, it, off the item it is bound to. A
+// deleted base left with none has no reader: its record is dead from now
+// on.
+func (db *DB) unbind(it *item) {
+	b := it.to
 	if b == nil {
 		return
 	}
-	if b.refs--; b.refs == 0 && seg.deleted(b) {
+	if b.refs--; b.refs == 0 && db.segment(it.base).deleted(b) {
 		db.store.MarkDead(b.ref)
 	}
 }
 
-// deleteLocked accounts for (key, version)'s item turning deleted: its
-// base loses a live referrer, and its own record is dead unless a live
-// referrer still reads it. Runs with wmu held.
-func (db *DB) deleteLocked(key string, it *item) {
-	if it.has(fHasBase) {
-		db.unbind(key, it.base)
-	}
+// deleteLocked accounts for it turning deleted: its base loses a live
+// referrer, and its own record is dead unless a live referrer still reads
+// it. Runs with wmu held.
+func (db *DB) deleteLocked(it *item) {
+	db.unbind(it)
 	if it.refs == 0 {
 		db.store.MarkDead(it.ref)
 	}
@@ -588,8 +602,7 @@ func (db *DB) resolveBaseLocked(key []byte, version uint64) (uint64, *item, bool
 		case !it.has(fDedup):
 			return seg.ver, it, true
 		case it.has(fHasBase):
-			_, b := lookup(db, key, it.base)
-			return it.base, b, true
+			return it.base, it.to, true
 		}
 	}
 	return 0, nil, false
@@ -632,7 +645,8 @@ func (db *DB) Get(key []byte, version uint64) ([]byte, time.Duration, error) {
 // with the length and contents it had.
 func (db *DB) GetAppend(dst, key []byte, version uint64) ([]byte, time.Duration, error) {
 	db.mu.RLock()
-	out, cost, traced, err := db.readLocked(dst, key, version)
+	seg, it := lookup(db, key, version)
+	out, cost, traced, err := db.readLocked(dst, key, version, seg, it)
 	db.mu.RUnlock()
 	if err == nil {
 		db.countGet(len(out)-len(dst), traced)
@@ -649,7 +663,8 @@ func (db *DB) TryGetAppend(dst, key []byte, version uint64) (out []byte, cost ti
 	if !db.mu.TryRLock() {
 		return dst, 0, false, nil
 	}
-	out, cost, traced, err := db.readLocked(dst, key, version)
+	seg, it := lookup(db, key, version)
+	out, cost, traced, err := db.readLocked(dst, key, version, seg, it)
 	db.mu.RUnlock()
 	if err == nil {
 		db.countGet(len(out)-len(dst), traced)
@@ -657,16 +672,16 @@ func (db *DB) TryGetAppend(dst, key []byte, version uint64) (out []byte, cost ti
 	return out, cost, true, err
 }
 
-// readLocked resolves (key, version) to a record and appends its value to
-// dst, all in the caller's one shared hold of db.mu: the file a ref points
-// into is only ever erased under the exclusive lock, after every kept
-// record has been re-pointed, so a ref resolved in this hold stays
-// readable to its end. On an error it returns dst unextended.
-func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time.Duration, traced bool, err error) {
+// readLocked resolves it, the item of (key, version) in seg or nil, to a
+// record and appends its value to dst, in the same shared hold of db.mu
+// that found the item: the file a ref points into is only ever erased
+// under the exclusive lock, after every kept record has been re-pointed,
+// so a ref resolved in this hold stays readable to its end. On an error
+// it returns dst unextended.
+func (db *DB) readLocked(dst, key []byte, version uint64, seg *segment, it *item) (out []byte, cost time.Duration, traced bool, err error) {
 	if db.closed {
 		return dst, 0, false, ErrClosed
 	}
-	seg, it := lookup(db, key, version)
 	if it == nil {
 		return dst, 0, false, fmt.Errorf("%w: %q/%d", ErrNotFound, key, version)
 	}
@@ -681,7 +696,7 @@ func (db *DB) readLocked(dst, key []byte, version uint64) (out []byte, cost time
 		if !it.has(fHasBase) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d", ErrBrokenChain, key, version)
 		}
-		_, b := lookup(db, key, it.base)
+		b := it.to
 		if b == nil || b.has(fDedup) {
 			return dst, 0, true, fmt.Errorf("%w: %q/%d (base %d)", ErrBrokenChain, key, version, it.base)
 		}
@@ -709,19 +724,19 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 		db.mu.RUnlock()
 		return nil, 0, 0, ErrClosed
 	}
-	var found bool
-	var ver uint64
-	for i := len(db.segs) - 1; i >= 0 && !found; i-- {
-		seg := db.segs[i]
-		if it := seg.items[string(key)]; it != nil && !seg.deleted(it) {
-			ver, found = seg.ver, true
+	var seg *segment
+	var it *item
+	for i := len(db.segs) - 1; i >= 0 && seg == nil; i-- {
+		if it = db.segs[i].items[string(key)]; it != nil && !db.segs[i].deleted(it) {
+			seg = db.segs[i]
 		}
 	}
-	if !found {
+	if seg == nil {
 		db.mu.RUnlock()
 		return nil, 0, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	val, cost, traced, err := db.readLocked(nil, key, ver)
+	ver := seg.ver
+	val, cost, traced, err := db.readLocked(nil, key, ver, seg, it)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, ver, cost, err
@@ -761,7 +776,7 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	db.tombs[ref.File] = append(db.tombs[ref.File], ref)
 	db.mu.Lock()
 	it.flags |= fDeleted
-	db.deleteLocked(string(key), it)
+	db.deleteLocked(it)
 	seg.live--
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
@@ -806,9 +821,9 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 		db.excl.Lock()
 		seg.retired, seg.live = true, 0
 		db.excl.Unlock()
-		for k, it := range seg.items {
+		for _, it := range seg.items {
 			if !it.has(fDeleted) {
-				db.deleteLocked(k, it)
+				db.deleteLocked(it)
 				dropped++
 			}
 		}
@@ -874,17 +889,22 @@ func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
 		// are searched newest first and a tie keeps the first found.
 		var key string
 		var seg *segment
+		var it *item
 		for i := len(db.segs) - 1; i >= 0; i-- {
 			s := db.segs[i]
-			ks := s.keys()
-			if j, _ := slices.BinarySearch(ks, next); j < len(ks) && (seg == nil || ks[j] < key) {
-				key, seg = ks[j], s
+			es := s.keys()
+			j, _ := slices.BinarySearchFunc(es, next, func(e entry, k string) int { return strings.Compare(e.key, k) })
+			for j < len(es) && es[j].it.has(fRemoved) {
+				j++
+			}
+			if j < len(es) && (seg == nil || es[j].key < key) {
+				key, seg, it = es[j].key, s, es[j].it
 			}
 		}
 		if seg == nil || (len(to) > 0 && key >= string(to)) {
 			return
 		}
-		if !seg.deleted(seg.items[key]) && !fn([]byte(key), seg.ver) {
+		if !seg.deleted(it) && !fn([]byte(key), seg.ver) {
 			return
 		}
 		next = key + "\x00"

@@ -70,15 +70,9 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	// the active one (whose tail may still grow).
 	sealed := db.sealedFilesLocked()
 
-	// The image's exact length first, so the walk appends without growing.
-	size, items := 8+4+4*len(sealed)+4, 0
-	for _, seg := range db.segs {
-		items += len(seg.items)
-		for k := range seg.items {
-			size += ckptItemLen + len(k)
-		}
-	}
-	body := make([]byte, 0, size)
+	// The image is built in the buffer the last checkpoint left, and its
+	// item count filled in once the walk has counted.
+	body := db.ckptBuf[:0]
 	put32 := func(v uint32) { body = binary.LittleEndian.AppendUint32(body, v) }
 	put64 := func(v uint64) { body = binary.LittleEndian.AppendUint64(body, v) }
 	put64(floor)
@@ -86,16 +80,21 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	for _, id := range sealed {
 		put32(id)
 	}
-	put32(uint32(items))
+	countAt, items := len(body), 0
+	put32(0)
 	for _, seg := range db.segs {
-		for _, k := range seg.keys() {
-			it := seg.items[k]
+		for _, e := range seg.keys() {
+			it := e.it
+			if it.has(fRemoved) {
+				continue
+			}
+			items++
 			flags := it.flags
 			if seg.retired {
 				flags |= fDeleted
 			}
-			put32(uint32(len(k)))
-			body = append(body, k...)
+			put32(uint32(len(e.key)))
+			body = append(body, e.key...)
 			put64(seg.ver)
 			body = append(body, flags)
 			put64(it.base)
@@ -104,6 +103,8 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 			put32(it.ref.Len)
 		}
 	}
+	binary.LittleEndian.PutUint32(body[countAt:], uint32(items))
+	db.ckptBuf = body
 
 	name := ckptName(floor)
 	w, err := db.fs.Create(name)
@@ -367,6 +368,8 @@ func (db *DB) recover() error {
 	// and every count is whole before the second pass reads it. The
 	// deletion records replayed — those no checkpoint covers — count live
 	// and are held until one does.
+	// Each live item is bound here to its base item, which the engine
+	// follows from then on.
 	for _, seg := range db.segs {
 		seg.live = 0
 		for k, it := range seg.items {
@@ -376,8 +379,8 @@ func (db *DB) recover() error {
 			}
 			seg.live++
 			if it.has(fHasBase) {
-				if _, b := lookup(db, k, it.base); b != nil {
-					b.refs++
+				if _, it.to = lookup(db, k, it.base); it.to != nil {
+					it.to.refs++
 				}
 			}
 		}

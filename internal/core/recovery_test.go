@@ -23,6 +23,7 @@ func reopen(t *testing.T, fs blockfs.FS) *DB {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
+	checkMemtable(t, db)
 	return db
 }
 
@@ -36,11 +37,11 @@ type engineState struct {
 	files    int
 	total    int64
 	live     int64
-	values   map[entry]string
+	values   map[keyVer]string
 }
 
-// entry names one (key, version).
-type entry struct {
+// keyVer names one (key, version).
+type keyVer struct {
 	key string
 	ver uint64
 }
@@ -48,17 +49,20 @@ type entry struct {
 func snapshotState(t *testing.T, db *DB) engineState {
 	t.Helper()
 	st := db.Stats().Store
-	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[entry]string{}}
+	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[keyVer]string{}}
 	for _, seg := range db.segs {
-		for _, k := range seg.keys() {
-			it := seg.items[k]
+		for _, e := range seg.keys() {
+			k, it := e.key, e.it
+			if it.has(fRemoved) {
+				continue
+			}
 			flags := it.flags
 			if seg.deleted(it) {
 				flags |= fDeleted
 			}
 			es.items = append(es.items, fmt.Sprintf("%s/%d flags=%b base=%d refs=%d ref=%+v", k, seg.ver, flags, it.base, it.refs, it.ref))
 			if !seg.deleted(it) {
-				es.values[entry{k, seg.ver}] = ""
+				es.values[keyVer{k, seg.ver}] = ""
 			}
 		}
 	}
@@ -75,6 +79,7 @@ func snapshotState(t *testing.T, db *DB) engineState {
 // state db had, the store's live bytes included.
 func crash(t *testing.T, db *DB, fs blockfs.FS) *DB {
 	t.Helper()
+	checkMemtable(t, db)
 	want := snapshotState(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

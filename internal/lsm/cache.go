@@ -15,9 +15,6 @@ type blockCache struct {
 	size  int64
 	ll    *list.List // front = most recent
 	items map[cacheKey]*list.Element
-
-	hits   int64
-	misses int64
 }
 
 type cacheKey struct {
@@ -51,10 +48,8 @@ func (c *blockCache) get(key cacheKey) ([]byte, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).data, true
 }
@@ -107,14 +102,4 @@ func (c *blockCache) dropTable(table uint64) {
 		}
 		el = next
 	}
-}
-
-// stats returns hit/miss counters.
-func (c *blockCache) stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -273,7 +273,6 @@ func (db *DB) compactLevelLocked(level int) error {
 			return err
 		}
 		srcs = append(srcs, newTableSource(tr.iter(), ikey{}, false))
-		db.compactionRead += m.size
 	}
 	merged := newMergedIter(srcs)
 
@@ -290,7 +289,6 @@ func (db *DB) compactLevelLocked(level int) error {
 			return err
 		}
 		outputs = append(outputs, meta)
-		db.compactionWrite += meta.size
 		tw = nil
 		outBytes = 0
 		return nil
@@ -354,7 +352,6 @@ func (db *DB) compactLevelLocked(level int) error {
 			return fmt.Errorf("lsm: removing input table: %w", err)
 		}
 	}
-	db.compactions++
 	return db.writeManifestLocked()
 }
 

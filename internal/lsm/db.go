@@ -63,22 +63,6 @@ type memval struct {
 	value []byte
 }
 
-// Stats aggregates engine counters.
-type Stats struct {
-	UserWriteBytes   int64 // application payload accepted by Put/Del
-	UserReadBytes    int64
-	Puts, Gets, Dels int64
-	Flushes          int64
-	Compactions      int64
-	CompactionRead   int64 // bytes read by compaction merges
-	CompactionWrite  int64 // bytes written by compaction merges
-	TablesPerLevel   []int
-	BytesPerLevel    []int64
-	DiskBytes        int64
-	CacheHits        int64
-	CacheMisses      int64
-}
-
 // DB is the LSM engine instance.
 type DB struct {
 	mu   sync.Mutex
@@ -98,15 +82,7 @@ type DB struct {
 
 	closed bool
 
-	userWriteBytes  int64
-	userReadBytes   int64
-	puts, gets      int64
-	dels            int64
-	flushes         int64
-	compactions     int64
-	compactionRead  int64
-	compactionWrite int64
-	compactPtr      []string // per-level round-robin compaction cursor
+	compactPtr []string // per-level round-robin compaction cursor
 }
 
 // Open creates an LSM DB over fs, which must be empty. The baseline is
@@ -209,22 +185,15 @@ func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) error {
 		kind = kindDedup
 		value = nil
 	}
-	return db.write(entry{ik: ikey{string(key), version}, kind: kind, value: value}, int64(len(key)+len(value)))
+	return db.write(entry{ik: ikey{string(key), version}, kind: kind, value: value})
 }
 
 // Del writes a tombstone for (key, version).
 func (db *DB) Del(key []byte, version uint64) error {
-	err := db.write(entry{ik: ikey{string(key), version}, kind: kindTombstone}, int64(len(key)))
-	if err == nil {
-		db.mu.Lock()
-		db.dels++
-		db.puts-- // write() counted it as a put
-		db.mu.Unlock()
-	}
-	return err
+	return db.write(entry{ik: ikey{string(key), version}, kind: kindTombstone})
 }
 
-func (db *DB) write(e entry, userBytes int64) error {
+func (db *DB) write(e entry) error {
 	if len(e.ik.key) == 0 {
 		return errors.New("lsm: empty key")
 	}
@@ -237,8 +206,6 @@ func (db *DB) write(e entry, userBytes int64) error {
 		return err
 	}
 	db.applyToMemLocked(e)
-	db.userWriteBytes += userBytes
-	db.puts++
 	if db.memSize >= db.opts.MemtableSize {
 		if err := db.flushMemLocked(); err != nil {
 			return err
@@ -277,7 +244,6 @@ func (db *DB) flushMemLocked() error {
 		return err
 	}
 	db.levels[0] = append(db.levels[0], meta)
-	db.flushes++
 	db.mem = skiplist.New[ikey, memval](ikeyCompare, db.opts.Seed+int64(num))
 	db.memSize = 0
 	// Retire the old WAL; its contents are now durable in the table.
@@ -391,8 +357,6 @@ func (db *DB) Get(key []byte, version uint64) ([]byte, error) {
 	case kindTombstone:
 		return nil, fmt.Errorf("%w: %q/%d", ErrDeleted, key, version)
 	case kindValue:
-		db.gets++
-		db.userReadBytes += int64(len(value))
 		return value, nil
 	}
 	// Dedup: walk older versions until a real value appears.
@@ -406,8 +370,6 @@ func (db *DB) Get(key []byte, version uint64) ([]byte, error) {
 			break
 		}
 		if e.kind == kindValue {
-			db.gets++
-			db.userReadBytes += int64(len(e.value))
 			return e.value, nil
 		}
 		it.next()
@@ -454,34 +416,6 @@ func (db *DB) findLocked(ik ikey) ([]byte, uint8, bool, error) {
 		}
 	}
 	return nil, 0, false, nil
-}
-
-// Stats returns engine counters plus the level shape.
-func (db *DB) Stats() Stats {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := Stats{
-		UserWriteBytes:  db.userWriteBytes,
-		UserReadBytes:   db.userReadBytes,
-		Puts:            db.puts,
-		Gets:            db.gets,
-		Dels:            db.dels,
-		Flushes:         db.flushes,
-		Compactions:     db.compactions,
-		CompactionRead:  db.compactionRead,
-		CompactionWrite: db.compactionWrite,
-		DiskBytes:       db.fs.UsedBytes(),
-	}
-	s.CacheHits, s.CacheMisses = db.cache.stats()
-	for _, tables := range db.levels {
-		s.TablesPerLevel = append(s.TablesPerLevel, len(tables))
-		var b int64
-		for _, m := range tables {
-			b += m.size
-		}
-		s.BytesPerLevel = append(s.BytesPerLevel, b)
-	}
-	return s
 }
 
 var maxIkeyVer = uint64(math.MaxUint64)

@@ -251,8 +251,9 @@ func (d *Device) checkBlock(id int, owner Owner) (*block, error) {
 // ProgramPage writes data (at most one page) into block id at pageIdx.
 // NAND constraint: pageIdx must equal the number of pages already
 // programmed in the block. Short payloads are zero-padded to a full page
-// and a full page is charged to the counters, as real flash would. It
-// returns the simulated operation cost.
+// and a full page is charged to the counters, as real flash would. A full
+// page into a block erased before is copied around the CPU cache
+// (copyPage). It returns the simulated operation cost.
 func (d *Device) ProgramPage(owner Owner, id, pageIdx int, data []byte) (time.Duration, error) {
 	if len(data) > d.cfg.PageSize {
 		return 0, ErrPageOverflow
@@ -275,9 +276,17 @@ func (d *Device) ProgramPage(owner Owner, id, pageIdx int, data []byte) (time.Du
 		b.data = make([]byte, d.cfg.BlockSize())
 	}
 	off := pageIdx * d.cfg.PageSize
-	n := copy(b.data[off:off+d.cfg.PageSize], data)
-	for i := off + n; i < off+d.cfg.PageSize; i++ {
-		b.data[i] = 0
+	switch page := b.data[off : off+d.cfg.PageSize]; {
+	case len(data) < len(page):
+		clear(page[copy(page, data):])
+	case b.eraseCnt == 0:
+		// The buffer was allocated for this first cycle, and its memory
+		// zeroed just before (by the runtime, or by the kernel at the first
+		// touch): its lines are in the cache, which a streaming store would
+		// have to evict. A recycled buffer was last written a cycle ago.
+		copy(page, data)
+	default:
+		copyPage(page, data)
 	}
 	b.written++
 	d.sysWrite += int64(d.cfg.PageSize)

@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -277,5 +278,108 @@ func TestErasedBlockKeepsNothingReadable(t *testing.T) {
 	dst := make([]byte, 2)
 	if n, _, err := d.ReadPage(OwnerNative, id, 0, 1, dst); err != nil || n != 2 || string(dst) != "ew" {
 		t.Fatalf("ReadPage window = %d %q, %v", n, dst, err)
+	}
+}
+
+// TestProgramPageStreamingMatchesCopy programs random pages at every
+// index of a block, full and short, reads each back byte for byte, then
+// erases the block and programs it again over the old contents. A full
+// page into the erased block takes copyPage's streaming kernel on amd64
+// and the plain copy elsewhere and under -race, so running the test both
+// ways covers both.
+// The page sizes include ones the kernel declines (not a multiple of 64
+// bytes, or a destination off its 16-byte alignment), and copyPage is
+// checked against copy at every offset and length around those limits.
+func TestProgramPageStreamingMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pageSize := range []int{4096, 512, 100, 72} {
+		cfg := testConfig(2)
+		cfg.PageSize, cfg.PagesPerBlock = pageSize, 16
+		d, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := d.AllocBlock(OwnerNative)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			want := make([][]byte, cfg.PagesPerBlock)
+			for p := range want {
+				n := pageSize
+				if p%3 == 2 {
+					n = rng.Intn(pageSize) // a short page: the rest reads as zeros
+				}
+				data := make([]byte, n)
+				rng.Read(data)
+				if _, err := d.ProgramPage(OwnerNative, id, p, data); err != nil {
+					t.Fatal(err)
+				}
+				want[p] = append(data, make([]byte, pageSize-n)...)
+			}
+			for p := range want {
+				got, _, err := readPage(d, OwnerNative, id, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[p]) {
+					t.Fatalf("page size %d, round %d: page %d reads back other bytes", pageSize, round, p)
+				}
+			}
+			if _, err := d.EraseBlock(OwnerNative, id); err != nil {
+				t.Fatal(err)
+			}
+			if id, err = d.AllocBlock(OwnerNative); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	src := make([]byte, 1024)
+	rng.Read(src)
+	for off := 0; off < 32; off++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 128, 192, 960} {
+			dst := make([]byte, 1024+32)
+			want := make([]byte, len(dst))
+			copy(want[off:off+n], src)
+			copyPage(dst[off:off+n], src[:n])
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("copyPage of %d bytes at offset %d differs from copy", n, off)
+			}
+		}
+	}
+}
+
+// BenchmarkProgramPage programs full 4 KB pages in order across 64
+// blocks (16 MB of flash), erasing each block before it is programmed
+// again, so that a page's destination is not the one just written.
+func BenchmarkProgramPage(b *testing.B) {
+	const blocks = 64
+	d, err := NewDevice(testConfig(blocks))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < blocks; i++ {
+		if _, err := d.AllocBlock(OwnerNative); err != nil {
+			b.Fatal(err)
+		}
+	}
+	page := make([]byte, d.Config().PageSize)
+	perBlock := d.Config().PagesPerBlock
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, p := i/perBlock%blocks, i%perBlock
+		if p == 0 && i >= blocks*perBlock {
+			if _, err := d.EraseBlock(OwnerNative, id); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.AllocBlock(OwnerNative); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := d.ProgramPage(OwnerNative, id, p, page); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
