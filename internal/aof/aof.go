@@ -646,23 +646,24 @@ func (s *Store) ScanFile(id uint32, fn func(rec Record, ref Ref) error) error {
 	}
 }
 
-// Judge is the engine's liveness oracle for GC: it returns true when the
-// record at refs[i], of the refs CollectFile was given, must be preserved — either it is the current target of a
-// memtable item, or it is an older version still reachable through dedup
-// traceback (paper: "invalid key-value pairs that are referred by later
-// version keys"), or a deletion record recovery still needs. The judge may
-// mutate the record's flags before the relocation copy is written (e.g.
-// folding a memtable delete flag into FlagDropped so the deletion survives
-// recovery). The record is a view into the pass's read buffer, valid
-// during the call. The position i lets the engine keep what it knows of
-// each record beside refs, rather than find it again by key.
-type Judge func(rec *Record, i int) bool
-
-// Relocated notifies the engine that the preserved record at refs[i]
-// moved to new, so it can update the offset fields in its memtable (paper
-// Fig. 2, GC step 5). The record is a view into the pass's read buffer,
-// valid during the call.
-type Relocated func(rec Record, i int, new Ref)
+// Kept is the list of records a GC pass keeps, ascending by offset: the
+// current target of a memtable item, an older version still reachable
+// through dedup traceback (paper: "invalid key-value pairs that are
+// referred by later version keys"), or a deletion record recovery still
+// needs. It is the engine's own list, read and updated by position, so
+// the engine keeps what it knows of each record beside its ref and finds
+// nothing again by key.
+type Kept interface {
+	Len() int
+	// At returns where the i-th record lies, and whether its copy is to
+	// carry FlagDropped: a deletion folded into a record kept only for
+	// its later readers, so that it survives recovery without its
+	// tombstone.
+	At(i int) (ref Ref, dropped bool)
+	// Moved tells the engine that the i-th record now lies at new, so it
+	// can update its memtable (paper Fig. 2, GC step 5).
+	Moved(i int, new Ref)
+}
 
 // Candidates returns sealed files whose occupancy is at or below the GC
 // threshold, lowest occupancy first and, among equals (typically the
@@ -683,7 +684,7 @@ func (s *Store) Candidates() []uint32 {
 	return ids
 }
 
-// One hold of the engine lock during a pass judges at most GCChunk
+// One hold of the engine lock during a pass re-appends at most GCChunk
 // records, which together, past the first, come to at most gcHoldBytes:
 // a few hundred microseconds of encoding and appending. The records of a
 // hold are read, and their checksums verified, before it is taken.
@@ -692,28 +693,26 @@ const (
 	gcHoldBytes = 128 << 10
 )
 
-// CollectFile garbage-collects one file: of the records at refs — the
-// ones the engine says can survive the file, ascending by offset — those
-// the judge preserves are re-appended to the active AOF, the engine is
-// told their new location, and the file is erased. No other byte of the
-// file is read: the memtable already knows every record GC may keep. It
-// returns the simulated device cost. The re-appends are the
-// software-level write amplification QinDB pays (paper: "up to 2.5x ...
-// as QinDB has to re-append valid data of deleted files in the GC
-// process").
+// CollectFile garbage-collects one file: every record of keep is
+// re-appended to the active AOF, the engine is told its new location,
+// and the file is erased. No other byte of the file is read: the
+// memtable already knows every record GC keeps. It returns the simulated
+// device cost. The re-appends are the software-level write amplification
+// QinDB pays (paper: "up to 2.5x ... as QinDB has to re-append valid
+// data of deleted files in the GC process").
 //
 // The caller guarantees that nothing else appends to, marks or collects
 // in the store for the length of the call. lk is the lock that keeps the
 // engine's readers out: CollectFile reads a chunk of records (adjacent
 // ones in one read, through the file's kept reader, into a buffer the
 // store keeps between passes) and verifies their checksums without it,
-// holds it while judge and relocated run on the chunk, and holds it once
-// more to erase the victim, after every kept record has been re-pointed:
-// a reader that resolved a ref into the victim under its side of lk
-// finishes its read before the file goes. If the pass fails midway the
-// victim stays, alongside the copies already made: the state a crash at
-// that point leaves, which recovery resolves by sequence number.
-func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, relocated Relocated) (time.Duration, error) {
+// holds it while it re-appends the chunk and calls Moved, and holds it
+// once more to erase the victim, after every kept record has been
+// re-pointed: a reader that resolved a ref into the victim under its side
+// of lk finishes its read before the file goes. If the pass fails midway
+// the victim stays, alongside the copies already made: the state a crash
+// at that point leaves, which recovery resolves by sequence number.
+func (s *Store) CollectFile(id uint32, keep Kept, lk sync.Locker) (time.Duration, error) {
 	s.mu.Lock()
 	fi, ok := s.table()[id]
 	if !ok {
@@ -729,22 +728,25 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 
 	var cost time.Duration
 	var moved int64
-	for at := 0; at < len(refs); {
-		n, size := 1, int(refs[at].Len)
-		for at+n < len(refs) && n < GCChunk && size+int(refs[at+n].Len) <= gcHoldBytes {
-			size += int(refs[at+n].Len)
-			n++
+	for at, end := 0, keep.Len(); at < end; {
+		ref, _ := keep.At(at)
+		n, size := 1, int(ref.Len)
+		for ; at+n < end && n < GCChunk; n++ {
+			ref, _ := keep.At(at + n)
+			if size+int(ref.Len) > gcHoldBytes {
+				break
+			}
+			size += int(ref.Len)
 		}
-		chunk := refs[at : at+n]
-		recs, c, err := s.readChunk(fi.r, chunk, size)
+		recs, c, err := s.readChunk(fi.r, keep, at, n, size)
 		cost += c
 		if err != nil {
 			return cost, fmt.Errorf("file %d: %w", id, err)
 		}
 		lk.Lock()
 		for i := range recs {
-			if !judge(&recs[i], at+i) {
-				continue
+			if _, dropped := keep.At(at + i); dropped {
+				recs[i].Flags |= FlagDropped
 			}
 			newRef, l, c, err := s.relocate(recs[i])
 			cost += c
@@ -753,9 +755,7 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 				return cost, err
 			}
 			moved += l
-			if relocated != nil {
-				relocated(recs[i], at+i, newRef)
-			}
+			keep.Moved(at+i, newRef)
 		}
 		lk.Unlock()
 		at += n
@@ -778,33 +778,40 @@ func (s *Store) CollectFile(id uint32, refs []Ref, lk sync.Locker, judge Judge, 
 	return cost, nil
 }
 
-// readChunk reads the records at refs, size bytes in all, into the
-// store's GC buffer — each run of adjacent records in one read — and
-// decodes them, checksums verified. The records are views of the buffer,
-// valid until the next call.
-func (s *Store) readChunk(r blockfs.Reader, refs []Ref, size int) ([]Record, time.Duration, error) {
+// readChunk reads the n records of keep from position at on, size bytes
+// in all, into the store's GC buffer — each run of adjacent records in
+// one read — and decodes them, checksums verified. The records are views
+// of the buffer, valid until the next call.
+func (s *Store) readChunk(r blockfs.Reader, keep Kept, at, n, size int) ([]Record, time.Duration, error) {
 	buf := slices.Grow(s.gcBuf[:0], size)[:size]
 	if size <= KeepBuffer {
 		s.gcBuf = buf
 	}
 	var cost time.Duration
-	for i, at := 0, 0; i < len(refs); {
-		off, end := refs[i].Off, at+int(refs[i].Len)
-		for i++; i < len(refs) && refs[i].Off == refs[i-1].Off+int64(refs[i-1].Len); i++ {
-			end += int(refs[i].Len)
+	for i, done := at, 0; i < at+n; {
+		ref, _ := keep.At(i)
+		off, end := ref.Off, done+int(ref.Len)
+		for i++; i < at+n; i++ {
+			next, _ := keep.At(i)
+			if next.Off != ref.Off+int64(ref.Len) {
+				break
+			}
+			ref = next
+			end += int(ref.Len)
 		}
-		n, c, err := r.ReadAt(buf[at:end], off)
+		got, c, err := r.ReadAt(buf[done:end], off)
 		cost += c
 		if err != nil {
 			return nil, cost, err
 		}
-		if n < end-at { // the rest of buf holds an earlier chunk's bytes
-			return nil, cost, fmt.Errorf("%w: offset %d: file ends %d bytes into a %d-byte read", ErrCorrupt, off, n, end-at)
+		if got < end-done { // the rest of buf holds an earlier chunk's bytes
+			return nil, cost, fmt.Errorf("%w: offset %d: file ends %d bytes into a %d-byte read", ErrCorrupt, off, got, end-done)
 		}
-		at = end
+		done = end
 	}
 	recs := s.gcRecs[:0]
-	for _, ref := range refs {
+	for i := at; i < at+n; i++ {
+		ref, _ := keep.At(i)
 		rec, _, err := DecodeView(buf[:ref.Len])
 		if err != nil {
 			return nil, cost, fmt.Errorf("offset %d: %w", ref.Off, err)

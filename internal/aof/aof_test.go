@@ -249,7 +249,7 @@ func TestActiveFileNeverCandidate(t *testing.T) {
 	if len(s.Candidates()) != 0 {
 		t.Fatal("the active file must not be a GC candidate")
 	}
-	if _, err := s.CollectFile(ref.File, nil, new(sync.Mutex), nil, nil); err == nil {
+	if _, err := s.CollectFile(ref.File, &refList{}, new(sync.Mutex)); err == nil {
 		t.Fatal("collecting the active file should fail")
 	}
 	// The refusal releases the store: the next append completes.
@@ -284,6 +284,24 @@ func TestSyncReturnsFlashError(t *testing.T) {
 	}
 }
 
+// refList is a Kept of plain refs. dropped, when set, says which copies
+// carry FlagDropped; moved, when set, hears each move.
+type refList struct {
+	refs    []Ref
+	dropped func(i int) bool
+	moved   func(i int, new Ref)
+}
+
+func (l *refList) Len() int { return len(l.refs) }
+
+func (l *refList) At(i int) (Ref, bool) { return l.refs[i], l.dropped != nil && l.dropped(i) }
+
+func (l *refList) Moved(i int, new Ref) {
+	if l.moved != nil {
+		l.moved(i, new)
+	}
+}
+
 // fileRefs returns the refs of every record in file id, in file order.
 func fileRefs(t *testing.T, s *Store, id uint32) []Ref {
 	t.Helper()
@@ -298,68 +316,69 @@ func TestCollectFilePreservesJudgedRecords(t *testing.T) {
 	s, _ := Open(testFS(t, 256), smallConfig())
 	val := bytes.Repeat([]byte{4}, 100<<10)
 	type item struct {
-		ref  Ref
-		live bool
+		ref     Ref
+		live    bool
+		dropped bool // deleted, kept for a later reader
 	}
 	items := map[string]*item{}
 	for i := 0; i < 25; i++ {
 		key := fmt.Sprintf("k%02d", i)
 		ref, _, _, _ := s.Append(Record{Key: []byte(key), Version: 1, Value: val})
-		items[key] = &item{ref: ref, live: i%5 == 0} // keep 1 in 5
+		items[key] = &item{ref: ref, live: i%5 == 0, dropped: i%10 == 5} // keep 1 in 5
+		items[key].live = items[key].live || items[key].dropped
 	}
 	firstFile := items["k00"].ref.File
-	for key, it := range items {
-		if it.ref.File == firstFile && !it.live {
-			s.MarkDead(it.ref)
+	var keep []Ref
+	var keys []string
+	if err := s.ScanFile(firstFile, func(rec Record, ref Ref) error {
+		if it := items[string(rec.Key)]; it.live {
+			keep, keys = append(keep, ref), append(keys, string(rec.Key))
+		} else {
+			s.MarkDead(ref)
 		}
-		_ = key
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.Candidates(); len(got) == 0 || got[0] != firstFile {
 		t.Fatalf("candidates = %v", got)
 	}
-	refs := fileRefs(t, s, firstFile)
-	judge := func(rec *Record, i int) bool {
-		if it := items[string(rec.Key)]; it.ref != refs[i] {
-			t.Errorf("judge of %s given position %d, ref %+v; the record is at %+v", rec.Key, i, refs[i], it.ref)
-		}
-		return items[string(rec.Key)].live
-	}
 	var relocations int
 	before := s.Stats()
-	_, err := s.CollectFile(firstFile, refs, new(sync.Mutex), judge, func(rec Record, i int, new Ref) {
-		old := refs[i]
-		items[string(rec.Key)].ref = new
-		relocations++
-		if old.File != firstFile {
-			t.Errorf("relocated from wrong file %d", old.File)
-		}
-		if new.File == firstFile {
-			t.Error("relocated into the erased file")
-		}
-	})
+	_, err := s.CollectFile(firstFile, &refList{
+		refs:    keep,
+		dropped: func(i int) bool { return items[keys[i]].dropped },
+		moved: func(i int, new Ref) {
+			items[keys[i]].ref = new
+			relocations++
+			if new.File == firstFile {
+				t.Error("relocated into the erased file")
+			}
+		},
+	}, new(sync.Mutex))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if relocations == 0 {
-		t.Fatal("expected relocations of live records")
+	if relocations != len(keep) {
+		t.Fatalf("%d relocations of the %d records kept", relocations, len(keep))
 	}
 	after := s.Stats()
 	if reclaimed := (after.GCFreed - before.GCFreed) - (after.GCMoved - before.GCMoved); reclaimed <= 0 {
 		t.Fatal("expected reclaimed bytes")
 	}
-	// Live records must still read back from their new refs.
-	for key, it := range items {
-		if !it.live || it.ref.File != 0 && it.ref.File == firstFile {
-			continue
+	// Each kept record reads back from the ref its position was told,
+	// the folded deletions with FlagDropped.
+	for _, key := range keys {
+		it := items[key]
+		rec, _, err := s.Read(it.ref)
+		if err != nil {
+			t.Fatalf("read %s after GC: %v", key, err)
 		}
-		if it.live {
-			rec, _, err := s.Read(it.ref)
-			if err != nil {
-				t.Fatalf("read %s after GC: %v", key, err)
-			}
-			if string(rec.Key) != key {
-				t.Fatalf("wrong record after GC: %q", rec.Key)
-			}
+		if string(rec.Key) != key {
+			t.Fatalf("%s was told it moved to %+v, which holds %q", key, it.ref, rec.Key)
+		}
+		if rec.IsDropped() != it.dropped {
+			t.Fatalf("%s: copy dropped = %v, want %v", key, rec.IsDropped(), it.dropped)
 		}
 	}
 	// The file is gone.
@@ -403,8 +422,7 @@ func TestStatsAreRegistryCells(t *testing.T) {
 				s.MarkDead(ref)
 			}
 		}
-		judge := func(*Record, int) bool { return true }
-		if _, err := s.CollectFile(first, keep, new(sync.Mutex), judge, nil); err != nil {
+		if _, err := s.CollectFile(first, &refList{refs: keep}, new(sync.Mutex)); err != nil {
 			t.Fatal(err)
 		}
 		return s.Stats()

@@ -137,17 +137,17 @@ func TestScanFileMatchesWholeFileScan(t *testing.T) {
 
 // countingLocker counts holds and what happened inside each.
 type countingLocker struct {
-	mu     sync.Mutex
-	held   bool
-	holds  int
-	judged []int // records judged per hold
+	mu    sync.Mutex
+	held  bool
+	holds int
+	moved []int // records moved per hold
 }
 
 func (l *countingLocker) Lock() {
 	l.mu.Lock()
 	l.held = true
 	l.holds++
-	l.judged = append(l.judged, 0)
+	l.moved = append(l.moved, 0)
 }
 
 func (l *countingLocker) Unlock() {
@@ -156,11 +156,10 @@ func (l *countingLocker) Unlock() {
 }
 
 // TestCollectFileChunksItsHolds collects a file of many small records and
-// a file of large live ones, handing over every record: judge and
-// relocated only ever run under the
-// lock, no hold judges more than GCChunk records or moves much more than
-// gcHoldBytes, the victim is still there during the last judging hold,
-// and the erase gets a hold of its own.
+// a file of large live ones: Moved only ever runs under the lock, once a
+// record in order, no hold moves more than GCChunk records or much more
+// than gcHoldBytes, the victim is still there during the last moving
+// hold, and the erase gets a hold of its own.
 func TestCollectFileChunksItsHolds(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -187,52 +186,50 @@ func TestCollectFileChunksItsHolds(t *testing.T) {
 			if err := s.Close(); err != nil { // seals the file whatever its fill
 				t.Fatal(err)
 			}
-			refs := fileRefs(t, s, first)
-			inFile := len(refs)
+			var keep []Ref
+			for i, ref := range fileRefs(t, s, first) {
+				if (i+1)%tc.keep == 0 {
+					keep = append(keep, ref)
+				}
+			}
 			lk := &countingLocker{}
 			var movedInHold, maxMoved int64
 			lastHold := 0
 			n := 0
-			judge := func(rec *Record, i int) bool {
+			moved := func(i int, new Ref) {
 				if !lk.held {
-					t.Error("judge ran without the lock")
+					t.Error("Moved ran without the lock")
 				}
 				if i != n {
-					t.Errorf("judge %d given position %d", n, i)
+					t.Errorf("move %d told position %d", n, i)
 				}
 				if _, err := fs.Size(filename(first)); err != nil {
-					t.Error("victim erased before the last record was judged")
+					t.Error("victim erased before the last record was moved")
 				}
-				lk.judged[lk.holds-1]++
+				lk.moved[lk.holds-1]++
 				n++
-				return n%tc.keep == 0
-			}
-			relocated := func(rec Record, i int, new Ref) {
-				if !lk.held {
-					t.Error("relocated ran without the lock")
-				}
 				if lk.holds != lastHold {
 					lastHold, movedInHold = lk.holds, 0
 				}
 				movedInHold += int64(new.Len)
 				maxMoved = max(maxMoved, movedInHold)
 			}
-			if _, err := s.CollectFile(first, refs, lk, judge, relocated); err != nil {
+			if _, err := s.CollectFile(first, &refList{refs: keep, moved: moved}, lk); err != nil {
 				t.Fatal(err)
 			}
-			if n != inFile {
-				t.Fatalf("judged %d records of %d", n, inFile)
+			if n != len(keep) {
+				t.Fatalf("moved %d records of %d", n, len(keep))
 			}
-			for i, j := range lk.judged {
+			for i, j := range lk.moved {
 				if j > GCChunk {
-					t.Fatalf("hold %d judged %d records, more than GCChunk", i, j)
+					t.Fatalf("hold %d moved %d records, more than GCChunk", i, j)
 				}
 			}
-			if last := lk.judged[len(lk.judged)-1]; last != 0 {
-				t.Fatalf("the erase shared its hold with %d judged records", last)
+			if last := lk.moved[len(lk.moved)-1]; last != 0 {
+				t.Fatalf("the erase shared its hold with %d moved records", last)
 			}
-			if minHolds := (inFile+GCChunk-1)/GCChunk + 1; lk.holds < minHolds {
-				t.Fatalf("%d holds for %d records, want at least %d", lk.holds, inFile, minHolds)
+			if minHolds := (len(keep)+GCChunk-1)/GCChunk + 1; lk.holds < minHolds {
+				t.Fatalf("%d holds for %d records, want at least %d", lk.holds, len(keep), minHolds)
 			}
 			if limit := int64(gcHoldBytes + tc.valLen + 64); maxMoved > limit {
 				t.Fatalf("one hold moved %d bytes, limit %d", maxMoved, limit)
@@ -288,8 +285,7 @@ func TestCollectFileReadsWhatItMoves(t *testing.T) {
 	mu.Lock()
 	read, reads = 0, 0
 	mu.Unlock()
-	judge := func(*Record, int) bool { return true }
-	if _, err := s.CollectFile(0, keep, new(sync.Mutex), judge, nil); err != nil {
+	if _, err := s.CollectFile(0, &refList{refs: keep}, new(sync.Mutex)); err != nil {
 		t.Fatal(err)
 	}
 	moved := s.Stats().GCMoved - before

@@ -65,7 +65,7 @@ func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err erro
 // matching items in the skip list, which has the deletion flag set
 // already").
 func (db *DB) collectLocked(id uint32) (time.Duration, error) {
-	keep, gone := db.victimLocked(id)
+	gone := db.victimLocked(id)
 	for i := 0; i < len(gone); i += aof.GCChunk {
 		db.excl.Lock()
 		for _, g := range gone[i:min(i+aof.GCChunk, len(gone))] {
@@ -73,21 +73,62 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 		}
 		db.excl.Unlock()
 	}
+	for i, g := range gone { // a segment's items are listed together
+		if i == 0 || g.seg != gone[i-1].seg {
+			g.seg.compact()
+		}
+	}
 	clear(gone) // the list is kept for the next pass, the items it names are not
-	cost, err := db.store.CollectFile(id, keep, &db.excl, db.gcJudge, db.gcRelocated)
-	clear(db.gcKeep)
+	cost, err := db.store.CollectFile(id, &db.gcKeep, &db.excl)
+	clear(db.gcKeep.recs)
 	if err == nil {
 		delete(db.tombs, id) // every one was relocated
 	}
 	return cost, err
 }
 
-// keepItem is a record a GC pass hands the store to keep: a data record
-// with its item and segment, or a deletion record, whose it is nil.
+// keepItem is a record a GC pass keeps: a data record with its item and
+// segment, or a deletion record, whose it is nil.
 type keepItem struct {
 	ref aof.Ref
 	seg *segment
 	it  *item
+}
+
+// keepList is the list of records a GC pass keeps, ascending by offset,
+// as the store reads and updates it (aof.Kept). The DB keeps one from
+// pass to pass.
+type keepList struct {
+	db   *DB
+	recs []keepItem
+}
+
+func (l *keepList) Len() int { return len(l.recs) }
+
+// At returns the i-th record's ref, and folds a deletion into a data
+// record kept only because a live newer deduplicated entry still reads it
+// ("invalid key-value pairs that are referred by later version keys"), so
+// that the deletion survives recovery without the tombstone. A deletion
+// record, tombstone or version drop, is what recovery replays until a
+// checkpoint holds the deletion, and is copied as it is.
+func (l *keepList) At(i int) (aof.Ref, bool) {
+	k := l.recs[i]
+	return k.ref, k.it != nil && k.seg.deleted(k.it)
+}
+
+// Moved re-points the i-th record's item at new (paper Fig. 2, GC step
+// 5), or holds a deletion record's copy in its new file. Runs with db.mu
+// held exclusively (one of CollectFile's chunk holds).
+func (l *keepList) Moved(i int, new aof.Ref) {
+	k := l.recs[i]
+	if k.it == nil {
+		l.db.tombs[new.File] = append(l.db.tombs[new.File], new)
+		return
+	}
+	k.it.ref = new
+	if k.seg.deleted(k.it) {
+		k.it.flags |= fOnDiskDeleted
+	}
 }
 
 // goneItem is a memtable item a GC pass removes.
@@ -98,13 +139,11 @@ type goneItem struct {
 }
 
 // victimLocked walks the memtable for the items whose record lies in file
-// id. keep holds the refs of those that are live or referenced, with the
-// deletion records held in the file, ascending by offset, and db.gcKeep
-// holds the same records in the same order with their items; gone holds
-// the others. All three are the DB's, reused by the next pass. Runs with
-// wmu held.
-func (db *DB) victimLocked(id uint32) (keep []aof.Ref, gone []goneItem) {
-	kept, gone := db.gcKeep[:0], db.gcGone[:0]
+// id. db.gcKeep gets those that are live or referenced, with the deletion
+// records held in the file, ascending by offset; gone holds the others.
+// Both lists are the DB's, reused by the next pass. Runs with wmu held.
+func (db *DB) victimLocked(id uint32) (gone []goneItem) {
+	kept, gone := db.gcKeep.recs[:0], db.gcGone[:0]
 	for _, ref := range db.tombs[id] {
 		kept = append(kept, keepItem{ref: ref})
 	}
@@ -123,43 +162,6 @@ func (db *DB) victimLocked(id uint32) (keep []aof.Ref, gone []goneItem) {
 		}
 	}
 	slices.SortFunc(kept, func(a, b keepItem) int { return cmp.Compare(a.ref.Off, b.ref.Off) })
-	keep = db.gcRefs[:0]
-	for _, k := range kept {
-		keep = append(keep, k.ref)
-	}
-	db.gcKeep, db.gcRefs, db.gcGone = kept, keep, gone
-	return keep, gone
-}
-
-// gcJudge keeps the i-th record victimLocked named (paper Fig. 2, GC step
-// 4), and folds a deletion into a kept record that only a live referrer
-// still reads. Runs with db.mu held exclusively (one of CollectFile's
-// chunk holds).
-func (db *DB) gcJudge(rec *aof.Record, i int) bool {
-	// Every record named is kept. A deletion record (no item), tombstone
-	// or version drop, is what recovery replays until a checkpoint holds
-	// the deletion; the engine names only those it still holds.
-	if k := db.gcKeep[i]; k.it != nil && k.seg.deleted(k.it) {
-		// Deleted yet read by a live newer deduplicated entry ("invalid
-		// key-value pairs that are referred by later version keys"): fold
-		// the deletion into the relocated record so it survives recovery
-		// without the tombstone.
-		rec.Flags |= aof.FlagDropped
-	}
-	return true
-}
-
-// gcRelocated updates the memtable offset of the i-th record victimLocked
-// named, relocated to new (paper Fig. 2, GC step 5). Runs with db.mu held
-// exclusively.
-func (db *DB) gcRelocated(rec aof.Record, i int, new aof.Ref) {
-	it := db.gcKeep[i].it
-	if it == nil {
-		db.tombs[new.File] = append(db.tombs[new.File], new)
-		return
-	}
-	it.ref = new
-	if rec.IsDropped() {
-		it.flags |= fOnDiskDeleted
-	}
+	db.gcKeep.recs, db.gcGone = kept, gone
+	return gone
 }

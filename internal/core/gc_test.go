@@ -327,7 +327,9 @@ func TestDeletedKeyStaysDeletedAfterGCAndReopen(t *testing.T) {
 
 // TestGCKeepsSortedView: a GC pass that takes items out of a sealed
 // version leaves the version's sorted view in place, the removed items
-// marked in it, and Range and the checkpoint read past them.
+// marked in it, and Range and the checkpoint read past them. Once the
+// marked items outnumber the rest, the pass compacts the view to the
+// map's items, in order.
 func TestGCKeepsSortedView(t *testing.T) {
 	opts := testOptions()
 	opts.AOF.FileSize = 64 << 10
@@ -345,33 +347,48 @@ func TestGCKeepsSortedView(t *testing.T) {
 	mustPut(t, db, "z", 2, val, false) // seals version 1's last file
 	seg := db.segment(1)
 	view := &seg.keys()[0]
-	for i := 0; i < keys; i++ {
-		if i%10 != 0 {
+	// del deletes version 1's keys [from, to) and collects what it can.
+	del := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
 			if _, err := db.Del([]byte(fmt.Sprintf("k%03d", i)), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if _, err := db.Checkpoint(); err != nil { // the tombstones may go now
+			t.Fatal(err)
+		}
+		if _, err := db.CollectAll(); err != nil {
+			t.Fatal(err)
+		}
+		checkMemtable(t, db)
 	}
-	if _, err := db.Checkpoint(); err != nil { // the tombstones may go now
-		t.Fatal(err)
+	rangeKeys := func() []string {
+		var got []string
+		db.Range(nil, []byte("k999"), func(k []byte, v uint64) bool {
+			got = append(got, fmt.Sprintf("%s/%d", k, v))
+			return true
+		})
+		return got
 	}
-	if _, err := db.CollectAll(); err != nil {
-		t.Fatal(err)
+
+	del(0, keys/3)
+	if n := len(seg.items); n == keys || n < keys-keys/3 {
+		t.Fatalf("version 1 holds %d items after GC; want some removed, the %d live kept", n, keys-keys/3)
 	}
-	if n := len(seg.items); n == keys || n < keys/10 {
-		t.Fatalf("version 1 holds %d items after GC; want some removed, the %d live kept", n, keys/10)
+	if db.segment(1) != seg || &seg.keys()[0] != view || seg.marked == 0 {
+		t.Fatalf("the GC pass replaced version 1's sorted view (%d marked)", seg.marked)
 	}
-	if db.segment(1) != seg || &seg.keys()[0] != view {
-		t.Fatal("the GC pass replaced version 1's sorted view")
+	if got := rangeKeys(); len(got) != keys-keys/3 || got[0] != "k100/1" {
+		t.Fatalf("Range after GC lists %d keys (%v...), want the %d live ones", len(got), got[:min(3, len(got))], keys-keys/3)
 	}
-	checkMemtable(t, db)
-	var got []string
-	db.Range(nil, []byte("k999"), func(k []byte, v uint64) bool {
-		got = append(got, fmt.Sprintf("%s/%d", k, v))
-		return true
-	})
-	if len(got) != keys/10 || got[0] != "k000/1" || got[1] != "k010/1" {
-		t.Fatalf("Range after GC lists %d keys (%v...), want the %d live ones", len(got), got[:min(3, len(got))], keys/10)
+
+	del(keys/3, keys-keys/10)
+	if es := seg.keys(); len(es) != len(seg.items) || seg.marked != 0 {
+		t.Fatalf("version 1's view lists %d entries for %d items (%d marked): not compacted", len(es), len(seg.items), seg.marked)
+	}
+	if got := rangeKeys(); len(got) != keys/10 || got[0] != "k270/1" {
+		t.Fatalf("Range after compaction lists %d keys (%v...), want the %d live ones", len(got), got[:min(3, len(got))], keys/10)
 	}
 	// An image written past the pass (a Put moves the floor) holds only
 	// the items the map does.
@@ -381,4 +398,56 @@ func TestGCKeepsSortedView(t *testing.T) {
 	}
 	db2 := crash(t, db, fs)
 	defer db2.Close()
+}
+
+// TestRetiredViewShrinks: a retired version whose one item is still the
+// base of a live deduplicated entry stays linked past the GC pass that
+// takes the rest of it, and its sorted view, built by a checkpoint before
+// the retirement, shrinks to that item, through the pass and the next
+// checkpoint.
+func TestRetiredViewShrinks(t *testing.T) {
+	opts := testOptions()
+	opts.AOF.FileSize = 64 << 10
+	opts.DisableAutoGC = true
+	db, err := Open(testFS(t, 256), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := strings.Repeat("v", 1000)
+	const keys = 300
+	for i := 0; i < keys; i++ {
+		mustPut(t, db, fmt.Sprintf("k%03d", i), 1, val, false)
+	}
+	mustPut(t, db, "k000", 2, "", true) // reads version 1's k000
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seg := db.segment(1)
+	if seg.sorted.Load() == nil {
+		t.Fatal("the checkpoint built no view of version 1")
+	}
+	if _, _, err := db.DropVersion(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ { // seals the file the drop went to
+		mustPut(t, db, fmt.Sprintf("k%03d", i), 3, val, false)
+	}
+	if _, err := db.CollectAll(); err != nil {
+		t.Fatal(err)
+	}
+	if db.segment(1) != seg || len(seg.items) != 1 {
+		t.Fatalf("version 1 after GC: linked %v, %d items; want its one referenced base", db.segment(1) == seg, len(seg.items))
+	}
+	checkMemtable(t, db)
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if es := seg.keys(); len(es) > len(seg.items) {
+		t.Fatalf("version 1's view lists %d entries for its %d item", len(es), len(seg.items))
+	}
+	checkMemtable(t, db)
+	if got, _, err := db.Get([]byte("k000"), 2); err != nil || string(got) != val {
+		t.Fatalf("k000/2 = %d bytes, %v", len(got), err)
+	}
 }

@@ -251,7 +251,8 @@ func TestMemtableBytesMatchesHeap(t *testing.T) {
 // what its items say: every live item bound to a base points at the item
 // lookup finds for (key, base), every refs counts exactly the live items
 // bound to it, and every sorted view is strictly ascending and lists each
-// item of its segment's map once, beside items marked removed only.
+// item of its segment's map once, beside items marked removed only, no
+// more of those than the map holds, and as many as the segment counts.
 func checkMemtable(t testing.TB, db *DB) {
 	t.Helper()
 	db.mu.RLock()
@@ -283,13 +284,14 @@ func checkMemtable(t testing.TB, db *DB) {
 		if p == nil {
 			continue
 		}
-		listed := 0
+		listed, marked := 0, 0
 		for i, e := range *p {
 			if i > 0 && (*p)[i-1].key >= e.key {
 				t.Fatalf("version %d: view lists %q after %q", seg.ver, e.key, (*p)[i-1].key)
 			}
 			switch {
 			case e.it.has(fRemoved):
+				marked++
 			case seg.items[e.key] != e.it:
 				t.Fatalf("%s/%d: the view's item is not the map's", e.key, seg.ver)
 			default:
@@ -298,6 +300,9 @@ func checkMemtable(t testing.TB, db *DB) {
 		}
 		if listed != len(seg.items) {
 			t.Fatalf("version %d: view lists %d of the map's %d items", seg.ver, listed, len(seg.items))
+		}
+		if marked != seg.marked || marked > len(seg.items) {
+			t.Fatalf("version %d: view lists %d removed items (segment counts %d) beside %d", seg.ver, marked, seg.marked, len(seg.items))
 		}
 	}
 }

@@ -90,11 +90,14 @@ func (it *item) has(f uint8) bool { return it.flags&f != 0 }
 // recovery. An add clears sorted, and keys builds it again on first use,
 // under a shared hold at least. A removal leaves the view in place and
 // marks the item fRemoved, which every reader of the view skips, so a
-// sealed version is sorted once however many GC passes take from it.
+// sealed version is not sorted again when a GC pass takes from it. The
+// pass compacts the view once the marked items outnumber the map's
+// (compact), so a view lists at most twice its segment's items.
 type segment struct {
 	ver     uint64
 	items   map[string]*item
 	sorted  atomic.Pointer[[]entry] // the items in ascending key order, or nil
+	marked  int                     // items of sorted marked fRemoved; the wmu holder's
 	live    int                     // items not deleted: the version's key count
 	retired bool                    // dropped whole by DropVersion
 	// first is the oldest file any item was added with. A record moves
@@ -133,6 +136,28 @@ func (s *segment) add(key string, it *item) {
 	}
 	s.items[key] = it
 	s.sorted.Store(nil)
+	s.marked = 0
+}
+
+// compact replaces the sorted view with a copy that lists the map's items
+// only, once the items marked removed in it outnumber them. The copy is
+// then no longer than the removals that made it due, so compacting costs
+// a constant a removal, and no sort. Readers that loaded the old view read
+// on in it: both list the same items the map holds. Runs with wmu held;
+// readers need not be out, since none stores a view while one is set.
+func (s *segment) compact() {
+	p := s.sorted.Load()
+	if p == nil || s.marked <= len(s.items) {
+		return
+	}
+	es := make([]entry, 0, len(s.items))
+	for _, e := range *p {
+		if !e.it.has(fRemoved) {
+			es = append(es, e)
+		}
+	}
+	s.sorted.Store(&es)
+	s.marked = 0
 }
 
 // unretire turns the retirement into a d flag on every item, so that one
@@ -222,12 +247,12 @@ type DB struct {
 	// version-drop records — no checkpoint covers yet: each counts live
 	// and GC keeps it until a checkpoint does (DESIGN.md §3.1).
 	tombs map[uint32][]aof.Ref
-	// gcKeep, gcRefs and gcGone are a GC pass's lists (victimLocked),
-	// kept from pass to pass.
-	gcKeep []keepItem
-	gcRefs []aof.Ref
+	// gcKeep and gcGone are a GC pass's lists (victimLocked), kept from
+	// pass to pass.
+	gcKeep keepList
 	gcGone []goneItem
-	// ckptBuf is the checkpoint image's buffer, kept from one to the next.
+	// ckptBuf is the checkpoint image's buffer, kept from one to the next
+	// while it is at most twice the last image.
 	ckptBuf []byte
 
 	// Counters: one atomic cell per number, read by Stats, Health and
@@ -267,7 +292,9 @@ func (l *exclLock) Unlock() {
 // (35–55 B) and the key's size-class rounding. Measured with Go 1.24's
 // maps at 107–127 B a 20-byte key between 100,000 and 8,000 keys in one
 // version; TestMemtableBytesMatchesHeap keeps it honest. A sorted view,
-// once built, adds an entry (a string header and a pointer, 24 B) a key.
+// once built, adds an entry (a string header and a pointer, 24 B) a key,
+// and keeps the entries of removed keys until they outnumber the rest
+// (segment.compact): not counted here.
 const memItemOverhead = 96
 
 // engineMetrics holds the engine's registry handles. Those that only
@@ -321,6 +348,7 @@ func Open(fs blockfs.FS, opts Options) (*DB, error) {
 		tombs: make(map[uint32][]aof.Ref),
 	}
 	db.excl = exclLock{mu: &db.mu, hold: db.met.exclHold}
+	db.gcKeep.db = db
 	if err := db.recover(); err != nil {
 		return nil, fmt.Errorf("qindb: recovery: %w", err)
 	}
@@ -536,10 +564,14 @@ func (db *DB) segmentFor(v uint64) *segment {
 // removeLocked takes key's item out of the memtable for good: if it was
 // still live, the item it was bound to loses a referrer, and a segment
 // left empty is unlinked. The segment's sorted view keeps the item, marked
-// fRemoved. Runs with wmu and db.mu held, or in recovery.
+// fRemoved, until the GC pass compacts it. Runs with wmu and db.mu held,
+// or in recovery.
 func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	delete(seg.items, key)
 	it.flags |= fRemoved
+	if seg.sorted.Load() != nil {
+		seg.marked++
+	}
 	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
 	if !seg.deleted(it) {
 		db.unbind(it)

@@ -70,8 +70,9 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	// the active one (whose tail may still grow).
 	sealed := db.sealedFilesLocked()
 
-	// The image is built in the buffer the last checkpoint left, and its
-	// item count filled in once the walk has counted.
+	// The image is built in the buffer the last checkpoint left, which
+	// trades an allocation of the image's size a checkpoint for a buffer
+	// kept resident between checkpoints, at most twice the last image.
 	body := db.ckptBuf[:0]
 	put32 := func(v uint32) { body = binary.LittleEndian.AppendUint32(body, v) }
 	put64 := func(v uint64) { body = binary.LittleEndian.AppendUint64(body, v) }
@@ -80,15 +81,13 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	for _, id := range sealed {
 		put32(id)
 	}
-	countAt, items := len(body), 0
-	put32(0)
+	put32(uint32(db.itemsLocked())) // what the views list, past the removed
 	for _, seg := range db.segs {
 		for _, e := range seg.keys() {
 			it := e.it
 			if it.has(fRemoved) {
 				continue
 			}
-			items++
 			flags := it.flags
 			if seg.retired {
 				flags |= fDeleted
@@ -103,8 +102,10 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 			put32(it.ref.Len)
 		}
 	}
-	binary.LittleEndian.PutUint32(body[countAt:], uint32(items))
 	db.ckptBuf = body
+	if cap(body) > 2*len(body) { // the image shrank: let the buffer go
+		db.ckptBuf = nil
+	}
 
 	name := ckptName(floor)
 	w, err := db.fs.Create(name)

@@ -348,38 +348,3 @@ func TestProgramPageStreamingMatchesCopy(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkProgramPage programs full 4 KB pages in order across 64
-// blocks (16 MB of flash), erasing each block before it is programmed
-// again, so that a page's destination is not the one just written.
-func BenchmarkProgramPage(b *testing.B) {
-	const blocks = 64
-	d, err := NewDevice(testConfig(blocks))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < blocks; i++ {
-		if _, err := d.AllocBlock(OwnerNative); err != nil {
-			b.Fatal(err)
-		}
-	}
-	page := make([]byte, d.Config().PageSize)
-	perBlock := d.Config().PagesPerBlock
-	b.SetBytes(int64(len(page)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, p := i/perBlock%blocks, i%perBlock
-		if p == 0 && i >= blocks*perBlock {
-			if _, err := d.EraseBlock(OwnerNative, id); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.AllocBlock(OwnerNative); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := d.ProgramPage(OwnerNative, id, p, page); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
