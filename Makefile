@@ -70,21 +70,28 @@ loc:
 	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
 	printf "%6d %s\n", n, $$1; total += n } END { printf "%6d total\n", total }'
 
-# How much of the simulation the figures reach: cmd/figures (seed 1) and
-# the three examples that drive the simulation in-process, built with
-# coverage and run into one counter directory, then statement coverage
-# per simulation package. A record, not a gate: code at 0 % here is code
-# no figure or example runs. -coverpkg names the module path; with
-# ./internal/... the binaries wrote no counter files.
+# How much of the code the figures and an operator reach, in two halves.
+# The simulation half: cmd/figures (seed 1) and the three examples that
+# drive the simulation in-process, built with coverage and run into one
+# counter directory, then statement coverage per simulation package. The
+# daemon half (scripts/reach-daemon.sh): a coverage-built qindbd on
+# loopback, driven by every qindbctl command, the RESP commands and every
+# operator route, then stopped with SIGTERM, and statement coverage per
+# daemon package. A record, not a gate: code at 0 % here is code no
+# figure, example or operator path runs. -coverpkg names the module path;
+# with ./internal/... the binaries wrote no counter files.
 REACH_EXAMPLES := indexpipeline quickstart regionalupdate
 reach:
 	@rm -rf bin/reach && mkdir -p bin/reach/cov
+	@echo "simulation: cmd/figures -seed 1 and examples $(REACH_EXAMPLES)"
 	@$(GO) build -cover -coverpkg=directload/... -o bin/reach/figures ./cmd/figures
 	@for e in $(REACH_EXAMPLES); do $(GO) build -cover -coverpkg=directload/... -o bin/reach/$$e ./examples/$$e || exit 1; done
 	@GOCOVERDIR=bin/reach/cov bin/reach/figures -seed 1 >/dev/null
 	@for e in $(REACH_EXAMPLES); do GOCOVERDIR=bin/reach/cov bin/reach/$$e >/dev/null || exit 1; done
 	@$(GO) tool covdata percent -i bin/reach/cov \
 		-pkg directload/internal/lsm,directload/internal/mint,directload/internal/skiplist,directload/internal/netsim,directload/internal/bifrost,directload/internal/cluster,directload/internal/experiments,directload/internal/indexer
+	@echo "daemon: qindbd driven by qindbctl, RESP and the operator routes, stopped with SIGTERM"
+	@GO=$(GO) bash scripts/reach-daemon.sh
 
 # The daemon and its client link the engine and the wire stack only:
 # the simulation behind the figures (and the LevelDB baseline under it)

@@ -328,7 +328,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.StopTimer()
 		publish()
 		b.StartTimer()
-		if _, err := db.Checkpoint(); err != nil {
+		if err := db.checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}

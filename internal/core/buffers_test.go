@@ -44,7 +44,7 @@ func TestAllocationBudgets(t *testing.T) {
 	if _, _, err := db.DropVersion(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if erases := db.fs.Device().Stats().Erases; erases < 300 {
@@ -119,7 +119,7 @@ func TestGetReturnsMemoryOfItsOwn(t *testing.T) {
 		if _, _, err := db.DropVersion(v - 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.CollectAll(); err != nil {
+		if err := db.collectAll(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,7 +63,7 @@ func TestCheckpointBoundsRecoveryScan(t *testing.T) {
 			mustPut(t, db, fmt.Sprintf("k-%03d", i), 1, string(val), false)
 		}
 		if withCkpt {
-			if _, err := db.Checkpoint(); err != nil {
+			if err := db.checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,7 +152,7 @@ func TestCheckpointImageUnchanged(t *testing.T) {
 			s.retire(t, db, v-keep)
 		}
 	}
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var name string

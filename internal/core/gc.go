@@ -8,49 +8,18 @@ import (
 	"directload/internal/aof"
 )
 
-// CollectOnce collects the first candidate file — the lowest occupancy
-// at or below the threshold, then the lowest file id — if there is one.
-// It is a no-op when no file qualifies.
-func (db *DB) CollectOnce() (time.Duration, error) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	cost, _, err := db.collectFirstLocked()
-	return cost, err
-}
-
-// CollectAll drains every candidate. Other writers get their turn
-// between files.
-func (db *DB) CollectAll() (time.Duration, error) {
-	var total time.Duration
-	for {
-		db.wmu.Lock()
-		if db.closed {
-			db.wmu.Unlock()
-			return total, ErrClosed
-		}
-		cost, collected, err := db.collectFirstLocked()
-		db.wmu.Unlock()
-		total += cost
-		if err != nil || !collected {
-			return total, err
-		}
-	}
-}
-
-// collectFirstLocked collects the first of Candidates, if there is one.
-// Runs with wmu held: Del and DropVersion call it on their way out, so a
-// pass runs on the mutation that makes it due, and which file it takes
-// and when depend on the mutation stream alone.
-func (db *DB) collectFirstLocked() (cost time.Duration, collected bool, err error) {
+// collectFirstLocked collects the first of Candidates — the lowest
+// occupancy at or below the threshold, then the lowest file id — if there
+// is one. Runs with wmu held: Del and DropVersion call it on their way
+// out, so a pass runs on the mutation that makes it due, and which file
+// it takes and when depend on the mutation stream alone. With manualGC
+// set it collects nothing.
+func (db *DB) collectFirstLocked() (time.Duration, error) {
 	cands := db.store.Candidates()
-	if len(cands) == 0 {
-		return 0, false, nil
+	if len(cands) == 0 || db.manualGC {
+		return 0, nil
 	}
-	cost, err = db.collectLocked(cands[0])
-	return cost, true, err
+	return db.collectLocked(cands[0])
 }
 
 // collectLocked garbage-collects one file. Runs with wmu held and db.mu free: the store takes db.mu

@@ -282,16 +282,15 @@ func TestDeletedKeyStaysDeletedAfterGCAndReopen(t *testing.T) {
 		t.Run(fmt.Sprintf("checkpoint=%v", ckpt), func(t *testing.T) {
 			fs := testFS(t, 64)
 			opts := testOptions()
-			opts.AOF.FileSize = 8 << 10 // two 5 KB values never share a file
-			opts.DisableAutoGC = true   // the stale record's file stays
-			db, err := Open(fs, opts)
+			opts.AOF.FileSize = 8 << 10       // two 5 KB values never share a file
+			db, err := openManualGC(fs, opts) // the stale record's file stays
 			if err != nil {
 				t.Fatal(err)
 			}
 			val := func(c byte) string { return string(bytes.Repeat([]byte{c}, 5<<10)) }
 			if ckpt {
 				mustPut(t, db, "other", 1, "x", false)
-				if _, err := db.Checkpoint(); err != nil {
+				if err := db.checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -333,9 +332,8 @@ func TestDeletedKeyStaysDeletedAfterGCAndReopen(t *testing.T) {
 func TestGCKeepsSortedView(t *testing.T) {
 	opts := testOptions()
 	opts.AOF.FileSize = 64 << 10
-	opts.DisableAutoGC = true
 	fs := testFS(t, 256)
-	db, err := Open(fs, opts)
+	db, err := openManualGC(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +353,10 @@ func TestGCKeepsSortedView(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := db.Checkpoint(); err != nil { // the tombstones may go now
+		if err := db.checkpoint(); err != nil { // the tombstones may go now
 			t.Fatal(err)
 		}
-		if _, err := db.CollectAll(); err != nil {
+		if err := db.collectAll(); err != nil {
 			t.Fatal(err)
 		}
 		checkMemtable(t, db)
@@ -393,7 +391,7 @@ func TestGCKeepsSortedView(t *testing.T) {
 	// An image written past the pass (a Put moves the floor) holds only
 	// the items the map does.
 	mustPut(t, db, "y", 2, val, false)
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	db2 := crash(t, db, fs)
@@ -408,8 +406,7 @@ func TestGCKeepsSortedView(t *testing.T) {
 func TestRetiredViewShrinks(t *testing.T) {
 	opts := testOptions()
 	opts.AOF.FileSize = 64 << 10
-	opts.DisableAutoGC = true
-	db, err := Open(testFS(t, 256), opts)
+	db, err := openManualGC(testFS(t, 256), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +417,7 @@ func TestRetiredViewShrinks(t *testing.T) {
 		mustPut(t, db, fmt.Sprintf("k%03d", i), 1, val, false)
 	}
 	mustPut(t, db, "k000", 2, "", true) // reads version 1's k000
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	seg := db.segment(1)
@@ -433,14 +430,14 @@ func TestRetiredViewShrinks(t *testing.T) {
 	for i := 0; i < 100; i++ { // seals the file the drop went to
 		mustPut(t, db, fmt.Sprintf("k%03d", i), 3, val, false)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if db.segment(1) != seg || len(seg.items) != 1 {
 		t.Fatalf("version 1 after GC: linked %v, %d items; want its one referenced base", db.segment(1) == seg, len(seg.items))
 	}
 	checkMemtable(t, db)
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if es := seg.keys(); len(es) > len(seg.items) {

@@ -48,8 +48,7 @@ func TestGetPassesParkedGCScan(t *testing.T) {
 	}}
 	opts := testOptions()
 	opts.AOF.FileSize = 4 << 20
-	opts.DisableAutoGC = true
-	db, err := Open(fs, opts)
+	db, err := openManualGC(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +114,7 @@ func TestGetPassesParkedGCScan(t *testing.T) {
 	armed.Store(true)
 	gcDone := make(chan error, 1)
 	go func() {
-		_, err := db.CollectOnce()
-		gcDone <- err
+		gcDone <- db.collectOnce()
 	}()
 	select {
 	case <-entered:
@@ -219,9 +217,8 @@ func TestRetirementCollectsBesideParkedRead(t *testing.T) {
 func TestRetirementHoldsDoNotGrowWithTheVersion(t *testing.T) {
 	holds := func(keys int) int64 {
 		opts := testOptions()
-		opts.DisableAutoGC = true
 		opts.Metrics = metrics.NewRegistry()
-		db, err := Open(testFS(t, 1024), opts)
+		db, err := openManualGC(testFS(t, 1024), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,8 +503,7 @@ func TestAbandonedGCPassRecovers(t *testing.T) {
 	}}
 	opts := testOptions()
 	opts.AOF.FileSize = 256 << 10
-	opts.DisableAutoGC = true
-	db, err := Open(fs, opts)
+	db, err := openManualGC(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,8 +525,8 @@ func TestAbandonedGCPassRecovers(t *testing.T) {
 	appended := db.Stats().Store.AppendedBytes
 
 	failAt.Store(5) // the fifth record the pass re-appends
-	if _, err := db.CollectOnce(); !errors.Is(err, boom) {
-		t.Fatalf("CollectOnce = %v, want the injected failure", err)
+	if err := db.collectOnce(); !errors.Is(err, boom) {
+		t.Fatalf("collectOnce = %v, want the injected failure", err)
 	}
 	if _, err := base.Size(victim); err != nil {
 		t.Fatalf("victim %s gone after a failed pass: %v", victim, err)
@@ -553,7 +549,7 @@ func TestAbandonedGCPassRecovers(t *testing.T) {
 			t.Fatalf("retired version of key %d came back", k)
 		}
 	}
-	if _, err := db2.CollectAll(); err != nil {
+	if err := db2.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	s.checkAll(t, db2, 3, 4, 5)

@@ -80,8 +80,7 @@ func rangePage(db *DB, from, to string, n int) []string {
 // it is live, in key order.
 func TestRangeMatchesOracle(t *testing.T) {
 	opts := testOptions()
-	opts.DisableAutoGC = true
-	db, err := Open(testFS(t, 256), opts)
+	db, err := openManualGC(testFS(t, 256), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestMemtableBytesMatchesHeap(t *testing.T) {
 	if _, _, err := db.DropVersion(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	gauge := opts.Metrics.Gauge("qindb.memtable.bytes")

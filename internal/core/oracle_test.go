@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"directload/internal/aof"
+	"directload/internal/blockfs"
 )
 
 // oracle mirrors what Get must answer for every (key, version) a random
 // op stream touched: the model the random-op tests check the engine
-// against, across GC, checkpoints and Close→Open cycles.
+// against, across GC, checkpoints and reopens.
 type oracle map[string]map[uint64]*oracleVal
 
 // oracleVal is one (key, version)'s state.
@@ -154,15 +155,17 @@ func (o oracle) check(t *testing.T, db *DB, sh oracleShape) {
 
 // TestOracleRounds is a seeded db_stress: rounds of random puts, dedup
 // puts, deletes and version drops with values up to 16 KB, automatic
-// checkpoints, GC drained in about half the rounds, and a Close→Open
-// cycle after each, checking every answer against the oracle before and
-// after the reopen.
+// checkpoints, GC drained in about half the rounds, and a reopen after
+// each, checking every answer against the oracle before and after it.
+// The rng picks each reopen's kind: a Close→Open, or the handle dropped
+// with no Close and its open files closed as a process's exit closes
+// them, then an Open of the same filesystem.
 func TestOracleRounds(t *testing.T) {
 	sh := oracleShape{keys: 40, versions: 6, valMax: 16 << 10}
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			fs := testFS(t, 1024)
+			fs := &exitFS{FS: testFS(t, 1024)}
 			opts := Options{
 				AOF:                  aof.Config{FileSize: 1 << 20, GCThreshold: 0.25},
 				CheckpointEveryBytes: 512 << 10,
@@ -176,14 +179,18 @@ func TestOracleRounds(t *testing.T) {
 				o.apply(t, db, rng, 1000, sh)
 				o.check(t, db, sh)
 				if rng.Intn(2) == 0 {
-					if _, err := db.CollectAll(); err != nil {
-						t.Fatalf("round %d: CollectAll: %v", round, err)
+					if err := db.collectAll(); err != nil {
+						t.Fatalf("round %d: collectAll: %v", round, err)
 					}
 				}
 				checkLiveBytes(t, db)
 				checkMemtable(t, db)
-				if err := db.Close(); err != nil {
-					t.Fatalf("round %d: Close: %v", round, err)
+				if rng.Intn(2) == 0 {
+					if err := db.Close(); err != nil {
+						t.Fatalf("round %d: Close: %v", round, err)
+					}
+				} else {
+					fs.exit()
 				}
 				if db, err = Open(fs, opts); err != nil {
 					t.Fatalf("round %d: reopen: %v", round, err)
@@ -197,4 +204,31 @@ func TestOracleRounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exitFS keeps the writers it hands out, so that a test can drop an
+// engine's handle and close its files as the exit of its process would:
+// what was appended stays, and the engine runs no Close of its own.
+// Without it the dropped handle's active file keeps an open writer, and
+// the next engine's GC pass cannot remove it.
+type exitFS struct {
+	blockfs.FS
+	open []blockfs.Writer
+}
+
+func (f *exitFS) Create(name string) (blockfs.Writer, error) {
+	w, err := f.FS.Create(name)
+	if err == nil {
+		f.open = append(f.open, w)
+	}
+	return w, err
+}
+
+// exit closes every writer handed out so far; those closed already
+// answer ErrClosed, which it ignores.
+func (f *exitFS) exit() {
+	for _, w := range f.open {
+		w.Close()
+	}
+	f.open = nil
 }

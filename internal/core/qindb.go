@@ -174,13 +174,10 @@ type Options struct {
 	// AOF holds the append-only file store configuration (file size,
 	// GC threshold, free-space pressure override).
 	AOF aof.Config
-	// DisableAutoGC turns off the GC pass piggybacked on Del and
-	// DropVersion; the caller then drives GC via CollectOnce/CollectAll.
-	DisableAutoGC bool
 	// CheckpointEveryBytes writes a memtable checkpoint automatically
 	// once that many bytes have been appended since the last one
 	// (paper §2.1: the memtable "is checkpointed periodically"). Zero
-	// disables automatic checkpoints; Checkpoint() always works.
+	// disables checkpoints.
 	CheckpointEveryBytes int64
 	// Seed is unused: nothing in the engine is random. It stays only
 	// while the benchmark's ladder (bench/ladder.go) still sets it.
@@ -216,10 +213,11 @@ type Stats struct {
 // Two locks, taken in this order, split "no other mutator" from "no
 // reader" (DESIGN.md §3.1 has the whole contract):
 //
-//   - wmu serialises the mutators — Put, Del, DropVersion, the GC entry
-//     points, Checkpoint, Close — each for its whole operation. Holding it
-//     means nothing else changes the memtable, the store or the fields
-//     below, so its holder reads all of them without mu.
+//   - wmu serialises the mutators — Put, Del, DropVersion (each with the
+//     GC pass or checkpoint it makes due), Close — each for its whole
+//     operation. Holding it means nothing else changes the memtable, the
+//     store or the fields below, so its holder reads all of them without
+//     mu.
 //   - mu keeps readers out. Readers hold it shared from lookup to the end
 //     of the flash read; a mutator holds it exclusively only around the
 //     memtable and file-table changes themselves, a bounded number per
@@ -254,6 +252,9 @@ type DB struct {
 	// ckptBuf is the checkpoint image's buffer, kept from one to the next
 	// while it is at most twice the last image.
 	ckptBuf []byte
+	// manualGC keeps Del and DropVersion from running the GC pass they
+	// make due. Only the package's tests set it, to choose when one runs.
+	manualGC bool
 
 	// Counters: one atomic cell per number, read by Stats, Health and
 	// the registry alike, so counting a request never needs db.mu.
@@ -813,11 +814,8 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
 	db.dels.Add(1)
-	if !db.opts.DisableAutoGC {
-		c, _, _ := db.collectFirstLocked()
-		cost += c
-	}
-	return cost, nil
+	c, _ := db.collectFirstLocked()
+	return cost + c, nil
 }
 
 // DropVersion deletes every entry of the given data version — the bulk
@@ -860,11 +858,8 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 			}
 		}
 	}
-	if !db.opts.DisableAutoGC {
-		c, _, _ := db.collectFirstLocked()
-		cost += c
-	}
-	return dropped, cost, nil
+	c, _ := db.collectFirstLocked()
+	return dropped, cost + c, nil
 }
 
 // Versions returns the live data versions in ascending order.

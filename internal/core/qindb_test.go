@@ -463,7 +463,7 @@ func TestGCReclaimsDroppedVersions(t *testing.T) {
 	db := openTestDB(t, 1024) // 256 MB device
 	defer db.Close()
 	fillVersions(t, db, 50, 8, 20<<10, 2)
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats().Store
@@ -500,7 +500,7 @@ func TestGCPreservesDedupReferencedValues(t *testing.T) {
 	if _, _, err := db.DropVersion(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	// v2 entries must still traceback to the v1 values even though v1 was
@@ -526,7 +526,7 @@ func TestGCRemovesUnreferencedDeletedItems(t *testing.T) {
 	if _, _, err := db.DropVersion(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	after := db.Stats().Keys
@@ -549,12 +549,14 @@ func TestGCSoftwareWriteAmplificationBounded(t *testing.T) {
 	}
 }
 
+// TestCollectOnceNoCandidates: the GC pass a Del runs on its way out is a
+// no-op when no file is a candidate (the one file is the active one).
 func TestCollectOnceNoCandidates(t *testing.T) {
 	db := openTestDB(t, 64)
 	defer db.Close()
 	mustPut(t, db, "k", 1, "v", false)
-	if cost, err := db.CollectOnce(); err != nil || cost != 0 {
-		t.Fatalf("CollectOnce with no candidate = %v, %v", cost, err)
+	if _, err := db.Del([]byte("k"), 1); err != nil {
+		t.Fatal(err)
 	}
 	if runs := db.Stats().Store.GCRuns; runs != 0 {
 		t.Fatalf("GCRuns = %d, want 0", runs)
@@ -563,8 +565,7 @@ func TestCollectOnceNoCandidates(t *testing.T) {
 
 func TestAutoGCDisabled(t *testing.T) {
 	opts := testOptions()
-	opts.DisableAutoGC = true
-	db, err := Open(testFS(t, 1024), opts)
+	db, err := openManualGC(testFS(t, 1024), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,13 +576,13 @@ func TestAutoGCDisabled(t *testing.T) {
 	}
 	db.DropVersion(1)
 	if db.Stats().Store.GCRuns != 0 {
-		t.Fatal("auto GC ran despite DisableAutoGC")
+		t.Fatal("DropVersion ran a GC pass with manualGC set")
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Store.GCRuns == 0 {
-		t.Fatal("manual CollectAll did nothing")
+		t.Fatal("collectAll did nothing")
 	}
 }
 

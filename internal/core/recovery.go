@@ -34,19 +34,6 @@ func parseCkptName(name string) (uint64, bool) {
 	return floor, true
 }
 
-// Checkpoint writes a durable image of the memtable and returns the
-// simulated device cost. Older checkpoints are removed. The caller may
-// invoke it on any schedule; with Options.CheckpointEveryBytes set the
-// engine also checkpoints itself periodically, as the paper describes.
-func (db *DB) Checkpoint() (time.Duration, error) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	return db.checkpointLocked()
-}
-
 // maybeCheckpointLocked runs the periodic checkpoint policy. Runs with
 // wmu held.
 func (db *DB) maybeCheckpointLocked() (time.Duration, error) {
@@ -56,7 +43,8 @@ func (db *DB) maybeCheckpointLocked() (time.Duration, error) {
 	return db.checkpointLocked()
 }
 
-// checkpointLocked writes the checkpoint. Runs with wmu held and takes
+// checkpointLocked writes a durable image of the memtable and removes the
+// older checkpoints. Runs with wmu held and takes
 // no other engine lock: with the mutators out the memtable cannot change
 // under the walk, and readers pass it.
 func (db *DB) checkpointLocked() (cost time.Duration, err error) {

@@ -192,7 +192,7 @@ func TestRecoveryAfterGC(t *testing.T) {
 		mustPut(t, db, fmt.Sprintf("filler-%03d", k), 2, string(val), false)
 	}
 	db.DropVersion(1)
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Store.GCRuns == 0 {
@@ -237,7 +237,7 @@ func TestRecoveryOccupancyRebuild(t *testing.T) {
 	for k := 100; k < 200; k++ {
 		db2.Del([]byte(fmt.Sprintf("k-%03d", k)), 1)
 	}
-	if _, err := db2.CollectAll(); err != nil {
+	if err := db2.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if db2.Stats().Store.GCRuns == 0 {
@@ -267,7 +267,7 @@ func TestCheckpointBasic(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mustPut(t, db, fmt.Sprintf("k-%02d", i), 1, fmt.Sprintf("v-%02d", i), false)
 	}
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint mutations must replay on top of the image.
@@ -292,9 +292,9 @@ func TestCheckpointSupersedesOlder(t *testing.T) {
 	fs := testFS(t, 256)
 	db, _ := Open(fs, testOptions())
 	mustPut(t, db, "a", 1, "x", false)
-	db.Checkpoint()
+	db.checkpoint()
 	mustPut(t, db, "b", 1, "y", false)
-	db.Checkpoint()
+	db.checkpoint()
 	var ckpts int
 	for _, n := range fs.List() {
 		if _, ok := parseCkptName(n); ok {
@@ -320,14 +320,14 @@ func TestCheckpointThenGCThenRecovery(t *testing.T) {
 	for k := 0; k < 200; k++ {
 		mustPut(t, db, fmt.Sprintf("k-%03d", k), 1, string(val), false)
 	}
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the first half and GC aggressively.
 	for k := 0; k < 100; k++ {
 		db.Del([]byte(fmt.Sprintf("k-%03d", k)), 1)
 	}
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Store.GCRuns == 0 {
@@ -356,7 +356,7 @@ func TestCorruptCheckpointFallsBackToScan(t *testing.T) {
 	fs := testFS(t, 256)
 	db, _ := Open(fs, testOptions())
 	mustPut(t, db, "k", 1, "v", false)
-	db.Checkpoint()
+	db.checkpoint()
 	db.Close()
 
 	// Corrupt the checkpoint by replacing it with garbage.
@@ -391,8 +391,7 @@ func TestTornCheckpointFallsBackToIntactOne(t *testing.T) {
 	}}
 	opts := testOptions()
 	opts.AOF.FileSize = 8 << 10 // two 5 KB values never share a file
-	opts.DisableAutoGC = true
-	db, err := Open(fs, opts)
+	db, err := openManualGC(fs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +404,7 @@ func TestTornCheckpointFallsBackToIntactOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPut(t, db, "live", 1, val('L'), false) // rolls over: the victim is sealed
-	if _, err := db.Checkpoint(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	sealed := db.sealedFilesLocked()
@@ -464,11 +463,11 @@ func TestModelEquivalence(t *testing.T) {
 		o.apply(t, db, rng, 300, sh)
 		o.check(t, db, sh)
 		if round%2 == 0 {
-			if _, err := db.Checkpoint(); err != nil {
+			if err := db.checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		db.CollectAll()
+		db.collectAll()
 		o.check(t, db, sh)
 		// Crash and recover.
 		db = crash(t, db, fs)
@@ -499,7 +498,7 @@ func TestReviveAfterRelocatedDropSurvivesRecovery(t *testing.T) {
 	mustPut(t, db, "k-000", 1, "revived", false)
 	// Force GC over everything it can collect: the version-drop record is
 	// relocated (it is always preserved).
-	if _, err := db.CollectAll(); err != nil {
+	if err := db.collectAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Reviving one key revives that key only.

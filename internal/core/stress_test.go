@@ -61,7 +61,7 @@ func TestStressConcurrentMixed(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, err := db.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
+			if err := db.checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
 				errCh <- fmt.Errorf("checkpoint: %w", err)
 				return
 			}
@@ -79,7 +79,7 @@ func TestStressConcurrentMixed(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := db.CollectOnce(); err != nil && !errors.Is(err, ErrClosed) {
+			if err := db.collectOnce(); err != nil && !errors.Is(err, ErrClosed) {
 				errCh <- fmt.Errorf("gc: %w", err)
 				return
 			}

@@ -28,6 +28,7 @@ type testNode struct {
 	addr string
 	db   *core.DB
 	srv  *server.Server
+	ln   net.Listener
 	reg  *metrics.Registry
 }
 
@@ -63,18 +64,16 @@ func (tn *testNode) serve(ln net.Listener) {
 		s.SetMetrics(tn.reg)
 	}
 	go s.Serve(ln)
-	// Wait until Serve has registered the listener; otherwise an
-	// immediate stop() could miss it and leave the port bound.
-	for s.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	tn.srv = s
+	tn.srv, tn.ln = s, ln
 }
 
 // stop kills the TCP server; the engine stays open.
 func (tn *testNode) stop() {
 	if tn.srv != nil {
+		// The listener is closed here too: a Close before Serve has taken
+		// it would leave the port bound.
 		tn.srv.Close()
+		tn.ln.Close()
 		tn.srv = nil
 	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -253,18 +252,6 @@ func (h *Histogram) Mean() float64 {
 	return h.view(&buf).Mean
 }
 
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() float64 {
-	var buf [histBuckets]Bucket
-	return h.view(&buf).Min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() float64 {
-	var buf [histBuckets]Bucket
-	return h.view(&buf).Max
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of all observations so
 // far, within the layout's relative error. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -299,10 +286,4 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		hi = min(hi, bucketLower(last+1))
 	}
 	return newSnapshot(diff, lo, hi)
-}
-
-// String renders the snapshot in the style used by EXPERIMENTS.md.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("n=%d mean=%.0f p99=%.0f p99.9=%.0f max=%.0f",
-		s.Count, s.Mean, s.P99, s.P999, s.Max)
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -35,7 +34,6 @@ type SlowLog struct {
 	ring  []SlowEntry
 	next  int
 	limit int
-	total int64
 }
 
 // NewSlowLog returns a ring holding the most recent capacity entries (0
@@ -62,7 +60,6 @@ func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, errMsg string)
 	}
 	e := SlowEntry{Time: time.Now(), Op: op, Key: string(key), Dur: dur, Err: errMsg}
 	l.mu.Lock()
-	l.total++
 	if len(l.ring) < l.limit {
 		l.ring = append(l.ring, e)
 	} else {
@@ -70,17 +67,6 @@ func (l *SlowLog) Maybe(op string, key []byte, dur time.Duration, errMsg string)
 		l.next = (l.next + 1) % l.limit
 	}
 	l.mu.Unlock()
-}
-
-// Count returns how many slow operations were ever recorded (including
-// entries overwritten in the ring).
-func (l *SlowLog) Count() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // Entries returns the retained entries oldest first. n > 0 keeps only
@@ -119,15 +105,6 @@ func (l *SlowLog) FilterEntries(n int, op string) []SlowEntry {
 		out = out[len(out)-n:]
 	}
 	return out
-}
-
-// MarshalJSON exports the retained entries, oldest first.
-func (l *SlowLog) MarshalJSON() ([]byte, error) {
-	entries := l.Entries(0)
-	if entries == nil {
-		entries = []SlowEntry{}
-	}
-	return json.Marshal(entries)
 }
 
 // WriteSlowEntries renders entries as text, one line each with its

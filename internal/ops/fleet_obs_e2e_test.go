@@ -25,6 +25,7 @@ type obsNode struct {
 	addr string
 	db   *core.DB
 	srv  *server.Server
+	ln   net.Listener
 	reg  *metrics.Registry
 }
 
@@ -58,17 +59,17 @@ func (n *obsNode) serve(ln net.Listener) {
 	s := server.New(n.db)
 	s.SetMetrics(n.reg)
 	go s.Serve(ln)
-	for s.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	n.srv = s
+	n.srv, n.ln = s, ln
 }
 
 // stop kills the storage port; the engine stays up, so a restart
 // serves what the node held before.
 func (n *obsNode) stop() {
 	if n.srv != nil {
+		// The listener is closed here too: a Close before Serve has taken
+		// it would leave the port bound.
 		n.srv.Close()
+		n.ln.Close()
 		n.srv = nil
 	}
 }

@@ -61,11 +61,6 @@ func startRESP(t *testing.T, b *server.Backend) (*Server, *Client) {
 			t.Error("resp Serve did not return after Close")
 		}
 	})
-	// A RESP connection has no handshake to wait on: the caller may use
-	// srv.Addr, which is nil until Serve has taken the listener.
-	for srv.Addr() == nil {
-		time.Sleep(100 * time.Microsecond)
-	}
 	cl, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +566,7 @@ func TestInfoAndInline(t *testing.T) {
 	}
 
 	// Inline commands (the telnet form) share the dispatch path.
-	nc, err := net.Dial("tcp", srv.Addr().String())
+	nc, err := net.Dial("tcp", cl.nc.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,8 +586,8 @@ func TestInfoAndInline(t *testing.T) {
 
 func TestProtocolErrorTearsDown(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	srv, _ := startRESP(t, newBackend(t, nil))
-	nc, err := net.Dial("tcp", srv.Addr().String())
+	_, cl := startRESP(t, newBackend(t, nil))
+	nc, err := net.Dial("tcp", cl.nc.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,11 +80,6 @@ func (b *Batcher) Put(ctx context.Context, key []byte, version uint64, value []b
 	return b.add(ctx, BatchOp{Op: op, Version: version, Key: key, Value: value})
 }
 
-// Del buffers a delete for the next flush.
-func (b *Batcher) Del(ctx context.Context, key []byte, version uint64) error {
-	return b.add(ctx, BatchOp{Op: OpDel, Version: version, Key: key})
-}
-
 // DropVersion buffers a version drop for the next flush.
 func (b *Batcher) DropVersion(ctx context.Context, version uint64) error {
 	return b.add(ctx, BatchOp{Op: OpDropVersion, Version: version})

@@ -171,18 +171,6 @@ func (c *Client) DropVersionContext(ctx context.Context, version uint64) error {
 	return statusErr(status, payload)
 }
 
-// HasContext reports whether (key, version) exists and is live.
-func (c *Client) HasContext(ctx context.Context, key []byte, version uint64) (bool, error) {
-	status, payload, err := c.do(ctx, request{Op: OpHas, Version: version, Key: key})
-	if err != nil {
-		return false, err
-	}
-	if err := statusErr(status, payload); err != nil {
-		return false, err
-	}
-	return len(payload) == 1 && payload[0] == 1, nil
-}
-
 // RangeContext lists newest-live (key, version) pairs in [from, to).
 // limit <= 0 requests the server default; the second return value is
 // the limit the server actually applied (its cap clamps large asks).

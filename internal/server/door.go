@@ -87,16 +87,6 @@ func (d *Door) ListenAndServe(addr string) error {
 	return d.Serve(ln)
 }
 
-// Addr returns the listener address (nil before Serve).
-func (d *Door) Addr() net.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.ln == nil {
-		return nil
-	}
-	return d.ln.Addr()
-}
-
 // Close stops accepting and tears down open connections. A second Close
 // does nothing.
 func (d *Door) Close() error {

@@ -35,14 +35,19 @@ func readReply(t *testing.T, conn net.Conn, br *bufio.Reader, what string) (uint
 	return seq, status, payload
 }
 
-// TestGetBehindExclusiveHoldDoesNotStall parks a GC pass in its first
-// relocation append, which runs while the pass holds the engine's lock
-// exclusively, and sends a GET and then a PING on an idle connection.
+// TestGetBehindExclusiveHoldDoesNotStall parks the GC pass of a version
+// drop in its first relocation append, which runs while the pass holds
+// the engine's lock exclusively, and sends a GET and then a PING on an
+// idle connection.
 // The GET cannot be answered until the pass lets go; the connection must
 // not wait for it: the PING's reply arrives while the GET is parked, and
 // the GET's arrives byte for byte once the pass is released.
 func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
+	// passes counts down the appends let through while armed: the drop's
+	// meta-record goes by, and the append after it, the pass's first
+	// relocation, parks.
 	var armed atomic.Bool
+	var passes atomic.Int32
 	entered, release := make(chan struct{}), make(chan struct{})
 	var released sync.Once
 	free := func() { released.Do(func() { close(release) }) }
@@ -52,7 +57,7 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &blockfstest.FS{FS: blockfs.NewNativeFS(dev), Append: func(string, []byte) error {
-		if armed.CompareAndSwap(true, false) {
+		if armed.Load() && passes.Add(-1) < 0 && armed.CompareAndSwap(true, false) {
 			close(entered)
 			<-release
 		}
@@ -60,9 +65,8 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 	}}
 	reg := metrics.NewRegistry()
 	db, err := core.Open(fs, core.Options{
-		AOF:           aof.Config{FileSize: 512 << 10, GCThreshold: 0.25},
-		DisableAutoGC: true,
-		Metrics:       reg,
+		AOF:     aof.Config{FileSize: 512 << 10, GCThreshold: 0.25},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +74,8 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 	s, _ := serveDB(t, db, reg)
 
 	// Version 1 fills the first file; version 2 shares every tenth key's
-	// value with it, so that once version 1 is retired the first file is
-	// a GC victim whose dedup bases the pass relocates.
+	// value with it, so that retiring version 1 makes the first file a GC
+	// victim whose dedup bases the drop's pass relocates.
 	const keys = 40
 	key := func(k int) []byte { return []byte(fmt.Sprintf("key-%02d", k)) }
 	value := func(k int) []byte { return bytes.Repeat([]byte{byte(k)}, 20<<10) }
@@ -85,16 +89,14 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := db.DropVersion(1); err != nil {
-		t.Fatal(err)
-	}
 
 	conn := helloConn(t, s)
 	br := bufio.NewReader(conn)
+	passes.Store(1)
 	armed.Store(true)
 	gcDone := make(chan error, 1)
 	go func() {
-		_, err := db.CollectOnce()
+		_, _, err := db.DropVersion(1)
 		gcDone <- err
 	}()
 	select {

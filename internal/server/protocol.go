@@ -96,7 +96,7 @@ const (
 	OpGet
 	OpDel
 	OpDropVersion
-	OpHas
+	OpHas // not served natively: the metric label of RESP EXISTS (Backend.Has)
 	OpStats
 	OpRange
 	OpPing

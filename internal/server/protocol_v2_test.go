@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -31,7 +32,7 @@ func reqBody(t *testing.T, req request) []byte {
 // answer from.
 func rawFirstFrame(t *testing.T, s *Server, body []byte) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", s.Addr().String())
+	conn, err := net.Dial("tcp", addrOf(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +115,38 @@ func TestHelloRefused(t *testing.T) {
 				t.Fatalf("server.req.bad = %v, want %d", got, i+1)
 			}
 		})
+	}
+}
+
+// TestRetiredHasOpRefused: opcode 6 keeps its number as the metric label
+// of RESP EXISTS, and the native door no longer serves it. After the
+// hello it is answered like any unknown op — StatusFailed, counted in
+// server.req.bad — and the connection stays up.
+func TestRetiredHasOpRefused(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, _ := startServerReg(t, reg)
+	conn := helloConn(t, s)
+	br := bufio.NewReader(conn)
+	if OpHas != 6 {
+		t.Fatalf("OpHas = %d, want 6", OpHas)
+	}
+	bad := reg.Snapshot()["server.req.bad"]
+	if _, err := conn.Write(appendFrameSeq(nil, 1, reqBody(t, request{Op: OpHas, Version: 1, Key: []byte("k")}))); err != nil {
+		t.Fatal(err)
+	}
+	seq, status, payload := readReply(t, conn, br, "op 6")
+	if seq != 1 || status != StatusFailed || string(payload) != "unknown op" {
+		t.Fatalf("op 6 reply: seq %d, status %d, %q; want StatusFailed \"unknown op\"", seq, status, payload)
+	}
+	if got := reg.Snapshot()["server.req.bad"]; got != bad.(int64)+1 {
+		t.Fatalf("server.req.bad = %v, want %v", got, bad.(int64)+1)
+	}
+	if _, err := conn.Write(appendFrameSeq(nil, 2, reqBody(t, request{Op: OpPing}))); err != nil {
+		t.Fatal(err)
+	}
+	seq, status, payload = readReply(t, conn, br, "the PING after op 6")
+	if seq != 2 || status != StatusOK || string(payload) != "pong" {
+		t.Fatalf("PING reply: seq %d, status %d, %q", seq, status, payload)
 	}
 }
 
@@ -272,7 +305,7 @@ func TestBatchPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Del of a key that never existed: the engine rejects it.
-	if err := b.Del(ctx, []byte("no-prior"), 1); err != nil {
+	if err := b.add(ctx, BatchOp{Op: OpDel, Version: 1, Key: []byte("no-prior")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Put(ctx, []byte("good-2"), 1, []byte("v2"), false); err != nil {
@@ -308,7 +341,7 @@ func TestBatchSentinelAcrossWire(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
 	b := cl.Batcher()
-	if err := b.Del(ctx, []byte("never-existed"), 1); err != nil {
+	if err := b.add(ctx, BatchOp{Op: OpDel, Version: 1, Key: []byte("never-existed")}); err != nil {
 		t.Fatal(err)
 	}
 	err := b.Flush(ctx)

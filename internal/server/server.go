@@ -288,10 +288,6 @@ func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
 // timing, per-opcode metrics, the read SLO and the slowlog — so the native and RESP listeners report identically; this
 // function owns only the response encoding.
 func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
-	if req.Op < OpPut || req.Op > opMax || req.Op == OpHello {
-		s.backend.met.badReqs.Inc()
-		return appendResponse(dst, StatusFailed, []byte("unknown op"))
-	}
 	b := s.backend
 	switch req.Op {
 	case OpPing:
@@ -306,15 +302,6 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 		return statusOnly(dst, b.Del(ctx, req.Key, req.Version))
 	case OpDropVersion:
 		return statusOnly(dst, b.DropVersion(ctx, req.Version))
-	case OpHas:
-		ok, err := b.Has(ctx, req.Key, req.Version)
-		if err != nil {
-			return errResponse(dst, err)
-		}
-		if ok {
-			return appendResponse(dst, StatusOK, []byte{1})
-		}
-		return appendResponse(dst, StatusOK, []byte{0})
 	case OpStats:
 		reply, err := b.Stats(ctx)
 		if err != nil {
@@ -339,8 +326,10 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 			return errResponse(dst, err)
 		}
 		return appendResponse(dst, StatusOK, payload)
+	default: // out of range, a second hello, or the retired OpHas
+		b.met.badReqs.Inc()
+		return appendResponse(dst, StatusFailed, []byte("unknown op"))
 	}
-	return appendResponse(dst, StatusFailed, []byte("unknown op"))
 }
 
 // getReply finishes a GET's reply body, begun at out[at:] as a StatusOK

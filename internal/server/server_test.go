@@ -71,6 +71,14 @@ func serveDB(t *testing.T, db *core.DB, reg *metrics.Registry) (*Server, *Client
 	return s, cl
 }
 
+// addrOf returns the address s serves on. serveDB returns once its
+// client has said hello, so Serve has taken the listener by then.
+func addrOf(s *Server) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ln.Addr().String()
+}
+
 func TestPingPutGetDel(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
@@ -110,23 +118,24 @@ func TestDedupOverWire(t *testing.T) {
 	}
 }
 
+// TestHasAndDropVersion: a dropped version's keys read as deleted over
+// the wire, and the next version's stay.
 func TestHasAndDropVersion(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
 	cl.PutContext(ctx, []byte("a"), 1, []byte("v"), false)
 	cl.PutContext(ctx, []byte("a"), 2, []byte("v"), false)
-	ok, err := cl.HasContext(ctx, []byte("a"), 1)
-	if err != nil || !ok {
-		t.Fatalf("Has = %v, %v", ok, err)
+	if _, err := cl.GetContext(ctx, []byte("a"), 1); err != nil {
+		t.Fatalf("Get a/1 = %v", err)
 	}
 	if err := cl.DropVersionContext(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := cl.HasContext(ctx, []byte("a"), 1); ok {
-		t.Fatal("Has should be false after DropVersion")
+	if _, err := cl.GetContext(ctx, []byte("a"), 1); !errors.Is(err, core.ErrDeleted) {
+		t.Fatalf("Get a/1 after DropVersion = %v, want core.ErrDeleted", err)
 	}
-	if ok, _ := cl.HasContext(ctx, []byte("a"), 2); !ok {
-		t.Fatal("v2 should survive")
+	if _, err := cl.GetContext(ctx, []byte("a"), 2); err != nil {
+		t.Fatalf("v2 should survive: %v", err)
 	}
 }
 
@@ -185,7 +194,7 @@ func TestLargeValue(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	s, _ := startServer(t)
 	ctx := context.Background()
-	addr := s.Addr().String()
+	addr := addrOf(s)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for c := 0; c < 4; c++ {

@@ -332,17 +332,6 @@ func (d *Device) ReadPage(owner Owner, id, pageIdx, inPage int, dst []byte) (int
 	return n, cost, nil
 }
 
-// WrittenPages returns how many pages have been programmed in block id.
-func (d *Device) WrittenPages(id int) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b, err := d.checkBlock(id, OwnerNone)
-	if err != nil {
-		return 0, err
-	}
-	return b.written, nil
-}
-
 // EraseBlock erases the whole block and returns it to the free list.
 // This is the only way to make programmed pages writable again — the
 // asymmetry of paper Fig. 3.
@@ -372,42 +361,4 @@ func (d *Device) EraseCount(id int) int64 {
 		return 0
 	}
 	return d.blocks[id].eraseCnt
-}
-
-// WearStats summarizes flash wear: NAND blocks endure a limited number
-// of program/erase cycles, which is one of the paper's arguments against
-// compaction-heavy designs ("not suitable due to its life span based on
-// limited write cycles"). Skew is max/mean; a perfectly leveled device
-// approaches 1.
-type WearStats struct {
-	MinErases  int64
-	MaxErases  int64
-	MeanErases float64
-	Skew       float64
-}
-
-// WearStats returns the current wear distribution across all blocks.
-func (d *Device) WearStats() WearStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.blocks) == 0 {
-		return WearStats{}
-	}
-	ws := WearStats{MinErases: d.blocks[0].eraseCnt}
-	var sum int64
-	for i := range d.blocks {
-		c := d.blocks[i].eraseCnt
-		sum += c
-		if c < ws.MinErases {
-			ws.MinErases = c
-		}
-		if c > ws.MaxErases {
-			ws.MaxErases = c
-		}
-	}
-	ws.MeanErases = float64(sum) / float64(len(d.blocks))
-	if ws.MeanErases > 0 {
-		ws.Skew = float64(ws.MaxErases) / ws.MeanErases
-	}
-	return ws
 }

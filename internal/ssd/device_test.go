@@ -218,15 +218,27 @@ func TestWearTracking(t *testing.T) {
 	}
 }
 
+// TestWrittenPages: after five programs a block's write pointer is at
+// page 5: page 4 reads back, page 5 is unwritten, and the next program
+// must be page 5.
 func TestWrittenPages(t *testing.T) {
 	d, _ := NewDevice(testConfig(2))
 	id, _ := d.AllocBlock(OwnerNative)
 	for i := 0; i < 5; i++ {
 		d.ProgramPage(OwnerNative, id, i, nil)
 	}
-	n, err := d.WrittenPages(id)
-	if err != nil || n != 5 {
-		t.Fatalf("WrittenPages = %d, %v; want 5", n, err)
+	buf := make([]byte, 4096)
+	if _, _, err := d.ReadPage(OwnerNative, id, 4, 0, buf); err != nil {
+		t.Fatalf("ReadPage(4) = %v", err)
+	}
+	if _, _, err := d.ReadPage(OwnerNative, id, 5, 0, buf); !errors.Is(err, ErrPageUnwritten) {
+		t.Fatalf("ReadPage(5) = %v, want ErrPageUnwritten", err)
+	}
+	if _, err := d.ProgramPage(OwnerNative, id, 6, nil); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("ProgramPage(6) = %v, want ErrOutOfOrder", err)
+	}
+	if _, err := d.ProgramPage(OwnerNative, id, 5, nil); err != nil {
+		t.Fatalf("ProgramPage(5) = %v", err)
 	}
 }
 
