@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"directload/internal/fleet"
-	"directload/internal/metrics"
 	"directload/internal/server"
 )
 
@@ -22,10 +20,9 @@ func fleetUsage() {
 	fmt.Fprintln(os.Stderr, "       -nodes groups are ';'-separated, members ','-separated")
 	fmt.Fprintln(os.Stderr, "       put  <key> <version> <value>    quorum write onto the key's replica set")
 	fmt.Fprintln(os.Stderr, "       get  <key> <version>            hedged parallel read")
-	fmt.Fprintln(os.Stderr, "       drop <version>                  retire a version fleet-wide")
+	fmt.Fprintln(os.Stderr, "       drop <version>                  retire a version on every node; fails naming any not reached")
 	fmt.Fprintln(os.Stderr, "       load <version>                  key<TAB>value lines from stdin, quorum-written")
 	fmt.Fprintln(os.Stderr, "       where <key>                     print the key's group and replica set")
-	fmt.Fprintln(os.Stderr, "       status                          router snapshot (breakers, handoff)")
 	os.Exit(2)
 }
 
@@ -38,21 +35,16 @@ func runFleet(args []string) {
 	nodes := fs.String("nodes", "", "replication groups: ';' between groups, ',' between node addresses")
 	replicas := fs.Int("replicas", 3, "replicas per key")
 	quorum := fs.Int("quorum", 0, "write quorum (0 = majority of replicas)")
-	hedge := fs.Duration("hedge", 2*time.Millisecond, "hedged-read delay before samples exist")
 	fs.Usage = fleetUsage
 	fs.Parse(args)
 	if *nodes == "" || fs.NArg() == 0 {
 		fleetUsage()
 	}
 
-	groups := parseGroups(*nodes)
-	reg := metrics.NewRegistry()
 	f, err := fleet.New(fleet.Config{
-		Groups:      groups,
+		Groups:      parseGroups(*nodes),
 		Replicas:    *replicas,
 		WriteQuorum: *quorum,
-		HedgeAfter:  *hedge,
-		Metrics:     reg,
 		DialOpts:    []server.DialOption{server.WithTimeout(*timeout)},
 	})
 	if err != nil {
@@ -103,9 +95,6 @@ func runFleet(args []string) {
 		}
 		group, ids := f.ReplicasFor([]byte(cargs[0]))
 		fmt.Printf("group %d replicas %s\n", group, strings.Join(ids, " "))
-	case "status":
-		out, _ := json.MarshalIndent(f.Status(), "", "  ")
-		fmt.Println(string(out))
 	default:
 		fleetUsage()
 	}

@@ -10,7 +10,7 @@
 //	qindbctl -addr 127.0.0.1:7707 stats
 //	qindbctl -addr 127.0.0.1:7707 ping
 //	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get]
-//	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where|status>  # shard router over several nodes
+//	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where>  # shard router over several nodes
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.

@@ -554,3 +554,67 @@ func TestAbandonedGCPassRecovers(t *testing.T) {
 	}
 	s.checkAll(t, db2, 3, 4, 5)
 }
+
+// TestDropVersionReturnsGCError fails an append inside the GC pass that
+// DropVersion runs, with auto-GC on. DropVersion must return that
+// failure — the drop record is appended and the version retired before
+// the pass starts, so the drop itself has taken effect — and opening the
+// same filesystem must read the dropped version deleted and every kept
+// version back byte for byte.
+func TestDropVersionReturnsGCError(t *testing.T) {
+	var failAt atomic.Int64 // fail the append that brings this to zero; idle below zero
+	failAt.Store(-1)
+	boom := errors.New("injected append failure")
+	base := testFS(t, 1024)
+	fs := &blockfstest.FS{FS: base, Append: func(string, []byte) error {
+		if failAt.Load() > 0 && failAt.Add(-1) == 0 {
+			return boom
+		}
+		return nil
+	}}
+	opts := testOptions()
+	opts.AOF.FileSize = 256 << 10
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStream(3, 300, 50)
+	for v := uint64(1); v <= 5; v++ {
+		s.publish(t, db, v)
+	}
+	s.retire(t, db, 1)
+	runs := db.Stats().Store.GCRuns
+
+	// The first append is the drop's own record; the fifth is inside the
+	// pass the drop makes due.
+	failAt.Store(5)
+	s.gone[2] = true
+	if _, _, err := db.DropVersion(2); !errors.Is(err, boom) {
+		t.Fatalf("DropVersion(2) = %v, want the injected failure of its GC pass", err)
+	}
+	if failAt.Load() != 0 {
+		t.Fatal("the injected failure was never reached")
+	}
+	if st := db.Stats().Store; st.GCRuns != runs {
+		t.Fatalf("GC runs %d -> %d: want the pass abandoned midway", runs, st.GCRuns)
+	}
+	for k := 0; k < s.nKeys; k++ {
+		if db.Has(streamKey(k), 2) {
+			t.Fatalf("key %d of the dropped version still reads", k)
+		}
+	}
+	s.checkAll(t, db, 3, 4, 5)
+
+	db2, err := Open(base, opts)
+	if err != nil {
+		t.Fatalf("Open after the failed pass: %v", err)
+	}
+	defer db2.Close()
+	checkMemtable(t, db2)
+	s.checkAll(t, db2, 3, 4, 5)
+	for k := 0; k < s.nKeys; k++ {
+		if db2.Has(streamKey(k), 1) || db2.Has(streamKey(k), 2) {
+			t.Fatalf("retired version of key %d came back", k)
+		}
+	}
+}

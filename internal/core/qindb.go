@@ -782,7 +782,8 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 // small tombstone record is appended so the deletion survives recovery,
 // and the GC table occupancy of the record's file is updated (paper
 // Fig. 2, DEL steps 1-2). When auto-GC is enabled and a sealed file sits
-// at or below the GC threshold, one GC pass runs (steps 3-6).
+// at or below the GC threshold, one GC pass runs (steps 3-6); an error
+// of that pass is returned with the deletion already in effect.
 func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
@@ -814,8 +815,8 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 	db.mu.Unlock()
 	db.userWriteBytes.Add(int64(len(key)))
 	db.dels.Add(1)
-	c, _ := db.collectFirstLocked()
-	return cost + c, nil
+	c, err := db.collectFirstLocked()
+	return cost + c, err
 }
 
 // DropVersion deletes every entry of the given data version — the bulk
@@ -831,7 +832,8 @@ func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
 // lock held, to take its items off their bases and mark dead the records
 // no live entry reads, and the GC pass that follows (if a file is due)
 // chunks its holds. DropVersion returns when all of that
-// is done.
+// is done. An error of the GC pass is returned with the drop already in
+// effect; retrying the drop is harmless.
 func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -858,8 +860,8 @@ func (db *DB) DropVersion(version uint64) (int, time.Duration, error) {
 			}
 		}
 	}
-	c, _ := db.collectFirstLocked()
-	return dropped, cost + c, nil
+	c, err := db.collectFirstLocked()
+	return dropped, cost + c, err
 }
 
 // Versions returns the live data versions in ascending order.

@@ -13,7 +13,6 @@ import (
 	"directload/internal/aof"
 	"directload/internal/blockfs"
 	"directload/internal/core"
-	"directload/internal/metrics"
 	"directload/internal/metrics/testutil"
 	"directload/internal/mint"
 	"directload/internal/server"
@@ -24,27 +23,30 @@ import (
 // server but keeps the engine, so a restart on the same address models
 // a node that crashed and recovered with its flash intact.
 type testNode struct {
-	t    *testing.T
+	t    testing.TB
 	addr string
 	db   *core.DB
 	srv  *server.Server
 	ln   net.Listener
-	reg  *metrics.Registry
 }
 
-func startNode(t *testing.T, reg *metrics.Registry) *testNode {
+func startNode(t testing.TB) *testNode { return startNodeSized(t, 256<<20, 4<<20) }
+
+// startNodeSized starts a node over a device of devBytes whose engine
+// rotates its append-only files at fileBytes.
+func startNodeSized(t testing.TB, devBytes, fileBytes int64) *testNode {
 	t.Helper()
-	dev, err := ssd.NewDevice(ssd.DefaultConfig(256 << 20))
+	dev, err := ssd.NewDevice(ssd.DefaultConfig(devBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1,
+		AOF: aof.Config{FileSize: fileBytes, GCThreshold: 0.25}, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := &testNode{t: t, db: db, reg: reg}
+	tn := &testNode{t: t, db: db}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +62,6 @@ func startNode(t *testing.T, reg *metrics.Registry) *testNode {
 
 func (tn *testNode) serve(ln net.Listener) {
 	s := server.New(tn.db)
-	if tn.reg != nil {
-		s.SetMetrics(tn.reg)
-	}
 	go s.Serve(ln)
 	tn.srv, tn.ln = s, ln
 }
@@ -101,21 +100,14 @@ func (tn *testNode) has(key string, version uint64) bool {
 	return tn.db.Has([]byte(key), version)
 }
 
-// testFleet builds a fleet over the nodes as one group, with fast
-// retries and the background prober off so tests drive probing.
-func testFleet(t *testing.T, cfg Config, nodes ...*testNode) *Fleet {
+// testFleet builds a fleet over the nodes as one group.
+func testFleet(t testing.TB, cfg Config, nodes ...*testNode) *Fleet {
 	t.Helper()
 	addrs := make([]string, len(nodes))
 	for i, n := range nodes {
 		addrs[i] = n.addr
 	}
 	cfg.Groups = [][]string{addrs}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = -1
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = time.Millisecond
-	}
 	if cfg.DialOpts == nil {
 		cfg.DialOpts = []server.DialOption{server.WithTimeout(2 * time.Second)}
 	}
@@ -143,13 +135,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("empty config err = %v", err)
 	}
-	if _, err := New(Config{Groups: [][]string{{"a", "b"}}, Replicas: 3, ProbeInterval: -1}); err == nil {
+	if _, err := New(Config{Groups: [][]string{{"a", "b"}}, Replicas: 3}); err == nil {
 		t.Fatal("2-node group with 3 replicas should fail")
 	}
-	if _, err := New(Config{Groups: [][]string{{"a", "b", "c"}}, Replicas: 3, WriteQuorum: 4, ProbeInterval: -1}); err == nil {
+	if _, err := New(Config{Groups: [][]string{{"a", "b", "c"}}, Replicas: 3, WriteQuorum: 4}); err == nil {
 		t.Fatal("W > R should fail")
 	}
-	if _, err := New(Config{Groups: [][]string{{"a", "a", "b"}}, Replicas: 2, ProbeInterval: -1}); err == nil {
+	if _, err := New(Config{Groups: [][]string{{"a", "a", "b"}}, Replicas: 2}); err == nil {
 		t.Fatal("duplicate node id should fail")
 	}
 }
@@ -181,7 +173,7 @@ func TestPlacementCrossCheckWithMint(t *testing.T) {
 		}
 		groups[g] = append(groups[g], id)
 	}
-	f, err := New(Config{Groups: groups, Replicas: 3, ProbeInterval: -1})
+	f, err := New(Config{Groups: groups, Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +210,7 @@ func TestQuorumPublishAndGet(t *testing.T) {
 		{Replicas: 3, WriteQuorum: 3},
 	} {
 		t.Run(fmt.Sprintf("R%dW%d", cfg.Replicas, cfg.WriteQuorum), func(t *testing.T) {
-			n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
+			n1, n2, n3 := startNode(t), startNode(t), startNode(t)
 			f := testFleet(t, cfg, n1, n2, n3)
 			ctx := context.Background()
 
@@ -252,14 +244,15 @@ func TestQuorumPublishAndGet(t *testing.T) {
 	}
 }
 
-// TestQuorumSurvivesNodeDownAndHandoffDrains kills one replica, checks
-// a publish still reaches quorum with the dead node's share hinted, and
-// that recovery + a probe round drains the handoff so the node
-// converges on the version it missed.
-func TestQuorumSurvivesNodeDownAndHandoffDrains(t *testing.T) {
+// TestQuorumSurvivesNodeDown kills one replica and checks that a
+// publish still reaches quorum on the other two and that reads keep
+// working through the outage. Once the node is back, the same router
+// asks it first for the keys it is primary of: it answers "not found"
+// for the version it missed, and read-repair fills them in.
+func TestQuorumSurvivesNodeDown(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2, WriteRetries: 1}, n1, n2, n3)
+	n1, n2, n3 := startNode(t), startNode(t), startNode(t)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
 	ctx := context.Background()
 
 	if err := f.PublishVersion(ctx, 1, testEntries(1, 30)); err != nil {
@@ -273,14 +266,8 @@ func TestQuorumSurvivesNodeDownAndHandoffDrains(t *testing.T) {
 	if !n1.has("fk-000", 2) || !n2.has("fk-000", 2) {
 		t.Fatal("live replicas missing v2 after quorum publish")
 	}
-	var down NodeStatus
-	for _, ns := range f.Status().Nodes {
-		if ns.ID == n3.addr {
-			down = ns
-		}
-	}
-	if down.HandoffDepth != 30 {
-		t.Fatalf("downed node handoff depth = %d, want 30", down.HandoffDepth)
+	if n3.has("fk-000", 2) {
+		t.Fatal("the downed node took v2")
 	}
 
 	// Reads keep working while the replica is gone.
@@ -289,15 +276,23 @@ func TestQuorumSurvivesNodeDownAndHandoffDrains(t *testing.T) {
 	}
 
 	n3.restart()
-	f.ProbeNow()
-	for _, ns := range f.Status().Nodes {
-		if ns.ID == n3.addr && ns.HandoffDepth != 0 {
-			t.Fatalf("handoff not drained after recovery probe: depth %d", ns.HandoffDepth)
+	var primary []string
+	for i := 0; i < 30; i++ {
+		key := fmt.Sprintf("fk-%03d", i)
+		if val, err := f.Get(ctx, []byte(key), 2); err != nil || string(val) != fmt.Sprintf("fv-2-%03d", i) {
+			t.Fatalf("Get(%s@v2) after restart = %q, %v", key, val, err)
+		}
+		if _, ids := f.ReplicasFor([]byte(key)); ids[0] == n3.addr {
+			primary = append(primary, key)
 		}
 	}
-	for i := 0; i < 30; i++ {
-		if key := fmt.Sprintf("fk-%03d", i); !n3.has(key, 2) {
-			t.Fatalf("recovered node missing %s@v2 after handoff drain", key)
+	if len(primary) == 0 {
+		t.Fatal("the restarted node is primary of none of the keys")
+	}
+	f.Close() // waits for the repairs in flight
+	for _, key := range primary {
+		if !n3.has(key, 2) {
+			t.Fatalf("restarted node not repaired with %s@v2", key)
 		}
 	}
 }
@@ -305,8 +300,8 @@ func TestQuorumSurvivesNodeDownAndHandoffDrains(t *testing.T) {
 // TestQuorumFailure: with two of three replicas down and W=2, a publish
 // must fail with ErrQuorum and name the unreachable nodes.
 func TestQuorumFailure(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2, WriteRetries: 1}, n1, n2, n3)
+	n1, n2, n3 := startNode(t), startNode(t), startNode(t)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
 
 	n2.stop()
 	n3.stop()
@@ -369,18 +364,12 @@ func slowProxy(t *testing.T, backend string, delay time.Duration) string {
 // proxy and picks a key whose primary it is: the hedge must fire and a
 // healthy replica must answer well before the slow one would have.
 func TestHedgedReadBeatsSlowReplica(t *testing.T) {
-	slow := startNode(t, nil)
-	n2, n3 := startNode(t, nil), startNode(t, nil)
+	slow := startNode(t)
+	n2, n3 := startNode(t), startNode(t)
 	const delay = 300 * time.Millisecond
 	proxyAddr := slowProxy(t, slow.addr, delay)
 
-	reg := metrics.NewRegistry()
-	f := testFleet(t, Config{
-		Replicas:    3,
-		WriteQuorum: 2,
-		HedgeAfter:  15 * time.Millisecond,
-		Metrics:     reg,
-	}, &testNode{addr: proxyAddr}, n2, n3)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, &testNode{addr: proxyAddr}, n2, n3)
 
 	// Find a key whose primary replica is the proxied node.
 	var key []byte
@@ -416,21 +405,14 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	if elapsed >= delay {
 		t.Fatalf("hedged read took %v, not faster than the slow replica's %v", elapsed, delay)
 	}
-	if wins := reg.Counter("fleet.read.hedge_wins").Load(); wins < 1 {
-		t.Fatalf("hedge_wins = %d, want >= 1", wins)
-	}
-	if hedges := reg.Counter("fleet.read.hedges").Load(); hedges < 1 {
-		t.Fatalf("hedges = %d, want >= 1", hedges)
-	}
 }
 
 // TestReadRepairConvergence leaves the primary replica stale (missing
 // the key), reads through the fleet, and requires the repair write to
 // converge the stale replica.
 func TestReadRepairConvergence(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	reg := metrics.NewRegistry()
-	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2, Metrics: reg}, n1, n2, n3)
+	n1, n2, n3 := startNode(t), startNode(t), startNode(t)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
 
 	byAddr := map[string]*testNode{n1.addr: n1, n2.addr: n2, n3.addr: n3}
 	key := []byte("repair-key")
@@ -461,103 +443,53 @@ func TestReadRepairConvergence(t *testing.T) {
 	if !stale.has(string(key), 1) {
 		t.Fatal("stale replica not repaired after fleet read")
 	}
-	if repairs := reg.Counter("fleet.read.repairs").Load(); repairs < 1 {
-		t.Fatalf("repairs = %d, want >= 1", repairs)
-	}
 }
 
-// TestBreakerOpensAndRecovers drives enough failures into one node to
-// trip its breaker, checks it is skipped, then heals it via probing.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	reg := metrics.NewRegistry()
-	f := testFleet(t, Config{
-		Replicas: 3, WriteQuorum: 2, WriteRetries: 1,
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-		Metrics: reg,
-	}, n1, n2, n3)
-	ctx := context.Background()
-
-	n3.stop()
-	// Two publishes, each retrying once = enough consecutive transport
-	// failures to trip the threshold of 2.
-	for v := uint64(1); v <= 2; v++ {
-		if err := f.PublishVersion(ctx, v, testEntries(int(v), 5)); err != nil {
-			t.Fatalf("publish v%d: %v", v, err)
-		}
-	}
-	var st NodeStatus
-	for _, ns := range f.Status().Nodes {
-		if ns.ID == n3.addr {
-			st = ns
-		}
-	}
-	if st.Breaker == "closed" {
-		t.Fatalf("breaker still closed after repeated failures: %+v", st)
-	}
-	if opens := reg.Counter("fleet.breaker.opens").Load(); opens < 1 {
-		t.Fatalf("breaker.opens = %d, want >= 1", opens)
-	}
-
-	n3.restart()
-	time.Sleep(60 * time.Millisecond) // let the cooldown lapse
-	f.ProbeNow()                      // half-open trial succeeds, breaker closes, handoff drains
-	for _, ns := range f.Status().Nodes {
-		if ns.ID == n3.addr {
-			if ns.Breaker != "closed" {
-				t.Fatalf("breaker = %s after successful probe", ns.Breaker)
-			}
-			if ns.HandoffDepth != 0 {
-				t.Fatalf("handoff depth = %d after drain", ns.HandoffDepth)
-			}
-		}
-	}
-	if !n3.has("fk-000", 2) {
-		t.Fatal("recovered node missing hinted writes")
-	}
-}
-
-// TestDropVersionHinted checks retention reaches a down node via the
-// handoff queue once it recovers.
-func TestDropVersionHinted(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2, WriteRetries: 1}, n1, n2, n3)
+// TestDropVersionReportsUnreachableNode drops a version with one node
+// down. The error must name that node and only it, the live nodes must
+// have dropped the version, and the same drop retried once the node is
+// back must succeed and converge it.
+func TestDropVersionReportsUnreachableNode(t *testing.T) {
+	n1, n2, n3 := startNode(t), startNode(t), startNode(t)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
 	ctx := context.Background()
 
 	if err := f.PublishVersion(ctx, 1, testEntries(1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	n3.stop()
-	if err := f.DropVersion(ctx, 1); err != nil {
-		t.Fatalf("DropVersion with a node down: %v", err)
+	err := f.DropVersion(ctx, 1)
+	if err == nil {
+		t.Fatal("DropVersion with a node down reported success")
+	}
+	if msg := err.Error(); !strings.Contains(msg, n3.addr) || strings.Contains(msg, n1.addr) || strings.Contains(msg, n2.addr) {
+		t.Fatalf("DropVersion error does not name exactly the down node %s: %v", n3.addr, msg)
 	}
 	if n1.has("fk-000", 1) || n2.has("fk-000", 1) {
 		t.Fatal("live nodes still hold the dropped version")
 	}
 	if !n3.has("fk-000", 1) {
-		t.Fatal("dead node should still hold the version (drop owed via hint)")
+		t.Fatal("the down node lost the version it never heard dropped")
 	}
+
 	n3.restart()
-	f.ProbeNow()
+	if err := f.DropVersion(ctx, 1); err != nil {
+		t.Fatalf("retried DropVersion after restart: %v", err)
+	}
 	if n3.has("fk-000", 1) {
-		t.Fatal("recovered node still holds the dropped version after drain")
+		t.Fatal("restarted node still holds the version after the retried drop")
 	}
 }
 
 // TestFleetE2EOneNodeDown is the acceptance run: a 3-node group at
-// R=3/W=2 with one node down — the publish reaches quorum, a hedged
-// parallel read serves the GET, and the recovered node converges via
-// handoff.
+// R=3/W=2 with one node down — the publish reaches quorum and a hedged
+// parallel read serves the GET. With every replica down a read fails,
+// and not as a miss of the key; the same router reads again once the
+// nodes are back.
 func TestFleetE2EOneNodeDown(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	reg := metrics.NewRegistry()
-	n1 := startNode(t, reg)
-	n2 := startNode(t, reg)
-	n3 := startNode(t, reg)
-	f := testFleet(t, Config{
-		Replicas: 3, WriteQuorum: 2, WriteRetries: 1, Metrics: reg,
-		DialOpts: []server.DialOption{server.WithTimeout(2 * time.Second)},
-	}, n1, n2, n3)
+	n1, n2, n3 := startNode(t), startNode(t), startNode(t)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, n1, n2, n3)
 
 	n3.stop()
 	ctx := context.Background()
@@ -569,30 +501,18 @@ func TestFleetE2EOneNodeDown(t *testing.T) {
 		t.Fatalf("Get = %q, %v", val, err)
 	}
 
-	n3.restart()
-	f.ProbeNow()
-	if !n3.has("fk-003", 1) {
-		t.Fatal("recovered node did not converge via handoff")
+	n1.stop()
+	n2.stop()
+	if _, err := f.Get(ctx, []byte("fk-003"), 1); err == nil || errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("Get with every replica down = %v, want a transport error", err)
 	}
-}
 
-// TestStatusShape sanity-checks the operator snapshot.
-func TestStatusShape(t *testing.T) {
-	n1, n2, n3 := startNode(t, nil), startNode(t, nil), startNode(t, nil)
-	f := testFleet(t, Config{Replicas: 3}, n1, n2, n3)
-	st := f.Status()
-	if st.Groups != 1 || st.Replicas != 3 || st.WriteQuorum != 2 {
-		t.Fatalf("status = %+v", st)
-	}
-	if len(st.Nodes) != 3 {
-		t.Fatalf("status nodes = %d", len(st.Nodes))
-	}
-	if st.HedgeDelayUs != int64(2*time.Millisecond/time.Microsecond) {
-		t.Fatalf("hedge delay = %dus, want the 2ms default before samples exist", st.HedgeDelayUs)
-	}
-	for _, ns := range st.Nodes {
-		if ns.Breaker != "closed" || ns.HandoffDepth != 0 {
-			t.Fatalf("fresh node status = %+v", ns)
+	n1.restart()
+	n2.restart()
+	n3.restart()
+	for i := 0; i < 3; i++ {
+		if val, err := f.Get(ctx, []byte("fk-003"), 1); err != nil || string(val) != "fv-1-003" {
+			t.Fatalf("Get after the nodes restarted = %q, %v", val, err)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package metrics
 
 // SLOConfig shapes one service-level objective.
 type SLOConfig struct {
-	// Name labels the objective ("node.read", "fleet.read").
+	// Name labels the objective ("node.read").
 	Name string
 	// Target is the tolerated bad-event ratio: the paper's read-miss
 	// SLO of 0.6 % is 0.006.

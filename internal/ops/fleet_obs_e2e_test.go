@@ -2,6 +2,7 @@ package ops
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http/httptest"
 	"strconv"
@@ -18,8 +19,9 @@ import (
 	"directload/internal/ssd"
 )
 
-// obsNode is one restartable storage node with its own metrics
-// registry.
+// obsNode is one restartable storage node wired as qindbd wires it:
+// its own metrics registry with the node.read SLO on it, scraped over
+// an operator endpoint that outlives the storage port.
 type obsNode struct {
 	t    *testing.T
 	addr string
@@ -27,6 +29,8 @@ type obsNode struct {
 	srv  *server.Server
 	ln   net.Listener
 	reg  *metrics.Registry
+	slo  *metrics.SLO
+	ops  *httptest.Server
 }
 
 func startObsNode(t *testing.T) *obsNode {
@@ -42,6 +46,9 @@ func startObsNode(t *testing.T) *obsNode {
 		t.Fatal(err)
 	}
 	n := &obsNode{t: t, db: db, reg: metrics.NewRegistry()}
+	n.slo = metrics.NewSLO(metrics.SLOConfig{Name: "node.read", Target: 0.006})
+	n.slo.Register(n.reg)
+	n.ops = httptest.NewServer(NewMux(Config{Registry: n.reg}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +57,7 @@ func startObsNode(t *testing.T) *obsNode {
 	n.serve(ln)
 	t.Cleanup(func() {
 		n.stop()
+		n.ops.Close()
 		db.Close()
 	})
 	return n
@@ -58,6 +66,7 @@ func startObsNode(t *testing.T) *obsNode {
 func (n *obsNode) serve(ln net.Listener) {
 	s := server.New(n.db)
 	s.SetMetrics(n.reg)
+	s.SetReadSLO(n.slo)
 	go s.Serve(ln)
 	n.srv, n.ln = s, ln
 }
@@ -112,40 +121,43 @@ func promValue(t *testing.T, srv *httptest.Server, name string) float64 {
 	return 0
 }
 
+// fleetSum adds one family's sample across the nodes' scrapes, the
+// way the fleet's figure is computed from per-node counters.
+func fleetSum(t *testing.T, name string, nodes ...*obsNode) float64 {
+	t.Helper()
+	var sum float64
+	for _, n := range nodes {
+		sum += promValue(t, n.ops, name)
+	}
+	return sum
+}
+
 // TestFleetObservabilityE2E is the acceptance run for fleet
 // observability: a 3-node fleet takes quorum writes and hedged reads
 // through an injected outage, and the test asserts what an operator
-// scraping the router's /metrics?format=prom would see — the read-miss
-// counter rising during the outage and only the request counter after
-// recovery (the paper's miss ratio is their quotient), the breakers
-// opening and closing, and the hinted handoff draining.
+// scraping each node's /metrics?format=prom would see — every replica's
+// share of a publish as batched sub-ops, fleet reads as node.read SLO
+// events (the paper's miss ratio is bad over good+bad, summed across
+// nodes), nothing counted on a node while it is down, and no read
+// counted bad. With every replica down the router's read fails as a
+// transport error, not as a miss of the key, and the same router reads
+// again once the nodes are back.
 func TestFleetObservabilityE2E(t *testing.T) {
 	n1 := startObsNode(t)
 	n2 := startObsNode(t)
 	n3 := startObsNode(t)
+	all := []*obsNode{n1, n2, n3}
 
-	routerReg := metrics.NewRegistry()
 	f, err := fleet.New(fleet.Config{
-		Groups:           [][]string{{n1.addr, n2.addr, n3.addr}},
-		Replicas:         3,
-		WriteQuorum:      2,
-		WriteRetries:     1,
-		RetryBackoff:     time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		ProbeInterval:    -1,
-		Metrics:          routerReg,
-		DialOpts:         []server.DialOption{server.WithTimeout(2 * time.Second)},
+		Groups:      [][]string{{n1.addr, n2.addr, n3.addr}},
+		Replicas:    3,
+		WriteQuorum: 2,
+		DialOpts:    []server.DialOption{server.WithTimeout(2 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	// The router's own operator endpoint: every assertion below reads
-	// it over HTTP, the way a scraper would.
-	routerSrv := httptest.NewServer(NewMux(Config{Registry: routerReg}))
-	defer routerSrv.Close()
 	ctx := context.Background()
 
 	// --- phase 1: healthy fleet, one write+read ---------------------
@@ -159,61 +171,62 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	if err := f.PublishVersion(ctx, 1, entries); err != nil {
 		t.Fatalf("publish v1: %v", err)
 	}
+	// PublishVersion waits for every replica, so each node has counted
+	// its whole share when it returns.
+	for _, n := range all {
+		if got := promValue(t, n.ops, "server_batch_ops"); got != 8 {
+			t.Fatalf("%s server_batch_ops = %v after v1, want 8", n.addr, got)
+		}
+	}
 	if val, err := f.Get(ctx, []byte("k3"), 1); err != nil || string(val) != "v3" {
 		t.Fatalf("healthy Get = %q, %v", val, err)
 	}
-	if reqs, misses := promValue(t, routerSrv, "fleet_read_requests"), promValue(t, routerSrv, "fleet_read_misses"); reqs != 1 || misses != 0 {
-		t.Fatalf("healthy requests/misses = %v/%v, want 1/0", reqs, misses)
+	// The replica that answered counted its read before replying; a
+	// hedged one may still be in flight, so only a floor holds.
+	if good := fleetSum(t, "slo_node_read_good", all...); good < 1 {
+		t.Fatalf("slo_node_read_good summed = %v after a healthy Get, want >= 1", good)
 	}
 
 	// --- phase 2: outage ---------------------------------------------
-	// One node dies mid-publish: quorum still holds, but its share is
-	// hinted and its breaker trips. Then the rest die and reads miss.
+	// One node dies before a publish: quorum still holds, and only the
+	// live nodes count the write. Then the rest die and reads fail.
 	n3.stop()
 	if err := f.PublishVersion(ctx, 2, entries); err != nil {
 		t.Fatalf("publish v2 with one node down: %v", err)
 	}
-	n1.stop()
-	n2.stop()
-	f.ProbeNow()
-	for i := 0; i < 4; i++ {
-		if _, err := f.Get(ctx, []byte("k3"), 1); err == nil {
-			t.Fatal("Get succeeded with every node down")
+	for n, want := range map[*obsNode]float64{n1: 16, n2: 16, n3: 8} {
+		if got := promValue(t, n.ops, "server_batch_ops"); got != want {
+			t.Fatalf("%s server_batch_ops = %v after v2, want %v", n.addr, got, want)
 		}
 	}
-	misses := promValue(t, routerSrv, "fleet_read_misses")
-	if misses != 4 {
-		t.Fatalf("fleet_read_misses = %v during the outage, want 4", misses)
+	n1.stop()
+	n2.stop()
+	// Let any hedged read of phase 1 land before the counts are taken.
+	time.Sleep(50 * time.Millisecond)
+	before := fleetSum(t, "server_req_get_latency_us_count", all...)
+	for i := 0; i < 4; i++ {
+		if _, err := f.Get(ctx, []byte("k3"), 1); err == nil || errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("Get with every node down = %v, want a transport error", err)
+		}
 	}
-	if opens := promValue(t, routerSrv, "fleet_breaker_opens"); opens < 1 {
-		t.Fatalf("fleet_breaker_opens = %v during the outage, want >= 1", opens)
+	if got := fleetSum(t, "server_req_get_latency_us_count", all...); got != before {
+		t.Fatalf("node get counts moved while every node was down: %v -> %v", before, got)
 	}
-	reqs := promValue(t, routerSrv, "fleet_read_requests")
 
 	// --- phase 3: recovery -------------------------------------------
 	n1.restart()
 	n2.restart()
 	n3.restart()
-	time.Sleep(60 * time.Millisecond) // let the breaker cooldown lapse
-	f.ProbeNow()                      // breakers close, handoff drains
-	if !n3.db.Has([]byte("k0"), 2) {
-		t.Fatal("recovered node missing hinted v2 writes after drain")
-	}
+	goodBefore := fleetSum(t, "slo_node_read_good", all...)
 	for i := 0; i < 3; i++ {
 		if val, err := f.Get(ctx, []byte("k3"), 1); err != nil || string(val) != "v3" {
 			t.Fatalf("recovered Get = %q, %v", val, err)
 		}
 	}
-	if got := promValue(t, routerSrv, "fleet_read_requests"); got != reqs+3 {
-		t.Fatalf("fleet_read_requests after recovery = %v, want %v", got, reqs+3)
+	if got := fleetSum(t, "slo_node_read_good", all...); got < goodBefore+3 {
+		t.Fatalf("slo_node_read_good summed = %v after 3 recovered Gets, want >= %v", got, goodBefore+3)
 	}
-	if got := promValue(t, routerSrv, "fleet_read_misses"); got != misses {
-		t.Fatalf("fleet_read_misses moved after recovery: %v -> %v", misses, got)
-	}
-	if closes := promValue(t, routerSrv, "fleet_breaker_closes"); closes < 1 {
-		t.Fatalf("fleet_breaker_closes = %v after recovery, want >= 1", closes)
-	}
-	if drained := promValue(t, routerSrv, "fleet_handoff_drained"); drained < 1 {
-		t.Fatalf("fleet_handoff_drained = %v after recovery, want >= 1", drained)
+	if bad := fleetSum(t, "slo_node_read_bad", all...); bad != 0 {
+		t.Fatalf("slo_node_read_bad summed = %v, want 0: every read asked for a key its replica held", bad)
 	}
 }

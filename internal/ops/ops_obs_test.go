@@ -49,9 +49,8 @@ func TestSlowlogFilters(t *testing.T) {
 }
 
 // TestObservabilityEndpointsNil checks the observability endpoints
-// against a zero Config: empty output, never a panic. The SLO and the
-// fleet's state changes are counters on /metrics, so /slo and /events
-// are not served.
+// against a zero Config: empty output, never a panic. The SLO is two
+// counters on /metrics, so /slo and /events are not served.
 func TestObservabilityEndpointsNil(t *testing.T) {
 	srv := httptest.NewServer(NewMux(Config{}))
 	defer srv.Close()

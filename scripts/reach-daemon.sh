@@ -57,9 +57,18 @@ ctl() { "$out/qindbctl" -addr "$native" -http "$http" "$@"; }
 	fleet get fk 4
 	printf 'f1\tv1\nf2\tv2\n' | fleet load 5
 	fleet where fk
-	fleet status
 	fleet drop 5
 } >"$out/qindbctl.txt"
+
+# A drop that reaches no node must fail, naming the node it missed.
+if ctl fleet -nodes 127.0.0.1:1 -replicas 1 drop 9 2>"$out/fleet-drop.txt"; then
+	echo "reach-daemon: fleet drop reported success for a node it never reached" >&2
+	exit 1
+fi
+grep -q 127.0.0.1:1 "$out/fleet-drop.txt" || {
+	echo "reach-daemon: fleet drop's error does not name 127.0.0.1:1" >&2
+	exit 1
+}
 
 # Two intervals of `stats -watch` at least: it polls until the daemon
 # goes away below, and then exits through its error path.
