@@ -17,7 +17,7 @@ vet:
 
 # Repo-specific analyzers (internal/analysis) run through the go
 # command's vettool protocol, so package loading, export data and
-# result caching all come from `go vet`. See DESIGN.md, "Static
+# result caching all come from `go vet`. See DESIGN.md §10, "Static
 # analysis".
 # Suppress a finding with:
 #   //lint:ignore <analyzer> reason
@@ -64,11 +64,13 @@ figures:
 # Non-test Go lines per package and their total: raw lines (comments and
 # blank lines count) of the files `go list` names as GoFiles, so tests,
 # testdata and the bench/ module (a module of its own) are left out.
+# Then the size in bytes of the three documents that describe the code.
 # The one way this repository counts its size.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
 	printf "%6d %s\n", n, $$1; total += n } END { printf "%6d total\n", total }'
+	@for f in README.md DESIGN.md EXPERIMENTS.md; do printf '%6d bytes %s\n' $$(wc -c < $$f) $$f; done
 
 # How much of the code the figures and an operator reach, in two halves.
 # The simulation half: cmd/figures (seed 1) and the three examples that

@@ -211,7 +211,7 @@ type Stats struct {
 // DB is a QinDB instance over one (simulated) SSD.
 //
 // Two locks, taken in this order, split "no other mutator" from "no
-// reader" (DESIGN.md §3.1 has the whole contract):
+// reader" (DESIGN.md §1 has the whole contract):
 //
 //   - wmu serialises the mutators — Put, Del, DropVersion (each with the
 //     GC pass or checkpoint it makes due), Close — each for its whole
@@ -243,7 +243,7 @@ type DB struct {
 	excl      exclLock
 	// tombs holds, per file, the deletion records — tombstones and
 	// version-drop records — no checkpoint covers yet: each counts live
-	// and GC keeps it until a checkpoint does (DESIGN.md §3.1).
+	// and GC keeps it until a checkpoint does (DESIGN.md §1).
 	tombs map[uint32][]aof.Ref
 	// gcKeep and gcGone are a GC pass's lists (victimLocked), kept from
 	// pass to pass.

@@ -14,11 +14,11 @@ import (
 	"directload/internal/workload"
 )
 
-// The ablations quantify the design choices DESIGN.md §5 calls out and
-// the §5 RUM-conjecture discussion: lazy GC trades storage space (M) for
-// write throughput (U); block-aligned native flash removes the hardware
-// write amplification a page-mapped FTL would re-introduce; recovery
-// time is the cost of keeping the index only in memory.
+// The ablations (DESIGN.md §7: -fig rum, iface and traceback) quantify
+// the paper's §5 RUM-conjecture discussion: lazy GC trades storage
+// space (M) for write throughput (U); block-aligned native flash removes
+// the hardware write amplification a page-mapped FTL would re-introduce;
+// recovery time is the cost of keeping the index only in memory.
 
 // RUMPoint is one cell of the RUM trade-off table: a GC threshold and
 // the read/update/memory costs measured under it.
@@ -221,8 +221,8 @@ func runInterfacePoint(cfg Fig5Config, kind EngineKind, native bool) (InterfaceR
 }
 
 // TracebackPoint measures GET cost as the dedup chain deepens (DESIGN.md
-// ablation 3): the fraction of versions that were deduplicated rises and
-// with it the number of deduplicated hops a read must resolve.
+// §7, -fig traceback): the fraction of versions that were deduplicated
+// rises and with it the number of deduplicated hops a read must resolve.
 type TracebackPoint struct {
 	DupRatio   float64
 	ReadMeanUs float64

@@ -52,7 +52,7 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-// relErr is the histogram's stated quantile error (DESIGN.md): the
+// relErr is the histogram's stated quantile error (DESIGN.md §11): the
 // layout itself guarantees 1/64.
 const relErr = 0.02
 

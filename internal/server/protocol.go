@@ -29,10 +29,12 @@
 //	request:  len u32 | seq u32 | op u8 | version u64 | keyLen u16 | key | valLen u32 | value
 //	response: len u32 | seq u32 | status u8 | payloadLen u32 | payload
 //
-// (len counts everything after itself, including seq.) The client may
-// keep many requests in flight on one connection; the server runs them
-// concurrently (64 at a time per connection) and responses may arrive
-// in any order — seq matches a response to its request.
+// (len counts everything after itself, including seq.) All 32 bits of
+// seq are the client's: it wraps at 2^32, and the server echoes it
+// unread. The client may keep many requests in flight on one
+// connection; the server runs them concurrently (64 at a time per
+// connection) and responses may arrive in any order — seq matches a
+// response to its request.
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
