@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"directload/internal/fleet"
-	"directload/internal/server"
 )
 
 // fleetUsage prints the fleet subcommand's help and exits.
@@ -45,7 +44,7 @@ func runFleet(args []string) {
 		Groups:      parseGroups(*nodes),
 		Replicas:    *replicas,
 		WriteQuorum: *quorum,
-		DialOpts:    []server.DialOption{server.WithTimeout(*timeout)},
+		Timeout:     *timeout,
 	})
 	if err != nil {
 		log.Fatalf("fleet: %v", err)

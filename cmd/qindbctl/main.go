@@ -9,13 +9,15 @@
 //	qindbctl -addr 127.0.0.1:7707 load <version>                # batched key<TAB>value lines from stdin
 //	qindbctl -addr 127.0.0.1:7707 stats
 //	qindbctl -addr 127.0.0.1:7707 ping
+//	qindbctl -http 127.0.0.1:8080 metrics
+//	qindbctl -http 127.0.0.1:8080 stats -watch [-interval 1s]
 //	qindbctl -http 127.0.0.1:8080 slowlog [-n 20] [-op get]
 //	qindbctl fleet -nodes 'a,b,c' <put|get|drop|load|where>  # shard router over several nodes
 //
 // -timeout bounds each operation (and the dial); load streams stdin
 // into OpBatch frames, one round trip per batch instead of per record.
-// slowlog talks to the daemon's operator HTTP address (qindbd
-// -metrics-addr) instead of the storage port. For profiles point go
+// metrics, stats -watch and slowlog talk to the daemon's operator HTTP
+// address (qindbd -metrics-addr) instead of the storage port. For profiles point go
 // tool pprof at the same address (qindbd -pprof):
 // go tool pprof http://HOST/debug/pprof/allocs?seconds=5. stats -watch
 // shows each counter's delta and each histogram's p99 over the last
@@ -45,7 +47,7 @@ import (
 
 var (
 	addr     = flag.String("addr", "127.0.0.1:7707", "qindbd address")
-	httpAddr = flag.String("http", "127.0.0.1:8080", "qindbd operator HTTP address (for slowlog)")
+	httpAddr = flag.String("http", "127.0.0.1:8080", "qindbd operator HTTP address (for metrics, stats -watch and slowlog)")
 	timeout  = flag.Duration("timeout", 5*time.Second, "per-operation deadline (0 = none)")
 )
 
@@ -53,15 +55,16 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: qindbctl [-addr host:port] [-timeout 5s] <put|putd|get|del|drop|range|load|stats|metrics|ping|slowlog|fleet> [args]")
 	fmt.Fprintln(os.Stderr, "       load <version>                  batched load of key<TAB>value lines from stdin")
 	fmt.Fprintln(os.Stderr, "       stats [-watch] [-interval 1s]   engine stats, or live metric deltas with each interval's")
-	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-cycles, goroutines)")
+	fmt.Fprintln(os.Stderr, "                                       p99 and a runtime line (heap-live, gc-cycles, goroutines; -http address)")
+	fmt.Fprintln(os.Stderr, "       metrics                         the metrics registry as text (-http address)")
 	fmt.Fprintln(os.Stderr, "       slowlog [-n N] [-op get]        recent slow operations (-http address)")
 	fmt.Fprintln(os.Stderr, "       fleet -nodes 'a,b,c' <cmd>      shard router over several nodes (fleet -h)")
 	os.Exit(2)
 }
 
 // fetchHTTP GETs a path on the daemon's operator HTTP address and
-// copies the body to stdout.
-func fetchHTTP(path string) {
+// returns the body.
+func fetchHTTP(path string) []byte {
 	client := &http.Client{Timeout: *timeout}
 	url := "http://" + *httpAddr + path
 	resp, err := client.Get(url)
@@ -73,9 +76,11 @@ func fetchHTTP(path string) {
 		body, _ := io.ReadAll(resp.Body)
 		log.Fatalf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
-	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
-		log.Fatal(err)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatalf("GET %s: %v", url, err)
 	}
+	return body
 }
 
 func parseVersion(s string) uint64 {
@@ -94,9 +99,21 @@ func main() {
 		usage()
 	}
 	cmd, args := args[0], args[1:]
-	// slowlog talks to the operator HTTP address only — no
-	// reason to require the storage port to be dialable.
+	// metrics, stats -watch and slowlog talk to the operator HTTP address
+	// only — no reason to require the storage port to be dialable.
 	switch cmd {
+	case "metrics":
+		os.Stdout.Write(fetchHTTP("/metrics"))
+		return
+	case "stats":
+		fs := flag.NewFlagSet("stats", flag.ExitOnError)
+		watch := fs.Bool("watch", false, "poll the server and print metric deltas until interrupted")
+		interval := fs.Duration("interval", time.Second, "poll interval with -watch")
+		fs.Parse(args)
+		if *watch {
+			watchStats(*interval)
+			return
+		}
 	case "slowlog":
 		fs := flag.NewFlagSet("slowlog", flag.ExitOnError)
 		n := fs.Int("n", 0, "show only the newest N entries (0 = all retained)")
@@ -106,7 +123,7 @@ func main() {
 		if *op != "" {
 			path += "&op=" + *op
 		}
-		fetchHTTP(path)
+		os.Stdout.Write(fetchHTTP(path))
 		return
 	case "fleet":
 		// The router dials its own nodes; -addr is not involved.
@@ -188,28 +205,12 @@ func main() {
 		}
 		loadStdin(ctx, cl, parseVersion(args[0]))
 	case "stats":
-		fs := flag.NewFlagSet("stats", flag.ExitOnError)
-		watch := fs.Bool("watch", false, "poll the server and print metric deltas until interrupted")
-		interval := fs.Duration("interval", time.Second, "poll interval with -watch")
-		fs.Parse(args)
-		if *watch {
-			watchStats(ctx, cl, *interval)
-			return
-		}
 		st, err := cl.StatsContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 		out, _ := json.MarshalIndent(st, "", "  ")
 		fmt.Println(string(out))
-	case "metrics":
-		m, err := cl.MetricsContext(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, kv := range flattenMetrics(m) {
-			fmt.Printf("%s %g\n", kv.name, kv.value)
-		}
 	case "ping":
 		if err := cl.PingContext(ctx); err != nil {
 			log.Fatal(err)
@@ -250,33 +251,6 @@ func loadStdin(ctx context.Context, cl *server.Client, version uint64) {
 		n, version, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
 }
 
-// metricKV is one flattened metric line.
-type metricKV struct {
-	name  string
-	value float64
-}
-
-// flattenMetrics turns the nested OpMetrics snapshot into sorted
-// name/value lines: scalar metrics pass through, histograms expand to
-// suffixed entries (server.req.put.latency_us.p99 etc.).
-func flattenMetrics(m map[string]any) []metricKV {
-	var out []metricKV
-	for name, v := range m {
-		switch val := v.(type) {
-		case float64:
-			out = append(out, metricKV{name, val})
-		case map[string]any:
-			for field, fv := range val {
-				if n, ok := fv.(float64); ok {
-					out = append(out, metricKV{name + "." + field, n})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // runtimeSummary condenses the runtime.* gauges into one line for the
 // -watch header: live heap, GC cycles since the previous poll (since
 // process start on the first) and goroutine count. Returns "" when the
@@ -292,7 +266,7 @@ func runtimeSummary(m map[string]any, prev map[string]float64) string {
 		heap/(1<<20), cycles-prev["runtime.gc.cycles"], gor)
 }
 
-// watchStats polls the server's metrics and renders per-interval deltas,
+// watchStats polls /metrics?format=json and renders per-interval deltas,
 // top-like, until the process is interrupted. A scalar row shows its
 // value; a histogram row its count plus the p99 of the observations
 // made since the previous poll — the snapshots carry their buckets, so
@@ -300,15 +274,15 @@ func runtimeSummary(m map[string]any, prev map[string]float64) string {
 // when there were none). A runtime summary line (heap-live, gc-cycles,
 // goroutines) rides under the timestamp header when the server exports
 // the runtime gauges.
-func watchStats(ctx context.Context, cl *server.Client, interval time.Duration) {
+func watchStats(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	prev := make(map[string]float64)
 	prevHist := make(map[string]metrics.Snapshot)
 	for first := true; ; first = false {
-		m, err := cl.MetricsContext(ctx)
-		if err != nil {
+		m := make(map[string]any)
+		if err := json.Unmarshal(fetchHTTP("/metrics?format=json"), &m); err != nil {
 			log.Fatal(err)
 		}
 		names := make([]string, 0, len(m))

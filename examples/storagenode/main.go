@@ -1,7 +1,7 @@
 // Command storagenode runs a QinDB storage node over TCP in-process and
 // talks to it through the client — the wire-level view of a single Mint
 // node serving deduplicated index data. It demonstrates the client
-// surface (context-aware calls, batched publishes, pipelined reads) and
+// surface (context-aware calls, batched publishes, concurrent callers) and
 // the operator surface: metrics and the /healthz and /debug endpoints.
 //
 //	go run ./examples/storagenode
@@ -99,9 +99,9 @@ func main() {
 	}
 	fmt.Printf("GET url/page-00 @v2 -> %q (traceback server-side)\n", val)
 
-	// Pipelined reads: concurrent callers share the one connection —
-	// all five gets are on the wire at once and complete concurrently
-	// on the server, matched back to their callers by sequence number.
+	// Concurrent callers share the one client: the client sends one
+	// request at a time, so the five gets queue for its connection and
+	// each caller gets its own reply.
 	var wg sync.WaitGroup
 	vals := make([][]byte, 5)
 	errs := make([]error, 5)
@@ -116,7 +116,7 @@ func main() {
 	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("pipelined gets:")
+	fmt.Println("concurrent gets:")
 	for i, v := range vals {
 		fmt.Printf("  url/page-%02d @v1 -> %d bytes\n", i, len(v))
 	}

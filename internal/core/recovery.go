@@ -265,7 +265,8 @@ func (db *DB) recover() error {
 	}
 	var replay []replayRec
 	var maxSeq uint64
-	for _, id := range files {
+	torn := -1 // index in files of a newest file with a torn tail
+	for i, id := range files {
 		if haveCkpt && sealedAtCkpt[id] {
 			continue
 		}
@@ -284,7 +285,12 @@ func (db *DB) recover() error {
 			replay = append(replay, rr)
 			return nil
 		})
-		if err != nil {
+		// A crash in the middle of an append leaves the newest file torn:
+		// the records before the bad one are kept. Anywhere else a bad
+		// record is damage, and recovery stops.
+		if i == len(files)-1 && errors.Is(err, aof.ErrCorrupt) {
+			torn = i
+		} else if err != nil {
 			return err
 		}
 	}
@@ -388,5 +394,13 @@ func (db *DB) recover() error {
 
 	db.maxSeq = maxSeq
 	db.store.SeqFloor(maxSeq)
-	return nil
+	if torn < 0 {
+		return nil
+	}
+	// The torn file is collected now: once a later file exists it is no
+	// longer the newest, and its bad record would fail the next Open.
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	_, err := db.collectLocked(files[torn])
+	return err
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -639,4 +642,121 @@ func TestRefusedPutTearsNoRecord(t *testing.T) {
 	}
 	defer db.Close()
 	check(db, "after the restart")
+}
+
+// TestTornTailRecovers leaves the newest AOF as a crash in the middle of
+// an append does — whole records, then part of one — by rewriting it
+// through the blockfs.FS. Open keeps every whole record and collects the
+// torn file, so the next Close and Open succeed too. A bad record in an
+// older file still fails Open.
+func TestTornTailRecovers(t *testing.T) {
+	fs := testFS(t, 256)
+	opts := testOptions()
+	opts.AOF.FileSize = 64 << 10
+	db, err := Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	val := func(i int) string { return string(bytes.Repeat([]byte{byte('a' + i%26)}, 5000)) }
+	const n = 40 // over three files
+	for i := 0; i < n; i++ {
+		mustPut(t, db, key(i), 1, val(i), false)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aofs := func() []string {
+		var names []string
+		for _, name := range fs.List() {
+			if strings.HasPrefix(name, "aof-") {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		return names
+	}
+	// rewrite replaces a file with edit's version of its bytes.
+	rewrite := func(name string, edit func([]byte) []byte) {
+		t.Helper()
+		size, err := fs.Size(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, size)
+		if _, _, err := r.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		buf = edit(buf)
+		if _, err := fs.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		w, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Append(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := aofs()
+	if len(names) < 2 {
+		t.Fatalf("precondition: %d AOF files, want an older one beside the newest", len(names))
+	}
+	newest := names[len(names)-1]
+	rewrite(newest, func(buf []byte) []byte {
+		rec := aof.AppendRecord(nil, aof.Record{Seq: 1 << 40, Key: []byte("torn"), Version: 1, Value: []byte(val(0))})
+		return append(buf, rec[:len(rec)/2]...)
+	})
+
+	db, err = Open(fs, opts)
+	if err != nil {
+		t.Fatalf("Open over a torn tail: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if got := mustGet(t, db, key(i), 1); got != val(i) {
+			t.Fatalf("%s after the torn tail = %.4q..., want %.4q...", key(i), got, val(i))
+		}
+	}
+	if _, _, err := db.Get([]byte("torn"), 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the torn record reads back: %v", err)
+	}
+	if slices.Contains(aofs(), newest) {
+		t.Fatalf("%s outlived the Open that found it torn", newest)
+	}
+	checkLiveBytes(t, db)
+	mustPut(t, db, "after", 1, "v", false)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopen(t, fs)
+	if got := mustGet(t, db, "after", 1); got != "v" {
+		t.Fatalf("after/1 = %q", got)
+	}
+	for i := 0; i < n; i++ {
+		if got := mustGet(t, db, key(i), 1); got != val(i) {
+			t.Fatalf("%s after the second reopen = %.4q..., want %.4q...", key(i), got, val(i))
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rewrite(aofs()[0], func(buf []byte) []byte {
+		buf[len(buf)/2] ^= 0xff
+		return buf
+	})
+	if db, err := Open(fs, opts); !errors.Is(err, aof.ErrCorrupt) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with a flipped byte in an older file = %v, want aof.ErrCorrupt", err)
+	}
 }

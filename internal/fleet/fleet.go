@@ -1,8 +1,8 @@
 // Package fleet is the networked Mint: a client-side shard router that
 // runs the paper's regional store protocol (§2.3 — hash→group
 // placement, R-way replication, parallel reads) over real qindbd nodes
-// using the native wire stack (pipelining, OpBatch)
-// instead of the in-process simulation in internal/mint.
+// using the native wire stack (one client per node, OpBatch frames for
+// writes) instead of the in-process simulation in internal/mint.
 //
 // Placement is the exact math the simulation uses (placement.Placement,
 // shared with internal/mint), so the two paths cannot drift. Writes are
@@ -11,9 +11,10 @@
 // Reads are the paper's parallel reads in tail-latency form: the
 // primary replica is asked first, a miss or transport error fans out
 // immediately, a hedge fans out when the primary is slow, and the first
-// successful answer wins — with read-repair of any replica that was
-// seen missing the key. The router keeps no state beyond its
-// connections: a node that was down is simply asked again.
+// successful answer wins — with read-repair of every replica asked that
+// answers it lacks the key, also after the read has returned. The router
+// keeps no state beyond its connections: a node that was down is simply
+// asked again.
 package fleet
 
 import (
@@ -44,6 +45,8 @@ const (
 	// hedgeAfter is how long a read waits on one replica before asking
 	// the next one as well.
 	hedgeAfter = 2 * time.Millisecond
+	// backgroundTimeout bounds a replica read that outlives its Get, and a repair.
+	backgroundTimeout = 2 * time.Second
 )
 
 // Config sizes a fleet router.
@@ -59,8 +62,9 @@ type Config struct {
 	// WriteQuorum is W: the replicas that must ack a write (default
 	// majority of Replicas).
 	WriteQuorum int
-	// DialOpts apply to every node client (pool size, timeout, ...).
-	DialOpts []server.DialOption
+	// Timeout is every node client's default per-request deadline, which
+	// also bounds its dial (server.WithTimeout; 0 = none).
+	Timeout time.Duration
 }
 
 // Entry is one record of a version publish.
@@ -81,7 +85,7 @@ type Fleet struct {
 	nodes  []*node
 	byID   map[string]*node
 
-	wg     sync.WaitGroup // async repairs
+	wg     sync.WaitGroup // replica reads and repairs in flight
 	closed atomic.Bool
 	once   sync.Once
 }
@@ -113,7 +117,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		var members []*node
 		for _, addr := range addrs {
-			n := &node{addr: addr, opts: cfg.DialOpts}
+			n := &node{addr: addr, timeout: cfg.Timeout}
 			if _, dup := f.byID[n.addr]; dup {
 				return nil, fmt.Errorf("fleet: duplicate node id %q", n.addr)
 			}
@@ -126,7 +130,7 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Close waits for in-flight repairs and tears down every node client.
+// Close waits for background reads and repairs, then closes every client.
 func (f *Fleet) Close() error {
 	var closeErr error
 	f.once.Do(func() {
@@ -303,35 +307,33 @@ func (f *Fleet) DropVersion(ctx context.Context, version uint64) error {
 // Get reads (key, version) with hedged parallel requests: the primary
 // replica first; a definitive miss or transport error fans out to the
 // next replica immediately, and every hedgeAfter without an answer fans
-// out anyway. The first successful answer wins, and any replica that
-// was seen answering "not found" is read-repaired in the background with
-// the winning value. When every replica fails, the last error is
-// returned.
+// out anyway. The first successful answer wins. The replicas still
+// answering then are not cancelled: they finish in the background, and
+// every replica asked that answers "not found" is read-repaired with the
+// winning value. When every replica fails, the last error is returned.
 func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
 	}
 	replicas := f.replicaNodes(key)
 
-	type result struct {
-		n   *node
-		val []byte
-		err error
-	}
-	resCh := make(chan result, len(replicas))
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	resCh := make(chan readResult, len(replicas))
+	rctx := context.WithoutCancel(ctx) // a replica read outlives Get, bounded by its own timeout
 	launched := 0
 	launch := func() {
 		n := replicas[launched]
 		launched++
+		f.wg.Add(1)
 		go func() {
+			defer f.wg.Done()
+			ctx, cancel := context.WithTimeout(rctx, backgroundTimeout)
+			defer cancel()
 			var rv []byte
 			cl, rerr := n.client()
 			if rerr == nil {
-				rv, rerr = cl.GetContext(gctx, key, version)
+				rv, rerr = cl.GetContext(ctx, key, version)
 			}
-			resCh <- result{n: n, val: rv, err: rerr}
+			resCh <- readResult{n: n, val: rv, err: rerr}
 		}()
 	}
 	launch()
@@ -345,7 +347,7 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) ([]byte, er
 		case r := <-resCh:
 			pending--
 			if r.err == nil {
-				f.repair(key, version, r.val, stale)
+				f.repair(key, version, r.val, stale, resCh, pending)
 				return r.val, nil
 			}
 			if errors.Is(r.err, core.ErrNotFound) {
@@ -371,24 +373,36 @@ func (f *Fleet) Get(ctx context.Context, key []byte, version uint64) ([]byte, er
 	return nil, lastErr
 }
 
-// repair writes the winning value back to replicas that answered "not
-// found", asynchronously — the read's latency never pays for it. The
-// goroutines are tracked, so Close waits for repairs in flight.
-func (f *Fleet) repair(key []byte, version uint64, val []byte, stale []*node) {
-	for _, n := range stale {
-		if f.closed.Load() {
-			return
+// readResult is one replica's answer to a Get.
+type readResult struct {
+	n   *node
+	val []byte
+	err error
+}
+
+// repair writes the winning value back, in the background and tracked
+// for Close, to the replicas that answered "not found": those in stale,
+// and those of the pending reads still due on resCh.
+func (f *Fleet) repair(key []byte, version uint64, val []byte, stale []*node, resCh <-chan readResult, pending int) {
+	if len(stale) == 0 && pending == 0 {
+		return // the common case: no goroutine per read
+	}
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		for ; pending > 0; pending-- {
+			if r := <-resCh; errors.Is(r.err, core.ErrNotFound) {
+				stale = append(stale, r.n)
+			}
 		}
-		f.wg.Add(1)
-		go func(n *node) {
-			defer f.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
+		for _, n := range stale {
 			// A failed repair is left to the next read that finds the
 			// replica missing.
 			if cl, err := n.client(); err == nil {
+				ctx, cancel := context.WithTimeout(context.Background(), backgroundTimeout)
 				_ = cl.PutContext(ctx, key, version, val, false)
+				cancel()
 			}
-		}(n)
-	}
+		}
+	}()
 }

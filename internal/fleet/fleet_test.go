@@ -108,8 +108,8 @@ func testFleet(t testing.TB, cfg Config, nodes ...*testNode) *Fleet {
 		addrs[i] = n.addr
 	}
 	cfg.Groups = [][]string{addrs}
-	if cfg.DialOpts == nil {
-		cfg.DialOpts = []server.DialOption{server.WithTimeout(2 * time.Second)}
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 2 * time.Second
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -404,6 +404,53 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	}
 	if elapsed >= delay {
 		t.Fatalf("hedged read took %v, not faster than the slow replica's %v", elapsed, delay)
+	}
+}
+
+// TestHedgedReadRepairsSlowPrimary slows the primary replica behind a
+// delaying proxy and leaves it without the key: the hedge wins on a fast
+// replica, and the primary's "not found", which arrives after Get has
+// returned, still gets it repaired.
+func TestHedgedReadRepairsSlowPrimary(t *testing.T) {
+	slow := startNode(t)
+	n2, n3 := startNode(t), startNode(t)
+	const delay = 150 * time.Millisecond
+	proxyAddr := slowProxy(t, slow.addr, delay)
+	f := testFleet(t, Config{Replicas: 3, WriteQuorum: 2}, &testNode{addr: proxyAddr}, n2, n3)
+
+	var key []byte
+	for i := 0; i < 1000; i++ {
+		k := []byte(fmt.Sprintf("slow-repair-%04d", i))
+		if _, ids := f.ReplicasFor(k); ids[0] == proxyAddr {
+			key = k
+			break
+		}
+	}
+	if key == nil {
+		t.Fatal("no key found with the slow node as primary")
+	}
+	for _, addr := range []string{n2.addr, n3.addr} {
+		cl, err := server.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.PutContext(context.Background(), key, 1, []byte("hv"), false); err != nil {
+			t.Fatal(err)
+		}
+		cl.Close()
+	}
+
+	start := time.Now()
+	val, err := f.Get(context.Background(), key, 1)
+	if err != nil || string(val) != "hv" {
+		t.Fatalf("hedged Get = %q, %v", val, err)
+	}
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Fatalf("hedged read took %v, not faster than the slow replica's %v", elapsed, delay)
+	}
+	f.Close() // waits for the slow read and its repair
+	if !slow.has(string(key), 1) {
+		t.Fatal("slow primary not repaired after the hedge won")
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"sync"
+	"time"
 
 	"directload/internal/server"
 )
@@ -11,8 +12,8 @@ import (
 // so a node that went down and came back is reached again with no
 // bookkeeping here.
 type node struct {
-	addr string // TCP address, also the placement identity
-	opts []server.DialOption
+	addr    string // TCP address, also the placement identity
+	timeout time.Duration
 
 	mu sync.Mutex
 	cl *server.Client
@@ -29,7 +30,7 @@ func (n *node) client() (*server.Client, error) {
 	if cl != nil {
 		return cl, nil
 	}
-	cl, err := server.Dial(n.addr, n.opts...)
+	cl, err := server.Dial(n.addr, server.WithTimeout(n.timeout))
 	if err != nil {
 		return nil, err
 	}

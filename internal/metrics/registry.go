@@ -123,8 +123,8 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 
 // Snapshot returns every registered metric keyed by name: counters and
 // gauges as int64, computed gauges as float64, histograms as Snapshot
-// structs. The whole map is JSON-marshalable, which is how OpMetrics and
-// the HTTP /metrics endpoint export it. Always non-nil.
+// structs. The whole map is JSON-marshalable, which is how the HTTP
+// /metrics endpoint exports it. Always non-nil.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return make(map[string]any)

@@ -152,7 +152,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		Groups:      [][]string{{n1.addr, n2.addr, n3.addr}},
 		Replicas:    3,
 		WriteQuorum: 2,
-		DialOpts:    []server.DialOption{server.WithTimeout(2 * time.Second)},
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

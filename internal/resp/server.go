@@ -467,8 +467,7 @@ func (c *conn) writeBatchedReply(name string, results []server.BatchResult) {
 }
 
 // info renders the INFO reply from the shared metrics registry and the
-// engine's stats — the RESP view of the same numbers /metrics and
-// OpMetrics serve. An empty section selects every section.
+// engine's stats — the RESP view of the same numbers /metrics serves. An empty section selects every section.
 func (c *conn) info(ctx context.Context, section string) []byte {
 	b := c.srv.Backend()
 	var sb strings.Builder

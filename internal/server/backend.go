@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -47,8 +46,8 @@ func NewBackend(db *core.DB) *Backend {
 }
 
 // SetMetrics attaches a registry for the per-opcode latency histograms
-// (exported via OpMetrics and, in qindbd, HTTP); a histogram's count is
-// its opcode's request count. Call before serving; nil leaves the
+// (exported, in qindbd, over HTTP); a histogram's count is its opcode's
+// request count. Call before serving; nil leaves the
 // backend uninstrumented.
 func (b *Backend) SetMetrics(reg *metrics.Registry) {
 	b.reg = reg
@@ -250,21 +249,6 @@ func (b *Backend) Stats(ctx context.Context) (StatsReply, error) {
 	out := StatsReply{Engine: b.db.Stats(), Conns: int(b.met.conns.Load())}
 	m.done(nil, nil)
 	return out, nil
-}
-
-// MetricsJSON snapshots the attached registry as JSON ("{}" when the
-// backend runs uninstrumented).
-func (b *Backend) MetricsJSON(ctx context.Context) ([]byte, error) {
-	m := b.begin(OpMetrics)
-	var payload []byte
-	var err error
-	if b.reg == nil {
-		payload = []byte("{}")
-	} else {
-		payload, err = json.Marshal(b.reg)
-	}
-	m.done(nil, err)
-	return payload, err
 }
 
 // MetricsSnapshot returns the registry's typed snapshot, the source the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -51,8 +50,8 @@ func benchKV(version uint64, i int) ([]byte, []byte) {
 }
 
 // BenchmarkRemotePublish compares publishing a 10k-entry version over
-// the wire three ways: one blocking round trip per record, individual
-// puts pipelined by 256 concurrent callers, and OpBatch frames. The per-op
+// the wire two ways: one blocking round trip per record, and OpBatch
+// frames. The per-op
 // figure to compare is ns/op divided by publishEntries.
 func BenchmarkRemotePublish(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
@@ -72,37 +71,6 @@ func BenchmarkRemotePublish(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-		b.ReportMetric(float64(publishEntries*b.N)/b.Elapsed().Seconds(), "puts/s")
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		addr := benchNode(b)
-		cl, err := Dial(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		ctx := context.Background()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			version := uint64(n + 1)
-			// Concurrent callers keep the connection's window full.
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < 256; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := int(next.Add(1)) - 1; i < publishEntries; i = int(next.Add(1)) - 1 {
-						key, val := benchKV(version, i)
-						if err := cl.PutContext(ctx, key, version, val, false); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
 		}
 		b.ReportMetric(float64(publishEntries*b.N)/b.Elapsed().Seconds(), "puts/s")
 	})
@@ -134,7 +102,8 @@ func BenchmarkRemotePublish(b *testing.B) {
 
 // BenchmarkRemoteGet20KB reads 20 KB values over the native wire:
 // closed-loop GETs on one connection, each of which finds the connection
-// idle, and the same under b.RunParallel over two connections. Run it with
+// idle, and the same under b.RunParallel over two clients (beyond two
+// goroutines, callers queue on each client). Run it with
 // -benchmem: client and server share the process, so B/op and allocs/op
 // are both sides' (the client's share includes the 20 KB value it returns).
 func BenchmarkRemoteGet20KB(b *testing.B) {

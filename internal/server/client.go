@@ -31,36 +31,41 @@ func WithTimeout(d time.Duration) DialOption {
 }
 
 // Client is a QinDB client over one TCP connection. It is safe for
-// concurrent use. Requests are pipelined: many calls share the
-// connection simultaneously, up to defaultMaxInFlight outstanding, and
-// complete out of order. Every method takes a context and honors its
-// deadline and cancellation; a call abandoned that way leaves the
-// connection usable, because its late response is discarded by sequence
-// number.
+// concurrent use and sends one request at a time: a call holds the
+// connection from writing its frame to reading its reply, and concurrent
+// callers queue for it. Every method takes a context and honours its
+// deadline and cancellation, in the queue too. A call abandoned that way
+// once its request is on the wire closes the connection, whose reply
+// would otherwise arrive unclaimed, and so does any transport failure;
+// the next call redials. An idle client runs no goroutine.
 type Client struct {
 	addr string
 	opts dialOptions
+	slot chan struct{} // one token, held by the call using the connection
 
-	mu     sync.Mutex // guards conn (redial in place) and closed
-	conn   *wireConn  // nil after a failed redial
+	mu     sync.Mutex // guards conn and closed; never held across I/O
+	conn   *wireConn
 	closed bool
 }
 
 // Dial connects to a QinDB server and performs the hello exchange; a
 // server that refuses the hello is a dial error.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	var o dialOptions
+	c := &Client{addr: addr, slot: make(chan struct{}, 1)}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c.opts)
 	}
-	w, err := dialWire(addr, o.timeout)
+	ctx, cancel := c.withTimeout(context.Background())
+	defer cancel()
+	w, err := dialWire(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{addr: addr, opts: o, conn: w}, nil
+	c.conn = w
+	return c, nil
 }
 
-// Close tears down the connection.
+// Close tears down the connection; a call in progress fails.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,30 +73,31 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
 	return c.conn.close()
 }
 
-// pick returns the connection, redialing it in place when it broke (a
-// node restart heals on the next call).
-func (c *Client) pick() (*wireConn, error) {
+// pick returns the connection, redialing it when it broke (a node
+// restart heals on the next call). The caller holds the slot, so no
+// other call dials meanwhile.
+func (c *Client) pick(ctx context.Context) (*wireConn, error) {
+	c.mu.Lock()
+	w, closed := c.conn, c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, errClientClosed
+	}
+	if !w.broken() {
+		return w, nil
+	}
+	w, err := dialWire(ctx, c.addr)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
+		w.close()
 		return nil, errClientClosed
-	}
-	if c.conn != nil && !c.conn.broken() {
-		return c.conn, nil
-	}
-	if c.conn != nil {
-		c.conn.close()
-		c.conn = nil
-	}
-	w, err := dialWire(c.addr, c.opts.timeout)
-	if err != nil {
-		return nil, err
 	}
 	c.conn = w
 	return w, nil
@@ -109,7 +115,8 @@ func (c *Client) withTimeout(ctx context.Context) (context.Context, context.Canc
 	return context.WithTimeout(ctx, c.opts.timeout)
 }
 
-// do runs one request on the connection.
+// do runs one request: it waits for the slot, then makes the round trip
+// on the connection.
 func (c *Client) do(ctx context.Context, req request) (uint8, []byte, error) {
 	body, err := encodeRequest(req)
 	if err != nil {
@@ -117,7 +124,16 @@ func (c *Client) do(ctx context.Context, req request) (uint8, []byte, error) {
 	}
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
-	w, err := c.pick()
+	if err := ctx.Err(); err != nil {
+		return 0, nil, err // before select could take the slot and close the connection
+	}
+	select {
+	case c.slot <- struct{}{}:
+	case <-ctx.Done():
+		return 0, nil, ctx.Err()
+	}
+	defer func() { <-c.slot }()
+	w, err := c.pick(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -201,23 +217,6 @@ func (c *Client) StatsContext(ctx context.Context) (StatsReply, error) {
 	return out, err
 }
 
-// MetricsContext fetches the server's metrics registry snapshot.
-// Counter and gauge values decode as float64; histograms as nested maps
-// (count, mean, p50, p99, ...). An uninstrumented server returns an
-// empty map.
-func (c *Client) MetricsContext(ctx context.Context) (map[string]any, error) {
-	status, payload, err := c.do(ctx, request{Op: OpMetrics})
-	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(status, payload); err != nil {
-		return nil, err
-	}
-	out := make(map[string]any)
-	err = json.Unmarshal(payload, &out)
-	return out, err
-}
-
 // PingContext checks liveness.
 func (c *Client) PingContext(ctx context.Context) error {
 	status, payload, err := c.do(ctx, request{Op: OpPing})
@@ -235,73 +234,43 @@ func (c *Client) PingContext(ctx context.Context) error {
 
 // --- wire connection --------------------------------------------------------
 
-// wireResp is one decoded response delivered to a waiter.
-type wireResp struct {
-	status  uint8
-	payload []byte
-	err     error
-}
-
-// wireConn is one TCP connection. A background reader demultiplexes
-// responses to waiters by sequence number, so many calls can be in
-// flight at once (bounded by sem).
+// wireConn is one TCP connection, used by one call at a time.
 type wireConn struct {
-	c  net.Conn
-	br *bufio.Reader // read by negotiate, then only by readLoop
+	c   net.Conn
+	br  *bufio.Reader
+	seq uint32 // the last request's
 
-	// Demux state.
-	pmu     sync.Mutex
-	nextSeq uint32
-	pend    map[uint32]chan wireResp
-	sem     chan struct{}
-	done    chan struct{} // closed by the reader on connection death
-	readErr error         // set before done is closed
-
-	// Write coalescing: senders append frames under fmu; the flush
-	// goroutine drains the buffer with one write per syscall. Growth is
-	// bounded by sem — at most defaultMaxInFlight frames can be buffered.
-	fmu  sync.Mutex
-	fbuf []byte
-	fsig chan struct{} // capacity 1: "the buffer is non-empty"
-
-	bad atomic.Bool // any I/O failure poisons the conn (stream unsynced)
+	bad atomic.Bool // closed: the next call redials
 }
 
-// dialWire opens one connection, performs the hello exchange and starts
-// the connection's reader and flusher.
-func dialWire(addr string, timeout time.Duration) (*wireConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+// dialWire opens one connection and performs the hello exchange, within
+// ctx: if ctx ends first, the connection is closed under the exchange.
+func dialWire(ctx context.Context, addr string) (*wireConn, error) {
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	w := &wireConn{
-		c:    nc,
-		br:   bufio.NewReader(nc),
-		pend: make(map[uint32]chan wireResp),
-		sem:  make(chan struct{}, defaultMaxInFlight),
-		done: make(chan struct{}),
-		fsig: make(chan struct{}, 1),
+	w := &wireConn{c: nc, br: bufio.NewReader(nc)}
+	stop := context.AfterFunc(ctx, func() { w.close() })
+	err = w.negotiate()
+	if !stop() {
+		err = ctx.Err()
 	}
-	if err := w.negotiate(timeout); err != nil {
-		nc.Close()
+	if err != nil {
+		w.close()
 		return nil, err
 	}
-	go w.readLoop()
-	go w.flushLoop(timeout)
 	return w, nil
 }
 
 // negotiate sends a bare hello and interprets the answer: StatusOK with
 // the accepted version as its one payload byte. Any other answer fails
 // the dial.
-func (w *wireConn) negotiate(timeout time.Duration) error {
+func (w *wireConn) negotiate() error {
 	body, err := encodeRequest(request{Op: OpHello, Version: ProtoV2})
 	if err != nil {
 		return err
-	}
-	if timeout > 0 {
-		w.c.SetDeadline(time.Now().Add(timeout))
-		defer w.c.SetDeadline(time.Time{})
 	}
 	if err := writeFrame(w.c, body); err != nil {
 		return err
@@ -326,141 +295,48 @@ func (w *wireConn) negotiate(timeout time.Duration) error {
 	return nil
 }
 
-// broken reports whether the connection is unusable.
+// broken reports whether the connection was closed.
 func (w *wireConn) broken() bool { return w.bad.Load() }
 
-// close tears the connection down; the read loop then fails any
-// waiters.
+// close tears the connection down; a second close does nothing.
 func (w *wireConn) close() error {
-	w.bad.Store(true)
+	if w.bad.Swap(true) {
+		return nil
+	}
 	return w.c.Close()
 }
 
-// call pipelines one request. It acquires an in-flight slot, registers
-// a sequence number and queues the frame for the flush goroutine, then
-// waits for the demuxed response. The slot is released when the
-// response arrives (whether or not anyone still awaits it) or the call
-// is unregistered. Write failures surface through connection death.
+// call makes one round trip: it writes the request under the next
+// sequence number and reads the reply, which must carry the same one.
+// If ctx ends first, the connection is closed under the call, which
+// unblocks it. Any failure leaves the connection closed.
 func (w *wireConn) call(ctx context.Context, body []byte) (uint8, []byte, error) {
-	select {
-	case w.sem <- struct{}{}:
-	case <-ctx.Done():
-		return 0, nil, ctx.Err()
-	case <-w.done:
-		return 0, nil, w.readErr
+	w.seq++
+	stop := context.AfterFunc(ctx, func() { w.close() })
+	status, payload, err := w.roundTrip(w.seq, body)
+	if !stop() || err != nil {
+		w.close() // ctx ended mid-call, or the stream is in an unknown state
 	}
-
-	ch := make(chan wireResp, 1)
-	w.pmu.Lock()
-	w.nextSeq++
-	seq := w.nextSeq
-	w.pend[seq] = ch
-	w.pmu.Unlock()
-
-	w.fmu.Lock()
-	w.fbuf = appendFrameSeq(w.fbuf, seq, body)
-	w.fmu.Unlock()
-	select {
-	case w.fsig <- struct{}{}:
-	default: // a wakeup is already queued
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return 0, nil, cerr
+		}
+		return 0, nil, fmt.Errorf("qindb client: connection lost: %w", err)
 	}
-	return w.await(ctx, seq, ch)
+	return status, payload, nil
 }
 
-// flushLoop writes queued frames, coalescing everything that
-// accumulated while the previous syscall was in flight into the next
-// one. A write failure poisons the connection and closes it, which
-// fails every pending call via the read loop.
-func (w *wireConn) flushLoop(timeout time.Duration) {
-	for {
-		select {
-		case <-w.fsig:
-		case <-w.done:
-			return
-		}
-		w.fmu.Lock()
-		buf := w.fbuf
-		w.fbuf = nil
-		w.fmu.Unlock()
-		if len(buf) == 0 {
-			continue
-		}
-		if timeout > 0 {
-			w.c.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		if _, err := w.c.Write(buf); err != nil {
-			w.bad.Store(true)
-			w.c.Close() // the read loop fails all pending calls
-			return
-		}
+// roundTrip writes one sequenced frame and reads the reply to it.
+func (w *wireConn) roundTrip(seq uint32, body []byte) (uint8, []byte, error) {
+	if _, err := w.c.Write(appendFrameSeq(make([]byte, 0, 8+len(body)), seq, body)); err != nil {
+		return 0, nil, err
 	}
-}
-
-// await waits for the demuxed response, the context, or connection
-// death. A cancellation or teardown can race with the response itself:
-// if the reader already claimed the sequence number, its outcome is in
-// flight to ch, so take it rather than the wakeup's error. Otherwise
-// unregistering guarantees no response will come (the reader discards
-// unclaimed sequence numbers; the stream itself stays synced).
-func (w *wireConn) await(ctx context.Context, seq uint32, ch chan wireResp) (uint8, []byte, error) {
-	select {
-	case r := <-ch:
-		return r.status, r.payload, r.err
-	case <-ctx.Done():
-		if w.unregister(seq) {
-			return 0, nil, ctx.Err()
-		}
-	case <-w.done:
-		if w.unregister(seq) {
-			return 0, nil, w.readErr
-		}
+	got, frame, err := readFrameSeq(w.br, nil)
+	if err != nil {
+		return 0, nil, err
 	}
-	r := <-ch
-	return r.status, r.payload, r.err
-}
-
-// unregister removes seq from the pending map, reporting whether this
-// call removed it. Whoever removes the entry — this or the read loop —
-// owns releasing the in-flight slot, so the release happens exactly
-// once per sequence number. A false return means the reader claimed the
-// call first and will deliver its outcome on the pending channel.
-func (w *wireConn) unregister(seq uint32) bool {
-	w.pmu.Lock()
-	_, ok := w.pend[seq]
-	delete(w.pend, seq)
-	w.pmu.Unlock()
-	if ok {
-		<-w.sem
+	if got != seq {
+		return 0, nil, fmt.Errorf("%w: reply to seq %d, want %d", ErrBadFrame, got, seq)
 	}
-	return ok
-}
-
-// readLoop demultiplexes responses to their waiters by sequence
-// number. On connection death it fails every pending waiter.
-func (w *wireConn) readLoop() {
-	for {
-		seq, frame, err := readFrameSeq(w.br, nil)
-		if err != nil {
-			w.bad.Store(true)
-			w.pmu.Lock()
-			pend := w.pend
-			w.pend = make(map[uint32]chan wireResp)
-			w.pmu.Unlock()
-			w.readErr = fmt.Errorf("qindb client: connection lost: %w", err)
-			close(w.done)
-			for _, ch := range pend {
-				ch <- wireResp{err: w.readErr}
-			}
-			return
-		}
-		status, payload, derr := decodeResponse(frame)
-		w.pmu.Lock()
-		ch := w.pend[seq]
-		delete(w.pend, seq)
-		w.pmu.Unlock()
-		if ch != nil {
-			ch <- wireResp{status: status, payload: payload, err: derr}
-			<-w.sem // response delivered: free the in-flight slot
-		}
-	}
+	return decodeResponse(frame)
 }

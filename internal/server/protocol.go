@@ -31,10 +31,10 @@
 //
 // (len counts everything after itself, including seq.) All 32 bits of
 // seq are the client's: it wraps at 2^32, and the server echoes it
-// unread. The client may keep many requests in flight on one
-// connection; the server runs them concurrently (64 at a time per
-// connection) and responses may arrive in any order — seq matches a
-// response to its request.
+// unread. A client may keep many requests in flight on one connection
+// (this package's Client keeps one); the server runs them concurrently
+// (64 at a time per connection) and responses may arrive in any order —
+// seq matches a response to its request.
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
@@ -76,9 +76,7 @@
 //
 //	payload: appliedLimit u32, then per hit: keyLen u16 | key | version u64
 //
-// For OpStats the payload is a JSON-encoded StatsReply. For OpMetrics
-// the payload is the JSON encoding of the server's metrics registry
-// snapshot ({} when the server runs uninstrumented).
+// For OpStats the payload is a JSON-encoded StatsReply.
 package server
 
 import (
@@ -102,9 +100,9 @@ const (
 	OpStats
 	OpRange
 	OpPing
-	OpMetrics
-	OpHello // the handshake: first frame of every connection, and only there
-	OpBatch // N packed mutation sub-ops in one frame
+	OpMetrics // retired: answered "unknown op"; the registry is served over HTTP
+	OpHello   // the handshake: first frame of every connection, and only there
+	OpBatch   // N packed mutation sub-ops in one frame
 )
 
 // opMax is the highest assigned opcode (bounds the per-opcode arrays).

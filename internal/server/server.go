@@ -14,8 +14,7 @@ import (
 	"directload/internal/metrics"
 )
 
-// defaultMaxInFlight bounds concurrent dispatch per connection on the
-// server and the requests a client keeps outstanding on its connection.
+// defaultMaxInFlight bounds concurrent dispatch per connection.
 const defaultMaxInFlight = 64
 
 // maxCoalesce caps how many response bytes the writer accumulates
@@ -55,8 +54,8 @@ type serverMetrics struct {
 	batchOps *metrics.Counter // server.batch.ops: sub-ops applied via OpBatch
 }
 
-// SetMetrics attaches a registry (exported via OpMetrics and, in qindbd,
-// HTTP). Call before Serve; nil leaves the server uninstrumented.
+// SetMetrics attaches a registry (exported, in qindbd, over HTTP). Call
+// before Serve; nil leaves the server uninstrumented.
 func (s *Server) SetMetrics(reg *metrics.Registry) {
 	s.backend.SetMetrics(reg)
 }
@@ -320,13 +319,7 @@ func (s *Server) dispatch(ctx context.Context, req request, dst []byte) []byte {
 		return appendResponse(dst, StatusOK, encodeRangeReply(applied, entries))
 	case OpBatch:
 		return s.dispatchBatch(ctx, req, dst)
-	case OpMetrics:
-		payload, err := b.MetricsJSON(ctx)
-		if err != nil {
-			return errResponse(dst, err)
-		}
-		return appendResponse(dst, StatusOK, payload)
-	default: // out of range, a second hello, or the retired OpHas
+	default: // out of range, a second hello, or the retired OpHas and OpMetrics
 		b.met.badReqs.Inc()
 		return appendResponse(dst, StatusFailed, []byte("unknown op"))
 	}

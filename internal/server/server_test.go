@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"directload/internal/blockfs"
 	"directload/internal/core"
 	"directload/internal/metrics"
+	"directload/internal/ops"
 	"directload/internal/ssd"
 )
 
@@ -281,7 +285,9 @@ func TestQuickProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpMetricsRoundTrip(t *testing.T) {
+// TestMetricsOverHTTP reads a live server's registry the way an operator
+// does, as the JSON of ops' /metrics?format=json.
+func TestMetricsOverHTTP(t *testing.T) {
 	reg := metrics.NewRegistry()
 	_, cl := startServerReg(t, reg)
 	ctx := context.Background()
@@ -296,15 +302,22 @@ func TestOpMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := cl.MetricsContext(ctx)
+	web := httptest.NewServer(ops.NewMux(ops.Config{Registry: reg}))
+	defer web.Close()
+	resp, err := http.Get(web.URL + "/metrics?format=json")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m := make(map[string]any)
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	// Every exported histogram is on the wall clock: the simulated
 	// device's time stays in the values the engine returns.
 	for name := range m {
 		if strings.HasSuffix(name, "device_us") {
-			t.Errorf("OpMetrics exports %s, a virtual-clock histogram", name)
+			t.Errorf("/metrics exports %s, a virtual-clock histogram", name)
 		}
 	}
 	// A request is counted once, as its opcode's latency histogram count.
@@ -313,7 +326,7 @@ func TestOpMetricsRoundTrip(t *testing.T) {
 		t.Fatalf("server.req.put.latency_us = %#v", m["server.req.put.latency_us"])
 	}
 	if putLat["p99"].(float64) > putLat["max"].(float64) {
-		t.Fatalf("inconsistent snapshot over the wire: %#v", putLat)
+		t.Fatalf("inconsistent snapshot over HTTP: %#v", putLat)
 	}
 	if getLat, ok := m["server.req.get.latency_us"].(map[string]any); !ok || getLat["count"].(float64) != 1 {
 		t.Fatalf("server.req.get.latency_us = %#v", m["server.req.get.latency_us"])
@@ -334,18 +347,6 @@ func TestOpMetricsRoundTrip(t *testing.T) {
 	// Connection gauge counts this client.
 	if got, ok := m["server.conns.active"].(float64); !ok || got < 1 {
 		t.Fatalf("server.conns.active = %#v", m["server.conns.active"])
-	}
-}
-
-func TestOpMetricsUninstrumented(t *testing.T) {
-	_, cl := startServer(t)
-	ctx := context.Background()
-	m, err := cl.MetricsContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 0 {
-		t.Fatalf("uninstrumented server returned %v", m)
 	}
 }
 

@@ -49,7 +49,6 @@ ctl() { "$out/qindbctl" -addr "$native" -http "$http" "$@"; }
 	ctl del a 3
 	ctl drop 1
 	ctl stats
-	ctl metrics
 	ctl slowlog
 	ctl slowlog -op get -n 2
 	fleet() { ctl fleet -nodes "$native" -replicas 1 "$@"; }
@@ -67,6 +66,13 @@ if ctl fleet -nodes 127.0.0.1:1 -replicas 1 drop 9 2>"$out/fleet-drop.txt"; then
 fi
 grep -q 127.0.0.1:1 "$out/fleet-drop.txt" || {
 	echo "reach-daemon: fleet drop's error does not name 127.0.0.1:1" >&2
+	exit 1
+}
+
+# `metrics` prints the registry from /metrics, GET latencies included.
+ctl metrics >"$out/metrics.txt"
+grep -q '^server\.req\.get\.latency_us ' "$out/metrics.txt" || {
+	echo "reach-daemon: qindbctl metrics printed no server.req.get.latency_us ($out/metrics.txt)" >&2
 	exit 1
 }
 
