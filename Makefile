@@ -79,8 +79,9 @@ loc:
 # daemon half (scripts/reach-daemon.sh): a coverage-built qindbd on
 # loopback, driven by every qindbctl command, the RESP commands and every
 # operator route, then stopped with SIGTERM, and statement coverage per
-# daemon package. A record, not a gate: code at 0 % here is code no
-# figure, example or operator path runs. -coverpkg names the module path;
+# daemon package. The coverage is a record, not a gate: code at 0 % here
+# is code no figure, example or operator path runs. The daemon half fails
+# on a counter or histogram of /metrics that never moved. -coverpkg names the module path;
 # with ./internal/... the binaries wrote no counter files.
 REACH_EXAMPLES := indexpipeline quickstart regionalupdate
 reach:

@@ -187,7 +187,7 @@ type Config struct {
 	// override.
 	MinFreeBytes int64
 	// Metrics, when non-nil, receives the store's `aof.*` metrics
-	// (appends, rotations, fsyncs, GC activity). Nil keeps the store
+	// (appends, rotations, GC activity). Nil keeps the store
 	// uninstrumented at zero cost.
 	Metrics *metrics.Registry
 }
@@ -240,7 +240,6 @@ type storeMetrics struct {
 	appends     *metrics.Counter
 	appendBytes *metrics.Counter // lifetime record bytes appended (incl. GC re-appends)
 	rotations   *metrics.Counter
-	fsyncs      *metrics.Counter
 	reads       *metrics.Counter
 	files       *metrics.Gauge
 	gcCollects  *metrics.Counter
@@ -253,7 +252,6 @@ func newStoreMetrics(reg *metrics.Registry) storeMetrics {
 		appends:     reg.Counter("aof.appends"),
 		appendBytes: reg.Counter("aof.append.bytes"),
 		rotations:   reg.Counter("aof.rotations"),
-		fsyncs:      reg.Counter("aof.fsyncs"),
 		reads:       reg.Counter("aof.reads"),
 		files:       reg.Gauge("aof.files"),
 		gcCollects:  reg.Counter("aof.gc.collects"),
@@ -476,17 +474,6 @@ func (s *Store) MarkLive(ref Ref) {
 			fi.live = fi.total
 		}
 	}
-}
-
-// Sync flushes the active writer's complete pages.
-func (s *Store) Sync() (time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.writer == nil {
-		return 0, nil
-	}
-	s.met.fsyncs.Inc()
-	return s.writer.Sync()
 }
 
 // Close seals the active file.

@@ -268,19 +268,19 @@ func TestActiveFileNeverCandidate(t *testing.T) {
 	}
 }
 
-// TestSyncReturnsFlashError: a failed flush of the active file reaches
-// Sync's caller.
-func TestSyncReturnsFlashError(t *testing.T) {
-	boom := errors.New("injected sync failure")
-	s, err := Open(&blockfstest.FS{FS: testFS(t, 64), Sync: func(string) error { return boom }}, smallConfig())
+// TestCloseReturnsFlashError: a failed flush of the active file's tail
+// reaches Close's caller.
+func TestCloseReturnsFlashError(t *testing.T) {
+	boom := errors.New("injected close failure")
+	s, err := Open(&blockfstest.FS{FS: testFS(t, 64), Close: func(string) error { return boom }}, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := s.Append(Record{Key: []byte("a"), Version: 1, Value: make([]byte, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sync(); !errors.Is(err, boom) {
-		t.Fatalf("Sync = %v, want the injected failure", err)
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the injected failure", err)
 	}
 }
 

@@ -65,9 +65,6 @@ type Writer interface {
 	// at which p begins and the simulated device cost. Complete pages go
 	// to flash before it returns; it keeps no reference to p.
 	Append(p []byte) (off int64, cost time.Duration, err error)
-	// Sync flushes all complete pages to flash. The partial tail page
-	// stays buffered (readable, but not yet on flash) until Close.
-	Sync() (time.Duration, error)
 	// Close flushes everything including a padded final page and
 	// releases the writer slot.
 	Close() (time.Duration, error)
@@ -197,7 +194,7 @@ type writer struct {
 // straight from p, and keeps what is left over — less than a page — in
 // the tail. All of p is in the file when it returns, error or not: the
 // pages the device refused wait in the tail, which grows past a page to
-// hold them, and the next Append, Sync or Close programs them first. A
+// hold them, and the next Append or Close programs them first. A
 // record is therefore never torn by a refusal, only late.
 func (w *writer) Append(p []byte) (int64, time.Duration, error) {
 	w.mu.Lock()
@@ -250,19 +247,6 @@ func (c *core) flushFullTail(f *file) (time.Duration, error) {
 		f.tail = f.tail[:copy(f.tail, f.tail[done:])]
 	}
 	return cost, err
-}
-
-// Sync has nothing to flush unless the device refused a full tail page
-// earlier: Append programs complete pages as they fill.
-func (w *writer) Sync() (time.Duration, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrClosed
-	}
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	return w.c.flushFullTail(w.f)
 }
 
 func (w *writer) Close() (time.Duration, error) {

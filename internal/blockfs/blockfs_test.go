@@ -200,9 +200,6 @@ func TestWriterClosedErrors(t *testing.T) {
 		if _, _, err := w.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Append after close err = %v", err)
 		}
-		if _, err := w.Sync(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Sync after close err = %v", err)
-		}
 		if _, err := w.Close(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("double Close err = %v", err)
 		}
@@ -352,20 +349,15 @@ func TestUsedBytesCountsPaddedTail(t *testing.T) {
 	})
 }
 
-func TestSyncFlushesFullPages(t *testing.T) {
+// TestAppendProgramsWholePagesTailAtClose pins the durability contract:
+// Append programs every page it fills, and the partial tail page
+// reaches flash only when Close pads it.
+func TestAppendProgramsWholePagesTailAtClose(t *testing.T) {
 	eachFS(t, func(t *testing.T, fs FS) {
 		w, _ := fs.Create("s")
 		w.Append(make([]byte, 4096+100))
-		// Append already flushed the full page; Sync has nothing extra.
-		st := fs.Device().Stats()
-		if st.SysWriteBytes != 4096 {
-			t.Fatalf("SysWriteBytes = %d, want 4096", st.SysWriteBytes)
-		}
-		if _, err := w.Sync(); err != nil {
-			t.Fatal(err)
-		}
 		if got := fs.Device().Stats().SysWriteBytes; got != 4096 {
-			t.Fatalf("Sync flushed partial page: %d", got)
+			t.Fatalf("after Append SysWriteBytes = %d, want 4096: the whole page and not the tail", got)
 		}
 		w.Close() // pads the 100-byte tail
 		if got := fs.Device().Stats().SysWriteBytes; got != 8192 {

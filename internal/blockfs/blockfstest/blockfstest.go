@@ -23,14 +23,14 @@ type FS struct {
 	// Append runs before every Writer.Append; a non-nil error is returned
 	// in place of appending.
 	Append func(name string, p []byte) error
-	// Sync runs before every Writer.Sync and Writer.Close; a non-nil
-	// error is returned in place of flushing.
-	Sync func(name string) error
+	// Close runs before every Writer.Close; a non-nil error is returned
+	// in place of flushing.
+	Close func(name string) error
 }
 
 func (f *FS) Create(name string) (blockfs.Writer, error) {
 	w, err := f.FS.Create(name)
-	if err != nil || (f.Append == nil && f.Sync == nil) {
+	if err != nil || (f.Append == nil && f.Close == nil) {
 		return w, err
 	}
 	return writer{w, f, name}, nil
@@ -59,16 +59,13 @@ func (w writer) Append(p []byte) (int64, time.Duration, error) {
 	return w.Writer.Append(p)
 }
 
-func (w writer) Sync() (time.Duration, error)  { return w.flush(w.Writer.Sync) }
-func (w writer) Close() (time.Duration, error) { return w.flush(w.Writer.Close) }
-
-func (w writer) flush(next func() (time.Duration, error)) (time.Duration, error) {
-	if w.fs.Sync != nil {
-		if err := w.fs.Sync(w.name); err != nil {
+func (w writer) Close() (time.Duration, error) {
+	if w.fs.Close != nil {
+		if err := w.fs.Close(w.name); err != nil {
 			return 0, err
 		}
 	}
-	return next()
+	return w.Writer.Close()
 }
 
 type reader struct {

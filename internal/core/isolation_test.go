@@ -230,12 +230,12 @@ func TestRetirementHoldsDoNotGrowWithTheVersion(t *testing.T) {
 		}
 		mustPut(t, db, "key-000000", 2, "new", false)
 		hold := opts.Metrics.Histogram("qindb.lock.excl_hold_us")
-		before := hold.Count()
+		before := hold.Snapshot().Count
 		n, _, err := db.DropVersion(1)
 		if err != nil || n != keys {
 			t.Fatalf("DropVersion = %d, %v; want %d retired", n, err, keys)
 		}
-		held := hold.Count() - before
+		held := hold.Snapshot().Count - before
 		if db.Has([]byte("key-000001"), 1) || fmt.Sprint(db.Versions()) != "[2]" {
 			t.Fatalf("version 1 still visible after retirement: versions %v", db.Versions())
 		}
@@ -478,7 +478,7 @@ func TestSoakReadersAgainstOracle(t *testing.T) {
 	// version-drop record is a record GC judged.
 	es := db.Stats()
 	judged := reg.Counter("aof.appends").Load() - es.Puts - es.Dels - (versions - keep)
-	holds := reg.Histogram("qindb.lock.excl_hold_us").Count()
+	holds := reg.Histogram("qindb.lock.excl_hold_us").Snapshot().Count
 	if judged <= 0 || holds < judged/aof.GCChunk {
 		t.Fatalf("%d exclusive holds for %d records judged by %d passes: holds were not chunked", holds, judged, st.GCRuns)
 	}

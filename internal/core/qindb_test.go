@@ -415,8 +415,8 @@ func TestClosedErrors(t *testing.T) {
 // TestCloseReturnsFlashError: a failed flush of the tail page while
 // sealing the active file reaches Close's caller.
 func TestCloseReturnsFlashError(t *testing.T) {
-	boom := errors.New("injected sync failure")
-	db, err := Open(&blockfstest.FS{FS: testFS(t, 64), Sync: func(string) error { return boom }}, testOptions())
+	boom := errors.New("injected close failure")
+	db, err := Open(&blockfstest.FS{FS: testFS(t, 64), Close: func(string) error { return boom }}, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

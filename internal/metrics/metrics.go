@@ -240,23 +240,10 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	var buf [histBuckets]Bucket
-	return h.view(&buf).Count
-}
-
 // Mean returns the arithmetic mean of all observations, or 0 if empty.
 func (h *Histogram) Mean() float64 {
 	var buf [histBuckets]Bucket
 	return h.view(&buf).Mean
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of all observations so
-// far, within the layout's relative error. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	var buf [histBuckets]Bucket
-	return h.view(&buf).quantile(q)
 }
 
 // Sub returns the summary of the observations made after prev and up

@@ -66,39 +66,34 @@ func TestHistogramExactQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if got := h.Count(); got != 100 {
-		t.Fatalf("Count() = %d, want 100", got)
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("Count = %d, want 100", s.Count)
 	}
 	if got := h.Mean(); !within(got, 50.5) {
 		t.Fatalf("Mean() = %v, want 50.5 within %v", got, relErr)
 	}
-	if got := h.Snapshot().Min; got != 1 {
-		t.Fatalf("Snapshot().Min = %v, want 1", got)
+	if s.Min != 1 {
+		t.Fatalf("Min = %v, want 1", s.Min)
 	}
-	if got := h.Snapshot().Max; got != 100 {
-		t.Fatalf("Snapshot().Max = %v, want 100", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Fatalf("Quantile(0) = %v, want 1", got)
-	}
-	if got := h.Quantile(1); got != 100 {
-		t.Fatalf("Quantile(1) = %v, want 100", got)
+	if s.Max != 100 {
+		t.Fatalf("Max = %v, want 100", s.Max)
 	}
 	// Rank floor(q*99) of 1..100: the 50th and the 99th value.
-	if got := h.Quantile(0.5); !within(got, 50) {
-		t.Fatalf("Quantile(0.5) = %v, want 50 within %v", got, relErr)
+	if !within(s.P50, 50) {
+		t.Fatalf("P50 = %v, want 50 within %v", s.P50, relErr)
 	}
-	if got := h.Quantile(0.99); !within(got, 99) {
-		t.Fatalf("Quantile(0.99) = %v, want 99 within %v", got, relErr)
+	if !within(s.P99, 99) {
+		t.Fatalf("P99 = %v, want 99 within %v", s.P99, relErr)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Snapshot().Min != 0 || h.Snapshot().Max != 0 {
+	snap := h.Snapshot()
+	if snap.P50 != 0 || h.Mean() != 0 || snap.Min != 0 || snap.Max != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
-	snap := h.Snapshot()
 	if snap.Count != 0 {
 		t.Fatalf("Snapshot().Count = %d, want 0", snap.Count)
 	}
@@ -124,14 +119,14 @@ func TestHistogramConstantFootprint(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("500k observations allocated %v times, want 0", allocs)
 	}
-	if got := h.Count(); got != 1_000_000 { // AllocsPerRun(1, f) runs f twice
-		t.Fatalf("Count() = %d, want 1000000", got)
+	if got := h.Snapshot().Count; got != 1_000_000 { // AllocsPerRun(1, f) runs f twice
+		t.Fatalf("Count = %d, want 1000000", got)
 	}
 	if got := h.Mean(); !within(got, 499.5) {
 		t.Fatalf("Mean() = %v, want 499.5 within %v", got, relErr)
 	}
-	if q := h.Quantile(0.5); !within(q, 499) {
-		t.Fatalf("Quantile(0.5) = %v, want 499 within %v", q, relErr)
+	if q := h.Snapshot().P50; !within(q, 499) {
+		t.Fatalf("P50 = %v, want 499 within %v", q, relErr)
 	}
 }
 
@@ -257,11 +252,8 @@ func TestHistogramSnapshotConsistentUnderConcurrency(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Snapshot().Max != 0 {
-		t.Fatal("nil histogram should report zeros")
-	}
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Fatalf("nil Snapshot = %+v", s)
+	if s := h.Snapshot(); s.Count != 0 || h.Mean() != 0 || s.P50 != 0 || s.Max != 0 {
+		t.Fatalf("nil histogram should report zeros: %+v", s)
 	}
 	var c *Counter
 	c.Inc()
@@ -288,7 +280,8 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		return h.Quantile(qa) <= h.Quantile(qb)
+		s := h.Snapshot()
+		return s.quantile(qa) <= s.quantile(qb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -373,26 +366,22 @@ func TestHistogramOracle(t *testing.T) {
 	if snapA.Min != first[0] || snapA.Max != first[len(first)-1] {
 		t.Errorf("min/max = %v/%v, want %v/%v", snapA.Min, snapA.Max, first[0], first[len(first)-1])
 	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got, want := h.Quantile(q), first[int(q*float64(len(first)-1))]; !within(got, want) {
-			t.Errorf("Quantile(%v) = %v, exact %v", q, got, want)
-		}
-	}
 
-	// What the reservoir paid 736 us and a 64 KB copy for.
-	if allocs := testing.AllocsPerRun(100, func() { h.Quantile(0.99) }); allocs != 0 {
-		t.Errorf("Quantile allocates %v times per call, want 0", allocs)
+	// What the reservoir paid 736 us and a 64 KB copy for: Mean runs
+	// the same scan the snapshot's quantiles come from.
+	if allocs := testing.AllocsPerRun(100, func() { h.Mean() }); allocs != 0 {
+		t.Errorf("Mean allocates %v times per call, want 0", allocs)
 	}
 	best := time.Hour
 	for round := 0; round < 5; round++ {
 		start := time.Now()
 		for i := 0; i < 200; i++ {
-			h.Quantile(0.99)
+			h.Mean()
 		}
 		best = min(best, time.Since(start)/200)
 	}
 	if limit := 5 * time.Microsecond; best > limit && !raceBuild() {
-		t.Errorf("Quantile on 1e5 observations takes %v, want < %v", best, limit)
+		t.Errorf("Mean on 1e5 observations takes %v, want < %v", best, limit)
 	}
 
 	burst := observeAll(h, sample(20_000, 3000))

@@ -1,10 +1,14 @@
 package ops
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,19 +83,23 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	}
 
 	// RESP traffic: gets of the same keys through the other front door.
-	rc, err := resp.Dial(respLn.Addr().String())
+	rc, err := net.Dial("tcp", respLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	br := bufio.NewReader(rc)
 	for i := 0; i < 16; i++ {
-		key := string([]byte{'k', byte('0' + i%10), byte('a' + i/10)})
-		reply, err := rc.Do("GET", key)
-		if err != nil {
+		key := []byte{'k', byte('0' + i%10), byte('a' + i/10)}
+		if _, err := rc.Write(resp.AppendCommand(nil, []byte("GET"), key)); err != nil {
 			t.Fatal(err)
 		}
-		if reply.IsNil() || len(reply.Bulk) != len(val) {
-			t.Fatalf("RESP GET %q = %+v, want the native put's value", key, reply)
+		got, err := readBulk(br)
+		if err != nil {
+			t.Fatalf("RESP GET %q: %v", key, err)
+		}
+		if len(got) != len(val) {
+			t.Fatalf("RESP GET %q = %d bytes, want the native put's %d", key, len(got), len(val))
 		}
 	}
 
@@ -124,4 +132,22 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	if code != 200 || !strings.Contains(text, "put") || !strings.Contains(text, "get") {
 		t.Fatalf("text form = %d:\n%s", code, text)
 	}
+}
+
+// readBulk reads one RESP bulk-string reply; any other reply, the nil
+// bulk included, is an error.
+func readBulk(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return nil, err
+	}
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(line, "$"), "\r\n"))
+	if err != nil || line[0] != '$' || n < 0 {
+		return nil, fmt.Errorf("reply %q is not a bulk string", line)
+	}
+	buf := make([]byte, n+2)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, err
+	}
+	return buf[:n], nil
 }

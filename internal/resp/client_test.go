@@ -6,6 +6,9 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"strings"
+
+	"directload/internal/core"
 )
 
 // Reply is one decoded RESP2 reply. Type is the wire type byte
@@ -34,8 +37,8 @@ func (r Reply) IsNil() bool {
 }
 
 // Client is a minimal RESP2 client: enough to exercise the front door
-// from tests, benchmarks and interop checks without an external Redis
-// library. Do issues one round trip; Send/Flush/Receive pipeline.
+// from this package's tests and interop checks without an external
+// Redis library. Do issues one round trip; Send/Flush/Receive pipeline.
 // Not safe for concurrent use.
 type Client struct {
 	nc net.Conn
@@ -49,12 +52,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(nc), nil
-}
-
-// NewClient wraps an established connection.
-func NewClient(nc net.Conn) *Client {
-	return &Client{nc: nc, bw: bufio.NewWriter(nc), br: bufio.NewReader(nc)}
+	return &Client{nc: nc, bw: bufio.NewWriter(nc), br: bufio.NewReader(nc)}, nil
 }
 
 // Close tears down the connection.
@@ -166,4 +164,42 @@ func (c *Client) readReply() (Reply, error) {
 		return Reply{Type: '*', Array: elems}, nil
 	}
 	return Reply{}, fmt.Errorf("%w: unknown reply type %q", ErrProtocol, line[0])
+}
+
+// ReplyError is a RESP error reply (-CLASS msg) surfaced to a caller.
+// It is the RESP twin of server.StatusError: errors.Is maps it onto the
+// engine sentinels, so both protocols report errors identically.
+type ReplyError struct {
+	Class string // ERR, NOTFOUND, DELETED, EXECABORT, ...
+	Msg   string
+}
+
+// Error renders the reply the way it crossed the wire.
+func (e *ReplyError) Error() string {
+	if e.Msg == "" {
+		return e.Class
+	}
+	return e.Class + " " + e.Msg
+}
+
+// Is maps the error class onto the engine sentinels, making errors.Is
+// transparent across the RESP wire.
+func (e *ReplyError) Is(target error) bool {
+	switch target {
+	case core.ErrNotFound:
+		return e.Class == ClassNotFound
+	case core.ErrDeleted:
+		return e.Class == ClassDeleted
+	}
+	return false
+}
+
+// parseErrorLine reconstructs a *ReplyError from the payload of an
+// error reply (the bytes after '-').
+func parseErrorLine(line string) *ReplyError {
+	class, msg, ok := strings.Cut(line, " ")
+	if !ok {
+		return &ReplyError{Class: line}
+	}
+	return &ReplyError{Class: class, Msg: msg}
 }

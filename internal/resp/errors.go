@@ -2,7 +2,6 @@ package resp
 
 import (
 	"errors"
-	"strings"
 
 	"directload/internal/core"
 )
@@ -10,8 +9,7 @@ import (
 // RESP error classes. Redis convention puts a one-word class in front
 // of the message (-WRONGTYPE, -EXECABORT, ...); the engine sentinels
 // get their own classes so the mapping is reversible: a client that
-// reads -NOTFOUND back can reconstruct an error for which
-// errors.Is(err, core.ErrNotFound) holds, exactly like the binary
+// reads -NOTFOUND back can reconstruct core.ErrNotFound, as the binary
 // wire's StatusError does for StatusNotFound.
 const (
 	ClassErr       = "ERR"
@@ -20,36 +18,7 @@ const (
 	ClassExecAbort = "EXECABORT"
 )
 
-// ReplyError is a RESP error reply (-CLASS msg) surfaced to a caller.
-// It is the RESP twin of server.StatusError: errors.Is maps it onto the
-// engine sentinels, so both protocols report errors identically.
-type ReplyError struct {
-	Class string // ERR, NOTFOUND, DELETED, EXECABORT, ...
-	Msg   string
-}
-
-// Error renders the reply the way it crossed the wire.
-func (e *ReplyError) Error() string {
-	if e.Msg == "" {
-		return e.Class
-	}
-	return e.Class + " " + e.Msg
-}
-
-// Is maps the error class onto the engine sentinels, making errors.Is
-// transparent across the RESP wire.
-func (e *ReplyError) Is(target error) bool {
-	switch target {
-	case core.ErrNotFound:
-		return e.Class == ClassNotFound
-	case core.ErrDeleted:
-		return e.Class == ClassDeleted
-	}
-	return false
-}
-
-// classify maps an engine error onto its RESP error class — the
-// forward half of the mapping ReplyError.Is reverses.
+// classify maps an engine error onto its RESP error class.
 func classify(err error) string {
 	switch {
 	case errors.Is(err, core.ErrNotFound):
@@ -58,14 +27,4 @@ func classify(err error) string {
 		return ClassDeleted
 	}
 	return ClassErr
-}
-
-// parseErrorLine reconstructs a *ReplyError from the payload of an
-// error reply (the bytes after '-').
-func parseErrorLine(line string) *ReplyError {
-	class, msg, ok := strings.Cut(line, " ")
-	if !ok {
-		return &ReplyError{Class: line}
-	}
-	return &ReplyError{Class: class, Msg: msg}
 }

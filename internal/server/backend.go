@@ -55,8 +55,10 @@ func (b *Backend) SetMetrics(reg *metrics.Registry) {
 		b.met = serverMetrics{conns: new(metrics.Gauge)}
 		return
 	}
-	for op := OpPut; op <= opMax; op++ {
-		b.met.lat[op] = reg.Histogram("server.req." + opNames[op] + ".latency_us")
+	for op, name := range opNames {
+		if name != "" {
+			b.met.lat[op] = reg.Histogram("server.req." + name + ".latency_us")
+		}
 	}
 	b.met.badReqs = reg.Counter("server.req.bad")
 	b.met.conns = reg.Gauge("server.conns.active")

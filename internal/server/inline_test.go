@@ -154,7 +154,7 @@ func TestInlineGetCountedOnce(t *testing.T) {
 	type counts struct{ lat, good, bad, attr int64 }
 	now := func() counts {
 		c := counts{
-			lat:  reg.Histogram("server.req.get.latency_us").Count(),
+			lat:  reg.Histogram("server.req.get.latency_us").Snapshot().Count,
 			good: reg.Counter("slo.node.read.good").Load(),
 			bad:  reg.Counter("slo.node.read.bad").Load(),
 		}

@@ -112,12 +112,12 @@ const opMax = OpBatch
 // hello asks for and the server's reply accepts.
 const ProtoV2 = 2
 
-// opNames labels ops for per-opcode metric names.
+// opNames labels the ops a Backend method begins, for per-opcode metric
+// names; the hello and the retired OpMetrics have none, so no series.
 var opNames = [opMax + 1]string{
 	OpPut: "put", OpPutDedup: "putd", OpGet: "get", OpDel: "del",
 	OpDropVersion: "drop", OpHas: "has", OpStats: "stats",
-	OpRange: "range", OpPing: "ping", OpMetrics: "metrics",
-	OpHello: "hello", OpBatch: "batch",
+	OpRange: "range", OpPing: "ping", OpBatch: "batch",
 }
 
 // Response statuses. (StatusFailed was once named StatusError; the

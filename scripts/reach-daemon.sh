@@ -2,11 +2,15 @@
 # The daemon half of `make reach`: how much of qindbd and qindbctl an
 # operator reaches. Both binaries are built with coverage; the daemon
 # runs on loopback with every door and route on (-resp-addr,
-# -metrics-addr, -pprof) and is driven by every qindbctl command, the
-# RESP commands README lists and every operator HTTP route, then stopped
-# with SIGTERM, which it must answer by exiting 0, writing its counters
-# as it goes. Prints statement coverage per daemon package. A record, not
-# a gate: code at 0 % here is code no operator path runs.
+# -metrics-addr, -pprof) and 64 KB AOFs, and is driven by every qindbctl
+# command, enough rewrites and deletes for lazy GC passes, one malformed
+# native frame, the RESP commands README lists and every operator HTTP
+# route, then stopped with SIGTERM, which it must answer by exiting 0,
+# writing its counters as it goes. Prints statement coverage per daemon
+# package: a record, not a gate; code at 0 % here is code no operator
+# path runs. It fails, naming the series, on any counter or histogram of
+# the /metrics scrape just before SIGTERM that never moved, unless
+# `exempt` below lists it with its reason, and prints one verdict line.
 #
 #   bash scripts/reach-daemon.sh          # from the repository root
 #
@@ -26,7 +30,7 @@ $GO build -cover -coverpkg=directload/... -o "$out/qindbctl" ./cmd/qindbctl
 export GOCOVERDIR=$out/cov
 
 "$out/qindbd" -addr "$native" -resp-addr "127.0.0.1:$resp_port" -metrics-addr "$http" \
-	-pprof -slowlog-threshold 1ns -attr-sample 1 2>"$out/qindbd.log" &
+	-aof 65536 -pprof -slowlog-threshold 1ns -attr-sample 1 2>"$out/qindbd.log" &
 pid=$!
 watch=
 trap 'kill $pid $watch 2>/dev/null || true' EXIT
@@ -48,6 +52,13 @@ ctl() { "$out/qindbctl" -addr "$native" -http "$http" "$@"; }
 	ctl range a c
 	ctl del a 3
 	ctl drop 1
+	# Lazy GC: 400 1 KB entries fill about seven 64 KB files, 390 of them
+	# rewritten leave the old files under the threshold, and each del
+	# runs a GC pass.
+	kb=$(printf '%01024d' 0)
+	for i in $(seq 400); do printf 'g%03d\t%s\n' "$i" "$kb"; done | ctl load 6
+	for i in $(seq 390); do printf 'g%03d\t%s\n' "$i" "$kb"; done | ctl load 6
+	for i in $(seq 10); do ctl del "$(printf 'g%03d' "$i")" 6; done
 	ctl stats
 	ctl slowlog
 	ctl slowlog -op get -n 2
@@ -75,6 +86,13 @@ grep -q '^server\.req\.get\.latency_us ' "$out/metrics.txt" || {
 	echo "reach-daemon: qindbctl metrics printed no server.req.get.latency_us ($out/metrics.txt)" >&2
 	exit 1
 }
+
+# One malformed first frame on the native port: a one-byte body is no
+# hello, so the daemon counts it in server.req.bad and hangs up.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf '\001\000\000\000\377' >&3
+timeout 5 cat <&3 >"$out/bad-frame.txt"
+exec 3<&-
 
 # Two intervals of `stats -watch` at least: it polls until the daemon
 # goes away below, and then exits through its error path.
@@ -125,6 +143,28 @@ for path in /healthz /metrics '/metrics?format=json' '/metrics?format=prom' \
 	'/debug/pprof/allocs?seconds=1' '/debug/pprof/goroutine?debug=1'; do
 	curl -fsS -o /dev/null "http://$http$path"
 done
+
+# Every counter and histogram must have moved by now: one that reads 0
+# after the whole drive counts nothing an operator does. Gauges are not
+# judged, since one scrape cannot tell "never moved" from "back to 0".
+# exempt names a series the drive cannot move, one per line, with its
+# reason after the name (Prometheus names, histograms without _count).
+exempt=''
+curl -fsS "http://$http/metrics?format=prom" >"$out/metrics.prom"
+EXEMPT=$exempt awk '
+BEGIN { n = split(ENVIRON["EXEMPT"], lines, "\n")
+	for (i = 1; i <= n; i++) if (split(lines[i], f, " ") > 0) { skip[f[1]] = 1; nskip++ } }
+$1 == "#" && $2 == "TYPE" { typ[$3] = $4; next }
+/^#/ { next }
+{ name = $1 }
+name ~ /_count$/ && typ[substr(name, 1, length(name) - 6)] == "histogram" { name = substr(name, 1, length(name) - 6) }
+typ[name] != "counter" && typ[name] != "histogram" { next }
+{ judged++ }
+$2 == 0 && !(name in skip) { bad = bad " " name }
+END {
+	if (bad != "") { print "reach-daemon: never moved:" bad " (" FILENAME ")" > "/dev/stderr"; exit 1 }
+	printf "series: %d counters and histograms judged, none at 0; %d exempt\n", judged, nskip
+}' "$out/metrics.prom"
 
 kill -TERM "$pid"
 if ! wait "$pid"; then
