@@ -13,7 +13,7 @@
 //
 // Every connection opens with one hello exchange and is pipelined from
 // then on: clients may keep many requests in flight or batch them; the
-// server dispatches up to 64 of them concurrently per connection.
+// server runs them in order, parking a GET held up by the engine's lock.
 //
 // With -resp-addr set the daemon additionally serves the same engine
 // over RESP2 (the Redis protocol), so redis-cli and off-the-shelf Redis

@@ -1,7 +1,7 @@
 // Package errflow guards error handling on the storage write path and
 // in replica fan-outs:
 //
-//  1. A dropped error from Close/Flush/Sync on a storage-path type
+//  1. A dropped error from Close/Flush on a storage-path type
 //     (internal/blockfs, internal/aof, internal/core, internal/lsm,
 //     plus os.File and bufio.Writer) is flagged when the call stands
 //     alone as a statement. These are the calls that surface buffered
@@ -25,15 +25,15 @@ import (
 // Analyzer is the errflow check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errflow",
-	Doc:  "no dropped Close/Flush/Sync errors on write paths; no first-error-only loops",
+	Doc:  "no dropped Close/Flush errors on write paths; no first-error-only loops",
 	Run:  run,
 }
 
-// storagePkgs are the packages whose Close/Flush/Sync errors are
+// storagePkgs are the packages whose Close/Flush errors are
 // durability-relevant.
 var storagePkgs = []string{"blockfs", "aof", "core", "lsm"}
 
-var checkedMethods = map[string]bool{"Close": true, "Flush": true, "Sync": true}
+var checkedMethods = map[string]bool{"Close": true, "Flush": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {

@@ -12,7 +12,6 @@ import (
 func drops(w *blockfs.Writer) {
 	w.Close() // want `Close error dropped on the storage write path`
 	w.Flush() // want `Flush error dropped on the storage write path`
-	w.Sync()  // want `Sync error dropped on the storage write path`
 	w.Name()  // no error to drop
 	w.Reset() // no error to drop
 }
@@ -66,7 +65,7 @@ func joinedLoop(ws []*blockfs.Writer) error {
 func firstErrFor(ws []*blockfs.Writer) error {
 	var firstErr error
 	for i := 0; i < len(ws); i++ {
-		if err := ws[i].Sync(); err != nil && firstErr == nil {
+		if err := ws[i].Flush(); err != nil && firstErr == nil {
 			firstErr = err // want `loop keeps only the first error in firstErr; aggregate every replica failure with errors.Join`
 		}
 	}

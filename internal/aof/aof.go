@@ -379,7 +379,7 @@ func (s *Store) SeqFloor(floor uint64) {
 
 // KeepBuffer is the largest buffer the data path holds on to for reuse —
 // the store's encode scratch and GC read buffer here, a connection's
-// recycled frames, reply bodies and GET scratch above: one that has grown
+// frame, reply buffer and GET scratch above: one that has grown
 // past it is left to the garbage collector. The largest buffer the
 // paper's traffic makes is the frame of a 64-entry publish batch of 16-24
 // KB values, 1.3-1.5 MB: 2 MB keeps that one, and an outsized value is

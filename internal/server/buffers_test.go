@@ -30,7 +30,7 @@ func helloConn(t *testing.T, s *Server) net.Conn {
 // what the peer says. Declaring the largest frame there is and sending
 // nothing makes the handler allocate one step of it, not 64 MB; a real
 // 8 MB value still goes in and comes back byte for byte (through the
-// stepwise read on the way in and the writev on the way out).
+// stepwise read on the way in).
 func TestDeclaredFrameAllocatesAsItArrives(t *testing.T) {
 	s, cl := startServer(t)
 	conn := helloConn(t, s)
@@ -81,129 +81,55 @@ func TestDeclaredFrameAllocatesAsItArrives(t *testing.T) {
 	}
 }
 
-// TestWriterKeepsNoBigReply: the connection's one write path does not
-// grow with the replies that pass through it. A body that is a write's
-// worth on its own goes out from where it lies, behind whatever had
-// accumulated, and the bytes on the wire are the frames in order either way.
-func TestWriterKeepsNoBigReply(t *testing.T) {
-	client, server := net.Pipe()
-	bodies := make(freeList, 8)
-	w := &respWriter{conn: server, bodies: bodies}
-	done := make(chan struct{})
-
-	// The writer starts busy, as if with an earlier reply: the first frame
-	// is copied into its buffer, and the 8 MB one waits for it to stop,
-	// then goes out behind the first in one writev. The frames after it
-	// find the writer idle.
-	w.busy = true
-	sizes := []int{20, 8 << 20, 20 << 10, 20, maxCoalesce - 8, maxCoalesce - 7, 1 << 20, 5}
-	go func() {
-		defer close(done)
-		for i, size := range sizes {
-			frame := append(make([]byte, frameRoom), bytes.Repeat([]byte{byte('a' + i)}, size)...)
-			w.send(uint32(i+1), frame)
-		}
-	}()
-	for waiting := false; !waiting; time.Sleep(time.Millisecond) {
-		w.mu.Lock()
-		if waiting = len(w.buf) > 0 && w.idle != nil; waiting {
-			w.busy = false
-			close(w.idle)
-			w.idle = nil
-		}
-		w.mu.Unlock()
-	}
-	br := bufio.NewReader(client)
-	for i, size := range sizes {
-		seq, body, err := readFrameSeq(br, nil)
-		if err != nil || seq != uint32(i+1) || !bytes.Equal(body, bytes.Repeat([]byte{byte('a' + i)}, size)) {
-			t.Fatalf("frame %d: seq %d, %d bytes, %v; want seq %d and %d bytes of %q", i, seq, len(body), err, i+1, size, 'a'+i)
-		}
-	}
-	<-done
-	if cap(w.spare) == 0 {
-		t.Fatal("no reply went through the writer's buffer")
-	}
-	for _, buf := range [][]byte{w.buf, w.spare} {
-		if cap(buf) > 2*maxCoalesce {
-			t.Fatalf("after an 8 MB reply the writer holds a %d-byte buffer, want at most %d", cap(buf), 2*maxCoalesce)
-		}
-	}
-	// Every body came back to the free list but the one too big to keep.
-	close(bodies)
-	kept := 0
-	for b := range bodies {
-		if cap(b) > aof.KeepBuffer {
-			t.Fatalf("a %d-byte body was kept for reuse, limit %d", cap(b), aof.KeepBuffer)
-		}
-		kept++
-	}
-	if kept != len(sizes)-1 {
-		t.Fatalf("%d of %d bodies were recycled, want all but the 8 MB one", kept, len(sizes))
-	}
-}
-
-// TestWriterFramesArriveOnce: a frame that finds the writer busy is
-// written by that writer before it stops, with no later send to carry it;
-// and with many completions sending at once, frames of every size class —
-// coalesced, a buffer's worth, a write's worth on their own — over a pipe
-// that blocks each write until it is read, every frame arrives exactly
-// once and byte for byte, whichever completion wrote it.
-func TestWriterFramesArriveOnce(t *testing.T) {
+// TestConnKeepsNoBigBuffer: a connection reuses its request frame and
+// reply buffer, but not once either has grown past aof.KeepBuffer. An 8 MB
+// PUT and the GET of it go through; the PING after them leaves the
+// connection holding small buffers only.
+func TestConnKeepsNoBigBuffer(t *testing.T) {
+	s, _ := startServer(t)
 	client, server := net.Pipe()
 	defer client.Close()
-	client.SetReadDeadline(time.Now().Add(10 * time.Second)) // a frame left behind fails, not hangs
-	w := &respWriter{conn: server, bodies: make(freeList, 8)}
-	sizes := []int{20, 20 << 10, maxCoalesce - 8, maxCoalesce, 300 << 10}
-	body := func(seq uint32) []byte {
-		return bytes.Repeat([]byte{byte(seq)}, sizes[int(seq)%len(sizes)])
-	}
-	send := func(seq uint32) { w.send(seq, append(make([]byte, frameRoom), body(seq)...)) }
+	client.SetDeadline(time.Now().Add(30 * time.Second))
+	c := &serverConn{s: s, nc: server, br: bufio.NewReader(server), parked: make(chan struct{}, defaultMaxInFlight)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.serve()
+	}()
+	big := bytes.Repeat([]byte("0123456789abcdef"), 512<<10)
 	br := bufio.NewReader(client)
-	seen := make(map[uint32]bool)
-	read := func() {
-		t.Helper()
-		seq, got, err := readFrameSeq(br, nil)
+	for i, req := range []request{
+		{Op: OpPut, Version: 1, Key: []byte("big"), Value: big},
+		{Op: OpGet, Version: 1, Key: []byte("big")},
+		{Op: OpPing},
+	} {
+		if _, err := client.Write(appendFrameSeq(nil, uint32(i+1), reqBody(t, req))); err != nil {
+			t.Fatal(err)
+		}
+		seq, body, err := readFrameSeq(br, nil)
 		if err != nil {
-			t.Fatalf("after %d frames: %v", len(seen), err)
+			t.Fatal(err)
 		}
-		if seen[seq] || !bytes.Equal(got, body(seq)) {
-			t.Fatalf("frame %d: %d bytes, seen before %v", seq, len(got), seen[seq])
+		status, payload, err := decodeResponse(body)
+		if err != nil || seq != uint32(i+1) || status != StatusOK || (req.Op == OpGet && !bytes.Equal(payload, big)) {
+			t.Fatalf("request %d: seq %d, status %d, %d bytes, %v", i+1, seq, status, len(payload), err)
 		}
-		seen[seq] = true
 	}
-
-	// Frame 4 (300 KB) blocks its writer in the pipe; frame 0 finds the
-	// writer busy, is copied and its send returns.
-	go send(4)
-	for busy := false; !busy; time.Sleep(time.Millisecond) {
-		w.mu.Lock()
-		busy = w.busy
-		w.mu.Unlock()
-	}
-	send(0)
-	read()
-	read()
-
-	const senders, each = 8, 50
-	for g := 0; g < senders; g++ {
-		go func(g int) {
-			for i := 0; i < each; i++ {
-				send(uint32(5 + g*each + i))
-			}
-		}(g)
-	}
-	for len(seen) < 2+senders*each {
-		read()
+	client.Close()
+	<-done
+	for name, buf := range map[string][]byte{"request frame": c.frame, "reply buffer": c.out} {
+		if cap(buf) == 0 || cap(buf) > aof.KeepBuffer {
+			t.Fatalf("after an 8 MB PUT, its GET and a PING the connection keeps a %d-byte %s, want 1..%d", cap(buf), name, aof.KeepBuffer)
+		}
 	}
 }
 
 // TestRecycledBuffersAreNeverShared drives one connection the way a
 // pipelining client does — 64 GETs of distinct keys and a 64-entry OpBatch
 // in flight together, 2,000 rounds — and checks every reply byte for byte.
-// Request frames and reply bodies are recycled per connection, so a buffer
-// handed back too early, or to two requests at once, shows up here as a
-// wrong byte (and under -race as a report).
+// A connection reuses its request frame and reply buffer from request to
+// request, so a buffer reused too early, or by two requests at once, shows
+// up here as a wrong byte (and under -race as a report).
 func TestRecycledBuffersAreNeverShared(t *testing.T) {
 	s, _ := startServer(t)
 	conn := helloConn(t, s)

@@ -38,10 +38,10 @@ func readReply(t *testing.T, conn net.Conn, br *bufio.Reader, what string) (uint
 // TestGetBehindExclusiveHoldDoesNotStall parks the GC pass of a version
 // drop in its first relocation append, which runs while the pass holds
 // the engine's lock exclusively, and sends a GET and then a PING on an
-// idle connection.
+// idle connection, then a pipelined burst of PINGs.
 // The GET cannot be answered until the pass lets go; the connection must
-// not wait for it: the PING's reply arrives while the GET is parked, and
-// the GET's arrives byte for byte once the pass is released.
+// not wait for it: the PINGs' replies arrive in order while the GET is
+// parked, and the GET's arrives byte for byte once the pass is released.
 func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 	// passes counts down the appends let through while armed: the drop's
 	// meta-record goes by, and the append after it, the pass's first
@@ -121,6 +121,20 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 	if seq != 2 || status != StatusOK || string(payload) != "pong" {
 		t.Fatalf("first reply: seq %d, status %d, %q; want the PING's", seq, status, payload)
 	}
+	// A pipelined burst behind the parked GET is answered in order.
+	var burst []byte
+	for i := uint32(3); i <= 10; i++ {
+		burst = appendFrameSeq(burst, i, reqBody(t, request{Op: OpPing}))
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(3); i <= 10; i++ {
+		seq, status, payload := readReply(t, conn, br, "a pipelined PING behind the parked GET")
+		if seq != i || status != StatusOK || string(payload) != "pong" {
+			t.Fatalf("burst reply: seq %d, status %d, %q; want PING %d's", seq, status, payload, i)
+		}
+	}
 
 	free()
 	seq, status, payload = readReply(t, conn, br, "the GET once the pass let go")
@@ -132,9 +146,8 @@ func TestGetBehindExclusiveHoldDoesNotStall(t *testing.T) {
 	}
 }
 
-// TestInlineGetCountedOnce sends GETs one at a time, which the reader
-// answers itself, and then as one pipelined burst, which goes to dispatch
-// goroutines, and wants each set counted exactly once in every signal
+// TestInlineGetCountedOnce sends GETs one at a time and then as one
+// pipelined burst, which the reader answers in turn, and wants each set counted exactly once in every signal
 // the Backend feeds: the latency histogram (whose count is the request
 // count), the read SLO, attribution at 1-in-1 and the in-flight gauge.
 func TestInlineGetCountedOnce(t *testing.T) {

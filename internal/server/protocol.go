@@ -32,11 +32,10 @@
 // (len counts everything after itself, including seq.) All 32 bits of
 // seq are the client's: it wraps at 2^32, and the server echoes it
 // unread. A client may keep many requests in flight on one connection
-// (this package's Client keeps one); the server runs them concurrently
-// (64 at a time per connection) and responses may arrive in any order —
-// seq matches a response to its request.
-// Operations pipelined concurrently may execute in any order, so
-// dependent operations must wait for their predecessor's response.
+// (this package's Client keeps one). The server runs and answers them in
+// arrival order, but for a GET that finds the engine's lock held: it is
+// parked (up to 64 per connection) and may run and answer after requests
+// sent behind it. seq matches a response to its request.
 //
 // # Connections
 //
@@ -45,11 +44,9 @@
 // server.conns.active count. A door brings only its per-connection
 // handler.
 //
-// One goroutine reads each connection. A GET that finds the connection
-// idle (nothing in flight, nothing more buffered) is answered by that
-// goroutine, if the engine's read lock is free at that instant; every
-// other request runs on a goroutine of its own. Every reply leaves by
-// the connection's one coalescing writer (respWriter).
+// One goroutine reads each native connection and runs its requests, as
+// the RESP door does, writing their replies together once the next frame
+// is not wholly buffered (serverConn.serve).
 //
 // # OpBatch
 //

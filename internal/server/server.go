@@ -7,19 +7,18 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"sync"
+	"runtime"
 
 	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 )
 
-// defaultMaxInFlight bounds concurrent dispatch per connection.
-const defaultMaxInFlight = 64
-
-// maxCoalesce caps how many response bytes the writer accumulates
-// before forcing a write, bounding both latency and buffer growth.
-const maxCoalesce = 64 << 10
+const (
+	defaultMaxInFlight = 64       // GETs parked at once per connection (serverConn.park)
+	maxCoalesce        = 64 << 10 // reply bytes written even with more requests buffered
+	frameRoom          = 8        // what a reply body is built behind: its frame's len, seq
+)
 
 // StatsReply is the JSON payload of OpStats.
 type StatsReply struct {
@@ -28,10 +27,9 @@ type StatsReply struct {
 }
 
 // Server exposes one QinDB engine on a TCP listener, one reader goroutine
-// per connection. After the hello a connection is pipelined: the reader
-// answers a GET that finds the connection idle, up to defaultMaxInFlight
-// other requests run concurrently, and every reply leaves by the
-// connection's one coalescing writer (serveRequests).
+// per connection, which runs the connection's requests in order and
+// coalesces their replies (serverConn.serve). Only a GET that finds the
+// engine's read lock held waits on a goroutine of its own.
 //
 // The Server owns only the binary wire: framing, sequence numbers, the
 // handshake, response encoding. Its Door owns the listener and the
@@ -41,16 +39,14 @@ type Server struct {
 	*Door
 }
 
-// serverMetrics holds the per-opcode wall-clock latency histograms,
-// indexed by opcode, and the listener-wide cells. All handles are nil
-// without a registry except conns, which StatsReply reads too: it is the
-// registry's server.conns.active cell when there is one and a private
-// cell otherwise.
+// serverMetrics holds the per-opcode wall-clock latency histograms and the
+// listener-wide cells, nil without a registry except conns, which
+// StatsReply reads too (then a private cell).
 type serverMetrics struct {
 	lat      [opMax + 1]*metrics.Histogram
 	badReqs  *metrics.Counter
 	conns    *metrics.Gauge   // connections across every attached listener
-	inflight *metrics.Gauge   // server.pipeline.inflight: requests being dispatched
+	inflight *metrics.Gauge   // server.pipeline.inflight: requests being run or parked
 	batchOps *metrics.Counter // server.batch.ops: sub-ops applied via OpBatch
 }
 
@@ -100,7 +96,7 @@ func (s *Server) SetReadSLO(slo *metrics.SLO) {
 // server can accept.
 var errNoHello = errors.New("server: first frame must be OpHello asking for protocol 2")
 
-// handle serves one connection: the hello exchange, then the pipelined
+// handle serves one connection: the hello exchange, then the request
 // loop. Anything but an acceptable hello as first frame is answered
 // with one StatusFailed frame and the connection is closed.
 func (s *Server) handle(conn net.Conn) {
@@ -120,169 +116,120 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	// The reply is the accepted version, one byte; anything the hello
 	// carries after its version is ignored.
-	if err := writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2})); err != nil {
-		return
-	}
-	s.serveRequests(conn, br)
-}
-
-// freeList recycles one connection's buffers of one kind — request frames
-// or reply bodies: a buffered channel, so it holds at most its capacity
-// (defaultMaxInFlight) and neither end ever blocks on it.
-type freeList chan []byte
-
-// get returns a recycled buffer, emptied, or nil when there is none.
-func (f freeList) get() []byte {
-	select {
-	case buf := <-f:
-		return buf[:0]
-	default:
-		return nil
+	if writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2})) == nil {
+		(&serverConn{s: s, nc: conn, br: br, parked: make(chan struct{}, defaultMaxInFlight)}).serve()
 	}
 }
 
-// put hands buf back, unless it is larger than anything keeps
-// (aof.KeepBuffer). The caller must hold the only reference to it.
-func (f freeList) put(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > aof.KeepBuffer {
-		return
-	}
-	select {
-	case f <- buf:
-	default:
-	}
+// serverConn is one native connection past its hello: its reader runs the
+// requests (serve), and only a parked GET (park) runs elsewhere.
+type serverConn struct {
+	s          *Server
+	nc         net.Conn
+	br         *bufio.Reader
+	parked     chan struct{} // one slot per parked GET
+	frame, out []byte        // the request served, the replies not yet written
 }
 
-// frameRoom is the room a reply body is built behind: its frame's len, seq.
-const frameRoom = 8
-
-// respWriter is a connection's one write path. A completion that finds it
-// idle writes what has accumulated in buf and its own frame from where it
-// lies, in one writev, then what accumulates meanwhile; one that finds it
-// busy copies its frame into buf and leaves. A write error closes the
-// connection, which unblocks the reader and fails every later write.
-type respWriter struct {
-	conn   net.Conn
-	bodies freeList
-	iov    [2][]byte   // the writer's writev, kept here so that
-	bufs   net.Buffers // a write allocates nothing
-
-	mu   sync.Mutex
-	busy bool // a completion is writing
-	// buf holds the frames waiting, spare the ones being written. A frame
-	// is copied into buf only while buf holds less than maxCoalesce and only
-	// if it is no longer than maxCoalesce, so neither outgrows its capacity.
-	buf, spare []byte
-	// idle, made by a completion that must wait for the writer, is closed
-	// when the writer stops; the writer stops after its current write once
-	// one is waiting, so nobody waits longer than that.
-	idle chan struct{}
-}
-
-// send puts one reply on the wire and then recycles its buffer: frame is
-// the reply body behind frameRoom bytes, which send fills in. A frame that
-// finds the writer busy and cannot be copied into buf, because it or buf
-// is a write's worth already, waits for the writer to stop.
-func (w *respWriter) send(seq uint32, frame []byte) {
-	defer w.bodies.put(frame)
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	binary.LittleEndian.PutUint32(frame[4:], seq)
-	w.mu.Lock()
-	for w.busy && (len(frame) > maxCoalesce || len(w.buf) >= maxCoalesce) {
-		if w.idle == nil {
-			w.idle = make(chan struct{})
-		}
-		idle := w.idle
-		w.mu.Unlock()
-		<-idle
-		w.mu.Lock()
-	}
-	if w.busy {
-		if w.buf == nil {
-			w.buf = make([]byte, 0, 2*maxCoalesce)
-		}
-		w.buf = append(w.buf, frame...)
-		w.mu.Unlock()
-		return
-	}
-	w.busy = true
-	for frame != nil || (len(w.buf) > 0 && w.idle == nil) {
-		out := w.buf
-		w.buf, w.spare = w.spare[:0], out
-		w.mu.Unlock()
-		w.iov = [2][]byte{out, frame} // writev skips an empty one
-		w.bufs = w.iov[:]
-		if _, err := w.bufs.WriteTo(w.conn); err != nil {
-			w.conn.Close()
-		}
-		frame = nil
-		w.mu.Lock()
-	}
-	// What is left in buf, if anything, is for a waiter to write.
-	w.busy = false
-	if w.idle != nil {
-		close(w.idle)
-		w.idle = nil
-	}
-	w.mu.Unlock()
-}
-
-// serveRequests runs the pipelined loop, echoing each seq as read. A GET on
-// an idle connection whose engine read lock is free is answered here; a
-// pipelined burst, any mutator and a GET that would wait behind a
-// retirement or GC hold run on goroutines, up to defaultMaxInFlight (the
-// backpressure gate: beyond it the reader stops reading, which pushes back
-// through TCP flow control).
-//
-// Request frames and reply bodies are recycled per connection. A request's
-// Key and Value (and a batch's sub-ops) are views of its frame, reused once
-// its reply is sent: Backend and everything below copy what they keep.
-func (s *Server) serveRequests(conn net.Conn, br *bufio.Reader) {
-	frames, bodies := make(freeList, defaultMaxInFlight), make(freeList, defaultMaxInFlight)
-	w := &respWriter{conn: conn, bodies: bodies}
-	sem := make(chan struct{}, defaultMaxInFlight)
-	var wg sync.WaitGroup
+// serve runs each request on this goroutine in arrival order, as the RESP
+// door does, its reply appended behind frameRoom bytes to out, written once
+// the next frame is not wholly buffered or out holds maxCoalesce. A
+// request's Key and Value (and a batch's sub-ops) are views of its frame,
+// reused for the next request: Backend and everything below copy what they
+// keep. Neither frame nor out is kept past aof.KeepBuffer.
+func (c *serverConn) serve() {
+	b := c.s.backend
 	for {
-		seq, frame, err := readFrameSeq(br, frames.get())
+		if len(c.out) >= maxCoalesce || (len(c.out) > 0 && !frameBuffered(c.br)) {
+			c.write(c.out)
+			c.out = keep(c.out)
+		}
+		seq, frame, err := readFrameSeq(c.br, c.frame)
 		if err != nil {
 			break
 		}
+		c.frame = keep(frame)
 		req, derr := decodeRequest(frame)
-		resp := append(bodies.get(), make([]byte, frameRoom)...)
-		s.backend.met.inflight.Add(1)
-		if derr == nil && req.Op == OpGet && len(sem) == 0 && br.Buffered() == 0 {
-			out, ok, err := s.backend.TryGetAppend(context.Background(), appendResponse(resp, StatusOK, nil), req.Key, req.Version)
-			if ok {
-				s.backend.met.inflight.Add(-1)
-				w.send(seq, getReply(out, frameRoom, err))
-				frames.put(frame)
+		at := len(c.out)
+		c.out = append(c.out, make([]byte, frameRoom)...)
+		b.met.inflight.Add(1)
+		switch {
+		case derr != nil:
+			b.met.badReqs.Inc()
+			c.out = appendResponse(c.out, StatusFailed, []byte(derr.Error()))
+		case req.Op == OpGet:
+			out, ok, err := b.TryGetAppend(context.Background(), appendResponse(c.out, StatusOK, nil), req.Key, req.Version)
+			if !ok {
+				c.out = out[:at]
+				c.park(seq, req)
 				continue
 			}
-			resp = out[:frameRoom]
+			c.out = getReply(out, at+frameRoom, err)
+		default:
+			// Yield first: that wakes an idle P's thread, which polls the
+			// network while a long mutator runs here; else a GET on another
+			// connection waits for it or sysmon's 10 ms poll (EXPERIMENTS.md).
+			runtime.Gosched()
+			c.out = c.s.dispatch(context.Background(), req, c.out)
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq uint32, req request, derr error, resp []byte) {
-			defer wg.Done()
-			if derr != nil {
-				s.backend.met.badReqs.Inc()
-				resp = appendResponse(resp, StatusFailed, []byte(derr.Error()))
-			} else {
-				resp = s.dispatch(context.Background(), req, resp)
-			}
-			// Decrement before sending the reply so the gauge never reads
-			// >0 after the client has seen every reply.
-			s.backend.met.inflight.Add(-1)
-			w.send(seq, resp)
-			frames.put(frame)
-			<-sem
-		}(seq, req, derr, resp)
+		b.met.inflight.Add(-1) // before the write: a client with every reply sees 0
+		seal(c.out[at:], seq)
 	}
-	wg.Wait()
+	for range cap(c.parked) { // wait out the parked GETs
+		c.parked <- struct{}{}
+	}
+}
+
+// park answers a GET that found the engine's read lock held on a goroutine
+// of its own, which owns the request's frame and writes its own reply, so
+// the requests behind it are not held up. At most defaultMaxInFlight are
+// parked at once; beyond that the reader waits, pushing back through TCP.
+func (c *serverConn) park(seq uint32, req request) {
+	c.parked <- struct{}{}
+	c.frame = nil // the GET's key is a view of it
+	go func() {
+		out, err := c.s.backend.GetAppend(context.Background(), appendResponse(make([]byte, frameRoom), StatusOK, nil), req.Key, req.Version)
+		c.s.backend.met.inflight.Add(-1)
+		c.write(seal(getReply(out, frameRoom, err), seq))
+		<-c.parked
+	}()
+}
+
+// write puts replies on the wire. The reader and a parked GET may write at
+// once: a net.Conn's Write is safe for that, and a TCP connection's (as
+// net.Pipe's) writes all of one call before the next. A failed write closes
+// the connection, which ends the reader.
+func (c *serverConn) write(buf []byte) {
+	if _, err := c.nc.Write(buf); err != nil {
+		c.nc.Close()
+	}
+}
+
+// seal fills in the len and seq of a reply frame built behind frameRoom.
+func seal(frame []byte, seq uint32) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.LittleEndian.PutUint32(frame[4:], seq)
+	return frame
+}
+
+// keep empties buf for reuse, or drops it once it has grown past
+// aof.KeepBuffer.
+func keep(buf []byte) []byte {
+	if cap(buf) > aof.KeepBuffer {
+		return nil
+	}
+	return buf[:0]
+}
+
+// frameBuffered reports whether br holds the whole of a well-formed next
+// frame (at least its len and seq; a len under 4 wraps around to "no").
+func frameBuffered(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	return len(buf) >= 8 && binary.LittleEndian.Uint32(buf)-4 <= uint32(len(buf)-8)
 }
 
 // dispatch executes one request through the Backend and appends the reply
-// to dst, a recycled buffer (or nil), as a binary-wire response body. The
+// to dst as a binary-wire response body. The
 // Backend owns the transport-agnostic work — engine execution, wall-clock
 // timing, per-opcode metrics, the read SLO and the slowlog — so the native and RESP listeners report identically; this
 // function owns only the response encoding.
