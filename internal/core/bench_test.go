@@ -144,6 +144,39 @@ func benchSmall(b *testing.B, put bool) {
 func BenchmarkGet128B100k(b *testing.B) { benchSmall(b, false) }
 func BenchmarkPut128B100k(b *testing.B) { benchSmall(b, true) }
 
+// BenchmarkRange times one page of a range scan, what `qindbctl range`
+// asks for: 4,096 keys from a random one on, over publishKeep versions of
+// publishKeys keys with 128-byte values.
+func BenchmarkRange(b *testing.B) {
+	db := benchDB(b)
+	const page = 4096
+	val := make([]byte, 128)
+	keys := make([][]byte, publishKeys)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "url-%016d", i)
+	}
+	for v := uint64(1); v <= publishKeep; v++ {
+		for _, k := range keys {
+			if _, err := db.Put(k, v, val, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		db.Range(keys[rng.Intn(publishKeys-page)], nil, func([]byte, uint64) bool {
+			n++
+			return n < page
+		})
+		if n != page {
+			b.Fatalf("a page listed %d keys, want %d", n, page)
+		}
+	}
+}
+
 func BenchmarkDel(b *testing.B) {
 	db := benchDB(b)
 	for i := 0; i < b.N; i++ {
@@ -292,7 +325,7 @@ func BenchmarkPublishVersion(b *testing.B) {
 // so that the device stays small). Before each checkpoint, untimed, a
 // version is published and the oldest live one retired, and retiring it
 // runs one GC pass, which takes items out of versions the last
-// checkpoint sorted.
+// checkpoint walked.
 func BenchmarkCheckpoint(b *testing.B) {
 	opts := testOptions()
 	opts.AOF.FileSize = 4 << 20

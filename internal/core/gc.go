@@ -42,11 +42,6 @@ func (db *DB) collectLocked(id uint32) (time.Duration, error) {
 		}
 		db.excl.Unlock()
 	}
-	for i, g := range gone { // a segment's items are listed together
-		if i == 0 || g.seg != gone[i-1].seg {
-			g.seg.compact()
-		}
-	}
 	clear(gone) // the list is kept for the next pass, the items it names are not
 	cost, err := db.store.CollectFile(id, &db.gcKeep, &db.excl)
 	clear(db.gcKeep.recs)
@@ -95,9 +90,6 @@ func (l *keepList) Moved(i int, new aof.Ref) {
 		return
 	}
 	k.it.ref = new
-	if k.seg.deleted(k.it) {
-		k.it.flags |= fOnDiskDeleted
-	}
 }
 
 // goneItem is a memtable item a GC pass removes.

@@ -248,10 +248,8 @@ func TestMemtableBytesMatchesHeap(t *testing.T) {
 
 // checkMemtable fails the test unless the memtable's derived state is
 // what its items say: every live item bound to a base points at the item
-// lookup finds for (key, base), every refs counts exactly the live items
-// bound to it, and every sorted view is strictly ascending and lists each
-// item of its segment's map once, beside items marked removed only, no
-// more of those than the map holds, and as many as the segment counts.
+// lookup finds for (key, base), and every refs counts exactly the live
+// items bound to it.
 func checkMemtable(t testing.TB, db *DB) {
 	t.Helper()
 	db.mu.RLock()
@@ -259,9 +257,6 @@ func checkMemtable(t testing.TB, db *DB) {
 	referrers := map[*item]int32{}
 	for _, seg := range db.segs {
 		for k, it := range seg.items {
-			if it.has(fRemoved) {
-				t.Fatalf("%s/%d: a removed item is still in the map", k, seg.ver)
-			}
 			if seg.deleted(it) || !it.has(fHasBase) {
 				continue
 			}
@@ -278,30 +273,6 @@ func checkMemtable(t testing.TB, db *DB) {
 			if it.refs != referrers[it] {
 				t.Fatalf("%s/%d: refs %d, %d live items bound to it", k, seg.ver, it.refs, referrers[it])
 			}
-		}
-		p := seg.sorted.Load()
-		if p == nil {
-			continue
-		}
-		listed, marked := 0, 0
-		for i, e := range *p {
-			if i > 0 && (*p)[i-1].key >= e.key {
-				t.Fatalf("version %d: view lists %q after %q", seg.ver, e.key, (*p)[i-1].key)
-			}
-			switch {
-			case e.it.has(fRemoved):
-				marked++
-			case seg.items[e.key] != e.it:
-				t.Fatalf("%s/%d: the view's item is not the map's", e.key, seg.ver)
-			default:
-				listed++
-			}
-		}
-		if listed != len(seg.items) {
-			t.Fatalf("version %d: view lists %d of the map's %d items", seg.ver, listed, len(seg.items))
-		}
-		if marked != seg.marked || marked > len(seg.items) {
-			t.Fatalf("version %d: view lists %d removed items (segment counts %d) beside %d", seg.ver, marked, seg.marked, len(seg.items))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package core implements QinDB (Quick-Indexing Database), the paper's
 // primary contribution (§2.3): the per-storage-node key-value engine that
-// replaces an LSM-tree with a memory-resident sorted table (memtable) of
+// replaces an LSM-tree with a memory-resident table (memtable) of
 // keys plus append-only files (AOFs) on SSD holding the values.
 //
 // Keys are versioned: every entry is addressed as (key, version), written
@@ -17,10 +17,9 @@
 //
 // The paper's memtable is a skip list; here each version's items are a
 // hash map, since nearly every operation is a point lookup of (k, t).
-// Order is read in two places only, the checkpoint and Range, and they
-// sort a version's keys in memory when they need them. Sorting happens
-// exclusively in memory, so the only software write amplification left
-// is the GC's re-append of still-referenced records.
+// Order is read by Range alone, which sorts the keys it lists in memory.
+// Nothing is ever sorted on flash, so the only software write
+// amplification left is the GC's re-append of still-referenced records.
 // Stored on a block-aligned filesystem (blockfs.NativeFS), the engine
 // also has zero hardware write amplification.
 package core
@@ -53,11 +52,9 @@ var (
 
 // item flags in the memtable.
 const (
-	fDedup         uint8 = 1 << iota // r: value removed by deduplication
-	fDeleted                         // d: logically deleted
-	fOnDiskDeleted                   // the flash record already carries FlagDropped
-	fHasBase                         // dedup item with a resolved traceback base
-	fRemoved                         // out of the memtable: a sorted view still lists it
+	fDedup   uint8 = 1 << iota // r: value removed by deduplication
+	fDeleted                   // d: logically deleted
+	fHasBase                   // dedup item with a resolved traceback base
 )
 
 // item is the memtable payload: where the record lives on flash plus the
@@ -85,79 +82,27 @@ func (it *item) has(f uint8) bool { return it.flags&f != 0 }
 // key, and how many of them are live. A retired segment reads as deleted,
 // every item of it, without the items being flagged one by one; the
 // flags are set only if a Put revives a key of the version (unretire).
-//
 // Keys are added and removed only with db.mu held exclusively, or in
-// recovery. An add clears sorted, and keys builds it again on first use,
-// under a shared hold at least. A removal leaves the view in place and
-// marks the item fRemoved, which every reader of the view skips, so a
-// sealed version is not sorted again when a GC pass takes from it. The
-// pass compacts the view once the marked items outnumber the map's
-// (compact), so a view lists at most twice its segment's items.
+// recovery. The map keeps no order: Range sorts what it lists.
 type segment struct {
 	ver     uint64
 	items   map[string]*item
-	sorted  atomic.Pointer[[]entry] // the items in ascending key order, or nil
-	marked  int                     // items of sorted marked fRemoved; the wmu holder's
-	live    int                     // items not deleted: the version's key count
-	retired bool                    // dropped whole by DropVersion
+	live    int  // items not deleted: the version's key count
+	retired bool // dropped whole by DropVersion
 	// first is the oldest file any item was added with. A record moves
 	// only to the active file, whose id is the highest, so no item's ref
 	// lies in an older one.
 	first uint32
 }
 
-// entry is one key of a sorted view and its item.
-type entry struct {
-	key string
-	it  *item
-}
-
 func (s *segment) deleted(it *item) bool { return s.retired || it.has(fDeleted) }
 
-// keys returns the segment's items in ascending key order, removed ones
-// (fRemoved) included. The slice is shared: callers must not modify it.
-func (s *segment) keys() []entry {
-	if p := s.sorted.Load(); p != nil {
-		return *p
-	}
-	es := make([]entry, 0, len(s.items))
-	for k, it := range s.items {
-		es = append(es, entry{k, it})
-	}
-	slices.SortFunc(es, func(a, b entry) int { return strings.Compare(a.key, b.key) })
-	s.sorted.Store(&es)
-	return es
-}
-
-// add puts it in the segment under key and drops the sorted view.
+// add puts it in the segment under key.
 func (s *segment) add(key string, it *item) {
 	if len(s.items) == 0 || it.ref.File < s.first {
 		s.first = it.ref.File
 	}
 	s.items[key] = it
-	s.sorted.Store(nil)
-	s.marked = 0
-}
-
-// compact replaces the sorted view with a copy that lists the map's items
-// only, once the items marked removed in it outnumber them. The copy is
-// then no longer than the removals that made it due, so compacting costs
-// a constant a removal, and no sort. Readers that loaded the old view read
-// on in it: both list the same items the map holds. Runs with wmu held;
-// readers need not be out, since none stores a view while one is set.
-func (s *segment) compact() {
-	p := s.sorted.Load()
-	if p == nil || s.marked <= len(s.items) {
-		return
-	}
-	es := make([]entry, 0, len(s.items))
-	for _, e := range *p {
-		if !e.it.has(fRemoved) {
-			es = append(es, e)
-		}
-	}
-	s.sorted.Store(&es)
-	s.marked = 0
 }
 
 // unretire turns the retirement into a d flag on every item, so that one
@@ -292,10 +237,7 @@ func (l *exclLock) Unlock() {
 // the item (48 B with its size class), its map slot at the map's load
 // (35–55 B) and the key's size-class rounding. Measured with Go 1.24's
 // maps at 107–127 B a 20-byte key between 100,000 and 8,000 keys in one
-// version; TestMemtableBytesMatchesHeap keeps it honest. A sorted view,
-// once built, adds an entry (a string header and a pointer, 24 B) a key,
-// and keeps the entries of removed keys until they outnumber the rest
-// (segment.compact): not counted here.
+// version; TestMemtableBytesMatchesHeap keeps it honest.
 const memItemOverhead = 96
 
 // engineMetrics holds the engine's registry handles. Those that only
@@ -564,15 +506,9 @@ func (db *DB) segmentFor(v uint64) *segment {
 
 // removeLocked takes key's item out of the memtable for good: if it was
 // still live, the item it was bound to loses a referrer, and a segment
-// left empty is unlinked. The segment's sorted view keeps the item, marked
-// fRemoved, until the GC pass compacts it. Runs with wmu and db.mu held,
-// or in recovery.
+// left empty is unlinked. Runs with wmu and db.mu held, or in recovery.
 func (db *DB) removeLocked(seg *segment, key string, it *item) {
 	delete(seg.items, key)
-	it.flags |= fRemoved
-	if seg.sorted.Load() != nil {
-		seg.marked++
-	}
 	db.met.memBytes.Add(-(int64(len(key)) + memItemOverhead))
 	if !seg.deleted(it) {
 		db.unbind(it)
@@ -909,34 +845,39 @@ func (db *DB) RetainVersions(n int) (int, error) {
 // Range calls fn, in key order, for every key in [from, to) whose newest
 // entry is not deleted, with that entry's version; an empty "to" means
 // unbounded. This is the range scan capability hash-based stores lack
-// (paper §6.1). Values are not fetched; use Get for payloads.
+// (paper §6.1). Values are not fetched; use Get for payloads. The entries
+// in range are copied out of every version under a shared hold of db.mu
+// and sorted after its release, so fn runs with no engine lock held. It is
+// an operator's path: no workload sends it.
 func (db *DB) Range(from, to []byte, fn func(key []byte, version uint64) bool) {
+	type entry struct {
+		key     string
+		ver     uint64
+		deleted bool
+	}
+	var es []entry
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for next := string(from); ; {
-		// The smallest key at or past next, and its newest entry: segments
-		// are searched newest first and a tie keeps the first found.
-		var key string
-		var seg *segment
-		var it *item
-		for i := len(db.segs) - 1; i >= 0; i-- {
-			s := db.segs[i]
-			es := s.keys()
-			j, _ := slices.BinarySearchFunc(es, next, func(e entry, k string) int { return strings.Compare(e.key, k) })
-			for j < len(es) && es[j].it.has(fRemoved) {
-				j++
-			}
-			if j < len(es) && (seg == nil || es[j].key < key) {
-				key, seg, it = es[j].key, s, es[j].it
+	for _, seg := range db.segs {
+		for k, it := range seg.items {
+			if k >= string(from) && (len(to) == 0 || k < string(to)) {
+				es = append(es, entry{k, seg.ver, seg.deleted(it)})
 			}
 		}
-		if seg == nil || (len(to) > 0 && key >= string(to)) {
+	}
+	db.mu.RUnlock()
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.ver, a.ver) // newest first
+	})
+	for i, e := range es {
+		if i > 0 && es[i-1].key == e.key {
+			continue // an older entry of the key
+		}
+		if !e.deleted && !fn([]byte(e.key), e.ver) {
 			return
 		}
-		if !seg.deleted(it) && !fn([]byte(key), seg.ver) {
-			return
-		}
-		next = key + "\x00"
 	}
 }
 

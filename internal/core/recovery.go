@@ -69,19 +69,15 @@ func (db *DB) checkpointLocked() (cost time.Duration, err error) {
 	for _, id := range sealed {
 		put32(id)
 	}
-	put32(uint32(db.itemsLocked())) // what the views list, past the removed
+	put32(uint32(db.itemsLocked()))
 	for _, seg := range db.segs {
-		for _, e := range seg.keys() {
-			it := e.it
-			if it.has(fRemoved) {
-				continue
-			}
+		for k, it := range seg.items {
 			flags := it.flags
 			if seg.retired {
 				flags |= fDeleted
 			}
-			put32(uint32(len(e.key)))
-			body = append(body, e.key...)
+			put32(uint32(len(k)))
+			body = append(body, k...)
 			put64(seg.ver)
 			body = append(body, flags)
 			put64(it.base)
@@ -323,7 +319,7 @@ func (db *DB) recover() error {
 				}
 			}
 			if rec.IsDropped() {
-				flags |= fDeleted | fOnDiskDeleted
+				flags |= fDeleted
 			}
 			seg := db.segmentFor(rec.Version)
 			if seg.retired {

@@ -54,11 +54,7 @@ func snapshotState(t *testing.T, db *DB) engineState {
 	st := db.Stats().Store
 	es := engineState{versions: db.Versions(), files: st.Files, total: st.TotalBytes, live: st.LiveBytes, values: map[keyVer]string{}}
 	for _, seg := range db.segs {
-		for _, e := range seg.keys() {
-			k, it := e.key, e.it
-			if it.has(fRemoved) {
-				continue
-			}
+		for k, it := range seg.items {
 			flags := it.flags
 			if seg.deleted(it) {
 				flags |= fDeleted
@@ -69,6 +65,7 @@ func snapshotState(t *testing.T, db *DB) engineState {
 			}
 		}
 	}
+	slices.Sort(es.items)
 	for k := range es.values {
 		// A dedup entry put with nothing to share reads as a broken chain,
 		// before a crash and after it.
